@@ -6,6 +6,7 @@ distances in meters. The combined antenna + environment reflectivity is
 eta_eff = 1 - e^{-mu L} (1 - eta_ant).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +29,6 @@ LIGHT_SPEED = 299792458.0     # m / s
 MU_OXYGEN = 1.44e-6
 MU_WATER_VAPOR_AVG = 1.764424e-6
 MU_WATER_VAPOR_MAX = 1.984977e-6
-# alternative attenuation figure of 2.3e-3 1/km seen for comparable setups;
-# stored for reference only, inconsistent with MU_OXYGEN by ~1.6x
-MU_QI_TABLE = 2.3e-6
 
 
 @dataclass
@@ -41,7 +39,11 @@ class AirChannel:
     eta_ant: float = 0.0  # antenna reflectivity
 
     def __post_init__(self):
-        if self.mu < 0 or self.L < 0 or not 0.0 <= self.eta_ant <= 1.0:
+        if not all(map(math.isfinite, (self.mu, self.L, self.n_th_env,
+                                       self.eta_ant))):
+            raise ValueError("channel parameters must be finite")
+        if (self.mu < 0 or self.L < 0 or self.n_th_env < 0
+                or not 0.0 <= self.eta_ant <= 1.0):
             raise ValueError("invalid channel parameters")
 
 

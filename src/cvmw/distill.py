@@ -12,10 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SIGMA_Z
+from .core import SIGMA_Z, omega
 from .entanglement import BipartiteCM
-
-OMEGA1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def hyp2f1(a, b, c, z):
@@ -84,10 +82,6 @@ class PsTmsv:
                       / hyp2f1(self.k + 1, self.k + 1, 1.0, lt ** 2) - 1.0)
 
 
-def ps_tmsv(lam, tau, k):
-    return PsTmsv(lam, tau, k)
-
-
 def tmsv_negativity(lam):
     """lam / (1 - lam) = (e^{2r} - 1) / 2 for lam = tanh r."""
     return lam / (1.0 - lam)
@@ -101,7 +95,8 @@ def heuristic_negativity(lam, k):
 def _w_mat(x, m):
     """W_{X,M} = X^{-1} tr(X^{-1} M) - Omega M Omega^T / det X."""
     x_inv = np.linalg.inv(x)
-    return x_inv * np.trace(x_inv @ m) - OMEGA1 @ m @ OMEGA1.T / np.linalg.det(x)
+    w = omega(1)
+    return x_inv * np.trace(x_inv @ m) - w @ m @ w.T / np.linalg.det(x)
 
 
 @dataclass
@@ -157,7 +152,7 @@ def ps2_gaussian(cm, tau):
         if np.max(np.abs(m - m.T)) > 1e-10:
             raise ValueError("submatrices must be symmetric")
     i2 = np.eye(2)
-    w = OMEGA1
+    w = omega(1)
     x_a = 0.5 * w @ ((1.0 - tau) * sa + (1.0 + tau) * i2) @ w.T
     x_b = 0.5 * w @ ((1.0 - tau) * sb + (1.0 + tau) * i2) @ w.T
     h = -0.5 * (1.0 - tau) * w @ e @ w.T
@@ -266,7 +261,7 @@ def ps2_heuristic(cm):
         if np.max(np.abs(m - m.T)) > 1e-10:
             raise ValueError("submatrices must be symmetric")
     i2 = np.eye(2)
-    w = OMEGA1
+    w = omega(1)
     sz = SIGMA_Z
     m_a = 1.0 - 0.5 * np.trace(sa)
     m_b = 1.0 - 0.5 * np.trace(sb)
@@ -305,7 +300,7 @@ def swap(cm1, cm2):
     """
     sa, e_ab, sb = cm1.sigma_a, cm1.eps, cm1.sigma_b
     sc, e_cd, sd = cm2.sigma_a, cm2.eps, cm2.sigma_b
-    w = OMEGA1
+    w = omega(1)
     sz = SIGMA_Z
     core_mat = sb + sz @ sc @ sz
     det = np.linalg.det(core_mat)
@@ -339,7 +334,7 @@ def char_fn_2ps(cm, tau, alpha_pt, beta_pt, outcome=None):
     out = ps2_gaussian(cm, tau) if outcome is None else outcome
     a = np.asarray(alpha_pt, dtype=float).reshape(2)
     b = np.asarray(beta_pt, dtype=float).reshape(2)
-    w = OMEGA1
+    w = omega(1)
     quad = (a @ w @ out.sigma_a @ w.T @ a + b @ w @ out.sigma_b @ w.T @ b
             + 2.0 * a @ w @ out.eps @ w.T @ b)
     envelope = np.exp(-0.25 * quad)
@@ -354,7 +349,7 @@ def char_fn_heuristic(cm, alpha_pt, beta_pt, machinery=None):
     mach = ps2_heuristic(cm) if machinery is None else machinery
     a = np.asarray(alpha_pt, dtype=float).reshape(2)
     b = np.asarray(beta_pt, dtype=float).reshape(2)
-    w = OMEGA1
+    w = omega(1)
     sa, sb, e = cm.sigma_a, cm.sigma_b, cm.eps
     quad = (a @ w @ sa @ w.T @ a + b @ w @ sb @ w.T @ b
             + 2.0 * a @ w @ e @ w.T @ b)

@@ -7,6 +7,7 @@ channel module, so the distance conventions (full L for the asymmetric
 state, L/2 per arm for the symmetric and swapped ones) live in one place.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,6 +173,14 @@ class TeleportResource:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError("unknown resource kind %r" % self.kind)
+        if self.kind.endswith("-fg") and not (math.isfinite(self.inv_gain)
+                                              and self.inv_gain > 0.0):
+            raise ValueError("finite-gain resources need a finite inv_gain > 0")
+
+    @property
+    def geometry(self):
+        """Geometry of the underlying lossy TMST; swap links are asym."""
+        return "sym" if "sym" in self.kind.split("-") else "asym"
 
     def _cm(self, length, geometry):
         ch = channel_mod.AirChannel(self.mu, length, self.n_th, self.eta_ant)
@@ -179,18 +188,10 @@ class TeleportResource:
 
     def fidelity(self, length):
         kind = self.kind
-        if kind in ("tmst-asym", "tmst-sym"):
-            return fidelity_gaussian(self._cm(length, kind.split("-")[1]))
-        if kind.startswith("2ps-prob"):
-            cm = self._cm(length, kind.rsplit("-", 1)[1])
-            return fidelity_2ps_general(cm, self.tau)[0]
-        if kind.startswith("2ps-heur"):
-            cm = self._cm(length, kind.rsplit("-", 1)[1])
-            return fidelity_heuristic(cm)[0]
         if kind in ("swap", "swap-fg"):
             # two identical links of length L/2; Charlie measures the lossy
             # modes, so alpha is the retained (lossless) block of each link
-            link = self._cm(length / 2.0, "asym")
+            link = self._cm(length / 2.0, self.geometry)
             alpha_l, beta_l = link.sigma_b[0, 0], link.sigma_a[0, 0]
             gamma_l = link.eps[0, 0]
             if kind == "swap":
@@ -198,12 +199,16 @@ class TeleportResource:
             gain = 1.0 / self.inv_gain
             a_t, g_t = swapped_finite_gain_params(alpha_l, beta_l, gamma_l, gain)
             return fidelity_finite_gain(a_t, a_t, g_t, gain, self.theta)
-        # finite-gain bare resources
-        geometry = "asym" if "asym" in kind else "sym"
-        cm = self._cm(length, geometry)
+        cm = self._cm(length, self.geometry)
+        if kind.startswith("2ps-prob"):
+            return fidelity_2ps_general(cm, self.tau)[0]
+        if kind.startswith("2ps-heur"):
+            return fidelity_heuristic(cm)[0]
+        if not kind.endswith("-fg"):
+            return fidelity_gaussian(cm)
         alpha, beta, gamma = cm.standard_params()
-        gain = 1.0 / self.inv_gain
-        return fidelity_finite_gain(alpha, beta, gamma, gain, self.theta)
+        return fidelity_finite_gain(alpha, beta, gamma, 1.0 / self.inv_gain,
+                                    self.theta)
 
     def classical_limit_distance(self, l_max=5000.0, tol=0.01):
         """Distance where the fidelity crosses 1/2, by bisection (meters)."""

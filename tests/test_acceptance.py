@@ -154,7 +154,7 @@ def test_criterion_10_oracle_equivalence():
     for r in (0.4, 0.8):
         lam = np.tanh(r)
         ket, prob = fock.ps_project(fock.tmsv_ket(r, 60), 0.95, 1)
-        ps = distill.ps_tmsv(lam, 0.95, 1)
+        ps = distill.PsTmsv(lam, 0.95, 1)
         worst_ps = max(worst_ps,
                        abs(fock.ket_negativity(ket) - ps.negativity()),
                        abs(prob - ps.success_probability()))
@@ -276,7 +276,7 @@ def test_criterion_11_invariant_suite():
     ok_prob = True
     for lam in (0.2, 0.6, 0.9):
         for k in (1, 2):
-            ps = distill.ps_tmsv(lam, P["tau"], k)
+            ps = distill.PsTmsv(lam, P["tau"], k)
             ok_prob = ok_prob and abs(ps.success_probability()
                                       - ps.success_probability_series()) <= 1e-12
 

@@ -266,3 +266,17 @@ class TestProfiles:
         loaded = load_profile(path)
         for key, value in TABLE1.items():
             assert loaded[key] == pytest.approx(value)
+
+
+class TestAirChannelBounds:
+    @pytest.mark.parametrize("field", ["mu", "L", "n_th_env", "eta_ant"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, field, bad):
+        args = {"mu": 1.44e-6, "L": 100.0, "n_th_env": 1250.0, "eta_ant": 0.0}
+        args[field] = bad
+        with pytest.raises(ValueError):
+            AirChannel(**args)
+
+    def test_rejects_negative_thermal_photons(self):
+        with pytest.raises(ValueError):
+            AirChannel(1.44e-6, 100.0, -5.0)

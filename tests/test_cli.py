@@ -1,18 +1,25 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from cvmw import cli, core
+import cvmw
+from cvmw import cli, core, teleport
+
+# the CLI subprocess imports the same cvmw as the tests, installed or not
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cvmw.__file__)))
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, (SRC, os.environ.get("PYTHONPATH")))))
 
 
 def run_cli(*args):
     proc = subprocess.run([sys.executable, "-m", "cvmw.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=ENV)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -75,6 +82,43 @@ class TestExitCodes:
         assert not json.loads(out)["all_pass"]
 
 
+class TestFailureContract:
+    @pytest.mark.parametrize("argv", [
+        ("channel", "--sweep", "r", "0.5", "1.5", "3"),
+        ("swap", "--sweep", "r", "0.5", "1.5", "3"),
+        ("distill", "--sweep", "r", "0.5", "1.5", "3"),
+        ("satellite", "--sweep", "L", "0", "100", "3"),
+        ("illum", "--sweep", "foo", "0", "1", "3"),
+        ("negativity", "--sweep", "L", "0", "100", "3"),
+        ("teleport", "--sweep", "r", "0.5", "1.5", "3"),
+        ("qfi", "--sweep", "n_s", "0.1", "1", "3"),
+    ])
+    def test_sweep_variable_outside_table_is_usage_error(self, argv):
+        code, out, err = run_cli(*argv)
+        assert code == 1
+        assert out == ""
+        assert "cannot sweep" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("teleport", "--resource", "tmst-asym-fg", "--set", "inv_gain=0"),
+        ("summary", "--set", "r=0"),
+        ("bifreq", "--set", "eta1=1.0"),
+    ])
+    def test_arithmetic_errors_exit_2_without_traceback(self, argv):
+        code, out, err = run_cli(*argv)
+        assert code == 2
+        assert "Traceback" not in err
+        assert "computation error" in err
+
+    @pytest.mark.parametrize("command,setting", [("channel", "mu=nan"),
+                                                 ("teleport", "n_th=-5")])
+    def test_out_of_range_channel_is_computation_error(self, command, setting):
+        code, out, err = run_cli(command, "--set", setting)
+        assert code == 2
+        assert out == ""
+        assert "Warning" not in err
+
+
 class TestDeterminism:
     def test_csv_reproducible_bit_identically(self):
         args = ("teleport", "--resource", "2ps-prob-sym",
@@ -119,6 +163,18 @@ class TestTeleportCommand:
         assert "provenance" in report and "parameters" in report
 
 
+    @pytest.mark.parametrize("kind", teleport.TeleportResource.KINDS)
+    def test_bare_column_is_tmst_of_the_resource_geometry(self, kind):
+        _, out, _ = run_cli("teleport", "--resource", kind,
+                            "--sweep", "L", "0", "400", "3")
+        sym = ("tmst-sym", "2ps-prob-sym", "2ps-heur-sym", "tmst-sym-fg")
+        geometry = "sym" if kind in sym else "asym"
+        bare = teleport.TeleportResource("tmst-" + geometry, 1.0, 0.01,
+                                         1.44e-6, 1250.0)
+        for row in parse_csv(out):
+            assert float(row["fidelity_bare"]) == bare.fidelity(float(row["L"]))
+
+
 class TestNegativityCommand:
     def test_zero_squeezing_row_flagged(self):
         _, out, _ = run_cli("negativity", "--sweep", "r", "0", "1", "3")
@@ -140,7 +196,7 @@ class TestNegativityCommand:
             assert float(row["n_tmsv"]) == pytest.approx(
                 distill.tmsv_negativity(lam), rel=1e-15)
             assert float(row["p2"]) == pytest.approx(
-                distill.ps_tmsv(lam, 0.95, 1).success_probability(), rel=1e-15)
+                distill.PsTmsv(lam, 0.95, 1).success_probability(), rel=1e-15)
 
 
 class TestStateCommand:

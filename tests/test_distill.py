@@ -5,7 +5,7 @@ from scipy.special import hyp2f1 as scipy_hyp2f1
 from cvmw import channel, core, fock, teleport
 from cvmw.distill import (char_fn_2ps, char_fn_heuristic,
                           heuristic_negativity, hyp2f1, ps2_gaussian,
-                          ps2_heuristic, ps2_standard_form, ps_tmsv, swap,
+                          ps2_heuristic, ps2_standard_form, PsTmsv, swap,
                           swap_symmetric, tmsv_negativity)
 from cvmw.entanglement import BipartiteCM, cm_validity, negativity
 
@@ -54,14 +54,14 @@ class TestPsTmsv:
         for lam in (0.2, 0.6, 0.9):
             for tau in (0.5, 0.95):
                 for k in (1, 2):
-                    ps = ps_tmsv(lam, tau, k)
+                    ps = PsTmsv(lam, tau, k)
                     assert ps.success_probability() == pytest.approx(
                         ps.success_probability_series(), abs=1e-12)
 
     def test_against_fock_brute_force(self):
         # beam splitters + ancillas + projection on |1,1>, truncated space
         lam, tau = np.tanh(0.5), 0.95
-        ps = ps_tmsv(lam, tau, 1)
+        ps = PsTmsv(lam, tau, 1)
         ket, prob = fock.ps_project(fock.tmsv_ket(0.5, 60), tau, 1)
         assert prob == pytest.approx(ps.success_probability(), abs=1e-12)
         assert fock.ket_negativity(ket) == pytest.approx(ps.negativity(),
@@ -71,8 +71,8 @@ class TestPsTmsv:
         tau = 0.95
         for r in np.linspace(0.05, 1.5, 20):
             lam = np.tanh(r)
-            p2 = ps_tmsv(lam, tau, 1).success_probability()
-            p4 = ps_tmsv(lam, tau, 2).success_probability()
+            p2 = PsTmsv(lam, tau, 1).success_probability()
+            p4 = PsTmsv(lam, tau, 2).success_probability()
             assert 0.0 < p4 < p2 < 1.0
 
     def test_negativity_crossing_structure(self):
@@ -82,15 +82,15 @@ class TestPsTmsv:
         gains = []
         for r in np.linspace(0.1, 2.0, 40):
             lam = np.tanh(r)
-            gains.append(ps_tmsv(lam, tau, 1).negativity()
+            gains.append(PsTmsv(lam, tau, 1).negativity()
                          - tmsv_negativity(lam))
         assert gains[0] > 0.0 and gains[-1] < 0.0
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            ps_tmsv(1.0, 0.95, 1)
+            PsTmsv(1.0, 0.95, 1)
         with pytest.raises(ValueError):
-            ps_tmsv(0.5, 0.95, 3)
+            PsTmsv(0.5, 0.95, 3)
 
 
 class TestPs2Gaussian:
@@ -113,7 +113,7 @@ class TestPs2Gaussian:
         np.testing.assert_allclose(out.cm(check=False).matrix,
                                    core.tmsv(r_eff).sigma, atol=1e-12)
         assert out.probability == pytest.approx(
-            ps_tmsv(np.tanh(r), tau, 1).success_probability(), rel=1e-10)
+            PsTmsv(np.tanh(r), tau, 1).success_probability(), rel=1e-10)
 
     def test_symmetry_preserved(self):
         cm = BipartiteCM.standard_form(3.8, 3.8, 3.2)
@@ -170,7 +170,7 @@ class TestPs2Heuristic:
         for r in np.linspace(0.1, 1.5, 15):
             lam = np.tanh(r)
             gain_h = heuristic_negativity(lam, 1) - tmsv_negativity(lam)
-            gain_p = ps_tmsv(lam, tau, 1).negativity() - tmsv_negativity(lam)
+            gain_p = PsTmsv(lam, tau, 1).negativity() - tmsv_negativity(lam)
             assert gain_h >= gain_p - 1e-12
 
 

@@ -258,3 +258,19 @@ class TestGammaMatrix:
     def test_symmetric_standard_form(self):
         cm = BipartiteCM.standard_form(3.0, 3.0, 2.0)
         np.testing.assert_allclose(gamma_of(cm), 2.0 * np.eye(2))
+
+
+class TestResourceBounds:
+    @pytest.mark.parametrize("kind", ["tmst-asym-fg", "tmst-sym-fg", "swap-fg"])
+    @pytest.mark.parametrize("inv_gain", [0.0, -0.008, float("nan"), float("inf")])
+    def test_finite_gain_needs_positive_finite_inv_gain(self, kind, inv_gain):
+        with pytest.raises(ValueError):
+            resource(kind, inv_gain=inv_gain)
+
+    @pytest.mark.parametrize("kind,geometry", [
+        ("tmst-asym", "asym"), ("tmst-sym", "sym"), ("2ps-prob-asym", "asym"),
+        ("2ps-prob-sym", "sym"), ("2ps-heur-asym", "asym"),
+        ("2ps-heur-sym", "sym"), ("swap", "asym"), ("tmst-asym-fg", "asym"),
+        ("tmst-sym-fg", "sym"), ("swap-fg", "asym")])
+    def test_geometry(self, kind, geometry):
+        assert resource(kind).geometry == geometry
