@@ -15,8 +15,8 @@ from scipy.optimize import least_squares
 
 from .core import GaussianState, SIGMA_Z, apply, beam_splitter, partial_trace
 from .entanglement import BipartiteCM
-from .estimation import (GaussianFamily, QuadraticObservable,
-                         gaussian_qfi, gaussian_sld)
+from .estimation import (GaussianFamily, QuadraticObservable, gaussian_qfi,
+                         optimal_observable)
 
 
 @dataclass
@@ -90,32 +90,31 @@ def bifreq_received(params):
     return BipartiteCM.from_state(partial_trace(out, keep=(1, 3)))
 
 
-def _fd_step(params, step):
+def _fd_step(params):
     # finite differences move eta2 = eta1 + lam, which must stay in [0, 1]
     eta2 = params.eta1 + params.lam
     room = min(eta2, 1.0 - eta2)
     if room <= 0.0:
         raise ValueError("operating point sits on the reflectivity boundary")
-    return min(step, room / 2.0)
+    return min(1e-5, room / 2.0)
 
 
-def received_family(params, step=1e-5):
+def received_family(params):
     """Quantum received state as a Gaussian family in the difference lambda."""
     eta1, n_r, n, n_th = params.eta1, params.n_r, params.n, params.n_th
 
     def evaluate(lam):
         return bifreq_received(BifreqParams(eta1, lam, n_r, n, n_th)).to_state()
 
-    return GaussianFamily(evaluate, lambda0=params.lam,
-                          step=_fd_step(params, step))
+    return GaussianFamily(evaluate, lambda0=params.lam, step=_fd_step(params))
 
 
-def h_q_bifreq(params, step=1e-5):
+def h_q_bifreq(params):
     """Quantum-probe QFI at the two-sided limit lambda -> 0 (numeric)."""
-    return gaussian_qfi(received_family(params, step))
+    return gaussian_qfi(received_family(params))
 
 
-def classical_received_family(params, step=1e-5):
+def classical_received_family(params):
     """Coherent-pair received state as a Gaussian family in lambda."""
     eta1, n_th = params.eta1, params.n_th
     alpha = np.sqrt(params.n_s)
@@ -129,8 +128,7 @@ def classical_received_family(params, step=1e-5):
                       np.sqrt(2.0 * (eta1 + lam)) * alpha, 0.0])
         return GaussianState(d, sigma)
 
-    return GaussianFamily(evaluate, lambda0=params.lam,
-                          step=_fd_step(params, step))
+    return GaussianFamily(evaluate, lambda0=params.lam, step=_fd_step(params))
 
 
 def h_c_bifreq(params):
@@ -149,9 +147,9 @@ def h_c_bifreq(params):
     return thermal_term + params.n_s / (eta1 * dd)
 
 
-def ratio(params, step=1e-5):
+def ratio(params):
     """Quantum enhancement H_Q / H_C at the operating point."""
-    return h_q_bifreq(params, step) / h_c_bifreq(params)
+    return h_q_bifreq(params) / h_c_bifreq(params)
 
 
 def high_reflectivity_ratio(n_s, n_th):
@@ -260,16 +258,13 @@ def coeffs_noiseless(n_s):
     return ObservableCoeffs(-mu2, -1.0, np.sqrt(mu2), -nu)
 
 
-def optimal_observable_numeric(params, step=1e-5):
+def optimal_observable_numeric(params):
     """SLD-based optimal observable mapped to ladder coefficients.
 
     Exact route (given the Gaussian SLD); serves as the cross-check for
     the closed-form coefficients.
     """
-    fam = received_family(params, step)
-    sld = gaussian_sld(fam)
-    h = gaussian_qfi(fam)
-    obs = sld.scaled(1.0 / h).shifted(fam.lambda0)
+    obs = optimal_observable(received_family(params))
     q = obs.quad
     l11 = q[0, 0] + q[1, 1]
     l22 = q[2, 2] + q[3, 3]
@@ -296,10 +291,10 @@ def variance_formula(params):
     return 2.0 * n_s ** 2 * coeffs.l12 * (1.0 + n_s)
 
 
-def qcrb_gap(eta1, n_s, n_th, step=1e-5):
+def qcrb_gap(eta1, n_s, n_th):
     """var(O_Q) * H_Q - 1; a root in n_th certifies qCRB saturation at M = 1."""
     params = BifreqParams(eta1, 0.0, n_r=n_s, n=0.0, n_th=n_th)
-    return variance_formula(params) * h_q_bifreq(params, step) - 1.0
+    return variance_formula(params) * h_q_bifreq(params) - 1.0
 
 
 def qcrb_saturating_noise(eta1, n_s, lo=1e-3, hi=1e4):

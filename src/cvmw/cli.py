@@ -428,14 +428,16 @@ def build_parser():
         sp.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override a parameter")
         sp.add_argument("--out", default=None, help="output file")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="accepted for interface compatibility; no effect")
-        sp.add_argument("--sweep", nargs=4, default=None,
-                        metavar=("VAR", "START", "STOP", "COUNT"))
-        sp.add_argument("--log", action="store_true",
-                        help="logarithmic sweep spacing")
-        sp.set_defaults(func=func)
+        if func is _cmd_table:
+            sp.add_argument("--format", choices=("csv", "json"), default="csv")
+            sp.add_argument("--jobs", type=int, default=1,
+                            help="accepted for interface compatibility; no effect")
+        if COMMANDS.get(name, {}).get("sweeps"):
+            sp.add_argument("--sweep", nargs=4, default=None,
+                            metavar=("VAR", "START", "STOP", "COUNT"))
+            sp.add_argument("--log", action="store_true",
+                            help="logarithmic sweep spacing")
+        sp.set_defaults(func=func, sweep=None)
     return parser
 
 

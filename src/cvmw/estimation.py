@@ -1,10 +1,10 @@
 """Gaussian quantum Fisher information, SLDs, and optimal observables.
 
-The QFI of a two-mode Gaussian family is evaluated from the covariance
-matrix and displacement vector with central-difference derivatives
-(Richardson refined). The symmetric logarithmic derivative is obtained in
-the complex (ladder-operator) basis and mapped back to a quadratic form in
-the quadratures.
+The derivatives of the covariance matrix and displacement vector are
+central differences, Richardson refined. The symmetric logarithmic
+derivative solves Monras' linear system in the complex (ladder-operator)
+basis (A. Monras, arXiv:1303.3682) for any number of modes; the QFI is
+its variance, and the SLD maps back to a quadratic form in the quadratures.
 """
 
 from dataclasses import dataclass
@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import GaussianState, omega, two_mode_symplectic_eigenvalues
+from .core import GaussianState, omega
 
 PURE_TOL = 1e-7
 DSIGMA_FLOOR = 1e-12
@@ -69,103 +69,60 @@ def _complex_basis(n_modes):
     return w
 
 
-def _complex_moments(state):
-    w = _complex_basis(state.n_modes)
-    return w @ state.sigma @ w.conj().T, w @ state.d.astype(complex)
+def _derivatives(family):
+    """(state at lambda0, dSigma, dd) from five family evaluations.
 
+    Central differences at the family step and at half of it, combined by
+    Richardson extrapolation.
+    """
+    lam0, h = family.lambda0, family.step
+    state0 = family(lam0)
 
-def _derivatives(family, h):
-    sp = family(family.lambda0 + h)
-    sm = family(family.lambda0 - h)
-    dsigma = (sp.sigma - sm.sigma) / (2.0 * h)
-    dd = (sp.d - sm.d) / (2.0 * h)
-    return dsigma, dd
+    def central(step):
+        sp, sm = family(lam0 + step), family(lam0 - step)
+        return (sp.sigma - sm.sigma) / (2.0 * step), (sp.d - sm.d) / (2.0 * step)
 
-
-def _qfi_two_mode(sigma, dsigma, dd, nu, dnu):
-    """Two-mode Gaussian QFI from the A = i Omega Sigma invariant form."""
-    w = omega(2)
-    a = 1j * w @ sigma
-    da = 1j * w @ dsigma
-    det_a = np.linalg.det(a).real
-    if abs(det_a - 1.0) < 1e-14:
-        raise RegularizationError("det A = 1: pure state")
-    inv_a = np.linalg.inv(a)
-    i4 = np.eye(4)
-    m1 = det_a * np.trace((inv_a @ da) @ (inv_a @ da)).real
-    b = i4 + a @ a
-    m2 = (np.sqrt(abs(np.linalg.det(b).real))
-          * np.trace((np.linalg.inv(b) @ da) @ (np.linalg.inv(b) @ da)).real)
-    nu_m, nu_p = nu
-    dnu_m, dnu_p = dnu
-    m3 = -4.0 * (nu_p ** 2 - nu_m ** 2) * (
-        dnu_p ** 2 / (nu_p ** 4 - 1.0) - dnu_m ** 2 / (nu_m ** 4 - 1.0))
-    h_sigma = (m1 + m2 + m3) / (2.0 * (det_a - 1.0))
-    h_disp = 2.0 * dd @ np.linalg.solve(sigma, dd)
-    return float(h_sigma + h_disp)
-
-
-def _qfi_at_step(family, h):
-    state0 = family(family.lambda0)
-    dsigma, dd = _derivatives(family, h)
-    if np.max(np.abs(dsigma)) < DSIGMA_FLOOR:
-        return float(2.0 * dd @ np.linalg.solve(state0.sigma, dd))
-    nu = two_mode_symplectic_eigenvalues(state0.sigma)
-    if nu.min() < 1.0 + PURE_TOL:
-        raise RegularizationError(
-            "regularization required: symplectic eigenvalue %.3g close to 1"
-            % nu.min())
-    nu_p = two_mode_symplectic_eigenvalues(family(family.lambda0 + h).sigma)
-    nu_m = two_mode_symplectic_eigenvalues(family(family.lambda0 - h).sigma)
-    dnu = (nu_p - nu_m) / (2.0 * h)
-    return _qfi_two_mode(state0.sigma, dsigma, dd, nu, dnu)
+    (ds_h, dd_h), (ds_2, dd_2) = central(h), central(h / 2.0)
+    return state0, (4.0 * ds_2 - ds_h) / 3.0, (4.0 * dd_2 - dd_h) / 3.0
 
 
 def gaussian_qfi(family):
-    """QFI of a two-mode Gaussian family at family.lambda0.
+    """QFI of a Gaussian family at family.lambda0, any number of modes.
 
-    Central differences at the family step, Richardson-refined with the
-    halved step. Raises RegularizationError near the pure-state boundary
-    when the covariance matrix carries parameter dependence.
+    H = Re vec(dSigma)^dag M^-1 vec(dSigma) / 2 + 2 dd^T Sigma^-1 dd with
+    M = Sigma^* (x) Sigma - K (x) K in the complex basis. Raises
+    RegularizationError near the pure-state boundary when the covariance
+    matrix carries parameter dependence.
     """
-    state0 = family(family.lambda0)
-    if state0.n_modes != 2:
-        raise ValueError("gaussian_qfi expects two-mode families")
-    h = family.step
-    h_full = _qfi_at_step(family, h)
-    h_half = _qfi_at_step(family, h / 2.0)
-    return (4.0 * h_half - h_full) / 3.0
+    state0, dsigma, dd = _derivatives(family)
+    if np.max(np.abs(dsigma)) < DSIGMA_FLOOR:
+        return float(2.0 * dd @ np.linalg.solve(state0.sigma, dd))
+    return _sld_matrices(state0, dsigma, dd)[2]
 
 
-def _vec(m):
-    return m.reshape(-1, order="F")
-
-
-def _unvec(v, n):
-    return v.reshape(n, n, order="F")
-
-
-def _sld_matrices(state, dsigma_c, dd_c):
-    """Solve M vec(A) = vec(dSigma) in the complex basis; returns (A, y)."""
-    n = 2 * state.n_modes
-    sigma_c, _ = _complex_moments(state)
-    k = np.diag(np.concatenate([np.ones(state.n_modes), -np.ones(state.n_modes)]))
-    mm = np.kron(sigma_c.conj(), sigma_c) - np.kron(k, k).astype(complex)
-    nu = state.symplectic_eigenvalues()
-    if nu.min() < 1.0 + PURE_TOL:
+def _sld_matrices(state, dsigma, dd):
+    """Solve M vec(A) = vec(dSigma) in the complex basis; returns (A, y, H)."""
+    if state.symplectic_eigenvalues().min() < 1.0 + PURE_TOL:
         raise RegularizationError(
             "regularization required: SLD system singular for (nearly) pure states")
-    avec = np.linalg.solve(mm, _vec(dsigma_c))
-    a_mat = _unvec(avec, n)
+    n_modes = state.n_modes
+    w = _complex_basis(n_modes)
+    sigma_c = w @ state.sigma @ w.conj().T
+    dsigma_c = w @ dsigma @ w.conj().T
+    dd_c = w @ dd
+    k = np.diag(np.repeat([1.0, -1.0], n_modes))
+    mm = np.kron(sigma_c.conj(), sigma_c) - np.kron(k, k)
+    v = dsigma_c.reshape(-1, order="F")
+    avec = np.linalg.solve(mm, v)
     y = np.linalg.solve(sigma_c, dd_c)
-    return a_mat, y
+    h = 0.5 * (v.conj() @ avec).real + 2.0 * (dd_c.conj() @ y).real
+    return avec.reshape(2 * n_modes, 2 * n_modes, order="F"), y, float(h)
 
 
 def _sld_to_quadratic(state, a_mat, y):
     """Map the complex-basis SLD coefficients to a real quadratic observable."""
     n_modes = state.n_modes
     w = _complex_basis(n_modes)
-    sigma_c, _ = _complex_moments(state)
     m = w.conj().T @ a_mat @ w
     m_sym = 0.5 * (m + m.T)
     # constant picked up when writing the unsymmetrized product in
@@ -176,7 +133,7 @@ def _sld_to_quadratic(state, a_mat, y):
     quad = m_sym.real
     lin = lin_centered.real - 2.0 * quad @ d
     const = (d @ quad @ d - lin_centered.real @ d
-             + comm_const.real - 0.5 * np.trace(sigma_c @ a_mat).real)
+             + comm_const.real - 0.5 * np.trace(state.sigma @ m).real)
     imag_leak = max(np.max(np.abs(m_sym.imag)), np.max(np.abs(lin_centered.imag)))
     if imag_leak > 1e-8:
         raise ValueError("SLD mapping produced non-Hermitian coefficients")
@@ -189,38 +146,12 @@ def gaussian_sld(family):
     Returns the quadratic observable L with {L, rho} = 2 d rho / d lambda;
     Tr[rho L] = 0 at the operating point.
     """
-    state0 = family(family.lambda0)
-    h = family.step
-    dsigma, dd = _derivatives(family, h)
-    w = _complex_basis(state0.n_modes)
-    dsigma_c = w @ dsigma @ w.conj().T
-    dd_c = w @ dd.astype(complex)
+    state0, dsigma, dd = _derivatives(family)
     if np.max(np.abs(dsigma)) < DSIGMA_FLOOR and np.max(np.abs(dd)) < DSIGMA_FLOOR:
         n = 2 * state0.n_modes
         return QuadraticObservable(np.zeros((n, n)), np.zeros(n), 0.0)
-    a_mat, y = _sld_matrices(state0, dsigma_c, dd_c)
+    a_mat, y, _ = _sld_matrices(state0, dsigma, dd)
     return _sld_to_quadratic(state0, a_mat, y)
-
-
-def qfi_via_sld(family):
-    """QFI from the vectorized SLD solution; valid for any mode number.
-
-    H = Re[vec(dSigma)^dag vec(A)] / 2 + 2 dd^dag Sigma^-1 dd in the
-    complex basis. Serves as an independent route to gaussian_qfi.
-    """
-    state0 = family(family.lambda0)
-    h = family.step
-    dsigma, dd = _derivatives(family, h)
-    w = _complex_basis(state0.n_modes)
-    dsigma_c = w @ dsigma @ w.conj().T
-    dd_c = w @ dd.astype(complex)
-    if np.max(np.abs(dsigma)) < DSIGMA_FLOOR:
-        sigma_c, _ = _complex_moments(state0)
-        return float((2.0 * dd_c.conj() @ np.linalg.solve(sigma_c, dd_c)).real)
-    a_mat, y = _sld_matrices(state0, dsigma_c, dd_c)
-    h_sigma = 0.5 * (_vec(dsigma_c).conj() @ _vec(a_mat)).real
-    h_disp = (2.0 * dd_c.conj() @ y).real
-    return float(h_sigma + h_disp)
 
 
 def optimal_observable(family):
@@ -230,10 +161,11 @@ def optimal_observable(family):
     quantum Cramer-Rao bound is saturated by its maximum-likelihood
     post-processing.
     """
-    sld = gaussian_sld(family)
-    h = gaussian_qfi(family)
+    state0, dsigma, dd = _derivatives(family)
+    a_mat, y, h = _sld_matrices(state0, dsigma, dd)
     if h <= 0.0:
         raise ValueError("QFI vanishes: no optimal observable")
+    sld = _sld_to_quadratic(state0, a_mat, y)
     return sld.scaled(1.0 / h).shifted(family.lambda0)
 
 

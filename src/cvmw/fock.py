@@ -4,7 +4,9 @@ Everything here works on dense arrays over a Hilbert space truncated at
 n_max photons per mode. Kets are stored as tensors of shape
 (n_max+1,) * n_modes, density matrices as (D, D) arrays with D the total
 dimension. Operations report truncation leakage so tests can pick n_max
-on principled grounds.
+on principled grounds. Gaussian unitaries are built from the Bloch-Messiah
+factors of their symplectic matrix: passive blocks and single-mode
+squeezers.
 """
 
 from dataclasses import dataclass
@@ -272,43 +274,6 @@ def williamson(sigma):
     return s, nu
 
 
-def generator_unitary(s_matrix, n_max):
-    """Dense exponential of the quadratic generator H with S = exp(Omega H).
-
-    The state map rho -> U rho U^dagger reproduces Sigma -> S Sigma S^T.
-    Cost grows as the cube of the total dimension; see
-    unitary_from_symplectic for the factored route.
-    """
-    from scipy.linalg import logm
-
-    s_matrix = np.asarray(s_matrix, dtype=float)
-    n = s_matrix.shape[0] // 2
-    dims = (n_max + 1,) * n
-    if np.prod(dims) > MAX_DENSE_DIM:
-        raise ValueError("truncated dimension too large for dense exponentiation")
-    w = omega(n)
-    gen = logm(s_matrix).real
-    # a real logarithm can fail to exist (negative real eigenvalues)
-    if np.max(np.abs(expm(gen) - s_matrix)) > 1e-8 * max(1.0, np.max(np.abs(s_matrix))):
-        raise ValueError("symplectic matrix has no real logarithm; "
-                         "compose it from factors with one")
-    h = -w @ gen
-    h = 0.5 * (h + h.T)
-    x, p = quadrature_ops(n_max)
-    quads = []
-    for mode in range(n):
-        quads.append(op_on_mode(x, mode, dims))
-        quads.append(op_on_mode(p, mode, dims))
-    h_op = np.zeros((np.prod(dims), np.prod(dims)), dtype=complex)
-    for a in range(2 * n):
-        for b in range(2 * n):
-            if h[a, b] != 0.0:
-                h_op += 0.5 * h[a, b] * (quads[a] @ quads[b])
-    # the generator is Hermitian: exponentiate through its eigenbasis
-    evals, vecs = np.linalg.eigh(h_op)
-    return (vecs * np.exp(-1j * evals)) @ vecs.conj().T
-
-
 def _complex_mode_matrix(k_matrix):
     """N x N unitary acting on the annihilation operators of a passive map."""
     n = k_matrix.shape[0] // 2
@@ -458,17 +423,18 @@ def bloch_messiah(s_matrix, tol=1e-9):
     return k1, np.array(rs), k2
 
 
-def unitary_from_symplectic(s_matrix, n_max, method="generator"):
+def unitary_from_symplectic(s_matrix, n_max):
     """Fock-space unitary implementing a symplectic transformation.
 
-    method="generator" exponentiates the full quadratic generator in one
-    step (best truncation behavior); method="euler" factors through the
-    Euler decomposition, exponentiating only passive blocks and
-    single-mode squeezers (cheapest, but squeezed tails truncate earlier).
+    Factors S = K1 Z K2 through the Bloch-Messiah (Euler) decomposition
+    (S. L. Braunstein, PRA 71, 055801 (2005)) and exponentiates only the
+    passive blocks and the single-mode squeezers, so the result does not
+    depend on which symplectic basis williamson returns.
     """
     s_matrix = np.asarray(s_matrix, dtype=float)
-    if method == "generator":
-        return generator_unitary(s_matrix, n_max)
+    n = s_matrix.shape[0] // 2
+    if (n_max + 1) ** n > MAX_DENSE_DIM:
+        raise ValueError("truncated dimension too large for dense exponentiation")
     k1, rs, k2 = bloch_messiah(s_matrix)
     u_z = np.array([[1.0 + 0j]])
     for r_j in rs:

@@ -118,17 +118,17 @@ def gain(params):
             / (1.0 + 2.0 * n_s * n_th + n_s + n_th))
 
 
-def received_family(params, step=1e-5):
+def received_family(params):
     """Quantum received state as a Gaussian family in the reflectivity."""
     n_s, n_th, gamma = params.n_s, params.n_th, params.gamma
 
     def evaluate(eta):
         return qi_received(QiParams(n_s, n_th, gamma, eta)).to_state()
 
-    return GaussianFamily(evaluate, lambda0=params.eta, step=step)
+    return GaussianFamily(evaluate, lambda0=params.eta, step=1e-5)
 
 
-def classical_received_family(params, step=1e-5):
+def classical_received_family(params):
     """Coherent-probe received state (with a passive thermal spectator mode).
 
     Pre-channel the probe is a coherent state with alpha^2 = n_s in the
@@ -148,4 +148,4 @@ def classical_received_family(params, step=1e-5):
         d = np.array([np.sqrt(2.0) * alpha * x, 0.0, 0.0, 0.0])
         return GaussianState(d, sigma)
 
-    return GaussianFamily(evaluate, lambda0=params.eta, step=step)
+    return GaussianFamily(evaluate, lambda0=params.eta, step=1e-5)

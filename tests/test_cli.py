@@ -91,13 +91,28 @@ class TestFailureContract:
         ("illum", "--sweep", "foo", "0", "1", "3"),
         ("negativity", "--sweep", "L", "0", "100", "3"),
         ("teleport", "--sweep", "r", "0.5", "1.5", "3"),
-        ("qfi", "--sweep", "n_s", "0.1", "1", "3"),
     ])
     def test_sweep_variable_outside_table_is_usage_error(self, argv):
         code, out, err = run_cli(*argv)
         assert code == 1
         assert out == ""
         assert "cannot sweep" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("summary", "--format", "csv"),
+        ("summary", "--jobs", "4"),
+        ("summary", "--log"),
+        ("summary", "--sweep", "L", "0", "100", "3"),
+        ("state", "--kind", "vacuum", "--format", "json"),
+        ("state", "--kind", "vacuum", "--jobs", "2"),
+        ("state", "--kind", "vacuum", "--log"),
+        ("state", "--kind", "vacuum", "--sweep", "r", "0", "1", "3"),
+        ("qfi", "--log"),
+        ("qfi", "--sweep", "n_s", "0.1", "1", "3"),
+    ])
+    def test_option_the_subcommand_lacks_is_usage_error(self, argv, capsys):
+        assert cli.main(list(argv)) == 1
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("argv", [
         ("teleport", "--resource", "tmst-asym-fg", "--set", "inv_gain=0"),

@@ -4,8 +4,7 @@ import pytest
 from cvmw import bifreq, core, fock, illumination
 from cvmw.estimation import (GaussianFamily, QuadraticObservable,
                              RegularizationError, gaussian_qfi, gaussian_sld,
-                             observable_moments, optimal_observable,
-                             qfi_via_sld)
+                             observable_moments, optimal_observable)
 
 
 def displacement_family(lambda0=0.3):
@@ -52,13 +51,8 @@ class TestGaussianQfi:
     def test_nonnegative(self):
         assert gaussian_qfi(qi_family()) >= 0.0
 
-    def test_matches_sld_route(self):
-        fam = qi_family()
-        assert gaussian_qfi(fam) == pytest.approx(qfi_via_sld(fam), rel=1e-9)
-
     def test_additive_on_doubled_family(self):
-        # two independent copies carry twice the information; the doubled
-        # family is four-mode, handled by the vectorized SLD route
+        # two independent copies carry twice the information
         fam = qi_family()
 
         def doubled(lam):
@@ -69,8 +63,8 @@ class TestGaussianQfi:
             return core.GaussianState(np.zeros(8), sigma, check=False)
 
         fam2 = GaussianFamily(doubled, fam.lambda0, fam.step)
-        assert qfi_via_sld(fam2) == pytest.approx(2.0 * gaussian_qfi(fam),
-                                                  rel=1e-8)
+        assert gaussian_qfi(fam2) == pytest.approx(2.0 * gaussian_qfi(fam),
+                                                   rel=1e-8)
 
     def test_invariant_under_fixed_symplectics(self):
         from scipy.linalg import expm
@@ -132,6 +126,20 @@ class TestGaussianQfi:
         # covariance is constant, so only the displacement term is evaluated
         h = gaussian_qfi(displacement_family())
         assert h == pytest.approx(4.0, abs=1e-9)
+
+
+    @pytest.mark.parametrize("estimator", [gaussian_qfi, optimal_observable])
+    def test_five_family_evaluations(self, estimator):
+        # the state at lambda0 and central differences at step and step/2
+        fam = qi_family()
+        calls = []
+
+        def counted(lam):
+            calls.append(lam)
+            return fam(lam)
+
+        estimator(GaussianFamily(counted, fam.lambda0, fam.step))
+        assert len(calls) == 5
 
 
 class TestGaussianSld:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cvmw import core, distill, fock, illumination
+from cvmw import core, distill, entanglement, fock, illumination
 
 
 class TestDisplacement:
@@ -125,7 +125,7 @@ class TestDensityMatrices:
         # with the dense beam-splitter exponential
         n_max = 10
         s = core.beam_splitter(0.35).matrix
-        u_euler = fock.unitary_from_symplectic(s, n_max, method="euler")
+        u_euler = fock.unitary_from_symplectic(s, n_max)
         u_dense = fock.beam_splitter_unitary(0.35, n_max)
         # compare as channels (global phase is unphysical)
         rho = fock.tmst_density(0.3, 0.1, n_max)
@@ -133,12 +133,23 @@ class TestDensityMatrices:
                                    u_dense @ rho @ u_dense.conj().T,
                                    atol=1e-10)
 
-    def test_generator_route_rejects_matrices_without_real_log(self):
-        # a pi-rotated squeezer has unpaired negative eigenvalues (-2, -1/2),
-        # so no real quadratic generator exists
-        s = core.rotation(np.pi).matrix @ core.single_mode_squeezer(-np.log(2.0)).matrix
-        with pytest.raises(ValueError):
-            fock.generator_unitary(s, 6)
+    @pytest.mark.parametrize("state", [
+        # pure, with equal symplectic eigenvalues
+        core.apply(core.tmst(0.1, 0.0), core.beam_splitter(0.2)),
+        # unequal extra thermal noise on the two modes
+        core.GaussianState(np.zeros(4), core.tmst(
+            0.18958175312956957, 0.016032760363398263).sigma + np.diag(
+            [0.015894540241515525] * 2 + [0.04945764992393972] * 2)),
+    ])
+    def test_gaussian_density_matches_gaussian_negativity(self, state):
+        # both results used to depend on the symplectic basis williamson picks
+        n_max = 20
+        rho = fock.gaussian_density(state, n_max)
+        assert abs(np.trace(rho).real - 1.0) <= 1e-6
+        expected = entanglement.negativity(
+            entanglement.BipartiteCM.from_state(state))
+        assert fock.negativity_fock(rho, (n_max + 1,) * 2) == pytest.approx(
+            expected, abs=1e-6)
 
     def test_williamson_reconstruction(self):
         rng = np.random.default_rng(2)
