@@ -11,7 +11,6 @@ high-reflectivity / high-noise enhancement ratios have closed forms.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .core import GaussianState, SIGMA_Z, apply, beam_splitter, partial_trace
 from .entanglement import BipartiteCM
@@ -347,6 +346,8 @@ def jpa_synthesis(mu, max_iterations=400):
     Returns (phi, theta, r1, r2, theta1, theta2, phi_shift); the solution
     is not unique, any tuple with residual below 1e-10 is acceptable.
     """
+    from scipy.optimize import least_squares
+
     if mu < 1.0:
         raise ValueError("mu must be at least 1")
     seed = np.array([np.pi / 4.0, np.pi / 4.0, np.arcsinh(1.0),

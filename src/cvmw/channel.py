@@ -10,8 +10,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
+from numpy.polynomial.polynomial import polyroots
 
 from .core import (GaussianState, SIGMA_Z, apply, beam_splitter,
                    partial_trace, thermal, tmst)
@@ -94,6 +93,8 @@ def eta_env_inhomogeneous(mu_fn, n_fn, length):
     attenuation-weighted average of n(x); adaptive quadrature at relative
     tolerance 1e-10.
     """
+    from scipy.integrate import quad
+
     total_mu, err = quad(mu_fn, 0.0, length, epsrel=1e-10, limit=200)
     if total_mu == 0.0:
         return 0.0, n_fn(0.0)
@@ -183,27 +184,105 @@ def eta_max(r, n, n_th):
 
 
 def l_max(ch, r, n, geometry="asym"):
-    """Maximum distance (m) before the distributed entanglement vanishes."""
+    """Maximum distance (m) before the distributed entanglement vanishes.
+
+    Asymmetric: eta_eff(L) = eta_max. Symmetric: nu_minus = alpha - gamma = 1,
+    linear in the transmission (root_distance). Raises ValueError when the
+    bound is never reached: mu = 0, or no thermal noise to end the
+    entanglement.
+    """
     if geometry == "asym":
         bound = eta_max(r, n, ch.n_th_env)
         if bound <= ch.eta_ant:
             return 0.0
+        require_attenuation(ch.mu)
+        if bound >= 1.0:
+            raise ValueError(NEVER_REACHED)
         # eta_eff(L) = bound: antenna reflectivity consumes part of the budget
         return -np.log((1.0 - bound) / (1.0 - ch.eta_ant)) / ch.mu
-
-    def nu_minus_gap(length):
-        cm = lossy_tmst(AirChannel(ch.mu, length, ch.n_th_env, ch.eta_ant),
-                        r, n, geometry)
-        return pts_eigenvalues(cm)[0] - 1.0
-
-    if nu_minus_gap(0.0) >= 0.0:
+    at_source = AirChannel(ch.mu, 0.0, ch.n_th_env, ch.eta_ant)
+    if pts_eigenvalues(lossy_tmst(at_source, r, n, geometry))[0] >= 1.0:
         return 0.0
-    hi = 10.0
-    while nu_minus_gap(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e9:
-            raise RuntimeError("no entanglement boundary found")
-    return brentq(nu_minus_gap, 0.0, hi, xtol=0.01)
+    require_attenuation(ch.mu)
+    alpha, _, gamma = tmst_polys(r, n, ch.n_th_env, ch.eta_ant, "sym")
+    length = root_distance(alpha - gamma - poly(1.0), ch.mu)
+    if length is None:
+        raise ValueError(NEVER_REACHED)
+    return length
+
+
+# -- distance bounds as polynomial roots ----------------------------------
+#
+# Write t = t0 e^{-mu L / 2}: t = sqrt(1 - eta_eff) and t0 = sqrt(1 - eta_ant)
+# for the asymmetric state, t = 1 - eta_eff of one L/2 arm and t0 = 1 - eta_ant
+# for the symmetric one. The standard-form entries of lossy_tmst are then
+# polynomials in t, and every Gaussian distance bound is the largest root in
+# (0, t0] of a polynomial of degree at most 4. The polynomials are expanded in
+# u = 1 - t / t0, which is 0 at the source, so L = -(2 / mu) ln(1 - u): in t
+# itself the terms cancel to 1e-13 near t0 and the roots lose digits.
+
+POLY_LEN = 5  # coefficients, lowest power first
+NEVER_REACHED = "the bound is not reached at any distance"
+
+
+def poly(*coeffs):
+    """Coefficient array (lowest power first), zero-padded to POLY_LEN."""
+    out = np.zeros(POLY_LEN)
+    out[:len(coeffs)] = coeffs
+    return out
+
+
+def poly_mul(p, q):
+    """Product of two coefficient arrays; its degree must stay below POLY_LEN."""
+    return np.convolve(p, q)[:POLY_LEN]
+
+
+def source_terms(r, n, n_th):
+    """(a, c, e) of lossy_tmst: a = (1 + 2n) cosh 2r and c = (1 + 2n) sinh 2r
+    are the source's diagonal and correlation entries, e = 1 + 2 n_th the
+    environment's diagonal entry."""
+    scale = 1.0 + 2.0 * n
+    return scale * np.cosh(2.0 * r), scale * np.sinh(2.0 * r), 1.0 + 2.0 * n_th
+
+
+def tmst_polys(r, n, n_th, eta_ant, geometry):
+    """(alpha, beta, gamma) of lossy_tmst as coefficient arrays in u.
+
+    alpha = a + (e - a) eta_eff, with eta_eff = eta_ant + t0 u (sym) or
+    eta_ant + t0^2 (2u - u^2) (asym); gamma = c t = c t0 (1 - u).
+    """
+    a, c, e = source_terms(r, n, n_th)
+    at_source = a + (e - a) * eta_ant
+    if geometry == "asym":
+        t0 = np.sqrt(1.0 - eta_ant)
+        lossy = (e - a) * t0 * t0
+        return (poly(at_source, 2.0 * lossy, -lossy), poly(a),
+                poly(c * t0, -c * t0))
+    if geometry == "sym":
+        t0 = 1.0 - eta_ant
+        alpha = poly(at_source, (e - a) * t0)
+        return alpha, alpha, poly(c * t0, -c * t0)
+    raise ValueError("geometry must be 'asym' or 'sym'")
+
+
+def require_attenuation(mu):
+    """Distance bounds need mu > 0: without attenuation the state never changes."""
+    if mu == 0.0:
+        raise ValueError("mu = 0: without attenuation the state does not change "
+                         "with distance, so no distance bound exists")
+
+
+def root_distance(condition, mu):
+    """Shortest distance (m) where the polynomial condition(u) vanishes.
+
+    Takes the smallest real root u in [0, 1), the largest t in (0, t0];
+    None when there is none.
+    """
+    roots = polyroots(condition)
+    real = roots.real[(roots.imag == 0.0) & (roots.real >= 0.0) & (roots.real < 1.0)]
+    if real.size == 0:
+        return None
+    return -2.0 / mu * math.log1p(-real.min())
 
 
 def hemt_gain(n_h, n):

@@ -128,7 +128,7 @@ def _bifreq_row(x):
     try:
         row["h_q"] = bifreq.h_q_bifreq(p)
         row["ratio"] = row["h_q"] / row["h_c"]
-    except Exception:
+    except (ValueError, RuntimeError):  # boundary, RegularizationError, LinAlgError
         row["h_q"] = row["ratio"] = float("nan")
     try:
         coeffs = bifreq.optimal_coeffs(p)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from math import lgamma
 
 import numpy as np
-from scipy.linalg import expm, schur, sqrtm
 
 from .core import omega
 
@@ -166,6 +165,8 @@ def beam_splitter_unitary(eta, n_max):
     Matches core.beam_splitter(eta): the Heisenberg map is
     a1 -> sqrt(eta) a1 + sqrt(1 - eta) a2.
     """
+    from scipy.linalg import expm
+
     theta = np.arccos(np.sqrt(eta))
     dims = (n_max + 1, n_max + 1)
     if dims[0] * dims[1] > MAX_DENSE_DIM:
@@ -240,6 +241,8 @@ def check_density(rho, tol_trace=1e-8):
 
 
 def uhlmann_fidelity(rho1, rho2):
+    from scipy.linalg import sqrtm
+
     s = sqrtm(rho1)
     inner = sqrtm(s @ rho2 @ s)
     return float(np.trace(inner).real ** 2)
@@ -250,6 +253,8 @@ def williamson(sigma):
 
     Returns (s_matrix, nu) with nu the symplectic eigenvalues ascending.
     """
+    from scipy.linalg import schur, sqrtm
+
     sigma = np.asarray(sigma, dtype=float)
     n = sigma.shape[0] // 2
     w = omega(n)
@@ -294,7 +299,7 @@ def passive_unitary(k_matrix, n_max):
     Exponentiates the number-conserving generator inside each total-photon
     block, which keeps the cost polynomial in n_max.
     """
-    from scipy.linalg import logm
+    from scipy.linalg import expm, logm
 
     u = _complex_mode_matrix(np.asarray(k_matrix, dtype=float))
     n_modes = u.shape[0]
@@ -326,6 +331,8 @@ def passive_unitary(k_matrix, n_max):
 
 def squeeze_unitary(r, n_max):
     """Single-mode squeezer exp(r (a^2 - a^dag^2) / 2); x -> e^{-r} x."""
+    from scipy.linalg import expm
+
     a = destroy(n_max)
     return expm(0.5 * r * (a @ a - a.conj().T @ a.conj().T))
 
@@ -336,6 +343,8 @@ def two_mode_squeeze_unitary(r, n_max):
     The generator conserves the photon-number difference, so it is
     exponentiated block by block; matches core.two_mode_squeezer(r).
     """
+    from scipy.linalg import expm
+
     dim1 = n_max + 1
     out = np.zeros((dim1 ** 2, dim1 ** 2), dtype=complex)
     for delta in range(-n_max, n_max + 1):
@@ -373,6 +382,8 @@ def bloch_messiah(s_matrix, tol=1e-9):
     K1 and K2 are orthogonal symplectic (passive), Z is a direct sum of
     single-mode squeezers diag(e^{-r_j}, e^{r_j}); returns (k1, rs, k2).
     """
+    from scipy.linalg import sqrtm
+
     s_matrix = np.asarray(s_matrix, dtype=float)
     n = s_matrix.shape[0] // 2
     w = omega(n)

@@ -11,14 +11,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import SIGMA_Z
 from .entanglement import BipartiteCM, cm_validity
 from . import channel as channel_mod
 from . import distill
+from .channel import poly, poly_mul
 
 CLASSICAL_FIDELITY = 0.5
+MAX_DISTANCE = 5000.0  # m; a classical limit beyond it is an error
+BEYOND_MAX = "fidelity stays above 1/2 up to %.0f m" % MAX_DISTANCE
 
 
 def gamma_of(cm):
@@ -148,6 +150,19 @@ def swapped_finite_gain_params(alpha, beta, gamma, g):
     return alpha_t, gamma_t
 
 
+def half_fidelity_condition(alpha, beta, gamma, k, w):
+    """w^2 (2 num - den) of fidelity_finite_gain at (alpha, beta, gamma) / w.
+
+    Arguments are coefficient arrays (channel.poly) and k = 1/sqrt(g); the
+    result vanishes where the fidelity is 1/2. At k = 0 it is
+    2 w (2 w - alpha - beta + 2 gamma), the ideal condition.
+    """
+    return ((4.0 - k - 2.0 * k * k) * poly_mul(w, w)
+            - poly_mul((2.0 + k + 2.0 * k * k) * alpha + (2.0 + k) * beta
+                       - 4.0 * (1.0 + k) * gamma, w)
+            + k * (poly_mul(gamma, gamma) - poly_mul(alpha, beta)))
+
+
 @dataclass
 class TeleportResource:
     """Resource selector for the distance-dependent fidelity sweeps.
@@ -210,13 +225,51 @@ class TeleportResource:
         return fidelity_finite_gain(alpha, beta, gamma, 1.0 / self.inv_gain,
                                     self.theta)
 
-    def classical_limit_distance(self, l_max=5000.0, tol=0.01):
-        """Distance where the fidelity crosses 1/2, by bisection (meters)."""
-        f0 = self.fidelity(0.0)
-        if f0 <= CLASSICAL_FIDELITY:
+    def _half_fidelity_poly(self):
+        """The F = 1/2 condition as a coefficient array in u (channel.tmst_polys).
+
+        A swap link of length L/2 shares t = 1 - eta_eff with a symmetric
+        arm: its lossy block is the arm's alpha, its retained block the
+        source's a, and its gamma^2 = c^2 t is c times the arm's gamma.
+        """
+        k = math.sqrt(self.inv_gain) if self.kind.endswith("-fg") else 0.0
+        one = poly(1.0)
+        if not self.kind.startswith("swap"):
+            alpha, beta, gamma = channel_mod.tmst_polys(
+                self.r, self.n, self.n_th, self.eta_ant, self.geometry)
+            return half_fidelity_condition(alpha, beta, gamma, k, one)
+        a, c, _ = channel_mod.source_terms(self.r, self.n, self.n_th)
+        beta_l, _, gamma_t = channel_mod.tmst_polys(self.r, self.n, self.n_th,
+                                                    self.eta_ant, "sym")
+        gamma_sq = c * gamma_t
+        # swapped_finite_gain_params at g = 1/k^2, times their denominator den
+        den = 2.0 * (beta_l + k * (one + poly_mul(beta_l, beta_l)) + k * k * beta_l)
+        alpha_t = a * den - poly_mul(gamma_sq, (1.0 + k * k) * one + 2.0 * k * beta_l)
+        return half_fidelity_condition(alpha_t, alpha_t, (1.0 - k * k) * gamma_sq,
+                                       k, den)
+
+    def classical_limit_distance(self):
+        """Distance (m) where the fidelity crosses 1/2.
+
+        Gaussian kinds solve their closed-form condition, a polynomial of
+        degree at most 4 in the channel transmission t. The 2PS kinds, and
+        the finite-gain kinds at theta != 0, have none: scipy's brentq finds
+        their root on [0, MAX_DISTANCE] to 1 cm. Returns 0 when the fidelity
+        at the source is at most 1/2; raises ValueError when mu = 0 or the
+        root lies beyond MAX_DISTANCE.
+        """
+        if self.fidelity(0.0) <= CLASSICAL_FIDELITY:
             return 0.0
-        lo, hi = 0.0, l_max
-        if self.fidelity(hi) > CLASSICAL_FIDELITY:
-            raise ValueError("fidelity stays above 1/2 up to %.0f m" % l_max)
-        return brentq(lambda ll: self.fidelity(ll) - CLASSICAL_FIDELITY,
-                      lo, hi, xtol=tol)
+        channel_mod.require_attenuation(self.mu)
+        if self.kind.startswith("2ps") or (self.kind.endswith("-fg")
+                                           and self.theta != 0.0):
+            from scipy.optimize import brentq
+
+            if self.fidelity(MAX_DISTANCE) > CLASSICAL_FIDELITY:
+                raise ValueError(BEYOND_MAX)
+            return brentq(lambda ll: self.fidelity(ll) - CLASSICAL_FIDELITY,
+                          0.0, MAX_DISTANCE, xtol=0.01)
+        length = channel_mod.root_distance(self._half_fidelity_poly(), self.mu)
+        if length is None or length > MAX_DISTANCE:
+            raise ValueError(BEYOND_MAX)
+        return length

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,43 @@ class TestReach:
         at_reach = AirChannel(TABLE1["mu"], reach, TABLE1["n_th"], 0.0)
         nu = pts_eigenvalues(lossy_tmst(at_reach, 1.0, 1e-2, "asym"))[0]
         assert nu == pytest.approx(1.0, abs=1e-4)
+
+    def test_symmetric_reach_matches_numeric_root(self):
+        from scipy.optimize import brentq
+
+        rng = np.random.default_rng(7)
+        for _ in range(24):
+            mu = TABLE1["mu"] * rng.uniform(0.5, 2.0)
+            n_th = TABLE1["n_th"] * rng.uniform(0.5, 2.0)
+            eta_ant = rng.choice([0.0, rng.uniform(0.0, 1e-4)])
+            r, n = rng.uniform(0.8, 1.25), rng.uniform(0.0, 0.02)
+
+            def gap(length):
+                ch = AirChannel(mu, length, n_th, eta_ant)
+                return pts_eigenvalues(lossy_tmst(ch, r, n, "sym"))[0] - 1.0
+
+            reach = l_max(AirChannel(mu, 0.0, n_th, eta_ant), r, n, "sym")
+            assert reach == pytest.approx(brentq(gap, 0.0, 5000.0, xtol=1e-10),
+                                          abs=1e-6)
+            assert abs(gap(reach)) <= 1e-12
+
+    @pytest.mark.parametrize("geometry", ["asym", "sym"])
+    def test_zero_attenuation_raises_without_warning(self, geometry):
+        ch = AirChannel(0.0, 0.0, TABLE1["n_th"], 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="mu = 0"):
+                l_max(ch, 1.0, 1e-2, geometry)
+        # a source that is not entangled still has zero reach
+        assert l_max(ch, 0.5, 1.5, geometry) == 0.0
+
+    @pytest.mark.parametrize("geometry", ["asym", "sym"])
+    def test_noiseless_environment_never_ends_entanglement(self, geometry):
+        ch = AirChannel(TABLE1["mu"], 0.0, 0.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not reached"):
+                l_max(ch, 1.0, 1e-2, geometry)
 
 
 class TestAmplification:

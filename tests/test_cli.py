@@ -133,6 +133,42 @@ class TestFailureContract:
         assert out == ""
         assert "Warning" not in err
 
+    def test_zero_attenuation_summary_is_computation_error(self):
+        code, out, err = run_cli("summary", "--set", "mu=0")
+        assert code == 2
+        assert out == ""
+        assert "mu = 0" in err
+        assert "Warning" not in err and "Traceback" not in err
+
+    def test_bifreq_row_lets_programming_errors_through(self, monkeypatch):
+        def broken(params):
+            raise TypeError("broken h_q_bifreq")
+
+        monkeypatch.setattr(cli.bifreq, "h_q_bifreq", broken)
+        with pytest.raises(TypeError, match="broken"):
+            cli.main(["bifreq", "--out", os.devnull])
+
+
+def test_cli_paths_load_no_scipy():
+    """import cvmw, import cvmw.cli and every subcommand's default run."""
+    runs = [["summary", "--preset", "table1"], ["state", "--kind", "tmst"],
+            ["qfi"]] + [[name] for name in cli.COMMANDS if name != "qfi"]
+    script = "\n".join([
+        "import sys",
+        "def scipy_modules():",
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+        "import cvmw",
+        "assert not scipy_modules(), scipy_modules()",
+        "from cvmw import cli",
+        "assert not scipy_modules(), scipy_modules()",
+        "for argv in %r:" % (runs,),
+        "    assert cli.main(argv + ['--out', %r]) == 0, argv" % (os.devnull,),
+        "    assert not scipy_modules(), (argv, scipy_modules())",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=ENV)
+    assert proc.returncode == 0, proc.stderr
+
 
 class TestDeterminism:
     def test_csv_reproducible_bit_identically(self):

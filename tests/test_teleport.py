@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,8 @@ def lossy(length, geometry, **overrides):
 def resource(kind, **overrides):
     p = {**TABLE1, **overrides}
     return TeleportResource(kind, p["r"], p["n"], p["mu"], p["n_th"],
-                            p["eta_ant"], p["tau"], p.get("inv_gain", 0.0))
+                            p["eta_ant"], p["tau"], p.get("inv_gain", 0.0),
+                            p.get("theta", 0.0))
 
 
 class TestGaussianFidelity:
@@ -274,3 +277,68 @@ class TestResourceBounds:
         ("tmst-sym-fg", "sym"), ("swap-fg", "asym")])
     def test_geometry(self, kind, geometry):
         assert resource(kind).geometry == geometry
+
+
+CLOSED_FORM_KINDS = ("tmst-asym", "tmst-sym", "swap", "tmst-asym-fg",
+                     "tmst-sym-fg", "swap-fg")
+
+
+def link_draws(count, seed):
+    """Seeded link parameters scattered around table1."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield dict(r=rng.uniform(0.8, 1.25), n=rng.uniform(0.0, 0.02),
+                   mu=TABLE1["mu"] * rng.uniform(0.5, 2.0),
+                   n_th=TABLE1["n_th"] * rng.uniform(0.5, 2.0),
+                   eta_ant=rng.choice([0.0, rng.uniform(0.0, 1e-4)]),
+                   inv_gain=TABLE1["inv_gain"] * rng.uniform(0.5, 2.0))
+
+
+class TestClassicalLimitRoots:
+    @pytest.mark.parametrize("kind", CLOSED_FORM_KINDS)
+    def test_closed_form_matches_numeric_root(self, kind):
+        from scipy.optimize import brentq
+
+        checked = 0
+        for p in link_draws(24, seed=5):
+            res = resource(kind, **p)
+            if res.fidelity(0.0) <= 0.5:
+                continue
+            length = res.classical_limit_distance()
+            exact = brentq(lambda ll: res.fidelity(ll) - 0.5, 0.0, 5000.0,
+                           xtol=1e-10)
+            assert length == pytest.approx(exact, abs=1e-6)
+            assert abs(res.fidelity(length) - 0.5) <= 1e-12
+            checked += 1
+        assert checked >= 20
+
+    @pytest.mark.parametrize("kind", TeleportResource.KINDS)
+    def test_no_entanglement_at_the_source_gives_zero(self, kind):
+        assert resource(kind, r=0.05, n=0.5).classical_limit_distance() == 0.0
+
+    @pytest.mark.parametrize("kind", CLOSED_FORM_KINDS)
+    def test_antenna_near_one(self, kind):
+        assert resource(kind, eta_ant=1.0 - 1e-9).classical_limit_distance() == 0.0
+        # a lossy antenna shortens the limit by its own share of the budget
+        ideal = resource(kind).classical_limit_distance()
+        lossy_ant = resource(kind, eta_ant=1e-4).classical_limit_distance()
+        assert 0.0 < lossy_ant < ideal
+
+    @pytest.mark.parametrize("kind", TeleportResource.KINDS)
+    def test_root_beyond_max_distance_raises(self, kind):
+        with pytest.raises(ValueError, match="5000 m"):
+            resource(kind, mu=1e-8).classical_limit_distance()
+
+    @pytest.mark.parametrize("kind", TeleportResource.KINDS)
+    def test_zero_attenuation_raises_without_warning(self, kind):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="mu = 0"):
+                resource(kind, mu=0.0).classical_limit_distance()
+
+    @pytest.mark.parametrize("kind", ["tmst-asym-fg", "tmst-sym-fg", "swap-fg"])
+    def test_displaced_target_keeps_a_numeric_root(self, kind):
+        res = resource(kind, theta=1.0)
+        length = res.classical_limit_distance()
+        assert abs(res.fidelity(length) - 0.5) <= 1e-4
+        assert length < resource(kind).classical_limit_distance()
