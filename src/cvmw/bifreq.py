@@ -133,7 +133,8 @@ def classical_received_family(params):
 def h_c_bifreq(params):
     """Coherent-probe QFI at lambda -> 0, closed form.
 
-    The thermal term vanishes in the n_th -> 0 limit.
+    The thermal term vanishes in the n_th -> 0 limit and diverges at
+    eta1 = 1 when n_th > 0 (ValueError).
     """
     eta1, n_th = params.eta1, params.n_th
     if eta1 <= 0.0:
@@ -142,6 +143,9 @@ def h_c_bifreq(params):
     dd = 1.0 + 2.0 * n_th * tau1
     thermal_term = 0.0
     if n_th > 0.0:
+        if dd ** 4 == 1.0:
+            raise ValueError("the coherent-probe QFI diverges at eta1 = 1 "
+                             "with thermal noise (n_th > 0)")
         thermal_term = 4.0 * n_th ** 2 * (dd ** 2 + 1.0) / (dd ** 4 - 1.0)
     return thermal_term + params.n_s / (eta1 * dd)
 

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.polynomial import polyroots
 
-from .core import (GaussianState, SIGMA_Z, apply, beam_splitter,
-                   partial_trace, thermal, tmst)
-from .entanglement import BipartiteCM, pts_eigenvalues
+from .core import GaussianState, apply, beam_splitter, partial_trace, thermal, tmst
+from .entanglement import BipartiteCM, nu_minus_standard
 
 # CODATA exact SI values
 PLANCK = 6.62607015e-34       # J s
@@ -33,15 +32,15 @@ MU_WATER_VAPOR_MAX = 1.984977e-6
 @dataclass
 class AirChannel:
     mu: float             # attenuation density (1/m)
-    L: float              # distance (m)
+    L: float              # distance (m); an array of distances for a sweep
     n_th_env: float       # environment photons
     eta_ant: float = 0.0  # antenna reflectivity
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.mu, self.L, self.n_th_env,
-                                       self.eta_ant))):
+        if not (all(map(math.isfinite, (self.mu, self.n_th_env, self.eta_ant)))
+                and np.all(np.isfinite(self.L))):
             raise ValueError("channel parameters must be finite")
-        if (self.mu < 0 or self.L < 0 or self.n_th_env < 0
+        if (self.mu < 0 or np.any(self.L < 0) or self.n_th_env < 0
                 or not 0.0 <= self.eta_ant <= 1.0):
             raise ValueError("invalid channel parameters")
 
@@ -113,30 +112,34 @@ def eta_env_inhomogeneous(mu_fn, n_fn, length):
     return eta, weighted / eta
 
 
-def lossy_tmst(ch, r, n, geometry="asym"):
-    """Two-mode squeezed thermal state distributed through the channel.
+def lossy_tmst_params(ch, r, n, geometry="asym"):
+    """Standard-form (alpha, beta, gamma) of the distributed two-mode
+    squeezed thermal state, as arrays over the channel's distances.
 
     geometry="asym": one mode stays at the source, the other travels the
-    full distance (lossy block first). geometry="sym": the source sits
-    midway and both modes travel L/2.
+    full distance; alpha belongs to the travelling mode. geometry="sym": the
+    source sits midway and both modes travel L/2.
     """
     scale = 1.0 + 2.0 * n
     ch2r, sh2r = np.cosh(2.0 * r), np.sinh(2.0 * r)
     if geometry == "asym":
         eta = eta_eff(ch)
-        alpha = (1.0 + 2.0 * ch.n_th_env) * eta + scale * (1.0 - eta) * ch2r
-        beta = scale * ch2r
-        gamma = scale * np.sqrt(1.0 - eta) * sh2r
     elif geometry == "sym":
-        half = AirChannel(ch.mu, ch.L / 2.0, ch.n_th_env, ch.eta_ant)
-        eta = eta_eff(half)
-        alpha = (1.0 + 2.0 * ch.n_th_env) * eta + scale * (1.0 - eta) * ch2r
-        beta = alpha
-        gamma = scale * (1.0 - eta) * sh2r
+        eta = eta_eff(AirChannel(ch.mu, ch.L / 2.0, ch.n_th_env, ch.eta_ant))
     else:
         raise ValueError("geometry must be 'asym' or 'sym'")
-    return BipartiteCM(alpha * np.eye(2), beta * np.eye(2), gamma * SIGMA_Z,
-                       check=False)
+    alpha = (1.0 + 2.0 * ch.n_th_env) * eta + scale * (1.0 - eta) * ch2r
+    if geometry == "asym":
+        return (alpha, np.full_like(alpha, scale * ch2r),
+                scale * np.sqrt(1.0 - eta) * sh2r)
+    return alpha, alpha, scale * (1.0 - eta) * sh2r
+
+
+def lossy_tmst(ch, r, n, geometry="asym"):
+    """Two-mode squeezed thermal state distributed through the channel
+    (see lossy_tmst_params); the lossy block comes first."""
+    return BipartiteCM.standard_form(*lossy_tmst_params(ch, r, n, geometry),
+                                     check=False)
 
 
 def lossy_tmst_constructive(ch, r, n, geometry="asym"):
@@ -174,8 +177,9 @@ def lossy_tmst_constructive(ch, r, n, geometry="asym"):
 def eta_max(r, n, n_th):
     """Reflectivity bound below which the asymmetric state stays entangled.
 
-    Requires n < e^{-r} sinh r and r > 0; returns 0 when the source state
-    is never entangled.
+    The paper's closed form, valid for n < e^{-r} sinh r and r > 0; returns 0
+    outside that range. l_max does not use it: a source with
+    e^{-r} sinh r <= n < e^{r} sinh r is entangled too.
     """
     if r <= 0.0 or n >= np.exp(-r) * np.sinh(r):
         return 0.0
@@ -186,26 +190,30 @@ def eta_max(r, n, n_th):
 def l_max(ch, r, n, geometry="asym"):
     """Maximum distance (m) before the distributed entanglement vanishes.
 
-    Asymmetric: eta_eff(L) = eta_max. Symmetric: nu_minus = alpha - gamma = 1,
-    linear in the transmission (root_distance). Raises ValueError when the
-    bound is never reached: mu = 0, or no thermal noise to end the
-    entanglement.
+    The first root of nu_minus = 1 on the standard-form polynomials
+    (tmst_polys): alpha - gamma = 1 in the symmetric geometry, linear in the
+    transmission, and 1 - (alpha^2 + beta^2 + 2 gamma^2) + (alpha beta -
+    gamma^2)^2 = 0 in the asymmetric one, a quartic. Returns 0 when the
+    source is not entangled; raises ValueError when the bound is never
+    reached: mu = 0, or no thermal noise to end the entanglement.
     """
-    if geometry == "asym":
-        bound = eta_max(r, n, ch.n_th_env)
-        if bound <= ch.eta_ant:
-            return 0.0
-        require_attenuation(ch.mu)
-        if bound >= 1.0:
-            raise ValueError(NEVER_REACHED)
-        # eta_eff(L) = bound: antenna reflectivity consumes part of the budget
-        return -np.log((1.0 - bound) / (1.0 - ch.eta_ant)) / ch.mu
     at_source = AirChannel(ch.mu, 0.0, ch.n_th_env, ch.eta_ant)
-    if pts_eigenvalues(lossy_tmst(at_source, r, n, geometry))[0] >= 1.0:
+    if nu_minus_standard(*lossy_tmst_params(at_source, r, n, geometry)) >= 1.0:
         return 0.0
     require_attenuation(ch.mu)
-    alpha, _, gamma = tmst_polys(r, n, ch.n_th_env, ch.eta_ant, "sym")
-    length = root_distance(alpha - gamma - poly(1.0), ch.mu)
+    if ch.n_th_env == 0.0:
+        # pure loss: nu_minus reaches 1 only where the transmission vanishes,
+        # at u = 1, a double root of the asymmetric quartic
+        raise ValueError(NEVER_REACHED)
+    alpha, beta, gamma = tmst_polys(r, n, ch.n_th_env, ch.eta_ant, geometry)
+    if geometry == "sym":
+        condition = alpha - gamma - poly(1.0)
+    else:
+        gamma_sq = poly_mul(gamma, gamma)
+        det_root = poly_mul(alpha, beta) - gamma_sq
+        condition = (poly(1.0) - poly_mul(alpha, alpha) - poly_mul(beta, beta)
+                     - 2.0 * gamma_sq + poly_mul(det_root, det_root))
+    length = root_distance(condition, ch.mu)
     if length is None:
         raise ValueError(NEVER_REACHED)
     return length
@@ -355,7 +363,9 @@ def eta_threshold_asym(n_th):
 
 
 def eta_threshold_sym(n_th, r):
-    """Same threshold for the symmetric state at squeezing r."""
+    """Same threshold for the symmetric state at squeezing r > 0."""
+    if r <= 0.0:
+        raise ValueError("the symmetric threshold needs squeezing r > 0")
     return 1.0 / (1.0 + n_th * (1.0 + 1.0 / np.tanh(r)))
 
 

@@ -8,8 +8,7 @@ Exit codes: 0 ok, 1 usage error, 2 computation error, 3 anchor failure.
 """
 
 import argparse
-import csv
-import io
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -33,6 +32,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.count < 2:
             raise ValueError("sweep count must be at least 2")
+        if not np.isfinite([self.start, self.stop]).all():
+            raise ValueError("sweep bounds must be finite")
         if not self.start < self.stop:
             raise ValueError("sweep start must be below stop")
 
@@ -65,16 +66,27 @@ def _report(args, note, **body):
                  "provenance": note}, **body)
 
 
-def _table_text(report, fmt):
-    if fmt == "json":
+def _table_text(args, note, columns):
+    """CSV or JSON text of a table given as {name: array or list}.
+
+    CSV cells hold 17 significant digits for floats; no cell needs quoting.
+    """
+    names = list(columns)
+    data = [col.tolist() if isinstance(col, np.ndarray) else col
+            for col in columns.values()]
+    if args.format == "json":
+        rows = [dict(zip(names, row)) for row in zip(*data)]
+        report = _report(args, note, columns=names, rows=rows)
         return json.dumps(report, indent=2, default=float) + "\n"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(report["columns"])
-    for row in report["rows"]:
-        values = (row[c] for c in report["columns"])
-        writer.writerow(["%.17g" % v if isinstance(v, float) else v for v in values])
-    return buf.getvalue()
+    specs = []
+    for i, col in enumerate(data):
+        if all(isinstance(v, float) for v in col):
+            specs.append("%.17g")
+        else:
+            specs.append("%s")
+            data[i] = ["%.17g" % v if isinstance(v, float) else v for v in col]
+    line = ",".join(specs) + "\n"
+    return ",".join(names) + "\n" + "".join([line % row for row in zip(*data)])
 
 
 def _resolve_params(args):
@@ -141,55 +153,6 @@ def _bifreq_row(x):
     return row
 
 
-def _teleport_row(x):
-    f = x["resource"].fidelity(x["L"])
-    fb = x["bare"].fidelity(x["L"])
-    return {"L": x["L"], "fidelity": f, "fidelity_bare": fb, "gain": f - fb}
-
-
-def _distill_row(x):
-    geometry = x["geometry"]
-    ch = channel.AirChannel(x["mu"], x["L"], x["n_th"], x["eta_ant"])
-    cm = channel.lossy_tmst(ch, x["r"], x["n"], geometry)
-    out = distill.ps2_gaussian(cm, x["tau"])
-    rg_p, th_p, _ = teleport.regaussify(out.cm(check=False), out.g, geometry)
-    rg_h, th_h, _ = teleport.regaussify(cm, distill.ps2_heuristic(cm).h, geometry)
-    return {"L": x["L"], "e_n_bare": entanglement.log_negativity(cm),
-            "n_bare": entanglement.negativity(cm), "p2": out.probability,
-            "n_prob": entanglement.negativity(rg_p),
-            "n_heur": entanglement.negativity(rg_h),
-            "e_n_prob": entanglement.log_negativity(rg_p),
-            "e_n_heur": entanglement.log_negativity(rg_h),
-            "theta_prob": th_p, "theta_heur": th_h}
-
-
-def _swap_row(x):
-    ch = channel.AirChannel(x["mu"], x["L"] / 2.0, x["n_th"], x["eta_ant"])
-    link = channel.lossy_tmst(ch, x["r"], x["n"], "asym")
-    alpha, beta, gamma = link.sigma_b[0, 0], link.sigma_a[0, 0], link.eps[0, 0]
-    alpha_t, gamma_t = distill.swap_symmetric(alpha, beta, gamma)
-    cm = entanglement.BipartiteCM.standard_form(alpha_t, alpha_t, gamma_t,
-                                                check=False)
-    theta, valid = entanglement.cm_validity(alpha_t, alpha_t, gamma_t)
-    return {"L": x["L"], "alpha": alpha, "beta": beta, "gamma": gamma,
-            "alpha_swap": alpha_t, "gamma_swap": gamma_t,
-            "nu_minus": entanglement.pts_eigenvalues(cm)[0],
-            "negativity": entanglement.negativity(cm),
-            "fidelity": teleport.fidelity_swapped(alpha, beta, gamma),
-            "theta": theta, "valid": int(valid)}
-
-
-def _channel_row(x):
-    ch = channel.AirChannel(x["mu"], x["L"], x["n_th"], x["eta_ant"])
-    row = {"L": x["L"]}
-    for geometry in ("asym", "sym"):
-        cm = channel.lossy_tmst(ch, x["r"], x["n"], geometry)
-        row["nu_minus_" + geometry] = entanglement.pts_eigenvalues(cm)[0]
-        row["log_neg_" + geometry] = entanglement.log_negativity(cm)
-    row["eta_env"] = channel.eta_env(ch)
-    return row
-
-
 def _satellite_row(x):
     d, nu, w0 = x["d"], x["nu"], x["w0"]
     geom = channel.LinkGeometry(nu=nu, d=d, a=2.0 * w0, e_a=1.0,
@@ -221,6 +184,81 @@ def _qfi_row(x):
     return dict(x, h_numeric=h, h_closed=closed)
 
 
+# -- table functions: the inputs and the sweep (None: one row) --------------
+#
+# The L sweeps are computed in one array call over the grid; the other
+# subcommands go through _per_point, one row function call per point.
+
+def _link_params(x, length, geometry):
+    ch = channel.AirChannel(x["mu"], length, x["n_th"], x["eta_ant"])
+    return channel.lossy_tmst_params(ch, x["r"], x["n"], geometry)
+
+
+def _teleport_table(x, spec):
+    L = spec.values()
+    f = x["resource"].fidelity(L)
+    fb = x["bare"].fidelity(L)
+    return {"L": L, "fidelity": f, "fidelity_bare": fb, "gain": f - fb}
+
+
+def _distill_table(x, spec):
+    L = spec.values()
+    geometry = x["geometry"]
+    bare = _link_params(x, L, geometry)
+    *tilde, prob = distill.ps2_standard_form(*bare, x["tau"])
+    nu_bare = entanglement.nu_minus_standard(*bare)
+    # g of ps2_gaussian is h at the subtracted triple
+    rg = {tag: teleport.regaussify_standard(
+              *triple, distill.heuristic_correction(*triple), geometry)
+          for tag, triple in (("prob", tilde), ("heur", bare))}
+    nu = {tag: entanglement.nu_minus_standard(*triple) for tag, triple in rg.items()}
+    return {"L": L, "e_n_bare": entanglement.log_negativity_from_nu(nu_bare),
+            "n_bare": entanglement.negativity_from_nu(nu_bare), "p2": prob,
+            "n_prob": entanglement.negativity_from_nu(nu["prob"]),
+            "n_heur": entanglement.negativity_from_nu(nu["heur"]),
+            "e_n_prob": entanglement.log_negativity_from_nu(nu["prob"]),
+            "e_n_heur": entanglement.log_negativity_from_nu(nu["heur"]),
+            "theta_prob": entanglement.cm_validity(*rg["prob"])[0],
+            "theta_heur": entanglement.cm_validity(*rg["heur"])[0]}
+
+
+def _swap_table(x, spec):
+    L = spec.values()
+    # Charlie measures the lossy modes: alpha is the retained block of a link
+    beta, alpha, gamma = _link_params(x, L / 2.0, "asym")
+    alpha_t, gamma_t = distill.swap_symmetric(alpha, beta, gamma)
+    nu = entanglement.nu_minus_standard(alpha_t, alpha_t, gamma_t)
+    theta, valid = entanglement.cm_validity(alpha_t, alpha_t, gamma_t)
+    return {"L": L, "alpha": alpha, "beta": beta, "gamma": gamma,
+            "alpha_swap": alpha_t, "gamma_swap": gamma_t, "nu_minus": nu,
+            "negativity": entanglement.negativity_from_nu(nu),
+            "fidelity": teleport.fidelity_swapped(alpha, beta, gamma),
+            "theta": theta, "valid": valid.astype(int)}
+
+
+def _channel_table(x, spec):
+    L = spec.values()
+    ch = channel.AirChannel(x["mu"], L, x["n_th"], x["eta_ant"])
+    columns = {"L": L}
+    for geometry in ("asym", "sym"):
+        nu = entanglement.nu_minus_standard(
+            *channel.lossy_tmst_params(ch, x["r"], x["n"], geometry))
+        columns["nu_minus_" + geometry] = nu
+        columns["log_neg_" + geometry] = entanglement.log_negativity_from_nu(nu)
+    columns["eta_env"] = channel.eta_env(ch)
+    return columns
+
+
+def _per_point(row):
+    """Table function that calls row once per point of the sweep."""
+    def table(x, spec):
+        points = ([x] if spec is None else
+                  [dict(x, **{spec.variable: v}) for v in spec.values()])
+        rows = [row(point) for point in points]
+        return {name: [r[name] for r in rows] for name in rows[0]}
+    return table
+
+
 # -- the subcommand table ----------------------------------------------------
 
 def _link(p, args=None):
@@ -240,52 +278,52 @@ def _bath(p, args=None):
             "gamma": p.get("gamma", 0.0)}
 
 
-# name -> row function, inputs(params, args), sweep variables, default sweep
+# name -> table function, inputs(params, args), sweep variables, default sweep
 # (None: one row, no sweep) and provenance; the note may name {var} and {args}.
 COMMANDS = {
     "negativity": dict(
-        row=_negativity_row, inputs=lambda p, args: {"tau": p["tau"]},
+        table=_per_point(_negativity_row), inputs=lambda p, args: {"tau": p["tau"]},
         sweeps=("r",), default=SweepSpec("r", 0.0, 1.5, 61),
         note="negativity of photon-subtracted vs bare two-mode squeezed "
              "vacuum, with success probabilities"),
     "illum": dict(
-        row=_illum_row, inputs=_bath,
+        table=_per_point(_illum_row), inputs=_bath,
         sweeps=("n_s", "n_th", "gamma"), default=SweepSpec("n_s", 0.01, 5.0, 100),
         note="illumination gain and Fisher informations vs {var}"),
     "bifreq": dict(
-        row=_bifreq_row,
+        table=_per_point(_bifreq_row),
         inputs=lambda p, args: dict(_bath(p), eta1=p.get("eta1", 0.9),
                                     n=p.get("n_signal", 0.0)),
         sweeps=("eta1", "n_s", "n", "n_th"), default=SweepSpec("n_s", 0.2, 5.0, 25),
         note="bi-frequency enhancement ratio and observable coefficients "
              "vs {var}"),
     "swap": dict(
-        row=_swap_row, inputs=_link,
+        table=_swap_table, inputs=_link,
         sweeps=("L",), default=SweepSpec("L", 0.0, 600.0, 121),
         note="entanglement-swapped resource vs distance"),
     "channel": dict(
-        row=_channel_row, inputs=_link,
+        table=_channel_table, inputs=_link,
         sweeps=("L",), default=SweepSpec("L", 0.0, 600.0, 121),
         note="distributed-state entanglement vs distance"),
     "satellite": dict(
-        row=_satellite_row,
+        table=_per_point(_satellite_row),
         inputs=lambda p, args: {"nu": p["nu"], "w0": p.get("w0", 5.0),
                                 "a_r": p.get("a_r", 2.0 * p.get("w0", 5.0))},
         sweeps=("d",), default=SweepSpec("d", 10.0, 1e7, 61, log=True),
         note="free-space path loss and diffraction transmissivity vs distance"),
     "qfi": dict(
-        row=_qfi_row,
+        table=_per_point(_qfi_row),
         inputs=lambda p, args: dict(family=args.family, **_bath(p),
                                     eta1=p.get("eta1", 0.9)),
         sweeps=(), default=None,
         note="quantum Fisher information of the selected family"),
     "teleport": dict(
-        row=_teleport_row, inputs=_teleport_inputs,
+        table=_teleport_table, inputs=_teleport_inputs,
         sweeps=("L",), default=SweepSpec("L", 0.0, 600.0, 121),
         note="average teleportation fidelity vs distance, resource "
              "{args.resource}"),
     "distill": dict(
-        row=_distill_row,
+        table=_distill_table,
         inputs=lambda p, args: dict(_link(p), geometry=args.geometry,
                                     tau=p["tau"]),
         sweeps=("L",), default=SweepSpec("L", 0.0, 500.0, 101),
@@ -302,12 +340,9 @@ def _cmd_table(args):
         var, start, stop, count = args.sweep
         spec = SweepSpec(var, float(start), float(stop), int(float(count)),
                          log=args.log)
-    points = [inputs] if spec is None else [dict(inputs, **{spec.variable: v})
-                                            for v in spec.values()]
-    rows = [entry["row"](x) for x in points]
+    columns = entry["table"](inputs, spec)
     note = entry["note"].format(var=spec.variable if spec else None, args=args)
-    report = _report(args, note, columns=list(rows[0]), rows=rows)
-    _write(_table_text(report, args.format), args)
+    _write(_table_text(args, note, columns), args)
     return 0
 
 
@@ -352,6 +387,10 @@ def _anchors(p):
         out.append({"name": name, "value": float(value), "target": target,
                     "tolerance": tol, "pass": bool(abs(value - target) <= tol)})
 
+    def fail(name, target, tol, reason):
+        out.append({"name": name, "value": None, "target": target,
+                    "tolerance": tol, "pass": False, "reason": reason})
+
     add("reach_asym_m", channel.l_max(ch0, p["r"], p["n"], "asym"), 550.0, 5.0)
     add("reach_sym_m", channel.l_max(ch0, p["r"], p["n"], "sym"), 480.0, 5.0)
     add("classical_limit_asym_m", limit("tmst-asym"), 479.0, 1.0)
@@ -359,17 +398,25 @@ def _anchors(p):
     add("classical_limit_fg_asym_m", limit("tmst-asym-fg"), 434.0, 1.0)
     add("classical_limit_fg_sym_m", limit("tmst-sym-fg"), 429.0, 1.0)
     add("classical_limit_fg_swap_m", limit("swap-fg"), 416.0, 1.0)
-    bare = channel.lossy_tmst(ch0, p["r"], p["n"], "sym")
-    n_bare = entanglement.negativity(bare)
-    rg_h, _, _ = teleport.regaussify(bare, distill.ps2_heuristic(bare).h, "sym")
-    add("distill_gain_heuristic_pct",
-        100.0 * (entanglement.negativity(rg_h) / n_bare - 1.0), 46.0, 1.0)
-    ps = distill.ps2_gaussian(bare, p["tau"])
-    rg_p, _, _ = teleport.regaussify(ps.cm(check=False), ps.g, "sym")
-    add("distill_gain_probabilistic_pct",
-        100.0 * (entanglement.negativity(rg_p) / n_bare - 1.0), 28.0, 1.0)
-    add("swap_reach_extension_pct",
-        100.0 * (limit("swap") / limit("tmst-asym") - 1.0), 14.0, 1.0)
+    # row 0 of a distill sweep from L = 0 is the source
+    at_source = _distill_table(dict(_link(p), geometry="sym", tau=p["tau"]),
+                               SweepSpec("L", 0.0, 1.0, 2))
+    n_bare = at_source["n_bare"][0]
+    for name, tag, target in (("heuristic", "heur", 46.0),
+                              ("probabilistic", "prob", 28.0)):
+        if n_bare > 0.0:
+            add("distill_gain_%s_pct" % name,
+                100.0 * (at_source["n_" + tag][0] / n_bare - 1.0), target, 1.0)
+        else:
+            fail("distill_gain_%s_pct" % name, target, 1.0,
+                 "the symmetric source state is not entangled")
+    bare_limit = limit("tmst-asym")
+    if bare_limit > 0.0:
+        add("swap_reach_extension_pct",
+            100.0 * (limit("swap") / bare_limit - 1.0), 14.0, 1.0)
+    else:
+        fail("swap_reach_extension_pct", 14.0, 1.0, "the tmst-asym classical "
+             "limit is 0: its fidelity is at most 1/2 at the source")
     add("qi_gain_3db_limit",
         illumination.gain(illumination.QiParams(1e-4, 1e4)), 2.0, 1e-3)
     add("bifreq_ratio_limit", bifreq.high_reflectivity_ratio(2.9, 1e3), 6.34, 0.1)
@@ -409,6 +456,7 @@ HELP = {"state": "construct a state and print its JSON",
         "summary": "verify headline anchors"}
 
 
+@functools.cache
 def build_parser():
     parser = _Parser(prog="cvmw",
                      description="Gaussian microwave quantum-link toolkit")

@@ -208,14 +208,23 @@ def ps2_gaussian(cm, tau):
 
 
 def ps2_standard_form(alpha, beta, gamma, tau):
-    """Direct closed forms of the 2PS submatrices and success probability.
+    """Closed forms of the 2PS submatrices and success probability:
+    (alpha_tilde, beta_tilde, gamma_tilde, P), elementwise over arrays.
 
-    Independent of the general machinery in ps2_gaussian; serves as a
-    cross-check path for standard-form inputs.
+    Independent of the general machinery in ps2_gaussian, which checks it
+    in the tests, and with its errors: den = 4 det X_A^{1/2} det Y^{1/2}.
     """
+    if not 0.0 < tau < 1.0:
+        raise ValueError("transmissivity must lie in (0, 1)")
+    x_a = 0.5 * ((1 - tau) * alpha + 1 + tau)
+    if np.any(np.abs(x_a * x_a) < 1e-14):
+        raise ValueError("singular X_A block")
     den = ((1 + alpha) * (1 + beta) - gamma ** 2
            + 2 * (1 - alpha * beta + gamma ** 2) * tau
            + ((1 - alpha) * (1 - beta) - gamma ** 2) * tau ** 2)
+    y = den / (4.0 * x_a)
+    if np.any(np.abs(y * y) < 1e-14):
+        raise ValueError("singular Y block")
     alpha_t = 1 - 2 * tau * ((1 - alpha) * (1 + beta) + gamma ** 2
                              + ((1 - alpha) * (1 - beta) - gamma ** 2) * tau) / den
     beta_t = 1 - 2 * tau * ((1 + alpha) * (1 - beta) + gamma ** 2
@@ -226,6 +235,27 @@ def ps2_standard_form(alpha, beta, gamma, tau):
          + ((1 - alpha) * (1 - beta) - gamma ** 2) * tau) ** 2
         - (alpha - beta) ** 2 + 4 * gamma ** 2) / den ** 3
     return alpha_t, beta_t, gamma_t, prob
+
+
+def heuristic_correction(alpha, beta, gamma):
+    """Fidelity correction h of ps2_heuristic for a standard-form input,
+    elementwise over arrays.
+
+    With S = alpha + beta - 2 gamma and D = alpha - beta,
+    h = -N / ((S + 2)^2 E_0), E_0 = (alpha - 1)(beta - 1) + gamma^2 and
+    N = ((S - 2)^3 (S + 6) - D^4) / 8 + D^2 (2 - S + gamma (S + 2)).
+    tests/test_distill.py derives it with sympy from ps2_heuristic's matrices.
+    The probabilistic correction g of ps2_gaussian is h at the subtracted
+    triple of ps2_standard_form.
+    """
+    e0 = (alpha - 1.0) * (beta - 1.0) + gamma * gamma
+    if np.any(e0 <= 0.0):
+        raise ValueError("normalization E_0 <= 0 (cannot subtract from this state)")
+    s = alpha + beta - 2.0 * gamma
+    d2 = (alpha - beta) ** 2
+    num = (((s - 2.0) ** 3 * (s + 6.0) - d2 * d2) / 8.0
+           + d2 * (2.0 - s + gamma * (s + 2.0)))
+    return -num / ((s + 2.0) ** 2 * e0)
 
 
 @dataclass
@@ -313,12 +343,12 @@ def swap(cm1, cm2):
 
 
 def swap_symmetric(alpha, beta, gamma):
-    """Closed-form swap of two identical standard-form links.
+    """Closed-form swap of two identical standard-form links, elementwise.
 
     Returns (alpha_tilde, gamma_tilde) with Sigma_A = Sigma_D =
     alpha_tilde I and eps = gamma_tilde sigma_z.
     """
-    if beta <= 0.0:
+    if np.any(beta <= 0.0):
         raise ValueError("beta must be positive")
     shift = gamma ** 2 / (2.0 * beta)
     return alpha - shift, shift

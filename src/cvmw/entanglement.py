@@ -70,31 +70,56 @@ def pts_eigenvalues(cm):
     if disc < -1e-9 * max(1.0, delta ** 2):
         raise ValueError("complex branch: input is not a valid covariance matrix")
     root = np.sqrt(max(disc, 0.0))
-    nu_minus = np.sqrt(max((delta - root) / 2.0, 0.0))
+    # nu_minus^2 = (delta - root) / 2 = 2 det / (delta + root): the second
+    # form has no cancellation when nu_minus << nu_plus
+    nu_minus = np.sqrt(2.0 * max(det_s, 0.0) / (delta + root))
     nu_plus = np.sqrt((delta + root) / 2.0)
     return nu_minus, nu_plus
 
 
+def nu_minus_standard(alpha, beta, gamma):
+    """nu_minus of the standard-form matrix (alpha I, beta I, gamma sigma_z),
+    elementwise over arrays.
+
+    The same invariants and form as pts_eigenvalues: Delta = alpha^2 +
+    beta^2 + 2 gamma^2 and det Sigma = (alpha beta - gamma^2)^2.
+    """
+    delta = alpha ** 2 + beta ** 2 + 2.0 * gamma ** 2
+    det_s = (alpha * beta - gamma ** 2) ** 2
+    disc = delta ** 2 - 4.0 * det_s
+    if np.any(disc < -1e-9 * np.maximum(1.0, delta ** 2)):
+        raise ValueError("complex branch: input is not a valid covariance matrix")
+    return np.sqrt(2.0 * det_s / (delta + np.sqrt(np.maximum(disc, 0.0))))
+
+
+def negativity_from_nu(nu_minus):
+    """N = max{0, (1 - nu_minus) / (2 nu_minus)}, elementwise."""
+    return np.maximum(0.0, (1.0 - nu_minus) / (2.0 * nu_minus))
+
+
+def log_negativity_from_nu(nu_minus):
+    """E_N = max{0, -log2 nu_minus}, elementwise."""
+    return np.maximum(0.0, -np.log2(nu_minus))
+
+
 def negativity(cm):
-    """N = max{0, (1 - nu_minus) / (2 nu_minus)} of the partial transpose."""
-    nu_minus, _ = pts_eigenvalues(cm)
-    return max(0.0, (1.0 - nu_minus) / (2.0 * nu_minus))
+    """Negativity of the partial transpose (negativity_from_nu)."""
+    return negativity_from_nu(pts_eigenvalues(cm)[0])
 
 
 def log_negativity(cm):
     """E_N = log2(2N + 1), clipped at zero for separable states."""
-    nu_minus, _ = pts_eigenvalues(cm)
-    return max(0.0, -np.log2(nu_minus))
+    return log_negativity_from_nu(pts_eigenvalues(cm)[0])
 
 
 def cm_validity(alpha, beta, gamma):
-    """Combined positivity / uncertainty check for standard-form submatrices.
+    """Combined positivity / uncertainty check for standard-form submatrices,
+    elementwise over arrays.
 
     Returns (theta, valid) with theta = |sqrt(det Sigma) - 1| - |alpha - beta|;
-    valid additionally requires alpha >= 1 and beta >= 1.
+    theta is -inf, and valid False, where alpha < 1 or beta < 1.
     """
-    if alpha < 1.0 or beta < 1.0:
-        return -np.inf, False
     det_s = (alpha * beta - gamma ** 2) ** 2
-    theta = abs(np.sqrt(det_s) - 1.0) - abs(alpha - beta)
+    theta = np.where((alpha < 1.0) | (beta < 1.0), -np.inf,
+                     np.abs(np.sqrt(det_s) - 1.0) - np.abs(alpha - beta))[()]
     return theta, theta >= -1e-10

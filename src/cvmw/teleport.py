@@ -21,6 +21,9 @@ from .channel import poly, poly_mul
 CLASSICAL_FIDELITY = 0.5
 MAX_DISTANCE = 5000.0  # m; a classical limit beyond it is an error
 BEYOND_MAX = "fidelity stays above 1/2 up to %.0f m" % MAX_DISTANCE
+ROOT_XTOL = 0.01  # m; bracket width of the numeric classical limits
+ILL_CONDITIONED = "ill-conditioned resource: det[I + Gamma/2] <= 0"
+PS_ILL_CONDITIONED = "ill-conditioned photon-subtracted resource"
 
 
 def gamma_of(cm):
@@ -36,7 +39,7 @@ def fidelity_gaussian(cm):
     """
     det = np.linalg.det(np.eye(2) + 0.5 * gamma_of(cm))
     if det <= 0.0:
-        raise ValueError("ill-conditioned resource: det[I + Gamma/2] <= 0")
+        raise ValueError(ILL_CONDITIONED)
     return 1.0 / np.sqrt(det)
 
 
@@ -73,7 +76,7 @@ def fidelity_2ps_general(cm, tau, outcome=None):
     cm_tilde = BipartiteCM(out.sigma_a, out.sigma_b, out.eps, check=False)
     det = np.linalg.det(np.eye(2) + 0.5 * gamma_of(cm_tilde))
     if det <= 0.0:
-        raise ValueError("ill-conditioned photon-subtracted resource")
+        raise ValueError(PS_ILL_CONDITIONED)
     return (1.0 + out.g) / np.sqrt(det), out.g
 
 
@@ -113,9 +116,30 @@ def regaussify(cm_tilde, correction, mode="sym"):
     return out, theta, valid
 
 
+def regaussify_standard(alpha, beta, gamma, correction, mode="sym"):
+    """Standard-form (alpha, beta, gamma) of regaussify's resource,
+    elementwise over arrays."""
+    c = correction
+    if mode == "asym":
+        alpha = beta = 0.5 * (alpha + beta)
+    elif mode != "sym":
+        raise ValueError("mode must be 'sym' or 'asym'")
+    return (alpha - c) / (1.0 + c), (beta - c) / (1.0 + c), gamma / (1.0 + c)
+
+
+def root_det_standard(alpha, beta, gamma, error=ILL_CONDITIONED):
+    """sqrt(det[I + Gamma/2]) of a standard-form resource, elementwise, where
+    Gamma = (alpha + beta - 2 gamma) I; ValueError(error) where det <= 0.
+    The Gaussian fidelity is its inverse."""
+    det = (1.0 + 0.5 * (alpha + beta - 2.0 * gamma)) ** 2
+    if np.any(det <= 0.0):
+        raise ValueError(error)
+    return np.sqrt(det)
+
+
 def fidelity_swapped(alpha, beta, gamma):
     """Fidelity with the entanglement-swapped resource: 1/(1 + alpha - gamma^2/beta)."""
-    if beta <= 0.0:
+    if np.any(beta <= 0.0):
         raise ValueError("beta must be positive")
     return 1.0 / (1.0 + alpha - gamma ** 2 / beta)
 
@@ -197,33 +221,36 @@ class TeleportResource:
         """Geometry of the underlying lossy TMST; swap links are asym."""
         return "sym" if "sym" in self.kind.split("-") else "asym"
 
-    def _cm(self, length, geometry):
+    def _params(self, length, geometry):
         ch = channel_mod.AirChannel(self.mu, length, self.n_th, self.eta_ant)
-        return channel_mod.lossy_tmst(ch, self.r, self.n, geometry)
+        return channel_mod.lossy_tmst_params(ch, self.r, self.n, geometry)
 
     def fidelity(self, length):
-        kind = self.kind
+        """Average fidelity at distance `length` (m), elementwise over an
+        array of distances."""
+        kind, length = self.kind, np.asarray(length, dtype=float)
         if kind in ("swap", "swap-fg"):
             # two identical links of length L/2; Charlie measures the lossy
             # modes, so alpha is the retained (lossless) block of each link
-            link = self._cm(length / 2.0, self.geometry)
-            alpha_l, beta_l = link.sigma_b[0, 0], link.sigma_a[0, 0]
-            gamma_l = link.eps[0, 0]
+            beta, alpha, gamma = self._params(length / 2.0, self.geometry)
             if kind == "swap":
-                return fidelity_swapped(alpha_l, beta_l, gamma_l)
+                return fidelity_swapped(alpha, beta, gamma)
             gain = 1.0 / self.inv_gain
-            a_t, g_t = swapped_finite_gain_params(alpha_l, beta_l, gamma_l, gain)
+            a_t, g_t = swapped_finite_gain_params(alpha, beta, gamma, gain)
             return fidelity_finite_gain(a_t, a_t, g_t, gain, self.theta)
-        cm = self._cm(length, self.geometry)
+        alpha, beta, gamma = self._params(length, self.geometry)
         if kind.startswith("2ps-prob"):
-            return fidelity_2ps_general(cm, self.tau)[0]
+            # g of ps2_gaussian is h at the subtracted triple
+            tilde = distill.ps2_standard_form(alpha, beta, gamma, self.tau)[:3]
+            return ((1.0 + distill.heuristic_correction(*tilde))
+                    / root_det_standard(*tilde, error=PS_ILL_CONDITIONED))
+        if kind.endswith("-fg"):
+            return fidelity_finite_gain(alpha, beta, gamma, 1.0 / self.inv_gain,
+                                        self.theta)
+        root = root_det_standard(alpha, beta, gamma)
         if kind.startswith("2ps-heur"):
-            return fidelity_heuristic(cm)[0]
-        if not kind.endswith("-fg"):
-            return fidelity_gaussian(cm)
-        alpha, beta, gamma = cm.standard_params()
-        return fidelity_finite_gain(alpha, beta, gamma, 1.0 / self.inv_gain,
-                                    self.theta)
+            return (1.0 + distill.heuristic_correction(alpha, beta, gamma)) / root
+        return 1.0 / root
 
     def _half_fidelity_poly(self):
         """The F = 1/2 condition as a coefficient array in u (channel.tmst_polys).
@@ -253,23 +280,53 @@ class TeleportResource:
 
         Gaussian kinds solve their closed-form condition, a polynomial of
         degree at most 4 in the channel transmission t. The 2PS kinds, and
-        the finite-gain kinds at theta != 0, have none: scipy's brentq finds
-        their root on [0, MAX_DISTANCE] to 1 cm. Returns 0 when the fidelity
-        at the source is at most 1/2; raises ValueError when mu = 0 or the
-        root lies beyond MAX_DISTANCE.
+        the finite-gain kinds at theta != 0, have none: an Illinois solve
+        brackets their root on [0, MAX_DISTANCE] to ROOT_XTOL. Returns 0 when
+        the fidelity at the source is at most 1/2; raises ValueError when
+        mu = 0 or the root lies beyond MAX_DISTANCE.
         """
-        if self.fidelity(0.0) <= CLASSICAL_FIDELITY:
+        at_source = self.fidelity(0.0) - CLASSICAL_FIDELITY
+        if at_source <= 0.0:
             return 0.0
         channel_mod.require_attenuation(self.mu)
         if self.kind.startswith("2ps") or (self.kind.endswith("-fg")
                                            and self.theta != 0.0):
-            from scipy.optimize import brentq
-
-            if self.fidelity(MAX_DISTANCE) > CLASSICAL_FIDELITY:
+            at_max = self.fidelity(MAX_DISTANCE) - CLASSICAL_FIDELITY
+            if at_max > 0.0:
                 raise ValueError(BEYOND_MAX)
-            return brentq(lambda ll: self.fidelity(ll) - CLASSICAL_FIDELITY,
-                          0.0, MAX_DISTANCE, xtol=0.01)
+            return illinois(lambda ll: self.fidelity(ll) - CLASSICAL_FIDELITY,
+                            0.0, MAX_DISTANCE, at_source, at_max, ROOT_XTOL)
         length = channel_mod.root_distance(self._half_fidelity_poly(), self.mu)
         if length is None or length > MAX_DISTANCE:
             raise ValueError(BEYOND_MAX)
         return length
+
+
+def illinois(f, a, b, f_a, f_b, xtol):
+    """Root of f between a and b, where f_a = f(a) and f_b = f(b) differ in
+    sign, to a bracket of width xtol.
+
+    Regula falsi that halves the value kept at one end of the bracket when
+    the same end is kept twice in a row (the Illinois rule), so both ends
+    close in on the root.
+    """
+    kept = 0
+    while True:
+        c = (a * f_b - b * f_a) / (f_b - f_a)
+        f_c = f(c)
+        if f_c == 0.0:
+            return c
+        if not math.isfinite(f_c):
+            raise ValueError("non-finite value at %r inside the bracket" % c)
+        if (f_c > 0.0) == (f_b > 0.0):
+            b, f_b = c, f_c
+            if kept == -1:
+                f_a *= 0.5
+            kept = -1
+        else:
+            a, f_a = c, f_c
+            if kept == 1:
+                f_b *= 0.5
+            kept = 1
+        if abs(b - a) <= xtol:
+            return c

@@ -123,10 +123,22 @@ class TestReach:
                 sym_t, rel=0.02)
 
     def test_reach_zero_when_never_entangled(self):
-        # thermal occupation above the e^{-r} sinh r threshold
+        # thermal occupation above the e^{-r} sinh r threshold: the paper's
+        # eta_max is 0 there, but the source is entangled (n < e^{r} sinh r)
+        # and stays so up to the nu_minus = 1 crossing
         assert eta_max(0.5, 0.4, 1250.0) == 0.0
         ch = AirChannel(1.44e-6, 0.0, 1250.0, 0.0)
-        assert l_max(ch, 0.5, 0.4, "asym") == 0.0
+        reach = l_max(ch, 0.5, 0.4, "asym")
+
+        def nu(length):
+            at = AirChannel(1.44e-6, length, 1250.0, 0.0)
+            return pts_eigenvalues(lossy_tmst(at, 0.5, 0.4, "asym"))[0]
+
+        assert reach == pytest.approx(205.48, abs=0.01)
+        assert nu(reach - 0.01) < 1.0 < nu(reach + 0.01)
+        assert nu(reach) == pytest.approx(1.0, abs=1e-12)
+        # a source that is not entangled has zero reach
+        assert l_max(ch, 0.5, 1.5, "asym") == 0.0
 
     def test_asym_exceeds_sym(self):
         ch = AirChannel(TABLE1["mu"], 0.0, TABLE1["n_th"], 0.0)
@@ -150,6 +162,13 @@ class TestReach:
         assert nu == pytest.approx(1.0, abs=1e-4)
 
     def test_symmetric_reach_matches_numeric_root(self):
+        self.check_against_numeric_root("sym")
+
+    def test_asymmetric_reach_matches_numeric_root(self):
+        self.check_against_numeric_root("asym")
+
+    @staticmethod
+    def check_against_numeric_root(geometry):
         from scipy.optimize import brentq
 
         rng = np.random.default_rng(7)
@@ -161,9 +180,9 @@ class TestReach:
 
             def gap(length):
                 ch = AirChannel(mu, length, n_th, eta_ant)
-                return pts_eigenvalues(lossy_tmst(ch, r, n, "sym"))[0] - 1.0
+                return pts_eigenvalues(lossy_tmst(ch, r, n, geometry))[0] - 1.0
 
-            reach = l_max(AirChannel(mu, 0.0, n_th, eta_ant), r, n, "sym")
+            reach = l_max(AirChannel(mu, 0.0, n_th, eta_ant), r, n, geometry)
             assert reach == pytest.approx(brentq(gap, 0.0, 5000.0, xtol=1e-10),
                                           abs=1e-6)
             assert abs(gap(reach)) <= 1e-12

@@ -140,6 +140,43 @@ class TestFailureContract:
         assert "mu = 0" in err
         assert "Warning" not in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("bifreq", "--sweep", "eta1", "0.5", "1.0", "3"),
+        ("bifreq", "--set", "eta1=1.0"),
+    ])
+    def test_bifreq_at_unit_reflectivity_is_computation_error(self, argv):
+        code, out, err = run_cli(*argv)
+        assert code == 2
+        assert out == ""
+        assert "diverges at eta1 = 1" in err
+        assert "Warning" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("distill", "--set", "tau=1"),
+        ("teleport", "--resource", "2ps-prob-sym", "--set", "tau=0"),
+        ("swap", "--sweep", "L", "-10", "100", "3"),
+        ("channel", "--sweep", "L", "0", "inf", "3"),
+    ])
+    def test_bad_row_in_an_array_sweep_is_computation_error(self, argv):
+        code, out, err = run_cli(*argv)
+        assert code == 2
+        assert out == ""
+        assert "computation error" in err
+        assert "Warning" not in err and "Traceback" not in err
+
+    def test_undefined_ratio_anchor_fails_with_a_reason(self):
+        # the antenna alone leaves the tmst-asym fidelity at most 1/2 at the
+        # source, so the swap reach extension has no reference limit
+        code, out, err = run_cli("summary", "--preset", "table1",
+                                 "--set", "eta_ant=0.3")
+        assert code == 3
+        assert "Warning" not in err and "Traceback" not in err
+        anchors = {a["name"]: a for a in json.loads(out)["anchors"]}
+        swap = anchors["swap_reach_extension_pct"]
+        assert swap["pass"] is False and swap["value"] is None
+        assert "classical limit is 0" in swap["reason"]
+        assert anchors["classical_limit_asym_m"]["value"] == 0.0
+
     def test_bifreq_row_lets_programming_errors_through(self, monkeypatch):
         def broken(params):
             raise TypeError("broken h_q_bifreq")
@@ -150,7 +187,8 @@ class TestFailureContract:
 
 
 def test_cli_paths_load_no_scipy():
-    """import cvmw, import cvmw.cli and every subcommand's default run."""
+    """import cvmw, import cvmw.cli, every subcommand's default run and the
+    numeric classical-limit roots."""
     runs = [["summary", "--preset", "table1"], ["state", "--kind", "tmst"],
             ["qfi"]] + [[name] for name in cli.COMMANDS if name != "qfi"]
     script = "\n".join([
@@ -164,6 +202,13 @@ def test_cli_paths_load_no_scipy():
         "for argv in %r:" % (runs,),
         "    assert cli.main(argv + ['--out', %r]) == 0, argv" % (os.devnull,),
         "    assert not scipy_modules(), (argv, scipy_modules())",
+        "from cvmw.teleport import TeleportResource",
+        "link = (1.0, 0.01, 1.44e-6, 1250.0)",
+        "for kind in ('2ps-prob-sym', '2ps-heur-asym'):",
+        "    TeleportResource(kind, *link).classical_limit_distance()",
+        "TeleportResource('swap-fg', *link, inv_gain=0.008,",
+        "                 theta=1.0).classical_limit_distance()",
+        "assert not scipy_modules(), scipy_modules()",
     ])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=ENV)

@@ -3,7 +3,7 @@ import pytest
 from scipy.special import hyp2f1 as scipy_hyp2f1
 
 from cvmw import channel, core, fock, teleport
-from cvmw.distill import (char_fn_2ps, char_fn_heuristic,
+from cvmw.distill import (char_fn_2ps, char_fn_heuristic, heuristic_correction,
                           heuristic_negativity, hyp2f1, ps2_gaussian,
                           ps2_heuristic, ps2_standard_form, PsTmsv, swap,
                           swap_symmetric, tmsv_negativity)
@@ -172,6 +172,73 @@ class TestPs2Heuristic:
             gain_h = heuristic_negativity(lam, 1) - tmsv_negativity(lam)
             gain_p = PsTmsv(lam, tau, 1).negativity() - tmsv_negativity(lam)
             assert gain_h >= gain_p - 1e-12
+
+
+def symbolic_heuristic_correction(alpha, beta, gamma):
+    """h of ps2_heuristic for the standard-form input (alpha I, beta I,
+    gamma sigma_z), restated step by step in sympy."""
+    import sympy as sp
+
+    i2, w, sz = sp.eye(2), sp.Matrix([[0, 1], [-1, 0]]), sp.Matrix([[1, 0], [0, -1]])
+    sa, sb, e = alpha * i2, beta * i2, gamma * sz
+    m_a, m_b = 1 - sa.trace() / 2, 1 - sb.trace() / 2
+    m_c = (e.T * e).trace() / 2
+    e0 = m_a * m_b + m_c
+    big_a = (i2 - 2 * w * sa * w.T + w * sa * sa * w.T) / 4
+    big_b = (i2 - 2 * w * sb * w.T + w * sb * sb * w.T) / 4
+    big_c = w * e.T * e * w.T / 4
+    big_ac = (w * sa * e * w.T - w * e * w.T) / 2
+    big_bc = (w * e * sb * w.T - w * e * w.T) / 2
+    wmat = i2 + (sz * sa * sz + sb - sz * e - e.T * sz) / 2
+    w_inv = wmat.inv()
+    e1 = (m_a * (big_b + sz * big_c * sz + sz * big_bc)
+          + m_b * (sz * big_a * sz + big_c + sz * big_ac)
+          + (2 * big_c + sz * big_ac) * w * (i2 + sz * e - sb) * w.T)
+    e2_a = big_c + sz * big_ac + sz * big_a * sz
+    e2_b = big_b + sz * big_bc + sz * big_c * sz
+    return ((w * w_inv * w.T * e1).trace()
+            - 2 / wmat.det() * (w * e2_a * w.T * e2_b).trace()
+            + 3 * (w * w_inv * w.T * e2_a).trace() * (w * w_inv * w.T * e2_b).trace()
+            ) / e0
+
+
+class TestHeuristicCorrection:
+    """The closed form of h (distill.heuristic_correction)."""
+
+    def test_sympy_derivation_from_the_ps2_heuristic_matrices(self):
+        sp = pytest.importorskip("sympy")
+        a, b, g = sp.symbols("alpha beta gamma", positive=True)
+        h = symbolic_heuristic_correction(a, b, g)
+        s, d = a + b - 2 * g, a - b
+        num = ((s - 2) ** 3 * (s + 6) - d ** 4) / 8 + d ** 2 * (2 - s + g * (s + 2))
+        closed = -num / ((s + 2) ** 2 * ((a - 1) * (b - 1) + g ** 2))
+        assert sp.simplify(h - closed) == 0
+        # N is a quartic polynomial
+        assert sp.Poly(sp.expand(num), a, b, g).total_degree() == 4
+        # the restatement is ps2_heuristic, and the numpy kernel is the closed form
+        rng = np.random.default_rng(17)
+        for _ in range(5):
+            gamma = rng.uniform(0.5, 4.0)
+            alpha = np.sqrt(1.0 + gamma ** 2) + rng.uniform(0.0, 1.0)
+            beta = np.sqrt(1.0 + gamma ** 2) + rng.uniform(0.0, 1.0)
+            exact = float(h.subs({a: alpha, b: beta, g: gamma}).evalf(30))
+            cm = BipartiteCM.standard_form(alpha, beta, gamma, check=False)
+            assert 1.0 + ps2_heuristic(cm).h == pytest.approx(1.0 + exact, rel=1e-12)
+            assert 1.0 + heuristic_correction(alpha, beta, gamma) == pytest.approx(
+                1.0 + exact, rel=1e-13)
+
+    def test_nonpositive_normalization_rejected_in_any_row(self):
+        # E_0 = (alpha - 1)(beta - 1) + gamma^2 = -0.25 in the second row
+        with pytest.raises(ValueError, match="E_0"):
+            heuristic_correction(np.array([3.0, 0.5]), np.array([3.0, 1.5]),
+                                 np.array([2.0, 0.0]))
+
+    def test_standard_form_subtraction_keeps_the_matrix_route_errors(self):
+        with pytest.raises(ValueError, match="transmissivity"):
+            ps2_standard_form(3.0, 3.0, 2.0, 1.0)
+        # (1 - tau) alpha + 1 + tau = 0 makes X_A singular
+        with pytest.raises(ValueError, match="singular X_A"):
+            ps2_standard_form(np.array([3.0, -19.0]), 3.0, 0.0, 0.9)
 
 
 class TestSwap:

@@ -342,3 +342,67 @@ class TestClassicalLimitRoots:
         length = res.classical_limit_distance()
         assert abs(res.fidelity(length) - 0.5) <= 1e-4
         assert length < resource(kind).classical_limit_distance()
+
+
+NUMERIC_ROOT_KINDS = [("2ps-prob-asym", 0.0), ("2ps-prob-sym", 0.0),
+                      ("2ps-heur-asym", 0.0), ("2ps-heur-sym", 0.0),
+                      ("tmst-asym-fg", 1.0), ("tmst-sym-fg", 1.0), ("swap-fg", 1.0)]
+
+
+class TestNumericRoots:
+    @pytest.mark.parametrize("kind,theta", NUMERIC_ROOT_KINDS)
+    def test_illinois_matches_brentq(self, kind, theta):
+        from scipy.optimize import brentq
+
+        checked = 0
+        for p in link_draws(12, seed=9):
+            res = resource(kind, theta=theta, **p)
+            if res.fidelity(0.0) <= 0.5:
+                continue
+            length = res.classical_limit_distance()
+            reference = brentq(lambda ll: res.fidelity(ll) - 0.5, 0.0, 5000.0,
+                               xtol=0.01)
+            assert length == pytest.approx(reference, abs=0.01)
+            checked += 1
+        assert checked >= 10
+
+    def test_illinois_on_a_known_root(self):
+        from cvmw.teleport import illinois
+
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return np.exp(-x / 300.0) - 0.25
+
+        root = illinois(f, 0.0, 5000.0, f(0.0), f(5000.0), 0.01)
+        assert root == pytest.approx(300.0 * np.log(4.0), abs=0.01)
+        assert len(calls) < 40
+
+    def test_non_finite_value_inside_the_bracket_raises(self):
+        from cvmw.teleport import illinois
+
+        with pytest.raises(ValueError, match="non-finite"):
+            illinois(lambda x: float("nan"), 0.0, 1.0, 1.0, -1.0, 0.01)
+
+
+class TestArrayFidelity:
+    @pytest.mark.parametrize("kind", TeleportResource.KINDS)
+    def test_array_rows_equal_scalar_calls(self, kind):
+        res = resource(kind, inv_gain=0.008)
+        grid = np.linspace(0.0, 600.0, 13)
+        values = res.fidelity(grid)
+        assert values.shape == grid.shape
+        assert list(values) == [res.fidelity(length) for length in grid]
+
+    def test_any_bad_row_raises(self):
+        with pytest.raises(ValueError, match="beta must be positive"):
+            fidelity_swapped(np.array([3.0, 3.0]), np.array([2.0, 0.0]),
+                             np.array([1.0, 1.0]))
+        from cvmw.teleport import root_det_standard
+        # 1 + (alpha + beta - 2 gamma) / 2 = 0 in the second row
+        with pytest.raises(ValueError, match="det"):
+            root_det_standard(np.array([3.0, 1.0]), np.array([3.0, 1.0]),
+                              np.array([2.0, 2.0]))
+        with pytest.raises(ValueError, match="invalid channel"):
+            resource("tmst-asym").fidelity(np.array([10.0, -1.0]))
