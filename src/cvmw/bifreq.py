@@ -2,10 +2,12 @@
 target probed at two nearby frequencies.
 
 The probe is either a two-mode squeezed thermal state (quantum strategy)
-or a pair of coherent beams with the same per-mode photon number. The
-received-state QFI for the difference parameter is evaluated numerically
-at the operating point lambda -> 0; the coherent-probe QFI and the
-high-reflectivity / high-noise enhancement ratios have closed forms.
+or a pair of coherent beams with the same per-mode photon number. Both
+received states are beam-splitter outputs, affine in eta2 = eta1 + lambda
+and sqrt(eta2), so their derivatives in the difference parameter are
+closed forms. The quantum-probe QFI at lambda -> 0 is the exact Gaussian
+QFI of that jet; the coherent-probe QFI and the high-reflectivity /
+high-noise enhancement ratios have closed forms.
 """
 
 from dataclasses import dataclass
@@ -16,6 +18,7 @@ from .core import GaussianState, SIGMA_Z, apply, beam_splitter, partial_trace
 from .entanglement import BipartiteCM
 from .estimation import (GaussianFamily, QuadraticObservable, gaussian_qfi,
                          optimal_observable)
+from .teleport import illinois
 
 
 @dataclass
@@ -89,45 +92,45 @@ def bifreq_received(params):
     return BipartiteCM.from_state(partial_trace(out, keep=(1, 3)))
 
 
-def _fd_step(params):
-    # finite differences move eta2 = eta1 + lam, which must stay in [0, 1]
-    eta2 = params.eta1 + params.lam
-    room = min(eta2, 1.0 - eta2)
-    if room <= 0.0:
-        raise ValueError("operating point sits on the reflectivity boundary")
-    return min(1e-5, room / 2.0)
-
-
 def received_family(params):
-    """Quantum received state as a Gaussian family in the difference lambda."""
-    eta1, n_r, n, n_th = params.eta1, params.n_r, params.n, params.n_th
+    """Quantum received state as a Gaussian family in the difference lambda.
 
-    def evaluate(lam):
-        return bifreq_received(BifreqParams(eta1, lam, n_r, n, n_th)).to_state()
-
-    return GaussianFamily(evaluate, lambda0=params.lam, step=_fd_step(params))
+    With eta2 = eta1 + lambda, only mode 2 depends on lambda:
+    Sigma_B = (eta2 S + (1 - eta2) T) I and eps = sqrt(eta1 eta2) C sigma_z,
+    where S = (1 + 2n)(1 + 4 n_r), C = 2 (1 + 2n) sqrt(2 n_r (1 + 2 n_r))
+    are the probe's signal variance and correlation and T = 1 + 2 n_th.
+    """
+    eta1, eta2 = params.eta1, params.eta1 + params.lam
+    scale = 1.0 + 2.0 * params.n
+    s = scale * (1.0 + 4.0 * params.n_r)
+    c = 2.0 * scale * np.sqrt(2.0 * params.n_r * (1.0 + 2.0 * params.n_r))
+    # d sqrt(eta1 eta2) C / d eta2: zero without correlations, unbounded at eta2 = 0
+    if eta2 == 0.0 and eta1 * c > 0.0:
+        raise ValueError("the quantum-probe QFI diverges at eta1 + lam = 0")
+    d_eps = 0.5 * np.sqrt(eta1 / eta2) * c if eta1 * c > 0.0 else 0.0
+    dsigma = BipartiteCM(np.zeros((2, 2)), (s - 1.0 - 2.0 * params.n_th) * np.eye(2),
+                         d_eps * SIGMA_Z, check=False).matrix
+    return GaussianFamily(bifreq_received(params).to_state(), dsigma, np.zeros(4),
+                          params.lam)
 
 
 def h_q_bifreq(params):
-    """Quantum-probe QFI at the two-sided limit lambda -> 0 (numeric)."""
+    """Quantum-probe QFI at the two-sided limit lambda -> 0 (Monras solve)."""
     return gaussian_qfi(received_family(params))
 
 
 def classical_received_family(params):
     """Coherent-pair received state as a Gaussian family in lambda."""
-    eta1, n_th = params.eta1, params.n_th
+    eta1, lam, n_th = params.eta1, params.lam, params.n_th
+    eta2, tau1 = eta1 + lam, 1.0 - eta1
     alpha = np.sqrt(params.n_s)
-    tau1 = 1.0 - eta1
-
-    def evaluate(lam):
-        sigma = np.eye(4)
-        sigma[0, 0] = sigma[1, 1] = 1.0 + 2.0 * n_th * tau1
-        sigma[2, 2] = sigma[3, 3] = 1.0 + 2.0 * n_th * (tau1 - lam)
-        d = np.array([np.sqrt(2.0 * eta1) * alpha, 0.0,
-                      np.sqrt(2.0 * (eta1 + lam)) * alpha, 0.0])
-        return GaussianState(d, sigma)
-
-    return GaussianFamily(evaluate, lambda0=params.lam, step=_fd_step(params))
+    if eta2 == 0.0 and alpha > 0.0:
+        raise ValueError("the coherent-probe QFI diverges at eta1 + lam = 0")
+    sigma = np.diag([1.0 + 2.0 * n_th * tau1] * 2 + [1.0 + 2.0 * n_th * (tau1 - lam)] * 2)
+    d = np.array([np.sqrt(2.0 * eta1) * alpha, 0.0, np.sqrt(2.0 * eta2) * alpha, 0.0])
+    dsigma = np.diag([0.0, 0.0, -2.0 * n_th, -2.0 * n_th])
+    dd = np.array([0.0, 0.0, alpha / np.sqrt(2.0 * eta2) if alpha else 0.0, 0.0])
+    return GaussianFamily(GaussianState(d, sigma), dsigma, dd, lam)
 
 
 def h_c_bifreq(params):
@@ -302,16 +305,14 @@ def qcrb_gap(eta1, n_s, n_th):
 
 def qcrb_saturating_noise(eta1, n_s, lo=1e-3, hi=1e4):
     """Bracket and solve qcrb_gap = 0 in n_th; returns (n_th, bracket)."""
-    from scipy.optimize import brentq
-
     grid = np.geomspace(lo, hi, 40)
     vals = [qcrb_gap(eta1, n_s, x) for x in grid]
     for i in range(len(grid) - 1):
         if vals[i] == 0.0:
             return grid[i], (grid[i], grid[i])
         if vals[i] * vals[i + 1] < 0.0:
-            root = brentq(lambda x: qcrb_gap(eta1, n_s, x),
-                          grid[i], grid[i + 1], rtol=1e-10)
+            root = illinois(lambda x: qcrb_gap(eta1, n_s, x), grid[i], grid[i + 1],
+                            vals[i], vals[i + 1], xtol=1e-10 * grid[i])
             return root, (grid[i], grid[i + 1])
     raise ValueError("no sign change of the qCRB gap in the scanned range")
 

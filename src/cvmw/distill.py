@@ -16,20 +16,14 @@ from .core import SIGMA_Z, omega
 from .entanglement import BipartiteCM
 
 
-def hyp2f1(a, b, c, z):
-    """Gauss hypergeometric series for |z| < 1, term-ratio stopping at 1e-15."""
-    if abs(z) >= 1.0:
-        raise ValueError("series converges only for |z| < 1")
-    if c <= 0 and c == int(c):
-        raise ValueError("c must not be a non-positive integer")
-    term = 1.0
-    total = 1.0
-    for n in range(100000):
-        term *= (a + n) * (b + n) / (c + n) * z / (n + 1.0)
-        total += term
-        if abs(term) <= 1e-15 * abs(total):
-            return total
-    raise RuntimeError("hypergeometric series did not converge")
+def _hyp2f1_numerator(k, z):
+    """P_k(z) in 2F1(k + 1, k + 1; 1; z) = P_k(z) / (1 - z)^(2k + 1), k = 0, 1, 2."""
+    return (1.0, 1.0 + z, 1.0 + 4.0 * z + z * z)[k]
+
+
+def hyp2f1_k(k, z):
+    """Gauss hypergeometric 2F1(k + 1, k + 1; 1; z) for k in {0, 1, 2}, |z| < 1."""
+    return _hyp2f1_numerator(k, z) / (1.0 - z) ** (2 * k + 1)
 
 
 @dataclass
@@ -62,7 +56,7 @@ class PsTmsv:
         """P_2k = sum_n |a_n|^2 in closed form."""
         lt = self.lam_tau
         return ((1.0 - self.lam ** 2) * (self.lam - lt) ** (2 * self.k)
-                * hyp2f1(self.k + 1, self.k + 1, 1.0, lt ** 2))
+                * hyp2f1_k(self.k, lt ** 2))
 
     def success_probability_series(self, rel_tol=1e-18):
         """Direct summation of |a_n|^2, stopping when terms fall below tol."""
@@ -76,10 +70,14 @@ class PsTmsv:
             n += 1
 
     def negativity(self):
-        """((1 - lam_tau)^{-2(k+1)} / 2F1(k+1, k+1; 1; lam_tau^2) - 1) / 2."""
+        """((1 - lam_tau)^{-2(k+1)} / 2F1(k+1, k+1; 1; lam_tau^2) - 1) / 2.
+
+        With 1 - lam_tau^2 = (1 - lam_tau)(1 + lam_tau) the powers of
+        1 - lam_tau cancel in closed form, leaving one factor as lam_tau -> 1.
+        """
         lt = self.lam_tau
-        return 0.5 * ((1.0 - lt) ** (-2 * (self.k + 1))
-                      / hyp2f1(self.k + 1, self.k + 1, 1.0, lt ** 2) - 1.0)
+        return 0.5 * ((1.0 + lt) ** (2 * self.k + 1)
+                      / ((1.0 - lt) * _hyp2f1_numerator(self.k, lt ** 2)) - 1.0)
 
 
 def tmsv_negativity(lam):

@@ -119,13 +119,18 @@ def gain(params):
 
 
 def received_family(params):
-    """Quantum received state as a Gaussian family in the reflectivity."""
-    n_s, n_th, gamma = params.n_s, params.n_th, params.gamma
+    """Quantum received state as a Gaussian family in the reflectivity.
 
-    def evaluate(eta):
-        return qi_received(QiParams(n_s, n_th, gamma, eta)).to_state()
-
-    return GaussianFamily(evaluate, lambda0=params.eta, step=1e-5)
+    With x = eta e^{-gamma}, Sigma_A = 1 + 2 n_th + 2 n_s x^2 and
+    eps = 2 sqrt(n_s (1 + n_s)) x sigma_z are the only eta-dependent entries.
+    """
+    n_s, e = params.n_s, np.exp(-params.gamma)
+    x = params.eta * e
+    dsigma = BipartiteCM(4.0 * n_s * x * e * np.eye(2), np.zeros((2, 2)),
+                         2.0 * np.sqrt(n_s * (1.0 + n_s)) * e * SIGMA_Z,
+                         check=False).matrix
+    return GaussianFamily(qi_received(params).to_state(), dsigma, np.zeros(4),
+                          params.eta)
 
 
 def classical_received_family(params):
@@ -137,15 +142,11 @@ def classical_received_family(params):
     carries d = (sqrt(2) e^{-gamma} alpha eta, 0). The spectator keeps the
     family two-mode without touching the information content.
     """
-    n_s, n_th, gamma = params.n_s, params.n_th, params.gamma
-    alpha = np.sqrt(n_s)
-
-    def evaluate(eta):
-        x = eta * np.exp(-gamma)
-        sigma = np.eye(4)
-        sigma[0, 0] = sigma[1, 1] = 1.0 + 2.0 * n_th * (1.0 - x ** 2)
-        sigma[2, 2] = sigma[3, 3] = 1.0 + 2.0 * n_th
-        d = np.array([np.sqrt(2.0) * alpha * x, 0.0, 0.0, 0.0])
-        return GaussianState(d, sigma)
-
-    return GaussianFamily(evaluate, lambda0=params.eta, step=1e-5)
+    n_th, e = params.n_th, np.exp(-params.gamma)
+    alpha = np.sqrt(params.n_s)
+    x = params.eta * e
+    sigma = np.diag([1.0 + 2.0 * n_th * (1.0 - x ** 2)] * 2 + [1.0 + 2.0 * n_th] * 2)
+    d = np.array([np.sqrt(2.0) * alpha * x, 0.0, 0.0, 0.0])
+    dsigma = np.diag([-4.0 * n_th * x * e] * 2 + [0.0, 0.0])
+    dd = np.array([np.sqrt(2.0) * alpha * e, 0.0, 0.0, 0.0])
+    return GaussianFamily(GaussianState(d, sigma), dsigma, dd, params.eta)

@@ -204,9 +204,10 @@ def test_criterion_10_oracle_equivalence():
             op += sld.quad[i, j] * 0.5 * (quads[i] @ quads[j]
                                           + quads[j] @ quads[i])
     step = 1e-3
-    rho_p = fock.gaussian_density(fam(p.eta + step), n_max)
-    rho_m = fock.gaussian_density(fam(p.eta - step), n_max)
-    rho_0 = fock.gaussian_density(fam(p.eta), n_max)
+    rho_p, rho_m = (fock.gaussian_density(illumination.qi_received(
+        illumination.QiParams(p.n_s, p.n_th, p.gamma, eta)).to_state(), n_max)
+        for eta in (p.eta + step, p.eta - step))
+    rho_0 = fock.gaussian_density(fam.state, n_max)
     drho = (rho_p - rho_m) / (2.0 * step)
     resid = float(np.max(np.abs(op @ rho_0 + rho_0 @ op - 2.0 * drho)))
     ok_sld = resid <= 1e-4

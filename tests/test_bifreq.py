@@ -10,7 +10,8 @@ from cvmw.bifreq import (BifreqParams, bifreq_probe, bifreq_received,
                          optimal_coeffs, optimal_observable_numeric,
                          qcrb_saturating_noise, thermal_ratio,
                          variance_formula)
-from cvmw.estimation import GaussianFamily, gaussian_qfi, observable_moments
+from cvmw.estimation import gaussian_qfi, observable_moments
+from tests.oracles.finite_difference import jet
 
 
 class TestThermalRatio:
@@ -91,6 +92,44 @@ class TestFisherInformation:
         num = bifreq.ratio(BifreqParams(1.0 - 1e-8, 0.0, 2.9, 0.0, 1e3))
         assert num == pytest.approx(val, rel=5e-4)
 
+    def test_ratio_matches_a_60_digit_monras_solve(self):
+        # the anchor point of the high-reflectivity ratio, with the float
+        # inputs taken exactly; the received state is restated in closed form
+        # and differentiated numerically at 60 digits, and the real-basis
+        # Monras system (Sigma (x) Sigma - Omega (x) Omega) vec A = vec dSigma
+        # is solved by LU
+        mp = pytest.importorskip("mpmath").mp
+        mp.dps = 60
+        p = BifreqParams(1.0 - 1e-8, 0.0, 2.9, 0.0, 1e3)
+        eta1, n_r, n_th = mp.mpf(p.eta1), mp.mpf(p.n_r), mp.mpf(p.n_th)
+        s, c, temp = 1 + 4 * n_r, 2 * mp.sqrt(2 * n_r * (1 + 2 * n_r)), 1 + 2 * n_th
+
+        def sigma(lam):
+            eta2 = eta1 + lam
+            a, b = eta1 * s + (1 - eta1) * temp, eta2 * s + (1 - eta2) * temp
+            e = mp.sqrt(eta1 * eta2) * c
+            return mp.matrix([[a, 0, e, 0], [0, a, 0, -e],
+                              [e, 0, b, 0], [0, -e, 0, b]])
+
+        sig = sigma(0)
+        np.testing.assert_allclose(bifreq_received(p).matrix,
+                                   np.array(sig.tolist(), dtype=float), rtol=1e-15)
+        dsig = [mp.diff(lambda lam: sigma(lam)[i, j], 0)
+                for i in range(4) for j in range(4)]
+        om = core.omega(2)
+        mm = mp.matrix(16, 16)
+        for row in range(16):
+            for col in range(16):
+                (i, k), (j, l) = divmod(row, 4), divmod(col, 4)
+                mm[row, col] = sig[i, j] * sig[k, l] - om[i, j] * om[k, l]
+        avec = mp.lu_solve(mm, mp.matrix(dsig))
+        h_q = sum(dsig[i] * avec[i] for i in range(16)) / 2
+        dd = 1 + 2 * n_th * (1 - eta1)  # h_c_bifreq, with n_s = n_r at n = 0
+        h_c = 4 * n_th ** 2 * (dd ** 2 + 1) / (dd ** 4 - 1) + n_r / (eta1 * dd)
+        reference = float(h_q / h_c)
+        assert reference == pytest.approx(6.3405851625, abs=1e-10)
+        assert bifreq.ratio(p) == pytest.approx(reference, rel=1e-9)
+
     def test_high_noise_limit(self):
         assert high_noise_ratio(2.9) == pytest.approx(1.0 + 8.0 * 2.9 ** 2
                                                       / (4.0 * 2.9 + 1.0))
@@ -104,10 +143,10 @@ class TestFisherInformation:
         base_q = h_q_bifreq(p)
         base_c = gaussian_qfi(bifreq.classical_received_family(p))
         k = np.exp(-0.3)
-        fam_q = bifreq.received_family(p)
-        fam_c = bifreq.classical_received_family(p)
-        scaled_q = GaussianFamily(lambda l: fam_q(k * l), 0.0, fam_q.step)
-        scaled_c = GaussianFamily(lambda l: fam_c(k * l), 0.0, fam_c.step)
+        scaled_q = jet(lambda l: bifreq_received(
+            BifreqParams(0.85, k * l, 1.5, 0.0, 2.0)).to_state(), 0.0, 1e-5)
+        scaled_c = jet(lambda l: bifreq.classical_received_family(
+            BifreqParams(0.85, k * l, 1.5, 0.0, 2.0)).state, 0.0, 1e-5)
         r1 = base_q / base_c
         r2 = gaussian_qfi(scaled_q) / gaussian_qfi(scaled_c)
         assert abs(r1 - r2) < 1e-10 * r1
@@ -177,12 +216,12 @@ class TestOptimalObservable:
         fam = bifreq.received_family(p)
         from cvmw.estimation import optimal_observable
         obs = optimal_observable(fam)
-        mean, _ = observable_moments(fam(0.0), obs)
+        mean, _ = observable_moments(fam.state, obs)
         assert mean == pytest.approx(0.0, abs=1e-9)
         p2 = BifreqParams(0.85, 1e-3, 1.0, 0.0, 2.0)
         fam2 = bifreq.received_family(p2)
         obs2 = optimal_observable(fam2)
-        mean2, _ = observable_moments(fam2(1e-3), obs2)
+        mean2, _ = observable_moments(fam2.state, obs2)
         assert mean2 == pytest.approx(1e-3, abs=1e-9)
 
     def test_variance_formula_value(self):

@@ -118,11 +118,16 @@ class TestFailureContract:
         ("teleport", "--resource", "tmst-asym-fg", "--set", "inv_gain=0"),
         ("summary", "--set", "r=0"),
         ("bifreq", "--set", "eta1=1.0"),
+        # reflectivity boundaries: a pure received state, a coherent-probe
+        # derivative that diverges as 1/sqrt(eta), an H_C that diverges
+        ("qfi", "--family", "bifreq", "--set", "eta1=1"),
+        ("qfi", "--family", "bifreq-classical", "--set", "eta1=0"),
+        ("bifreq", "--sweep", "eta1", "0.5", "1.0", "3"),
     ])
     def test_arithmetic_errors_exit_2_without_traceback(self, argv):
         code, out, err = run_cli(*argv)
         assert code == 2
-        assert "Traceback" not in err
+        assert "Traceback" not in err and "Warning" not in err
         assert "computation error" in err
 
     @pytest.mark.parametrize("command,setting", [("channel", "mu=nan"),
@@ -209,6 +214,20 @@ def test_cli_paths_load_no_scipy():
         "TeleportResource('swap-fg', *link, inv_gain=0.008,",
         "                 theta=1.0).classical_limit_distance()",
         "assert not scipy_modules(), scipy_modules()",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=ENV)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_qcrb_root_needs_no_scipy():
+    script = "\n".join([
+        "import sys",
+        "sys.modules['scipy'] = None",
+        "from cvmw import bifreq",
+        "root, bracket = bifreq.qcrb_saturating_noise(0.9, 2.0)",
+        "assert bracket[0] <= root <= bracket[1], (root, bracket)",
+        "assert abs(bifreq.qcrb_gap(0.9, 2.0, root)) < 1e-6",
     ])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=ENV)
@@ -332,6 +351,20 @@ class TestOtherCommands:
         _, out, _ = run_cli("satellite", "--sweep", "d", "1000", "2000", "2")
         rows = parse_csv(out)
         assert float(rows[0]["fspl_db"]) == pytest.approx(106.4, abs=0.05)
+
+    @pytest.mark.parametrize("family", ["illum", "illum-classical", "bifreq",
+                                        "bifreq-classical"])
+    def test_qfi_family_is_finite(self, family):
+        code, out, err = run_cli("qfi", "--family", family)
+        assert code == 0 and err == ""
+        assert np.isfinite(float(parse_csv(out)[0]["h_numeric"]))
+
+    def test_negativity_sweep_to_large_squeezing(self):
+        code, out, err = run_cli("negativity", "--sweep", "r", "2", "6", "5")
+        assert code == 0 and err == ""
+        rows = parse_csv(out)
+        assert len(rows) == 5
+        assert all(np.isfinite(float(v)) for row in rows for v in row.values())
 
     def test_qfi_single_row(self):
         _, out, _ = run_cli("qfi", "--family", "illum",

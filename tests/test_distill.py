@@ -4,7 +4,7 @@ from scipy.special import hyp2f1 as scipy_hyp2f1
 
 from cvmw import channel, core, fock, teleport
 from cvmw.distill import (char_fn_2ps, char_fn_heuristic, heuristic_correction,
-                          heuristic_negativity, hyp2f1, ps2_gaussian,
+                          heuristic_negativity, hyp2f1_k, ps2_gaussian,
                           ps2_heuristic, ps2_standard_form, PsTmsv, swap,
                           swap_symmetric, tmsv_negativity)
 from cvmw.entanglement import BipartiteCM, cm_validity, negativity
@@ -12,33 +12,28 @@ from cvmw.entanglement import BipartiteCM, cm_validity, negativity
 
 class TestHyp2f1:
     def test_at_zero(self):
-        assert hyp2f1(1.5, 2.5, 1.0, 0.0) == 1.0
+        for k in (0, 1, 2):
+            assert hyp2f1_k(k, 0.0) == 1.0
 
     def test_geometric_series(self):
         for z in (0.1, 0.5, 0.9):
-            assert hyp2f1(1.0, 1.0, 1.0, z) == pytest.approx(1.0 / (1.0 - z),
-                                                             rel=1e-14)
+            assert hyp2f1_k(0, z) == pytest.approx(1.0 / (1.0 - z), rel=1e-14)
 
     def test_against_brute_force_summation(self):
-        # direct 10^4-term sum at z = 0.9
+        # direct 10^4-term sum of 2F1(2, 2; 1; z) at z = 0.9
         z, a, b, c = 0.9, 2.0, 2.0, 1.0
         total, term = 1.0, 1.0
         for n in range(10000):
             term *= (a + n) * (b + n) / (c + n) * z / (n + 1.0)
             total += term
-        assert hyp2f1(a, b, c, z) == pytest.approx(total, rel=1e-12)
+        assert hyp2f1_k(1, z) == pytest.approx(total, rel=1e-12)
 
     def test_against_scipy(self):
-        for args in ((2.0, 2.0, 1.0, 0.64), (3.0, 3.0, 1.0, 0.25),
-                     (1.5, 0.5, 2.0, -0.8)):
-            assert hyp2f1(*args) == pytest.approx(float(scipy_hyp2f1(*args)),
-                                                  rel=1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            hyp2f1(1.0, 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            hyp2f1(1.0, 1.0, -2.0, 0.5)
+        # up to z = tanh^2(4.5), where the old series still converged
+        for k in (0, 1, 2):
+            for z in np.tanh(np.linspace(0.0, 4.5, 19)) ** 2:
+                assert hyp2f1_k(k, z) == pytest.approx(
+                    float(scipy_hyp2f1(k + 1, k + 1, 1.0, z)), rel=1e-12)
 
 
 class TestPsTmsv:

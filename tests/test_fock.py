@@ -219,11 +219,11 @@ class TestSpectralQfi:
     def test_qi_received_state_matches_closed_form(self):
         # eta ~ 0, gamma = 0: spectral QFI against the closed form
         p = illumination.QiParams(0.4, 0.4, gamma=0.0, eta=1e-3)
-        fam = illumination.received_family(p)
         n_max = 25
 
         def rho_fn(lam):
-            return fock.gaussian_density(fam(lam), n_max)
+            return fock.gaussian_density(illumination.qi_received(
+                illumination.QiParams(p.n_s, p.n_th, p.gamma, lam)).to_state(), n_max)
 
         h = fock.qfi_spectral(rho_fn, p.eta, 1e-4)
         assert h == pytest.approx(illumination.h_q(p), rel=1e-3)
