@@ -112,8 +112,9 @@ def _negativity_row(x):
                                           "dn_4ps_heur", "dn_4ps_prob", "p2",
                                           "p4"), float("nan")))
     lam = np.tanh(r)
-    base = distill.tmsv_negativity(lam)
+    # PsTmsv rejects tanh r = 1 before tmsv_negativity divides by zero
     ps2, ps4 = distill.PsTmsv(lam, tau, 1), distill.PsTmsv(lam, tau, 2)
+    base = distill.tmsv_negativity(lam)
     return dict(row, n_tmsv=base,
                 dn_2ps_heur=distill.heuristic_negativity(lam, 1) - base,
                 dn_2ps_prob=ps2.negativity() - base,

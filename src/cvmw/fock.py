@@ -4,9 +4,12 @@ Everything here works on dense arrays over a Hilbert space truncated at
 n_max photons per mode. Kets are stored as tensors of shape
 (n_max+1,) * n_modes, density matrices as (D, D) arrays with D the total
 dimension. Operations report truncation leakage so tests can pick n_max
-on principled grounds. Gaussian unitaries are built from the Bloch-Messiah
-factors of their symplectic matrix: passive blocks and single-mode
-squeezers.
+on principled grounds. Gaussian density matrices come from the Hermite recurrence of
+their Bargmann generating function; the two-mode squeezed thermal state,
+the squeezers and the beam splitter are built from their definitions,
+exponentiating the generator on the truncated space. The module uses
+numpy and the standard library only, so it shares no code with the
+closed forms it checks.
 """
 
 from dataclasses import dataclass
@@ -14,9 +17,13 @@ from math import lgamma
 
 import numpy as np
 
-from .core import omega
-
 MAX_DENSE_DIM = 5000
+
+
+def _expm_antihermitian(gen):
+    """exp(gen) = V e^{-iw} V^dag, where i gen = V diag(w) V^dag."""
+    w, v = np.linalg.eigh(1j * gen)
+    return (v * np.exp(-1j * w)) @ v.conj().T
 
 
 def destroy(n_max):
@@ -165,8 +172,6 @@ def beam_splitter_unitary(eta, n_max):
     Matches core.beam_splitter(eta): the Heisenberg map is
     a1 -> sqrt(eta) a1 + sqrt(1 - eta) a2.
     """
-    from scipy.linalg import expm
-
     theta = np.arccos(np.sqrt(eta))
     dims = (n_max + 1, n_max + 1)
     if dims[0] * dims[1] > MAX_DENSE_DIM:
@@ -174,7 +179,7 @@ def beam_splitter_unitary(eta, n_max):
     a1 = op_on_mode(destroy(n_max), 0, dims)
     a2 = op_on_mode(destroy(n_max), 1, dims)
     gen = theta * (a1.conj().T @ a2 - a1 @ a2.conj().T)
-    return expm(gen)
+    return _expm_antihermitian(gen)
 
 
 def thermal_density(n_th, n_max):
@@ -226,11 +231,7 @@ def ptrace(rho, dims, keep):
     return t.reshape(d, d)
 
 
-def expect(op, rho):
-    return complex(np.trace(op @ rho))
-
-
-def check_density(rho, tol_trace=1e-8):
+def check_density(rho):
     """Hermiticity / trace / positivity diagnostics; returns the trace deficit."""
     if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
         raise ValueError("density matrix is not Hermitian")
@@ -241,100 +242,16 @@ def check_density(rho, tol_trace=1e-8):
 
 
 def uhlmann_fidelity(rho1, rho2):
-    from scipy.linalg import sqrtm
-
-    s = sqrtm(rho1)
-    inner = sqrtm(s @ rho2 @ s)
-    return float(np.trace(inner).real ** 2)
-
-
-def williamson(sigma):
-    """Williamson normal form: Sigma = S diag(nu_1, nu_1, ...) S^T.
-
-    Returns (s_matrix, nu) with nu the symplectic eigenvalues ascending.
-    """
-    from scipy.linalg import schur, sqrtm
-
-    sigma = np.asarray(sigma, dtype=float)
-    n = sigma.shape[0] // 2
-    w = omega(n)
-    root = sqrtm(sigma).real
-    t = root @ w @ root  # antisymmetric
-    s_block, o = schur(t, output="real")
-    # normalize each 2x2 Schur block to [[0, nu], [-nu, 0]] with nu > 0
-    for j in range(n):
-        if s_block[2 * j, 2 * j + 1] < 0:
-            o[:, [2 * j, 2 * j + 1]] = o[:, [2 * j + 1, 2 * j]]
-            s_block[2 * j, 2 * j + 1] = -s_block[2 * j, 2 * j + 1]
-    nu = np.array([s_block[2 * j, 2 * j + 1] for j in range(n)])
-    order = np.argsort(nu)
-    perm = np.zeros((2 * n, 2 * n))
-    for new, old in enumerate(order):
-        perm[2 * old, 2 * new] = 1.0
-        perm[2 * old + 1, 2 * new + 1] = 1.0
-    o = o @ perm
-    nu = nu[order]
-    scale = np.repeat(1.0 / np.sqrt(nu), 2)
-    s = root @ o @ np.diag(scale)
-    return s, nu
-
-
-def _complex_mode_matrix(k_matrix):
-    """N x N unitary acting on the annihilation operators of a passive map."""
-    n = k_matrix.shape[0] // 2
-    w = np.zeros((2 * n, 2 * n), dtype=complex)
-    for j in range(n):
-        w[j, 2 * j] = w[n + j, 2 * j] = 1.0 / np.sqrt(2.0)
-        w[j, 2 * j + 1] = 1j / np.sqrt(2.0)
-        w[n + j, 2 * j + 1] = -1j / np.sqrt(2.0)
-    c = w @ k_matrix @ w.conj().T
-    if np.max(np.abs(c[:n, n:])) > 1e-9:
-        raise ValueError("matrix is not passive")
-    return c[:n, :n]
-
-
-def passive_unitary(k_matrix, n_max):
-    """Fock unitary of a photon-number-conserving (orthogonal symplectic) map.
-
-    Exponentiates the number-conserving generator inside each total-photon
-    block, which keeps the cost polynomial in n_max.
-    """
-    from scipy.linalg import expm, logm
-
-    u = _complex_mode_matrix(np.asarray(k_matrix, dtype=float))
-    n_modes = u.shape[0]
-    h = 1j * logm(u)
-    h = 0.5 * (h + h.conj().T)
-    dim1 = n_max + 1
-    if n_modes == 1:
-        phases = np.exp(-1j * h[0, 0].real * np.arange(dim1))
-        return np.diag(phases).astype(complex)
-    if n_modes != 2:
-        raise ValueError("passive_unitary supports one or two modes")
-    out = np.zeros((dim1 ** 2, dim1 ** 2), dtype=complex)
-    for total in range(2 * n_max + 1):
-        lo, hi = max(0, total - n_max), min(total, n_max)
-        ms = np.arange(lo, hi + 1)
-        size = ms.size
-        block = np.zeros((size, size), dtype=complex)
-        for i, m in enumerate(ms):
-            block[i, i] = h[0, 0].real * m + h[1, 1].real * (total - m)
-            if i + 1 < size:
-                amp = np.sqrt((m + 1.0) * (total - m))
-                block[i + 1, i] = h[0, 1] * amp
-                block[i, i + 1] = h[1, 0] * amp
-        ub = expm(-1j * block)
-        flat = ms * dim1 + (total - ms)
-        out[np.ix_(flat, flat)] = ub
-    return out
+    w, v = np.linalg.eigh(rho1)
+    s = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    ev = np.linalg.eigvalsh(s @ rho2 @ s)
+    return float(np.sum(np.sqrt(np.clip(ev, 0.0, None))) ** 2)
 
 
 def squeeze_unitary(r, n_max):
     """Single-mode squeezer exp(r (a^2 - a^dag^2) / 2); x -> e^{-r} x."""
-    from scipy.linalg import expm
-
     a = destroy(n_max)
-    return expm(0.5 * r * (a @ a - a.conj().T @ a.conj().T))
+    return _expm_antihermitian(0.5 * r * (a @ a - a.conj().T @ a.conj().T))
 
 
 def two_mode_squeeze_unitary(r, n_max):
@@ -343,20 +260,12 @@ def two_mode_squeeze_unitary(r, n_max):
     The generator conserves the photon-number difference, so it is
     exponentiated block by block; matches core.two_mode_squeezer(r).
     """
-    from scipy.linalg import expm
-
     dim1 = n_max + 1
     out = np.zeros((dim1 ** 2, dim1 ** 2), dtype=complex)
     for delta in range(-n_max, n_max + 1):
         ns = np.arange(0, n_max - abs(delta) + 1)
-        size = ns.size
-        gen = np.zeros((size, size))
-        for i in range(size - 1):
-            n = ns[i]
-            amp = r * np.sqrt((n + abs(delta) + 1.0) * (n + 1.0))
-            gen[i + 1, i] = amp
-            gen[i, i + 1] = -amp
-        ub = expm(gen)
+        amp = r * np.sqrt((ns[:-1] + abs(delta) + 1.0) * (ns[:-1] + 1.0))
+        ub = _expm_antihermitian(np.diag(amp, -1) - np.diag(amp, 1))
         if delta >= 0:
             flat = (ns + delta) * dim1 + ns
         else:
@@ -376,99 +285,58 @@ def tmst_density(r, n, n_max):
     return u @ rho_th @ u.conj().T
 
 
-def bloch_messiah(s_matrix, tol=1e-9):
-    """Euler decomposition S = K1 Z K2 of a real symplectic matrix.
+def _bargmann(state):
+    """(A, b, C) of C exp(z^T A z / 2 + b^T z), z = (alpha*, beta), which
+    equals <alpha|rho|beta> exp((|alpha|^2 + |beta|^2) / 2).
 
-    K1 and K2 are orthogonal symplectic (passive), Z is a direct sum of
-    single-mode squeezers diag(e^{-r_j}, e^{r_j}); returns (k1, rs, k2).
+    Q = (T Sigma T^dag + I) / 2 is the covariance of the Husimi function in
+    the (a, a^dag) basis, T the map from (x1, p1, ...) to (a_1, ..., a_1^dag, ...).
     """
-    from scipy.linalg import sqrtm
-
-    s_matrix = np.asarray(s_matrix, dtype=float)
-    n = s_matrix.shape[0] // 2
-    w = omega(n)
-    p = sqrtm(s_matrix @ s_matrix.T).real
-    evals, evecs = np.linalg.eigh(p)
-    cols = []
-    rs = []
-    used = np.zeros(evals.size, dtype=bool)
-    order = np.argsort(-evals)  # pair from the largest eigenvalue down
-    for idx in order:
-        if used[idx] or evals[idx] < 1.0 + tol:
-            continue
-        v = evecs[:, idx]
-        partner = -w @ v  # eigenvector with eigenvalue 1/z
-        cols.extend([v, partner])
-        rs.append(-np.log(evals[idx]))  # Z block diag(z, 1/z) = squeezer(-ln z)
-        used[idx] = True
-        # mark one matching 1/z eigenvector as consumed
-        target = 1.0 / evals[idx]
-        cands = [j for j in range(evals.size)
-                 if not used[j] and abs(evals[j] - target) < 1e-6 * max(1.0, target)]
-        if not cands:
-            raise ValueError("eigenvalues of the polar factor do not pair up")
-        best = max(cands, key=lambda j: abs(evecs[:, j] @ partner))
-        used[best] = True
-    # remaining eigenvectors span the unit-eigenvalue (passive) subspace
-    rest = [evecs[:, j] for j in range(evals.size) if not used[j]]
-    while rest:
-        basis = np.array(rest).T
-        v = basis[:, 0]
-        partner = -w @ v
-        cols.extend([v, partner])
-        rs.append(0.0)
-        pair = np.column_stack([v, partner])
-        keep = basis - pair @ (pair.T @ basis)
-        if len(rest) > 2:
-            uu, ss, _ = np.linalg.svd(keep, full_matrices=False)
-            rest = [uu[:, j] for j in range(ss.size) if ss[j] > 1e-7]
-        else:
-            rest = []
-    k1 = np.column_stack(cols)
-    z = np.zeros((2 * n, 2 * n))
-    for j, r_j in enumerate(rs):
-        z[2 * j, 2 * j] = np.exp(-r_j)
-        z[2 * j + 1, 2 * j + 1] = np.exp(r_j)
-    o = np.linalg.solve(p, s_matrix)  # orthogonal symplectic factor of S = P O
-    k2 = k1.T @ o
-    return k1, np.array(rs), k2
-
-
-def unitary_from_symplectic(s_matrix, n_max):
-    """Fock-space unitary implementing a symplectic transformation.
-
-    Factors S = K1 Z K2 through the Bloch-Messiah (Euler) decomposition
-    (S. L. Braunstein, PRA 71, 055801 (2005)) and exponentiates only the
-    passive blocks and the single-mode squeezers, so the result does not
-    depend on which symplectic basis williamson returns.
-    """
-    s_matrix = np.asarray(s_matrix, dtype=float)
-    n = s_matrix.shape[0] // 2
-    if (n_max + 1) ** n > MAX_DENSE_DIM:
-        raise ValueError("truncated dimension too large for dense exponentiation")
-    k1, rs, k2 = bloch_messiah(s_matrix)
-    u_z = np.array([[1.0 + 0j]])
-    for r_j in rs:
-        u_z = np.kron(u_z, squeeze_unitary(r_j, n_max))
-    return passive_unitary(k1, n_max) @ u_z @ passive_unitary(k2, n_max)
+    n = state.n_modes
+    t = np.zeros((2 * n, 2 * n), dtype=complex)
+    for j in range(n):
+        t[[j, n + j], 2 * j] = 1.0 / np.sqrt(2.0)
+        t[[j, n + j], 2 * j + 1] = np.array([1j, -1j]) / np.sqrt(2.0)
+    q = 0.5 * (t @ state.sigma @ t.conj().T + np.eye(2 * n))
+    q_inv = np.linalg.inv(q)
+    swap = np.roll(np.eye(2 * n), n, axis=0)
+    a = (np.eye(2 * n) - q_inv) @ swap
+    d = t @ state.d
+    c = np.exp(-0.5 * (d.conj() @ q_inv @ d).real) / np.sqrt(np.linalg.det(q).real)
+    return 0.5 * (a + a.T), q_inv @ d, c
 
 
 def gaussian_density(state, n_max):
-    """Dense density matrix of a Gaussian state on the truncated space."""
-    s, nu = williamson(state.sigma)
-    rho = np.array([[1.0 + 0j]])
-    for v in nu:
-        rho = np.kron(rho, thermal_density((v - 1.0) / 2.0, n_max))
-    u = unitary_from_symplectic(s, n_max)
-    rho = u @ rho @ u.conj().T
-    if np.any(np.abs(state.d) > 1e-14):
-        dims = (n_max + 1,) * state.n_modes
-        dop = np.array([[1.0 + 0j]])
-        for j in range(state.n_modes):
-            alpha = (state.d[2 * j] + 1j * state.d[2 * j + 1]) / np.sqrt(2.0)
-            dop = np.kron(dop, displacement(alpha, n_max))
-        rho = dop @ rho @ dop.conj().T
-    return rho
+    """Dense density matrix of a Gaussian state on the truncated space.
+
+    <m|rho|n> = G[m, n] for the array G of Taylor coefficients (over
+    sqrt(k!)) of the Bargmann function, filled by the recurrence
+    G[k + e_i] = (b_i G[k] + sum_j A_ij sqrt(k_j) G[k - e_j]) / sqrt(k_i + 1)
+    one axis at a time (F. M. Miatto and N. Quesada, Quantum 4, 366 (2020)).
+    Each entry is exact, so the result is the principal block of rho.
+    """
+    n_axes = 2 * state.n_modes
+    if (n_max + 1) ** state.n_modes > MAX_DENSE_DIM:
+        raise ValueError("truncated dimension too large for a dense density matrix")
+    a, b, c = _bargmann(state)
+    root = np.sqrt(np.arange(n_max + 1.0))
+    g = np.zeros((n_max + 1,) * n_axes, dtype=complex)
+    g[(0,) * n_axes] = c
+    for i in range(n_axes):
+        # axes before i are complete; axes after i stay at index 0
+        rest = (0,) * (n_axes - i - 1)
+        weight = root[1:].reshape((-1,) + (1,) * (i - 1))
+        for k in range(n_max):
+            cur = g[(Ellipsis, k) + rest]
+            new = b[i] * cur
+            if k:
+                new += a[i, i] * root[k] * g[(Ellipsis, k - 1) + rest]
+            for j in range(i):
+                np.moveaxis(new, j, 0)[1:] += (
+                    a[i, j] * weight * np.moveaxis(cur, j, 0)[:-1])
+            g[(Ellipsis, k + 1) + rest] = new / root[k + 1]
+    dim = (n_max + 1) ** state.n_modes
+    return g.reshape(dim, dim)
 
 
 def char_fn(state, r_point, dims=None):

@@ -123,6 +123,8 @@ class TestFailureContract:
         ("qfi", "--family", "bifreq", "--set", "eta1=1"),
         ("qfi", "--family", "bifreq-classical", "--set", "eta1=0"),
         ("bifreq", "--sweep", "eta1", "0.5", "1.0", "3"),
+        # tanh(30) rounds to 1
+        ("negativity", "--sweep", "r", "0", "30", "3"),
     ])
     def test_arithmetic_errors_exit_2_without_traceback(self, argv):
         code, out, err = run_cli(*argv)
