@@ -345,29 +345,13 @@ def jpa_identification_residual(x, mu):
     return np.array([u1.real, u1.imag - mu, (-v2).real, (-v2).imag - 1.0])
 
 
-def jpa_synthesis(mu, max_iterations=400):
-    """Solve the mode-synthesis identification equations for a given mu.
-
-    Returns (phi, theta, r1, r2, theta1, theta2, phi_shift); the solution
-    is not unique, any tuple with residual below 1e-10 is acceptable.
-    """
-    from scipy.optimize import least_squares
-
+def jpa_synthesis(mu):
+    """(phi, theta, r1, r2, theta1, theta2, phi_shift) solving u1 = i mu and
+    -v2 = i in closed form: theta = r2 = theta1 = theta2 = 0 and phi_shift =
+    -pi/2 leave cos(phi) cosh(r1) = mu and sin(phi) sinh(r1) = 1, and
+    eliminating phi leaves s^2 - mu^2 s - 1 = 0 for s = sinh^2(r1)."""
     if mu < 1.0:
         raise ValueError("mu must be at least 1")
-    seed = np.array([np.pi / 4.0, np.pi / 4.0, np.arcsinh(1.0),
-                     np.arcsinh(1.0), 0.0, 0.0, -np.pi / 2.0])
-    best = None
-    for attempt in range(6):
-        start = seed if attempt == 0 else seed + 0.3 * attempt * np.cos(
-            7.1 * attempt * np.arange(7) + 1.3)
-        sol = least_squares(jpa_identification_residual, start, args=(mu,),
-                            method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15,
-                            max_nfev=max_iterations * 7)
-        resid = np.max(np.abs(sol.fun))
-        if best is None or resid < best[1]:
-            best = (sol.x, resid)
-        if resid < 1e-10:
-            return tuple(sol.x)
-    raise RuntimeError("mode synthesis did not converge (residual %.3g)"
-                       % best[1])
+    r1 = np.arcsinh(np.sqrt(0.5 * (mu ** 2 + np.hypot(mu ** 2, 2.0))))
+    phi = np.arctan2(1.0 / np.sinh(r1), mu / np.cosh(r1))
+    return phi, 0.0, r1, 0.0, 0.0, 0.0, -np.pi / 2.0

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.polynomial import polyroots
 
-from .core import GaussianState, apply, beam_splitter, partial_trace, thermal, tmst
 from .entanglement import BipartiteCM, nu_minus_standard
 
 # CODATA exact SI values
@@ -86,30 +85,30 @@ def eta_eff(ch):
 
 
 def eta_env_inhomogeneous(mu_fn, n_fn, length):
-    """(eta_env, n_th_eff) for position-dependent attenuation and occupation.
+    """(eta, n_eff) for attenuation mu(x) and occupation n(x) along the path.
 
-    eta = 1 - exp(-int mu) and the effective occupation is the
-    attenuation-weighted average of n(x); adaptive quadrature at relative
-    tolerance 1e-10.
+    eta = 1 - exp(-int_0^L mu) and n_eff = int_0^L mu n exp(-int_x^L mu) dx / eta.
+    Gauss-Legendre rules of 64, 128, ..., 1024 nodes; the tail at each node
+    uses the same rule on [x, L]. Returns the first order that agrees with
+    the one before to 1e-10 relative.
     """
-    from scipy.integrate import quad
-
-    total_mu, err = quad(mu_fn, 0.0, length, epsrel=1e-10, limit=200)
-    if total_mu == 0.0:
-        return 0.0, n_fn(0.0)
-    eta = -np.expm1(-total_mu)
-
-    def tail(x):
-        t, _ = quad(mu_fn, x, length, epsrel=1e-10, limit=200)
-        return t
-
-    def integrand(x):
-        return mu_fn(x) * n_fn(x) * np.exp(-tail(x))
-
-    weighted, err2 = quad(integrand, 0.0, length, epsrel=1e-10, limit=200)
-    if max(abs(err), abs(err2)) > 1e-6 * max(1.0, abs(weighted)):
-        raise RuntimeError("quadrature failed to converge")
-    return eta, weighted / eta
+    previous = None
+    for order in (64, 128, 256, 512, 1024):
+        t, w = np.polynomial.legendre.leggauss(order)
+        unit = 0.5 * (t + 1.0)  # the nodes on [0, 1]
+        x = length * unit
+        mu, n = (np.array([fn(v) for v in x.tolist()]) for fn in (mu_fn, n_fn))
+        tail_x = x[:, None] + (length - x)[:, None] * unit
+        tail_mu = np.reshape([mu_fn(v) for v in tail_x.ravel().tolist()], tail_x.shape)
+        tails = 0.5 * (length - x) * (tail_mu @ w)
+        now = 0.5 * length * np.array([w @ mu, w @ (mu * n * np.exp(-tails))])
+        if now[0] == 0.0:
+            return 0.0, n_fn(0.0)
+        if previous is not None and np.all(abs(now - previous) <= 1e-10 * abs(now)):
+            eta = -np.expm1(-now[0])
+            return eta, now[1] / eta
+        previous = now
+    raise RuntimeError("quadrature failed to converge")
 
 
 def lossy_tmst_params(ch, r, n, geometry="asym"):
@@ -120,7 +119,7 @@ def lossy_tmst_params(ch, r, n, geometry="asym"):
     full distance; alpha belongs to the travelling mode. geometry="sym": the
     source sits midway and both modes travel L/2.
     """
-    scale = 1.0 + 2.0 * n
+    scale = _source_scale(n)
     ch2r, sh2r = np.cosh(2.0 * r), np.sinh(2.0 * r)
     if geometry == "asym":
         eta = eta_eff(ch)
@@ -140,38 +139,6 @@ def lossy_tmst(ch, r, n, geometry="asym"):
     (see lossy_tmst_params); the lossy block comes first."""
     return BipartiteCM.standard_form(*lossy_tmst_params(ch, r, n, geometry),
                                      check=False)
-
-
-def lossy_tmst_constructive(ch, r, n, geometry="asym"):
-    """Same state assembled from core operations (beam splitter + thermal).
-
-    Order of modes matches lossy_tmst: the lossy mode(s) come first in the
-    asymmetric case.
-    """
-    if geometry == "asym":
-        eta = eta_eff(ch)
-        state = tmst(r, n)
-        env = thermal(1, ch.n_th_env)
-        sigma = np.zeros((6, 6))
-        sigma[:4, :4] = state.sigma
-        sigma[4:, 4:] = env.sigma
-        big = GaussianState(np.zeros(6), sigma, check=False)
-        # transmissivity 1 - eta on (mode 0, environment)
-        mixed = apply(big, beam_splitter(1.0 - eta), on=(0, 2))
-        return BipartiteCM.from_state(partial_trace(mixed, keep=(0, 1)))
-    if geometry == "sym":
-        half = AirChannel(ch.mu, ch.L / 2.0, ch.n_th_env, ch.eta_ant)
-        eta = eta_eff(half)
-        state = tmst(r, n)
-        sigma = np.zeros((8, 8))
-        sigma[:4, :4] = state.sigma
-        sigma[4:6, 4:6] = thermal(1, ch.n_th_env).sigma
-        sigma[6:8, 6:8] = thermal(1, ch.n_th_env).sigma
-        big = GaussianState(np.zeros(8), sigma, check=False)
-        mixed = apply(big, beam_splitter(1.0 - eta), on=(0, 2))
-        mixed = apply(mixed, beam_splitter(1.0 - eta), on=(1, 3))
-        return BipartiteCM.from_state(partial_trace(mixed, keep=(0, 1)))
-    raise ValueError("geometry must be 'asym' or 'sym'")
 
 
 def eta_max(r, n, n_th):
@@ -245,11 +212,18 @@ def poly_mul(p, q):
     return np.convolve(p, q)[:POLY_LEN]
 
 
+def _source_scale(n):
+    """1 + 2n for a source with n >= 0 thermal photons per mode."""
+    if n < 0.0:
+        raise ValueError("source occupation n must be non-negative")
+    return 1.0 + 2.0 * n
+
+
 def source_terms(r, n, n_th):
     """(a, c, e) of lossy_tmst: a = (1 + 2n) cosh 2r and c = (1 + 2n) sinh 2r
     are the source's diagonal and correlation entries, e = 1 + 2 n_th the
     environment's diagonal entry."""
-    scale = 1.0 + 2.0 * n
+    scale = _source_scale(n)
     return scale * np.cosh(2.0 * r), scale * np.sinh(2.0 * r), 1.0 + 2.0 * n_th
 
 

@@ -99,6 +99,9 @@ def _resolve_params(args):
             raise ValueError("--set expects key=value, got %r" % item)
         key, value = item.split("=", 1)
         params[key.strip()] = float(value)
+    bad = sorted(key for key, value in params.items() if not np.isfinite(value))
+    if bad:
+        raise ValueError("parameters must be finite: %s" % ", ".join(bad))
     args.params = params
 
 

@@ -62,29 +62,14 @@ def symplectic_eigenvalues(sigma):
         raise ValueError("covariance matrix must be 2N x 2N")
     if np.max(np.abs(sigma - sigma.T)) > 1e-10:
         raise ValueError("covariance matrix must be symmetric")
-    n = sigma.shape[0] // 2
-    ev = np.linalg.eigvals(omega(n) @ sigma)
-    nu = np.sort(np.abs(ev))
+    return _spectrum(sigma)
+
+
+def _spectrum(sigma):
+    """symplectic_eigenvalues without its shape and symmetry checks."""
+    ev = np.linalg.eigvals(omega(sigma.shape[0] // 2) @ sigma)
     # eigenvalues come in +/- i*nu pairs; keep one of each
-    return nu[::2].copy()
-
-
-def two_mode_symplectic_eigenvalues(sigma):
-    """Closed-form symplectic eigenvalues of a two-mode covariance matrix.
-
-    Independent of the general eigensolver route: uses the invariants of
-    A = i*Omega*Sigma, nu_pm^2 = (Tr[A^2] +/- sqrt((Tr[A^2])^2 - 16 det A))/4.
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape != (4, 4):
-        raise ValueError("expected a 4x4 covariance matrix")
-    a = 1j * omega(2) @ sigma
-    tr_a2 = np.trace(a @ a).real
-    disc = tr_a2 ** 2 - 16.0 * np.linalg.det(sigma)
-    root = np.sqrt(max(disc, 0.0))
-    nu_minus = np.sqrt(max((tr_a2 - root) / 4.0, 0.0))
-    nu_plus = np.sqrt((tr_a2 + root) / 4.0)
-    return np.array([nu_minus, nu_plus])
+    return np.sort(np.abs(ev))[::2]
 
 
 class GaussianState:
@@ -104,7 +89,12 @@ class GaussianState:
     def validate(self):
         if np.max(np.abs(self.sigma - self.sigma.T)) > SYMMETRY_TOL:
             raise PhysicalityError("covariance matrix is not symmetric")
-        nu = symplectic_eigenvalues(self.sigma)
+        try:  # the moduli of eig(Omega Sigma) cannot see the sign of Sigma
+            np.linalg.cholesky(self.sigma)
+        except np.linalg.LinAlgError:
+            raise PhysicalityError("covariance matrix is not positive "
+                                   "definite") from None
+        nu = _spectrum(self.sigma)
         if nu.min() < 1.0 - PHYSICALITY_TOL:
             raise PhysicalityError(
                 "state violates the uncertainty relation (min nu = %.12g)" % nu.min())

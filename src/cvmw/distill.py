@@ -58,17 +58,6 @@ class PsTmsv:
         return ((1.0 - self.lam ** 2) * (self.lam - lt) ** (2 * self.k)
                 * hyp2f1_k(self.k, lt ** 2))
 
-    def success_probability_series(self, rel_tol=1e-18):
-        """Direct summation of |a_n|^2, stopping when terms fall below tol."""
-        total = 0.0
-        n = 0
-        while True:
-            t = self.amplitude(n) ** 2
-            total += t
-            if n > 2 and t < rel_tol * total:
-                return total
-            n += 1
-
     def negativity(self):
         """((1 - lam_tau)^{-2(k+1)} / 2F1(k+1, k+1; 1; lam_tau^2) - 1) / 2.
 

@@ -183,10 +183,6 @@ def beam_splitter_unitary(eta, n_max):
 
 
 def thermal_density(n_th, n_max):
-    if n_th == 0:
-        rho = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-        rho[0, 0] = 1.0
-        return rho
     k = np.arange(n_max + 1, dtype=float)
     p = (n_th / (1.0 + n_th)) ** k / (1.0 + n_th)
     return np.diag(p).astype(complex)
@@ -254,35 +250,22 @@ def squeeze_unitary(r, n_max):
     return _expm_antihermitian(0.5 * r * (a @ a - a.conj().T @ a.conj().T))
 
 
-def two_mode_squeeze_unitary(r, n_max):
-    """Two-mode squeezer exp(r (a^dag b^dag - a b)) on the truncated space.
-
-    The generator conserves the photon-number difference, so it is
-    exponentiated block by block; matches core.two_mode_squeezer(r).
+def tmst_density(r, n, n_max):
+    """exp(r (a^dag b^dag - a b)) applied to two thermal modes with n photons
+    each; matches core.tmst(r, n). The generator conserves the photon-number
+    difference, so rho is filled block by block, u diag(p_a p_b) u^dag.
     """
     dim1 = n_max + 1
-    out = np.zeros((dim1 ** 2, dim1 ** 2), dtype=complex)
+    p = thermal_density(n, n_max).diagonal().real
+    rho = np.zeros((dim1 ** 2, dim1 ** 2), dtype=complex)
     for delta in range(-n_max, n_max + 1):
         ns = np.arange(0, n_max - abs(delta) + 1)
         amp = r * np.sqrt((ns[:-1] + abs(delta) + 1.0) * (ns[:-1] + 1.0))
         ub = _expm_antihermitian(np.diag(amp, -1) - np.diag(amp, 1))
-        if delta >= 0:
-            flat = (ns + delta) * dim1 + ns
-        else:
-            flat = ns * dim1 + (ns - delta)
-        out[np.ix_(flat, flat)] = ub
-    return out
-
-
-def tmst_density(r, n, n_max):
-    """Two-mode squeezed thermal state built from its definition.
-
-    The two-mode squeeze unitary is applied to a pair of thermal states
-    with n photons each; matches core.tmst(r, n) at the covariance level.
-    """
-    rho_th = np.kron(thermal_density(n, n_max), thermal_density(n, n_max))
-    u = two_mode_squeeze_unitary(r, n_max)
-    return u @ rho_th @ u.conj().T
+        a, b = (ns + delta, ns) if delta >= 0 else (ns, ns - delta)
+        flat = a * dim1 + b
+        rho[np.ix_(flat, flat)] = (ub * (p[a] * p[b])) @ ub.conj().T
+    return rho
 
 
 def _bargmann(state):

@@ -2,17 +2,15 @@
 
 The target is a beam splitter of reflectivity eta embedded in a thermal
 bath; absorption over the signal path contributes a multiplicative
-e^{-gamma} to the effective (amplitude) reflectivity. Closed-form quantum
-and classical Fisher informations are provided together with constructive
-covariance-matrix routes for cross-checking.
+e^{-gamma} to the effective (amplitude) reflectivity. The received states
+and the quantum and classical Fisher informations are closed forms.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import core
-from .core import GaussianState, SIGMA_Z, beam_splitter, apply, partial_trace
+from .core import GaussianState, SIGMA_Z
 from .entanglement import BipartiteCM
 from .estimation import GaussianFamily, RegularizationError
 
@@ -32,19 +30,6 @@ class QiParams:
 def eta_eff(eta, gamma):
     """Effective amplitude reflectivity eta * e^{-gamma} of object plus medium."""
     return eta * np.exp(-gamma)
-
-
-def eta_eff_iterated(gamma, n_doublings=20):
-    """Transmittivity of 2^k identical infinitesimal splitters, composed pairwise.
-
-    Converges to e^{-gamma}; kept as an independent check of the
-    continuum limit.
-    """
-    n = 2 ** n_doublings
-    tau = gamma / n
-    for _ in range(n_doublings):
-        tau = 2.0 * tau * (1.0 - tau / 2.0)
-    return 1.0 - tau
 
 
 def qi_probe(n_s, n_th):
@@ -81,18 +66,6 @@ def qi_received(params):
     g = 2.0 * np.sqrt(params.n_s * (1.0 + params.n_s)) * x
     sig_c = (1.0 + 2.0 * params.n_s) * np.eye(2)
     return BipartiteCM(f * np.eye(2), sig_c, g * SIGMA_Z)
-
-
-def qi_received_constructive(params):
-    """Same state built by applying the beam splitter to the probe and tracing.
-
-    The combined object + medium acts with amplitude reflectivity
-    eta * e^{-gamma} on the signal, i.e. intensity (eta * e^{-gamma})^2.
-    """
-    probe = qi_probe(params.n_s, params.n_th)
-    x = eta_eff(params.eta, params.gamma)
-    transformed = apply(probe, beam_splitter(x ** 2), on=(0, 1))
-    return BipartiteCM.from_state(partial_trace(transformed, keep=(1, 2)))
 
 
 def h_q(params):

@@ -8,9 +8,10 @@ from cvmw.channel import (AirChannel, LinkGeometry, aperture_product_threshold,
                           bose_einstein, eta_env, eta_env_inhomogeneous,
                           eta_max, eta_threshold_asym, eta_threshold_sym,
                           fspl, friis, hemt_amplify, hemt_gain, l_max,
-                          load_profile, lossy_tmst, lossy_tmst_constructive,
-                          parse_profile, tau_diffraction, tau_path)
+                          load_profile, lossy_tmst, parse_profile,
+                          tau_diffraction, tau_path)
 from cvmw.entanglement import BipartiteCM, negativity, pts_eigenvalues
+from tests.oracles.routes import lossy_tmst_constructive
 
 TABLE1 = channel.TABLE1
 
@@ -66,6 +67,30 @@ class TestAttenuation:
         assert eta == pytest.approx(-np.expm1(-total), rel=1e-9)
         assert 100.0 < n_eff < 200.0
         assert n_eff > 150.0  # more weight where mu(x) is larger
+
+    @pytest.mark.parametrize("mu_fn,n_fn", [
+        (lambda x: 2e-3 * np.exp(-x / 200.0),
+         lambda x: 300.0 + 500.0 * np.exp(-x / 100.0)),
+        # needs 512 nodes: 128 are 1% off and 256 are 8e-6 off
+        (lambda x: 2e-3 * (1.0 + np.sin(x / 5.0) ** 2),
+         lambda x: 300.0 + 200.0 * np.cos(x / 3.0)),
+    ], ids=["exponential-decay", "oscillating"])
+    def test_inhomogeneous_matches_nested_adaptive_quadrature(self, mu_fn, n_fn):
+        from scipy.integrate import quad
+        length = 1000.0
+        total = quad(mu_fn, 0.0, length, epsrel=1e-12, limit=200)[0]
+        weighted = quad(lambda x: mu_fn(x) * n_fn(x) * np.exp(
+            -quad(mu_fn, x, length, epsrel=1e-12, limit=200)[0]),
+            0.0, length, epsrel=1e-12, limit=200)[0]
+        eta = -np.expm1(-total)
+        assert eta_env_inhomogeneous(mu_fn, n_fn, length) == pytest.approx(
+            (eta, weighted / eta), rel=1e-10)
+
+    def test_inhomogeneous_without_convergence_raises(self):
+        # mu steps every metre: no two successive orders up to 1024 nodes agree
+        mu_fn = lambda x: 2e-3 if x % 2.0 < 1.0 else 1e-3
+        with pytest.raises(RuntimeError, match="failed to converge"):
+            eta_env_inhomogeneous(mu_fn, lambda x: 1.0, 1000.0)
 
 
 class TestLossyTmst:

@@ -125,10 +125,24 @@ class TestFailureContract:
         ("bifreq", "--sweep", "eta1", "0.5", "1.0", "3"),
         # tanh(30) rounds to 1
         ("negativity", "--sweep", "r", "0", "30", "3"),
+        # a negative source occupation
+        ("channel", "--set", "n=-1"),
+        ("teleport", "--set", "n=-1"),
+        ("teleport", "--resource", "tmst-asym-fg", "--set", "n=-1"),
+        ("distill", "--set", "n=-1"),
+        ("state", "--kind", "lossy-tmst-asym", "--set", "n=-1"),
+        # non-finite parameters
+        ("illum", "--set", "n_s=nan"),
+        ("bifreq", "--set", "n_s=nan"),
+        ("satellite", "--set", "nu=nan"),
+        ("state", "--kind", "thermal", "--set", "n_th=nan"),
+        ("channel", "--set", "r=nan"),
+        ("channel", "--set", "n=inf"),
     ])
     def test_arithmetic_errors_exit_2_without_traceback(self, argv):
         code, out, err = run_cli(*argv)
         assert code == 2
+        assert out == ""
         assert "Traceback" not in err and "Warning" not in err
         assert "computation error" in err
 
@@ -194,39 +208,30 @@ class TestFailureContract:
 
 
 def test_cli_paths_load_no_scipy():
-    """import cvmw, import cvmw.cli, every subcommand's default run and the
-    numeric classical-limit roots."""
+    """With scipy blocked: every cvmw module, every subcommand's default run,
+    the numeric classical-limit roots and the library functions that once
+    needed scipy (mode synthesis, the path integrals, the qCRB root)."""
     runs = [["summary", "--preset", "table1"], ["state", "--kind", "tmst"],
             ["qfi"]] + [[name] for name in cli.COMMANDS if name != "qfi"]
     script = "\n".join([
-        "import sys",
-        "def scipy_modules():",
-        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+        "import importlib, pkgutil, sys",
+        "sys.modules['scipy'] = None",
         "import cvmw",
-        "assert not scipy_modules(), scipy_modules()",
-        "from cvmw import cli",
-        "assert not scipy_modules(), scipy_modules()",
+        "for info in pkgutil.iter_modules(cvmw.__path__):",
+        "    importlib.import_module('cvmw.' + info.name)",
+        "from cvmw import bifreq, channel, cli",
         "for argv in %r:" % (runs,),
         "    assert cli.main(argv + ['--out', %r]) == 0, argv" % (os.devnull,),
-        "    assert not scipy_modules(), (argv, scipy_modules())",
         "from cvmw.teleport import TeleportResource",
         "link = (1.0, 0.01, 1.44e-6, 1250.0)",
         "for kind in ('2ps-prob-sym', '2ps-heur-asym'):",
         "    TeleportResource(kind, *link).classical_limit_distance()",
         "TeleportResource('swap-fg', *link, inv_gain=0.008,",
         "                 theta=1.0).classical_limit_distance()",
-        "assert not scipy_modules(), scipy_modules()",
-    ])
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=ENV)
-    assert proc.returncode == 0, proc.stderr
-
-
-def test_qcrb_root_needs_no_scipy():
-    script = "\n".join([
-        "import sys",
-        "sys.modules['scipy'] = None",
-        "from cvmw import bifreq",
+        "assert len(bifreq.jpa_synthesis(2.0)) == 7",
+        "eta, n_eff = channel.eta_env_inhomogeneous(",
+        "    lambda x: 1e-5 * (1.0 + x / 100.0), lambda x: 100.0 + x, 100.0)",
+        "assert 150.0 < n_eff < 200.0, n_eff",
         "root, bracket = bifreq.qcrb_saturating_noise(0.9, 2.0)",
         "assert bracket[0] <= root <= bracket[1], (root, bracket)",
         "assert abs(bifreq.qcrb_gap(0.9, 2.0, root)) < 1e-6",

@@ -5,8 +5,8 @@ from cvmw import core, fock
 from cvmw.core import (GaussianState, PhysicalityError, apply, beam_splitter,
                        characteristic_function, coherent, omega, partial_trace,
                        purity, single_mode_squeezer, symplectic_eigenvalues,
-                       thermal, tmst, tmsv, two_mode_squeezer,
-                       two_mode_symplectic_eigenvalues, vacuum)
+                       thermal, tmst, tmsv, two_mode_squeezer, vacuum)
+from tests.oracles.routes import two_mode_symplectic_eigenvalues
 
 
 def random_valid_cm(rng, n_modes=2, mixing=0.5):
@@ -215,6 +215,16 @@ class TestSymplecticEigenvalues:
         bad[0, 1] = 0.5
         with pytest.raises(ValueError):
             symplectic_eigenvalues(bad)
+
+    @pytest.mark.parametrize("sigma", [-np.eye(2), np.diag([1.0, -1.0]),
+                                       -tmsv(0.5).sigma],
+                             ids=["minus-identity", "indefinite", "minus-tmsv"])
+    def test_sign_of_sigma_is_seen(self, sigma):
+        # |eig(Omega Sigma)| is 1 for all three, so that route passes them
+        moduli = np.abs(np.linalg.eigvals(omega(len(sigma) // 2) @ sigma))
+        np.testing.assert_allclose(moduli, 1.0, atol=1e-12)
+        with pytest.raises(PhysicalityError):
+            GaussianState(np.zeros(len(sigma)), sigma)
 
 
 class TestPurity:

@@ -108,6 +108,17 @@ class TestDensityMatrices:
         rho = fock.gaussian_density(core.tmst(0.5, 0.1), 30)
         assert abs(fock.check_density(rho)) < 1e-6
 
+    @pytest.mark.parametrize("r,n_max", [(0.5, 30), (0.8, 40)])
+    def test_tmst_density_of_vacuum_pair_is_tmsv(self, r, n_max):
+        # amplitudes tanh(r)^j / cosh(r) on |j, j>, read on the j <= 10 block
+        # where the truncation of each block's exponential does not reach
+        cut = 11
+        amps = np.diag(np.tanh(r) ** np.arange(cut) / np.cosh(r)).reshape(-1)
+        low = np.kron(np.arange(n_max + 1) < cut, np.arange(n_max + 1) < cut)
+        rho = fock.tmst_density(r, 0.0, n_max)
+        np.testing.assert_allclose(rho[np.ix_(low, low)], np.outer(amps, amps),
+                                   rtol=0.0, atol=1e-13)
+
     def test_partial_transpose_is_involution(self):
         rho = fock.tmst_density(0.5, 0.05, 12)
         pt = fock.partial_transpose(rho, (13, 13))

@@ -4,9 +4,8 @@ import pytest
 from cvmw import core, illumination
 from cvmw.entanglement import BipartiteCM, pts_eigenvalues
 from cvmw.estimation import RegularizationError, gaussian_qfi
-from cvmw.illumination import (QiParams, eta_eff, eta_eff_iterated, gain, h_c,
-                               h_q, qi_probe, qi_received,
-                               qi_received_constructive)
+from cvmw.illumination import QiParams, eta_eff, gain, h_c, h_q, qi_probe, qi_received
+from tests.oracles.routes import eta_eff_iterated, qi_received_constructive
 
 
 class TestEtaEff:
