@@ -375,7 +375,9 @@ STATES = {
 def _cmd_state(args):
     if args.kind not in STATES:
         raise ValueError("unknown state kind %r" % args.kind)
-    _write(STATES[args.kind](args.params).to_json() + "\n", args)
+    state = STATES[args.kind](args.params)
+    state.validate()
+    _write(state.to_json() + "\n", args)
     return 0
 
 

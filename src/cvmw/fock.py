@@ -3,13 +3,16 @@
 Everything here works on dense arrays over a Hilbert space truncated at
 n_max photons per mode. Kets are stored as tensors of shape
 (n_max+1,) * n_modes, density matrices as (D, D) arrays with D the total
-dimension. Operations report truncation leakage so tests can pick n_max
-on principled grounds. Gaussian density matrices come from the Hermite recurrence of
-their Bargmann generating function; the two-mode squeezed thermal state,
-the squeezers and the beam splitter are built from their definitions,
-exponentiating the generator on the truncated space. The module uses
-numpy and the standard library only, so it shares no code with the
-closed forms it checks.
+dimension. negativity_fock and check_density take their spectra block by
+block, over the connected components of the matrix's exact-zero pattern,
+so a state that conserves a photon number pays for its largest block
+rather than for D. Operations report truncation leakage so tests
+can pick n_max on principled grounds. Gaussian density matrices come from
+the Hermite recurrence of their Bargmann generating function; the
+two-mode squeezed thermal state, the squeezers and the beam splitter are
+built from their definitions, exponentiating the generator on the
+truncated space. The module uses numpy and the standard library only,
+so it shares no code with the closed forms it checks.
 """
 
 from dataclasses import dataclass
@@ -188,11 +191,51 @@ def thermal_density(n_th, n_max):
     return np.diag(p).astype(complex)
 
 
+def _require_hermitian(mat):
+    """Raise unless max |mat - mat^dag| <= 1e-10, taken 128 rows at a time
+    so no full-size temporary is made."""
+    slab = 128
+    for i in range(0, len(mat), slab):
+        if np.abs(mat[i:i + slab] - mat[:, i:i + slab].conj().T).max() > 1e-10:
+            raise ValueError("density matrix is not Hermitian")
+
+
+def _blocks(mat):
+    """Index sets of the connected components of the graph mat != 0, each
+    found by a breadth-first search from the lowest index not yet seen."""
+    nonzero = mat != 0
+    linked = nonzero | nonzero.T
+    unseen = np.ones(len(mat), dtype=bool)
+    blocks = []
+    while unseen.any():
+        block = np.zeros(len(mat), dtype=bool)
+        front = block.copy()
+        front[np.argmax(unseen)] = True
+        while front.any():
+            block |= front
+            front = linked[front].any(axis=0) & ~block
+        unseen &= ~block
+        blocks.append(np.flatnonzero(block))
+    return blocks
+
+
+def _eigvalsh(mat):
+    """Eigenvalues of a Hermitian matrix, concatenated over _blocks(mat).
+
+    A matrix that is block-diagonal under a permutation has the union of
+    its blocks' spectra; the blocks come from exact zeros, so this is the
+    spectrum eigvalsh(mat) reads, unsorted.
+    """
+    blocks = _blocks(mat)
+    if len(blocks) < 2:
+        return np.linalg.eigvalsh(mat)
+    return np.concatenate([np.linalg.eigvalsh(mat[np.ix_(b, b)]) for b in blocks])
+
+
 def partial_transpose(rho, dims):
     """Partial transpose over the second subsystem of a bipartite density matrix."""
     d1, d2 = dims
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
-        raise ValueError("density matrix is not Hermitian")
+    _require_hermitian(rho)
     t = rho.reshape(d1, d2, d1, d2)
     return np.transpose(t, (0, 3, 2, 1)).reshape(d1 * d2, d1 * d2)
 
@@ -200,7 +243,7 @@ def partial_transpose(rho, dims):
 def negativity_fock(rho, dims):
     """Sum of |negative eigenvalues| of the partial transpose."""
     pt = partial_transpose(rho, dims)
-    ev = np.linalg.eigvalsh(pt)
+    ev = _eigvalsh(pt)
     return float(-np.sum(ev[ev < 0.0]))
 
 
@@ -229,9 +272,8 @@ def ptrace(rho, dims, keep):
 
 def check_density(rho):
     """Hermiticity / trace / positivity diagnostics; returns the trace deficit."""
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
-        raise ValueError("density matrix is not Hermitian")
-    ev = np.linalg.eigvalsh(rho)
+    _require_hermitian(rho)
+    ev = _eigvalsh(rho)
     if ev.min() < -1e-10:
         raise ValueError("density matrix has negative eigenvalues")
     return 1.0 - float(np.trace(rho).real)

@@ -131,6 +131,9 @@ class TestFailureContract:
         ("teleport", "--resource", "tmst-asym-fg", "--set", "n=-1"),
         ("distill", "--set", "n=-1"),
         ("state", "--kind", "lossy-tmst-asym", "--set", "n=-1"),
+        # squeezing so strong that the float covariance matrix is unphysical
+        ("state", "--kind", "tmsv", "--set", "r=12"),
+        ("state", "--kind", "tmsv", "--set", "r=9"),
         # non-finite parameters
         ("illum", "--set", "n_s=nan"),
         ("bifreq", "--set", "n_s=nan"),

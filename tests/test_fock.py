@@ -131,6 +131,16 @@ class TestDensityMatrices:
         with pytest.raises(ValueError):
             fock.partial_transpose(bad, (2, 2))
 
+    @pytest.mark.parametrize("check", [fock.check_density,
+                                       lambda m: fock.partial_transpose(m, (15, 20))])
+    @pytest.mark.parametrize("entry", [(299, 299), (290, 3)])
+    def test_defect_in_last_slab_rejected(self, check, entry):
+        # 300 rows are read as slabs of 128, 128 and 44
+        rho = np.diag(np.full(300, 1.0 / 300)).astype(complex)
+        rho[entry] += 1e-9j
+        with pytest.raises(ValueError, match="density matrix is not Hermitian"):
+            check(rho)
+
     def test_gaussian_density_matches_beam_splitter_unitary(self):
         # the splitter conserves the total photon number, so its truncated
         # unitary is exact on the low block, where the tmst tails are negligible
@@ -226,6 +236,53 @@ def test_oracle_imports_only_numpy_and_the_standard_library():
             names.add(node.module)
     tops = {name.split(".")[0] for name in names}
     assert tops - {"numpy"} <= set(sys.stdlib_module_names), tops
+
+
+def _hermitian_blocks(sizes, pad, seed):
+    """Random Hermitian matrix of dense blocks plus pad zero rows and
+    columns, under a seeded permutation."""
+    rng = np.random.default_rng(seed)
+    dim = sum(sizes) + pad
+    mat = np.zeros((dim, dim), dtype=complex)
+    start = 0
+    for size in sizes:
+        g = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        mat[start:start + size, start:start + size] = g + g.conj().T
+        start += size
+    perm = rng.permutation(dim)
+    return mat[np.ix_(perm, perm)]
+
+
+class TestBlockSpectrum:
+    def test_tmst_partial_transpose(self):
+        pt = fock.partial_transpose(fock.tmst_density(0.5, 0.05, 12), (13, 13))
+        assert len(fock._blocks(pt)) == 25
+        np.testing.assert_allclose(np.sort(fock._eigvalsh(pt)),
+                                   np.linalg.eigvalsh(pt), rtol=0.0, atol=1e-13)
+
+    def test_permuted_blocks_and_zero_rows(self):
+        mat = _hermitian_blocks((4, 7, 9), 2, seed=3)
+        assert len(fock._blocks(mat)) == 5
+        np.testing.assert_allclose(np.sort(fock._eigvalsh(mat)),
+                                   np.linalg.eigvalsh(mat), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("mat", [
+        np.zeros((6, 6)),
+        np.eye(5),
+        np.ones((4, 4)),
+        _hermitian_blocks((1, 3, 5, 2), 3, seed=7),
+        fock.thermal_density(0.3, 8),
+        fock.tmst_density(0.4, 0.1, 6),
+    ])
+    def test_blocks_partition_the_indices(self, mat):
+        blocks = fock._blocks(mat)
+        assert all(len(b) for b in blocks)
+        np.testing.assert_array_equal(np.sort(np.concatenate(blocks)),
+                                      np.arange(len(mat)))
+
+    def test_displaced_gaussian_is_one_block(self):
+        state = core.GaussianState([0.1, -0.2, 0.05, 0.1], core.tmst(0.3, 0.05).sigma)
+        assert len(fock._blocks(fock.gaussian_density(state, 10))) == 1
 
 
 class TestNegativity:
