@@ -84,24 +84,34 @@ def eta_eff(ch):
     return 1.0 - np.exp(-ch.mu * ch.L) * (1.0 - ch.eta_ant)
 
 
+def _on_points(fn, x):
+    """fn at the points x: one array call (a constant broadcasts), else one
+    call per point."""
+    try:
+        return np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape)
+    except (TypeError, ValueError):  # say, an `if` on the argument
+        return np.array([fn(v) for v in x.tolist()])
+
+
 def eta_env_inhomogeneous(mu_fn, n_fn, length):
     """(eta, n_eff) for attenuation mu(x) and occupation n(x) along the path.
 
     eta = 1 - exp(-int_0^L mu) and n_eff = int_0^L mu n exp(-int_x^L mu) dx / eta.
-    Gauss-Legendre rules of 64, 128, ..., 1024 nodes; the tail at each node
-    uses the same rule on [x, L]. Returns the first order that agrees with
-    the one before to 1e-10 relative.
+    Gauss-Legendre rules of 64, 128, ..., 1024 nodes; the tails are one
+    cumulative sum of 8-node rules over the gaps between the nodes and L.
+    Returns the first order that agrees with the one before to 1e-10 relative.
     """
     previous = None
+    gap_t, gap_w = np.polynomial.legendre.leggauss(8)
     for order in (64, 128, 256, 512, 1024):
         t, w = np.polynomial.legendre.leggauss(order)
-        unit = 0.5 * (t + 1.0)  # the nodes on [0, 1]
-        x = length * unit
-        mu, n = (np.array([fn(v) for v in x.tolist()]) for fn in (mu_fn, n_fn))
-        tail_x = x[:, None] + (length - x)[:, None] * unit
-        tail_mu = np.reshape([mu_fn(v) for v in tail_x.ravel().tolist()], tail_x.shape)
-        tails = 0.5 * (length - x) * (tail_mu @ w)
-        now = 0.5 * length * np.array([w @ mu, w @ (mu * n * np.exp(-tails))])
+        x = 0.5 * length * (t + 1.0)
+        half = 0.5 * np.diff(x, append=length)
+        gaps = (x + half)[:, None] + half[:, None] * gap_t
+        mu, gap_mu = np.split(_on_points(mu_fn, np.append(x, gaps)), [order])
+        tails = np.cumsum((half * (gap_mu.reshape(gaps.shape) @ gap_w))[::-1])[::-1]
+        now = 0.5 * length * np.array(
+            [w @ mu, w @ (mu * _on_points(n_fn, x) * np.exp(-tails))])
         if now[0] == 0.0:
             return 0.0, n_fn(0.0)
         if previous is not None and np.all(abs(now - previous) <= 1e-10 * abs(now)):

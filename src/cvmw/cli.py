@@ -89,23 +89,70 @@ def _table_text(args, note, columns):
     return ",".join(names) + "\n" + "".join([line % row for row in zip(*data)])
 
 
-def _resolve_params(args):
-    params = dict(channel.TABLE1)
+# key: (default, domain, meaning). The table1 defaults are channel.TABLE1's;
+# a_r, given as None, defaults to 2 w0.
+T1 = channel.TABLE1
+PARAMS = {
+    "mu": (T1["mu"], "[0, inf)", "attenuation density, 1/m"),
+    "n_th": (T1["n_th"], "[0, inf)", "environment thermal photons"),
+    "temperature": (T1["temperature"], "(0, inf)", "environment temperature, K"),
+    "r": (T1["r"], "[0, inf)", "squeezing parameter of the source"),
+    "n": (T1["n"], "[0, inf)", "source thermal photons"),
+    "tau": (T1["tau"], "(0, 1]", "subtraction beam-splitter transmissivity"),
+    "eta_ant": (T1["eta_ant"], "[0, 1]", "antenna reflectivity"),
+    "nu": (T1["nu"], "(0, inf)", "carrier frequency, Hz"),
+    "inv_gain": (T1["inv_gain"], "[0, inf)", "1/G of the finite-gain homodyne"),
+    "L": (0.0, "[0, inf)", "distance of the lossy-tmst states, m"),
+    "n_s": (1.0, "(0, inf)", "probe signal photons (illum, bifreq)"),
+    "n_th_bath": (1.0, "(0, inf)", "target bath photons (illum, bifreq)"),
+    "gamma": (0.0, "[0, inf)", "illumination absorption exponent mu L"),
+    "eta1": (0.9, "[0, 1]", "bi-frequency reference reflectivity"),
+    "n_signal": (0.0, "[0, inf)", "bi-frequency input thermal photons"),
+    "w0": (5.0, "(0, inf)", "initial beam spot size, m"),
+    "a_r": (None, "(0, inf)", "receiver aperture radius, m; 2 w0 if unset"),
+    "n_modes": (1, "[1, inf)", "modes of the vacuum and thermal states"),
+    "alpha_re": (0.0, "(-inf, inf)", "coherent amplitude, real part"),
+    "alpha_im": (0.0, "(-inf, inf)", "coherent amplitude, imaginary part"),
+}
+
+
+def _check(key, value):
+    """Raise ValueError unless value lies in the key's domain; NaN never does."""
+    domain = PARAMS[key][1]
+    lo, hi = (float(end) for end in domain[1:-1].split(","))
+    if not ((lo <= value if domain[0] == "[" else lo < value)
+            and (value <= hi if domain[-1] == "]" else value < hi)):
+        raise ValueError("%s = %g lies outside its domain %s" % (key, value, domain))
+
+
+def _resolve_params(args, usage_error):
+    """The table defaults, then the preset or profile, then each --set; the
+    defaults lie in their domains, and every value given is checked."""
+    given = []
     if args.preset:
-        params.update(channel.PRESETS[args.preset] if args.preset in channel.PRESETS
-                      else channel.load_profile(args.preset))
+        given += (channel.PRESETS[args.preset] if args.preset in channel.PRESETS
+                  else channel.load_profile(args.preset)).items()
     for item in args.set or []:
         if "=" not in item:
             raise ValueError("--set expects key=value, got %r" % item)
         key, value = item.split("=", 1)
-        params[key.strip()] = float(value)
-    bad = sorted(key for key, value in params.items() if not np.isfinite(value))
-    if bad:
-        raise ValueError("parameters must be finite: %s" % ", ".join(bad))
-    args.params = params
+        given.append((key.strip(), value))
+    params = {key: entry[0] for key, entry in PARAMS.items()}
+    for key, value in given:
+        if key not in PARAMS:
+            import difflib
+            near = difflib.get_close_matches(key, PARAMS, n=1)
+            usage_error("unknown parameter %r%s" % (
+                key, "; did you mean %r?" % near[0] if near else ""))
+        params[key] = float(value)
+        _check(key, params[key])
+    if params["a_r"] is None:
+        params["a_r"] = 2.0 * params["w0"]
+        _check("a_r", params["a_r"])
+    return params
 
 
-# -- row functions: one dict of inputs, the swept value already set ---------
+# -- row functions: the parameters, the swept value already set ------------
 
 def _negativity_row(x):
     r, tau = x["r"], x["tau"]
@@ -127,19 +174,19 @@ def _negativity_row(x):
 
 
 def _illum_row(x):
-    n_s, n_th, gamma = x["n_s"], x["n_th"], x["gamma"]
+    n_s, n_th, gamma = x["n_s"], x["n_th_bath"], x["gamma"]
     p = illumination.QiParams(n_s, n_th, gamma, 0.0)
     nu_minus = illumination.probe_nu_minus(n_s, n_th)
     return {"n_s": n_s, "n_th": n_th, "gamma": gamma,
             "h_c": illumination.h_c(p), "gain": illumination.gain(p),
-            "h_q": illumination.h_q(p) if n_th > 0 else float("nan"),
+            "h_q": illumination.h_q(p),
             "nu_minus": nu_minus, "log_neg": (max(0.0, -np.log2(nu_minus))
                                               if nu_minus > 0 else float("inf"))}
 
 
 def _bifreq_row(x):
-    p = bifreq.BifreqParams(x["eta1"], 0.0, x["n_s"], x["n"], x["n_th"])
-    row = {"eta1": x["eta1"], "n_s": p.n_s, "n_th": x["n_th"],
+    p = bifreq.BifreqParams(x["eta1"], 0.0, x["n_s"], x["n_signal"], x["n_th_bath"])
+    row = {"eta1": x["eta1"], "n_s": p.n_s, "n_th": x["n_th_bath"],
            "h_c": bifreq.h_c_bifreq(p)}
     try:
         row["h_q"] = bifreq.h_q_bifreq(p)
@@ -181,14 +228,16 @@ QFI_FAMILIES = {
 
 def _qfi_row(x):
     if x["family"].startswith("illum"):
-        p = illumination.QiParams(x["n_s"], x["n_th"], x["gamma"], 1e-4)
+        p = illumination.QiParams(x["n_s"], x["n_th_bath"], x["gamma"], 1e-4)
     else:
-        p = bifreq.BifreqParams(x["eta1"], 0.0, x["n_s"], 0.0, x["n_th"])
+        p = bifreq.BifreqParams(x["eta1"], 0.0, x["n_s"], 0.0, x["n_th_bath"])
     h, closed = QFI_FAMILIES[x["family"]](p)
-    return dict(x, h_numeric=h, h_closed=closed)
+    return {"family": x["family"], "n_s": x["n_s"], "n_th": x["n_th_bath"],
+            "gamma": x["gamma"], "eta1": x["eta1"], "h_numeric": h,
+            "h_closed": closed}
 
 
-# -- table functions: the inputs and the sweep (None: one row) --------------
+# -- table functions: the parameters and the sweep (None: one row) ----------
 #
 # The L sweeps are computed in one array call over the grid; the other
 # subcommands go through _per_point, one row function call per point.
@@ -200,8 +249,11 @@ def _link_params(x, length, geometry):
 
 def _teleport_table(x, spec):
     L = spec.values()
-    f = x["resource"].fidelity(L)
-    fb = x["bare"].fidelity(L)
+    link = (x["r"], x["n"], x["mu"], x["n_th"], x["eta_ant"])
+    resource = teleport.TeleportResource(x["resource"], *link, x["tau"],
+                                         x["inv_gain"])
+    f = resource.fidelity(L)
+    fb = teleport.TeleportResource("tmst-" + resource.geometry, *link).fidelity(L)
     return {"L": L, "fidelity": f, "fidelity_bare": fb, "gain": f - fb}
 
 
@@ -265,72 +317,50 @@ def _per_point(row):
 
 # -- the subcommand table ----------------------------------------------------
 
-def _link(p, args=None):
-    return {key: p[key] for key in ("r", "n", "mu", "n_th", "eta_ant")}
-
-
-def _teleport_inputs(p, args):
-    link = (p["r"], p["n"], p["mu"], p["n_th"], p["eta_ant"])
-    resource = teleport.TeleportResource(args.resource, *link, p["tau"],
-                                         p.get("inv_gain", 0.008))
-    bare = teleport.TeleportResource("tmst-" + resource.geometry, *link)
-    return {"resource": resource, "bare": bare}
-
-
-def _bath(p, args=None):
-    return {"n_s": p.get("n_s", 1.0), "n_th": p.get("n_th_bath", 1.0),
-            "gamma": p.get("gamma", 0.0)}
-
-
-# name -> table function, inputs(params, args), sweep variables, default sweep
-# (None: one row, no sweep) and provenance; the note may name {var} and {args}.
+# name -> table function, sweep variable -> the parameter it sets, default
+# sweep (None: one row, no sweep) and provenance; the note may name {var}
+# and {args}.
 COMMANDS = {
     "negativity": dict(
-        table=_per_point(_negativity_row), inputs=lambda p, args: {"tau": p["tau"]},
-        sweeps=("r",), default=SweepSpec("r", 0.0, 1.5, 61),
+        table=_per_point(_negativity_row),
+        sweeps={"r": "r"}, default=SweepSpec("r", 0.0, 1.5, 61),
         note="negativity of photon-subtracted vs bare two-mode squeezed "
              "vacuum, with success probabilities"),
     "illum": dict(
-        table=_per_point(_illum_row), inputs=_bath,
-        sweeps=("n_s", "n_th", "gamma"), default=SweepSpec("n_s", 0.01, 5.0, 100),
+        table=_per_point(_illum_row),
+        sweeps={"n_s": "n_s", "n_th": "n_th_bath", "gamma": "gamma"},
+        default=SweepSpec("n_s", 0.01, 5.0, 100),
         note="illumination gain and Fisher informations vs {var}"),
     "bifreq": dict(
         table=_per_point(_bifreq_row),
-        inputs=lambda p, args: dict(_bath(p), eta1=p.get("eta1", 0.9),
-                                    n=p.get("n_signal", 0.0)),
-        sweeps=("eta1", "n_s", "n", "n_th"), default=SweepSpec("n_s", 0.2, 5.0, 25),
+        sweeps={"eta1": "eta1", "n_s": "n_s", "n": "n_signal", "n_th": "n_th_bath"},
+        default=SweepSpec("n_s", 0.2, 5.0, 25),
         note="bi-frequency enhancement ratio and observable coefficients "
              "vs {var}"),
     "swap": dict(
-        table=_swap_table, inputs=_link,
-        sweeps=("L",), default=SweepSpec("L", 0.0, 600.0, 121),
+        table=_swap_table,
+        sweeps={"L": "L"}, default=SweepSpec("L", 0.0, 600.0, 121),
         note="entanglement-swapped resource vs distance"),
     "channel": dict(
-        table=_channel_table, inputs=_link,
-        sweeps=("L",), default=SweepSpec("L", 0.0, 600.0, 121),
+        table=_channel_table,
+        sweeps={"L": "L"}, default=SweepSpec("L", 0.0, 600.0, 121),
         note="distributed-state entanglement vs distance"),
     "satellite": dict(
         table=_per_point(_satellite_row),
-        inputs=lambda p, args: {"nu": p["nu"], "w0": p.get("w0", 5.0),
-                                "a_r": p.get("a_r", 2.0 * p.get("w0", 5.0))},
-        sweeps=("d",), default=SweepSpec("d", 10.0, 1e7, 61, log=True),
+        sweeps={"d": "d"}, default=SweepSpec("d", 10.0, 1e7, 61, log=True),
         note="free-space path loss and diffraction transmissivity vs distance"),
     "qfi": dict(
         table=_per_point(_qfi_row),
-        inputs=lambda p, args: dict(family=args.family, **_bath(p),
-                                    eta1=p.get("eta1", 0.9)),
-        sweeps=(), default=None,
+        sweeps={}, default=None,
         note="quantum Fisher information of the selected family"),
     "teleport": dict(
-        table=_teleport_table, inputs=_teleport_inputs,
-        sweeps=("L",), default=SweepSpec("L", 0.0, 600.0, 121),
+        table=_teleport_table,
+        sweeps={"L": "L"}, default=SweepSpec("L", 0.0, 600.0, 121),
         note="average teleportation fidelity vs distance, resource "
              "{args.resource}"),
     "distill": dict(
         table=_distill_table,
-        inputs=lambda p, args: dict(_link(p), geometry=args.geometry,
-                                    tau=p["tau"]),
-        sweeps=("L",), default=SweepSpec("L", 0.0, 500.0, 101),
+        sweeps={"L": "L"}, default=SweepSpec("L", 0.0, 500.0, 101),
         note="re-Gaussified photon-subtraction negativities vs distance "
              "({args.geometry} geometry)"),
 }
@@ -338,35 +368,39 @@ COMMANDS = {
 
 def _cmd_table(args):
     entry = COMMANDS[args.command]
-    inputs = entry["inputs"](args.params, args)
     spec = entry["default"]
+    var = args.sweep[0] if args.sweep else spec and spec.variable
     if args.sweep:
-        var, start, stop, count = args.sweep
-        spec = SweepSpec(var, float(start), float(stop), int(float(count)),
-                         log=args.log)
-    columns = entry["table"](inputs, spec)
-    note = entry["note"].format(var=spec.variable if spec else None, args=args)
+        _, start, stop, count = args.sweep
+        spec = SweepSpec(entry["sweeps"][var], float(start), float(stop),
+                         int(float(count)), log=args.log)
+    if spec and spec.variable in PARAMS:  # a monotone grid: its ends bound it
+        _check(spec.variable, spec.start)
+        _check(spec.variable, spec.stop)
+    x = dict(args.params)
+    if args.command in OPTIONS:
+        dest = OPTIONS[args.command][0]
+        x[dest] = getattr(args, dest)
+    columns = entry["table"](x, spec)
+    note = entry["note"].format(var=var, args=args)
     _write(_table_text(args, note, columns), args)
     return 0
 
 
 def _lossy_tmst_state(p, geometry):
-    ch = channel.AirChannel(p["mu"], p.get("L", 0.0), p["n_th"],
-                            p.get("eta_ant", 0.0))
+    ch = channel.AirChannel(p["mu"], p["L"], p["n_th"], p["eta_ant"])
     return channel.lossy_tmst(ch, p["r"], p["n"], geometry).to_state()
 
 
 STATES = {
-    "vacuum": lambda p: core.vacuum(int(p.get("n_modes", 1))),
-    "thermal": lambda p: core.thermal(int(p.get("n_modes", 1)),
-                                      p.get("n_th", 0.0)),
-    "coherent": lambda p: core.coherent(p.get("alpha_re", 0.0),
-                                        p.get("alpha_im", 0.0)),
+    "vacuum": lambda p: core.vacuum(int(p["n_modes"])),
+    "thermal": lambda p: core.thermal(int(p["n_modes"]), p["n_th"]),
+    "coherent": lambda p: core.coherent(p["alpha_re"], p["alpha_im"]),
     "tmsv": lambda p: core.tmsv(p["r"]),
     "tmst": lambda p: core.tmst(p["r"], p["n"]),
-    "qi-probe": lambda p: illumination.qi_probe(p.get("n_s", 1.0), p["n_th"]),
+    "qi-probe": lambda p: illumination.qi_probe(p["n_s"], p["n_th"]),
     "bifreq-probe": lambda p: bifreq.bifreq_probe(bifreq.BifreqParams(
-        p.get("eta1", 0.5), 0.0, p.get("n_r", 1.0), p["n"], p["n_th"])),
+        p["eta1"], 0.0, p["n_s"], p["n"], p["n_th"])),
     "lossy-tmst-asym": lambda p: _lossy_tmst_state(p, "asym"),
     "lossy-tmst-sym": lambda p: _lossy_tmst_state(p, "sym"),
 }
@@ -405,8 +439,7 @@ def _anchors(p):
     add("classical_limit_fg_sym_m", limit("tmst-sym-fg"), 429.0, 1.0)
     add("classical_limit_fg_swap_m", limit("swap-fg"), 416.0, 1.0)
     # row 0 of a distill sweep from L = 0 is the source
-    at_source = _distill_table(dict(_link(p), geometry="sym", tau=p["tau"]),
-                               SweepSpec("L", 0.0, 1.0, 2))
+    at_source = _distill_table(dict(p, geometry="sym"), SweepSpec("L", 0.0, 1.0, 2))
     n_bare = at_source["n_bare"][0]
     for name, tag, target in (("heuristic", "heur", 46.0),
                               ("probabilistic", "prob", 28.0)):
@@ -429,7 +462,8 @@ def _anchors(p):
     add("bifreq_ratio_numeric",
         bifreq.ratio(bifreq.BifreqParams(1.0 - 1e-8, 0.0, 2.9, 0.0, 1e3)),
         6.34, 0.1)
-    add("thermal_photons_300k", channel.bose_einstein(p["nu"], 300.0), 1250.0, 1.0)
+    add("thermal_photons_300k", channel.bose_einstein(p["nu"], p["temperature"]),
+        1250.0, 1.0)
     add("thermal_photons_2p7k", channel.bose_einstein(p["nu"], 2.7), 11.0, 0.5)
     # threshold anchors are defined at the rounded occupation N_th = 11
     add("sat_eta_threshold_asym", channel.eta_threshold_asym(11.0), 0.0833, 1e-4)
@@ -449,13 +483,14 @@ def _cmd_summary(args):
     return 0 if all_pass else ANCHOR_FAILURE
 
 
-# subcommand -> its own option, added ahead of the common ones
+# subcommand -> its own option, added ahead of the common ones; a table
+# function finds its value under the option's name
 OPTIONS = {
-    "state": ("--kind", {"required": True}),
-    "qfi": ("--family", {"default": "illum", "choices": tuple(QFI_FAMILIES)}),
-    "teleport": ("--resource", {"default": "tmst-asym",
-                                "choices": teleport.TeleportResource.KINDS}),
-    "distill": ("--geometry", {"default": "sym", "choices": ("asym", "sym")}),
+    "state": ("kind", {"required": True}),
+    "qfi": ("family", {"default": "illum", "choices": tuple(QFI_FAMILIES)}),
+    "teleport": ("resource", {"default": "tmst-asym",
+                              "choices": teleport.TeleportResource.KINDS}),
+    "distill": ("geometry", {"default": "sym", "choices": ("asym", "sym")}),
 }
 HELP = {"state": "construct a state and print its JSON",
         "qfi": "numeric QFI of a named received family",
@@ -466,17 +501,20 @@ HELP = {"state": "construct a state and print its JSON",
 def build_parser():
     parser = _Parser(prog="cvmw",
                      description="Gaussian microwave quantum-link toolkit")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="accepted for interface compatibility; all "
-                             "computations are deterministic")
     sub = parser.add_subparsers(dest="command", required=True)
+    epilog = "parameters (--set KEY=VALUE):\n" + "\n".join(
+        "  %-11s %-9s %-12s %s" % (key, "2 w0" if value is None else "%g" % value,
+                                   domain, meaning)
+        for key, (value, domain, meaning) in PARAMS.items())
     handlers = ([("state", _cmd_state)] + [(name, _cmd_table) for name in COMMANDS]
                 + [("summary", _cmd_summary)])
     for name, func in handlers:
-        sp = sub.add_parser(name, **({"help": HELP[name]} if name in HELP else {}))
+        sp = sub.add_parser(name, epilog=epilog,
+                            formatter_class=argparse.RawDescriptionHelpFormatter,
+                            **({"help": HELP[name]} if name in HELP else {}))
         if name in OPTIONS:
-            flag, kwargs = OPTIONS[name]
-            sp.add_argument(flag, **kwargs)
+            dest, kwargs = OPTIONS[name]
+            sp.add_argument("--" + dest, **kwargs)
         sp.add_argument("--preset", default=None,
                         help="named preset (table1) or profile file path")
         sp.add_argument("--set", action="append", metavar="KEY=VALUE",
@@ -502,11 +540,10 @@ def main(argv=None):
         allowed = COMMANDS.get(args.command, {}).get("sweeps", ())
         if args.sweep and args.sweep[0] not in allowed:
             parser.error("%s cannot sweep %s" % (args.command, args.sweep[0]))
+        args.params = _resolve_params(args, parser.error)
+        return args.func(args)
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_ERROR
-    try:
-        _resolve_params(args)
-        return args.func(args)
     except (ValueError, RuntimeError, OSError, KeyError, ArithmeticError) as exc:
         sys.stderr.write("computation error: %s\n" % exc)
         return COMPUTE_ERROR

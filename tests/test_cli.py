@@ -210,6 +210,76 @@ class TestFailureContract:
             cli.main(["bifreq", "--out", os.devnull])
 
 
+def outside(domain):
+    """The floats just below and just above an interval such as "(0, 1]"."""
+    lo, hi = (float(end) for end in domain[1:-1].split(","))
+    return (lo if domain[0] == "(" else float(np.nextafter(lo, -np.inf)),
+            hi if domain[-1] == ")" else float(np.nextafter(hi, np.inf)))
+
+
+class TestParameterTable:
+    @pytest.mark.parametrize("key", list(cli.PARAMS))
+    def test_out_of_domain_value_exits_2(self, key, capsys):
+        default, domain, _ = cli.PARAMS[key]
+        if default is not None:
+            cli._check(key, default)
+        for value in (float("nan"),) + outside(domain):
+            argv = ["state", "--kind", "vacuum", "--set", "%s=%r" % (key, value)]
+            assert cli.main(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "" and key in err and domain in err
+
+    @pytest.mark.parametrize("key", list(cli.PARAMS))
+    def test_misspelt_key_exits_1_and_names_the_key(self, key, capsys):
+        typo = key + key[-1]
+        assert cli.main(["state", "--kind", "vacuum", "--set", typo + "=1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "%r; did you mean %r?" % (typo, key) in err
+
+    @pytest.mark.parametrize("argv,code,message", [
+        (["channel", "--set", "rr=0.5"], 1, "did you mean 'r'?"),
+        (["state", "--kind", "bifreq-probe", "--set", "n_r=1"], 1, "'n_r'"),
+        (["--seed", "3", "qfi"], 1, "error:"),
+        (["bifreq", "--set", "n_th_bath=0"], 2, "n_th_bath = 0"),
+        (["illum", "--sweep", "n_th", "0", "1", "3"], 2, "n_th_bath = 0"),
+        (["negativity", "--sweep", "r", "-1", "1", "3"], 2, "r = -1"),
+        (["satellite", "--set", "w0=0"], 2, "w0 = 0"),
+    ])
+    def test_rejected_without_output(self, argv, code, message, capsys):
+        assert cli.main(argv) == code
+        out, err = capsys.readouterr()
+        assert out == "" and message in err and "Traceback" not in err
+
+    def test_unknown_key_in_a_profile_exits_1(self, tmp_path, capsys):
+        profile = tmp_path / "typo.txt"
+        profile.write_text("[channel]\nmu = 1.44e-6\nn_thermal = 1250\n")
+        assert cli.main(["channel", "--preset", str(profile)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "'n_thermal'" in err
+
+    def test_bifreq_probe_reads_n_s(self, capsys):
+        from cvmw import bifreq
+        assert cli.main(["state", "--kind", "bifreq-probe", "--set", "n_s=2"]) == 0
+        state = core.GaussianState.from_json(capsys.readouterr().out)
+        expected = bifreq.bifreq_probe(bifreq.BifreqParams(0.9, 0.0, 2.0, 0.01, 1250.0))
+        np.testing.assert_array_equal(state.sigma, expected.sigma)
+
+    def test_help_ends_with_the_table(self, capsys):
+        for name in ["state", "summary"] + list(cli.COMMANDS):
+            assert cli.main([name, "--help"]) == 0
+            lines = capsys.readouterr().out.rstrip("\n").split("\n")
+            tail = lines[-len(cli.PARAMS):]
+            assert [line.split()[0] for line in tail] == list(cli.PARAMS), name
+
+    def test_readme_table_lists_every_key(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            rows = [line for line in fh if line.startswith("| `")]
+        for key, (_, domain, _) in cli.PARAMS.items():
+            assert any(row.startswith("| `%s` |" % key) and domain in row
+                       for row in rows), key
+
+
 def test_cli_paths_load_no_scipy():
     """With scipy blocked: every cvmw module, every subcommand's default run,
     the numeric classical-limit roots and the library functions that once
@@ -250,12 +320,6 @@ class TestDeterminism:
                 "--sweep", "L", "0", "400", "9")
         _, out1, _ = run_cli(*args)
         _, out2, _ = run_cli(*args)
-        assert out1 == out2
-
-    def test_seed_has_no_effect(self):
-        base = ("negativity", "--sweep", "r", "0.1", "1.0", "7")
-        _, out1, _ = run_cli(*base)
-        _, out2, _ = run_cli("--seed", "12345", *base)
         assert out1 == out2
 
     def test_jobs_preserve_row_order_and_values(self):

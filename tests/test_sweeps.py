@@ -120,17 +120,16 @@ def fidelity_oracle(kind, p, length):
 
 @pytest.mark.parametrize("kind", teleport.TeleportResource.KINDS)
 def test_teleport_columns(kind):
+    geometry = teleport.TeleportResource(kind, 1.0, 0.0, 0.0, 0.0,
+                                         inv_gain=1.0).geometry
     for p in draws(4, seed=11):
-        args = type("Args", (), {"resource": kind})
-        inputs = cli.COMMANDS["teleport"]["inputs"](p, args)
-        geometry = inputs["resource"].geometry
         rows = []
         for length in GRID.values():
             f = fidelity_oracle(kind, p, length)
             fb = teleport.fidelity_gaussian(link_cm(p, length, geometry))
             rows.append({"L": length, "fidelity": f, "fidelity_bare": fb,
                          "gain": f - fb})
-        check_columns(cli.COMMANDS["teleport"]["table"](inputs, GRID),
+        check_columns(cli.COMMANDS["teleport"]["table"](dict(p, resource=kind), GRID),
                       oracle_table(rows), absolute=("gain",))
 
 
