@@ -6,12 +6,14 @@ distances in meters. The combined antenna + environment reflectivity is
 eta_eff = 1 - e^{-mu L} (1 - eta_ant).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polyroots
 
+from .core import any_true
 from .entanglement import BipartiteCM, nu_minus_standard
 
 # CODATA exact SI values
@@ -36,12 +38,19 @@ class AirChannel:
     eta_ant: float = 0.0  # antenna reflectivity
 
     def __post_init__(self):
-        if not (all(map(math.isfinite, (self.mu, self.n_th_env, self.eta_ant)))
-                and np.all(np.isfinite(self.L))):
+        if not all(map(math.isfinite, (self.mu, self.n_th_env, self.eta_ant))):
             raise ValueError("channel parameters must be finite")
-        if (self.mu < 0 or np.any(self.L < 0) or self.n_th_env < 0
-                or not 0.0 <= self.eta_ant <= 1.0):
+        check_lengths(self.L)
+        if self.mu < 0 or self.n_th_env < 0 or not 0.0 <= self.eta_ant <= 1.0:
             raise ValueError("invalid channel parameters")
+
+
+def check_lengths(length):
+    """AirChannel's check of its distances."""
+    if any_true(~np.isfinite(length)):
+        raise ValueError("channel parameters must be finite")
+    if any_true(length < 0):
+        raise ValueError("invalid channel parameters")
 
 
 @dataclass
@@ -93,6 +102,10 @@ def _on_points(fn, x):
         return np.array([fn(v) for v in x.tolist()])
 
 
+# one rule per order, shared by every call, so never written into
+_leggauss = functools.cache(np.polynomial.legendre.leggauss)
+
+
 def eta_env_inhomogeneous(mu_fn, n_fn, length):
     """(eta, n_eff) for attenuation mu(x) and occupation n(x) along the path.
 
@@ -102,9 +115,9 @@ def eta_env_inhomogeneous(mu_fn, n_fn, length):
     Returns the first order that agrees with the one before to 1e-10 relative.
     """
     previous = None
-    gap_t, gap_w = np.polynomial.legendre.leggauss(8)
+    gap_t, gap_w = _leggauss(8)
     for order in (64, 128, 256, 512, 1024):
-        t, w = np.polynomial.legendre.leggauss(order)
+        t, w = _leggauss(order)
         x = 0.5 * length * (t + 1.0)
         half = 0.5 * np.diff(x, append=length)
         gaps = (x + half)[:, None] + half[:, None] * gap_t
@@ -129,15 +142,19 @@ def lossy_tmst_params(ch, r, n, geometry="asym"):
     full distance; alpha belongs to the travelling mode. geometry="sym": the
     source sits midway and both modes travel L/2.
     """
+    return tmst_params(ch.mu, ch.L, ch.n_th_env, ch.eta_ant, r, n, geometry)
+
+
+def tmst_params(mu, length, n_th, eta_ant, r, n, geometry):
+    """lossy_tmst_params from the channel's fields, which it does not check."""
     scale = _source_scale(n)
     ch2r, sh2r = np.cosh(2.0 * r), np.sinh(2.0 * r)
-    if geometry == "asym":
-        eta = eta_eff(ch)
-    elif geometry == "sym":
-        eta = eta_eff(AirChannel(ch.mu, ch.L / 2.0, ch.n_th_env, ch.eta_ant))
-    else:
+    if geometry == "sym":  # one arm: eta_eff at L/2
+        length = length / 2.0
+    elif geometry != "asym":
         raise ValueError("geometry must be 'asym' or 'sym'")
-    alpha = (1.0 + 2.0 * ch.n_th_env) * eta + scale * (1.0 - eta) * ch2r
+    eta = 1.0 - np.exp(-mu * length) * (1.0 - eta_ant)
+    alpha = (1.0 + 2.0 * n_th) * eta + scale * (1.0 - eta) * ch2r
     if geometry == "asym":
         return (alpha, np.full_like(alpha, scale * ch2r),
                 scale * np.sqrt(1.0 - eta) * sh2r)
@@ -174,8 +191,8 @@ def l_max(ch, r, n, geometry="asym"):
     source is not entangled; raises ValueError when the bound is never
     reached: mu = 0, or no thermal noise to end the entanglement.
     """
-    at_source = AirChannel(ch.mu, 0.0, ch.n_th_env, ch.eta_ant)
-    if nu_minus_standard(*lossy_tmst_params(at_source, r, n, geometry)) >= 1.0:
+    at_source = tmst_params(ch.mu, 0.0, ch.n_th_env, ch.eta_ant, r, n, geometry)
+    if nu_minus_standard(*at_source) >= 1.0:
         return 0.0
     require_attenuation(ch.mu)
     if ch.n_th_env == 0.0:

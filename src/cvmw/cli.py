@@ -79,8 +79,9 @@ def _table_text(args, note, columns):
         report = _report(args, note, columns=names, rows=rows)
         return json.dumps(report, indent=2, default=float) + "\n"
     specs = []
-    for i, col in enumerate(data):
-        if all(isinstance(v, float) for v in col):
+    for i, (col, given) in enumerate(zip(data, columns.values())):
+        if (getattr(given, "dtype", None) == float  # a float array: no scan
+                or all(isinstance(v, float) for v in col)):
             specs.append("%.17g")
         else:
             specs.append("%s")
@@ -134,7 +135,7 @@ def _resolve_params(args, usage_error):
                   else channel.load_profile(args.preset)).items()
     for item in args.set or []:
         if "=" not in item:
-            raise ValueError("--set expects key=value, got %r" % item)
+            usage_error("--set expects key=value, got %r" % item)
         key, value = item.split("=", 1)
         given.append((key.strip(), value))
     params = {key: entry[0] for key, entry in PARAMS.items()}
@@ -144,7 +145,10 @@ def _resolve_params(args, usage_error):
             near = difflib.get_close_matches(key, PARAMS, n=1)
             usage_error("unknown parameter %r%s" % (
                 key, "; did you mean %r?" % near[0] if near else ""))
-        params[key] = float(value)
+        try:
+            params[key] = float(value)
+        except ValueError:
+            usage_error("--set %s: %r is not a number" % (key, value))
         _check(key, params[key])
     if params["a_r"] is None:
         params["a_r"] = 2.0 * params["w0"]

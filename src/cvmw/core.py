@@ -7,6 +7,7 @@ Conventions used throughout the package:
 * a coherent state |alpha> has displacement d = sqrt(2)(Re alpha, Im alpha)
 """
 
+import functools
 import json
 
 import numpy as np
@@ -22,14 +23,22 @@ class PhysicalityError(ValueError):
     """Raised when a covariance matrix violates the uncertainty relation."""
 
 
+def any_true(mask):
+    """np.any(mask), without its dispatch cost when mask is a scalar."""
+    return mask.any() if isinstance(mask, np.ndarray) else mask
+
+
+@functools.cache
 def omega(n_modes):
-    """Symplectic form for n modes, block-diagonal in [[0, 1], [-1, 0]]."""
+    """Symplectic form for n modes, block-diagonal in [[0, 1], [-1, 0]];
+    built once per n, read-only."""
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
     w1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
     w = np.zeros((2 * n_modes, 2 * n_modes))
     for j in range(n_modes):
         w[2 * j:2 * j + 2, 2 * j:2 * j + 2] = w1
+    w.flags.writeable = False
     return w
 
 
@@ -73,7 +82,8 @@ def _spectrum(sigma):
 
 
 class GaussianState:
-    """Displacement vector and covariance matrix of an N-mode Gaussian state."""
+    """Displacement vector and covariance matrix of an N-mode Gaussian state;
+    validate() makes it immutable (read-only arrays) and keeps its spectrum."""
 
     def __init__(self, d, sigma, check=True):
         d = np.array(d, dtype=float).reshape(-1)
@@ -83,6 +93,7 @@ class GaussianState:
         self.n_modes = d.size // 2
         self.d = d
         self.sigma = sigma
+        self._nu = None
         if check:
             self.validate()
 
@@ -98,12 +109,15 @@ class GaussianState:
         if nu.min() < 1.0 - PHYSICALITY_TOL:
             raise PhysicalityError(
                 "state violates the uncertainty relation (min nu = %.12g)" % nu.min())
+        for arr in (self.d, self.sigma, nu):
+            arr.flags.writeable = False
+        self._nu = nu
 
     def copy(self):
         return GaussianState(self.d, self.sigma, check=False)
 
     def symplectic_eigenvalues(self):
-        return symplectic_eigenvalues(self.sigma)
+        return symplectic_eigenvalues(self.sigma) if self._nu is None else self._nu
 
     def to_json(self):
         return json.dumps({

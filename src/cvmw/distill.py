@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SIGMA_Z, omega
+from .core import SIGMA_Z, any_true, omega
 from .entanglement import BipartiteCM
 
 
@@ -204,13 +204,13 @@ def ps2_standard_form(alpha, beta, gamma, tau):
     if not 0.0 < tau < 1.0:
         raise ValueError("transmissivity must lie in (0, 1)")
     x_a = 0.5 * ((1 - tau) * alpha + 1 + tau)
-    if np.any(np.abs(x_a * x_a) < 1e-14):
+    if any_true(abs(x_a * x_a) < 1e-14):
         raise ValueError("singular X_A block")
     den = ((1 + alpha) * (1 + beta) - gamma ** 2
            + 2 * (1 - alpha * beta + gamma ** 2) * tau
            + ((1 - alpha) * (1 - beta) - gamma ** 2) * tau ** 2)
     y = den / (4.0 * x_a)
-    if np.any(np.abs(y * y) < 1e-14):
+    if any_true(abs(y * y) < 1e-14):
         raise ValueError("singular Y block")
     alpha_t = 1 - 2 * tau * ((1 - alpha) * (1 + beta) + gamma ** 2
                              + ((1 - alpha) * (1 - beta) - gamma ** 2) * tau) / den
@@ -236,7 +236,7 @@ def heuristic_correction(alpha, beta, gamma):
     triple of ps2_standard_form.
     """
     e0 = (alpha - 1.0) * (beta - 1.0) + gamma * gamma
-    if np.any(e0 <= 0.0):
+    if any_true(e0 <= 0.0):
         raise ValueError("normalization E_0 <= 0 (cannot subtract from this state)")
     s = alpha + beta - 2.0 * gamma
     d2 = (alpha - beta) ** 2
@@ -335,7 +335,7 @@ def swap_symmetric(alpha, beta, gamma):
     Returns (alpha_tilde, gamma_tilde) with Sigma_A = Sigma_D =
     alpha_tilde I and eps = gamma_tilde sigma_z.
     """
-    if np.any(beta <= 0.0):
+    if any_true(beta <= 0.0):
         raise ValueError("beta must be positive")
     shift = gamma ** 2 / (2.0 * beta)
     return alpha - shift, shift

@@ -2,20 +2,25 @@
 
 import numpy as np
 
-from .core import GaussianState, SIGMA_Z
+from .core import GaussianState, SIGMA_Z, any_true
 
 
 class BipartiteCM:
-    """Two-mode covariance matrix in submatrix form (Sigma_A, Sigma_B, eps_AB)."""
+    """Two-mode covariance matrix in submatrix form (Sigma_A, Sigma_B, eps_AB);
+    built with check=True, immutable, and to_state() is its validated state."""
 
     def __init__(self, sigma_a, sigma_b, eps, check=True):
         self.sigma_a = np.array(sigma_a, dtype=float)
         self.sigma_b = np.array(sigma_b, dtype=float)
         self.eps = np.array(eps, dtype=float)
-        if any(m.shape != (2, 2) for m in (self.sigma_a, self.sigma_b, self.eps)):
+        blocks = (self.sigma_a, self.sigma_b, self.eps)
+        if any(m.shape != (2, 2) for m in blocks):
             raise ValueError("submatrices must be 2x2")
+        self._state = None
         if check:
-            self.to_state()  # physicality of the assembled matrix
+            self._state = GaussianState(np.zeros(4), self.matrix)
+            for m in blocks:
+                m.flags.writeable = False
 
     @classmethod
     def standard_form(cls, alpha, beta, gamma, check=True):
@@ -45,7 +50,7 @@ class BipartiteCM:
         return out
 
     def to_state(self):
-        return GaussianState(np.zeros(4), self.matrix)
+        return self._state or GaussianState(np.zeros(4), self.matrix)
 
     def standard_params(self, tol=1e-10):
         """(alpha, beta, gamma) if the CM is in standard form, else ValueError."""
@@ -87,7 +92,7 @@ def nu_minus_standard(alpha, beta, gamma):
     delta = alpha ** 2 + beta ** 2 + 2.0 * gamma ** 2
     det_s = (alpha * beta - gamma ** 2) ** 2
     disc = delta ** 2 - 4.0 * det_s
-    if np.any(disc < -1e-9 * np.maximum(1.0, delta ** 2)):
+    if any_true(disc < -1e-9 * np.maximum(1.0, delta ** 2)):
         raise ValueError("complex branch: input is not a valid covariance matrix")
     return np.sqrt(2.0 * det_s / (delta + np.sqrt(np.maximum(disc, 0.0))))
 

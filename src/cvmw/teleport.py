@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SIGMA_Z
+from .core import SIGMA_Z, any_true
 from .entanglement import BipartiteCM, cm_validity
 from . import channel as channel_mod
 from . import distill
@@ -22,6 +22,7 @@ CLASSICAL_FIDELITY = 0.5
 MAX_DISTANCE = 5000.0  # m; a classical limit beyond it is an error
 BEYOND_MAX = "fidelity stays above 1/2 up to %.0f m" % MAX_DISTANCE
 ROOT_XTOL = 0.01  # m; bracket width of the numeric classical limits
+ROOT_GRID = np.linspace(0.0, MAX_DISTANCE, 33)  # m; one array call brackets them
 ILL_CONDITIONED = "ill-conditioned resource: det[I + Gamma/2] <= 0"
 PS_ILL_CONDITIONED = "ill-conditioned photon-subtracted resource"
 
@@ -132,14 +133,14 @@ def root_det_standard(alpha, beta, gamma, error=ILL_CONDITIONED):
     Gamma = (alpha + beta - 2 gamma) I; ValueError(error) where det <= 0.
     The Gaussian fidelity is its inverse."""
     det = (1.0 + 0.5 * (alpha + beta - 2.0 * gamma)) ** 2
-    if np.any(det <= 0.0):
+    if any_true(det <= 0.0):
         raise ValueError(error)
     return np.sqrt(det)
 
 
 def fidelity_swapped(alpha, beta, gamma):
     """Fidelity with the entanglement-swapped resource: 1/(1 + alpha - gamma^2/beta)."""
-    if np.any(beta <= 0.0):
+    if any_true(beta <= 0.0):
         raise ValueError("beta must be positive")
     return 1.0 / (1.0 + alpha - gamma ** 2 / beta)
 
@@ -187,7 +188,7 @@ def half_fidelity_condition(alpha, beta, gamma, k, w):
             + k * (poly_mul(gamma, gamma) - poly_mul(alpha, beta)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TeleportResource:
     """Resource selector for the distance-dependent fidelity sweeps.
 
@@ -215,30 +216,30 @@ class TeleportResource:
         if self.kind.endswith("-fg") and not (math.isfinite(self.inv_gain)
                                               and self.inv_gain > 0.0):
             raise ValueError("finite-gain resources need a finite inv_gain > 0")
+        channel_mod.AirChannel(self.mu, 0.0, self.n_th, self.eta_ant)  # checked once
 
     @property
     def geometry(self):
         """Geometry of the underlying lossy TMST; swap links are asym."""
         return "sym" if "sym" in self.kind.split("-") else "asym"
 
-    def _params(self, length, geometry):
-        ch = channel_mod.AirChannel(self.mu, length, self.n_th, self.eta_ant)
-        return channel_mod.lossy_tmst_params(ch, self.r, self.n, geometry)
-
     def fidelity(self, length):
         """Average fidelity at distance `length` (m), elementwise over an
         array of distances."""
         kind, length = self.kind, np.asarray(length, dtype=float)
+        channel_mod.check_lengths(length)
         if kind in ("swap", "swap-fg"):
             # two identical links of length L/2; Charlie measures the lossy
             # modes, so alpha is the retained (lossless) block of each link
-            beta, alpha, gamma = self._params(length / 2.0, self.geometry)
+            beta, alpha, gamma = channel_mod.tmst_params(
+                self.mu, length / 2.0, self.n_th, self.eta_ant, self.r, self.n, "asym")
             if kind == "swap":
                 return fidelity_swapped(alpha, beta, gamma)
             gain = 1.0 / self.inv_gain
             a_t, g_t = swapped_finite_gain_params(alpha, beta, gamma, gain)
             return fidelity_finite_gain(a_t, a_t, g_t, gain, self.theta)
-        alpha, beta, gamma = self._params(length, self.geometry)
+        alpha, beta, gamma = channel_mod.tmst_params(
+            self.mu, length, self.n_th, self.eta_ant, self.r, self.n, self.geometry)
         if kind.startswith("2ps-prob"):
             # g of ps2_gaussian is h at the subtracted triple
             tilde = distill.ps2_standard_form(alpha, beta, gamma, self.tau)[:3]
@@ -276,26 +277,30 @@ class TeleportResource:
                                        k, den)
 
     def classical_limit_distance(self):
-        """Distance (m) where the fidelity crosses 1/2.
+        """Distance (m) where the fidelity first crosses 1/2.
 
         Gaussian kinds solve their closed-form condition, a polynomial of
         degree at most 4 in the channel transmission t. The 2PS kinds, and
-        the finite-gain kinds at theta != 0, have none: an Illinois solve
-        brackets their root on [0, MAX_DISTANCE] to ROOT_XTOL. Returns 0 when
-        the fidelity at the source is at most 1/2; raises ValueError when
-        mu = 0 or the root lies beyond MAX_DISTANCE.
+        the finite-gain kinds at theta != 0, have none: Illinois narrows the
+        first cell of ROOT_GRID where the fidelity falls to 1/2 to ROOT_XTOL.
+        Returns 0 when the fidelity at the source is at most 1/2; raises
+        ValueError when mu = 0 or the root lies beyond MAX_DISTANCE.
         """
-        at_source = self.fidelity(0.0) - CLASSICAL_FIDELITY
-        if at_source <= 0.0:
+        numeric = self.kind.startswith("2ps") or (self.kind.endswith("-fg")
+                                                  and self.theta != 0.0)
+        excess = self.fidelity(ROOT_GRID if numeric else 0.0) - CLASSICAL_FIDELITY
+        if np.ravel(excess)[0] <= 0.0:  # at the source
             return 0.0
         channel_mod.require_attenuation(self.mu)
-        if self.kind.startswith("2ps") or (self.kind.endswith("-fg")
-                                           and self.theta != 0.0):
-            at_max = self.fidelity(MAX_DISTANCE) - CLASSICAL_FIDELITY
-            if at_max > 0.0:
+        if numeric:
+            if not np.isfinite(excess).all():
+                raise ValueError("non-finite fidelity on the bracketing grid")
+            i = np.argmax(excess <= 0.0)  # the first cell that crosses
+            if i == 0:
                 raise ValueError(BEYOND_MAX)
             return illinois(lambda ll: self.fidelity(ll) - CLASSICAL_FIDELITY,
-                            0.0, MAX_DISTANCE, at_source, at_max, ROOT_XTOL)
+                            ROOT_GRID[i - 1], ROOT_GRID[i], excess[i - 1], excess[i],
+                            ROOT_XTOL)
         length = channel_mod.root_distance(self._half_fidelity_poly(), self.mu)
         if length is None or length > MAX_DISTANCE:
             raise ValueError(BEYOND_MAX)

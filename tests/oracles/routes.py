@@ -8,6 +8,7 @@ from cvmw.core import (GaussianState, apply, beam_splitter, omega, partial_trace
                        thermal, tmst)
 from cvmw.entanglement import BipartiteCM
 from cvmw.illumination import eta_eff as qi_eta_eff, qi_probe
+from cvmw.teleport import BEYOND_MAX, MAX_DISTANCE, ROOT_XTOL, illinois
 
 
 def lossy_tmst_constructive(ch, r, n, geometry="asym"):
@@ -74,3 +75,16 @@ def two_mode_symplectic_eigenvalues(sigma):
     root = np.sqrt(max(tr_a2 ** 2 - 16.0 * np.linalg.det(sigma), 0.0))
     return np.array([np.sqrt(max((tr_a2 - root) / 4.0, 0.0)),
                      np.sqrt((tr_a2 + root) / 4.0)])
+
+
+def classical_limit_full_bracket(resource):
+    """A numeric classical-limit distance by Illinois over all of
+    [0, MAX_DISTANCE], from scalar fidelities at both ends: 0 when the
+    source fidelity is at most 1/2, ValueError when the far end is above."""
+    excess = lambda length: resource.fidelity(length) - 0.5
+    at_source, at_max = excess(0.0), excess(MAX_DISTANCE)
+    if at_source <= 0.0:
+        return 0.0
+    if at_max > 0.0:
+        raise ValueError(BEYOND_MAX)
+    return illinois(excess, 0.0, MAX_DISTANCE, at_source, at_max, ROOT_XTOL)

@@ -92,6 +92,16 @@ class TestAttenuation:
         with pytest.raises(RuntimeError, match="failed to converge"):
             eta_env_inhomogeneous(mu_fn, lambda x: 1.0, 1000.0)
 
+    def test_inhomogeneous_builds_each_rule_once(self, monkeypatch):
+        mu_fn = lambda x: 2e-3 * (1.0 + np.sin(x / 5.0) ** 2)
+        n_fn = lambda x: 300.0 + 200.0 * np.cos(x / 3.0)
+        first = eta_env_inhomogeneous(mu_fn, n_fn, 1000.0)
+
+        def rebuilt(order):
+            raise AssertionError("Gauss-Legendre rule of order %d rebuilt" % order)
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", rebuilt)
+        assert eta_env_inhomogeneous(mu_fn, n_fn, 1000.0) == first
+
 
 class TestLossyTmst:
     def test_zero_distance_is_source_state(self):

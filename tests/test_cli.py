@@ -244,6 +244,8 @@ class TestParameterTable:
         (["illum", "--sweep", "n_th", "0", "1", "3"], 2, "n_th_bath = 0"),
         (["negativity", "--sweep", "r", "-1", "1", "3"], 2, "r = -1"),
         (["satellite", "--set", "w0=0"], 2, "w0 = 0"),
+        (["channel", "--set", "r"], 1, "--set expects key=value, got 'r'"),
+        (["channel", "--set", "r=abc"], 1, "'abc' is not a number"),
     ])
     def test_rejected_without_output(self, argv, code, message, capsys):
         assert cli.main(argv) == code
@@ -327,6 +329,21 @@ class TestDeterminism:
         _, serial, _ = run_cli(*args)
         _, parallel, _ = run_cli(*args, "--jobs", "3")
         assert serial == parallel
+
+    @pytest.mark.parametrize("name", list(cli.COMMANDS))
+    def test_default_csv_matches_a_per_cell_format(self, name, monkeypatch, capsys):
+        """The format of each column comes from its type; formatting every
+        cell by its own type gives the same bytes."""
+        tables, text = [], cli._table_text
+        monkeypatch.setattr(cli, "_table_text", lambda args, note, columns: (
+            tables.append(columns) or text(args, note, columns)))
+        assert cli.main([name]) == 0
+        columns = [col.tolist() if isinstance(col, np.ndarray) else col
+                   for col in tables[0].values()]
+        expected = ",".join(tables[0]) + "\n" + "".join(
+            ",".join("%.17g" % v if isinstance(v, float) else "%s" % v for v in row)
+            + "\n" for row in zip(*columns))
+        assert capsys.readouterr().out == expected
 
 
 class TestTeleportCommand:

@@ -28,6 +28,11 @@ class TestOmega:
         assert np.all(w[:2, 2:] == 0.0) and np.all(w[2:, :2] == 0.0)
         np.testing.assert_allclose(w[2:, 2:], omega(1))
 
+    def test_built_once_and_read_only(self):
+        assert omega(3) is omega(3)
+        with pytest.raises(ValueError, match="read-only"):
+            omega(3)[0, 0] = 1.0
+
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_squares_to_minus_identity(self, n):
         w = omega(n)
@@ -304,6 +309,24 @@ class TestValidationAndSerialization:
         with pytest.raises(PhysicalityError):
             GaussianState(np.zeros(2), sigma)
         GaussianState(np.zeros(2), sigma, check=False)  # no raise
+
+    def test_validated_state_is_read_only(self):
+        state = GaussianState([0.1, 0.0, 0.0, 0.2], tmst(0.5, 0.1).sigma)
+        for arr in (state.sigma, state.d, state.symplectic_eigenvalues()):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 2.0
+        np.testing.assert_array_equal(state.symplectic_eigenvalues(),
+                                      symplectic_eigenvalues(state.sigma))
+        copy = state.copy()
+        copy.sigma[0, 0] = 2.0  # a copy is unchecked and writable
+        assert state.sigma[0, 0] != 2.0
+
+    def test_unchecked_state_stays_writable_until_validated(self):
+        state = tmst(0.5, 0.1)
+        state.sigma[0, 1] = 0.0
+        state.validate()
+        with pytest.raises(ValueError, match="read-only"):
+            state.sigma[0, 1] = 0.0
 
     def test_json_roundtrip(self):
         st = tmst(0.7, 0.2)

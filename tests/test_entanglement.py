@@ -143,3 +143,18 @@ class TestBipartiteCM:
     def test_unphysical_assembly_rejected(self):
         with pytest.raises(core.PhysicalityError):
             BipartiteCM.standard_form(1.0, 1.0, 0.9)
+
+    def test_checked_cm_keeps_its_validated_state(self):
+        cm = BipartiteCM.from_state(core.tmst(0.5, 0.1))
+        state = cm.to_state()
+        assert cm.to_state() is state
+        np.testing.assert_array_equal(state.sigma, cm.matrix)
+        for block in (cm.sigma_a, cm.sigma_b, cm.eps, state.sigma):
+            with pytest.raises(ValueError, match="read-only"):
+                block[0, 0] = 1.0
+
+    def test_unchecked_cm_validates_in_to_state(self):
+        cm = BipartiteCM.standard_form(1.0, 1.0, 0.9, check=False)
+        cm.sigma_a[0, 0] = 1.0  # writable
+        with pytest.raises(core.PhysicalityError):
+            cm.to_state()

@@ -25,6 +25,8 @@ CHECKS = {
         "success_probability_series": {"cvmw.distill.PsTmsv.success_probability",
                                        "cvmw.distill.hyp2f1_k"},
         "two_mode_symplectic_eigenvalues": {"cvmw.core.symplectic_eigenvalues"},
+        "classical_limit_full_bracket": {
+            "cvmw.teleport.TeleportResource.classical_limit_distance"},
     },
     "finite_difference.py": {
         "jet": {"cvmw.illumination.received_family",

@@ -5,11 +5,12 @@ import pytest
 
 from cvmw import channel, core, distill
 from cvmw.entanglement import BipartiteCM, negativity, pts_eigenvalues
-from cvmw.teleport import (TeleportResource, fidelity_2ps_general,
+from cvmw.teleport import (ROOT_XTOL, TeleportResource, fidelity_2ps_general,
                            fidelity_concatenated, fidelity_finite_gain,
                            fidelity_gaussian, fidelity_heuristic,
                            fidelity_ps_tmsv, fidelity_swapped, gamma_of,
                            regaussify, swapped_finite_gain_params)
+from tests.oracles.routes import classical_limit_full_bracket
 
 TABLE1 = dict(channel.TABLE1)
 
@@ -384,6 +385,55 @@ class TestNumericRoots:
 
         with pytest.raises(ValueError, match="non-finite"):
             illinois(lambda x: float("nan"), 0.0, 1.0, 1.0, -1.0, 0.01)
+
+
+def bench_link_draws(count, seed):
+    """Seeded link parameters over the ranges the solve benchmark draws."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield dict(mu=TABLE1["mu"] * rng.uniform(0.9, 1.1),
+                   n_th=rng.uniform(1000.0, 1300.0), r=rng.uniform(0.8, 1.2),
+                   n=rng.uniform(0.005, 0.02), tau=rng.uniform(0.9, 0.97),
+                   eta_ant=rng.uniform(0.0, 2e-5))
+
+
+class TestGridBracket:
+    @pytest.mark.parametrize("kind", ["2ps-prob-asym", "2ps-prob-sym",
+                                      "2ps-heur-asym", "2ps-heur-sym"])
+    def test_matches_the_full_bracket_root(self, kind):
+        for p in [{}] + list(bench_link_draws(10, seed=14)):
+            res = resource(kind, **p)
+            length = res.classical_limit_distance()
+            assert length == pytest.approx(classical_limit_full_bracket(res),
+                                           abs=ROOT_XTOL)
+            assert abs(res.fidelity(length) - 0.5) <= 1e-4
+
+    def test_returns_the_first_crossing(self):
+        class Oscillating(TeleportResource):
+            def fidelity(self, length):
+                return 0.5 + 0.1 * np.cos(np.asarray(length) / 500.0)
+
+        # 1/2 is crossed at 250 pi, 750 pi and 1250 pi m
+        length = Oscillating("2ps-prob-asym", 1.0, 0.01, 1e-6,
+                             1250.0).classical_limit_distance()
+        assert length == pytest.approx(250.0 * np.pi, abs=ROOT_XTOL)
+
+    @pytest.mark.parametrize("kind", TeleportResource.KINDS)
+    def test_bad_distance_raises(self, kind):
+        res = resource(kind, inv_gain=0.008)
+        for length, message in ((float("nan"), "must be finite"),
+                                (-1.0, "invalid channel"),
+                                (np.array([10.0, np.inf]), "must be finite")):
+            with pytest.raises(ValueError, match=message):
+                res.fidelity(length)
+
+    def test_channel_checked_at_construction(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            resource("2ps-prob-asym", mu=float("nan"))
+        with pytest.raises(ValueError, match="invalid channel"):
+            resource("2ps-prob-asym", eta_ant=1.5)
+        with pytest.raises(AttributeError):
+            resource("2ps-prob-asym").mu = -1.0
 
 
 class TestArrayFidelity:
