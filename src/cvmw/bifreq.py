@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianState, SIGMA_Z, apply, beam_splitter, partial_trace
+from .core import GaussianState, SIGMA_Z, all_true, any_true
 from .entanglement import BipartiteCM
 from .estimation import (GaussianFamily, QuadraticObservable, gaussian_qfi,
                          optimal_observable)
@@ -28,7 +28,7 @@ class BifreqParams:
     n_r is the squeezing-photon parameter appearing in every closed form
     of this module (received-state entries, enhancement-ratio limits,
     observable coefficients); the probe itself carries sinh^2(r) = 2 n_r
-    squeezing photons per mode under this normalization.
+    squeezing photons per mode under this normalization. Fields may be arrays.
     """
     eta1: float        # reference reflectivity
     lam: float = 0.0   # reflectivity difference eta2 - eta1
@@ -37,9 +37,11 @@ class BifreqParams:
     n_th: float = 0.0  # environment photons per frequency
 
     def __post_init__(self):
-        if not 0.0 <= self.eta1 <= 1.0 or not 0.0 <= self.eta1 + self.lam <= 1.0:
+        eta2 = self.eta1 + self.lam
+        if not all_true((0.0 <= self.eta1) & (self.eta1 <= 1.0)
+                        & (0.0 <= eta2) & (eta2 <= 1.0)):
             raise ValueError("reflectivities must lie in [0, 1]")
-        if min(self.n_r, self.n, self.n_th) < 0.0:
+        if any_true((self.n_r < 0.0) | (self.n < 0.0) | (self.n_th < 0.0)):
             raise ValueError("photon numbers must be non-negative")
 
     @property
@@ -80,16 +82,27 @@ def bifreq_probe(params):
     return GaussianState(np.zeros(8), sigma)
 
 
-def bifreq_received(params):
-    """Received two-mode covariance matrix, built constructively.
+def _probe_terms(params):
+    """The probe's signal variance S and correlation C, and the bath's T."""
+    scale = 1.0 + 2.0 * params.n
+    s = scale * (1.0 + 4.0 * params.n_r)
+    c = 2.0 * scale * np.sqrt(2.0 * params.n_r * (1.0 + 2.0 * params.n_r))
+    return s, c, 1.0 + 2.0 * params.n_th
 
-    Each (bath, signal) pair passes its own beam splitter; the reflected
-    signal outputs are kept (rows/columns of the bath outputs removed).
-    """
-    probe = bifreq_probe(params)
-    out = apply(probe, beam_splitter(params.eta1), on=(0, 1))
-    out = apply(out, beam_splitter(params.eta1 + params.lam), on=(2, 3))
-    return BipartiteCM.from_state(partial_trace(out, keep=(1, 3)))
+
+def received_params(params):
+    """Standard-form triple of the received state, elementwise: alpha =
+    eta1 S + (1 - eta1) T, beta = eta2 S + (1 - eta2) T and gamma =
+    sqrt(eta1 eta2) C, with S, C and T as in received_family."""
+    s, c, t = _probe_terms(params)
+    eta1, eta2 = params.eta1, params.eta1 + params.lam
+    return (eta1 * s + (1.0 - eta1) * t, eta2 * s + (1.0 - eta2) * t,
+            np.sqrt(eta1 * eta2) * c)
+
+
+def bifreq_received(params):
+    """Received two-mode covariance matrix (received_params), validated."""
+    return BipartiteCM.standard_form(*received_params(params))
 
 
 def received_family(params):
@@ -101,9 +114,7 @@ def received_family(params):
     are the probe's signal variance and correlation and T = 1 + 2 n_th.
     """
     eta1, eta2 = params.eta1, params.eta1 + params.lam
-    scale = 1.0 + 2.0 * params.n
-    s = scale * (1.0 + 4.0 * params.n_r)
-    c = 2.0 * scale * np.sqrt(2.0 * params.n_r * (1.0 + 2.0 * params.n_r))
+    s, c, _ = _probe_terms(params)
     # d sqrt(eta1 eta2) C / d eta2: zero without correlations, unbounded at eta2 = 0
     if eta2 == 0.0 and eta1 * c > 0.0:
         raise ValueError("the quantum-probe QFI diverges at eta1 + lam = 0")
@@ -134,22 +145,22 @@ def classical_received_family(params):
 
 
 def h_c_bifreq(params):
-    """Coherent-probe QFI at lambda -> 0, closed form.
+    """Coherent-probe QFI at lambda -> 0, closed form, elementwise.
 
     The thermal term vanishes in the n_th -> 0 limit and diverges at
     eta1 = 1 when n_th > 0 (ValueError).
     """
     eta1, n_th = params.eta1, params.n_th
-    if eta1 <= 0.0:
+    if any_true(eta1 <= 0.0):
         raise ValueError("eta1 must be positive for the coherent probe")
     tau1 = 1.0 - eta1
     dd = 1.0 + 2.0 * n_th * tau1
-    thermal_term = 0.0
-    if n_th > 0.0:
-        if dd ** 4 == 1.0:
-            raise ValueError("the coherent-probe QFI diverges at eta1 = 1 "
-                             "with thermal noise (n_th > 0)")
-        thermal_term = 4.0 * n_th ** 2 * (dd ** 2 + 1.0) / (dd ** 4 - 1.0)
+    if any_true((n_th > 0.0) & (dd ** 4 == 1.0)):
+        raise ValueError("the coherent-probe QFI diverges at eta1 = 1 "
+                         "with thermal noise (n_th > 0)")
+    # without thermal noise the numerator is 0 and dd = 1: divide by 1 instead
+    thermal_term = (4.0 * n_th ** 2 * (dd ** 2 + 1.0)
+                    / np.where(n_th > 0.0, dd ** 4 - 1.0, 1.0))
     return thermal_term + params.n_s / (eta1 * dd)
 
 
@@ -205,17 +216,18 @@ def _helpers(eta1, n_s, n_th):
 
 
 def optimal_coeffs(params):
-    """Coefficients of the optimal observable at lambda -> 0, closed form.
+    """Coefficients of the optimal observable at lambda -> 0, closed form,
+    elementwise over arrays.
 
     l0 is fixed by the unbiasedness condition <O> = 0 at the operating
     point (the observable carries lambda * identity on top of SLD / H).
     """
     eta1, n_s, n_th = params.eta1, params.n_s, params.n_th
-    if n_s <= 0.0 or n_th <= 0.0:
+    if any_true((n_s <= 0.0) | (n_th <= 0.0)):
         raise ValueError("closed-form coefficients need n_s > 0 and n_th > 0")
     a, b, c, d = _helpers(eta1, n_s, n_th)
     den = a - b + c - d
-    if abs(den) < 1e-30:
+    if any_true(abs(den) < 1e-30):
         raise ValueError("singular parameters: coefficient denominator vanishes")
     l11 = -2.0 * eta1 * n_s * (2.0 * n_s + 1.0) * (2.0 * n_th + 1.0) / (-den)
     l22 = (4.0 * eta1 * (2.0 * eta1 - 1.0) * n_s ** 2 * (2.0 * n_th + 1.0)
@@ -228,13 +240,11 @@ def optimal_coeffs(params):
         eta1 ** 2 * (n_s * (4.0 * n_th + 2.0) - n_th ** 2)
         + n_th * (n_th + 1.0)) / den
     # unbiasedness at lambda = 0 pins the constant: the received moments are
-    # <n_1> = <n_2> and <a1 a2> real, both read off the received CM
-    cm = bifreq_received(BifreqParams(eta1, 0.0, params.n_r, params.n, n_th))
-    occ1 = (np.trace(cm.sigma_a) / 2.0 - 1.0) / 2.0
-    occ2 = (np.trace(cm.sigma_b) / 2.0 - 1.0) / 2.0
-    cross = (cm.eps[0, 0] - cm.eps[1, 1]) / 4.0
-    l0 = -(l11 * occ1 + l22 * occ2 + 2.0 * l12 * cross)
-    return ObservableCoeffs(float(l11), float(l22), float(l12), float(l0))
+    # <n_1> = <n_2> = (alpha - 1) / 2 and <a1 a2> = gamma / 2
+    alpha, _, gamma = received_params(BifreqParams(eta1, 0.0, params.n_r, params.n, n_th))
+    occ = (alpha - 1.0) / 2.0
+    l0 = -(l11 * occ + l22 * occ + l12 * gamma)
+    return ObservableCoeffs(l11, l22, l12, l0)
 
 
 def coeffs_high_reflectivity(n_s, n_th):

@@ -55,6 +55,7 @@ def check_lengths(length):
 
 @dataclass
 class LinkGeometry:
+    """Free-space link; the fields may be arrays that broadcast."""
     nu: float        # carrier frequency (Hz)
     d: float         # link distance (m)
     a: float         # parabolic aperture diameter (m)
@@ -66,9 +67,10 @@ class LinkGeometry:
     def __post_init__(self):
         if self.r0 is None:
             self.r0 = self.d
-        if min(self.nu, self.d, self.a, self.e_a, self.w0, self.a_r) <= 0:
+        if any(any_true(v <= 0) for v in (self.nu, self.d, self.a, self.e_a,
+                                          self.w0, self.a_r)):
             raise ValueError("geometry parameters must be positive")
-        if self.e_a > 1.0:
+        if any_true(self.e_a > 1.0):
             raise ValueError("aperture efficiency cannot exceed 1")
 
     @property
@@ -320,8 +322,8 @@ def hemt_amplify(cm, g, n_h, modes=(0,)):
 
 
 def fspl(nu, d):
-    """Free-space path loss: ((4 pi d nu / c)^2, value in dB)."""
-    if nu <= 0 or d <= 0:
+    """Free-space path loss: ((4 pi d nu / c)^2, value in dB), elementwise."""
+    if any_true((nu <= 0) | (d <= 0)):
         raise ValueError("frequency and distance must be positive")
     amp = 4.0 * np.pi * d * nu / LIGHT_SPEED
     return amp ** 2, 20.0 * np.log10(amp)

@@ -67,26 +67,17 @@ def _report(args, note, **body):
 
 
 def _table_text(args, note, columns):
-    """CSV or JSON text of a table given as {name: array or list}.
-
-    CSV cells hold 17 significant digits for floats; no cell needs quoting.
-    """
+    """CSV or JSON text of {name: array or scalar}, broadcast to one length;
+    floats keep 17 significant digits, and no CSV cell needs quoting."""
     names = list(columns)
-    data = [col.tolist() if isinstance(col, np.ndarray) else col
-            for col in columns.values()]
+    arrays = np.broadcast_arrays(*map(np.atleast_1d, columns.values()))
+    data = [col.tolist() for col in arrays]
     if args.format == "json":
         rows = [dict(zip(names, row)) for row in zip(*data)]
         report = _report(args, note, columns=names, rows=rows)
-        return json.dumps(report, indent=2, default=float) + "\n"
-    specs = []
-    for i, (col, given) in enumerate(zip(data, columns.values())):
-        if (getattr(given, "dtype", None) == float  # a float array: no scan
-                or all(isinstance(v, float) for v in col)):
-            specs.append("%.17g")
-        else:
-            specs.append("%s")
-            data[i] = ["%.17g" % v if isinstance(v, float) else v for v in col]
-    line = ",".join(specs) + "\n"
+        return json.dumps(report, indent=2) + "\n"
+    line = ",".join("%.17g" if col.dtype.kind == "f" else "%s"
+                    for col in arrays) + "\n"
     return ",".join(names) + "\n" + "".join([line % row for row in zip(*data)])
 
 
@@ -156,63 +147,55 @@ def _resolve_params(args, usage_error):
     return params
 
 
-# -- row functions: the parameters, the swept value already set ------------
+# -- table functions: the parameters, the swept one set to its grid ---------
+#
+# Each table is one array call over the grid and returns its columns; a
+# column that does not vary is a scalar, broadcast when the table is written.
+# A point that fails raises, and the command exits 2.
 
-def _negativity_row(x):
-    r, tau = x["r"], x["tau"]
-    row = {"r": r, "ok": int(r > 0.0)}
-    if r <= 0.0:
-        return dict(row, **dict.fromkeys(("n_tmsv", "dn_2ps_heur", "dn_2ps_prob",
-                                          "dn_4ps_heur", "dn_4ps_prob", "p2",
-                                          "p4"), float("nan")))
-    lam = np.tanh(r)
+def _negativity_table(x):
+    r, lam = x["r"], np.tanh(x["r"])
     # PsTmsv rejects tanh r = 1 before tmsv_negativity divides by zero
-    ps2, ps4 = distill.PsTmsv(lam, tau, 1), distill.PsTmsv(lam, tau, 2)
+    ps2, ps4 = distill.PsTmsv(lam, x["tau"], 1), distill.PsTmsv(lam, x["tau"], 2)
     base = distill.tmsv_negativity(lam)
-    return dict(row, n_tmsv=base,
-                dn_2ps_heur=distill.heuristic_negativity(lam, 1) - base,
-                dn_2ps_prob=ps2.negativity() - base,
-                dn_4ps_heur=distill.heuristic_negativity(lam, 2) - base,
-                dn_4ps_prob=ps4.negativity() - base,
-                p2=ps2.success_probability(), p4=ps4.success_probability())
+    columns = dict(n_tmsv=base,
+                   dn_2ps_heur=distill.heuristic_negativity(lam, 1) - base,
+                   dn_2ps_prob=ps2.negativity() - base,
+                   dn_4ps_heur=distill.heuristic_negativity(lam, 2) - base,
+                   dn_4ps_prob=ps4.negativity() - base,
+                   p2=ps2.success_probability(), p4=ps4.success_probability())
+    ok = r > 0.0  # no squeezing, nothing to distill: ok = 0 and NaN cells
+    return dict({"r": r, "ok": np.where(ok, 1, 0)},
+                **{name: np.where(ok, col, np.nan) for name, col in columns.items()})
 
 
-def _illum_row(x):
-    n_s, n_th, gamma = x["n_s"], x["n_th_bath"], x["gamma"]
-    p = illumination.QiParams(n_s, n_th, gamma, 0.0)
-    nu_minus = illumination.probe_nu_minus(n_s, n_th)
-    return {"n_s": n_s, "n_th": n_th, "gamma": gamma,
+def _illum_table(x):
+    p = illumination.QiParams(x["n_s"], x["n_th_bath"], x["gamma"], 0.0)
+    nu_minus = illumination.probe_nu_minus(p.n_s, p.n_th)
+    return {"n_s": p.n_s, "n_th": p.n_th, "gamma": p.gamma,
             "h_c": illumination.h_c(p), "gain": illumination.gain(p),
-            "h_q": illumination.h_q(p),
-            "nu_minus": nu_minus, "log_neg": (max(0.0, -np.log2(nu_minus))
-                                              if nu_minus > 0 else float("inf"))}
+            "h_q": illumination.h_q(p), "nu_minus": nu_minus,
+            "log_neg": entanglement.log_negativity_from_nu(nu_minus)}
 
 
-def _bifreq_row(x):
+def _bifreq_table(x):
     p = bifreq.BifreqParams(x["eta1"], 0.0, x["n_s"], x["n_signal"], x["n_th_bath"])
-    row = {"eta1": x["eta1"], "n_s": p.n_s, "n_th": x["n_th_bath"],
-           "h_c": bifreq.h_c_bifreq(p)}
-    try:
-        row["h_q"] = bifreq.h_q_bifreq(p)
-        row["ratio"] = row["h_q"] / row["h_c"]
-    except (ValueError, RuntimeError):  # boundary, RegularizationError, LinAlgError
-        row["h_q"] = row["ratio"] = float("nan")
-    try:
-        coeffs = bifreq.optimal_coeffs(p)
-        row.update({"l11": coeffs.l11, "l22": coeffs.l22,
-                    "l12": coeffs.l12, "l0": coeffs.l0})
-        row["qcrb_gap"] = bifreq.variance_formula(p) * row["h_q"] - 1.0
-    except ValueError:
-        row.update(dict.fromkeys(("l11", "l22", "l12", "l0", "qcrb_gap"),
-                                 float("nan")))
-    return row
+    h_c = bifreq.h_c_bifreq(p)
+    # the Monras solve acts on one state: one h_q_bifreq call per point
+    h_q = np.array([bifreq.h_q_bifreq(bifreq.BifreqParams(*point)) for point
+                    in np.broadcast(p.eta1, 0.0, p.n_r, p.n, p.n_th)])
+    coeffs = bifreq.optimal_coeffs(p)
+    return {"eta1": p.eta1, "n_s": p.n_s, "n_th": p.n_th, "h_c": h_c,
+            "h_q": h_q, "ratio": h_q / h_c, "l11": coeffs.l11, "l22": coeffs.l22,
+            "l12": coeffs.l12, "l0": coeffs.l0,
+            "qcrb_gap": bifreq.variance_formula(p) * h_q - 1.0}
 
 
-def _satellite_row(x):
-    d, nu, w0 = x["d"], x["nu"], x["w0"]
-    geom = channel.LinkGeometry(nu=nu, d=d, a=2.0 * w0, e_a=1.0,
+def _satellite_table(x):
+    d, w0 = x["d"], x["w0"]
+    geom = channel.LinkGeometry(nu=x["nu"], d=d, a=2.0 * w0, e_a=1.0,
                                 w0=w0, a_r=x["a_r"], r0=d)
-    return {"d": d, "fspl_db": channel.fspl(nu, d)[1],
+    return {"d": d, "fspl_db": channel.fspl(x["nu"], d)[1],
             "tau_path": channel.tau_path(geom),
             "tau_diff": channel.tau_diffraction(geom)}
 
@@ -230,7 +213,7 @@ QFI_FAMILIES = {
 }
 
 
-def _qfi_row(x):
+def _qfi_table(x):
     if x["family"].startswith("illum"):
         p = illumination.QiParams(x["n_s"], x["n_th_bath"], x["gamma"], 1e-4)
     else:
@@ -241,18 +224,13 @@ def _qfi_row(x):
             "h_closed": closed}
 
 
-# -- table functions: the parameters and the sweep (None: one row) ----------
-#
-# The L sweeps are computed in one array call over the grid; the other
-# subcommands go through _per_point, one row function call per point.
-
 def _link_params(x, length, geometry):
     ch = channel.AirChannel(x["mu"], length, x["n_th"], x["eta_ant"])
     return channel.lossy_tmst_params(ch, x["r"], x["n"], geometry)
 
 
-def _teleport_table(x, spec):
-    L = spec.values()
+def _teleport_table(x):
+    L = x["L"]
     link = (x["r"], x["n"], x["mu"], x["n_th"], x["eta_ant"])
     resource = teleport.TeleportResource(x["resource"], *link, x["tau"],
                                          x["inv_gain"])
@@ -261,10 +239,9 @@ def _teleport_table(x, spec):
     return {"L": L, "fidelity": f, "fidelity_bare": fb, "gain": f - fb}
 
 
-def _distill_table(x, spec):
-    L = spec.values()
+def _distill_table(x):
     geometry = x["geometry"]
-    bare = _link_params(x, L, geometry)
+    bare = _link_params(x, x["L"], geometry)
     *tilde, prob = distill.ps2_standard_form(*bare, x["tau"])
     nu_bare = entanglement.nu_minus_standard(*bare)
     # g of ps2_gaussian is h at the subtracted triple
@@ -272,7 +249,7 @@ def _distill_table(x, spec):
               *triple, distill.heuristic_correction(*triple), geometry)
           for tag, triple in (("prob", tilde), ("heur", bare))}
     nu = {tag: entanglement.nu_minus_standard(*triple) for tag, triple in rg.items()}
-    return {"L": L, "e_n_bare": entanglement.log_negativity_from_nu(nu_bare),
+    return {"L": x["L"], "e_n_bare": entanglement.log_negativity_from_nu(nu_bare),
             "n_bare": entanglement.negativity_from_nu(nu_bare), "p2": prob,
             "n_prob": entanglement.negativity_from_nu(nu["prob"]),
             "n_heur": entanglement.negativity_from_nu(nu["heur"]),
@@ -282,24 +259,22 @@ def _distill_table(x, spec):
             "theta_heur": entanglement.cm_validity(*rg["heur"])[0]}
 
 
-def _swap_table(x, spec):
-    L = spec.values()
+def _swap_table(x):
     # Charlie measures the lossy modes: alpha is the retained block of a link
-    beta, alpha, gamma = _link_params(x, L / 2.0, "asym")
+    beta, alpha, gamma = _link_params(x, x["L"] / 2.0, "asym")
     alpha_t, gamma_t = distill.swap_symmetric(alpha, beta, gamma)
     nu = entanglement.nu_minus_standard(alpha_t, alpha_t, gamma_t)
     theta, valid = entanglement.cm_validity(alpha_t, alpha_t, gamma_t)
-    return {"L": L, "alpha": alpha, "beta": beta, "gamma": gamma,
+    return {"L": x["L"], "alpha": alpha, "beta": beta, "gamma": gamma,
             "alpha_swap": alpha_t, "gamma_swap": gamma_t, "nu_minus": nu,
             "negativity": entanglement.negativity_from_nu(nu),
             "fidelity": teleport.fidelity_swapped(alpha, beta, gamma),
             "theta": theta, "valid": valid.astype(int)}
 
 
-def _channel_table(x, spec):
-    L = spec.values()
-    ch = channel.AirChannel(x["mu"], L, x["n_th"], x["eta_ant"])
-    columns = {"L": L}
+def _channel_table(x):
+    ch = channel.AirChannel(x["mu"], x["L"], x["n_th"], x["eta_ant"])
+    columns = {"L": x["L"]}
     for geometry in ("asym", "sym"):
         nu = entanglement.nu_minus_standard(
             *channel.lossy_tmst_params(ch, x["r"], x["n"], geometry))
@@ -309,16 +284,6 @@ def _channel_table(x, spec):
     return columns
 
 
-def _per_point(row):
-    """Table function that calls row once per point of the sweep."""
-    def table(x, spec):
-        points = ([x] if spec is None else
-                  [dict(x, **{spec.variable: v}) for v in spec.values()])
-        rows = [row(point) for point in points]
-        return {name: [r[name] for r in rows] for name in rows[0]}
-    return table
-
-
 # -- the subcommand table ----------------------------------------------------
 
 # name -> table function, sweep variable -> the parameter it sets, default
@@ -326,17 +291,17 @@ def _per_point(row):
 # and {args}.
 COMMANDS = {
     "negativity": dict(
-        table=_per_point(_negativity_row),
+        table=_negativity_table,
         sweeps={"r": "r"}, default=SweepSpec("r", 0.0, 1.5, 61),
         note="negativity of photon-subtracted vs bare two-mode squeezed "
              "vacuum, with success probabilities"),
     "illum": dict(
-        table=_per_point(_illum_row),
+        table=_illum_table,
         sweeps={"n_s": "n_s", "n_th": "n_th_bath", "gamma": "gamma"},
         default=SweepSpec("n_s", 0.01, 5.0, 100),
         note="illumination gain and Fisher informations vs {var}"),
     "bifreq": dict(
-        table=_per_point(_bifreq_row),
+        table=_bifreq_table,
         sweeps={"eta1": "eta1", "n_s": "n_s", "n": "n_signal", "n_th": "n_th_bath"},
         default=SweepSpec("n_s", 0.2, 5.0, 25),
         note="bi-frequency enhancement ratio and observable coefficients "
@@ -350,11 +315,11 @@ COMMANDS = {
         sweeps={"L": "L"}, default=SweepSpec("L", 0.0, 600.0, 121),
         note="distributed-state entanglement vs distance"),
     "satellite": dict(
-        table=_per_point(_satellite_row),
+        table=_satellite_table,
         sweeps={"d": "d"}, default=SweepSpec("d", 10.0, 1e7, 61, log=True),
         note="free-space path loss and diffraction transmissivity vs distance"),
     "qfi": dict(
-        table=_per_point(_qfi_row),
+        table=_qfi_table,
         sweeps={}, default=None,
         note="quantum Fisher information of the selected family"),
     "teleport": dict(
@@ -378,14 +343,16 @@ def _cmd_table(args):
         _, start, stop, count = args.sweep
         spec = SweepSpec(entry["sweeps"][var], float(start), float(stop),
                          int(float(count)), log=args.log)
-    if spec and spec.variable in PARAMS:  # a monotone grid: its ends bound it
-        _check(spec.variable, spec.start)
-        _check(spec.variable, spec.stop)
     x = dict(args.params)
+    if spec:
+        if spec.variable in PARAMS:  # a monotone grid: its ends bound it
+            _check(spec.variable, spec.start)
+            _check(spec.variable, spec.stop)
+        x[spec.variable] = spec.values()
     if args.command in OPTIONS:
         dest = OPTIONS[args.command][0]
         x[dest] = getattr(args, dest)
-    columns = entry["table"](x, spec)
+    columns = entry["table"](x)
     note = entry["note"].format(var=var, args=args)
     _write(_table_text(args, note, columns), args)
     return 0
@@ -443,7 +410,7 @@ def _anchors(p):
     add("classical_limit_fg_sym_m", limit("tmst-sym-fg"), 429.0, 1.0)
     add("classical_limit_fg_swap_m", limit("swap-fg"), 416.0, 1.0)
     # row 0 of a distill sweep from L = 0 is the source
-    at_source = _distill_table(dict(p, geometry="sym"), SweepSpec("L", 0.0, 1.0, 2))
+    at_source = _distill_table(dict(p, geometry="sym", L=np.zeros(1)))
     n_bare = at_source["n_bare"][0]
     for name, tag, target in (("heuristic", "heur", 46.0),
                               ("probabilistic", "prob", 28.0)):

@@ -28,6 +28,11 @@ def any_true(mask):
     return mask.any() if isinstance(mask, np.ndarray) else mask
 
 
+def all_true(mask):
+    """np.all(mask), as any_true; `not all_true(in range)` also rejects NaN."""
+    return mask.all() if isinstance(mask, np.ndarray) else mask
+
+
 @functools.cache
 def omega(n_modes):
     """Symplectic form for n modes, block-diagonal in [[0, 1], [-1, 0]];

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SIGMA_Z, any_true, omega
+from .core import SIGMA_Z, all_true, any_true, omega
 from .entanglement import BipartiteCM
 
 
@@ -28,15 +28,16 @@ def hyp2f1_k(k, z):
 
 @dataclass
 class PsTmsv:
-    """Symmetric 2k-photon-subtracted TMSV: amplitudes and closed forms."""
+    """Symmetric 2k-photon-subtracted TMSV: amplitudes and closed forms;
+    lam and tau may be arrays, the closed forms are elementwise."""
     lam: float
     tau: float
     k: int
 
     def __post_init__(self):
-        if not 0.0 <= self.lam < 1.0:
+        if not all_true((0.0 <= self.lam) & (self.lam < 1.0)):
             raise ValueError("lambda = tanh r must lie in [0, 1)")
-        if not 0.0 < self.tau <= 1.0:
+        if not all_true((0.0 < self.tau) & (self.tau <= 1.0)):
             raise ValueError("transmissivity must lie in (0, 1]")
         if self.k not in (0, 1, 2):
             raise ValueError("only 0, 1 or 2 subtractions per mode")

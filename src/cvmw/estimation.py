@@ -89,7 +89,8 @@ def _sld_matrices(state, dsigma, dd):
     k = r_inv @ omega(state.n_modes) @ r_inv
     p = r_inv @ dsigma @ r_inv
     # vec(K B K) = (K^T (x) K) vec(B) = -(K (x) K) vec(B), column-major vec
-    b = np.linalg.solve(np.eye(n * n) - np.kron(k, k), p.reshape(-1, order="F"))
+    k_k = (k[:, None, :, None] * k[None, :, None, :]).reshape(n * n, n * n)
+    b = np.linalg.solve(np.eye(n * n) - k_k, p.reshape(-1, order="F"))
     b = b.reshape(n, n, order="F")
     y = np.linalg.solve(state.sigma, dd)
     a_mat = r_inv @ b @ r_inv

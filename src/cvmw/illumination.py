@@ -10,20 +10,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianState, SIGMA_Z
+from .core import GaussianState, SIGMA_Z, all_true, any_true
 from .entanglement import BipartiteCM
 from .estimation import GaussianFamily, RegularizationError
 
 
 @dataclass
 class QiParams:
+    """Illumination parameters; the fields may be arrays that broadcast."""
     n_s: float          # signal photons
     n_th: float         # bath photons
     gamma: float = 0.0  # absorption exponent mu * L (dimensionless)
     eta: float = 0.0    # object intensity reflectivity
 
     def __post_init__(self):
-        if min(self.n_s, self.n_th, self.gamma) < 0 or not 0 <= self.eta <= 1:
+        if (any_true((self.n_s < 0) | (self.n_th < 0) | (self.gamma < 0))
+                or not all_true((0 <= self.eta) & (self.eta <= 1))):
             raise ValueError("invalid illumination parameters")
 
 
@@ -70,7 +72,7 @@ def qi_received(params):
 
 def h_q(params):
     """Quantum-probe QFI for the reflectivity, closed form at eta ~ 0."""
-    if params.n_th <= 0.0:
+    if any_true(params.n_th <= 0.0):
         raise RegularizationError(
             "H_Q requires n_th > 0 (received state pure at the boundary)")
     n_s, n_th = params.n_s, params.n_th

@@ -3,6 +3,7 @@ built from their definitions instead of the library's closed forms."""
 
 import numpy as np
 
+from cvmw.bifreq import bifreq_probe
 from cvmw.channel import AirChannel, eta_eff
 from cvmw.core import (GaussianState, apply, beam_splitter, omega, partial_trace,
                        thermal, tmst)
@@ -40,6 +41,16 @@ def qi_received_constructive(params):
     transformed = apply(qi_probe(params.n_s, params.n_th), beam_splitter(x ** 2),
                         on=(0, 1))
     return BipartiteCM.from_state(partial_trace(transformed, keep=(1, 2)))
+
+
+def bifreq_received_constructive(params):
+    """bifreq.bifreq_received built from the four-mode probe: each (bath,
+    signal) pair passes its own beam splitter, of reflectivity eta1 and
+    eta1 + lam, and the reflected signal outputs are kept."""
+    probe = bifreq_probe(params)
+    out = apply(probe, beam_splitter(params.eta1), on=(0, 1))
+    out = apply(out, beam_splitter(params.eta1 + params.lam), on=(2, 3))
+    return BipartiteCM.from_state(partial_trace(out, keep=(1, 3)))
 
 
 def eta_eff_iterated(gamma, n_doublings=20):

@@ -175,6 +175,15 @@ class TestFailureContract:
         assert "diverges at eta1 = 1" in err
         assert "Warning" not in err and "Traceback" not in err
 
+    def test_a_failed_point_fails_the_whole_table(self):
+        # the last of three received states is too close to pure for the
+        # Monras solve: no row is printed, no NaN cell stands in for it
+        code, out, err = run_cli("bifreq", "--sweep", "eta1", "0.5", "0.999999999", "3")
+        assert code == 2
+        assert out == ""
+        assert "regularization required" in err
+        assert "Warning" not in err and "Traceback" not in err
+
     @pytest.mark.parametrize("argv", [
         ("distill", "--set", "tau=1"),
         ("teleport", "--resource", "2ps-prob-sym", "--set", "tau=0"),
@@ -332,14 +341,14 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("name", list(cli.COMMANDS))
     def test_default_csv_matches_a_per_cell_format(self, name, monkeypatch, capsys):
-        """The format of each column comes from its type; formatting every
-        cell by its own type gives the same bytes."""
+        """The format of each column comes from its dtype, after the columns
+        broadcast; formatting every cell by its own type gives the same bytes."""
         tables, text = [], cli._table_text
         monkeypatch.setattr(cli, "_table_text", lambda args, note, columns: (
             tables.append(columns) or text(args, note, columns)))
         assert cli.main([name]) == 0
-        columns = [col.tolist() if isinstance(col, np.ndarray) else col
-                   for col in tables[0].values()]
+        columns = [col.tolist() for col in np.broadcast_arrays(
+            *map(np.atleast_1d, tables[0].values()))]
         expected = ",".join(tables[0]) + "\n" + "".join(
             ",".join("%.17g" % v if isinstance(v, float) else "%s" % v for v in row)
             + "\n" for row in zip(*columns))

@@ -3,7 +3,7 @@ import pytest
 
 from cvmw import channel, core, distill, fock, illumination, teleport
 from cvmw.entanglement import (BipartiteCM, cm_validity, log_negativity,
-                               negativity, pts_eigenvalues)
+                               log_negativity_from_nu, negativity, pts_eigenvalues)
 
 
 class TestPtsEigenvalues:
@@ -43,6 +43,13 @@ class TestNegativity:
         cm = BipartiteCM(2.0 * np.eye(2), 2.0 * np.eye(2), np.zeros((2, 2)))
         assert negativity(cm) == 0.0
         assert log_negativity(cm) == 0.0
+
+    def test_separable_log_negativity_is_positive_zero(self):
+        # -log2(1) is -0.0; a separable state prints 0, not -0
+        assert not np.signbit(log_negativity_from_nu(1.0))
+        assert not np.signbit(log_negativity_from_nu(np.array([1.0, 2.0, 1.0]))).any()
+        vacua = BipartiteCM(np.eye(2), np.eye(2), np.zeros((2, 2)))
+        assert log_negativity(vacua) == 0.0 and not np.signbit(log_negativity(vacua))
 
     def test_tmsv_r1_value(self):
         # oracle value from the truncated Fock computation

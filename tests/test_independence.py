@@ -19,6 +19,10 @@ CHECKS = {
                                     "cvmw.channel.lossy_tmst_params",
                                     "cvmw.channel.source_terms",
                                     "cvmw.channel.tmst_polys"},
+        "bifreq_received_constructive": {"cvmw.bifreq.bifreq_received",
+                                         "cvmw.bifreq.received_params",
+                                         "cvmw.bifreq.received_family",
+                                         "cvmw.bifreq._probe_terms"},
         "qi_received_constructive": {"cvmw.illumination.qi_received",
                                      "cvmw.illumination.received_family"},
         "eta_eff_iterated": {"cvmw.illumination.eta_eff", "cvmw.channel.eta_eff"},

@@ -1,16 +1,21 @@
-"""The array kernels behind the L sweeps against the per-row oracle route.
+"""Every array table of the CLI against a per-point route.
 
-Each table of `channel`, `swap`, `distill` and `teleport` is computed in one
-array call over the grid. Here every column is recomputed row by row through
-the general covariance-matrix machinery: lossy_tmst, pts_eigenvalues,
-ps2_gaussian, ps2_heuristic, the general swap and regaussify.
+Each table is computed in one array call over its grid. Here every column is
+recomputed point by point: the L sweeps of `channel`, `swap`, `distill` and
+`teleport` through the general covariance-matrix machinery (lossy_tmst,
+pts_eigenvalues, ps2_gaussian, ps2_heuristic, the general swap and
+regaussify), and `negativity`, `illum`, `bifreq` and `satellite` through
+the scalar library calls, with the bi-frequency QFI taken on the received
+state built from the probe and its beam splitters.
 """
 
 import numpy as np
 import pytest
 
-from cvmw import channel, cli, distill, teleport
+from cvmw import bifreq, channel, cli, distill, entanglement, illumination, teleport
 from cvmw.entanglement import BipartiteCM, log_negativity, negativity, pts_eigenvalues
+from cvmw.estimation import GaussianFamily, gaussian_qfi
+from tests.oracles.routes import bifreq_received_constructive
 
 TABLE1 = channel.TABLE1
 RTOL = 1e-12
@@ -76,7 +81,8 @@ def test_channel_columns(seed):
             row["eta_env"] = channel.eta_env(
                 channel.AirChannel(p["mu"], length, p["n_th"], p["eta_ant"]))
             rows.append(row)
-        check_columns(cli.COMMANDS["channel"]["table"](p, GRID), oracle_table(rows),
+        table = cli.COMMANDS["channel"]["table"](dict(p, L=GRID.values()))
+        check_columns(table, oracle_table(rows),
                       absolute=("log_neg_asym", "log_neg_sym"))
 
 
@@ -93,7 +99,7 @@ def test_swap_columns(seed):
                          "negativity": negativity(out),
                          "fidelity": teleport.fidelity_gaussian(out),
                          "theta": theta_of(out), "valid": 1.0})
-        table = cli.COMMANDS["swap"]["table"](p, GRID)
+        table = cli.COMMANDS["swap"]["table"](dict(p, L=GRID.values()))
         check_columns(table, oracle_table(rows), absolute=("negativity", "theta"))
         assert table["valid"].dtype.kind == "i"
 
@@ -129,8 +135,8 @@ def test_teleport_columns(kind):
             fb = teleport.fidelity_gaussian(link_cm(p, length, geometry))
             rows.append({"L": length, "fidelity": f, "fidelity_bare": fb,
                          "gain": f - fb})
-        check_columns(cli.COMMANDS["teleport"]["table"](dict(p, resource=kind), GRID),
-                      oracle_table(rows), absolute=("gain",))
+        table = cli.COMMANDS["teleport"]["table"](dict(p, resource=kind, L=GRID.values()))
+        check_columns(table, oracle_table(rows), absolute=("gain",))
 
 
 @pytest.mark.parametrize("geometry", ["asym", "sym"])
@@ -148,8 +154,8 @@ def test_distill_columns(geometry):
                          "e_n_prob": log_negativity(rg_p),
                          "e_n_heur": log_negativity(rg_h),
                          "theta_prob": theta_of(rg_p), "theta_heur": theta_of(rg_h)})
-        inputs = dict(p, geometry=geometry)
-        check_columns(cli.COMMANDS["distill"]["table"](inputs, GRID), oracle_table(rows),
+        inputs = dict(p, geometry=geometry, L=GRID.values())
+        check_columns(cli.COMMANDS["distill"]["table"](inputs), oracle_table(rows),
                       absolute=("e_n_bare", "n_bare", "n_prob", "n_heur", "e_n_prob",
                                 "e_n_heur", "theta_prob", "theta_heur"))
 
@@ -169,3 +175,109 @@ def test_corrections_match_the_matrix_route():
                                                    rel=RTOL)
                 assert 1.0 + g[i] == pytest.approx(
                     1.0 + distill.ps2_gaussian(cm, p["tau"]).g, rel=RTOL)
+
+
+# -- the parameter sweeps: the default grid and one sweep of each other variable
+
+def sweeps(name, others):
+    """(parameters with the grid set, swept key) of a command's default
+    sweep and of each (variable, start, stop, count) in others."""
+    defaults = cli._resolve_params(cli.build_parser().parse_args([name]), pytest.fail)
+    entry = cli.COMMANDS[name]
+    specs = [entry["default"]] + [cli.SweepSpec(entry["sweeps"][var], *grid)
+                                  for var, *grid in others]
+    return [(dict(defaults, **{spec.variable: spec.values()}), spec.variable)
+            for spec in specs]
+
+
+def check_points(name, others, row):
+    """Each column of the table against row(point) at each grid point."""
+    for x, key in sweeps(name, others):
+        table = cli.COMMANDS[name]["table"](x)
+        rows = [row(dict(x, **{key: value})) for value in x[key].tolist()]
+        assert list(table) == list(rows[0])
+        for column in table:
+            expected = np.array([r[column] for r in rows], dtype=float)
+            got = np.broadcast_to(table[column], expected.shape)
+            np.testing.assert_allclose(got, expected, rtol=RTOL, atol=0.0,
+                                       equal_nan=True, err_msg=column)
+
+
+def test_negativity_columns():
+    def row(x):
+        r, tau = x["r"], x["tau"]
+        if r == 0.0:
+            return dict(r=r, ok=0, **dict.fromkeys(
+                ("n_tmsv", "dn_2ps_heur", "dn_2ps_prob", "dn_4ps_heur",
+                 "dn_4ps_prob", "p2", "p4"), np.nan))
+        lam = np.tanh(r)
+        ps2, ps4 = distill.PsTmsv(lam, tau, 1), distill.PsTmsv(lam, tau, 2)
+        base = distill.tmsv_negativity(lam)
+        return dict(r=r, ok=1, n_tmsv=base,
+                    dn_2ps_heur=distill.heuristic_negativity(lam, 1) - base,
+                    dn_2ps_prob=ps2.negativity() - base,
+                    dn_4ps_heur=distill.heuristic_negativity(lam, 2) - base,
+                    dn_4ps_prob=ps4.negativity() - base,
+                    p2=ps2.success_probability(), p4=ps4.success_probability())
+    check_points("negativity", [("r", 2.0, 6.0, 5)], row)
+
+
+def test_illum_columns():
+    def row(x):
+        p = illumination.QiParams(x["n_s"], x["n_th_bath"], x["gamma"], 0.0)
+        nu = illumination.probe_nu_minus(x["n_s"], x["n_th_bath"])
+        return dict(n_s=x["n_s"], n_th=x["n_th_bath"], gamma=x["gamma"],
+                    h_c=illumination.h_c(p), gain=illumination.gain(p),
+                    h_q=illumination.h_q(p), nu_minus=nu,
+                    log_neg=entanglement.log_negativity_from_nu(nu))
+    check_points("illum", [("n_th", 0.1, 5.0, 11), ("gamma", 0.0, 5.0, 11)], row)
+
+
+def h_q_constructive(p):
+    """h_q_bifreq's Monras solve on the received state built from the probe."""
+    family = bifreq.received_family(p)
+    state = bifreq_received_constructive(p).to_state()
+    return gaussian_qfi(GaussianFamily(state, family.dsigma, family.dd,
+                                       family.lambda0))
+
+
+def test_bifreq_columns():
+    def row(x):
+        p = bifreq.BifreqParams(x["eta1"], 0.0, x["n_s"], x["n_signal"],
+                                x["n_th_bath"])
+        h_c, h_q = bifreq.h_c_bifreq(p), h_q_constructive(p)
+        c = bifreq.optimal_coeffs(p)
+        # l0 from the moments of the constructive received state
+        cm = bifreq_received_constructive(p)
+        occ1 = (np.trace(cm.sigma_a) / 2.0 - 1.0) / 2.0
+        occ2 = (np.trace(cm.sigma_b) / 2.0 - 1.0) / 2.0
+        cross = (cm.eps[0, 0] - cm.eps[1, 1]) / 4.0
+        return dict(eta1=x["eta1"], n_s=p.n_s, n_th=x["n_th_bath"], h_c=h_c,
+                    h_q=h_q, ratio=h_q / h_c, l11=c.l11, l22=c.l22, l12=c.l12,
+                    l0=-(c.l11 * occ1 + c.l22 * occ2 + 2.0 * c.l12 * cross),
+                    qcrb_gap=2.0 * p.n_s ** 2 * c.l12 * (1.0 + p.n_s) * h_q - 1.0)
+    check_points("bifreq", [("eta1", 0.1, 0.99, 11), ("n", 0.0, 5.0, 11),
+                            ("n_th", 0.1, 5.0, 11)], row)
+
+
+def test_satellite_columns():
+    def row(x):
+        d, w0 = x["d"], x["w0"]
+        geom = channel.LinkGeometry(nu=x["nu"], d=d, a=2.0 * w0, e_a=1.0,
+                                    w0=w0, a_r=x["a_r"], r0=d)
+        return dict(d=d, fspl_db=channel.fspl(x["nu"], d)[1],
+                    tau_path=channel.tau_path(geom),
+                    tau_diff=channel.tau_diffraction(geom))
+    check_points("satellite", [("d", 100.0, 1e5, 7)], row)
+
+
+def test_bifreq_received_matches_the_constructive_route():
+    rng = np.random.default_rng(41)
+    for eta1 in (0.0, 0.1, 0.5, 0.9, 0.999, 1.0):
+        for lam in (0.0, -0.5 * eta1, 0.5 * (1.0 - eta1)):
+            n_r, n, n_th = rng.uniform([0.0, 0.0, 0.0], [3.0, 0.5, 5.0])
+            for p in (bifreq.BifreqParams(eta1, lam, n_r, n, n_th),
+                      bifreq.BifreqParams(eta1, lam, n_r, 0.0, 0.0)):
+                np.testing.assert_allclose(
+                    bifreq.bifreq_received(p).matrix,
+                    bifreq_received_constructive(p).matrix, rtol=1e-13, atol=0.0)
