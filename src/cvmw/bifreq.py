@@ -3,11 +3,11 @@ target probed at two nearby frequencies.
 
 The probe is either a two-mode squeezed thermal state (quantum strategy)
 or a pair of coherent beams with the same per-mode photon number. Both
-received states are beam-splitter outputs, affine in eta2 = eta1 + lambda
-and sqrt(eta2), so their derivatives in the difference parameter are
-closed forms. The quantum-probe QFI at lambda -> 0 is the exact Gaussian
-QFI of that jet; the coherent-probe QFI and the high-reflectivity /
-high-noise enhancement ratios have closed forms.
+received states are two-mode standard-form states, affine in
+eta2 = eta1 + lambda and sqrt(eta2), so their jets in the difference
+parameter are closed forms. The quantum-probe QFI at lambda -> 0 is the
+exact Gaussian QFI of that jet; the coherent-probe QFI and the
+high-reflectivity / high-noise enhancement ratios have closed forms.
 """
 
 from dataclasses import dataclass
@@ -16,8 +16,7 @@ import numpy as np
 
 from .core import GaussianState, SIGMA_Z, all_true, any_true
 from .entanglement import BipartiteCM
-from .estimation import (GaussianFamily, QuadraticObservable, gaussian_qfi,
-                         optimal_observable)
+from .estimation import GaussianFamily, gaussian_qfi
 from .teleport import illinois
 
 
@@ -108,40 +107,38 @@ def bifreq_received(params):
 def received_family(params):
     """Quantum received state as a Gaussian family in the difference lambda.
 
-    With eta2 = eta1 + lambda, only mode 2 depends on lambda:
-    Sigma_B = (eta2 S + (1 - eta2) T) I and eps = sqrt(eta1 eta2) C sigma_z,
+    With eta2 = eta1 + lambda, only mode 2 depends on lambda: of the
+    received_params triple, dbeta = S - T and dgamma = sqrt(eta1 / eta2) C / 2,
     where S = (1 + 2n)(1 + 4 n_r), C = 2 (1 + 2n) sqrt(2 n_r (1 + 2 n_r))
     are the probe's signal variance and correlation and T = 1 + 2 n_th.
     """
     eta1, eta2 = params.eta1, params.eta1 + params.lam
-    s, c, _ = _probe_terms(params)
+    s, c, t = _probe_terms(params)
     # d sqrt(eta1 eta2) C / d eta2: zero without correlations, unbounded at eta2 = 0
-    if eta2 == 0.0 and eta1 * c > 0.0:
+    if any_true((eta2 == 0.0) & (eta1 * c > 0.0)):
         raise ValueError("the quantum-probe QFI diverges at eta1 + lam = 0")
-    d_eps = 0.5 * np.sqrt(eta1 / eta2) * c if eta1 * c > 0.0 else 0.0
-    dsigma = BipartiteCM(np.zeros((2, 2)), (s - 1.0 - 2.0 * params.n_th) * np.eye(2),
-                         d_eps * SIGMA_Z, check=False).matrix
-    return GaussianFamily(bifreq_received(params).to_state(), dsigma, np.zeros(4),
-                          params.lam)
+    d_eps = 0.5 * c * np.sqrt(eta1 / np.where(eta2 > 0.0, eta2, 1.0))
+    return GaussianFamily(*received_params(params), 0.0, s - t, d_eps,
+                          (0.0, 0.0, 0.0, 0.0), params.lam)
 
 
 def h_q_bifreq(params):
-    """Quantum-probe QFI at the two-sided limit lambda -> 0 (Monras solve)."""
+    """Quantum-probe QFI at the two-sided limit lambda -> 0, elementwise."""
     return gaussian_qfi(received_family(params))
 
 
 def classical_received_family(params):
-    """Coherent-pair received state as a Gaussian family in lambda."""
+    """Coherent-pair received state as a Gaussian family in lambda: mode i
+    has variance 1 + 2 n_th (1 - eta_i) and displacement
+    (sqrt(2 eta_i n_s), 0), with eta2 = eta1 + lambda."""
     eta1, lam, n_th = params.eta1, params.lam, params.n_th
-    eta2, tau1 = eta1 + lam, 1.0 - eta1
+    eta2 = eta1 + lam
     alpha = np.sqrt(params.n_s)
-    if eta2 == 0.0 and alpha > 0.0:
+    if any_true((eta2 == 0.0) & (alpha > 0.0)):
         raise ValueError("the coherent-probe QFI diverges at eta1 + lam = 0")
-    sigma = np.diag([1.0 + 2.0 * n_th * tau1] * 2 + [1.0 + 2.0 * n_th * (tau1 - lam)] * 2)
-    d = np.array([np.sqrt(2.0 * eta1) * alpha, 0.0, np.sqrt(2.0 * eta2) * alpha, 0.0])
-    dsigma = np.diag([0.0, 0.0, -2.0 * n_th, -2.0 * n_th])
-    dd = np.array([0.0, 0.0, alpha / np.sqrt(2.0 * eta2) if alpha else 0.0, 0.0])
-    return GaussianFamily(GaussianState(d, sigma), dsigma, dd, lam)
+    dx2 = alpha / np.sqrt(np.where(eta2 > 0.0, 2.0 * eta2, 1.0))
+    return GaussianFamily(1.0 + 2.0 * n_th * (1.0 - eta1), 1.0 + 2.0 * n_th * (1.0 - eta2),
+                          0.0, 0.0, -2.0 * n_th, 0.0, (0.0, 0.0, dx2, 0.0), lam)
 
 
 def h_c_bifreq(params):
@@ -190,16 +187,6 @@ class ObservableCoeffs:
     l22: float
     l12: float
     l0: float
-
-    def as_quadratic(self):
-        """Quadrature representation of the ladder-operator coefficients."""
-        quad = np.zeros((4, 4))
-        quad[0, 0] = quad[1, 1] = self.l11 / 2.0
-        quad[2, 2] = quad[3, 3] = self.l22 / 2.0
-        quad[0, 2] = quad[2, 0] = self.l12 / 2.0
-        quad[1, 3] = quad[3, 1] = -self.l12 / 2.0
-        const = self.l0 - 0.5 * (self.l11 + self.l22)
-        return QuadraticObservable(quad, np.zeros(4), const)
 
 
 def _helpers(eta1, n_s, n_th):
@@ -274,26 +261,6 @@ def coeffs_noiseless(n_s):
     return ObservableCoeffs(-mu2, -1.0, np.sqrt(mu2), -nu)
 
 
-def optimal_observable_numeric(params):
-    """SLD-based optimal observable mapped to ladder coefficients.
-
-    Exact route (given the Gaussian SLD); serves as the cross-check for
-    the closed-form coefficients.
-    """
-    obs = optimal_observable(received_family(params))
-    q = obs.quad
-    l11 = q[0, 0] + q[1, 1]
-    l22 = q[2, 2] + q[3, 3]
-    l12 = q[0, 2] - q[1, 3]
-    resid = max(abs(q[0, 1]), abs(q[2, 3]), abs(q[0, 3]), abs(q[1, 2]),
-                abs(q[0, 0] - q[1, 1]), abs(q[2, 2] - q[3, 3]),
-                abs(q[0, 2] + q[1, 3]))
-    if resid > 1e-6 * max(1.0, abs(l12)):
-        raise ValueError("SLD is not of the expected photon-counting form")
-    l0 = obs.const + 0.5 * (l11 + l22)
-    return ObservableCoeffs(float(l11), float(l22), float(l12), float(l0))
-
-
 def variance_formula(params):
     """2 N_S^2 L12 (1 + N_S) with the closed-form L12.
 
@@ -316,15 +283,16 @@ def qcrb_gap(eta1, n_s, n_th):
 def qcrb_saturating_noise(eta1, n_s, lo=1e-3, hi=1e4):
     """Bracket and solve qcrb_gap = 0 in n_th; returns (n_th, bracket)."""
     grid = np.geomspace(lo, hi, 40)
-    vals = [qcrb_gap(eta1, n_s, x) for x in grid]
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            return grid[i], (grid[i], grid[i])
-        if vals[i] * vals[i + 1] < 0.0:
-            root = illinois(lambda x: qcrb_gap(eta1, n_s, x), grid[i], grid[i + 1],
-                            vals[i], vals[i + 1], xtol=1e-10 * grid[i])
-            return root, (grid[i], grid[i + 1])
-    raise ValueError("no sign change of the qCRB gap in the scanned range")
+    vals = qcrb_gap(eta1, n_s, grid)  # one array call brackets the root
+    cells = (vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)
+    if not cells.any():
+        raise ValueError("no sign change of the qCRB gap in the scanned range")
+    i = np.argmax(cells)  # the first cell that crosses
+    if vals[i] == 0.0:
+        return grid[i], (grid[i], grid[i])
+    root = illinois(lambda x: qcrb_gap(eta1, n_s, x), grid[i], grid[i + 1],
+                    vals[i], vals[i + 1], xtol=1e-10 * grid[i])
+    return root, (grid[i], grid[i + 1])
 
 
 # -- mode synthesis network ----------------------------------------------

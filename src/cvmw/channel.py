@@ -170,19 +170,6 @@ def lossy_tmst(ch, r, n, geometry="asym"):
                                      check=False)
 
 
-def eta_max(r, n, n_th):
-    """Reflectivity bound below which the asymmetric state stays entangled.
-
-    The paper's closed form, valid for n < e^{-r} sinh r and r > 0; returns 0
-    outside that range. l_max does not use it: a source with
-    e^{-r} sinh r <= n < e^{r} sinh r is entangled too.
-    """
-    if r <= 0.0 or n >= np.exp(-r) * np.sinh(r):
-        return 0.0
-    denom = 1.0 + 2.0 * n * (1.0 + n) / (1.0 - (1.0 + 2.0 * n) * np.cosh(2.0 * r))
-    return 1.0 / (1.0 + n_th / denom)
-
-
 def l_max(ch, r, n, geometry="asym"):
     """Maximum distance (m) before the distributed entanglement vanishes.
 

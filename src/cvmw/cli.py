@@ -68,14 +68,17 @@ def _report(args, note, **body):
 
 def _table_text(args, note, columns):
     """CSV or JSON text of {name: array or scalar}, broadcast to one length;
-    floats keep 17 significant digits, and no CSV cell needs quoting."""
+    floats keep 17 significant digits, no CSV cell needs quoting, and a
+    non-finite JSON cell is null."""
     names = list(columns)
     arrays = np.broadcast_arrays(*map(np.atleast_1d, columns.values()))
-    data = [col.tolist() for col in arrays]
     if args.format == "json":
-        rows = [dict(zip(names, row)) for row in zip(*data)]
+        cells = [np.where(np.isfinite(col), col, None) if col.dtype.kind == "f"
+                 else col for col in arrays]
+        rows = [dict(zip(names, row)) for row in zip(*(col.tolist() for col in cells))]
         report = _report(args, note, columns=names, rows=rows)
-        return json.dumps(report, indent=2) + "\n"
+        return json.dumps(report, indent=2, allow_nan=False) + "\n"
+    data = [col.tolist() for col in arrays]
     line = ",".join("%.17g" if col.dtype.kind == "f" else "%s"
                     for col in arrays) + "\n"
     return ",".join(names) + "\n" + "".join([line % row for row in zip(*data)])
@@ -180,10 +183,7 @@ def _illum_table(x):
 
 def _bifreq_table(x):
     p = bifreq.BifreqParams(x["eta1"], 0.0, x["n_s"], x["n_signal"], x["n_th_bath"])
-    h_c = bifreq.h_c_bifreq(p)
-    # the Monras solve acts on one state: one h_q_bifreq call per point
-    h_q = np.array([bifreq.h_q_bifreq(bifreq.BifreqParams(*point)) for point
-                    in np.broadcast(p.eta1, 0.0, p.n_r, p.n, p.n_th)])
+    h_c, h_q = bifreq.h_c_bifreq(p), bifreq.h_q_bifreq(p)
     coeffs = bifreq.optimal_coeffs(p)
     return {"eta1": p.eta1, "n_s": p.n_s, "n_th": p.n_th, "h_c": h_c,
             "h_q": h_q, "ratio": h_q / h_c, "l11": coeffs.l11, "l22": coeffs.l22,
@@ -450,7 +450,7 @@ def _cmd_summary(args):
     all_pass = all(a["pass"] for a in anchors)
     report = _report(args, "headline-number verification against stored "
                            "tolerances", anchors=anchors, all_pass=all_pass)
-    _write(json.dumps(report, indent=2) + "\n", args)
+    _write(json.dumps(report, indent=2, allow_nan=False) + "\n", args)
     return 0 if all_pass else ANCHOR_FAILURE
 
 

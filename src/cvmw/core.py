@@ -129,7 +129,7 @@ class GaussianState:
             "n_modes": self.n_modes,
             "d": self.d.tolist(),
             "sigma": self.sigma.tolist(),
-        })
+        }, allow_nan=False)
 
     @classmethod
     def from_json(cls, text, check=True):

@@ -1,26 +1,30 @@
-"""Gaussian quantum Fisher information, SLDs, and optimal observables.
+"""Gaussian quantum Fisher information of a two-mode standard-form family.
 
-A one-parameter family enters as its jet at the operating point: the state
-and the exact first derivatives of its covariance matrix and displacement
-vector, which each family supplies in closed form. The symmetric
-logarithmic derivative solves Monras' linear system (A. Monras,
-arXiv:1303.3682) for any number of modes, written in the real quadrature
-basis and whitened by the square root of the covariance matrix; the QFI is
-the SLD's variance, and the SLD is a quadratic form in the quadratures.
+Every family the library differentiates is a two-mode Gaussian state in
+standard form, Sigma = [[alpha I, gamma Z], [gamma Z, beta I]] with
+Z = diag(1, -1), plus at most a displacement. It enters as its jet at the
+operating point: the triple, its exact first derivative in the parameter and
+the derivative of the displacement, which each family supplies in closed
+form. The symplectic diagonaliser of a standard-form state is a two-mode
+squeezer known in closed form, so the symplectic-basis QFI (D. Safranek,
+J. Phys. A 52, 035304 (2019), arXiv:1801.00945) is a few elementwise lines
+over arrays. The general N-mode Monras solve (A. Monras, arXiv:1303.3682),
+with the symmetric logarithmic derivative and the optimal observable, is the
+oracle in tests/oracles/monras.py.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianState, omega
+from .core import PHYSICALITY_TOL, PhysicalityError, all_true, any_true
 
 PURE_TOL = 1e-7
 DSIGMA_FLOOR = 1e-12
 
 
 class RegularizationError(RuntimeError):
-    """QFI/SLD requested on (nearly) pure states where the formulas are singular.
+    """QFI requested on (nearly) pure states where the formula is singular.
 
     Perturb the family with a small thermal occupation (n ~ 1e-6) if the
     value at the pure boundary is needed.
@@ -29,121 +33,67 @@ class RegularizationError(RuntimeError):
 
 @dataclass
 class GaussianFamily:
-    """One-parameter family of Gaussian states at its operating point lambda0:
-    the state there and dSigma/dlambda, dd/dlambda."""
-    state: GaussianState
-    dsigma: np.ndarray
-    dd: np.ndarray
+    """One-parameter family of two-mode standard-form states at its operating
+    point lambda0: the triple (alpha, beta, gamma), its lambda-derivative, and
+    dd, the derivative of the displacement (x1, p1, x2, p2). The fields may be
+    arrays that broadcast."""
+    alpha: float
+    beta: float
+    gamma: float
+    dalpha: float
+    dbeta: float
+    dgamma: float
+    dd: tuple
     lambda0: float
 
 
-@dataclass
-class QuadraticObservable:
-    """const + lin . r + r^T quad r with symmetrized operator ordering."""
-    quad: np.ndarray
-    lin: np.ndarray
-    const: float = 0.0
-
-    def __post_init__(self):
-        self.quad = np.asarray(self.quad, dtype=float)
-        self.lin = np.asarray(self.lin, dtype=float).reshape(-1)
-        if np.max(np.abs(self.quad - self.quad.T)) > 1e-10:
-            raise ValueError("quadratic coefficient matrix must be symmetric")
-
-    def scaled(self, factor):
-        return QuadraticObservable(self.quad * factor, self.lin * factor,
-                                   self.const * factor)
-
-    def shifted(self, offset):
-        return QuadraticObservable(self.quad, self.lin, self.const + offset)
-
-
 def gaussian_qfi(family):
-    """QFI of a Gaussian family at family.lambda0, any number of modes.
+    """QFI of the family at lambda0, elementwise; a float for scalar fields.
 
-    H = tr(dSigma A) / 2 + 2 dd^T Sigma^-1 dd, where A solves
-    Sigma A Sigma + Omega A Omega = dSigma. Raises RegularizationError near
-    the pure-state boundary when the covariance matrix carries parameter
-    dependence.
+    With s = sqrt((alpha + beta)^2 - 4 gamma^2), the symplectic eigenvalues
+    are nu_1,2 = (s +/- (alpha - beta)) / 2, and the two-mode squeezer with
+    cosh 2r = (alpha + beta) / s, sinh 2r = 2 gamma / s takes Sigma to
+    diag(nu_1 I, nu_2 I). It takes dSigma to diagonal blocks d_1 I, d_2 I and
+    off-diagonal blocks e Z, and
+    H = d_1^2 / (nu_1^2 - 1) + d_2^2 / (nu_2^2 - 1) + 2 e^2 / (nu_1 nu_2 + 1)
+        + 2 dd^T Sigma^-1 dd.
+    Raises PhysicalityError for a state that violates the uncertainty
+    relation, and RegularizationError near the pure-state boundary when the
+    covariance matrix carries parameter dependence; a family whose
+    covariance matrix is constant keeps only the displacement term.
     """
-    state0, dsigma, dd = family.state, family.dsigma, family.dd
-    if np.max(np.abs(dsigma)) < DSIGMA_FLOOR:
-        return float(2.0 * dd @ np.linalg.solve(state0.sigma, dd))
-    return _sld_matrices(state0, dsigma, dd)[2]
-
-
-def _sld_matrices(state, dsigma, dd):
-    """Quadratic and linear SLD coefficients A, Sigma^-1 dd and the QFI H.
-
-    The Monras system is solved whitened by Sigma^(1/2): with
-    K = Sigma^(-1/2) Omega Sigma^(-1/2) and B = Sigma^(1/2) A Sigma^(1/2) it
-    reads B + K B K = Sigma^(-1/2) dSigma Sigma^(-1/2). Its spectrum is
-    1 +- 1/(nu_j nu_k), so squeezing does not enter its conditioning.
-    """
-    if state.symplectic_eigenvalues().min() < 1.0 + PURE_TOL:
+    a, b, g = family.alpha, family.beta, family.gamma
+    # alpha beta - gamma^2, exact to rounding for alpha = beta near |gamma| = alpha
+    root_ab = np.sqrt(a * b)
+    det = (root_ab - g) * (root_ab + g)
+    if not all_true((a > 0.0) & (det > 0.0)):
+        raise PhysicalityError("covariance matrix is not positive definite")
+    tr = a + b
+    s = np.sqrt((tr - 2.0 * g) * (tr + 2.0 * g))
+    # nu_1 nu_2 = det: the smaller eigenvalue without the cancellation of
+    # (s - |alpha - beta|) / 2
+    hi = 0.5 * (s + abs(a - b))
+    lo = det / hi
+    if any_true(lo < 1.0 - PHYSICALITY_TOL):
+        raise PhysicalityError("state violates the uncertainty relation "
+                               "(min nu = %.12g)" % np.min(lo))
+    da, db, dg = family.dalpha, family.dbeta, family.dgamma
+    live = (abs(da) >= DSIGMA_FLOOR) | (abs(db) >= DSIGMA_FLOOR) | (abs(dg) >= DSIGMA_FLOOR)
+    if any_true(live & (lo < 1.0 + PURE_TOL)):
         raise RegularizationError(
-            "regularization required: SLD system singular for (nearly) pure states")
-    n = 2 * state.n_modes
-    lam, u = np.linalg.eigh(state.sigma)
-    r_inv = (u / np.sqrt(lam)) @ u.T
-    k = r_inv @ omega(state.n_modes) @ r_inv
-    p = r_inv @ dsigma @ r_inv
-    # vec(K B K) = (K^T (x) K) vec(B) = -(K (x) K) vec(B), column-major vec
-    k_k = (k[:, None, :, None] * k[None, :, None, :]).reshape(n * n, n * n)
-    b = np.linalg.solve(np.eye(n * n) - k_k, p.reshape(-1, order="F"))
-    b = b.reshape(n, n, order="F")
-    y = np.linalg.solve(state.sigma, dd)
-    a_mat = r_inv @ b @ r_inv
-    return 0.5 * (a_mat + a_mat.T), y, float(0.5 * np.sum(p * b) + 2.0 * dd @ y)
-
-
-def _sld_to_quadratic(state, a_mat, y):
-    """SLD (r - d)^T A (r - d) + 2 y^T (r - d) - tr(Sigma A) / 2 as an observable."""
-    d = state.d
-    lin = 2.0 * y - 2.0 * a_mat @ d
-    const = d @ a_mat @ d - 2.0 * y @ d - 0.5 * np.trace(state.sigma @ a_mat)
-    return QuadraticObservable(a_mat, lin, float(const))
-
-
-def gaussian_sld(family):
-    """Symmetric logarithmic derivative of the family at lambda0.
-
-    Returns the quadratic observable L with {L, rho} = 2 d rho / d lambda;
-    Tr[rho L] = 0 at the operating point.
-    """
-    state0, dsigma, dd = family.state, family.dsigma, family.dd
-    if np.max(np.abs(dsigma)) < DSIGMA_FLOOR and np.max(np.abs(dd)) < DSIGMA_FLOOR:
-        n = 2 * state0.n_modes
-        return QuadraticObservable(np.zeros((n, n)), np.zeros(n), 0.0)
-    a_mat, y, _ = _sld_matrices(state0, dsigma, dd)
-    return _sld_to_quadratic(state0, a_mat, y)
-
-
-def optimal_observable(family):
-    """lambda * identity + SLD / QFI: unbiased at the operating point.
-
-    The expectation value on the state at lambda0 equals lambda0 and the
-    quantum Cramer-Rao bound is saturated by its maximum-likelihood
-    post-processing.
-    """
-    state0 = family.state
-    a_mat, y, h = _sld_matrices(state0, family.dsigma, family.dd)
-    if h <= 0.0:
-        raise ValueError("QFI vanishes: no optimal observable")
-    sld = _sld_to_quadratic(state0, a_mat, y)
-    return sld.scaled(1.0 / h).shifted(family.lambda0)
-
-
-def observable_moments(state, obs):
-    """Exact Gaussian (mean, variance) of a symmetrized quadratic observable."""
-    if obs.quad.shape[0] != 2 * state.n_modes:
-        raise ValueError("observable dimension does not match the state")
-    q = obs.quad
-    sigma = state.sigma
-    d = state.d
-    w = omega(state.n_modes)
-    mean = obs.const + obs.lin @ d + d @ q @ d + 0.5 * np.trace(q @ sigma)
-    b = obs.lin + 2.0 * q @ d
-    var_quad = 0.5 * np.trace(q @ sigma @ q @ sigma) + 0.5 * np.trace(q @ w @ q @ w)
-    var_lin = 0.5 * b @ sigma @ b
-    return float(mean), float(var_quad + var_lin)
+            "regularization required: QFI singular for (nearly) pure states")
+    nu1, nu2 = np.where(a >= b, (hi, lo), (lo, hi))
+    # cosh^2 r, sinh^2 r and cosh r sinh r of the squeezer; sinh^2 r is
+    # (tr - s) / (2 s), written without the cancellation
+    ch2, sh2, chsh = (tr + s) / (2.0 * s), 2.0 * g * g / (s * (tr + s)), g / s
+    d1 = ch2 * da - 2.0 * chsh * dg + sh2 * db
+    d2 = sh2 * da - 2.0 * chsh * dg + ch2 * db
+    e = (ch2 + sh2) * dg - chsh * (da + db)
+    with np.errstate(divide="ignore", invalid="ignore"):  # pure points are not live
+        h_sigma = (d1 * d1 / ((nu1 - 1.0) * (nu1 + 1.0))
+                   + d2 * d2 / ((nu2 - 1.0) * (nu2 + 1.0)) + 2.0 * e * e / (det + 1.0))
+    x1, p1, x2, p2 = family.dd
+    h_d = (b * (x1 * x1 + p1 * p1) + a * (x2 * x2 + p2 * p2)
+           - 2.0 * g * (x1 * x2 - p1 * p2)) / det
+    h = np.where(live, h_sigma, 0.0) + 2.0 * h_d
+    return h if np.ndim(h) else float(h)

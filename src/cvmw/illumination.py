@@ -61,13 +61,18 @@ def probe_nu_minus(n_s, n_th):
     return np.sqrt(val)
 
 
-def qi_received(params):
-    """Received signal-idler covariance matrix, closed form."""
+def received_params(params):
+    """Standard-form triple of the received signal-idler state, elementwise:
+    alpha = 1 + 2 n_th + 2 n_s x^2, beta = 1 + 2 n_s and
+    gamma = 2 sqrt(n_s (1 + n_s)) x, with x = eta e^{-gamma}."""
     x = eta_eff(params.eta, params.gamma)
-    f = 1.0 + 2.0 * params.n_th + 2.0 * params.n_s * x ** 2
-    g = 2.0 * np.sqrt(params.n_s * (1.0 + params.n_s)) * x
-    sig_c = (1.0 + 2.0 * params.n_s) * np.eye(2)
-    return BipartiteCM(f * np.eye(2), sig_c, g * SIGMA_Z)
+    return (1.0 + 2.0 * params.n_th + 2.0 * params.n_s * x ** 2, 1.0 + 2.0 * params.n_s,
+            2.0 * np.sqrt(params.n_s * (1.0 + params.n_s)) * x)
+
+
+def qi_received(params):
+    """Received signal-idler covariance matrix (received_params), validated."""
+    return BipartiteCM.standard_form(*received_params(params))
 
 
 def h_q(params):
@@ -96,15 +101,13 @@ def gain(params):
 def received_family(params):
     """Quantum received state as a Gaussian family in the reflectivity.
 
-    With x = eta e^{-gamma}, Sigma_A = 1 + 2 n_th + 2 n_s x^2 and
-    eps = 2 sqrt(n_s (1 + n_s)) x sigma_z are the only eta-dependent entries.
+    Of the received_params triple only alpha and gamma depend on eta, through
+    x = eta e^{-gamma}: dalpha = 4 n_s x e^{-gamma} and
+    dgamma = 2 sqrt(n_s (1 + n_s)) e^{-gamma}.
     """
     n_s, e = params.n_s, np.exp(-params.gamma)
-    x = params.eta * e
-    dsigma = BipartiteCM(4.0 * n_s * x * e * np.eye(2), np.zeros((2, 2)),
-                         2.0 * np.sqrt(n_s * (1.0 + n_s)) * e * SIGMA_Z,
-                         check=False).matrix
-    return GaussianFamily(qi_received(params).to_state(), dsigma, np.zeros(4),
+    return GaussianFamily(*received_params(params), 4.0 * n_s * params.eta * e * e, 0.0,
+                          2.0 * np.sqrt(n_s * (1.0 + n_s)) * e, (0.0, 0.0, 0.0, 0.0),
                           params.eta)
 
 
@@ -113,15 +116,13 @@ def classical_received_family(params):
 
     Pre-channel the probe is a coherent state with alpha^2 = n_s in the
     real-basis displacement (0, 0, sqrt(2) alpha, 0) on (bath, signal);
-    after the interaction and the trace of the losses the received mode
-    carries d = (sqrt(2) e^{-gamma} alpha eta, 0). The spectator keeps the
-    family two-mode without touching the information content.
+    after the interaction and the trace of the losses the received mode has
+    variance 1 + 2 n_th (1 - x^2) and carries d = (sqrt(2) e^{-gamma} alpha
+    eta, 0). The spectator, of variance 1 + 2 n_th, keeps the family
+    two-mode without touching the information content.
     """
     n_th, e = params.n_th, np.exp(-params.gamma)
-    alpha = np.sqrt(params.n_s)
     x = params.eta * e
-    sigma = np.diag([1.0 + 2.0 * n_th * (1.0 - x ** 2)] * 2 + [1.0 + 2.0 * n_th] * 2)
-    d = np.array([np.sqrt(2.0) * alpha * x, 0.0, 0.0, 0.0])
-    dsigma = np.diag([-4.0 * n_th * x * e] * 2 + [0.0, 0.0])
-    dd = np.array([np.sqrt(2.0) * alpha * e, 0.0, 0.0, 0.0])
-    return GaussianFamily(GaussianState(d, sigma), dsigma, dd, params.eta)
+    return GaussianFamily(1.0 + 2.0 * n_th * (1.0 - x ** 2), 1.0 + 2.0 * n_th, 0.0,
+                          -4.0 * n_th * x * e, 0.0, 0.0,
+                          (np.sqrt(2.0 * params.n_s) * e, 0.0, 0.0, 0.0), params.eta)

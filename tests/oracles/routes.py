@@ -43,6 +43,30 @@ def qi_received_constructive(params):
     return BipartiteCM.from_state(partial_trace(transformed, keep=(1, 2)))
 
 
+def illumination_classical_constructive(params):
+    """illumination.classical_received_family's state: a coherent signal of
+    n_s photons and the thermal bath pass the beam splitter of reflectivity
+    (eta e^{-gamma})^2, the signal output is kept, and a thermal spectator
+    mode of the bath's occupation is appended."""
+    x = qi_eta_eff(params.eta, params.gamma)
+    probe = GaussianState([0.0, 0.0, np.sqrt(2.0 * params.n_s), 0.0, 0.0, 0.0],
+                          np.diag([1.0 + 2.0 * params.n_th] * 2 + [1.0, 1.0]
+                                  + [1.0 + 2.0 * params.n_th] * 2))
+    return partial_trace(apply(probe, beam_splitter(x ** 2), on=(0, 1)), keep=(1, 2))
+
+
+def bifreq_classical_constructive(params):
+    """bifreq.classical_received_family's state: at each frequency a coherent
+    beam of n_s photons and the thermal bath pass a beam splitter of
+    reflectivity eta1 and eta1 + lam, and the signal outputs are kept."""
+    amp = np.sqrt(2.0 * params.n_s)
+    bath = [1.0 + 2.0 * params.n_th] * 2
+    probe = GaussianState([0.0, 0.0, amp, 0.0] * 2, np.diag((bath + [1.0, 1.0]) * 2))
+    out = apply(probe, beam_splitter(params.eta1), on=(0, 1))
+    out = apply(out, beam_splitter(params.eta1 + params.lam), on=(2, 3))
+    return partial_trace(out, keep=(1, 3))
+
+
 def bifreq_received_constructive(params):
     """bifreq.bifreq_received built from the four-mode probe: each (bath,
     signal) pair passes its own beam splitter, of reflectivity eta1 and

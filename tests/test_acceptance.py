@@ -10,8 +10,9 @@ import pytest
 from cvmw import bifreq, channel, core, distill, fock, illumination, teleport
 from cvmw.channel import AirChannel
 from cvmw.entanglement import BipartiteCM, cm_validity, negativity
-from cvmw.estimation import gaussian_qfi, gaussian_sld
+from cvmw.estimation import gaussian_qfi
 from cvmw.teleport import TeleportResource, fidelity_2ps_general, regaussify
+from tests.oracles.monras import gaussian_sld, matrix_family
 from tests.oracles.routes import success_probability_series
 
 P = channel.TABLE1
@@ -191,7 +192,7 @@ def test_criterion_10_oracle_equivalence():
 
     # SLD anticommutator residual on the truncated space
     p = illumination.QiParams(0.3, 0.3, 0.0, 0.1)
-    fam = illumination.received_family(p)
+    fam = matrix_family(illumination.received_family(p))
     sld = gaussian_sld(fam)
     n_max = 20
     dims = (n_max + 1, n_max + 1)

@@ -7,11 +7,14 @@ from cvmw.bifreq import (BifreqParams, bifreq_probe, bifreq_received,
                          h_c_bifreq, h_q_bifreq, high_noise_ratio,
                          high_reflectivity_ratio, jpa_forward,
                          jpa_identification_residual, jpa_synthesis,
-                         optimal_coeffs, optimal_observable_numeric,
-                         qcrb_saturating_noise, thermal_ratio,
+                         optimal_coeffs, qcrb_saturating_noise, thermal_ratio,
                          variance_formula)
-from cvmw.estimation import gaussian_qfi, observable_moments
+from cvmw.estimation import gaussian_qfi
+from tests.oracles import monras
 from tests.oracles.finite_difference import jet
+from tests.oracles.monras import (as_quadratic, matrix_family, observable_moments,
+                                  optimal_observable, optimal_observable_numeric)
+from tests.oracles.routes import bifreq_classical_constructive
 
 
 class TestThermalRatio:
@@ -145,10 +148,10 @@ class TestFisherInformation:
         k = np.exp(-0.3)
         scaled_q = jet(lambda l: bifreq_received(
             BifreqParams(0.85, k * l, 1.5, 0.0, 2.0)).to_state(), 0.0, 1e-5)
-        scaled_c = jet(lambda l: bifreq.classical_received_family(
-            BifreqParams(0.85, k * l, 1.5, 0.0, 2.0)).state, 0.0, 1e-5)
+        scaled_c = jet(lambda l: bifreq_classical_constructive(
+            BifreqParams(0.85, k * l, 1.5, 0.0, 2.0)), 0.0, 1e-5)
         r1 = base_q / base_c
-        r2 = gaussian_qfi(scaled_q) / gaussian_qfi(scaled_c)
+        r2 = monras.gaussian_qfi(scaled_q) / monras.gaussian_qfi(scaled_c)
         assert abs(r1 - r2) < 1e-10 * r1
 
     def test_enhancement_region_grows_with_reflectivity(self):
@@ -207,19 +210,18 @@ class TestOptimalObservable:
         n_s = 1.5
         r = np.arcsinh(np.sqrt(2.0 * n_s))
         st = core.tmsv(r)
-        mean, var = observable_moments(st, coeffs_noiseless(n_s).as_quadratic())
+        mean, var = observable_moments(st, as_quadratic(coeffs_noiseless(n_s)))
         assert var == pytest.approx(0.0, abs=1e-10)
         assert mean == pytest.approx(-1.0 / (4.0 * n_s), abs=1e-10)
 
     def test_unbiased_at_zero_and_offset_operating_points(self):
         p = BifreqParams(0.85, 0.0, 1.0, 0.0, 2.0)
-        fam = bifreq.received_family(p)
-        from cvmw.estimation import optimal_observable
+        fam = matrix_family(bifreq.received_family(p))
         obs = optimal_observable(fam)
         mean, _ = observable_moments(fam.state, obs)
         assert mean == pytest.approx(0.0, abs=1e-9)
         p2 = BifreqParams(0.85, 1e-3, 1.0, 0.0, 2.0)
-        fam2 = bifreq.received_family(p2)
+        fam2 = matrix_family(bifreq.received_family(p2))
         obs2 = optimal_observable(fam2)
         mean2, _ = observable_moments(fam2.state, obs2)
         assert mean2 == pytest.approx(1e-3, abs=1e-9)

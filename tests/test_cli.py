@@ -484,3 +484,27 @@ class TestOtherCommands:
                                "--sweep", "L", "0", "100", "2")
         assert code == 0
         assert len(parse_csv(out)) == 2
+
+
+class TestJsonOutput:
+    @pytest.mark.parametrize("argv", [[name, "--format", "json"] for name in cli.COMMANDS]
+                             + [["qfi", "--family", "bifreq", "--format", "json"],
+                                ["summary"], ["state", "--kind", "tmst"]],
+                             ids=lambda argv: "-".join(argv[:3:2]))
+    def test_json_parses_strictly(self, argv, capsys):
+        # RFC 8259 has no NaN or Infinity: a non-finite cell is null
+        def reject(token):
+            raise ValueError("non-finite JSON token %s" % token)
+
+        assert cli.main(argv) == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=reject)
+        if argv[0] == "negativity":
+            assert report["rows"][0]["ok"] == 0 and report["rows"][0]["n_tmsv"] is None
+        if argv[:3] == ["qfi", "--family", "bifreq"]:
+            assert report["rows"][0]["h_closed"] is None
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_state_with_an_infinite_entry_is_a_computation_error(self, capsys):
+        # sqrt(2) 1.7e308 overflows the displacement to inf
+        assert cli.main(["state", "--kind", "coherent", "--set", "alpha_re=1.7e308"]) == 2
+        assert capsys.readouterr().out == ""

@@ -24,13 +24,23 @@ CHECKS = {
                                          "cvmw.bifreq.received_family",
                                          "cvmw.bifreq._probe_terms"},
         "qi_received_constructive": {"cvmw.illumination.qi_received",
+                                     "cvmw.illumination.received_params",
                                      "cvmw.illumination.received_family"},
+        "illumination_classical_constructive": {
+            "cvmw.illumination.classical_received_family"},
+        "bifreq_classical_constructive": {"cvmw.bifreq.classical_received_family"},
         "eta_eff_iterated": {"cvmw.illumination.eta_eff", "cvmw.channel.eta_eff"},
         "success_probability_series": {"cvmw.distill.PsTmsv.success_probability",
                                        "cvmw.distill.hyp2f1_k"},
         "two_mode_symplectic_eigenvalues": {"cvmw.core.symplectic_eigenvalues"},
         "classical_limit_full_bracket": {
             "cvmw.teleport.TeleportResource.classical_limit_distance"},
+    },
+    "monras.py": {
+        "gaussian_qfi": {"cvmw.estimation.gaussian_qfi"},
+        "_sld_matrices": {"cvmw.estimation.gaussian_qfi"},
+        "matrix_family": {"cvmw.estimation.gaussian_qfi"},
+        "optimal_observable_numeric": {"cvmw.bifreq.optimal_coeffs"},
     },
     "finite_difference.py": {
         "jet": {"cvmw.illumination.received_family",
@@ -85,3 +95,8 @@ def test_oracle_uses_nothing_it_checks(module, function):
     checked = CHECKS[module][function]
     short = {name.rsplit(".", 1)[1] for name in checked}
     assert not used & (checked | short), used & (checked | short)
+
+
+def test_monras_oracle_imports_nothing_from_estimation():
+    names = imported_names(ast.parse((ORACLES / "monras.py").read_text()))
+    assert not [name for name in names.values() if name.startswith("cvmw.estimation")]

@@ -14,7 +14,7 @@ import pytest
 
 from cvmw import bifreq, channel, cli, distill, entanglement, illumination, teleport
 from cvmw.entanglement import BipartiteCM, log_negativity, negativity, pts_eigenvalues
-from cvmw.estimation import GaussianFamily, gaussian_qfi
+from tests.oracles import monras
 from tests.oracles.routes import bifreq_received_constructive
 
 TABLE1 = channel.TABLE1
@@ -234,11 +234,12 @@ def test_illum_columns():
 
 
 def h_q_constructive(p):
-    """h_q_bifreq's Monras solve on the received state built from the probe."""
-    family = bifreq.received_family(p)
+    """The Monras oracle's QFI of the received state built from the probe,
+    with h_q_bifreq's derivatives."""
+    family = monras.matrix_family(bifreq.received_family(p))
     state = bifreq_received_constructive(p).to_state()
-    return gaussian_qfi(GaussianFamily(state, family.dsigma, family.dd,
-                                       family.lambda0))
+    return monras.gaussian_qfi(monras.MatrixFamily(state, family.dsigma, family.dd,
+                                                   family.lambda0))
 
 
 def test_bifreq_columns():
