@@ -4,12 +4,13 @@ State algebra in the covariance-matrix formalism, entanglement measures,
 Gaussian quantum Fisher information with optimal observables, quantum
 illumination and bi-frequency illumination, teleportation fidelities with
 photon subtraction and entanglement swapping, and open-air / satellite
-channel models. A truncated Fock-space engine provides independent
-brute-force cross-checks for the closed forms.
+channel models. A truncated Fock-space engine, `cvmw.fock`, provides
+independent brute-force cross-checks for the closed forms; it is imported
+on first use, so the CLI does not load it.
 """
 
 from . import (bifreq, channel, core, distill, entanglement, estimation,
-               fock, illumination, teleport)
+               illumination, teleport)
 
 __all__ = [
     "bifreq", "channel", "core", "distill", "entanglement", "estimation",

@@ -261,23 +261,22 @@ def coeffs_noiseless(n_s):
     return ObservableCoeffs(-mu2, -1.0, np.sqrt(mu2), -nu)
 
 
-def variance_formula(params):
-    """2 N_S^2 L12 (1 + N_S) with the closed-form L12.
+def variance_formula(n_s, l12):
+    """2 N_S^2 L12 (1 + N_S), with L12 of optimal_coeffs at N_S.
 
     The product of this expression with the QFI defines the saturation
     contour of the Cramer-Rao bound at M = 1. Note the operator variance
     of the exact optimal observable equals 1/H identically; this is the
     separate quantity the contour is drawn from.
     """
-    coeffs = optimal_coeffs(params)
-    n_s = params.n_s
-    return 2.0 * n_s ** 2 * coeffs.l12 * (1.0 + n_s)
+    return 2.0 * n_s ** 2 * l12 * (1.0 + n_s)
 
 
 def qcrb_gap(eta1, n_s, n_th):
     """var(O_Q) * H_Q - 1; a root in n_th certifies qCRB saturation at M = 1."""
     params = BifreqParams(eta1, 0.0, n_r=n_s, n=0.0, n_th=n_th)
-    return variance_formula(params) * h_q_bifreq(params) - 1.0
+    return (variance_formula(params.n_s, optimal_coeffs(params).l12)
+            * h_q_bifreq(params) - 1.0)
 
 
 def qcrb_saturating_noise(eta1, n_s, lo=1e-3, hi=1e4):

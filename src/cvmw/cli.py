@@ -188,7 +188,7 @@ def _bifreq_table(x):
     return {"eta1": p.eta1, "n_s": p.n_s, "n_th": p.n_th, "h_c": h_c,
             "h_q": h_q, "ratio": h_q / h_c, "l11": coeffs.l11, "l22": coeffs.l22,
             "l12": coeffs.l12, "l0": coeffs.l0,
-            "qcrb_gap": bifreq.variance_formula(p) * h_q - 1.0}
+            "qcrb_gap": bifreq.variance_formula(p.n_s, coeffs.l12) * h_q - 1.0}
 
 
 def _satellite_table(x):
@@ -262,13 +262,14 @@ def _distill_table(x):
 def _swap_table(x):
     # Charlie measures the lossy modes: alpha is the retained block of a link
     beta, alpha, gamma = _link_params(x, x["L"] / 2.0, "asym")
-    alpha_t, gamma_t = distill.swap_symmetric(alpha, beta, gamma)
+    # the ideal swap is the finite-gain one at g = inf
+    alpha_t, gamma_t = teleport.swapped_finite_gain_params(alpha, beta, gamma, np.inf)
     nu = entanglement.nu_minus_standard(alpha_t, alpha_t, gamma_t)
     theta, valid = entanglement.cm_validity(alpha_t, alpha_t, gamma_t)
     return {"L": x["L"], "alpha": alpha, "beta": beta, "gamma": gamma,
             "alpha_swap": alpha_t, "gamma_swap": gamma_t, "nu_minus": nu,
             "negativity": entanglement.negativity_from_nu(nu),
-            "fidelity": teleport.fidelity_swapped(alpha, beta, gamma),
+            "fidelity": teleport.fidelity_finite_gain(alpha_t, alpha_t, gamma_t, np.inf),
             "theta": theta, "valid": valid.astype(int)}
 
 

@@ -9,6 +9,7 @@ Conventions used throughout the package:
 
 import functools
 import json
+import math
 
 import numpy as np
 
@@ -228,8 +229,12 @@ def thermal(n_modes, n_th):
 
 
 def coherent(alpha_re, alpha_im=0.0):
-    d = np.sqrt(2.0) * np.array([alpha_re, alpha_im])
-    return GaussianState(d, np.eye(2), check=False)
+    # Python floats overflow to inf without a numpy warning
+    d = [math.sqrt(2.0) * float(a) for a in (alpha_re, alpha_im)]
+    if not all(map(math.isfinite, d)):
+        raise ValueError("coherent amplitude %r + %ri: displacement sqrt(2) alpha "
+                         "must be finite" % (alpha_re, alpha_im))
+    return GaussianState(np.array(d), np.eye(2), check=False)
 
 
 def tmsv(r):

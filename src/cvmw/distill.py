@@ -89,37 +89,18 @@ def _w_mat(x, m):
 
 @dataclass
 class PsOutcome:
-    """Submatrices, success probability and corrections of a symmetric 2PS.
-
-    m1/m2/m3 enter the success probability; the P/Q/R matrices and cf_*
-    scalars parameterize the quartic polynomial of the characteristic
-    function; g is the non-Gaussian fidelity correction.
-    """
+    """Submatrices and success probability of a symmetric 2PS, and the
+    heuristic subtraction of the Gaussian state they form (Sigma-tilde)."""
     sigma_a: np.ndarray
     sigma_b: np.ndarray
     eps: np.ndarray
     probability: float
-    m1: float
-    m2: float
-    m3: float
-    p1: np.ndarray
-    p2: np.ndarray
-    p12: np.ndarray
-    q1: np.ndarray
-    q2: np.ndarray
-    q12: np.ndarray
-    r1: np.ndarray
-    r2: np.ndarray
-    r12: np.ndarray
-    cf_m1: float
-    cf_m2: float
-    cf_m3: float
-    g: float
+    heuristic: "HeuristicPs"
 
     @property
-    def norm(self):
-        """Normalization of the characteristic-function polynomial."""
-        return self.cf_m1 * self.cf_m2 + self.cf_m3
+    def g(self):
+        """The non-Gaussian fidelity correction: h at Sigma-tilde."""
+        return self.heuristic.h
 
     def cm(self, check=True):
         return BipartiteCM(self.sigma_a, self.sigma_b, self.eps, check=check)
@@ -130,8 +111,8 @@ def ps2_gaussian(cm, tau):
 
     Beam splitters of transmissivity tau mix each mode with a vacuum
     ancilla; both counters register one photon. Returns the modified
-    submatrices, the success probability, and the correction machinery
-    needed for characteristic functions and fidelities.
+    submatrices, the success probability and the heuristic subtraction at
+    Sigma-tilde, which carries the characteristic function and fidelity.
     """
     if not 0.0 < tau < 1.0:
         raise ValueError("transmissivity must lie in (0, 1)")
@@ -175,24 +156,10 @@ def ps2_gaussian(cm, tau):
     # Gaussian state with covariance Sigma-tilde (counting one photon on a
     # transmissivity-tau splitter inserts tau^{n/2} a per mode, and the
     # tau^{n/2} sandwich of the input Gaussian has exactly this covariance).
-    # That identity supplies the characteristic-function polynomial and the
-    # fidelity correction g.
+    # That identity supplies the characteristic function and the fidelity
+    # correction g.
     cm_tilde = BipartiteCM(sigma_a, sigma_b, eps, check=False)
-    mach = ps2_heuristic(cm_tilde)
-    p1, p2, p12 = mach.big_c, mach.big_b, mach.big_bc
-    q1, q2, q12 = mach.big_a, mach.big_c, mach.big_ac
-    r1 = -0.5 * (mach.big_ac @ w @ eps @ w.T
-                 + (mach.big_ac @ w @ eps @ w.T).T)
-    r2 = 2.0 * mach.big_c @ (i2 - w @ sigma_b @ w.T)
-    r2 = 0.5 * (r2 + r2.T)
-    r12 = (mach.big_ac @ (i2 - w @ sigma_b @ w.T)
-           - 2.0 * w @ eps @ w.T @ mach.big_c)
-
-    return PsOutcome(sigma_a, sigma_b, eps, float(prob),
-                     float(m1), float(m2), float(m3),
-                     p1, p2, p12, q1, q2, q12, r1, r2, r12,
-                     float(mach.m_b), float(mach.m_a), float(mach.m_c),
-                     float(mach.h))
+    return PsOutcome(sigma_a, sigma_b, eps, float(prob), ps2_heuristic(cm_tilde))
 
 
 def ps2_standard_form(alpha, beta, gamma, tau):
@@ -258,14 +225,7 @@ class HeuristicPs:
     big_ac: np.ndarray
     big_bc: np.ndarray
     e0: float
-    e1: np.ndarray
-    e2_a: np.ndarray
-    e2_b: np.ndarray
     h: float
-
-    @property
-    def norm(self):
-        return 1.0 / self.e0
 
 
 def ps2_heuristic(cm):
@@ -306,8 +266,7 @@ def ps2_heuristic(cm):
          + 3.0 * np.trace(w @ w_inv @ w.T @ e2_a)
          * np.trace(w @ w_inv @ w.T @ e2_b)) / e0
     return HeuristicPs(float(m_a), float(m_b), float(m_c),
-                       big_a, big_b, big_c, big_ac, big_bc,
-                       float(e0), e1, e2_a, e2_b, float(h))
+                       big_a, big_b, big_c, big_ac, big_bc, float(e0), float(h))
 
 
 def swap(cm1, cm2):
@@ -330,36 +289,15 @@ def swap(cm1, cm2):
     return BipartiteCM(sigma_a, sigma_d, eps)
 
 
-def swap_symmetric(alpha, beta, gamma):
-    """Closed-form swap of two identical standard-form links, elementwise.
-
-    Returns (alpha_tilde, gamma_tilde) with Sigma_A = Sigma_D =
-    alpha_tilde I and eps = gamma_tilde sigma_z.
-    """
-    if any_true(beta <= 0.0):
-        raise ValueError("beta must be positive")
-    shift = gamma ** 2 / (2.0 * beta)
-    return alpha - shift, shift
-
-
 def char_fn_2ps(cm, tau, alpha_pt, beta_pt, outcome=None):
-    """Characteristic function of the probabilistically 2PS state.
+    """Characteristic function of the probabilistically 2PS state: the
+    heuristic one at Sigma-tilde.
 
-    Gaussian envelope over Sigma-tilde times a quartic polynomial;
     alpha_pt and beta_pt are real phase-space points (x, p) for the two
     modes. A precomputed PsOutcome can be supplied to avoid recomputation.
     """
     out = ps2_gaussian(cm, tau) if outcome is None else outcome
-    a = np.asarray(alpha_pt, dtype=float).reshape(2)
-    b = np.asarray(beta_pt, dtype=float).reshape(2)
-    w = omega(1)
-    quad = (a @ w @ out.sigma_a @ w.T @ a + b @ w @ out.sigma_b @ w.T @ b
-            + 2.0 * a @ w @ out.eps @ w.T @ b)
-    envelope = np.exp(-0.25 * quad)
-    poly = ((out.cf_m1 + a @ out.p1 @ a + b @ out.p2 @ b + a @ out.p12 @ b)
-            * (out.cf_m2 + a @ out.q1 @ a + b @ out.q2 @ b + a @ out.q12 @ b)
-            + out.cf_m3 + a @ out.r1 @ a + b @ out.r2 @ b + a @ out.r12 @ b)
-    return envelope * poly / out.norm
+    return char_fn_heuristic(out.cm(check=False), alpha_pt, beta_pt, out.heuristic)
 
 
 def char_fn_heuristic(cm, alpha_pt, beta_pt, machinery=None):

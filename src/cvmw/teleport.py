@@ -23,8 +23,7 @@ MAX_DISTANCE = 5000.0  # m; a classical limit beyond it is an error
 BEYOND_MAX = "fidelity stays above 1/2 up to %.0f m" % MAX_DISTANCE
 ROOT_XTOL = 0.01  # m; bracket width of the numeric classical limits
 ROOT_GRID = np.linspace(0.0, MAX_DISTANCE, 33)  # m; one array call brackets them
-ILL_CONDITIONED = "ill-conditioned resource: det[I + Gamma/2] <= 0"
-PS_ILL_CONDITIONED = "ill-conditioned photon-subtracted resource"
+ILL_CONDITIONED = "ill-conditioned resource: det[I + (k - 1/2) Gamma] <= 0"
 
 
 def gamma_of(cm):
@@ -33,22 +32,17 @@ def gamma_of(cm):
             - SIGMA_Z @ cm.eps - cm.eps.T @ SIGMA_Z)
 
 
-def fidelity_gaussian(cm):
-    """Average fidelity 1/sqrt(det[I + Gamma/2]) for a Gaussian resource.
-
-    Independent of the displacement of the teleported coherent state.
-    """
-    det = np.linalg.det(np.eye(2) + 0.5 * gamma_of(cm))
-    if det <= 0.0:
-        raise ValueError(ILL_CONDITIONED)
-    return 1.0 / np.sqrt(det)
-
-
 def fidelity_concatenated(cm, k):
-    """Fidelity of k concatenated protocols: 1/sqrt(det[I + (k - 1/2) Gamma])."""
+    """Fidelity of k concatenated protocols: 1/sqrt(det[I + (k - 1/2) Gamma]).
+
+    At k = 1 it is the average fidelity of one Gaussian resource, which is
+    independent of the displacement of the teleported coherent state.
+    """
     if k < 1 or k != int(k):
         raise ValueError("k must be a positive integer")
     det = np.linalg.det(np.eye(2) + (k - 0.5) * gamma_of(cm))
+    if det <= 0.0:
+        raise ValueError(ILL_CONDITIONED)
     return 1.0 / np.sqrt(det)
 
 
@@ -69,23 +63,19 @@ def fidelity_ps_tmsv(lambda_tau, k):
 def fidelity_2ps_general(cm, tau, outcome=None):
     """Fidelity with symmetric two-photon subtraction: (fbar, g).
 
-    fbar = (1 + g) / sqrt(det[I + Gamma-tilde/2]) with Gamma-tilde built
-    from the subtraction-modified submatrices and g the non-Gaussian
-    correction.
+    The 2PS state is the heuristic subtraction of the Gaussian state of
+    covariance Sigma-tilde, so this is fidelity_heuristic at Sigma-tilde
+    and g is h there.
     """
     out = distill.ps2_gaussian(cm, tau) if outcome is None else outcome
-    cm_tilde = BipartiteCM(out.sigma_a, out.sigma_b, out.eps, check=False)
-    det = np.linalg.det(np.eye(2) + 0.5 * gamma_of(cm_tilde))
-    if det <= 0.0:
-        raise ValueError(PS_ILL_CONDITIONED)
-    return (1.0 + out.g) / np.sqrt(det), out.g
+    return fidelity_heuristic(out.cm(check=False), out.heuristic)
 
 
 def fidelity_heuristic(cm, machinery=None):
-    """Fidelity with heuristic photon subtraction: (fbar, h)."""
+    """Fidelity with heuristic photon subtraction: (fbar, h), where fbar is
+    (1 + h) times the Gaussian fidelity of cm."""
     mach = distill.ps2_heuristic(cm) if machinery is None else machinery
-    det = np.linalg.det(np.eye(2) + 0.5 * gamma_of(cm))
-    return (1.0 + mach.h) / np.sqrt(det), mach.h
+    return (1.0 + mach.h) * fidelity_concatenated(cm, 1), mach.h
 
 
 def regaussify(cm_tilde, correction, mode="sym"):
@@ -128,28 +118,22 @@ def regaussify_standard(alpha, beta, gamma, correction, mode="sym"):
     return (alpha - c) / (1.0 + c), (beta - c) / (1.0 + c), gamma / (1.0 + c)
 
 
-def root_det_standard(alpha, beta, gamma, error=ILL_CONDITIONED):
+def root_det_standard(alpha, beta, gamma):
     """sqrt(det[I + Gamma/2]) of a standard-form resource, elementwise, where
-    Gamma = (alpha + beta - 2 gamma) I; ValueError(error) where det <= 0.
+    Gamma = (alpha + beta - 2 gamma) I; ValueError where det <= 0.
     The Gaussian fidelity is its inverse."""
     det = (1.0 + 0.5 * (alpha + beta - 2.0 * gamma)) ** 2
     if any_true(det <= 0.0):
-        raise ValueError(error)
+        raise ValueError(ILL_CONDITIONED)
     return np.sqrt(det)
-
-
-def fidelity_swapped(alpha, beta, gamma):
-    """Fidelity with the entanglement-swapped resource: 1/(1 + alpha - gamma^2/beta)."""
-    if any_true(beta <= 0.0):
-        raise ValueError("beta must be positive")
-    return 1.0 / (1.0 + alpha - gamma ** 2 / beta)
 
 
 def fidelity_finite_gain(alpha, beta, gamma, g, theta=0.0):
     """Teleportation fidelity with finite-gain homodyne detection.
 
-    g is the homodyne gain (g -> infinity recovers the ideal result);
-    theta is the amplitude of the teleported coherent state.
+    g is the homodyne gain; at g = inf it is the ideal protocol's
+    1/(1 + (alpha + beta - 2 gamma)/2). theta is the amplitude of the
+    teleported coherent state.
     """
     if g <= 0.0:
         raise ValueError("gain must be positive")
@@ -167,7 +151,11 @@ def fidelity_finite_gain(alpha, beta, gamma, g, theta=0.0):
 
 
 def swapped_finite_gain_params(alpha, beta, gamma, g):
-    """(alpha_tilde, gamma_tilde) of the swapped resource at finite gain g."""
+    """(alpha_tilde, gamma_tilde) of the swapped resource at gain g,
+    elementwise; at g = inf the ideal swap, alpha - gamma^2/(2 beta) and
+    gamma^2/(2 beta)."""
+    if any_true(beta <= 0.0):
+        raise ValueError("beta must be positive")
     rg = 1.0 / np.sqrt(g)
     den = 2.0 * (beta + rg * (1.0 + beta ** 2) + beta / g)
     alpha_t = alpha - gamma ** 2 * (1.0 + 2.0 * rg * beta + 1.0 / g) / den
@@ -225,33 +213,28 @@ class TeleportResource:
 
     def fidelity(self, length):
         """Average fidelity at distance `length` (m), elementwise over an
-        array of distances."""
+        array of distances.
+
+        The ideal kinds are their finite-gain forms at g = inf, and the
+        2PS state is the heuristic subtraction at the subtracted triple.
+        """
         kind, length = self.kind, np.asarray(length, dtype=float)
         channel_mod.check_lengths(length)
-        if kind in ("swap", "swap-fg"):
+        gain = 1.0 / self.inv_gain if kind.endswith("-fg") else np.inf
+        if kind.startswith("swap"):
             # two identical links of length L/2; Charlie measures the lossy
             # modes, so alpha is the retained (lossless) block of each link
             beta, alpha, gamma = channel_mod.tmst_params(
                 self.mu, length / 2.0, self.n_th, self.eta_ant, self.r, self.n, "asym")
-            if kind == "swap":
-                return fidelity_swapped(alpha, beta, gamma)
-            gain = 1.0 / self.inv_gain
             a_t, g_t = swapped_finite_gain_params(alpha, beta, gamma, gain)
             return fidelity_finite_gain(a_t, a_t, g_t, gain, self.theta)
-        alpha, beta, gamma = channel_mod.tmst_params(
+        triple = channel_mod.tmst_params(
             self.mu, length, self.n_th, self.eta_ant, self.r, self.n, self.geometry)
+        if kind.startswith("tmst"):
+            return fidelity_finite_gain(*triple, gain, self.theta)
         if kind.startswith("2ps-prob"):
-            # g of ps2_gaussian is h at the subtracted triple
-            tilde = distill.ps2_standard_form(alpha, beta, gamma, self.tau)[:3]
-            return ((1.0 + distill.heuristic_correction(*tilde))
-                    / root_det_standard(*tilde, error=PS_ILL_CONDITIONED))
-        if kind.endswith("-fg"):
-            return fidelity_finite_gain(alpha, beta, gamma, 1.0 / self.inv_gain,
-                                        self.theta)
-        root = root_det_standard(alpha, beta, gamma)
-        if kind.startswith("2ps-heur"):
-            return (1.0 + distill.heuristic_correction(alpha, beta, gamma)) / root
-        return 1.0 / root
+            triple = distill.ps2_standard_form(*triple, self.tau)[:3]
+        return (1.0 + distill.heuristic_correction(*triple)) / root_det_standard(*triple)
 
     def _half_fidelity_poly(self):
         """The F = 1/2 condition as a coefficient array in u (channel.tmst_polys).

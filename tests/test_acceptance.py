@@ -255,8 +255,8 @@ def test_criterion_11_invariant_suite():
     for length in np.linspace(0.0, 500.0, 21):
         half = AirChannel(P["mu"], length / 2.0, P["n_th"], 0.0)
         link = channel.lossy_tmst(half, P["r"], P["n"], "asym")
-        alpha_t, gamma_t = distill.swap_symmetric(
-            link.sigma_b[0, 0], link.sigma_a[0, 0], link.eps[0, 0])
+        alpha_t, gamma_t = teleport.swapped_finite_gain_params(
+            link.sigma_b[0, 0], link.sigma_a[0, 0], link.eps[0, 0], np.inf)
         ok_theta = ok_theta and cm_validity(alpha_t, alpha_t, gamma_t)[1]
         ch = AirChannel(P["mu"], length, P["n_th"], 0.0)
         for geometry in ("sym", "asym"):

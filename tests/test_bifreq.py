@@ -230,7 +230,7 @@ class TestOptimalObservable:
         p = BifreqParams(0.9, 0.0, 2.9, 0.0, 5.0)
         coeffs = optimal_coeffs(p)
         expected = 2.0 * p.n_s ** 2 * coeffs.l12 * (1.0 + p.n_s)
-        assert variance_formula(p) == pytest.approx(expected, rel=1e-12)
+        assert variance_formula(p.n_s, coeffs.l12) == pytest.approx(expected, rel=1e-12)
 
     def test_singular_parameters_raise(self):
         with pytest.raises(ValueError):

@@ -325,6 +325,13 @@ def test_cli_paths_load_no_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_does_not_load_the_fock_oracle():
+    script = "import sys, cvmw.cli; assert 'cvmw.fock' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=ENV)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestDeterminism:
     def test_csv_reproducible_bit_identically(self):
         args = ("teleport", "--resource", "2ps-prob-sym",
@@ -415,6 +422,14 @@ class TestNegativityCommand:
 
 
 class TestStateCommand:
+    def test_overflowing_coherent_amplitude_exits_2_without_a_warning(self):
+        code, out, err = run_cli("state", "--kind", "coherent",
+                                 "--set", "alpha_re=1.7e308")
+        assert code == 2 and out == ""
+        # one line, and no raw numpy RuntimeWarning before it
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("computation error:"), err
+
     def test_state_json_roundtrip(self):
         code, out, _ = run_cli("state", "--kind", "tmst", "--set", "r=0.8",
                                "--set", "n=0.05")
@@ -503,7 +518,6 @@ class TestJsonOutput:
         if argv[:3] == ["qfi", "--family", "bifreq"]:
             assert report["rows"][0]["h_closed"] is None
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_state_with_an_infinite_entry_is_a_computation_error(self, capsys):
         # sqrt(2) 1.7e308 overflows the displacement to inf
         assert cli.main(["state", "--kind", "coherent", "--set", "alpha_re=1.7e308"]) == 2

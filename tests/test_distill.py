@@ -6,7 +6,7 @@ from cvmw import channel, core, fock, teleport
 from cvmw.distill import (char_fn_2ps, char_fn_heuristic, heuristic_correction,
                           heuristic_negativity, hyp2f1_k, ps2_gaussian,
                           ps2_heuristic, ps2_standard_form, PsTmsv, swap,
-                          swap_symmetric, tmsv_negativity)
+                          tmsv_negativity)
 from cvmw.entanglement import BipartiteCM, cm_validity, negativity
 from tests.oracles.routes import success_probability_series
 
@@ -119,7 +119,9 @@ class TestPs2Gaussian:
     def test_assembled_blocks_symmetric(self):
         cm = BipartiteCM.standard_form(4.0, 3.5, 3.0)
         out = ps2_gaussian(cm, 0.92)
-        for m in (out.sigma_a, out.sigma_b, out.p1, out.q2, out.r1):
+        mach = out.heuristic
+        for m in (out.sigma_a, out.sigma_b, out.eps, mach.big_a, mach.big_b,
+                  mach.big_c, mach.big_ac, mach.big_bc):
             np.testing.assert_allclose(m, m.T, atol=1e-12)
 
     def test_success_probability_magnitude_and_efficiency_peak(self):
@@ -128,7 +130,7 @@ class TestPs2Gaussian:
         p = channel.TABLE1
         ch = channel.AirChannel(p["mu"], 0.0, p["n_th"], 0.0)
         cm = channel.lossy_tmst(ch, p["r"], p["n"], "sym")
-        f_bare = teleport.fidelity_gaussian(cm)
+        f_bare = teleport.fidelity_concatenated(cm, 1)
         taus = np.linspace(0.9, 0.995, 40)
         effs = []
         for tau in taus:
@@ -153,7 +155,6 @@ class TestPs2Heuristic:
         cm = BipartiteCM.from_state(core.tmst(0.7, 0.1))
         mach = ps2_heuristic(cm)
         assert mach.e0 == pytest.approx(mach.m_a * mach.m_b + mach.m_c)
-        assert mach.norm == pytest.approx(1.0 / mach.e0)
 
     def test_vacuum_input_rejected(self):
         with pytest.raises(ValueError):
@@ -244,7 +245,8 @@ class TestSwap:
         cm1 = BipartiteCM.standard_form(alpha, beta, gamma, check=False)
         cm2 = BipartiteCM.standard_form(beta, alpha, gamma, check=False)
         out = swap(cm1, cm2)
-        alpha_t, gamma_t = swap_symmetric(alpha, beta, gamma)
+        alpha_t, gamma_t = teleport.swapped_finite_gain_params(alpha, beta, gamma,
+                                                               np.inf)
         np.testing.assert_allclose(out.sigma_a, alpha_t * np.eye(2),
                                    atol=1e-12)
         np.testing.assert_allclose(out.sigma_b, alpha_t * np.eye(2),
@@ -263,8 +265,8 @@ class TestSwap:
         def swapped_negativity(length):
             ch = channel.AirChannel(p["mu"], length / 2.0, p["n_th"], 0.0)
             link = channel.lossy_tmst(ch, p["r"], p["n"], "asym")
-            alpha_t, gamma_t = swap_symmetric(
-                link.sigma_b[0, 0], link.sigma_a[0, 0], link.eps[0, 0])
+            alpha_t, gamma_t = teleport.swapped_finite_gain_params(
+                link.sigma_b[0, 0], link.sigma_a[0, 0], link.eps[0, 0], np.inf)
             return (1.0 - (alpha_t - gamma_t)) / (2.0 * (alpha_t - gamma_t))
 
         from scipy.optimize import brentq
@@ -280,8 +282,8 @@ class TestSwap:
         for length in np.linspace(0.0, 500.0, 11):
             ch = channel.AirChannel(p["mu"], length / 2.0, p["n_th"], 0.0)
             link = channel.lossy_tmst(ch, p["r"], p["n"], "asym")
-            alpha_t, gamma_t = swap_symmetric(
-                link.sigma_b[0, 0], link.sigma_a[0, 0], link.eps[0, 0])
+            alpha_t, gamma_t = teleport.swapped_finite_gain_params(
+                link.sigma_b[0, 0], link.sigma_a[0, 0], link.eps[0, 0], np.inf)
             theta, valid = cm_validity(alpha_t, alpha_t, gamma_t)
             assert valid
 

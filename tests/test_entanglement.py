@@ -120,8 +120,8 @@ class TestCmValidity:
             ch = channel.AirChannel(p["mu"], length, p["n_th"], 0.0)
             half = channel.AirChannel(p["mu"], length / 2.0, p["n_th"], 0.0)
             link = channel.lossy_tmst(half, p["r"], p["n"], "asym")
-            alpha_t, gamma_t = distill.swap_symmetric(
-                link.sigma_b[0, 0], link.sigma_a[0, 0], link.eps[0, 0])
+            alpha_t, gamma_t = teleport.swapped_finite_gain_params(
+                link.sigma_b[0, 0], link.sigma_a[0, 0], link.eps[0, 0], np.inf)
             theta, valid = cm_validity(alpha_t, alpha_t, gamma_t)
             assert valid, "swap family invalid at L=%.0f" % length
             for geometry in ("sym", "asym"):

@@ -97,7 +97,7 @@ def test_swap_columns(seed):
                          "alpha_swap": out.sigma_a[0, 0], "gamma_swap": out.eps[0, 0],
                          "nu_minus": pts_eigenvalues(out)[0],
                          "negativity": negativity(out),
-                         "fidelity": teleport.fidelity_gaussian(out),
+                         "fidelity": teleport.fidelity_concatenated(out, 1),
                          "theta": theta_of(out), "valid": 1.0})
         table = cli.COMMANDS["swap"]["table"](dict(p, L=GRID.values()))
         check_columns(table, oracle_table(rows), absolute=("negativity", "theta"))
@@ -109,7 +109,7 @@ def fidelity_oracle(kind, p, length):
                                     p["eta_ant"], p["tau"], p["inv_gain"])
     gain = 1.0 / p["inv_gain"]
     if kind == "swap":
-        return teleport.fidelity_gaussian(swapped_cm(p, length))
+        return teleport.fidelity_concatenated(swapped_cm(p, length), 1)
     if kind == "swap-fg":
         lossy, kept, gamma = link_cm(p, length / 2.0, "asym").standard_params()
         a_t, g_t = teleport.swapped_finite_gain_params(kept, lossy, gamma, gain)
@@ -121,7 +121,7 @@ def fidelity_oracle(kind, p, length):
         return teleport.fidelity_heuristic(cm)[0]
     if kind.endswith("-fg"):
         return teleport.fidelity_finite_gain(*cm.standard_params(), gain)
-    return teleport.fidelity_gaussian(cm)
+    return teleport.fidelity_concatenated(cm, 1)
 
 
 @pytest.mark.parametrize("kind", teleport.TeleportResource.KINDS)
@@ -132,7 +132,7 @@ def test_teleport_columns(kind):
         rows = []
         for length in GRID.values():
             f = fidelity_oracle(kind, p, length)
-            fb = teleport.fidelity_gaussian(link_cm(p, length, geometry))
+            fb = teleport.fidelity_concatenated(link_cm(p, length, geometry), 1)
             rows.append({"L": length, "fidelity": f, "fidelity_bare": fb,
                          "gain": f - fb})
         table = cli.COMMANDS["teleport"]["table"](dict(p, resource=kind, L=GRID.values()))

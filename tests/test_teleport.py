@@ -7,9 +7,9 @@ from cvmw import channel, core, distill
 from cvmw.entanglement import BipartiteCM, negativity, pts_eigenvalues
 from cvmw.teleport import (ROOT_XTOL, TeleportResource, fidelity_2ps_general,
                            fidelity_concatenated, fidelity_finite_gain,
-                           fidelity_gaussian, fidelity_heuristic,
-                           fidelity_ps_tmsv, fidelity_swapped, gamma_of,
-                           regaussify, swapped_finite_gain_params)
+                           fidelity_heuristic, fidelity_ps_tmsv, gamma_of,
+                           regaussify, root_det_standard,
+                           swapped_finite_gain_params)
 from tests.oracles.routes import classical_limit_full_bracket
 
 TABLE1 = dict(channel.TABLE1)
@@ -33,35 +33,35 @@ class TestGaussianFidelity:
         cm = BipartiteCM.from_state(core.tmst(0.8, 0.1))
         alpha, _, gamma = cm.standard_params()
         nu_minus = alpha - gamma
-        assert fidelity_gaussian(cm) == pytest.approx(1.0 / (1.0 + nu_minus))
+        assert fidelity_concatenated(cm, 1) == pytest.approx(1.0 / (1.0 + nu_minus))
         assert pts_eigenvalues(cm)[0] == pytest.approx(nu_minus)
 
     def test_classical_and_perfect_limits(self):
         # nu-tilde-minus -> 1 gives 1/2 (no entanglement), -> 0 gives 1
         no_ent = BipartiteCM.standard_form(1.0, 1.0, 0.0)
-        assert fidelity_gaussian(no_ent) == pytest.approx(0.5)
+        assert fidelity_concatenated(no_ent, 1) == pytest.approx(0.5)
         strong = BipartiteCM.from_state(core.tmsv(8.0))
-        assert fidelity_gaussian(strong) == pytest.approx(1.0, abs=1e-6)
+        assert fidelity_concatenated(strong, 1) == pytest.approx(1.0, abs=1e-6)
 
     def test_tmsv_closed_form(self):
         for r in (0.2, 0.8, 1.5):
             lam = np.tanh(r)
             cm = BipartiteCM.from_state(core.tmsv(r))
-            assert fidelity_gaussian(cm) == pytest.approx((1.0 + lam) / 2.0,
-                                                          rel=1e-12)
+            assert fidelity_concatenated(cm, 1) == pytest.approx((1.0 + lam) / 2.0,
+                                                                 rel=1e-12)
 
     def test_fidelity_between_zero_and_one_on_random_cms(self):
         rng = np.random.default_rng(13)
         from tests.test_core import random_valid_cm
         for _ in range(50):
             cm = BipartiteCM.from_matrix(random_valid_cm(rng), check=False)
-            f = fidelity_gaussian(cm)
+            f = fidelity_concatenated(cm, 1)
             assert 0.0 < f <= 1.0
 
     def test_monotone_in_nu_minus_for_symmetric_resources(self):
         nus = np.linspace(0.05, 1.5, 20)
-        fids = [fidelity_gaussian(BipartiteCM.standard_form(
-            1.0 + nu, 1.0 + nu, 1.0, check=False)) for nu in nus]
+        fids = [fidelity_concatenated(BipartiteCM.standard_form(
+            1.0 + nu, 1.0 + nu, 1.0, check=False), 1) for nu in nus]
         assert all(b < a for a, b in zip(fids, fids[1:]))
 
 
@@ -69,7 +69,7 @@ class TestConcatenated:
     def test_k_one_reduces(self):
         cm = BipartiteCM.from_state(core.tmst(0.6, 0.05))
         assert fidelity_concatenated(cm, 1) == pytest.approx(
-            fidelity_gaussian(cm), rel=1e-12)
+            1.0 / root_det_standard(*cm.standard_params()), rel=1e-12)
 
     def test_strictly_decreasing_in_k(self):
         cm = BipartiteCM.from_state(core.tmst(0.6, 0.05))
@@ -88,6 +88,18 @@ class TestConcatenated:
         cm = BipartiteCM.from_state(core.tmsv(0.1))
         with pytest.raises(ValueError):
             fidelity_concatenated(cm, 0)
+
+    def test_nonpositive_determinant_rejected(self):
+        # Gamma = diag(-4, 0): det[I + (k - 1/2) Gamma] = 1 - 4 (k - 1/2) < 0;
+        # alpha + beta - 2 gamma = -2: det[I + Gamma/2] = 0
+        indefinite = BipartiteCM(np.diag([-4.0, 0.0]), np.zeros((2, 2)),
+                                 np.zeros((2, 2)), check=False)
+        singular = BipartiteCM.standard_form(1.0, 1.0, 2.0, check=False)
+        for cm, k in ((indefinite, 1), (indefinite, 2), (singular, 1)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="det"):
+                    fidelity_concatenated(cm, k)
 
 
 class TestPsTmsvFidelities:
@@ -116,7 +128,7 @@ class TestPsTmsvFidelities:
 class TestTmstChannelFidelities:
     def test_perfect_channel_strong_squeezing(self):
         cm = lossy(0.0, "asym", r=8.0, n=0.0)
-        assert fidelity_gaussian(cm) == pytest.approx(1.0, abs=1e-6)
+        assert fidelity_concatenated(cm, 1) == pytest.approx(1.0, abs=1e-6)
 
     def test_short_distance_geometries_agree_to_first_order(self):
         # the two geometries differ only at second order in mu L
@@ -171,11 +183,11 @@ class TestRegaussify:
             out = distill.ps2_gaussian(cm, 0.95)
             f_ps, g = fidelity_2ps_general(cm, 0.95, outcome=out)
             rg, theta, valid = regaussify(out.cm(check=False), g, "sym")
-            assert fidelity_gaussian(rg) == pytest.approx(f_ps, abs=1e-10)
+            assert fidelity_concatenated(rg, 1) == pytest.approx(f_ps, abs=1e-10)
             mach = distill.ps2_heuristic(cm)
             f_h, h = fidelity_heuristic(cm, mach)
             rg_h, _, _ = regaussify(cm, h, "sym")
-            assert fidelity_gaussian(rg_h) == pytest.approx(f_h, abs=1e-10)
+            assert fidelity_concatenated(rg_h, 1) == pytest.approx(f_h, abs=1e-10)
 
     def test_asym_regaussification_balances_blocks(self):
         cm = lossy(200.0, "asym")
@@ -183,7 +195,7 @@ class TestRegaussify:
         rg, theta, valid = regaussify(cm, mach.h, "asym")
         np.testing.assert_allclose(rg.sigma_a, rg.sigma_b, atol=1e-12)
         assert valid
-        assert fidelity_gaussian(rg) == pytest.approx(
+        assert fidelity_concatenated(rg, 1) == pytest.approx(
             fidelity_heuristic(cm)[0], abs=1e-10)
 
     def test_negativity_gains_at_source(self):
@@ -200,7 +212,8 @@ class TestRegaussify:
 
 class TestSwap:
     def test_no_correlations_no_benefit(self):
-        assert fidelity_swapped(2.0, 3.0, 0.0) == pytest.approx(1.0 / 3.0)
+        alpha_t, gamma_t = swapped_finite_gain_params(2.0, 3.0, 0.0, np.inf)
+        assert fidelity_finite_gain(alpha_t, alpha_t, gamma_t, np.inf) == 1.0 / 3.0
 
     def test_reach_extension(self):
         bare = resource("tmst-asym").classical_limit_distance()
@@ -215,8 +228,10 @@ class TestSwap:
         assert es.fidelity(classical) > bare.fidelity(classical)
 
     def test_nonpositive_beta_rejected(self):
-        with pytest.raises(ValueError):
-            fidelity_swapped(2.0, 0.0, 1.0)
+        for beta in (0.0, -1.0, np.array([2.0, 0.0])):
+            for gain in (125.0, np.inf):
+                with pytest.raises(ValueError, match="beta must be positive"):
+                    swapped_finite_gain_params(2.0, beta, 1.0, gain)
 
 
 class TestFiniteGain:
@@ -226,14 +241,18 @@ class TestFiniteGain:
         ideal = 1.0 / (1.0 + 0.5 * (alpha + beta - 2.0 * gamma))
         assert fidelity_finite_gain(alpha, beta, gamma, 1e14) == pytest.approx(
             ideal, rel=1e-6)
-        assert fidelity_gaussian(cm) == pytest.approx(ideal, rel=1e-12)
+        assert fidelity_finite_gain(alpha, beta, gamma, np.inf) == pytest.approx(
+            ideal, rel=1e-15)
+        assert fidelity_concatenated(cm, 1) == pytest.approx(ideal, rel=1e-12)
 
     def test_swapped_finite_gain_recovers_ideal_submatrices(self):
         alpha, beta, gamma = 3.8, 4.5, 3.6
-        a_inf, g_inf = swapped_finite_gain_params(alpha, beta, gamma, 1e14)
-        a_id, g_id = distill.swap_symmetric(alpha, beta, gamma)
-        assert a_inf == pytest.approx(a_id, rel=1e-6)
-        assert g_inf == pytest.approx(g_id, rel=1e-6)
+        a_large, g_large = swapped_finite_gain_params(alpha, beta, gamma, 1e14)
+        a_id, g_id = swapped_finite_gain_params(alpha, beta, gamma, np.inf)
+        shift = gamma ** 2 / (2.0 * beta)
+        assert (a_id, g_id) == (alpha - shift, shift)
+        assert a_large == pytest.approx(a_id, rel=1e-6)
+        assert g_large == pytest.approx(g_id, rel=1e-6)
 
     def test_classical_limit_distances(self):
         assert resource("tmst-asym-fg", inv_gain=0.008).classical_limit_distance() \
@@ -447,12 +466,30 @@ class TestArrayFidelity:
 
     def test_any_bad_row_raises(self):
         with pytest.raises(ValueError, match="beta must be positive"):
-            fidelity_swapped(np.array([3.0, 3.0]), np.array([2.0, 0.0]),
-                             np.array([1.0, 1.0]))
-        from cvmw.teleport import root_det_standard
+            swapped_finite_gain_params(np.array([3.0, 3.0]), np.array([2.0, 0.0]),
+                                       np.array([1.0, 1.0]), np.inf)
         # 1 + (alpha + beta - 2 gamma) / 2 = 0 in the second row
         with pytest.raises(ValueError, match="det"):
             root_det_standard(np.array([3.0, 1.0]), np.array([3.0, 1.0]),
                               np.array([2.0, 2.0]))
         with pytest.raises(ValueError, match="invalid channel"):
             resource("tmst-asym").fidelity(np.array([10.0, -1.0]))
+
+    @pytest.mark.parametrize("kind", ["tmst-asym", "tmst-sym", "swap"])
+    def test_ideal_kinds_are_finite_gain_at_infinity(self, kind):
+        """tmst-* is 1/root_det_standard bit for bit; swap is the paper's
+        1/(1 + alpha - gamma^2/beta) to rounding."""
+        grid = np.linspace(0.0, 600.0, 121)
+        for p in [{}] + list(link_draws(8, seed=23)):
+            res = resource(kind, **p)
+            link = (res.n_th, res.eta_ant, res.r, res.n)
+            if kind == "swap":
+                beta, alpha, gamma = channel.tmst_params(res.mu, grid / 2.0, *link,
+                                                         "asym")
+                np.testing.assert_allclose(res.fidelity(grid),
+                                           1.0 / (1.0 + alpha - gamma ** 2 / beta),
+                                           rtol=1e-15, atol=0.0)
+            else:
+                triple = channel.tmst_params(res.mu, grid, *link, res.geometry)
+                assert np.array_equal(res.fidelity(grid),
+                                      1.0 / root_det_standard(*triple))
