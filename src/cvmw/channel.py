@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polyroots
 
 from .core import any_true
 from .entanglement import BipartiteCM, nu_minus_standard
@@ -46,8 +45,12 @@ class AirChannel:
 
 
 def check_lengths(length):
-    """AirChannel's check of its distances."""
-    if any_true(~np.isfinite(length)):
+    """AirChannel's check of its distances; a float one skips numpy."""
+    if isinstance(length, float):
+        finite = math.isfinite(length)
+    else:
+        finite = not any_true(~np.isfinite(length))
+    if not finite:
         raise ValueError("channel parameters must be finite")
     if any_true(length < 0):
         raise ValueError("invalid channel parameters")
@@ -104,8 +107,12 @@ def _on_points(fn, x):
         return np.array([fn(v) for v in x.tolist()])
 
 
-# one rule per order, shared by every call, so never written into
-_leggauss = functools.cache(np.polynomial.legendre.leggauss)
+@functools.cache
+def _leggauss(order):
+    """Gauss-Legendre nodes and weights, one rule per order shared by every
+    call, so never written into. numpy.polynomial loads on the first call."""
+    from numpy.polynomial.legendre import leggauss
+    return leggauss(order)
 
 
 def eta_env_inhomogeneous(mu_fn, n_fn, length):
@@ -148,7 +155,11 @@ def lossy_tmst_params(ch, r, n, geometry="asym"):
 
 
 def tmst_params(mu, length, n_th, eta_ant, r, n, geometry):
-    """lossy_tmst_params from the channel's fields, which it does not check."""
+    """lossy_tmst_params from the channel's fields, which it does not check.
+
+    Scalar fields give Python floats, on which the formulas downstream
+    (fidelities, subtraction) run about twice as fast as on numpy scalars.
+    """
     scale = _source_scale(n)
     ch2r, sh2r = np.cosh(2.0 * r), np.sinh(2.0 * r)
     if geometry == "sym":  # one arm: eta_eff at L/2
@@ -158,9 +169,14 @@ def tmst_params(mu, length, n_th, eta_ant, r, n, geometry):
     eta = 1.0 - np.exp(-mu * length) * (1.0 - eta_ant)
     alpha = (1.0 + 2.0 * n_th) * eta + scale * (1.0 - eta) * ch2r
     if geometry == "asym":
-        return (alpha, np.full_like(alpha, scale * ch2r),
-                scale * np.sqrt(1.0 - eta) * sh2r)
-    return alpha, alpha, scale * (1.0 - eta) * sh2r
+        beta, gamma = scale * ch2r, scale * np.sqrt(1.0 - eta) * sh2r
+        if isinstance(alpha, np.ndarray):
+            beta = np.full_like(alpha, beta)
+    else:
+        beta, gamma = alpha, scale * (1.0 - eta) * sh2r
+    if isinstance(alpha, np.ndarray):
+        return alpha, beta, gamma
+    return float(alpha), float(beta), float(gamma)
 
 
 def lossy_tmst(ch, r, n, geometry="asym"):
@@ -174,11 +190,13 @@ def l_max(ch, r, n, geometry="asym"):
     """Maximum distance (m) before the distributed entanglement vanishes.
 
     The first root of nu_minus = 1 on the standard-form polynomials
-    (tmst_polys): alpha - gamma = 1 in the symmetric geometry, linear in the
-    transmission, and 1 - (alpha^2 + beta^2 + 2 gamma^2) + (alpha beta -
-    gamma^2)^2 = 0 in the asymmetric one, a quartic. Returns 0 when the
-    source is not entangled; raises ValueError when the bound is never
-    reached: mu = 0, or no thermal noise to end the entanglement.
+    (tmst_polys): alpha - gamma = 1 in the symmetric geometry, linear in u,
+    and (alpha - 1)(beta - 1) = gamma^2 in the asymmetric one, a quadratic.
+    The latter is the factor of 1 - (alpha^2 + beta^2 + 2 gamma^2) +
+    (alpha beta - gamma^2)^2 that vanishes; the other factor, (alpha + 1)
+    (beta + 1) - gamma^2, is positive for every physical state. Returns 0
+    when the source is not entangled; raises ValueError when the bound is
+    never reached: mu = 0, or no thermal noise to end the entanglement.
     """
     at_source = tmst_params(ch.mu, 0.0, ch.n_th_env, ch.eta_ant, r, n, geometry)
     if nu_minus_standard(*at_source) >= 1.0:
@@ -186,16 +204,14 @@ def l_max(ch, r, n, geometry="asym"):
     require_attenuation(ch.mu)
     if ch.n_th_env == 0.0:
         # pure loss: nu_minus reaches 1 only where the transmission vanishes,
-        # at u = 1, a double root of the asymmetric quartic
+        # at u = 1, a double root of the asymmetric quadratic
         raise ValueError(NEVER_REACHED)
     alpha, beta, gamma = tmst_polys(r, n, ch.n_th_env, ch.eta_ant, geometry)
+    one = poly(1.0)
     if geometry == "sym":
-        condition = alpha - gamma - poly(1.0)
+        condition = alpha - gamma - one
     else:
-        gamma_sq = poly_mul(gamma, gamma)
-        det_root = poly_mul(alpha, beta) - gamma_sq
-        condition = (poly(1.0) - poly_mul(alpha, alpha) - poly_mul(beta, beta)
-                     - 2.0 * gamma_sq + poly_mul(det_root, det_root))
+        condition = poly_mul(alpha - one, beta - one) - poly_mul(gamma, gamma)
     length = root_distance(condition, ch.mu)
     if length is None:
         raise ValueError(NEVER_REACHED)
@@ -208,9 +224,10 @@ def l_max(ch, r, n, geometry="asym"):
 # for the asymmetric state, t = 1 - eta_eff of one L/2 arm and t0 = 1 - eta_ant
 # for the symmetric one. The standard-form entries of lossy_tmst are then
 # polynomials in t, and every Gaussian distance bound is the largest root in
-# (0, t0] of a polynomial of degree at most 4. The polynomials are expanded in
-# u = 1 - t / t0, which is 0 at the source, so L = -(2 / mu) ln(1 - u): in t
-# itself the terms cancel to 1e-13 near t0 and the roots lose digits.
+# (0, t0] of a polynomial: a quadratic for both reaches and every classical
+# limit but swap-fg's, a quartic. The polynomials are expanded in u = 1 - t /
+# t0, which is 0 at the source, so L = -(2 / mu) ln(1 - u): in t itself the
+# terms cancel to 1e-13 near t0 and the roots lose digits.
 
 POLY_LEN = 5  # coefficients, lowest power first
 NEVER_REACHED = "the bound is not reached at any distance"
@@ -274,13 +291,48 @@ def root_distance(condition, mu):
     """Shortest distance (m) where the polynomial condition(u) vanishes.
 
     Takes the smallest real root u in [0, 1), the largest t in (0, t0];
-    None when there is none.
+    None when there is none. Up to degree 2 the roots are closed-form, on
+    Python floats; above it they are the eigenvalues of the companion matrix.
     """
-    roots = polyroots(condition)
-    real = roots.real[(roots.imag == 0.0) & (roots.real >= 0.0) & (roots.real < 1.0)]
-    if real.size == 0:
+    coeffs = condition.tolist()
+    while coeffs and coeffs[-1] == 0.0:
+        coeffs.pop()
+    if len(coeffs) > 3:
+        roots = _companion_roots(condition[:len(coeffs)])
+    else:
+        roots = _quadratic_roots(*(coeffs + [0.0, 0.0, 0.0])[:3])
+    real = [u for u in roots if 0.0 <= u < 1.0]
+    if not real:
         return None
-    return -2.0 / mu * math.log1p(-real.min())
+    return -2.0 / mu * math.log1p(-min(real))
+
+
+def _quadratic_roots(c0, c1, c2):
+    """Real roots of c0 + c1 u + c2 u^2, of a linear one when c2 = 0.
+
+    q = -(c1 + sign(c1) sqrt(disc)) / 2 adds terms of one sign, so neither
+    root q / c2 nor c0 / q loses digits to cancellation.
+    """
+    if c2 == 0.0:
+        return [-c0 / c1] if c1 != 0.0 else []
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if disc < 0.0:
+        return []
+    q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
+    if q == 0.0:  # c1 = c0 = 0: a double root at 0
+        return [0.0]
+    return [q / c2, c0 / q]
+
+
+def _companion_roots(c):
+    """Real roots of the polynomial with coefficients c (lowest power first,
+    nonzero last): eigenvalues of its companion matrix."""
+    n = len(c) - 1
+    companion = np.zeros((n, n))
+    companion.reshape(-1)[n::n + 1] = 1.0  # the subdiagonal
+    companion[:, -1] -= c[:-1] / c[-1]
+    roots = np.linalg.eigvals(companion)
+    return roots.real[roots.imag == 0.0].tolist()
 
 
 def hemt_gain(n_h, n):

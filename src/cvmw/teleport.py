@@ -22,7 +22,7 @@ CLASSICAL_FIDELITY = 0.5
 MAX_DISTANCE = 5000.0  # m; a classical limit beyond it is an error
 BEYOND_MAX = "fidelity stays above 1/2 up to %.0f m" % MAX_DISTANCE
 ROOT_XTOL = 0.01  # m; bracket width of the numeric classical limits
-ROOT_GRID = np.linspace(0.0, MAX_DISTANCE, 33)  # m; one array call brackets them
+ROOT_GRID = np.linspace(0.0, MAX_DISTANCE, 129)  # m; one array call brackets them
 ILL_CONDITIONED = "ill-conditioned resource: det[I + (k - 1/2) Gamma] <= 0"
 
 
@@ -133,14 +133,17 @@ def fidelity_finite_gain(alpha, beta, gamma, g, theta=0.0):
 
     g is the homodyne gain; at g = inf it is the ideal protocol's
     1/(1 + (alpha + beta - 2 gamma)/2). theta is the amplitude of the
-    teleported coherent state.
+    teleported coherent state. 1/sqrt(g) multiplies each entry before the
+    entries multiply one another, so at g = inf an overflowing product is
+    never formed as 0 * inf.
     """
     if g <= 0.0:
         raise ValueError("gain must be positive")
-    rg = 1.0 / np.sqrt(g)
+    rg = 1.0 / math.sqrt(g)
     num = 2.0 * (2.0 + rg * (1.0 + alpha))
     den = (4.0 * (1.0 + 0.5 * (alpha + beta - 2.0 * gamma))
-           + rg * (alpha * (5.0 + beta) + beta - (gamma - 1.0) * (gamma + 5.0))
+           + (rg * alpha) * (5.0 + beta) + rg * beta
+           - (rg * (gamma - 1.0)) * (gamma + 5.0)
            + (2.0 / g) * (1.0 + alpha))
     base = num / den
     if theta != 0.0:
@@ -153,11 +156,12 @@ def fidelity_finite_gain(alpha, beta, gamma, g, theta=0.0):
 def swapped_finite_gain_params(alpha, beta, gamma, g):
     """(alpha_tilde, gamma_tilde) of the swapped resource at gain g,
     elementwise; at g = inf the ideal swap, alpha - gamma^2/(2 beta) and
-    gamma^2/(2 beta)."""
+    gamma^2/(2 beta). As in fidelity_finite_gain, 1/sqrt(g) multiplies beta
+    before beta^2 can overflow."""
     if any_true(beta <= 0.0):
         raise ValueError("beta must be positive")
-    rg = 1.0 / np.sqrt(g)
-    den = 2.0 * (beta + rg * (1.0 + beta ** 2) + beta / g)
+    rg = 1.0 / math.sqrt(g)
+    den = 2.0 * (beta + (rg + (rg * beta) * beta) + beta / g)
     alpha_t = alpha - gamma ** 2 * (1.0 + 2.0 * rg * beta + 1.0 / g) / den
     gamma_t = gamma ** 2 * (1.0 - 1.0 / g) / den
     return alpha_t, gamma_t
@@ -217,8 +221,11 @@ class TeleportResource:
 
         The ideal kinds are their finite-gain forms at g = inf, and the
         2PS state is the heuristic subtraction at the subtracted triple.
+        A float distance stays a float: no 0-d array is formed on the way.
         """
-        kind, length = self.kind, np.asarray(length, dtype=float)
+        kind = self.kind
+        if not isinstance(length, float):
+            length = np.asarray(length, dtype=float)
         channel_mod.check_lengths(length)
         gain = 1.0 / self.inv_gain if kind.endswith("-fg") else np.inf
         if kind.startswith("swap"):
@@ -262,17 +269,19 @@ class TeleportResource:
     def classical_limit_distance(self):
         """Distance (m) where the fidelity first crosses 1/2.
 
-        Gaussian kinds solve their closed-form condition, a polynomial of
-        degree at most 4 in the channel transmission t. The 2PS kinds, and
-        the finite-gain kinds at theta != 0, have none: Illinois narrows the
-        first cell of ROOT_GRID where the fidelity falls to 1/2 to ROOT_XTOL.
+        Gaussian kinds solve their closed-form condition in u (see
+        channel.root_distance): a quadratic, solved in closed form, for all
+        but swap-fg, whose quartic is solved by its companion matrix. The 2PS
+        kinds, and the finite-gain kinds at theta != 0, have none: Illinois
+        narrows the first cell of ROOT_GRID where the fidelity falls to 1/2
+        to ROOT_XTOL.
         Returns 0 when the fidelity at the source is at most 1/2; raises
         ValueError when mu = 0 or the root lies beyond MAX_DISTANCE.
         """
         numeric = self.kind.startswith("2ps") or (self.kind.endswith("-fg")
                                                   and self.theta != 0.0)
         excess = self.fidelity(ROOT_GRID if numeric else 0.0) - CLASSICAL_FIDELITY
-        if np.ravel(excess)[0] <= 0.0:  # at the source
+        if (excess[0] if numeric else excess) <= 0.0:  # at the source
             return 0.0
         channel_mod.require_attenuation(self.mu)
         if numeric:

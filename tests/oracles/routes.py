@@ -4,7 +4,8 @@ built from their definitions instead of the library's closed forms."""
 import numpy as np
 
 from cvmw.bifreq import bifreq_probe
-from cvmw.channel import AirChannel, eta_eff
+from cvmw.channel import (AirChannel, eta_eff, poly, poly_mul, root_distance,
+                          tmst_polys)
 from cvmw.core import (GaussianState, apply, beam_splitter, omega, partial_trace,
                        thermal, tmst)
 from cvmw.entanglement import BipartiteCM
@@ -123,3 +124,16 @@ def classical_limit_full_bracket(resource):
     if at_max > 0.0:
         raise ValueError(BEYOND_MAX)
     return illinois(excess, 0.0, MAX_DISTANCE, at_source, at_max, ROOT_XTOL)
+
+
+def l_max_quartic(ch, r, n):
+    """channel.l_max's asymmetric reach from the whole nu_minus = 1 condition
+    on the standard-form polynomials: 1 - (alpha^2 + beta^2 + 2 gamma^2) +
+    (alpha beta - gamma^2)^2 = 0, a quartic in u, solved by its companion
+    matrix. Assumes an entangled source, mu > 0 and n_th > 0."""
+    alpha, beta, gamma = tmst_polys(r, n, ch.n_th_env, ch.eta_ant, "asym")
+    gamma_sq = poly_mul(gamma, gamma)
+    det_root = poly_mul(alpha, beta) - gamma_sq
+    condition = (poly(1.0) - poly_mul(alpha, alpha) - poly_mul(beta, beta)
+                 - 2.0 * gamma_sq + poly_mul(det_root, det_root))
+    return root_distance(condition, ch.mu)

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from cvmw.channel import (AirChannel, LinkGeometry, aperture_product_threshold,
                           load_profile, lossy_tmst, parse_profile,
                           tau_diffraction, tau_path)
 from cvmw.entanglement import BipartiteCM, negativity, pts_eigenvalues
-from tests.oracles.routes import lossy_tmst_constructive
+from tests.oracles.routes import l_max_quartic, lossy_tmst_constructive
 
 TABLE1 = channel.TABLE1
 
@@ -221,6 +222,21 @@ class TestReach:
                                           abs=1e-6)
             assert abs(gap(reach)) <= 1e-12
 
+    def test_asymmetric_reach_matches_the_quartic_oracle(self):
+        rng = np.random.default_rng(11)
+        for _ in range(24):
+            mu = TABLE1["mu"] * rng.uniform(0.5, 2.0)
+            n_th = TABLE1["n_th"] * rng.uniform(0.5, 2.0)
+            eta_ant = rng.choice([0.0, rng.uniform(0.0, 1e-4)])
+            r, n = rng.uniform(0.8, 1.25), rng.uniform(0.0, 0.02)
+            ch = AirChannel(mu, 0.0, n_th, eta_ant)
+            reach = l_max(ch, r, n, "asym")
+            assert reach == pytest.approx(l_max_quartic(ch, r, n), rel=1e-9, abs=0.0)
+            # the factor of the quartic that l_max drops does not vanish there
+            alpha, beta, gamma = channel.tmst_params(mu, reach, n_th, eta_ant, r, n,
+                                                     "asym")
+            assert (alpha + 1.0) * (beta + 1.0) - gamma ** 2 > 0.0
+
     @pytest.mark.parametrize("geometry", ["asym", "sym"])
     def test_zero_attenuation_raises_without_warning(self, geometry):
         ch = AirChannel(0.0, 0.0, TABLE1["n_th"], 0.0)
@@ -238,6 +254,50 @@ class TestReach:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="not reached"):
                 l_max(ch, 1.0, 1e-2, geometry)
+
+
+class TestRootDistance:
+    """channel.root_distance on conditions with known roots in u."""
+    MU = 1e-3
+
+    def distance(self, u):
+        return -2.0 / self.MU * math.log1p(-u)
+
+    def root(self, *coeffs):
+        return channel.root_distance(channel.poly(*coeffs), self.MU)
+
+    def test_linear(self):
+        assert self.root(0.5, -2.0) == self.distance(0.25)
+        assert self.root(0.5, 2.0) is None  # u = -1/4
+        assert self.root(1.0) is None  # a nonzero constant
+
+    def test_negative_discriminant_has_no_root(self):
+        assert self.root(1.0, 0.0, 1.0) is None
+
+    def test_smaller_of_two_roots(self):
+        # (u - 1/4)(u - 1/2) and -(u - 1/4)(u - 1/2): q is exact
+        assert self.root(0.125, -0.75, 1.0) == self.distance(0.25)
+        assert self.root(-0.125, 0.75, -1.0) == self.distance(0.25)
+        # (u + 1/2)(u - 1/4): only one root in [0, 1)
+        assert self.root(-0.125, 0.25, 1.0) == self.distance(0.25)
+        # (u - 1)(u - 2): u = 1 is t = 0, at infinite distance
+        assert self.root(2.0, -3.0, 1.0) is None
+
+    def test_root_at_the_source(self):
+        assert self.root(0.0, -1.0, 1.0) == 0.0  # u (u - 1)
+
+    def test_double_root_at_zero(self):
+        # c0 = c1 = 0, so q = 0 and c0 / q is never formed
+        assert self.root(0.0, 0.0, 1.0) == 0.0
+        assert self.root(0.0, 0.0, -3.0) == 0.0
+
+    def test_quartic_takes_the_companion_route(self):
+        # (u - 1/4)(u - 1/2)(u - 2)(u + 1) and its cubic factor
+        quartic = np.polynomial.polynomial.polyfromroots([0.25, 0.5, 2.0, -1.0])
+        assert channel.root_distance(quartic, self.MU) == pytest.approx(
+            self.distance(0.25), rel=1e-14)
+        cubic = np.polynomial.polynomial.polyfromroots([0.5, 2.0, -1.0])
+        assert self.root(*cubic) == pytest.approx(self.distance(0.5), rel=1e-14)
 
 
 class TestAmplification:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import cvmw
-from cvmw import cli, core, teleport
+from cvmw import channel, cli, core, teleport
 
 # the CLI subprocess imports the same cvmw as the tests, installed or not
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cvmw.__file__)))
@@ -330,6 +330,37 @@ def test_cli_does_not_load_the_fock_oracle():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=ENV)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_does_not_load_numpy_polynomial():
+    script = "import sys, cvmw.cli; assert 'numpy.polynomial' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=ENV)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("kind", ["tmst-sym", "swap"])
+def test_huge_thermal_occupation_stays_finite_without_a_warning(kind):
+    """At g = inf the finite-gain terms vanish before alpha beta overflows,
+    so the ideal fidelity is 1/(1 + S/2), S = alpha + beta - 2 gamma."""
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "cvmw.cli",
+                           "teleport", "--resource", kind, "--set", "n_th=1e160",
+                           "--sweep", "L", "0", "10", "2"],
+                          capture_output=True, text=True, env=ENV)
+    assert proc.returncode == 0, proc.stderr
+    row = parse_csv(proc.stdout)[-1]
+    assert float(row["L"]) == 10.0
+    p = dict(channel.TABLE1, n_th=1e160)
+    link = (p["n_th"], p["eta_ant"], p["r"], p["n"])
+    if kind == "swap":  # two L/2 links; Charlie measures the lossy modes
+        lossy, kept, gamma = channel.tmst_params(p["mu"], 5.0, *link, "asym")
+        alpha_t, gamma_t = kept - gamma ** 2 / (2.0 * lossy), gamma ** 2 / (2.0 * lossy)
+        s = 2.0 * alpha_t - 2.0 * gamma_t
+    else:
+        alpha, beta, gamma = channel.tmst_params(p["mu"], 10.0, *link, "sym")
+        s = alpha + beta - 2.0 * gamma
+    assert float(row["fidelity"]) == pytest.approx(1.0 / (1.0 + s / 2.0),
+                                                   rel=1e-12, abs=0.0)
 
 
 class TestDeterminism:

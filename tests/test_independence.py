@@ -35,6 +35,7 @@ CHECKS = {
         "two_mode_symplectic_eigenvalues": {"cvmw.core.symplectic_eigenvalues"},
         "classical_limit_full_bracket": {
             "cvmw.teleport.TeleportResource.classical_limit_distance"},
+        "l_max_quartic": {"cvmw.channel.l_max"},
     },
     "monras.py": {
         "gaussian_qfi": {"cvmw.estimation.gaussian_qfi"},

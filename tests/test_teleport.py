@@ -455,6 +455,41 @@ class TestGridBracket:
             resource("2ps-prob-asym").mu = -1.0
 
 
+def mp_root_distance(condition, mu):
+    """channel.root_distance of the same float coefficients, at 60 digits."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(60):
+        coeffs = [mp.mpf(float(c)) for c in np.trim_zeros(condition, "b")]
+        roots = mp.polyroots(coeffs[::-1], maxsteps=200, extraprec=200)
+        u = min(mp.re(x) for x in roots
+                if abs(mp.im(x)) < mp.mpf(10) ** -40 and 0 <= mp.re(x) < 1)
+        return float(-2 / mp.mpf(mu) * mp.log1p(-u))
+
+
+class TestSixtyDigitRoots:
+    """Every closed-form distance bound is the 60-digit root of its own float
+    coefficients to 1e-12: no digits are lost in solving."""
+
+    @pytest.mark.parametrize("bound", CLOSED_FORM_KINDS + ("l_max-asym", "l_max-sym"))
+    def test_root_of_the_same_coefficients(self, bound, monkeypatch):
+        conditions = []
+        solve = channel.root_distance
+
+        def spy(condition, mu):
+            conditions.append((condition.copy(), mu))
+            return solve(condition, mu)
+        monkeypatch.setattr(channel, "root_distance", spy)
+        for p in [{}] + list(bench_link_draws(10, seed=14)):
+            if bound.startswith("l_max"):
+                link = {**TABLE1, **p}
+                ch = channel.AirChannel(link["mu"], 0.0, link["n_th"], link["eta_ant"])
+                length = channel.l_max(ch, link["r"], link["n"], bound[6:])
+            else:
+                length = resource(bound, **p).classical_limit_distance()
+            assert length == pytest.approx(mp_root_distance(*conditions[-1]),
+                                           rel=1e-12, abs=0.0)
+
+
 class TestArrayFidelity:
     @pytest.mark.parametrize("kind", TeleportResource.KINDS)
     def test_array_rows_equal_scalar_calls(self, kind):
@@ -462,7 +497,21 @@ class TestArrayFidelity:
         grid = np.linspace(0.0, 600.0, 13)
         values = res.fidelity(grid)
         assert values.shape == grid.shape
-        assert list(values) == [res.fidelity(length) for length in grid]
+        # bit for bit, on Python floats
+        assert ([float(v).hex() for v in values]
+                == [float(res.fidelity(length)).hex() for length in grid.tolist()])
+
+    @pytest.mark.parametrize("kind", TeleportResource.KINDS)
+    def test_scalar_distance_forms_no_array(self, kind):
+        assert not isinstance(resource(kind, inv_gain=0.008).fidelity(300.0),
+                              np.ndarray)
+
+    @pytest.mark.parametrize("geometry", ["asym", "sym"])
+    def test_scalar_distance_gives_float_params(self, geometry):
+        triple = channel.tmst_params(TABLE1["mu"], 300.0, TABLE1["n_th"],
+                                     TABLE1["eta_ant"], TABLE1["r"], TABLE1["n"],
+                                     geometry)
+        assert [type(x) for x in triple] == [float] * 3
 
     def test_any_bad_row_raises(self):
         with pytest.raises(ValueError, match="beta must be positive"):
