@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianState, SIGMA_Z, all_true, any_true
+from .core import GaussianState, SIGMA_Z, all_true, any_true, sqrt, where
 from .entanglement import BipartiteCM
 from .estimation import GaussianFamily, gaussian_qfi
 from .teleport import illinois
@@ -85,7 +85,7 @@ def _probe_terms(params):
     """The probe's signal variance S and correlation C, and the bath's T."""
     scale = 1.0 + 2.0 * params.n
     s = scale * (1.0 + 4.0 * params.n_r)
-    c = 2.0 * scale * np.sqrt(2.0 * params.n_r * (1.0 + 2.0 * params.n_r))
+    c = 2.0 * scale * sqrt(2.0 * params.n_r * (1.0 + 2.0 * params.n_r))
     return s, c, 1.0 + 2.0 * params.n_th
 
 
@@ -96,7 +96,7 @@ def received_params(params):
     s, c, t = _probe_terms(params)
     eta1, eta2 = params.eta1, params.eta1 + params.lam
     return (eta1 * s + (1.0 - eta1) * t, eta2 * s + (1.0 - eta2) * t,
-            np.sqrt(eta1 * eta2) * c)
+            sqrt(eta1 * eta2) * c)
 
 
 def bifreq_received(params):
@@ -117,7 +117,7 @@ def received_family(params):
     # d sqrt(eta1 eta2) C / d eta2: zero without correlations, unbounded at eta2 = 0
     if any_true((eta2 == 0.0) & (eta1 * c > 0.0)):
         raise ValueError("the quantum-probe QFI diverges at eta1 + lam = 0")
-    d_eps = 0.5 * c * np.sqrt(eta1 / np.where(eta2 > 0.0, eta2, 1.0))
+    d_eps = 0.5 * c * sqrt(eta1 / where(eta2 > 0.0, eta2, 1.0))
     return GaussianFamily(*received_params(params), 0.0, s - t, d_eps,
                           (0.0, 0.0, 0.0, 0.0), params.lam)
 
@@ -133,10 +133,10 @@ def classical_received_family(params):
     (sqrt(2 eta_i n_s), 0), with eta2 = eta1 + lambda."""
     eta1, lam, n_th = params.eta1, params.lam, params.n_th
     eta2 = eta1 + lam
-    alpha = np.sqrt(params.n_s)
+    alpha = sqrt(params.n_s)
     if any_true((eta2 == 0.0) & (alpha > 0.0)):
         raise ValueError("the coherent-probe QFI diverges at eta1 + lam = 0")
-    dx2 = alpha / np.sqrt(np.where(eta2 > 0.0, 2.0 * eta2, 1.0))
+    dx2 = alpha / sqrt(where(eta2 > 0.0, 2.0 * eta2, 1.0))
     return GaussianFamily(1.0 + 2.0 * n_th * (1.0 - eta1), 1.0 + 2.0 * n_th * (1.0 - eta2),
                           0.0, 0.0, -2.0 * n_th, 0.0, (0.0, 0.0, dx2, 0.0), lam)
 
@@ -157,7 +157,7 @@ def h_c_bifreq(params):
                          "with thermal noise (n_th > 0)")
     # without thermal noise the numerator is 0 and dd = 1: divide by 1 instead
     thermal_term = (4.0 * n_th ** 2 * (dd ** 2 + 1.0)
-                    / np.where(n_th > 0.0, dd ** 4 - 1.0, 1.0))
+                    / where(n_th > 0.0, dd ** 4 - 1.0, 1.0))
     return thermal_term + params.n_s / (eta1 * dd)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import any_true
+from .core import any_true, sqrt, to_float
 from .entanglement import BipartiteCM, nu_minus_standard
 
 # CODATA exact SI values
@@ -158,18 +158,20 @@ def tmst_params(mu, length, n_th, eta_ant, r, n, geometry):
     """lossy_tmst_params from the channel's fields, which it does not check.
 
     Scalar fields give Python floats, on which the formulas downstream
-    (fidelities, subtraction) run about twice as fast as on numpy scalars.
+    (fidelities, subtraction) run several times as fast as on numpy scalars;
+    a root calls it at one (r, n) throughout, so cosh 2r and sinh 2r of a
+    scalar r are computed once.
     """
     scale = _source_scale(n)
-    ch2r, sh2r = np.cosh(2.0 * r), np.sinh(2.0 * r)
+    ch2r, sh2r = (_hyperbolics if isinstance(r, np.ndarray) else _cached_hyperbolics)(r)
     if geometry == "sym":  # one arm: eta_eff at L/2
         length = length / 2.0
     elif geometry != "asym":
         raise ValueError("geometry must be 'asym' or 'sym'")
-    eta = 1.0 - np.exp(-mu * length) * (1.0 - eta_ant)
+    eta = 1.0 - to_float(np.exp(-mu * length)) * (1.0 - eta_ant)
     alpha = (1.0 + 2.0 * n_th) * eta + scale * (1.0 - eta) * ch2r
     if geometry == "asym":
-        beta, gamma = scale * ch2r, scale * np.sqrt(1.0 - eta) * sh2r
+        beta, gamma = scale * ch2r, scale * sqrt(1.0 - eta) * sh2r
         if isinstance(alpha, np.ndarray):
             beta = np.full_like(alpha, beta)
     else:
@@ -177,6 +179,14 @@ def tmst_params(mu, length, n_th, eta_ant, r, n, geometry):
     if isinstance(alpha, np.ndarray):
         return alpha, beta, gamma
     return float(alpha), float(beta), float(gamma)
+
+
+def _hyperbolics(r):
+    """cosh 2r and sinh 2r, elementwise; Python floats for a scalar r."""
+    return to_float(np.cosh(2.0 * r)), to_float(np.sinh(2.0 * r))
+
+
+_cached_hyperbolics = functools.lru_cache(maxsize=64)(_hyperbolics)
 
 
 def lossy_tmst(ch, r, n, geometry="asym"):

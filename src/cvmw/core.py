@@ -34,6 +34,24 @@ def all_true(mask):
     return mask.all() if isinstance(mask, np.ndarray) else mask
 
 
+def where(cond, x, y):
+    """np.where(cond, x, y), as `x if cond else y` when cond is a scalar."""
+    return np.where(cond, x, y) if isinstance(cond, np.ndarray) else (x if cond else y)
+
+
+def sqrt(x):
+    """np.sqrt(x); on a scalar math.sqrt, which rounds alike, and NaN below 0."""
+    if isinstance(x, np.ndarray):
+        return np.sqrt(x)
+    return math.sqrt(x) if x >= 0.0 else math.nan
+
+
+def to_float(x):
+    """x as a Python float, unless it is an array: arithmetic on a numpy
+    scalar costs several times as much."""
+    return x if isinstance(x, np.ndarray) else float(x)
+
+
 @functools.cache
 def omega(n_modes):
     """Symplectic form for n modes, block-diagonal in [[0, 1], [-1, 0]];

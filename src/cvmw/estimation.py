@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PHYSICALITY_TOL, PhysicalityError, all_true, any_true
+from .core import (PHYSICALITY_TOL, PhysicalityError, all_true, any_true, sqrt,
+                   to_float, where)
 
 PURE_TOL = 1e-7
 DSIGMA_FLOOR = 1e-12
@@ -48,7 +49,8 @@ class GaussianFamily:
 
 
 def gaussian_qfi(family):
-    """QFI of the family at lambda0, elementwise; a float for scalar fields.
+    """QFI of the family at lambda0, elementwise; for scalar fields a Python
+    float, computed on Python floats without forming a numpy scalar.
 
     With s = sqrt((alpha + beta)^2 - 4 gamma^2), the symplectic eigenvalues
     are nu_1,2 = (s +/- (alpha - beta)) / 2, and the two-mode squeezer with
@@ -64,12 +66,12 @@ def gaussian_qfi(family):
     """
     a, b, g = family.alpha, family.beta, family.gamma
     # alpha beta - gamma^2, exact to rounding for alpha = beta near |gamma| = alpha
-    root_ab = np.sqrt(a * b)
+    root_ab = sqrt(a * b)
     det = (root_ab - g) * (root_ab + g)
     if not all_true((a > 0.0) & (det > 0.0)):
         raise PhysicalityError("covariance matrix is not positive definite")
     tr = a + b
-    s = np.sqrt((tr - 2.0 * g) * (tr + 2.0 * g))
+    s = sqrt((tr - 2.0 * g) * (tr + 2.0 * g))
     # nu_1 nu_2 = det: the smaller eigenvalue without the cancellation of
     # (s - |alpha - beta|) / 2
     hi = 0.5 * (s + abs(a - b))
@@ -82,18 +84,18 @@ def gaussian_qfi(family):
     if any_true(live & (lo < 1.0 + PURE_TOL)):
         raise RegularizationError(
             "regularization required: QFI singular for (nearly) pure states")
-    nu1, nu2 = np.where(a >= b, (hi, lo), (lo, hi))
+    nu1, nu2 = where(a >= b, hi, lo), where(a >= b, lo, hi)
     # cosh^2 r, sinh^2 r and cosh r sinh r of the squeezer; sinh^2 r is
     # (tr - s) / (2 s), written without the cancellation
     ch2, sh2, chsh = (tr + s) / (2.0 * s), 2.0 * g * g / (s * (tr + s)), g / s
     d1 = ch2 * da - 2.0 * chsh * dg + sh2 * db
     d2 = sh2 * da - 2.0 * chsh * dg + ch2 * db
     e = (ch2 + sh2) * dg - chsh * (da + db)
-    with np.errstate(divide="ignore", invalid="ignore"):  # pure points are not live
-        h_sigma = (d1 * d1 / ((nu1 - 1.0) * (nu1 + 1.0))
-                   + d2 * d2 / ((nu2 - 1.0) * (nu2 + 1.0)) + 2.0 * e * e / (det + 1.0))
+    # rows that are not live, where nu may be 1, divide by 1
+    h_sigma = (d1 * d1 / where(live, (nu1 - 1.0) * (nu1 + 1.0), 1.0)
+               + d2 * d2 / where(live, (nu2 - 1.0) * (nu2 + 1.0), 1.0)
+               + 2.0 * e * e / (det + 1.0))
     x1, p1, x2, p2 = family.dd
     h_d = (b * (x1 * x1 + p1 * p1) + a * (x2 * x2 + p2 * p2)
            - 2.0 * g * (x1 * x2 - p1 * p2)) / det
-    h = np.where(live, h_sigma, 0.0) + 2.0 * h_d
-    return h if np.ndim(h) else float(h)
+    return to_float(where(live, h_sigma, 0.0) + 2.0 * h_d)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianState, SIGMA_Z, all_true, any_true
+from .core import GaussianState, SIGMA_Z, all_true, any_true, sqrt, to_float
 from .entanglement import BipartiteCM
 from .estimation import GaussianFamily, RegularizationError
 
@@ -31,7 +31,7 @@ class QiParams:
 
 def eta_eff(eta, gamma):
     """Effective amplitude reflectivity eta * e^{-gamma} of object plus medium."""
-    return eta * np.exp(-gamma)
+    return eta * to_float(np.exp(-gamma))
 
 
 def qi_probe(n_s, n_th):
@@ -67,7 +67,7 @@ def received_params(params):
     gamma = 2 sqrt(n_s (1 + n_s)) x, with x = eta e^{-gamma}."""
     x = eta_eff(params.eta, params.gamma)
     return (1.0 + 2.0 * params.n_th + 2.0 * params.n_s * x ** 2, 1.0 + 2.0 * params.n_s,
-            2.0 * np.sqrt(params.n_s * (1.0 + params.n_s)) * x)
+            2.0 * sqrt(params.n_s * (1.0 + params.n_s)) * x)
 
 
 def qi_received(params):
@@ -105,9 +105,9 @@ def received_family(params):
     x = eta e^{-gamma}: dalpha = 4 n_s x e^{-gamma} and
     dgamma = 2 sqrt(n_s (1 + n_s)) e^{-gamma}.
     """
-    n_s, e = params.n_s, np.exp(-params.gamma)
+    n_s, e = params.n_s, to_float(np.exp(-params.gamma))
     return GaussianFamily(*received_params(params), 4.0 * n_s * params.eta * e * e, 0.0,
-                          2.0 * np.sqrt(n_s * (1.0 + n_s)) * e, (0.0, 0.0, 0.0, 0.0),
+                          2.0 * sqrt(n_s * (1.0 + n_s)) * e, (0.0, 0.0, 0.0, 0.0),
                           params.eta)
 
 
@@ -121,8 +121,8 @@ def classical_received_family(params):
     eta, 0). The spectator, of variance 1 + 2 n_th, keeps the family
     two-mode without touching the information content.
     """
-    n_th, e = params.n_th, np.exp(-params.gamma)
+    n_th, e = params.n_th, to_float(np.exp(-params.gamma))
     x = params.eta * e
     return GaussianFamily(1.0 + 2.0 * n_th * (1.0 - x ** 2), 1.0 + 2.0 * n_th, 0.0,
                           -4.0 * n_th * x * e, 0.0, 0.0,
-                          (np.sqrt(2.0 * params.n_s) * e, 0.0, 0.0, 0.0), params.eta)
+                          (sqrt(2.0 * params.n_s) * e, 0.0, 0.0, 0.0), params.eta)

@@ -7,12 +7,13 @@ channel module, so the distance conventions (full L for the asymmetric
 state, L/2 per arm for the symmetric and swapped ones) live in one place.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SIGMA_Z, any_true
+from .core import SIGMA_Z, any_true, to_float
 from .entanglement import BipartiteCM, cm_validity
 from . import channel as channel_mod
 from . import distill
@@ -22,7 +23,9 @@ CLASSICAL_FIDELITY = 0.5
 MAX_DISTANCE = 5000.0  # m; a classical limit beyond it is an error
 BEYOND_MAX = "fidelity stays above 1/2 up to %.0f m" % MAX_DISTANCE
 ROOT_XTOL = 0.01  # m; bracket width of the numeric classical limits
-ROOT_GRID = np.linspace(0.0, MAX_DISTANCE, 129)  # m; one array call brackets them
+# m; the numeric limits march it one point at a time to the first cell that
+# crosses 1/2 (a 39 m cell) and refine there
+ROOT_GRID = np.linspace(0.0, MAX_DISTANCE, 129)
 ILL_CONDITIONED = "ill-conditioned resource: det[I + (k - 1/2) Gamma] <= 0"
 
 
@@ -121,11 +124,12 @@ def regaussify_standard(alpha, beta, gamma, correction, mode="sym"):
 def root_det_standard(alpha, beta, gamma):
     """sqrt(det[I + Gamma/2]) of a standard-form resource, elementwise, where
     Gamma = (alpha + beta - 2 gamma) I; ValueError where det <= 0.
-    The Gaussian fidelity is its inverse."""
-    det = (1.0 + 0.5 * (alpha + beta - 2.0 * gamma)) ** 2
-    if any_true(det <= 0.0):
+    The Gaussian fidelity is its inverse. sqrt(x^2) is |x| exactly in binary
+    floating point, short of overflow."""
+    root = 1.0 + 0.5 * (alpha + beta - 2.0 * gamma)
+    if any_true(root * root <= 0.0):
         raise ValueError(ILL_CONDITIONED)
-    return np.sqrt(det)
+    return abs(root)
 
 
 def fidelity_finite_gain(alpha, beta, gamma, g, theta=0.0):
@@ -149,7 +153,7 @@ def fidelity_finite_gain(alpha, beta, gamma, g, theta=0.0):
     if theta != 0.0:
         expo = (-(2.0 / g) * (1.0 - alpha + gamma) ** 2 * abs(theta) ** 2
                 / ((2.0 + rg * (1.0 + alpha)) * den))
-        base *= np.exp(expo)
+        base *= to_float(np.exp(expo))
     return base
 
 
@@ -210,7 +214,7 @@ class TeleportResource:
             raise ValueError("finite-gain resources need a finite inv_gain > 0")
         channel_mod.AirChannel(self.mu, 0.0, self.n_th, self.eta_ant)  # checked once
 
-    @property
+    @functools.cached_property
     def geometry(self):
         """Geometry of the underlying lossy TMST; swap links are asym."""
         return "sym" if "sym" in self.kind.split("-") else "asym"
@@ -272,27 +276,32 @@ class TeleportResource:
         Gaussian kinds solve their closed-form condition in u (see
         channel.root_distance): a quadratic, solved in closed form, for all
         but swap-fg, whose quartic is solved by its companion matrix. The 2PS
-        kinds, and the finite-gain kinds at theta != 0, have none: Illinois
-        narrows the first cell of ROOT_GRID where the fidelity falls to 1/2
-        to ROOT_XTOL.
+        kinds, and the finite-gain kinds at theta != 0, have none: they march
+        ROOT_GRID one float at a time to the first point where the fidelity
+        is at most 1/2, and Illinois narrows that cell to ROOT_XTOL. Points
+        beyond it are not evaluated.
         Returns 0 when the fidelity at the source is at most 1/2; raises
-        ValueError when mu = 0 or the root lies beyond MAX_DISTANCE.
+        ValueError when mu = 0, on a non-finite fidelity before the crossing,
+        or when the root lies beyond MAX_DISTANCE.
         """
         numeric = self.kind.startswith("2ps") or (self.kind.endswith("-fg")
                                                   and self.theta != 0.0)
-        excess = self.fidelity(ROOT_GRID if numeric else 0.0) - CLASSICAL_FIDELITY
-        if (excess[0] if numeric else excess) <= 0.0:  # at the source
+        excess = self.fidelity(0.0) - CLASSICAL_FIDELITY
+        if excess <= 0.0:  # at the source
             return 0.0
         channel_mod.require_attenuation(self.mu)
         if numeric:
-            if not np.isfinite(excess).all():
-                raise ValueError("non-finite fidelity on the bracketing grid")
-            i = np.argmax(excess <= 0.0)  # the first cell that crosses
-            if i == 0:
-                raise ValueError(BEYOND_MAX)
-            return illinois(lambda ll: self.fidelity(ll) - CLASSICAL_FIDELITY,
-                            ROOT_GRID[i - 1], ROOT_GRID[i], excess[i - 1], excess[i],
-                            ROOT_XTOL)
+            def excess_at(length):
+                return self.fidelity(length) - CLASSICAL_FIDELITY
+            a = f_a = None
+            for b in ROOT_GRID.tolist():
+                f_b = excess if a is None else excess_at(b)  # the source is known
+                if not math.isfinite(f_b):
+                    raise ValueError("non-finite fidelity on the bracketing grid")
+                if f_b <= 0.0:  # the first cell that crosses
+                    return illinois(excess_at, a, b, f_a, f_b, ROOT_XTOL)
+                a, f_a = b, f_b
+            raise ValueError(BEYOND_MAX)
         length = channel_mod.root_distance(self._half_fidelity_poly(), self.mu)
         if length is None or length > MAX_DISTANCE:
             raise ValueError(BEYOND_MAX)

@@ -10,7 +10,7 @@ from cvmw.core import (GaussianState, apply, beam_splitter, omega, partial_trace
                        thermal, tmst)
 from cvmw.entanglement import BipartiteCM
 from cvmw.illumination import eta_eff as qi_eta_eff, qi_probe
-from cvmw.teleport import BEYOND_MAX, MAX_DISTANCE, ROOT_XTOL, illinois
+from cvmw.teleport import BEYOND_MAX, MAX_DISTANCE, ROOT_GRID, ROOT_XTOL, illinois
 
 
 def lossy_tmst_constructive(ch, r, n, geometry="asym"):
@@ -124,6 +124,23 @@ def classical_limit_full_bracket(resource):
     if at_max > 0.0:
         raise ValueError(BEYOND_MAX)
     return illinois(excess, 0.0, MAX_DISTANCE, at_source, at_max, ROOT_XTOL)
+
+
+def classical_limit_array_bracket(resource):
+    """A numeric classical-limit distance from one array call: the excess
+    F - 1/2 on all of ROOT_GRID, which must be finite, brackets the first
+    crossing, and Illinois narrows that cell to ROOT_XTOL. 0 when the source
+    fidelity is at most 1/2; ValueError when no point crosses."""
+    excess = resource.fidelity(ROOT_GRID) - 0.5
+    if excess[0] <= 0.0:
+        return 0.0
+    if not np.isfinite(excess).all():
+        raise ValueError("non-finite fidelity on the bracketing grid")
+    i = np.argmax(excess <= 0.0)
+    if i == 0:
+        raise ValueError(BEYOND_MAX)
+    return illinois(lambda length: resource.fidelity(length) - 0.5,
+                    ROOT_GRID[i - 1], ROOT_GRID[i], excess[i - 1], excess[i], ROOT_XTOL)
 
 
 def l_max_quartic(ch, r, n):

@@ -1,4 +1,5 @@
-from dataclasses import replace
+import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -164,6 +165,16 @@ class TestGaussianQfi:
                 point = bifreq.BifreqParams(p.eta1[i], 0.0, p.n_r[i], 0.05, 2.0)
                 assert h[i] == gaussian_qfi(build(point))
 
+    def test_constant_pure_covariance_keeps_the_displacement_term(self):
+        # nu = 1 on a covariance that does not move: no division by zero
+        fam = displacement_family()
+        arrays = GaussianFamily(np.ones(3), np.ones(3), np.zeros(3), 0.0, 0.0,
+                                0.0, (np.full(3, np.sqrt(2.0)), 0.0, 0.0, 0.0), 0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gaussian_qfi(fam) == pytest.approx(4.0, abs=1e-9)
+            np.testing.assert_allclose(gaussian_qfi(arrays), 4.0, atol=1e-9)
+
     def test_one_pure_point_fails_the_array(self):
         p = bifreq.BifreqParams(np.array([0.5, 1.0]), 0.0, 1.0, 0.0, 1.0)
         with pytest.raises(RegularizationError):
@@ -304,6 +315,29 @@ class TestLibraryJets:
         fam = bifreq.received_family(bifreq.BifreqParams(0.0, 0.0, 1.0, 0.0, 1.0))
         assert fam.dgamma == 0.0
         assert gaussian_qfi(fam) > 0.0
+
+
+def seeded_params(name, rng, size):
+    """Seeded parameters of a library family, as arrays of size points."""
+    def u(lo, hi):
+        return rng.uniform(lo, hi, size)
+    if name.startswith("illum"):
+        return illumination.QiParams(u(0.1, 3.0), u(0.2, 5.0), u(0.0, 0.5), u(0.0, 1.0))
+    return bifreq.BifreqParams(u(0.05, 0.95), u(-0.04, 0.04), u(0.0, 3.0), u(0.0, 0.05),
+                               u(0.0, 5.0))
+
+
+class TestScalarFamilies:
+    @pytest.mark.parametrize("name", list(LIBRARY_FAMILIES))
+    def test_scalar_fields_give_the_array_row_as_a_float(self, name):
+        build = LIBRARY_FAMILIES[name][0]
+        p = seeded_params(name, np.random.default_rng(41), 200)
+        rows = gaussian_qfi(build(p))
+        for i, row in enumerate(rows.tolist()):
+            point = type(p)(*(getattr(p, f.name)[i].item() for f in fields(p)))
+            h = gaussian_qfi(build(point))
+            assert type(h) is float
+            assert h.hex() == row.hex()
 
 
 class TestSixtyDigits:

@@ -35,6 +35,8 @@ CHECKS = {
         "two_mode_symplectic_eigenvalues": {"cvmw.core.symplectic_eigenvalues"},
         "classical_limit_full_bracket": {
             "cvmw.teleport.TeleportResource.classical_limit_distance"},
+        "classical_limit_array_bracket": {
+            "cvmw.teleport.TeleportResource.classical_limit_distance"},
         "l_max_quartic": {"cvmw.channel.l_max"},
     },
     "monras.py": {

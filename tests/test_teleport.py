@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -5,12 +6,13 @@ import pytest
 
 from cvmw import channel, core, distill
 from cvmw.entanglement import BipartiteCM, negativity, pts_eigenvalues
-from cvmw.teleport import (ROOT_XTOL, TeleportResource, fidelity_2ps_general,
-                           fidelity_concatenated, fidelity_finite_gain,
-                           fidelity_heuristic, fidelity_ps_tmsv, gamma_of,
-                           regaussify, root_det_standard,
-                           swapped_finite_gain_params)
-from tests.oracles.routes import classical_limit_full_bracket
+from cvmw.teleport import (BEYOND_MAX, ROOT_GRID, ROOT_XTOL, TeleportResource,
+                           fidelity_2ps_general, fidelity_concatenated,
+                           fidelity_finite_gain, fidelity_heuristic,
+                           fidelity_ps_tmsv, gamma_of, regaussify,
+                           root_det_standard, swapped_finite_gain_params)
+from tests.oracles.routes import (classical_limit_array_bracket,
+                                  classical_limit_full_bracket)
 
 TABLE1 = dict(channel.TABLE1)
 
@@ -426,6 +428,52 @@ class TestGridBracket:
             assert length == pytest.approx(classical_limit_full_bracket(res),
                                            abs=ROOT_XTOL)
             assert abs(res.fidelity(length) - 0.5) <= 1e-4
+
+    @pytest.mark.parametrize("kind,theta", NUMERIC_ROOT_KINDS)
+    def test_march_equals_the_array_bracket(self, kind, theta):
+        # a scalar fidelity is its array row bit for bit, so the march picks
+        # the same cell as one array call over the grid, and the same root
+        for p in [{}] + list(bench_link_draws(10, seed=14)):
+            res = resource(kind, theta=theta, **p)
+            assert (float(res.classical_limit_distance()).hex()
+                    == float(classical_limit_array_bracket(res)).hex())
+
+    @pytest.mark.parametrize("kind", ["2ps-prob-asym", "2ps-prob-sym",
+                                      "2ps-heur-asym", "2ps-heur-sym"])
+    def test_march_stays_scalar_and_short(self, kind, monkeypatch):
+        lengths = []
+        fidelity = TeleportResource.fidelity
+
+        def spy(res, length):
+            lengths.append(length)
+            return fidelity(res, length)
+        monkeypatch.setattr(TeleportResource, "fidelity", spy)
+        resource(kind).classical_limit_distance()
+        assert not [length for length in lengths if isinstance(length, np.ndarray)]
+        assert len(lengths) <= 20
+
+    @pytest.mark.parametrize("kind,theta", NUMERIC_ROOT_KINDS)
+    def test_no_crossing_raises_without_warning(self, kind, theta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(BEYOND_MAX)):
+                resource(kind, theta=theta, mu=1e-8).classical_limit_distance()
+
+    @pytest.mark.parametrize("index,raises", [(3, True), (100, False)])
+    def test_non_finite_value_raises_before_the_crossing(self, index, raises,
+                                                         monkeypatch):
+        # the table1 root lies in cell 13: a point beyond it is not evaluated
+        expected = resource("2ps-prob-sym").classical_limit_distance()
+        fidelity = TeleportResource.fidelity
+
+        def broken(res, length):
+            return float("nan") if length == ROOT_GRID[index] else fidelity(res, length)
+        monkeypatch.setattr(TeleportResource, "fidelity", broken)
+        if raises:
+            with pytest.raises(ValueError, match="non-finite fidelity on the bracketing"):
+                resource("2ps-prob-sym").classical_limit_distance()
+        else:
+            assert resource("2ps-prob-sym").classical_limit_distance() == expected
 
     def test_returns_the_first_crossing(self):
         class Oscillating(TeleportResource):
