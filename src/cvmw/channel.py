@@ -216,12 +216,13 @@ def l_max(ch, r, n, geometry="asym"):
         # pure loss: nu_minus reaches 1 only where the transmission vanishes,
         # at u = 1, a double root of the asymmetric quadratic
         raise ValueError(NEVER_REACHED)
-    alpha, beta, gamma = tmst_polys(r, n, ch.n_th_env, ch.eta_ant, geometry)
-    one = poly(1.0)
+    (a0, a1, a2), (b0, _, _), (g0, g1, _) = tmst_polys(
+        r, n, ch.n_th_env, ch.eta_ant, geometry)
     if geometry == "sym":
-        condition = alpha - gamma - one
-    else:
-        condition = poly_mul(alpha - one, beta - one) - poly_mul(gamma, gamma)
+        condition = (a0 - g0 - 1.0, a1 - g1)
+    else:  # beta = b0 is constant in u
+        condition = ((a0 - 1.0) * (b0 - 1.0) - g0 * g0,
+                     a1 * (b0 - 1.0) - 2.0 * (g0 * g1), a2 * (b0 - 1.0) - g1 * g1)
     length = root_distance(condition, ch.mu)
     if length is None:
         raise ValueError(NEVER_REACHED)
@@ -237,22 +238,11 @@ def l_max(ch, r, n, geometry="asym"):
 # (0, t0] of a polynomial: a quadratic for both reaches and every classical
 # limit but swap-fg's, a quartic. The polynomials are expanded in u = 1 - t /
 # t0, which is 0 at the source, so L = -(2 / mu) ln(1 - u): in t itself the
-# terms cancel to 1e-13 near t0 and the roots lose digits.
+# terms cancel to 1e-13 near t0 and the roots lose digits. A polynomial is a
+# tuple of Python floats, lowest power first, and a condition writes its
+# coefficients out: on small arrays numpy's calls cost more than the arithmetic.
 
-POLY_LEN = 5  # coefficients, lowest power first
 NEVER_REACHED = "the bound is not reached at any distance"
-
-
-def poly(*coeffs):
-    """Coefficient array (lowest power first), zero-padded to POLY_LEN."""
-    out = np.zeros(POLY_LEN)
-    out[:len(coeffs)] = coeffs
-    return out
-
-
-def poly_mul(p, q):
-    """Product of two coefficient arrays; its degree must stay below POLY_LEN."""
-    return np.convolve(p, q)[:POLY_LEN]
 
 
 def _source_scale(n):
@@ -267,11 +257,13 @@ def source_terms(r, n, n_th):
     are the source's diagonal and correlation entries, e = 1 + 2 n_th the
     environment's diagonal entry."""
     scale = _source_scale(n)
-    return scale * np.cosh(2.0 * r), scale * np.sinh(2.0 * r), 1.0 + 2.0 * n_th
+    ch2r, sh2r = _cached_hyperbolics(r)
+    return scale * ch2r, scale * sh2r, 1.0 + 2.0 * n_th
 
 
 def tmst_polys(r, n, n_th, eta_ant, geometry):
-    """(alpha, beta, gamma) of lossy_tmst as coefficient arrays in u.
+    """(alpha, beta, gamma) of lossy_tmst as polynomials in u: 3-tuples of
+    Python floats, lowest power first, zero-padded.
 
     alpha = a + (e - a) eta_eff, with eta_eff = eta_ant + t0 u (sym) or
     eta_ant + t0^2 (2u - u^2) (asym); gamma = c t = c t0 (1 - u).
@@ -279,14 +271,14 @@ def tmst_polys(r, n, n_th, eta_ant, geometry):
     a, c, e = source_terms(r, n, n_th)
     at_source = a + (e - a) * eta_ant
     if geometry == "asym":
-        t0 = np.sqrt(1.0 - eta_ant)
+        t0 = math.sqrt(1.0 - eta_ant)
         lossy = (e - a) * t0 * t0
-        return (poly(at_source, 2.0 * lossy, -lossy), poly(a),
-                poly(c * t0, -c * t0))
+        return ((at_source, 2.0 * lossy, -lossy), (a, 0.0, 0.0),
+                (c * t0, -c * t0, 0.0))
     if geometry == "sym":
         t0 = 1.0 - eta_ant
-        alpha = poly(at_source, (e - a) * t0)
-        return alpha, alpha, poly(c * t0, -c * t0)
+        alpha = (at_source, (e - a) * t0, 0.0)
+        return alpha, alpha, (c * t0, -c * t0, 0.0)
     raise ValueError("geometry must be 'asym' or 'sym'")
 
 
@@ -298,17 +290,18 @@ def require_attenuation(mu):
 
 
 def root_distance(condition, mu):
-    """Shortest distance (m) where the polynomial condition(u) vanishes.
+    """Shortest distance (m) where the polynomial condition(u), a sequence of
+    coefficients (lowest power first), vanishes.
 
     Takes the smallest real root u in [0, 1), the largest t in (0, t0];
     None when there is none. Up to degree 2 the roots are closed-form, on
     Python floats; above it they are the eigenvalues of the companion matrix.
     """
-    coeffs = condition.tolist()
+    coeffs = list(condition)
     while coeffs and coeffs[-1] == 0.0:
         coeffs.pop()
     if len(coeffs) > 3:
-        roots = _companion_roots(condition[:len(coeffs)])
+        roots = _companion_roots(coeffs)
     else:
         roots = _quadratic_roots(*(coeffs + [0.0, 0.0, 0.0])[:3])
     real = [u for u in roots if 0.0 <= u < 1.0]
@@ -340,7 +333,7 @@ def _companion_roots(c):
     n = len(c) - 1
     companion = np.zeros((n, n))
     companion.reshape(-1)[n::n + 1] = 1.0  # the subdiagonal
-    companion[:, -1] -= c[:-1] / c[-1]
+    companion[:, -1] -= np.divide(c[:-1], c[-1])
     roots = np.linalg.eigvals(companion)
     return roots.real[roots.imag == 0.0].tolist()
 

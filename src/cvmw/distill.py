@@ -162,13 +162,9 @@ def ps2_gaussian(cm, tau):
     return PsOutcome(sigma_a, sigma_b, eps, float(prob), ps2_heuristic(cm_tilde))
 
 
-def ps2_standard_form(alpha, beta, gamma, tau):
-    """Closed forms of the 2PS submatrices and success probability:
-    (alpha_tilde, beta_tilde, gamma_tilde, P), elementwise over arrays.
-
-    Independent of the general machinery in ps2_gaussian, which checks it
-    in the tests, and with its errors: den = 4 det X_A^{1/2} det Y^{1/2}.
-    """
+def ps2_subtracted(alpha, beta, gamma, tau):
+    """ps2_standard_form without P, which a fidelity does not read: (alpha_tilde,
+    beta_tilde, gamma_tilde, den), den = 4 det X_A^{1/2} det Y^{1/2}."""
     if not 0.0 < tau < 1.0:
         raise ValueError("transmissivity must lie in (0, 1)")
     x_a = 0.5 * ((1 - tau) * alpha + 1 + tau)
@@ -185,6 +181,17 @@ def ps2_standard_form(alpha, beta, gamma, tau):
     beta_t = 1 - 2 * tau * ((1 + alpha) * (1 - beta) + gamma ** 2
                             + ((1 - alpha) * (1 - beta) - gamma ** 2) * tau) / den
     gamma_t = 4 * tau * gamma / den
+    return alpha_t, beta_t, gamma_t, den
+
+
+def ps2_standard_form(alpha, beta, gamma, tau):
+    """Closed forms of the 2PS submatrices and success probability:
+    (alpha_tilde, beta_tilde, gamma_tilde, P), elementwise over arrays.
+
+    Independent of the general machinery in ps2_gaussian, which checks it
+    in the tests, and with its errors (see ps2_subtracted).
+    """
+    alpha_t, beta_t, gamma_t, den = ps2_subtracted(alpha, beta, gamma, tau)
     prob = 4 * (1 - tau) ** 2 * (
         (1 - alpha * beta + gamma ** 2
          + ((1 - alpha) * (1 - beta) - gamma ** 2) * tau) ** 2

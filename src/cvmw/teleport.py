@@ -17,7 +17,6 @@ from .core import SIGMA_Z, any_true, to_float
 from .entanglement import BipartiteCM, cm_validity
 from . import channel as channel_mod
 from . import distill
-from .channel import poly, poly_mul
 
 CLASSICAL_FIDELITY = 0.5
 MAX_DISTANCE = 5000.0  # m; a classical limit beyond it is an error
@@ -171,17 +170,32 @@ def swapped_finite_gain_params(alpha, beta, gamma, g):
     return alpha_t, gamma_t
 
 
-def half_fidelity_condition(alpha, beta, gamma, k, w):
-    """w^2 (2 num - den) of fidelity_finite_gain at (alpha, beta, gamma) / w.
+def _condition_weights(k):
+    """(k0, k1, k2, k3) of half_fidelity_condition at k = 1/sqrt(g)."""
+    return 4.0 - k - 2.0 * k * k, 2.0 + k + 2.0 * k * k, 2.0 + k, 4.0 * (1.0 + k)
 
-    Arguments are coefficient arrays (channel.poly) and k = 1/sqrt(g); the
-    result vanishes where the fidelity is 1/2. At k = 0 it is
-    2 w (2 w - alpha - beta + 2 gamma), the ideal condition.
-    """
-    return ((4.0 - k - 2.0 * k * k) * poly_mul(w, w)
-            - poly_mul((2.0 + k + 2.0 * k * k) * alpha + (2.0 + k) * beta
-                       - 4.0 * (1.0 + k) * gamma, w)
-            + k * (poly_mul(gamma, gamma) - poly_mul(alpha, beta)))
+
+def half_fidelity_condition(alpha, beta, gamma, k):
+    """2 num - den of fidelity_finite_gain, k0 - k1 alpha - k2 beta + k3 gamma
+    + k (gamma^2 - alpha beta), which vanishes where the fidelity is 1/2.
+    Polynomials in u are 3-tuples (channel.tmst_polys); the products are cut
+    at degree 2, which is exact in both geometries. k = 1/sqrt(g)."""
+    (a0, a1, a2), (b0, b1, b2), (g0, g1, g2) = alpha, beta, gamma
+    k0, k1, k2, k3 = _condition_weights(k)
+    return (k0 - (k1 * a0 + k2 * b0 - k3 * g0) + k * (g0 * g0 - a0 * b0),
+            k * (2.0 * (g0 * g1) - (a0 * b1 + a1 * b0))
+            - (k1 * a1 + k2 * b1 - k3 * g1),
+            k * (2.0 * (g0 * g2) + g1 * g1 - (a0 * b2 + a1 * b1 + a2 * b0))
+            - (k1 * a2 + k2 * b2 - k3 * g2))
+
+
+def _poly_mul(p, q):
+    """Product of two polynomials (lowest power first), as a list."""
+    out = [0.0] * (len(p) + len(q) - 1)
+    for i, p_i in enumerate(p):
+        for j, q_j in enumerate(q):
+            out[i + j] += p_i * q_j
+    return out
 
 
 @dataclass(frozen=True)
@@ -244,31 +258,37 @@ class TeleportResource:
         if kind.startswith("tmst"):
             return fidelity_finite_gain(*triple, gain, self.theta)
         if kind.startswith("2ps-prob"):
-            triple = distill.ps2_standard_form(*triple, self.tau)[:3]
+            triple = distill.ps2_subtracted(*triple, self.tau)[:3]
         return (1.0 + distill.heuristic_correction(*triple)) / root_det_standard(*triple)
 
     def _half_fidelity_poly(self):
-        """The F = 1/2 condition as a coefficient array in u (channel.tmst_polys).
+        """The F = 1/2 condition as a polynomial in u (channel.tmst_polys).
 
         A swap link of length L/2 shares t = 1 - eta_eff with a symmetric
         arm: its lossy block is the arm's alpha, its retained block the
         source's a, and its gamma^2 = c^2 t is c times the arm's gamma.
         """
         k = math.sqrt(self.inv_gain) if self.kind.endswith("-fg") else 0.0
-        one = poly(1.0)
         if not self.kind.startswith("swap"):
-            alpha, beta, gamma = channel_mod.tmst_polys(
-                self.r, self.n, self.n_th, self.eta_ant, self.geometry)
-            return half_fidelity_condition(alpha, beta, gamma, k, one)
+            return half_fidelity_condition(*channel_mod.tmst_polys(
+                self.r, self.n, self.n_th, self.eta_ant, self.geometry), k)
         a, c, _ = channel_mod.source_terms(self.r, self.n, self.n_th)
-        beta_l, _, gamma_t = channel_mod.tmst_polys(self.r, self.n, self.n_th,
+        beta_l, _, gamma_l = channel_mod.tmst_polys(self.r, self.n, self.n_th,
                                                     self.eta_ant, "sym")
-        gamma_sq = c * gamma_t
-        # swapped_finite_gain_params at g = 1/k^2, times their denominator den
-        den = 2.0 * (beta_l + k * (one + poly_mul(beta_l, beta_l)) + k * k * beta_l)
-        alpha_t = a * den - poly_mul(gamma_sq, (1.0 + k * k) * one + 2.0 * k * beta_l)
-        return half_fidelity_condition(alpha_t, alpha_t, (1.0 - k * k) * gamma_sq,
-                                       k, den)
+        gamma_sq = [c * x for x in gamma_l]
+        # swapped_finite_gain_params at g = 1/k^2 times den; zip cuts at degree 2
+        den = [2.0 * (b + k * (i + bb) + k * k * b)
+               for i, b, bb in zip((1.0, 0.0, 0.0), beta_l, _poly_mul(beta_l, beta_l))]
+        alpha_t = [a * d - x for d, x in zip(den, _poly_mul(
+            gamma_sq, (1.0 + k * k + 2.0 * k * beta_l[0], 2.0 * k * beta_l[1])))]
+        gamma_t = [(1.0 - k * k) * x for x in gamma_sq]
+        # den^2 times the condition at (alpha_t, alpha_t, gamma_t) / den
+        k0, k1, k2, k3 = _condition_weights(k)
+        den_terms = _poly_mul(den, [k0 * d - (k1 * x + k2 * x - k3 * y)
+                                    for d, x, y in zip(den, alpha_t, gamma_t)])
+        k_terms = _poly_mul([y - x for x, y in zip(alpha_t, gamma_t)],
+                            [y + x for x, y in zip(alpha_t, gamma_t)])
+        return tuple(x + k * y for x, y in zip(den_terms, k_terms))
 
     def classical_limit_distance(self):
         """Distance (m) where the fidelity first crosses 1/2.

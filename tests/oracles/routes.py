@@ -2,10 +2,10 @@
 built from their definitions instead of the library's closed forms."""
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from cvmw.bifreq import bifreq_probe
-from cvmw.channel import (AirChannel, eta_eff, poly, poly_mul, root_distance,
-                          tmst_polys)
+from cvmw.channel import AirChannel, eta_eff
 from cvmw.core import (GaussianState, apply, beam_splitter, omega, partial_trace,
                        thermal, tmst)
 from cvmw.entanglement import BipartiteCM
@@ -146,11 +146,91 @@ def classical_limit_array_bracket(resource):
 def l_max_quartic(ch, r, n):
     """channel.l_max's asymmetric reach from the whole nu_minus = 1 condition
     on the standard-form polynomials: 1 - (alpha^2 + beta^2 + 2 gamma^2) +
-    (alpha beta - gamma^2)^2 = 0, a quartic in u, solved by its companion
-    matrix. Assumes an entangled source, mu > 0 and n_th > 0."""
-    alpha, beta, gamma = tmst_polys(r, n, ch.n_th_env, ch.eta_ant, "asym")
-    gamma_sq = poly_mul(gamma, gamma)
-    det_root = poly_mul(alpha, beta) - gamma_sq
-    condition = (poly(1.0) - poly_mul(alpha, alpha) - poly_mul(beta, beta)
-                 - 2.0 * gamma_sq + poly_mul(det_root, det_root))
-    return root_distance(condition, ch.mu)
+    (alpha beta - gamma^2)^2 = 0, a quartic in u, solved by numpy.polynomial.
+    Assumes an entangled source, mu > 0 and n_th > 0."""
+    alpha, beta, gamma = (Polynomial(x) for x in tmst_polys_array(
+        r, n, ch.n_th_env, ch.eta_ant, "asym"))
+    condition = (1.0 - alpha ** 2 - beta ** 2 - 2.0 * gamma ** 2
+                 + (alpha * beta - gamma ** 2) ** 2)
+    u = min(x.real for x in condition.roots()
+            if x.imag == 0.0 and 0.0 <= x.real < 1.0)
+    return -2.0 / ch.mu * np.log1p(-u)
+
+
+# The distance-bound conditions by generic array algebra: numpy coefficient
+# arrays (lowest power first, zero-padded to POLY_LEN) multiplied by
+# np.convolve, where the library writes each coefficient out on floats.
+
+POLY_LEN = 5
+
+
+def poly(*coeffs):
+    """Coefficient array, zero-padded to POLY_LEN."""
+    out = np.zeros(POLY_LEN)
+    out[:len(coeffs)] = coeffs
+    return out
+
+
+def poly_mul(p, q):
+    """Product of two coefficient arrays; its degree must stay below POLY_LEN."""
+    return np.convolve(p, q)[:POLY_LEN]
+
+
+def tmst_polys_array(r, n, n_th, eta_ant, geometry):
+    """(alpha, beta, gamma) of the distributed state as coefficient arrays in
+    u = 1 - t / t0. With a = (1 + 2n) cosh 2r, c = (1 + 2n) sinh 2r and
+    e = 1 + 2 n_th: alpha = a + (e - a) eta_eff, where eta_eff = eta_ant +
+    t0^2 (2u - u^2), t0 = sqrt(1 - eta_ant), in the asymmetric geometry and
+    eta_ant + t0 u, t0 = 1 - eta_ant, in the symmetric one; gamma = c t0 (1 - u)."""
+    scale = 1.0 + 2.0 * n
+    a, c, e = scale * np.cosh(2.0 * r), scale * np.sinh(2.0 * r), 1.0 + 2.0 * n_th
+    at_source = a + (e - a) * eta_ant
+    if geometry == "asym":
+        t0 = np.sqrt(1.0 - eta_ant)
+        lossy = (e - a) * t0 * t0
+        return (poly(at_source, 2.0 * lossy, -lossy), poly(a),
+                poly(c * t0, -c * t0))
+    t0 = 1.0 - eta_ant
+    alpha = poly(at_source, (e - a) * t0)
+    return alpha, alpha, poly(c * t0, -c * t0)
+
+
+def half_fidelity_condition_array(alpha, beta, gamma, k, w):
+    """w^2 (2 num - den) of teleport.fidelity_finite_gain at (alpha, beta,
+    gamma) / w, on coefficient arrays, with k = 1/sqrt(g)."""
+    return ((4.0 - k - 2.0 * k * k) * poly_mul(w, w)
+            - poly_mul((2.0 + k + 2.0 * k * k) * alpha + (2.0 + k) * beta
+                       - 4.0 * (1.0 + k) * gamma, w)
+            + k * (poly_mul(gamma, gamma) - poly_mul(alpha, beta)))
+
+
+def half_fidelity_poly_array(resource):
+    """The F = 1/2 condition of a Gaussian TeleportResource as a coefficient
+    array. A swap link of length L/2 has the lossy block alpha of a
+    symmetric arm, the retained block a and gamma^2 = c times the arm's
+    gamma; the swapped resource is (alpha_t, alpha_t, gamma_t) / den at the
+    gain g = 1/k^2."""
+    k = np.sqrt(resource.inv_gain) if resource.kind.endswith("-fg") else 0.0
+    one = poly(1.0)
+    link = (resource.r, resource.n, resource.n_th, resource.eta_ant)
+    if not resource.kind.startswith("swap"):
+        alpha, beta, gamma = tmst_polys_array(*link, resource.geometry)
+        return half_fidelity_condition_array(alpha, beta, gamma, k, one)
+    scale = 1.0 + 2.0 * resource.n
+    a, c = scale * np.cosh(2.0 * resource.r), scale * np.sinh(2.0 * resource.r)
+    beta_l, _, gamma_t = tmst_polys_array(*link, "sym")
+    gamma_sq = c * gamma_t
+    den = 2.0 * (beta_l + k * (one + poly_mul(beta_l, beta_l)) + k * k * beta_l)
+    alpha_t = a * den - poly_mul(gamma_sq, (1.0 + k * k) * one + 2.0 * k * beta_l)
+    return half_fidelity_condition_array(alpha_t, alpha_t, (1.0 - k * k) * gamma_sq,
+                                         k, den)
+
+
+def l_max_condition_array(ch, r, n, geometry):
+    """channel.l_max's nu_minus = 1 condition as a coefficient array:
+    alpha - gamma - 1 (sym) or (alpha - 1)(beta - 1) - gamma^2 (asym)."""
+    alpha, beta, gamma = tmst_polys_array(r, n, ch.n_th_env, ch.eta_ant, geometry)
+    one = poly(1.0)
+    if geometry == "sym":
+        return alpha - gamma - one
+    return poly_mul(alpha - one, beta - one) - poly_mul(gamma, gamma)

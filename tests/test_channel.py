@@ -264,7 +264,7 @@ class TestRootDistance:
         return -2.0 / self.MU * math.log1p(-u)
 
     def root(self, *coeffs):
-        return channel.root_distance(channel.poly(*coeffs), self.MU)
+        return channel.root_distance(coeffs, self.MU)
 
     def test_linear(self):
         assert self.root(0.5, -2.0) == self.distance(0.25)

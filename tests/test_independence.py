@@ -37,7 +37,15 @@ CHECKS = {
             "cvmw.teleport.TeleportResource.classical_limit_distance"},
         "classical_limit_array_bracket": {
             "cvmw.teleport.TeleportResource.classical_limit_distance"},
-        "l_max_quartic": {"cvmw.channel.l_max"},
+        "l_max_quartic": {"cvmw.channel.l_max", "cvmw.channel.tmst_polys",
+                          "cvmw.channel.root_distance"},
+        "tmst_polys_array": {"cvmw.channel.tmst_polys", "cvmw.channel.source_terms"},
+        "half_fidelity_condition_array": {"cvmw.teleport.half_fidelity_condition"},
+        "half_fidelity_poly_array": {
+            "cvmw.teleport.TeleportResource._half_fidelity_poly",
+            "cvmw.teleport.half_fidelity_condition", "cvmw.channel.tmst_polys",
+            "cvmw.channel.source_terms"},
+        "l_max_condition_array": {"cvmw.channel.l_max", "cvmw.channel.tmst_polys"},
     },
     "monras.py": {
         "gaussian_qfi": {"cvmw.estimation.gaussian_qfi"},

@@ -12,7 +12,8 @@ from cvmw.teleport import (BEYOND_MAX, ROOT_GRID, ROOT_XTOL, TeleportResource,
                            fidelity_ps_tmsv, gamma_of, regaussify,
                            root_det_standard, swapped_finite_gain_params)
 from tests.oracles.routes import (classical_limit_array_bracket,
-                                  classical_limit_full_bracket)
+                                  classical_limit_full_bracket,
+                                  half_fidelity_poly_array, l_max_condition_array)
 
 TABLE1 = dict(channel.TABLE1)
 
@@ -524,7 +525,7 @@ class TestSixtyDigitRoots:
         solve = channel.root_distance
 
         def spy(condition, mu):
-            conditions.append((condition.copy(), mu))
+            conditions.append((condition, mu))
             return solve(condition, mu)
         monkeypatch.setattr(channel, "root_distance", spy)
         for p in [{}] + list(bench_link_draws(10, seed=14)):
@@ -536,6 +537,85 @@ class TestSixtyDigitRoots:
                 length = resource(bound, **p).classical_limit_distance()
             assert length == pytest.approx(mp_root_distance(*conditions[-1]),
                                            rel=1e-12, abs=0.0)
+
+
+def distance_bound(bound, p):
+    """A classical-limit distance (a kind of TeleportResource) or an l_max
+    reach ("l_max-asym", "l_max-sym") at table1 overridden by p."""
+    if bound.startswith("l_max"):
+        link = {**TABLE1, **p}
+        ch = channel.AirChannel(link["mu"], 0.0, link["n_th"], link["eta_ant"])
+        return channel.l_max(ch, link["r"], link["n"], bound[6:])
+    return resource(bound, **p).classical_limit_distance()
+
+
+def bits(coeffs):
+    """float.hex of each coefficient, zero-padded to 5; + 0.0 folds -0.0 into
+    0.0, since the sign of a zero coefficient moves no root."""
+    return [float(c + 0.0).hex() for c in list(coeffs) + [0.0] * (5 - len(coeffs))]
+
+
+class TestCoefficientArrayRoute:
+    """The written-out conditions on Python floats against the numpy
+    coefficient-array route they replaced (tests/oracles/routes.py)."""
+
+    @staticmethod
+    def condition_and_root(bound, p, monkeypatch):
+        """The condition root_distance receives for a bound, and the bound."""
+        conditions = []
+        solve = channel.root_distance
+
+        def spy(condition, mu):
+            conditions.append(condition)
+            return solve(condition, mu)
+        with monkeypatch.context() as patch:
+            patch.setattr(channel, "root_distance", spy)
+            length = distance_bound(bound, p)
+        return conditions[-1], length
+
+    @staticmethod
+    def array_route(bound, p):
+        """The array condition of a bound and its mu."""
+        link = {**TABLE1, **p}
+        if bound.startswith("l_max"):
+            ch = channel.AirChannel(link["mu"], 0.0, link["n_th"], link["eta_ant"])
+            return l_max_condition_array(ch, link["r"], link["n"], bound[6:]), link["mu"]
+        return half_fidelity_poly_array(resource(bound, **p)), link["mu"]
+
+    @pytest.mark.parametrize("bound", ["tmst-asym", "tmst-sym", "tmst-asym-fg",
+                                       "tmst-sym-fg", "l_max-asym", "l_max-sym"])
+    def test_quadratic_conditions_and_roots_are_bit_identical(self, bound,
+                                                               monkeypatch):
+        for p in [{}] + list(bench_link_draws(10, seed=14)):
+            condition, length = self.condition_and_root(bound, p, monkeypatch)
+            array, mu = self.array_route(bound, p)
+            assert bits(condition) == bits(array)
+            assert length.hex() == channel.root_distance(array, mu).hex()
+
+    @pytest.mark.parametrize("kind", ["swap", "swap-fg"])
+    def test_swap_conditions_and_roots_agree(self, kind, monkeypatch):
+        """The swap conditions sum their products in another order than
+        np.convolve, so they agree to rounding, not bit for bit."""
+        for p in [{}] + list(bench_link_draws(10, seed=14)):
+            condition, length = self.condition_and_root(kind, p, monkeypatch)
+            array, mu = self.array_route(kind, p)
+            np.testing.assert_allclose(list(condition) + [0.0] * (5 - len(condition)),
+                                       array, rtol=1e-14, atol=0.0)
+            assert length == pytest.approx(channel.root_distance(array, mu),
+                                           rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("bound", ["tmst-asym", "tmst-sym", "swap",
+                                       "tmst-asym-fg", "tmst-sym-fg",
+                                       "l_max-asym", "l_max-sym"])
+    def test_quadratic_bounds_form_no_array(self, bound, monkeypatch):
+        """Every bound with a quadratic condition is a Python float built
+        without a coefficient array; swap-fg's quartic alone builds a
+        companion matrix."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a coefficient array was formed")
+        monkeypatch.setattr(channel.np, "zeros", refuse)
+        monkeypatch.setattr(channel.np, "convolve", refuse)
+        assert type(distance_bound(bound, {})) is float
 
 
 class TestArrayFidelity:
