@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import any_true, sqrt, to_float
-from .entanglement import BipartiteCM, nu_minus_standard
+from .entanglement import BipartiteCM
 
 # CODATA exact SI values
 PLANCK = 6.62607015e-34       # J s
@@ -200,29 +200,29 @@ def l_max(ch, r, n, geometry="asym"):
     """Maximum distance (m) before the distributed entanglement vanishes.
 
     The first root of nu_minus = 1 on the standard-form polynomials
-    (tmst_polys): alpha - gamma = 1 in the symmetric geometry, linear in u,
-    and (alpha - 1)(beta - 1) = gamma^2 in the asymmetric one, a quadratic.
-    The latter is the factor of 1 - (alpha^2 + beta^2 + 2 gamma^2) +
-    (alpha beta - gamma^2)^2 that vanishes; the other factor, (alpha + 1)
-    (beta + 1) - gamma^2, is positive for every physical state. Returns 0
-    when the source is not entangled; raises ValueError when the bound is
-    never reached: mu = 0, or no thermal noise to end the entanglement.
+    (tmst_polys), each positive where nu_minus < 1: 1 + gamma - alpha in the
+    symmetric geometry (sym_reach), linear in u, and gamma^2 - (alpha - 1)
+    (beta - 1) in the asymmetric one, a quadratic, the factor of 1 - (alpha^2
+    + beta^2 + 2 gamma^2) + (alpha beta - gamma^2)^2 that vanishes; the other
+    factor, (alpha + 1)(beta + 1) - gamma^2, is positive for every physical
+    state. Returns 0 when the source is not entangled; raises ValueError
+    when the bound is never reached: mu = 0, or no thermal noise to end the
+    entanglement.
     """
-    at_source = tmst_params(ch.mu, 0.0, ch.n_th_env, ch.eta_ant, r, n, geometry)
-    if nu_minus_standard(*at_source) >= 1.0:
+    if geometry == "sym":
+        condition = sym_reach(r, n, ch.n_th_env, ch.eta_ant)
+    else:  # beta = b0 is constant in u
+        (a0, a1, a2), (b0, _, _), (g0, g1, _) = tmst_polys(
+            r, n, ch.n_th_env, ch.eta_ant, geometry)
+        condition = (g0 * g0 - (a0 - 1.0) * (b0 - 1.0),
+                     2.0 * (g0 * g1) - a1 * (b0 - 1.0), g1 * g1 - a2 * (b0 - 1.0))
+    if condition[0] <= 0.0:  # the source is not entangled
         return 0.0
     require_attenuation(ch.mu)
     if ch.n_th_env == 0.0:
         # pure loss: nu_minus reaches 1 only where the transmission vanishes,
         # at u = 1, a double root of the asymmetric quadratic
         raise ValueError(NEVER_REACHED)
-    (a0, a1, a2), (b0, _, _), (g0, g1, _) = tmst_polys(
-        r, n, ch.n_th_env, ch.eta_ant, geometry)
-    if geometry == "sym":
-        condition = (a0 - g0 - 1.0, a1 - g1)
-    else:  # beta = b0 is constant in u
-        condition = ((a0 - 1.0) * (b0 - 1.0) - g0 * g0,
-                     a1 * (b0 - 1.0) - 2.0 * (g0 * g1), a2 * (b0 - 1.0) - g1 * g1)
     length = root_distance(condition, ch.mu)
     if length is None:
         raise ValueError(NEVER_REACHED)
@@ -280,6 +280,13 @@ def tmst_polys(r, n, n_th, eta_ant, geometry):
         alpha = (at_source, (e - a) * t0, 0.0)
         return alpha, alpha, (c * t0, -c * t0, 0.0)
     raise ValueError("geometry must be 'asym' or 'sym'")
+
+
+def sym_reach(r, n, n_th, eta_ant):
+    """1 - (alpha - gamma) of the symmetric lossy_tmst, linear in u: positive
+    where nu_minus < 1, and where the symmetric kinds beat F = 1/2 at g = inf."""
+    (a0, a1, _), _, (g0, g1, _) = tmst_polys(r, n, n_th, eta_ant, "sym")
+    return 1.0 - (a0 - g0), g1 - a1
 
 
 def require_attenuation(mu):

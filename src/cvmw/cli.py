@@ -465,7 +465,15 @@ OPTIONS = {
     "distill": ("geometry", {"default": "sym", "choices": ("asym", "sym")}),
 }
 HELP = {"state": "construct a state and print its JSON",
-        "qfi": "numeric QFI of a named received family",
+        "negativity": "negativity of photon-subtracted squeezed vacuum vs r",
+        "illum": "quantum illumination gain and Fisher informations",
+        "bifreq": "bi-frequency enhancement ratio and optimal observable",
+        "swap": "entanglement-swapped resource vs distance",
+        "channel": "distributed-state entanglement vs distance",
+        "satellite": "free-space path loss and diffraction transmissivity",
+        "qfi": "closed-form QFI of a named received family",
+        "teleport": "teleportation fidelity of a resource vs distance",
+        "distill": "re-Gaussified photon-subtraction negativities",
         "summary": "verify headline anchors"}
 
 
@@ -478,12 +486,10 @@ def build_parser():
         "  %-11s %-9s %-12s %s" % (key, "2 w0" if value is None else "%g" % value,
                                    domain, meaning)
         for key, (value, domain, meaning) in PARAMS.items())
-    handlers = ([("state", _cmd_state)] + [(name, _cmd_table) for name in COMMANDS]
-                + [("summary", _cmd_summary)])
-    for name, func in handlers:
-        sp = sub.add_parser(name, epilog=epilog,
-                            formatter_class=argparse.RawDescriptionHelpFormatter,
-                            **({"help": HELP[name]} if name in HELP else {}))
+    for name, text in HELP.items():
+        func = {"state": _cmd_state, "summary": _cmd_summary}.get(name, _cmd_table)
+        sp = sub.add_parser(name, help=text, epilog=epilog,
+                            formatter_class=argparse.RawDescriptionHelpFormatter)
         if name in OPTIONS:
             dest, kwargs = OPTIONS[name]
             sp.add_argument("--" + dest, **kwargs)

@@ -226,6 +226,8 @@ class TeleportResource:
         if self.kind.endswith("-fg") and not (math.isfinite(self.inv_gain)
                                               and self.inv_gain > 0.0):
             raise ValueError("finite-gain resources need a finite inv_gain > 0")
+        if self.kind.startswith("2ps-prob") and not 0.0 < self.tau < 1.0:
+            raise ValueError("transmissivity must lie in (0, 1)")
         channel_mod.AirChannel(self.mu, 0.0, self.n_th, self.eta_ant)  # checked once
 
     @functools.cached_property
@@ -262,12 +264,18 @@ class TeleportResource:
         return (1.0 + distill.heuristic_correction(*triple)) / root_det_standard(*triple)
 
     def _half_fidelity_poly(self):
-        """The F = 1/2 condition as a polynomial in u (channel.tmst_polys).
+        """The F = 1/2 condition as a polynomial in u (channel.tmst_polys),
+        positive where F > 1/2, or None for a kind that marches.
 
-        A swap link of length L/2 shares t = 1 - eta_eff with a symmetric
-        arm: its lossy block is the arm's alpha, its retained block the
-        source's a, and its gamma^2 = c^2 t is c times the arm's gamma.
+        The symmetric kinds at g = inf have the symmetric reach (the tests
+        derive it). A swap link of length L/2 shares t = 1 - eta_eff with a
+        symmetric arm: its lossy block is the arm's alpha, its retained block
+        the source's a, and its gamma^2 = c^2 t is c times the arm's gamma.
         """
+        if self.kind in ("tmst-sym", "2ps-prob-sym", "2ps-heur-sym"):
+            return channel_mod.sym_reach(self.r, self.n, self.n_th, self.eta_ant)
+        if self.kind.startswith("2ps") or self.kind.endswith("-fg") and self.theta:
+            return None
         k = math.sqrt(self.inv_gain) if self.kind.endswith("-fg") else 0.0
         if not self.kind.startswith("swap"):
             return half_fidelity_condition(*channel_mod.tmst_polys(
@@ -293,24 +301,24 @@ class TeleportResource:
     def classical_limit_distance(self):
         """Distance (m) where the fidelity first crosses 1/2.
 
-        Gaussian kinds solve their closed-form condition in u (see
-        channel.root_distance): a quadratic, solved in closed form, for all
-        but swap-fg, whose quartic is solved by its companion matrix. The 2PS
-        kinds, and the finite-gain kinds at theta != 0, have none: they march
-        ROOT_GRID one float at a time to the first point where the fidelity
-        is at most 1/2, and Illinois narrows that cell to ROOT_XTOL. Points
-        beyond it are not evaluated.
+        All kinds but 2ps-*-asym and the -fg kinds at theta != 0 solve a
+        closed-form condition in u (channel.root_distance), whose constant
+        term has the sign of F - 1/2 at the source: linear for the symmetric
+        kinds at g = inf, a quartic for swap-fg, a quadratic for the rest.
+        The others march ROOT_GRID one float at a time to the first point
+        where the fidelity is at most 1/2, and Illinois narrows that cell to
+        ROOT_XTOL. Points beyond it are not evaluated.
         Returns 0 when the fidelity at the source is at most 1/2; raises
         ValueError when mu = 0, on a non-finite fidelity before the crossing,
         or when the root lies beyond MAX_DISTANCE.
         """
-        numeric = self.kind.startswith("2ps") or (self.kind.endswith("-fg")
-                                                  and self.theta != 0.0)
-        excess = self.fidelity(0.0) - CLASSICAL_FIDELITY
+        condition = self._half_fidelity_poly()
+        excess = (self.fidelity(0.0) - CLASSICAL_FIDELITY if condition is None
+                  else condition[0])
         if excess <= 0.0:  # at the source
             return 0.0
         channel_mod.require_attenuation(self.mu)
-        if numeric:
+        if condition is None:
             def excess_at(length):
                 return self.fidelity(length) - CLASSICAL_FIDELITY
             a = f_a = None
@@ -322,7 +330,7 @@ class TeleportResource:
                     return illinois(excess_at, a, b, f_a, f_b, ROOT_XTOL)
                 a, f_a = b, f_b
             raise ValueError(BEYOND_MAX)
-        length = channel_mod.root_distance(self._half_fidelity_poly(), self.mu)
+        length = channel_mod.root_distance(condition, self.mu)
         if length is None or length > MAX_DISTANCE:
             raise ValueError(BEYOND_MAX)
         return length

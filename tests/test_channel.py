@@ -175,6 +175,27 @@ class TestReach:
         # a source that is not entangled has zero reach
         assert l_max(ch, 0.5, 1.5, "asym") == 0.0
 
+    @pytest.mark.parametrize("geometry", ["asym", "sym"])
+    def test_zero_exactly_where_the_source_is_not_entangled(self, geometry):
+        # at mu = 0 the reach is 0 at the source or raises: the source decides
+        rng = np.random.default_rng(43)
+        links = [(0.0, 0.0, TABLE1["n_th"], 0.0)] + [
+            (rng.uniform(0.0, 1.25), rng.uniform(0.0, 0.6), rng.uniform(0.0, 2500.0),
+             rng.choice([0.0, rng.uniform(0.0, 0.5)])) for _ in range(200)]
+        seen = []
+        for r, n, n_th, eta_ant in links:
+            ch = AirChannel(0.0, 0.0, n_th, eta_ant)
+            source = channel.lossy_tmst_params(ch, r, n, geometry)
+            not_entangled = pts_eigenvalues(BipartiteCM.standard_form(*source))[0] >= 1.0
+            try:
+                zero = l_max(ch, r, n, geometry) == 0.0
+            except ValueError as exc:
+                assert "mu = 0" in str(exc)
+                zero = False
+            assert zero == not_entangled, (r, n, n_th, eta_ant)
+            seen.append(not_entangled)
+        assert seen.count(True) >= 40 and seen.count(False) >= 40
+
     def test_asym_exceeds_sym(self):
         ch = AirChannel(TABLE1["mu"], 0.0, TABLE1["n_th"], 0.0)
         assert l_max(ch, 1.0, 1e-2, "asym") > l_max(ch, 1.0, 1e-2, "sym")

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -281,6 +282,15 @@ class TestParameterTable:
             lines = capsys.readouterr().out.rstrip("\n").split("\n")
             tail = lines[-len(cli.PARAMS):]
             assert [line.split()[0] for line in tail] == list(cli.PARAMS), name
+
+    def test_top_level_help_describes_every_subcommand(self, capsys):
+        assert cli.main(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert list(cli.HELP) == ["state"] + list(cli.COMMANDS) + ["summary"]
+        for name, text in cli.HELP.items():
+            assert re.search(r"^\s+%s\s+%s" % (name, re.escape(text.split()[0])),
+                             out, re.M), name
+        assert "closed-form" in cli.HELP["qfi"]
 
     def test_readme_table_lists_every_key(self):
         readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")

@@ -34,9 +34,11 @@ CHECKS = {
                                        "cvmw.distill.hyp2f1_k"},
         "two_mode_symplectic_eigenvalues": {"cvmw.core.symplectic_eigenvalues"},
         "classical_limit_full_bracket": {
-            "cvmw.teleport.TeleportResource.classical_limit_distance"},
+            "cvmw.teleport.TeleportResource.classical_limit_distance",
+            "cvmw.channel.sym_reach", "cvmw.channel.l_max"},
         "classical_limit_array_bracket": {
-            "cvmw.teleport.TeleportResource.classical_limit_distance"},
+            "cvmw.teleport.TeleportResource.classical_limit_distance",
+            "cvmw.channel.sym_reach", "cvmw.channel.l_max"},
         "l_max_quartic": {"cvmw.channel.l_max", "cvmw.channel.tmst_polys",
                           "cvmw.channel.root_distance"},
         "tmst_polys_array": {"cvmw.channel.tmst_polys", "cvmw.channel.source_terms"},
@@ -45,7 +47,8 @@ CHECKS = {
             "cvmw.teleport.TeleportResource._half_fidelity_poly",
             "cvmw.teleport.half_fidelity_condition", "cvmw.channel.tmst_polys",
             "cvmw.channel.source_terms"},
-        "l_max_condition_array": {"cvmw.channel.l_max", "cvmw.channel.tmst_polys"},
+        "l_max_condition_array": {"cvmw.channel.l_max", "cvmw.channel.tmst_polys",
+                                  "cvmw.channel.sym_reach"},
     },
     "monras.py": {
         "gaussian_qfi": {"cvmw.estimation.gaussian_qfi"},

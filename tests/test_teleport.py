@@ -6,7 +6,8 @@ import pytest
 
 from cvmw import channel, core, distill
 from cvmw.entanglement import BipartiteCM, negativity, pts_eigenvalues
-from cvmw.teleport import (BEYOND_MAX, ROOT_GRID, ROOT_XTOL, TeleportResource,
+from cvmw.teleport import (BEYOND_MAX, MAX_DISTANCE, ROOT_GRID, ROOT_XTOL,
+                           TeleportResource,
                            fidelity_2ps_general, fidelity_concatenated,
                            fidelity_finite_gain, fidelity_heuristic,
                            fidelity_ps_tmsv, gamma_of, regaussify,
@@ -370,6 +371,11 @@ class TestClassicalLimitRoots:
 NUMERIC_ROOT_KINDS = [("2ps-prob-asym", 0.0), ("2ps-prob-sym", 0.0),
                       ("2ps-heur-asym", 0.0), ("2ps-heur-sym", 0.0),
                       ("tmst-asym-fg", 1.0), ("tmst-sym-fg", 1.0), ("swap-fg", 1.0)]
+# the kinds whose classical limit marches ROOT_GRID; the symmetric ones at
+# g = inf solve the symmetric reach (TestSymReach)
+MARCHED_KINDS = [(kind, theta) for kind, theta in NUMERIC_ROOT_KINDS
+                 if not kind.endswith("-sym")]
+SYM_REACH_KINDS = ("tmst-sym", "2ps-prob-sym", "2ps-heur-sym")
 
 
 class TestNumericRoots:
@@ -430,7 +436,7 @@ class TestGridBracket:
                                            abs=ROOT_XTOL)
             assert abs(res.fidelity(length) - 0.5) <= 1e-4
 
-    @pytest.mark.parametrize("kind,theta", NUMERIC_ROOT_KINDS)
+    @pytest.mark.parametrize("kind,theta", MARCHED_KINDS)
     def test_march_equals_the_array_bracket(self, kind, theta):
         # a scalar fidelity is its array row bit for bit, so the march picks
         # the same cell as one array call over the grid, and the same root
@@ -463,8 +469,8 @@ class TestGridBracket:
     @pytest.mark.parametrize("index,raises", [(3, True), (100, False)])
     def test_non_finite_value_raises_before_the_crossing(self, index, raises,
                                                          monkeypatch):
-        # the table1 root lies in cell 13: a point beyond it is not evaluated
-        expected = resource("2ps-prob-sym").classical_limit_distance()
+        # the table1 root lies in cell 11: a point beyond it is not evaluated
+        expected = resource("2ps-prob-asym").classical_limit_distance()
         fidelity = TeleportResource.fidelity
 
         def broken(res, length):
@@ -472,9 +478,9 @@ class TestGridBracket:
         monkeypatch.setattr(TeleportResource, "fidelity", broken)
         if raises:
             with pytest.raises(ValueError, match="non-finite fidelity on the bracketing"):
-                resource("2ps-prob-sym").classical_limit_distance()
+                resource("2ps-prob-asym").classical_limit_distance()
         else:
-            assert resource("2ps-prob-sym").classical_limit_distance() == expected
+            assert resource("2ps-prob-asym").classical_limit_distance() == expected
 
     def test_returns_the_first_crossing(self):
         class Oscillating(TeleportResource):
@@ -582,13 +588,18 @@ class TestCoefficientArrayRoute:
             return l_max_condition_array(ch, link["r"], link["n"], bound[6:]), link["mu"]
         return half_fidelity_poly_array(resource(bound, **p)), link["mu"]
 
-    @pytest.mark.parametrize("bound", ["tmst-asym", "tmst-sym", "tmst-asym-fg",
-                                       "tmst-sym-fg", "l_max-asym", "l_max-sym"])
+    @pytest.mark.parametrize("bound", ["tmst-asym", "tmst-asym-fg", "tmst-sym-fg",
+                                       "l_max-asym", "l_max-sym"])
     def test_quadratic_conditions_and_roots_are_bit_identical(self, bound,
                                                                monkeypatch):
+        """Up to sign: each condition is positive where its bound is not
+        yet reached, and negating a coefficient is exact. tmst-sym solves
+        the symmetric reach (TestSymReach)."""
         for p in [{}] + list(bench_link_draws(10, seed=14)):
             condition, length = self.condition_and_root(bound, p, monkeypatch)
             array, mu = self.array_route(bound, p)
+            if bound.startswith("l_max"):
+                array = -array
             assert bits(condition) == bits(array)
             assert length.hex() == channel.root_distance(array, mu).hex()
 
@@ -616,6 +627,163 @@ class TestCoefficientArrayRoute:
         monkeypatch.setattr(channel.np, "zeros", refuse)
         monkeypatch.setattr(channel.np, "convolve", refuse)
         assert type(distance_bound(bound, {})) is float
+
+
+def heuristic_correction_restated(alpha, beta, gamma):
+    """distill.heuristic_correction without its check, written again for sympy."""
+    e0 = (alpha - 1) * (beta - 1) + gamma ** 2
+    s, d2 = alpha + beta - 2 * gamma, (alpha - beta) ** 2
+    num = ((s - 2) ** 3 * (s + 6) - d2 ** 2) / 8 + d2 * (2 - s + gamma * (s + 2))
+    return -num / ((s + 2) ** 2 * e0)
+
+
+def ps2_subtracted_restated(alpha, beta, gamma, tau):
+    """distill.ps2_subtracted without its checks, written again for sympy."""
+    cross = (1 - alpha) * (1 - beta) - gamma ** 2
+    den = ((1 + alpha) * (1 + beta) - gamma ** 2
+           + 2 * (1 - alpha * beta + gamma ** 2) * tau + cross * tau ** 2)
+    alpha_t = 1 - 2 * tau * ((1 - alpha) * (1 + beta) + gamma ** 2 + cross * tau) / den
+    beta_t = 1 - 2 * tau * ((1 + alpha) * (1 - beta) + gamma ** 2 + cross * tau) / den
+    return alpha_t, beta_t, 4 * tau * gamma / den, den
+
+
+class TestSymReachIdentity:
+    """At beta = alpha and g = inf, tmst-sym, 2ps-heur-sym and 2ps-prob-sym
+    beat F = 1/2 exactly where alpha - gamma < 1, so their classical limit is
+    the symmetric reach (channel.sym_reach). Every symmetric lossy_tmst has
+    alpha - gamma = nu_minus > 0 and gamma > 0 (r > 0), and 0 < tau < 1."""
+
+    def test_restatements_are_the_library_functions(self):
+        rng = np.random.default_rng(31)
+        for _ in range(5):
+            gamma = rng.uniform(0.5, 4.0)
+            alpha = np.sqrt(1.0 + gamma ** 2) + rng.uniform(0.0, 1.0)
+            beta = np.sqrt(1.0 + gamma ** 2) + rng.uniform(0.0, 1.0)
+            tau = rng.uniform(0.05, 0.99)
+            assert heuristic_correction_restated(alpha, beta, gamma) == pytest.approx(
+                distill.heuristic_correction(alpha, beta, gamma), rel=1e-13)
+            np.testing.assert_allclose(
+                ps2_subtracted_restated(alpha, beta, gamma, tau),
+                distill.ps2_subtracted(alpha, beta, gamma, tau), rtol=1e-13)
+
+    def test_heuristic_fidelity_factorization(self):
+        sp = pytest.importorskip("sympy")
+        a, g = sp.symbols("alpha gamma", positive=True)
+        s, e0 = 2 * a - 2 * g, (a - 1) ** 2 + g ** 2  # S and E_0 at beta = alpha
+        half = sp.Rational(1, 2)
+        # tmst-sym: F = 1/(1 + S/2), the finite-gain fidelity at g = inf
+        assert sp.simplify(1 / (1 + s / 2) - half + (s - 2) / (2 * (s + 2))) == 0
+        # 2ps-heur-sym: F = (1 + h)/(1 + S/2)
+        fidelity = (1 + heuristic_correction_restated(a, a, g)) / (1 + s / 2)
+        factored = (-(s - 2) * (2 * e0 * (s + 2) ** 2 + (s - 2) ** 2 * (s + 6))
+                    / (4 * e0 * (s + 2) ** 3))
+        assert sp.simplify(fidelity - half - factored) == 0
+        # S - 2 = 2 (alpha - gamma - 1); with E_0 = e > 0 and S + 2 = w > 0
+        # the second factor and the denominator are positive
+        e, w, x = sp.symbols("e w x", positive=True)
+        assert (2 * e * w ** 2 + (w - 4) ** 2 * (w + 4)).is_positive
+        assert (4 * e * w ** 3).is_positive
+        # and on the domain E_0 > 0 and S + 2 > 0, with alpha - gamma = x > 0
+        assert e0.is_positive
+        assert (s + 2).subs(a, g + x).is_positive
+
+    def test_subtraction_factorization(self):
+        sp = pytest.importorskip("sympy")
+        a, g, tau, q, x = sp.symbols("alpha gamma tau q x", positive=True)
+        alpha_t, beta_t, gamma_t, den = ps2_subtracted_restated(a, a, g, tau)
+        assert sp.simplify(alpha_t - beta_t) == 0
+        far = (1 + tau) + (1 - tau) * (a + g)
+        near = (1 + tau) + (1 - tau) * (a - g)
+        assert sp.expand(sp.cancel((alpha_t - gamma_t - 1) * den)
+                         - 2 * tau * (a - g - 1) * far) == 0
+        # den = near * far, and the subtracted triple keeps S + 2 > 0 (and
+        # E_0 > 0, as gamma_t = 4 tau gamma / den > 0): the heuristic
+        # factorization holds there too
+        assert sp.expand(den - near * far) == 0
+        assert sp.simplify((alpha_t - gamma_t + 1) * near - 2 * (1 + a - g)) == 0
+        # both factors are positive: tau = 1/(1 + q) in (0, 1), alpha - gamma = x
+        for factor in (near, far):
+            assert sp.together(factor.subs({tau: 1 / (1 + q), a: g + x})).is_positive
+
+
+class TestSymReach:
+    """The classical limits of the symmetric kinds at g = inf are
+    channel.l_max's symmetric reach, with no fidelity evaluated."""
+
+    LINKS = ([{}, dict(r=0.05, n=0.5)] + list(bench_link_draws(10, seed=14))
+             + list(link_draws(24, seed=5)))
+
+    @pytest.mark.parametrize("kind", SYM_REACH_KINDS)
+    def test_equals_l_max_sym_bit_for_bit(self, kind):
+        for p in self.LINKS:
+            reach = distance_bound("l_max-sym", p)
+            assert reach <= MAX_DISTANCE
+            assert resource(kind, **p).classical_limit_distance().hex() == reach.hex()
+        # a reach beyond MAX_DISTANCE is no classical limit
+        assert distance_bound("l_max-sym", dict(mu=1e-7)) > MAX_DISTANCE
+        with pytest.raises(ValueError, match=re.escape(BEYOND_MAX)):
+            resource(kind, mu=1e-7).classical_limit_distance()
+
+    @pytest.mark.parametrize("kind", SYM_REACH_KINDS)
+    def test_within_root_xtol_of_the_array_bracket(self, kind):
+        for p in self.LINKS:
+            res = resource(kind, **p)
+            assert abs(res.classical_limit_distance()
+                       - classical_limit_array_bracket(res)) <= ROOT_XTOL
+
+    @pytest.mark.parametrize("kind", SYM_REACH_KINDS)
+    def test_evaluates_no_fidelity(self, kind, monkeypatch):
+        def refuse(res, length):
+            raise AssertionError("a fidelity was evaluated")
+        monkeypatch.setattr(TeleportResource, "fidelity", refuse)
+        assert resource(kind).classical_limit_distance() > 0.0
+        assert resource(kind, r=0.05, n=0.5).classical_limit_distance() == 0.0
+        with pytest.raises(ValueError, match=re.escape(BEYOND_MAX)):
+            resource(kind, mu=1e-8).classical_limit_distance()
+
+    @pytest.mark.parametrize("tau", [0.0, 1.0, 1.5, float("nan")])
+    def test_subtraction_needs_tau_in_the_open_unit_interval(self, tau):
+        for kind in ("2ps-prob-asym", "2ps-prob-sym"):
+            with pytest.raises(ValueError, match="transmissivity"):
+                resource(kind, tau=tau)
+
+
+def source_draws(count, seed):
+    """Seeded links around F = 1/2 at the source: weak squeezing and warm
+    sources give F(0) <= 1/2. The first link, vacuum through a lossless
+    antenna, has F(0) = 1/2 exactly for the ideal Gaussian kinds."""
+    rng = np.random.default_rng(seed)
+    yield dict(r=0.0, n=0.0, eta_ant=0.0)
+    for _ in range(count):
+        yield dict(r=rng.uniform(0.0, 1.25), n=rng.uniform(0.0, 0.6),
+                   n_th=TABLE1["n_th"] * rng.uniform(0.5, 2.0),
+                   eta_ant=rng.choice([0.0, rng.uniform(0.0, 0.5)]),
+                   tau=rng.uniform(0.05, 0.99),
+                   inv_gain=TABLE1["inv_gain"] * rng.uniform(0.5, 2.0))
+
+
+class TestSourceSign:
+    """A closed-form kind decides 0 at the source from the sign of its
+    condition's constant term, not from the fidelity there."""
+
+    @pytest.mark.parametrize("kind", CLOSED_FORM_KINDS + ("2ps-prob-sym", "2ps-heur-sym"))
+    def test_zero_exactly_where_the_source_fidelity_is_at_most_half(self, kind):
+        # at mu = 0 a limit is 0 at the source or raises: the source decides
+        seen = []
+        for p in source_draws(200, seed=41):
+            res = resource(kind, **{**p, "mu": 0.0})
+            try:
+                at_most_half = res.fidelity(0.0) <= 0.5
+            except ValueError:  # E_0 = 0: nothing to subtract from the vacuum
+                continue
+            try:
+                zero = res.classical_limit_distance() == 0.0
+            except ValueError as exc:
+                assert "mu = 0" in str(exc)
+                zero = False
+            assert zero == at_most_half, p
+            seen.append(at_most_half)
+        assert seen.count(True) >= 40 and seen.count(False) >= 40
 
 
 class TestArrayFidelity:
