@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import any_true, sqrt, to_float
+from .core import any_true, pow2_scale, sqrt, to_float
 from .entanglement import BipartiteCM
 
 # CODATA exact SI values
@@ -235,12 +235,13 @@ def l_max(ch, r, n, geometry="asym"):
 # for the asymmetric state, t = 1 - eta_eff of one L/2 arm and t0 = 1 - eta_ant
 # for the symmetric one. The standard-form entries of lossy_tmst are then
 # polynomials in t, and every Gaussian distance bound is the largest root in
-# (0, t0] of a polynomial: a quadratic for both reaches and every classical
-# limit but swap-fg's, a quartic. The polynomials are expanded in u = 1 - t /
-# t0, which is 0 at the source, so L = -(2 / mu) ln(1 - u): in t itself the
-# terms cancel to 1e-13 near t0 and the roots lose digits. A polynomial is a
-# tuple of Python floats, lowest power first, and a condition writes its
-# coefficients out: on small arrays numpy's calls cost more than the arithmetic.
+# (0, t0] of a polynomial of degree <= 2: linear for the symmetric reach and
+# swap's g2 - (a - 1) B (teleport.swap_condition), a quadratic for the rest.
+# It is expanded in u = 1 - t / t0, 0 at the source, so L = -(2 / mu) ln(1 -
+# u): in t the terms cancel to 1e-13 near t0 and the roots lose digits. A
+# polynomial is a 3-tuple of Python floats, lowest power first, and a
+# condition writes its coefficients out: on small arrays numpy's calls cost
+# more than the arithmetic.
 
 NEVER_REACHED = "the bound is not reached at any distance"
 
@@ -286,7 +287,7 @@ def sym_reach(r, n, n_th, eta_ant):
     """1 - (alpha - gamma) of the symmetric lossy_tmst, linear in u: positive
     where nu_minus < 1, and where the symmetric kinds beat F = 1/2 at g = inf."""
     (a0, a1, _), _, (g0, g1, _) = tmst_polys(r, n, n_th, eta_ant, "sym")
-    return 1.0 - (a0 - g0), g1 - a1
+    return 1.0 - (a0 - g0), g1 - a1, 0.0
 
 
 def require_attenuation(mu):
@@ -297,20 +298,23 @@ def require_attenuation(mu):
 
 
 def root_distance(condition, mu):
-    """Shortest distance (m) where the polynomial condition(u), a sequence of
-    coefficients (lowest power first), vanishes.
+    """Shortest distance (m) where c0 + c1 u + c2 u^2 vanishes: the smallest
+    real root u in [0, 1), the largest t in (0, t0]; None when there is none.
 
-    Takes the smallest real root u in [0, 1), the largest t in (0, t0];
-    None when there is none. Up to degree 2 the roots are closed-form, on
-    Python floats; above it they are the eigenvalues of the companion matrix.
+    condition is (c0, c1, c2), zero-padded if longer: every closed-form bound
+    has degree <= 2, swap's g2 - (a - 1) B is linear. Scaled by a power of two
+    to a largest magnitude in [1/2, 1), which moves no root and keeps c1^2
+    finite, the roots are closed-form on Python floats. A non-finite
+    coefficient raises ValueError.
     """
-    coeffs = list(condition)
-    while coeffs and coeffs[-1] == 0.0:
-        coeffs.pop()
-    if len(coeffs) > 3:
-        roots = _companion_roots(coeffs)
-    else:
-        roots = _quadratic_roots(*(coeffs + [0.0, 0.0, 0.0])[:3])
+    c0, c1, c2 = condition[:3]
+    if len(condition) > 3 and any(condition[3:]):
+        raise ValueError("a distance condition has degree <= 2")
+    size = max(abs(c0), abs(c1), abs(c2))
+    if not size < math.inf or math.isnan(c0 + c1 + c2):  # max can skip a NaN
+        raise ValueError("non-finite coefficient in a distance condition")
+    scale = pow2_scale(size)
+    roots = _quadratic_roots(c0 * scale, c1 * scale, c2 * scale)
     real = [u for u in roots if 0.0 <= u < 1.0]
     if not real:
         return None
@@ -332,17 +336,6 @@ def _quadratic_roots(c0, c1, c2):
     if q == 0.0:  # c1 = c0 = 0: a double root at 0
         return [0.0]
     return [q / c2, c0 / q]
-
-
-def _companion_roots(c):
-    """Real roots of the polynomial with coefficients c (lowest power first,
-    nonzero last): eigenvalues of its companion matrix."""
-    n = len(c) - 1
-    companion = np.zeros((n, n))
-    companion.reshape(-1)[n::n + 1] = 1.0  # the subdiagonal
-    companion[:, -1] -= np.divide(c[:-1], c[-1])
-    roots = np.linalg.eigvals(companion)
-    return roots.real[roots.imag == 0.0].tolist()
 
 
 def hemt_gain(n_h, n):

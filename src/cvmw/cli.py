@@ -93,7 +93,7 @@ PARAMS = {
     "temperature": (T1["temperature"], "(0, inf)", "environment temperature, K"),
     "r": (T1["r"], "[0, inf)", "squeezing parameter of the source"),
     "n": (T1["n"], "[0, inf)", "source thermal photons"),
-    "tau": (T1["tau"], "(0, 1]", "subtraction beam-splitter transmissivity"),
+    "tau": (T1["tau"], "(0, 1)", "subtraction beam-splitter transmissivity"),
     "eta_ant": (T1["eta_ant"], "[0, 1]", "antenna reflectivity"),
     "nu": (T1["nu"], "(0, inf)", "carrier frequency, Hz"),
     "inv_gain": (T1["inv_gain"], "[0, inf)", "1/G of the finite-gain homodyne"),

@@ -46,6 +46,13 @@ def sqrt(x):
     return math.sqrt(x) if x >= 0.0 else math.nan
 
 
+def pow2_scale(x):
+    """The power of two s with s |x| in [1/2, 1) (1 at x = 0), elementwise."""
+    if isinstance(x, np.ndarray):
+        return np.ldexp(1.0, -np.frexp(x)[1])
+    return math.ldexp(1.0, -math.frexp(x)[1])
+
+
 def to_float(x):
     """x as a Python float, unless it is an array: arithmetic on a numpy
     scalar costs several times as much."""

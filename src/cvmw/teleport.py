@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SIGMA_Z, any_true, to_float
+from .core import SIGMA_Z, any_true, pow2_scale, to_float
 from .entanglement import BipartiteCM, cm_validity
 from . import channel as channel_mod
 from . import distill
@@ -42,7 +42,8 @@ def fidelity_concatenated(cm, k):
     """
     if k < 1 or k != int(k):
         raise ValueError("k must be a positive integer")
-    det = np.linalg.det(np.eye(2) + (k - 0.5) * gamma_of(cm))
+    m = np.eye(2) + (k - 0.5) * gamma_of(cm)
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     if det <= 0.0:
         raise ValueError(ILL_CONDITIONED)
     return 1.0 / np.sqrt(det)
@@ -136,22 +137,25 @@ def fidelity_finite_gain(alpha, beta, gamma, g, theta=0.0):
 
     g is the homodyne gain; at g = inf it is the ideal protocol's
     1/(1 + (alpha + beta - 2 gamma)/2). theta is the amplitude of the
-    teleported coherent state. 1/sqrt(g) multiplies each entry before the
-    entries multiply one another, so at g = inf an overflowing product is
-    never formed as 0 * inf.
+    teleported coherent state. num and den are scaled by the power of two
+    s with s (alpha + beta) in [1/2, 1), which keeps the bits, and 1/sqrt(g)
+    multiplies each entry first: no product of unscaled entries overflows,
+    and at g = inf none is formed as 0 * inf.
     """
     if g <= 0.0:
         raise ValueError("gain must be positive")
     rg = 1.0 / math.sqrt(g)
-    num = 2.0 * (2.0 + rg * (1.0 + alpha))
-    den = (4.0 * (1.0 + 0.5 * (alpha + beta - 2.0 * gamma))
-           + (rg * alpha) * (5.0 + beta) + rg * beta
-           - (rg * (gamma - 1.0)) * (gamma + 5.0)
-           + (2.0 / g) * (1.0 + alpha))
-    base = num / den
+    s = pow2_scale(alpha + beta)
+    alpha_s, beta_s, gamma_s = alpha * s, beta * s, gamma * s
+    half_num = 2.0 * s + rg * (s + alpha_s)
+    den = (4.0 * (s + 0.5 * (alpha_s + beta_s - 2.0 * gamma_s))
+           + (rg * alpha) * (5.0 * s + beta_s) + rg * beta_s
+           - (rg * (gamma_s - s)) * (gamma + 5.0)
+           + (2.0 / g) * (s + alpha_s))
+    base = 2.0 * half_num / den
     if theta != 0.0:
-        expo = (-(2.0 / g) * (1.0 - alpha + gamma) ** 2 * abs(theta) ** 2
-                / ((2.0 + rg * (1.0 + alpha)) * den))
+        expo = (-(2.0 / g) * (s - alpha_s + gamma_s) ** 2 * abs(theta) ** 2
+                / (half_num * den))
         base *= to_float(np.exp(expo))
     return base
 
@@ -159,20 +163,18 @@ def fidelity_finite_gain(alpha, beta, gamma, g, theta=0.0):
 def swapped_finite_gain_params(alpha, beta, gamma, g):
     """(alpha_tilde, gamma_tilde) of the swapped resource at gain g,
     elementwise; at g = inf the ideal swap, alpha - gamma^2/(2 beta) and
-    gamma^2/(2 beta). As in fidelity_finite_gain, 1/sqrt(g) multiplies beta
-    before beta^2 can overflow."""
+    gamma^2/(2 beta). As in fidelity_finite_gain, both fractions are scaled
+    by the power of two s with s beta in [1/2, 1), exactly, and 1/sqrt(g)
+    multiplies beta first, so beta^2 is never formed."""
     if any_true(beta <= 0.0):
         raise ValueError("beta must be positive")
     rg = 1.0 / math.sqrt(g)
-    den = 2.0 * (beta + (rg + (rg * beta) * beta) + beta / g)
-    alpha_t = alpha - gamma ** 2 * (1.0 + 2.0 * rg * beta + 1.0 / g) / den
-    gamma_t = gamma ** 2 * (1.0 - 1.0 / g) / den
+    s = pow2_scale(beta)
+    beta_s = beta * s
+    den = 2.0 * (beta_s + (rg * s + (rg * beta) * beta_s) + beta_s / g)
+    alpha_t = alpha - gamma ** 2 * (s + 2.0 * rg * beta_s + s / g) / den
+    gamma_t = gamma ** 2 * (s - s / g) / den
     return alpha_t, gamma_t
-
-
-def _condition_weights(k):
-    """(k0, k1, k2, k3) of half_fidelity_condition at k = 1/sqrt(g)."""
-    return 4.0 - k - 2.0 * k * k, 2.0 + k + 2.0 * k * k, 2.0 + k, 4.0 * (1.0 + k)
 
 
 def half_fidelity_condition(alpha, beta, gamma, k):
@@ -181,7 +183,7 @@ def half_fidelity_condition(alpha, beta, gamma, k):
     Polynomials in u are 3-tuples (channel.tmst_polys); the products are cut
     at degree 2, which is exact in both geometries. k = 1/sqrt(g)."""
     (a0, a1, a2), (b0, b1, b2), (g0, g1, g2) = alpha, beta, gamma
-    k0, k1, k2, k3 = _condition_weights(k)
+    k0, k1, k2, k3 = 4.0 - k - 2.0 * k * k, 2.0 + k + 2.0 * k * k, 2.0 + k, 4.0 * (1.0 + k)
     return (k0 - (k1 * a0 + k2 * b0 - k3 * g0) + k * (g0 * g0 - a0 * b0),
             k * (2.0 * (g0 * g1) - (a0 * b1 + a1 * b0))
             - (k1 * a1 + k2 * b1 - k3 * g1),
@@ -189,13 +191,24 @@ def half_fidelity_condition(alpha, beta, gamma, k):
             - (k1 * a2 + k2 * b2 - k3 * g2))
 
 
-def _poly_mul(p, q):
-    """Product of two polynomials (lowest power first), as a list."""
-    out = [0.0] * (len(p) + len(q) - 1)
-    for i, p_i in enumerate(p):
-        for j, q_j in enumerate(q):
-            out[i + j] += p_i * q_j
-    return out
+def swap_condition(a, beta, gamma_sq, k):
+    """The F = 1/2 condition of the swapped resource, a quadratic q in u,
+    positive where F > 1/2. Links with retained block a, lossy block B = beta
+    and gamma^2 = g2 = gamma_sq (B, g2 linear in u) swap at the gain g = 1/k^2
+    to a resource whose 2 num - den (fidelity_finite_gain) is q / ((B + k)
+    (1 + k B)), that is q / (den / 2) of swapped_finite_gain_params, > 0 for
+    B >= 1, k >= 0 (the tests derive both). q = g2 (n + w B - k^2 g2) - m (B +
+    k)(1 + k B), w = 2k (ak + k^2 + k + 2), m = a^2 k + 2ak^2 + 2ak + 4a + 2k^2
+    + k - 4, n = ak^3 + ak + k^4 - k^3 + k^2 + 3k + 4; 4 (g2 - (a - 1) B) at k = 0.
+    """
+    (b0, b1, _), (h0, h1, _) = beta, gamma_sq
+    w = 2.0 * k * (a * k + k * k + k + 2.0)
+    m = a * (a * k + 2.0 * k * k + 2.0 * k + 4.0) + 2.0 * k * k + k - 4.0
+    n = a * k * (k * k + 1.0) + k ** 4 - k ** 3 + k * k + 3.0 * k + 4.0
+    v0, v1 = n + w * b0 - k * k * h0, w * b1 - k * k * h1  # n + w B - k^2 g2
+    return (h0 * v0 - m * ((b0 + k) * (1.0 + k * b0)),
+            h0 * v1 + h1 * v0 - m * (b1 * (1.0 + k * k + 2.0 * k * b0)),
+            h1 * v1 - m * (k * b1 * b1))
 
 
 @dataclass(frozen=True)
@@ -268,43 +281,29 @@ class TeleportResource:
         positive where F > 1/2, or None for a kind that marches.
 
         The symmetric kinds at g = inf have the symmetric reach (the tests
-        derive it). A swap link of length L/2 shares t = 1 - eta_eff with a
-        symmetric arm: its lossy block is the arm's alpha, its retained block
-        the source's a, and its gamma^2 = c^2 t is c times the arm's gamma.
+        derive it). An L/2 swap link shares t with a symmetric arm: its lossy
+        block is the arm's alpha, and its gamma^2 = c^2 t is c times the arm's gamma.
         """
         if self.kind in ("tmst-sym", "2ps-prob-sym", "2ps-heur-sym"):
             return channel_mod.sym_reach(self.r, self.n, self.n_th, self.eta_ant)
         if self.kind.startswith("2ps") or self.kind.endswith("-fg") and self.theta:
             return None
         k = math.sqrt(self.inv_gain) if self.kind.endswith("-fg") else 0.0
-        if not self.kind.startswith("swap"):
-            return half_fidelity_condition(*channel_mod.tmst_polys(
-                self.r, self.n, self.n_th, self.eta_ant, self.geometry), k)
+        swap = self.kind.startswith("swap")
+        polys = channel_mod.tmst_polys(self.r, self.n, self.n_th, self.eta_ant,
+                                       "sym" if swap else self.geometry)
+        if not swap:
+            return half_fidelity_condition(*polys, k)
         a, c, _ = channel_mod.source_terms(self.r, self.n, self.n_th)
-        beta_l, _, gamma_l = channel_mod.tmst_polys(self.r, self.n, self.n_th,
-                                                    self.eta_ant, "sym")
-        gamma_sq = [c * x for x in gamma_l]
-        # swapped_finite_gain_params at g = 1/k^2 times den; zip cuts at degree 2
-        den = [2.0 * (b + k * (i + bb) + k * k * b)
-               for i, b, bb in zip((1.0, 0.0, 0.0), beta_l, _poly_mul(beta_l, beta_l))]
-        alpha_t = [a * d - x for d, x in zip(den, _poly_mul(
-            gamma_sq, (1.0 + k * k + 2.0 * k * beta_l[0], 2.0 * k * beta_l[1])))]
-        gamma_t = [(1.0 - k * k) * x for x in gamma_sq]
-        # den^2 times the condition at (alpha_t, alpha_t, gamma_t) / den
-        k0, k1, k2, k3 = _condition_weights(k)
-        den_terms = _poly_mul(den, [k0 * d - (k1 * x + k2 * x - k3 * y)
-                                    for d, x, y in zip(den, alpha_t, gamma_t)])
-        k_terms = _poly_mul([y - x for x, y in zip(alpha_t, gamma_t)],
-                            [y + x for x, y in zip(alpha_t, gamma_t)])
-        return tuple(x + k * y for x, y in zip(den_terms, k_terms))
+        return swap_condition(a, polys[0], [c * x for x in polys[2]], k)
 
     def classical_limit_distance(self):
         """Distance (m) where the fidelity first crosses 1/2.
 
         All kinds but 2ps-*-asym and the -fg kinds at theta != 0 solve a
         closed-form condition in u (channel.root_distance), whose constant
-        term has the sign of F - 1/2 at the source: linear for the symmetric
-        kinds at g = inf, a quartic for swap-fg, a quadratic for the rest.
+        term has the sign of F - 1/2 at the source, of degree <= 2: linear for
+        the symmetric kinds at g = inf and swap (g2 - (a - 1) B), else quadratic.
         The others march ROOT_GRID one float at a time to the first point
         where the fidelity is at most 1/2, and Illinois narrows that cell to
         ROOT_XTOL. Points beyond it are not evaluated.

@@ -285,7 +285,8 @@ class TestRootDistance:
         return -2.0 / self.MU * math.log1p(-u)
 
     def root(self, *coeffs):
-        return channel.root_distance(coeffs, self.MU)
+        """The root of c0 + c1 u + c2 u^2, zero-padded to three coefficients."""
+        return channel.root_distance(coeffs + (0.0,) * (3 - len(coeffs)), self.MU)
 
     def test_linear(self):
         assert self.root(0.5, -2.0) == self.distance(0.25)
@@ -312,13 +313,24 @@ class TestRootDistance:
         assert self.root(0.0, 0.0, 1.0) == 0.0
         assert self.root(0.0, 0.0, -3.0) == 0.0
 
-    def test_quartic_takes_the_companion_route(self):
-        # (u - 1/4)(u - 1/2)(u - 2)(u + 1) and its cubic factor
-        quartic = np.polynomial.polynomial.polyfromroots([0.25, 0.5, 2.0, -1.0])
-        assert channel.root_distance(quartic, self.MU) == pytest.approx(
-            self.distance(0.25), rel=1e-14)
-        cubic = np.polynomial.polynomial.polyfromroots([0.5, 2.0, -1.0])
-        assert self.root(*cubic) == pytest.approx(self.distance(0.5), rel=1e-14)
+    def test_degree_above_two_is_refused(self):
+        assert self.root(0.125, -0.75, 1.0, 0.0, 0.0) == self.distance(0.25)
+        with pytest.raises(ValueError, match="degree <= 2"):
+            self.root(0.125, -0.75, 1.0, 1e-300)
+
+    def test_huge_coefficients_keep_their_root(self):
+        # c1^2 and c2 c0 overflow unscaled; a power-of-two scale is exact
+        for scale in (2.0 ** 600, 2.0 ** -600, 1e300):
+            assert self.root(0.125 * scale, -0.75 * scale, scale) == self.distance(0.25)
+        # u = 2^-540: the discriminant 1 - 2^-538 of the scaled condition
+        assert self.root(1.0, -2.0 ** 540, 2.0 ** 540) == pytest.approx(
+            self.distance(2.0 ** -540), rel=1e-15)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_coefficient_raises(self, bad):
+        for coeffs in ((bad, -1.0, 1.0), (0.5, bad, 1.0), (0.5, -1.0, bad)):
+            with pytest.raises(ValueError, match="non-finite coefficient"):
+                self.root(*coeffs)
 
 
 class TestAmplification:

@@ -239,6 +239,17 @@ class TestParameterTable:
             out, err = capsys.readouterr()
             assert out == "" and key in err and domain in err
 
+    @pytest.mark.parametrize("argv", [["distill"],
+                                      ["teleport", "--resource", "2ps-prob-sym"],
+                                      ["negativity"]])
+    def test_unit_tau_lies_outside_its_domain(self, argv, capsys):
+        # every probabilistic subtraction route refuses tau = 1; negativity's
+        # PsTmsv would print p2 = p4 = 0 and prob columns equal to the heur ones
+        assert cli.main(argv + ["--set", "tau=1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "tau = 1 lies outside its domain (0, 1)" in err
+
     @pytest.mark.parametrize("key", list(cli.PARAMS))
     def test_misspelt_key_exits_1_and_names_the_key(self, key, capsys):
         typo = key + key[-1]

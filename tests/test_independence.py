@@ -45,7 +45,8 @@ CHECKS = {
         "half_fidelity_condition_array": {"cvmw.teleport.half_fidelity_condition"},
         "half_fidelity_poly_array": {
             "cvmw.teleport.TeleportResource._half_fidelity_poly",
-            "cvmw.teleport.half_fidelity_condition", "cvmw.channel.tmst_polys",
+            "cvmw.teleport.half_fidelity_condition", "cvmw.teleport.swap_condition",
+            "cvmw.channel.tmst_polys",
             "cvmw.channel.source_terms"},
         "l_max_condition_array": {"cvmw.channel.l_max", "cvmw.channel.tmst_polys",
                                   "cvmw.channel.sym_reach"},

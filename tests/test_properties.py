@@ -1,6 +1,8 @@
 """Properties of the classical limits, drawn by hypothesis from ranges inside
 the CLI's parameter domains (cli.PARAMS), with a fixed seed."""
 
+import math
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -43,6 +45,22 @@ def test_sym_kinds_beat_half_exactly_where_alpha_minus_gamma_is_below_one(
     hypothesis.assume(abs(margin) > 1e-9 * alpha)  # rounding decides a near tie
     excess = resource(kind, link).fidelity(length) - 0.5
     assert (excess > 0.0) == (margin > 0.0)
+
+
+@PROPERTY
+@given(link=LINKS, length=within("L", 0.0, MAX_DISTANCE),
+       kind=st.sampled_from(("swap", "swap-fg")))
+def test_swap_kinds_beat_half_exactly_where_the_swap_condition_is_positive(
+        link, length, kind):
+    res = resource(kind, link)
+    c0, c1, c2 = res._half_fidelity_poly()  # teleport.swap_condition
+    u = -math.expm1(-link["mu"] * length / 2.0)  # 1 - t / t0 of an L/2 link
+    value = c0 + u * (c1 + u * c2)
+    excess = res.fidelity(length) - 0.5
+    # rounding decides a near tie
+    hypothesis.assume(abs(value) > 1e-9 * (abs(c0) + abs(c1 * u) + abs(c2 * u * u)))
+    hypothesis.assume(abs(excess) > 1e-12)
+    assert (excess > 0.0) == (value > 0.0)
 
 
 @PROPERTY

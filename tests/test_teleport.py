@@ -1,5 +1,7 @@
+import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,11 +12,13 @@ from cvmw.teleport import (BEYOND_MAX, MAX_DISTANCE, ROOT_GRID, ROOT_XTOL,
                            TeleportResource,
                            fidelity_2ps_general, fidelity_concatenated,
                            fidelity_finite_gain, fidelity_heuristic,
-                           fidelity_ps_tmsv, gamma_of, regaussify,
-                           root_det_standard, swapped_finite_gain_params)
+                           fidelity_ps_tmsv, gamma_of, half_fidelity_condition,
+                           regaussify, root_det_standard, swap_condition,
+                           swapped_finite_gain_params)
 from tests.oracles.routes import (classical_limit_array_bracket,
                                   classical_limit_full_bracket,
-                                  half_fidelity_poly_array, l_max_condition_array)
+                                  half_fidelity_poly_array, l_max_condition_array,
+                                  poly, poly_mul, tmst_polys_array)
 
 TABLE1 = dict(channel.TABLE1)
 
@@ -273,6 +277,38 @@ class TestFiniteGain:
         f1 = fidelity_finite_gain(alpha, beta, gamma, 125.0, theta=2.0)
         assert f1 < f0
 
+    @pytest.mark.parametrize("theta", [0.0, 1.0])
+    @pytest.mark.parametrize("kind", ["tmst-asym-fg", "tmst-sym-fg", "swap-fg"])
+    def test_huge_thermal_occupation_matches_exact_rationals(self, kind, theta):
+        """At n_th = 1e160 and L = 10 m, alpha beta and (1 - alpha + gamma)^2
+        overflow unscaled; the fidelity is the same formulas evaluated on
+        fractions.Fraction at the same float inputs, to 1e-12."""
+        res = resource(kind, n_th=1e160, inv_gain=0.008, theta=theta)
+        g = 1.0 / res.inv_gain
+        rg, inv_g = Fraction(1.0 / math.sqrt(g)), 1 / Fraction(g)
+        link = (res.n_th, res.eta_ant, res.r, res.n)
+        if kind == "swap-fg":
+            beta, alpha, gamma = map(Fraction, channel.tmst_params(res.mu, 5.0, *link,
+                                                                   "asym"))
+            den = 2 * (beta + rg + rg * beta * beta + beta * inv_g)
+            alpha, gamma = (alpha - gamma ** 2 * (1 + 2 * rg * beta + inv_g) / den,
+                            gamma ** 2 * (1 - inv_g) / den)
+            beta = alpha
+        else:
+            alpha, beta, gamma = map(Fraction, channel.tmst_params(
+                res.mu, 10.0, *link, res.geometry))
+        half_num = 2 + rg * (1 + alpha)
+        den = (4 * (1 + (alpha + beta - 2 * gamma) / 2) + rg * alpha * (5 + beta)
+               + rg * beta - rg * (gamma - 1) * (gamma + 5) + 2 * inv_g * (1 + alpha))
+        expected = float(2 * half_num / den) * math.exp(float(
+            -2 * inv_g * (1 - alpha + gamma) ** 2 * Fraction(theta) ** 2
+            / (half_num * den)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row = res.fidelity(np.array([0.0, 10.0]))[1]
+            assert res.fidelity(10.0) == row
+        assert row == pytest.approx(expected, rel=1e-12, abs=0.0)
+
 
 class TestGammaMatrix:
     def test_against_direct_assembly(self):
@@ -335,6 +371,33 @@ class TestClassicalLimitRoots:
             assert abs(res.fidelity(length) - 0.5) <= 1e-12
             checked += 1
         assert checked >= 20
+
+    @pytest.mark.parametrize("kind", ["tmst-asym", "tmst-asym-fg", "tmst-sym-fg"])
+    def test_huge_thermal_occupation_gives_the_root_or_raises(self, kind):
+        """At n_th = 1e160, c1^2 of the condition overflows unscaled, and the
+        tmst-sym-fg c2 is -inf. The root lies near 1e-154 m, where 1 - e^{-mu L}
+        rounds to 0, so the reference root of F - 1/2 is taken on triples
+        built with expm1."""
+        from scipy.optimize import brentq
+
+        res = resource(kind, n_th=1e160, inv_gain=0.008)
+        try:
+            length = res.classical_limit_distance()
+        except ValueError as exc:
+            assert "non-finite coefficient" in str(exc)
+            return
+        scale = 1.0 + 2.0 * res.n
+        a, c = scale * math.cosh(2.0 * res.r), scale * math.sinh(2.0 * res.r)
+        gain = 1.0 / res.inv_gain if kind.endswith("-fg") else math.inf
+
+        def excess(ll):  # eta_ant = 0
+            x = res.mu * (ll / 2.0 if res.geometry == "sym" else ll)
+            alpha = a + (1.0 + 2.0 * res.n_th - a) * -math.expm1(-x)
+            if res.geometry == "sym":
+                return fidelity_finite_gain(alpha, alpha, c * math.exp(-x), gain) - 0.5
+            return fidelity_finite_gain(alpha, a, c * math.exp(-x / 2.0), gain) - 0.5
+        assert length == pytest.approx(brentq(excess, 0.0, 1e-140, xtol=1e-300),
+                                       rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("kind", TeleportResource.KINDS)
     def test_no_entanglement_at_the_source_gives_zero(self, kind):
@@ -605,27 +668,32 @@ class TestCoefficientArrayRoute:
 
     @pytest.mark.parametrize("kind", ["swap", "swap-fg"])
     def test_swap_conditions_and_roots_agree(self, kind, monkeypatch):
-        """The swap conditions sum their products in another order than
-        np.convolve, so they agree to rounding, not bit for bit."""
+        """The array route's quartic is 4 (B + k)(1 + k B) times the swap
+        condition (TestSwapConditionIdentity) to rounding, and the swap
+        limits are the quartic's first root in [0, 1)."""
         for p in [{}] + list(bench_link_draws(10, seed=14)):
             condition, length = self.condition_and_root(kind, p, monkeypatch)
             array, mu = self.array_route(kind, p)
-            np.testing.assert_allclose(list(condition) + [0.0] * (5 - len(condition)),
-                                       array, rtol=1e-14, atol=0.0)
-            assert length == pytest.approx(channel.root_distance(array, mu),
-                                           rel=1e-14, abs=0.0)
+            res = resource(kind, **p)
+            k = np.sqrt(res.inv_gain) if kind == "swap-fg" else 0.0
+            beta = tmst_polys_array(res.r, res.n, res.n_th, res.eta_ant, "sym")[0]
+            positive = poly_mul(beta + k * poly(1.0), k * beta + poly(1.0))
+            np.testing.assert_allclose(4.0 * poly_mul(positive, poly(*condition)),
+                                       array, rtol=1e-13, atol=0.0)
+            assert length == pytest.approx(mp_root_distance(array, mu),
+                                           rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("bound", ["tmst-asym", "tmst-sym", "swap",
-                                       "tmst-asym-fg", "tmst-sym-fg",
+                                       "tmst-asym-fg", "tmst-sym-fg", "swap-fg",
                                        "l_max-asym", "l_max-sym"])
     def test_quadratic_bounds_form_no_array(self, bound, monkeypatch):
-        """Every bound with a quadratic condition is a Python float built
-        without a coefficient array; swap-fg's quartic alone builds a
-        companion matrix."""
+        """Every closed-form bound has a condition of degree <= 2 and is a
+        Python float built without a coefficient array or an eigen-solve."""
         def refuse(*args, **kwargs):
             raise AssertionError("a coefficient array was formed")
         monkeypatch.setattr(channel.np, "zeros", refuse)
         monkeypatch.setattr(channel.np, "convolve", refuse)
+        monkeypatch.setattr(channel.np.linalg, "eigvals", refuse)
         assert type(distance_bound(bound, {})) is float
 
 
@@ -704,6 +772,97 @@ class TestSymReachIdentity:
         # both factors are positive: tau = 1/(1 + q) in (0, 1), alpha - gamma = x
         for factor in (near, far):
             assert sp.together(factor.subs({tau: 1 / (1 + q), a: g + x})).is_positive
+
+
+def swapped_restated(alpha, beta, gamma, k):
+    """teleport.swapped_finite_gain_params at g = 1/k^2 without its check
+    and its scaling, written again for sympy; also returns its den."""
+    den = 2 * (beta + k + k * beta ** 2 + k ** 2 * beta)
+    return (alpha - gamma ** 2 * (1 + 2 * k * beta + k ** 2) / den,
+            gamma ** 2 * (1 - k ** 2) / den, den)
+
+
+def half_fidelity_restated(alpha, beta, gamma, k):
+    """teleport.half_fidelity_condition on constants, 2 num - den of
+    fidelity_finite_gain at g = 1/k^2, written again for sympy."""
+    return ((4 - k - 2 * k ** 2) - (2 + k + 2 * k ** 2) * alpha - (2 + k) * beta
+            + 4 * (1 + k) * gamma + k * (gamma ** 2 - alpha * beta))
+
+
+def swap_condition_restated(a, b, g2, k):
+    """teleport.swap_condition at one point: retained block a, lossy block
+    b, gamma^2 = g2, written again for sympy."""
+    m = a ** 2 * k + 2 * a * k ** 2 + 2 * a * k + 4 * a + 2 * k ** 2 + k - 4
+    n = a * k ** 3 + a * k + k ** 4 - k ** 3 + k ** 2 + 3 * k + 4
+    return (n * g2 - m * (b + k) * (1 + k * b)
+            + 2 * k * (a * k + k ** 2 + k + 2) * b * g2 - k ** 2 * g2 ** 2)
+
+
+class TestSwapConditionIdentity:
+    """The swapped resource beats F = 1/2 exactly where the quadratic
+    teleport.swap_condition is positive: 2 num - den at the swapped triple
+    is that quadratic over (B + k)(1 + k B), which is positive for B >= 1
+    and k >= 0, and the swap links' B = beta >= 1."""
+
+    def test_restatements_are_the_library_functions(self):
+        rng = np.random.default_rng(37)
+        for _ in range(5):
+            gamma = rng.uniform(0.5, 4.0)
+            alpha = np.sqrt(1.0 + gamma ** 2) + rng.uniform(0.0, 1.0)
+            beta = np.sqrt(1.0 + gamma ** 2) + rng.uniform(0.0, 1.0)
+            k = rng.uniform(0.0, 0.5)
+            np.testing.assert_allclose(
+                swapped_restated(alpha, beta, gamma, k)[:2],
+                swapped_finite_gain_params(alpha, beta, gamma, k ** -2), rtol=1e-13)
+            assert half_fidelity_restated(alpha, beta, gamma, k) == pytest.approx(
+                half_fidelity_condition((alpha, 0.0, 0.0), (beta, 0.0, 0.0),
+                                        (gamma, 0.0, 0.0), k)[0], rel=1e-13)
+            b, g2 = rng.uniform(1.0, 3e3), rng.uniform(0.0, 40.0)
+            constant = swap_condition(alpha, (b, 0.0, 0.0), (g2, 0.0, 0.0), k)
+            assert constant[1:] == (0.0, 0.0)
+            assert constant[0] == pytest.approx(swap_condition_restated(alpha, b, g2, k),
+                                          rel=1e-12)
+
+    def test_factorization(self):
+        sp = pytest.importorskip("sympy")
+        a, b, k = sp.symbols("a B k")
+        g2 = sp.symbols("g2", positive=True)
+        alpha_t, gamma_t, den = swapped_restated(a, b, sp.sqrt(g2), k)
+        condition = half_fidelity_restated(alpha_t, alpha_t, gamma_t, k)
+        positive = (b + k) * (1 + k * b)
+        assert sp.expand(den - 2 * positive) == 0
+        # den^2 times the condition, a quartic in B, divides by the positive
+        # factor and leaves 4 times the quadratic
+        quartic = sp.expand(sp.cancel(condition * den ** 2))
+        quotient, remainder = sp.div(quartic, sp.expand(positive), b)
+        assert remainder == 0
+        assert sp.expand(quotient - 4 * swap_condition_restated(a, b, g2, k)) == 0
+        # at g = inf it is linear in B and g2
+        assert sp.expand(swap_condition_restated(a, b, g2, 0)
+                         - 4 * (g2 - (a - 1) * b)) == 0
+        # (B + k)(1 + k B) > 0 for B = 1 + x, x >= 0 and k >= 0
+        x, kk = sp.symbols("x kk", nonnegative=True)
+        assert sp.expand(positive.subs({b: 1 + x, k: kk})).is_positive
+
+    def test_written_out_coefficients_equal_the_restatement(self):
+        sp = pytest.importorskip("sympy")
+        u = sp.symbols("u")
+        for p in [{}] + list(bench_link_draws(10, seed=14)):
+            for kind in ("swap", "swap-fg"):
+                res = resource(kind, inv_gain=TABLE1["inv_gain"], **p)
+                k = math.sqrt(res.inv_gain) if kind == "swap-fg" else 0.0
+                scale = 1.0 + 2.0 * res.n
+                a, c = scale * math.cosh(2.0 * res.r), scale * math.sinh(2.0 * res.r)
+                (b0, b1, _), _, (h0, h1, _) = channel.tmst_polys(
+                    res.r, res.n, res.n_th, res.eta_ant, "sym")
+                exact = [sp.Rational(x) for x in (a, c, k, b0, b1, h0, h1)]
+                a, c, k, b0, b1, h0, h1 = exact
+                expected = sp.Poly(swap_condition_restated(
+                    a, b0 + b1 * u, c * (h0 + h1 * u), k), u).all_coeffs()[::-1]
+                condition = res._half_fidelity_poly()
+                assert len(condition) == 3
+                for got, want in zip(condition, expected + [0] * 3):
+                    assert got == pytest.approx(float(want), rel=1e-12, abs=1e-300)
 
 
 class TestSymReach:
