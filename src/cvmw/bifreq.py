@@ -17,7 +17,7 @@ import numpy as np
 from .core import GaussianState, SIGMA_Z, all_true, any_true, sqrt, where
 from .entanglement import BipartiteCM
 from .estimation import GaussianFamily, gaussian_qfi
-from .teleport import illinois
+from .teleport import anderson_bjorck
 
 
 @dataclass
@@ -289,8 +289,8 @@ def qcrb_saturating_noise(eta1, n_s, lo=1e-3, hi=1e4):
     i = np.argmax(cells)  # the first cell that crosses
     if vals[i] == 0.0:
         return grid[i], (grid[i], grid[i])
-    root = illinois(lambda x: qcrb_gap(eta1, n_s, x), grid[i], grid[i + 1],
-                    vals[i], vals[i + 1], xtol=1e-10 * grid[i])
+    root = anderson_bjorck(lambda x: qcrb_gap(eta1, n_s, x), grid[i],
+                           grid[i + 1], vals[i], vals[i + 1], xtol=1e-10 * grid[i])
     return root, (grid[i], grid[i + 1])
 
 

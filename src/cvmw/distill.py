@@ -170,16 +170,15 @@ def ps2_subtracted(alpha, beta, gamma, tau):
     x_a = 0.5 * ((1 - tau) * alpha + 1 + tau)
     if any_true(abs(x_a * x_a) < 1e-14):
         raise ValueError("singular X_A block")
-    den = ((1 + alpha) * (1 + beta) - gamma ** 2
-           + 2 * (1 - alpha * beta + gamma ** 2) * tau
-           + ((1 - alpha) * (1 - beta) - gamma ** 2) * tau ** 2)
+    g2 = gamma ** 2
+    cross = (1 - alpha) * (1 - beta) - g2
+    den = ((1 + alpha) * (1 + beta) - g2 + 2 * (1 - alpha * beta + g2) * tau
+           + cross * tau ** 2)
     y = den / (4.0 * x_a)
     if any_true(abs(y * y) < 1e-14):
         raise ValueError("singular Y block")
-    alpha_t = 1 - 2 * tau * ((1 - alpha) * (1 + beta) + gamma ** 2
-                             + ((1 - alpha) * (1 - beta) - gamma ** 2) * tau) / den
-    beta_t = 1 - 2 * tau * ((1 + alpha) * (1 - beta) + gamma ** 2
-                            + ((1 - alpha) * (1 - beta) - gamma ** 2) * tau) / den
+    alpha_t = 1 - 2 * tau * ((1 - alpha) * (1 + beta) + g2 + cross * tau) / den
+    beta_t = 1 - 2 * tau * ((1 + alpha) * (1 - beta) + g2 + cross * tau) / den
     gamma_t = 4 * tau * gamma / den
     return alpha_t, beta_t, gamma_t, den
 

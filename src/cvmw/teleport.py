@@ -23,8 +23,8 @@ MAX_DISTANCE = 5000.0  # m; a classical limit beyond it is an error
 BEYOND_MAX = "fidelity stays above 1/2 up to %.0f m" % MAX_DISTANCE
 ROOT_XTOL = 0.01  # m; bracket width of the numeric classical limits
 # m; the numeric limits march it one point at a time to the first cell that
-# crosses 1/2 (a 39 m cell) and refine there
-ROOT_GRID = np.linspace(0.0, MAX_DISTANCE, 129)
+# crosses 1/2 (a 156.25 m cell) and refine there
+ROOT_GRID = np.linspace(0.0, MAX_DISTANCE, 33)
 ILL_CONDITIONED = "ill-conditioned resource: det[I + (k - 1/2) Gamma] <= 0"
 
 
@@ -305,8 +305,9 @@ class TeleportResource:
         term has the sign of F - 1/2 at the source, of degree <= 2: linear for
         the symmetric kinds at g = inf and swap (g2 - (a - 1) B), else quadratic.
         The others march ROOT_GRID one float at a time to the first point
-        where the fidelity is at most 1/2, and Illinois narrows that cell to
-        ROOT_XTOL. Points beyond it are not evaluated.
+        where the fidelity is at most 1/2, and Anderson-Bjorck narrows that
+        cell to ROOT_XTOL. Points beyond it, and inside earlier cells, are
+        not evaluated: a second crossing within one cell is not seen.
         Returns 0 when the fidelity at the source is at most 1/2; raises
         ValueError when mu = 0, on a non-finite fidelity before the crossing,
         or when the root lies beyond MAX_DISTANCE.
@@ -326,7 +327,7 @@ class TeleportResource:
                 if not math.isfinite(f_b):
                     raise ValueError("non-finite fidelity on the bracketing grid")
                 if f_b <= 0.0:  # the first cell that crosses
-                    return illinois(excess_at, a, b, f_a, f_b, ROOT_XTOL)
+                    return anderson_bjorck(excess_at, a, b, f_a, f_b, ROOT_XTOL)
                 a, f_a = b, f_b
             raise ValueError(BEYOND_MAX)
         length = channel_mod.root_distance(condition, self.mu)
@@ -335,15 +336,14 @@ class TeleportResource:
         return length
 
 
-def illinois(f, a, b, f_a, f_b, xtol):
+def anderson_bjorck(f, a, b, f_a, f_b, xtol):
     """Root of f between a and b, where f_a = f(a) and f_b = f(b) differ in
     sign, to a bracket of width xtol.
 
-    Regula falsi that halves the value kept at one end of the bracket when
-    the same end is kept twice in a row (the Illinois rule), so both ends
-    close in on the root.
+    Regula falsi that, on every step, scales the value kept at the end that
+    stays by m = 1 - f(c)/f(moved end), or by 1/2 when m <= 0 (Anderson and
+    Bjorck, BIT 13, 1973), so both ends close in on the root.
     """
-    kept = 0
     while True:
         c = (a * f_b - b * f_a) / (f_b - f_a)
         f_c = f(c)
@@ -352,14 +352,12 @@ def illinois(f, a, b, f_a, f_b, xtol):
         if not math.isfinite(f_c):
             raise ValueError("non-finite value at %r inside the bracket" % c)
         if (f_c > 0.0) == (f_b > 0.0):
+            m = 1.0 - f_c / f_b
+            f_a *= m if m > 0.0 else 0.5
             b, f_b = c, f_c
-            if kept == -1:
-                f_a *= 0.5
-            kept = -1
         else:
+            m = 1.0 - f_c / f_a
+            f_b *= m if m > 0.0 else 0.5
             a, f_a = c, f_c
-            if kept == 1:
-                f_b *= 0.5
-            kept = 1
         if abs(b - a) <= xtol:
             return c

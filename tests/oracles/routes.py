@@ -1,6 +1,8 @@
 """Independent routes to library quantities: the same states and numbers
 built from their definitions instead of the library's closed forms."""
 
+import math
+
 import numpy as np
 from numpy.polynomial import Polynomial
 
@@ -10,7 +12,8 @@ from cvmw.core import (GaussianState, apply, beam_splitter, omega, partial_trace
                        thermal, tmst)
 from cvmw.entanglement import BipartiteCM
 from cvmw.illumination import eta_eff as qi_eta_eff, qi_probe
-from cvmw.teleport import BEYOND_MAX, MAX_DISTANCE, ROOT_GRID, ROOT_XTOL, illinois
+from cvmw.teleport import (BEYOND_MAX, MAX_DISTANCE, ROOT_GRID, ROOT_XTOL,
+                           anderson_bjorck)
 
 
 def lossy_tmst_constructive(ch, r, n, geometry="asym"):
@@ -113,6 +116,33 @@ def two_mode_symplectic_eigenvalues(sigma):
                      np.sqrt((tr_a2 + root) / 4.0)])
 
 
+def illinois(f, a, b, f_a, f_b, xtol):
+    """Root of f between a and b, where f_a = f(a) and f_b = f(b) differ in
+    sign, to a bracket of width xtol: regula falsi that halves the value kept
+    at one end when the same end is kept twice in a row (the Illinois rule),
+    a refiner of its own for the full-bracket oracle."""
+    kept = 0
+    while True:
+        c = (a * f_b - b * f_a) / (f_b - f_a)
+        f_c = f(c)
+        if f_c == 0.0:
+            return c
+        if not math.isfinite(f_c):
+            raise ValueError("non-finite value at %r inside the bracket" % c)
+        if (f_c > 0.0) == (f_b > 0.0):
+            b, f_b = c, f_c
+            if kept == -1:
+                f_a *= 0.5
+            kept = -1
+        else:
+            a, f_a = c, f_c
+            if kept == 1:
+                f_b *= 0.5
+            kept = 1
+        if abs(b - a) <= xtol:
+            return c
+
+
 def classical_limit_full_bracket(resource):
     """A numeric classical-limit distance by Illinois over all of
     [0, MAX_DISTANCE], from scalar fidelities at both ends: 0 when the
@@ -129,8 +159,9 @@ def classical_limit_full_bracket(resource):
 def classical_limit_array_bracket(resource):
     """A numeric classical-limit distance from one array call: the excess
     F - 1/2 on all of ROOT_GRID, which must be finite, brackets the first
-    crossing, and Illinois narrows that cell to ROOT_XTOL. 0 when the source
-    fidelity is at most 1/2; ValueError when no point crosses."""
+    crossing, and the library's refiner narrows that cell to ROOT_XTOL. 0
+    when the source fidelity is at most 1/2; ValueError when no point
+    crosses."""
     excess = resource.fidelity(ROOT_GRID) - 0.5
     if excess[0] <= 0.0:
         return 0.0
@@ -139,8 +170,9 @@ def classical_limit_array_bracket(resource):
     i = np.argmax(excess <= 0.0)
     if i == 0:
         raise ValueError(BEYOND_MAX)
-    return illinois(lambda length: resource.fidelity(length) - 0.5,
-                    ROOT_GRID[i - 1], ROOT_GRID[i], excess[i - 1], excess[i], ROOT_XTOL)
+    return anderson_bjorck(lambda length: resource.fidelity(length) - 0.5,
+                           ROOT_GRID[i - 1], ROOT_GRID[i], excess[i - 1], excess[i],
+                           ROOT_XTOL)
 
 
 def l_max_quartic(ch, r, n):

@@ -186,7 +186,8 @@ class TestFailureContract:
         assert "Warning" not in err and "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
-        ("distill", "--set", "tau=1"),
+        # r = n = 0: E_0 = 0 at L = 0 only (the same sweep from L = 50 exits 0)
+        ("distill", "--set", "r=0", "--set", "n=0", "--sweep", "L", "0", "100", "3"),
         ("teleport", "--resource", "2ps-prob-sym", "--set", "tau=0"),
         ("swap", "--sweep", "L", "-10", "100", "3"),
         ("channel", "--sweep", "L", "0", "inf", "3"),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import hyp2f1 as scipy_hyp2f1
@@ -5,8 +7,8 @@ from scipy.special import hyp2f1 as scipy_hyp2f1
 from cvmw import channel, core, fock, teleport
 from cvmw.distill import (char_fn_2ps, char_fn_heuristic, heuristic_correction,
                           heuristic_negativity, hyp2f1_k, ps2_gaussian,
-                          ps2_heuristic, ps2_standard_form, PsTmsv, swap,
-                          tmsv_negativity)
+                          ps2_heuristic, ps2_standard_form, ps2_subtracted,
+                          PsTmsv, swap, tmsv_negativity)
 from cvmw.entanglement import BipartiteCM, cm_validity, negativity
 from tests.oracles.routes import success_probability_series
 
@@ -236,6 +238,31 @@ class TestHeuristicCorrection:
         # (1 - tau) alpha + 1 + tau = 0 makes X_A singular
         with pytest.raises(ValueError, match="singular X_A"):
             ps2_standard_form(np.array([3.0, -19.0]), 3.0, 0.0, 0.9)
+
+
+def ps2_subtracted_spelled_out(alpha, beta, gamma, tau):
+    """distill.ps2_subtracted's entries without its checks, with every
+    gamma^2 and (1 - alpha)(1 - beta) - gamma^2 formed where it is used."""
+    den = ((1 + alpha) * (1 + beta) - gamma ** 2
+           + 2 * (1 - alpha * beta + gamma ** 2) * tau
+           + ((1 - alpha) * (1 - beta) - gamma ** 2) * tau ** 2)
+    alpha_t = 1 - 2 * tau * ((1 - alpha) * (1 + beta) + gamma ** 2
+                             + ((1 - alpha) * (1 - beta) - gamma ** 2) * tau) / den
+    beta_t = 1 - 2 * tau * ((1 + alpha) * (1 - beta) + gamma ** 2
+                            + ((1 - alpha) * (1 - beta) - gamma ** 2) * tau) / den
+    return alpha_t, beta_t, 4 * tau * gamma / den, den
+
+
+def test_subtraction_forms_each_term_once_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for _ in range(20000):
+        gamma = float(rng.uniform(0.0, 5.0))
+        alpha = math.sqrt(1.0 + gamma ** 2) + float(rng.uniform(0.0, 3.0))
+        beta = math.sqrt(1.0 + gamma ** 2) + float(rng.uniform(0.0, 3.0))
+        tau = float(rng.uniform(0.01, 0.99))
+        got = ps2_subtracted(alpha, beta, gamma, tau)
+        expected = ps2_subtracted_spelled_out(alpha, beta, gamma, tau)
+        assert [x.hex() for x in got] == [x.hex() for x in expected]
 
 
 class TestSwap:

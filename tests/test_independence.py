@@ -33,8 +33,10 @@ CHECKS = {
         "success_probability_series": {"cvmw.distill.PsTmsv.success_probability",
                                        "cvmw.distill.hyp2f1_k"},
         "two_mode_symplectic_eigenvalues": {"cvmw.core.symplectic_eigenvalues"},
+        "illinois": {"cvmw.teleport.anderson_bjorck"},
         "classical_limit_full_bracket": {
             "cvmw.teleport.TeleportResource.classical_limit_distance",
+            "cvmw.teleport.anderson_bjorck",
             "cvmw.channel.sym_reach", "cvmw.channel.l_max"},
         "classical_limit_array_bracket": {
             "cvmw.teleport.TeleportResource.classical_limit_distance",

@@ -9,7 +9,7 @@ import pytest
 from cvmw import channel, core, distill
 from cvmw.entanglement import BipartiteCM, negativity, pts_eigenvalues
 from cvmw.teleport import (BEYOND_MAX, MAX_DISTANCE, ROOT_GRID, ROOT_XTOL,
-                           TeleportResource,
+                           TeleportResource, anderson_bjorck,
                            fidelity_2ps_general, fidelity_concatenated,
                            fidelity_finite_gain, fidelity_heuristic,
                            fidelity_ps_tmsv, gamma_of, half_fidelity_condition,
@@ -443,7 +443,7 @@ SYM_REACH_KINDS = ("tmst-sym", "2ps-prob-sym", "2ps-heur-sym")
 
 class TestNumericRoots:
     @pytest.mark.parametrize("kind,theta", NUMERIC_ROOT_KINDS)
-    def test_illinois_matches_brentq(self, kind, theta):
+    def test_anderson_bjorck_matches_brentq(self, kind, theta):
         from scipy.optimize import brentq
 
         checked = 0
@@ -458,24 +458,20 @@ class TestNumericRoots:
             checked += 1
         assert checked >= 10
 
-    def test_illinois_on_a_known_root(self):
-        from cvmw.teleport import illinois
-
+    def test_anderson_bjorck_on_a_known_root(self):
         calls = []
 
         def f(x):
             calls.append(x)
             return np.exp(-x / 300.0) - 0.25
 
-        root = illinois(f, 0.0, 5000.0, f(0.0), f(5000.0), 0.01)
+        root = anderson_bjorck(f, 0.0, 5000.0, f(0.0), f(5000.0), 0.01)
         assert root == pytest.approx(300.0 * np.log(4.0), abs=0.01)
         assert len(calls) < 40
 
     def test_non_finite_value_inside_the_bracket_raises(self):
-        from cvmw.teleport import illinois
-
         with pytest.raises(ValueError, match="non-finite"):
-            illinois(lambda x: float("nan"), 0.0, 1.0, 1.0, -1.0, 0.01)
+            anderson_bjorck(lambda x: float("nan"), 0.0, 1.0, 1.0, -1.0, 0.01)
 
 
 def bench_link_draws(count, seed):
@@ -520,7 +516,38 @@ class TestGridBracket:
         monkeypatch.setattr(TeleportResource, "fidelity", spy)
         resource(kind).classical_limit_distance()
         assert not [length for length in lengths if isinstance(length, np.ndarray)]
-        assert len(lengths) <= 20
+        assert len(lengths) <= 10
+
+    @pytest.mark.parametrize("kind,theta", MARCHED_KINDS)
+    def test_march_is_close_to_a_tight_brentq_root(self, kind, theta):
+        from scipy.optimize import brentq
+
+        for p in [{}] + list(bench_link_draws(10, seed=14)):
+            res = resource(kind, theta=theta, **p)
+            reference = brentq(lambda ll: res.fidelity(ll) - 0.5, 0.0, MAX_DISTANCE,
+                               xtol=1e-12)
+            assert abs(res.classical_limit_distance() - reference) <= 1e-4
+
+    def test_excess_changes_sign_at_most_once(self):
+        # the march evaluates one point per ROOT_GRID cell, so a second
+        # crossing inside a cell would go unseen. On 300 wide links, drawn
+        # so that most cross within MAX_DISTANCE, the 2PS-asym excess
+        # changes sign at most once on a 1 m grid
+        rng = np.random.default_rng(23)
+        lengths = np.arange(0.0, MAX_DISTANCE + 1.0)
+        crossed = 0
+        for i in range(300):
+            res = resource(("2ps-prob-asym", "2ps-heur-asym")[i % 2],
+                           r=rng.uniform(0.05, 3.0), n=rng.uniform(0.0, 0.05),
+                           n_th=10.0 ** rng.uniform(1.0, 4.0),
+                           mu=10.0 ** rng.uniform(-6.5, -4.0),
+                           tau=rng.uniform(0.01, 0.99), eta_ant=rng.uniform(0.0, 1e-4))
+            excess = res.fidelity(lengths) - 0.5
+            assert np.isfinite(excess).all()
+            changes = np.count_nonzero((excess[1:] > 0.0) != (excess[:-1] > 0.0))
+            assert changes <= 1
+            crossed += changes
+        assert crossed >= 200
 
     @pytest.mark.parametrize("kind,theta", NUMERIC_ROOT_KINDS)
     def test_no_crossing_raises_without_warning(self, kind, theta):
@@ -529,10 +556,11 @@ class TestGridBracket:
             with pytest.raises(ValueError, match=re.escape(BEYOND_MAX)):
                 resource(kind, theta=theta, mu=1e-8).classical_limit_distance()
 
-    @pytest.mark.parametrize("index,raises", [(3, True), (100, False)])
+    @pytest.mark.parametrize("index,raises", [(2, True), (10, False)])
     def test_non_finite_value_raises_before_the_crossing(self, index, raises,
                                                          monkeypatch):
-        # the table1 root lies in cell 11: a point beyond it is not evaluated
+        # the table1 root (407 m) lies in cell 3, from 312.5 to 468.75 m: a
+        # point beyond it is not evaluated
         expected = resource("2ps-prob-asym").classical_limit_distance()
         fidelity = TeleportResource.fidelity
 
