@@ -3,7 +3,7 @@ amplification, and free-space link budgets.
 
 All quantities are in SI units; the attenuation density mu is in 1/m and
 distances in meters. The combined antenna + environment reflectivity is
-eta_eff = 1 - e^{-mu L} (1 - eta_ant).
+eta_eff = eta_ant + (1 - eta_ant) eta_env, with eta_env = -expm1(-mu L).
 """
 
 import functools
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import any_true, pow2_scale, sqrt, to_float
+from .core import any_true, pow2_scale, to_float
 from .entanglement import BipartiteCM
 
 # CODATA exact SI values
@@ -89,13 +89,13 @@ def bose_einstein(nu, t):
 
 
 def eta_env(ch):
-    """Environment reflectivity 1 - e^{-mu L} of the attenuation channel."""
+    """Environment reflectivity -expm1(-mu L) of the attenuation channel."""
     return -np.expm1(-ch.mu * ch.L)
 
 
 def eta_eff(ch):
     """Combined antenna + environment reflectivity."""
-    return 1.0 - np.exp(-ch.mu * ch.L) * (1.0 - ch.eta_ant)
+    return ch.eta_ant + (1.0 - ch.eta_ant) * eta_env(ch)
 
 
 def _on_points(fn, x):
@@ -155,38 +155,18 @@ def lossy_tmst_params(ch, r, n, geometry="asym"):
 
 
 def tmst_params(mu, length, n_th, eta_ant, r, n, geometry):
-    """lossy_tmst_params from the channel's fields, which it does not check.
+    """lossy_tmst_params from the channel's fields, which it does not check:
+    tmst_polys at u = -expm1(-mu L / 2), the same u in both geometries.
 
-    Scalar fields give Python floats, on which the formulas downstream
-    (fidelities, subtraction) run several times as fast as on numpy scalars;
-    a root calls it at one (r, n) throughout, so cosh 2r and sinh 2r of a
-    scalar r are computed once.
+    A distance that is not an array gives Python floats, on which the
+    formulas downstream (fidelities, subtraction) run several times as fast
+    as on numpy scalars; u comes from np.expm1 either way, so a scalar
+    distance gives its array row bit for bit.
     """
-    scale = _source_scale(n)
-    ch2r, sh2r = (_hyperbolics if isinstance(r, np.ndarray) else _cached_hyperbolics)(r)
-    if geometry == "sym":  # one arm: eta_eff at L/2
-        length = length / 2.0
-    elif geometry != "asym":
-        raise ValueError("geometry must be 'asym' or 'sym'")
-    eta = 1.0 - to_float(np.exp(-mu * length)) * (1.0 - eta_ant)
-    alpha = (1.0 + 2.0 * n_th) * eta + scale * (1.0 - eta) * ch2r
-    if geometry == "asym":
-        beta, gamma = scale * ch2r, scale * sqrt(1.0 - eta) * sh2r
-        if isinstance(alpha, np.ndarray):
-            beta = np.full_like(alpha, beta)
-    else:
-        beta, gamma = alpha, scale * (1.0 - eta) * sh2r
-    if isinstance(alpha, np.ndarray):
-        return alpha, beta, gamma
-    return float(alpha), float(beta), float(gamma)
-
-
-def _hyperbolics(r):
-    """cosh 2r and sinh 2r, elementwise; Python floats for a scalar r."""
-    return to_float(np.cosh(2.0 * r)), to_float(np.sinh(2.0 * r))
-
-
-_cached_hyperbolics = functools.lru_cache(maxsize=64)(_hyperbolics)
+    u = -to_float(np.expm1(-0.5 * mu * length))
+    (a0, a1, a2), (b0, b1, b2), (g0, g1, g2) = tmst_polys(r, n, n_th, eta_ant,
+                                                          geometry)
+    return a0 + u * (a1 + u * a2), b0 + u * (b1 + u * b2), g0 + u * (g1 + u * g2)
 
 
 def lossy_tmst(ch, r, n, geometry="asym"):
@@ -229,7 +209,7 @@ def l_max(ch, r, n, geometry="asym"):
     return length
 
 
-# -- distance bounds as polynomial roots ----------------------------------
+# -- the lossy state and its distance bounds as polynomials ---------------
 #
 # Write t = t0 e^{-mu L / 2}: t = sqrt(1 - eta_eff) and t0 = sqrt(1 - eta_ant)
 # for the asymmetric state, t = 1 - eta_eff of one L/2 arm and t0 = 1 - eta_ant
@@ -237,29 +217,28 @@ def l_max(ch, r, n, geometry="asym"):
 # polynomials in t, and every Gaussian distance bound is the largest root in
 # (0, t0] of a polynomial of degree <= 2: linear for the symmetric reach and
 # swap's g2 - (a - 1) B (teleport.swap_condition), a quadratic for the rest.
-# It is expanded in u = 1 - t / t0, 0 at the source, so L = -(2 / mu) ln(1 -
-# u): in t the terms cancel to 1e-13 near t0 and the roots lose digits. A
-# polynomial is a 3-tuple of Python floats, lowest power first, and a
-# condition writes its coefficients out: on small arrays numpy's calls cost
-# more than the arithmetic.
+# It is expanded in u = 1 - t / t0 = -expm1(-mu L / 2), 0 at the source, so
+# L = -(2 / mu) ln(1 - u): in t the terms cancel to 1e-13 near t0 and the
+# roots lose digits. tmst_params evaluates the same polynomials at u, so the
+# state and its bounds share one set of coefficients. A polynomial is a
+# 3-tuple of Python floats, lowest power first, and a condition writes its
+# coefficients out: on small arrays numpy's calls cost more than the
+# arithmetic.
 
 NEVER_REACHED = "the bound is not reached at any distance"
 
 
-def _source_scale(n):
-    """1 + 2n for a source with n >= 0 thermal photons per mode."""
-    if n < 0.0:
-        raise ValueError("source occupation n must be non-negative")
-    return 1.0 + 2.0 * n
-
-
+@functools.lru_cache(maxsize=64)
 def source_terms(r, n, n_th):
     """(a, c, e) of lossy_tmst: a = (1 + 2n) cosh 2r and c = (1 + 2n) sinh 2r
     are the source's diagonal and correlation entries, e = 1 + 2 n_th the
-    environment's diagonal entry."""
-    scale = _source_scale(n)
-    ch2r, sh2r = _cached_hyperbolics(r)
-    return scale * ch2r, scale * sh2r, 1.0 + 2.0 * n_th
+    environment's diagonal entry. Cached: a root or a sweep asks for one
+    source throughout."""
+    if n < 0.0:
+        raise ValueError("source occupation n must be non-negative")
+    scale = 1.0 + 2.0 * n
+    return (scale * float(np.cosh(2.0 * r)), scale * float(np.sinh(2.0 * r)),
+            1.0 + 2.0 * n_th)
 
 
 def tmst_polys(r, n, n_th, eta_ant, geometry):

@@ -162,9 +162,10 @@ def ps2_gaussian(cm, tau):
     return PsOutcome(sigma_a, sigma_b, eps, float(prob), ps2_heuristic(cm_tilde))
 
 
-def ps2_subtracted(alpha, beta, gamma, tau):
+def ps2_subtracted(alpha, beta, gamma, tau, prob=False):
     """ps2_standard_form without P, which a fidelity does not read: (alpha_tilde,
-    beta_tilde, gamma_tilde, den), den = 4 det X_A^{1/2} det Y^{1/2}."""
+    beta_tilde, gamma_tilde, den), den = 4 det X_A^{1/2} det Y^{1/2}; with
+    prob, P takes den's place."""
     if not 0.0 < tau < 1.0:
         raise ValueError("transmissivity must lie in (0, 1)")
     x_a = 0.5 * ((1 - tau) * alpha + 1 + tau)
@@ -172,14 +173,17 @@ def ps2_subtracted(alpha, beta, gamma, tau):
         raise ValueError("singular X_A block")
     g2 = gamma ** 2
     cross = (1 - alpha) * (1 - beta) - g2
-    den = ((1 + alpha) * (1 + beta) - g2 + 2 * (1 - alpha * beta + g2) * tau
-           + cross * tau ** 2)
+    mixed = 1 - alpha * beta + g2
+    den = (1 + alpha) * (1 + beta) - g2 + 2 * mixed * tau + cross * tau ** 2
     y = den / (4.0 * x_a)
     if any_true(abs(y * y) < 1e-14):
         raise ValueError("singular Y block")
     alpha_t = 1 - 2 * tau * ((1 - alpha) * (1 + beta) + g2 + cross * tau) / den
     beta_t = 1 - 2 * tau * ((1 + alpha) * (1 - beta) + g2 + cross * tau) / den
     gamma_t = 4 * tau * gamma / den
+    if prob:
+        return alpha_t, beta_t, gamma_t, 4 * (1 - tau) ** 2 * (
+            (mixed + cross * tau) ** 2 - (alpha - beta) ** 2 + 4 * g2) / den ** 3
     return alpha_t, beta_t, gamma_t, den
 
 
@@ -190,12 +194,7 @@ def ps2_standard_form(alpha, beta, gamma, tau):
     Independent of the general machinery in ps2_gaussian, which checks it
     in the tests, and with its errors (see ps2_subtracted).
     """
-    alpha_t, beta_t, gamma_t, den = ps2_subtracted(alpha, beta, gamma, tau)
-    prob = 4 * (1 - tau) ** 2 * (
-        (1 - alpha * beta + gamma ** 2
-         + ((1 - alpha) * (1 - beta) - gamma ** 2) * tau) ** 2
-        - (alpha - beta) ** 2 + 4 * gamma ** 2) / den ** 3
-    return alpha_t, beta_t, gamma_t, prob
+    return ps2_subtracted(alpha, beta, gamma, tau, prob=True)
 
 
 def heuristic_correction(alpha, beta, gamma):

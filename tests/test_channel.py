@@ -37,6 +37,11 @@ class TestAttenuation:
         ch = AirChannel(1.44e-6, 550.0, 1250.0)
         assert eta_env(ch) == pytest.approx(7.9168e-4, rel=1e-3)
 
+    def test_effective_reflectivity_keeps_a_tiny_environment_share(self):
+        assert channel.eta_eff(AirChannel(1e-20, 1.0, 1250.0)) == 1e-20
+        ch = AirChannel(1.44e-6, 550.0, 1250.0, 0.3)
+        assert channel.eta_eff(ch) == pytest.approx(0.3 + 0.7 * eta_env(ch), rel=1e-15)
+
     def test_monotone_in_length_and_density(self):
         vals = [eta_env(AirChannel(1.44e-6, length, 0.0))
                 for length in (0.0, 100.0, 500.0, 5000.0)]
@@ -130,6 +135,35 @@ class TestLossyTmst:
             nu_out = pts_eigenvalues(lossy_tmst(ch, r, n, "asym"))[0]
             expected = nu_in + (0.5 + n_th) * eta_ant
             assert nu_out == pytest.approx(expected, rel=1e-3)
+
+    @pytest.mark.parametrize("geometry", ["asym", "sym"])
+    def test_triple_matches_a_50_digit_evaluation(self, geometry):
+        """tmst_params against the standard form restated from eta_eff =
+        1 - e^{-mu L} (1 - eta_ant), L/2 per symmetric arm, in 50 digits, on
+        seeded links from 1e-12 m to 600 m."""
+        mp = pytest.importorskip("mpmath").mp
+        rng = np.random.default_rng(57)
+        worst = 0.0
+        for _ in range(300):
+            r, n = rng.uniform(0.1, 2.5), rng.uniform(0.0, 0.1)
+            mu = TABLE1["mu"] * rng.uniform(0.5, 2.0)
+            n_th = TABLE1["n_th"] * rng.uniform(0.5, 2.0)
+            eta_ant = rng.choice([0.0, rng.uniform(0.0, 0.3)])
+            length = 10.0 ** rng.uniform(-12.0, math.log10(600.0))
+            got = channel.tmst_params(mu, length, n_th, eta_ant, r, n, geometry)
+            with mp.workdps(50):
+                scale = 1 + 2 * mp.mpf(n)
+                arm = mp.mpf(length) / 2 if geometry == "sym" else mp.mpf(length)
+                eta = 1 - mp.exp(-mp.mpf(mu) * arm) * (1 - mp.mpf(eta_ant))
+                alpha = ((1 + 2 * mp.mpf(n_th)) * eta
+                         + scale * (1 - eta) * mp.cosh(2 * mp.mpf(r)))
+                if geometry == "sym":
+                    exact = alpha, alpha, scale * (1 - eta) * mp.sinh(2 * mp.mpf(r))
+                else:
+                    exact = (alpha, scale * mp.cosh(2 * mp.mpf(r)),
+                             scale * mp.sqrt(1 - eta) * mp.sinh(2 * mp.mpf(r)))
+                worst = max([worst] + [float(abs(x - y) / y) for x, y in zip(got, exact)])
+        assert worst <= 1e-15
 
     def test_valid_over_parameter_ranges(self):
         for length in (0.0, 300.0, 550.0):

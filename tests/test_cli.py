@@ -191,6 +191,11 @@ class TestFailureContract:
         ("teleport", "--resource", "2ps-prob-sym", "--set", "tau=0"),
         ("swap", "--sweep", "L", "-10", "100", "3"),
         ("channel", "--sweep", "L", "0", "inf", "3"),
+        # the 2PS fidelities subtract at every row: E_0 = 0 at L = 0 only
+        ("teleport", "--resource", "2ps-heur-sym", "--set", "r=0", "--set", "n=0",
+         "--sweep", "L", "0", "100", "3"),
+        ("teleport", "--resource", "2ps-prob-sym", "--set", "r=0", "--set", "n=0",
+         "--sweep", "L", "0", "100", "3"),
     ])
     def test_bad_row_in_an_array_sweep_is_computation_error(self, argv):
         code, out, err = run_cli(*argv)

@@ -265,6 +265,22 @@ def test_subtraction_forms_each_term_once_bit_for_bit():
         assert [x.hex() for x in got] == [x.hex() for x in expected]
 
 
+def test_success_probability_shares_the_subtraction_terms_bit_for_bit():
+    rng = np.random.default_rng(43)
+    for _ in range(5000):
+        gamma = float(rng.uniform(0.0, 5.0))
+        alpha = math.sqrt(1.0 + gamma ** 2) + float(rng.uniform(0.0, 3.0))
+        beta = math.sqrt(1.0 + gamma ** 2) + float(rng.uniform(0.0, 3.0))
+        tau = float(rng.uniform(0.01, 0.99))
+        *tilde, den = ps2_subtracted_spelled_out(alpha, beta, gamma, tau)
+        prob = 4 * (1 - tau) ** 2 * (
+            (1 - alpha * beta + gamma ** 2
+             + ((1 - alpha) * (1 - beta) - gamma ** 2) * tau) ** 2
+            - (alpha - beta) ** 2 + 4 * gamma ** 2) / den ** 3
+        got = ps2_standard_form(alpha, beta, gamma, tau)
+        assert [x.hex() for x in got] == [x.hex() for x in (*tilde, prob)]
+
+
 class TestSwap:
     def test_general_matches_symmetric_closed_form(self):
         # link 1 holds (kept A, measured B); link 2 holds (measured C, kept D)

@@ -375,9 +375,10 @@ class TestClassicalLimitRoots:
     @pytest.mark.parametrize("kind", ["tmst-asym", "tmst-asym-fg", "tmst-sym-fg"])
     def test_huge_thermal_occupation_gives_the_root_or_raises(self, kind):
         """At n_th = 1e160, c1^2 of the condition overflows unscaled, and the
-        tmst-sym-fg c2 is -inf. The root lies near 1e-154 m, where 1 - e^{-mu L}
-        rounds to 0, so the reference root of F - 1/2 is taken on triples
-        built with expm1."""
+        tmst-sym-fg c2 is -inf. The root lies near 1e-154 m, where only an
+        expm1-built reflectivity keeps its digits: the reference root of
+        F - 1/2 is taken on triples restated with expm1, and a root of the
+        library's own fidelity must agree with it."""
         from scipy.optimize import brentq
 
         res = resource(kind, n_th=1e160, inv_gain=0.008)
@@ -398,6 +399,9 @@ class TestClassicalLimitRoots:
             return fidelity_finite_gain(alpha, a, c * math.exp(-x / 2.0), gain) - 0.5
         assert length == pytest.approx(brentq(excess, 0.0, 1e-140, xtol=1e-300),
                                        rel=1e-9, abs=0.0)
+        assert length == pytest.approx(
+            brentq(lambda ll: res.fidelity(ll) - 0.5, 0.0, 1e-140, xtol=1e-300),
+            rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("kind", TeleportResource.KINDS)
     def test_no_entanglement_at_the_source_gives_zero(self, kind):
