@@ -233,12 +233,17 @@ def source_terms(r, n, n_th):
     """(a, c, e) of lossy_tmst: a = (1 + 2n) cosh 2r and c = (1 + 2n) sinh 2r
     are the source's diagonal and correlation entries, e = 1 + 2 n_th the
     environment's diagonal entry. Cached: a root or a sweep asks for one
-    source throughout."""
+    source throughout. The asymmetric alpha has the coefficient 2 (e - a),
+    which must be finite."""
     if n < 0.0:
         raise ValueError("source occupation n must be non-negative")
     scale = 1.0 + 2.0 * n
-    return (scale * float(np.cosh(2.0 * r)), scale * float(np.sinh(2.0 * r)),
-            1.0 + 2.0 * n_th)
+    a, c, e = (scale * float(np.cosh(2.0 * r)), scale * float(np.sinh(2.0 * r)),
+               1.0 + 2.0 * n_th)
+    if not math.isfinite(2.0 * (e - a)):
+        raise ValueError("the lossy state's coefficient 2 (1 + 2 n_th - a) "
+                         "overflows at n_th = %g, r = %g, n = %g" % (n_th, r, n))
+    return a, c, e
 
 
 def tmst_polys(r, n, n_th, eta_ant, geometry):

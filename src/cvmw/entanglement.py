@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .core import GaussianState, SIGMA_Z, any_true
+from .core import GaussianState, SIGMA_Z, any_true, pow2_scale
 
 
 class BipartiteCM:
@@ -87,14 +87,20 @@ def nu_minus_standard(alpha, beta, gamma):
     elementwise over arrays.
 
     The same invariants and form as pts_eigenvalues: Delta = alpha^2 +
-    beta^2 + 2 gamma^2 and det Sigma = (alpha beta - gamma^2)^2.
+    beta^2 + 2 gamma^2 and det Sigma = (alpha beta - gamma^2)^2. nu_minus is
+    homogeneous of degree 1, so the entries are scaled by the power of two
+    s = pow2_scale(alpha + beta), which is exact, and the result divided by
+    it: the squares stay finite where the entries pass 1e154.
     """
+    s = pow2_scale(alpha + beta)
+    alpha, beta, gamma = alpha * s, beta * s, gamma * s
     delta = alpha ** 2 + beta ** 2 + 2.0 * gamma ** 2
     det_s = (alpha * beta - gamma ** 2) ** 2
     disc = delta ** 2 - 4.0 * det_s
-    if any_true(disc < -1e-9 * np.maximum(1.0, delta ** 2)):
+    # disc < -1e-9 max(1, Delta^2) of the unscaled entries, times s^4
+    if any_true(disc < -1e-9 * np.maximum(s ** 4, delta ** 2)):
         raise ValueError("complex branch: input is not a valid covariance matrix")
-    return np.sqrt(2.0 * det_s / (delta + np.sqrt(np.maximum(disc, 0.0))))
+    return np.sqrt(2.0 * det_s / (delta + np.sqrt(np.maximum(disc, 0.0)))) / s
 
 
 def negativity_from_nu(nu_minus):

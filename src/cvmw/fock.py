@@ -6,13 +6,16 @@ n_max photons per mode. Kets are stored as tensors of shape
 dimension. negativity_fock and check_density take their spectra block by
 block, over the connected components of the matrix's exact-zero pattern,
 so a state that conserves a photon number pays for its largest block
-rather than for D. Operations report truncation leakage so tests
-can pick n_max on principled grounds. Gaussian density matrices come from
-the Hermite recurrence of their Bargmann generating function; the
-two-mode squeezed thermal state, the squeezers and the beam splitter are
-built from their definitions, exponentiating the generator on the
-truncated space. The module uses numpy and the standard library only,
-so it shares no code with the closed forms it checks.
+rather than for D. negativity_fock never forms the partial transpose: it
+transposes the boolean zero pattern only and gathers each block of
+rho^Gamma from rho, the only complex D x D array. Operations report
+truncation leakage so tests can pick n_max on principled grounds.
+Gaussian density matrices come from the Hermite recurrence of their
+Bargmann generating function; the two-mode squeezed thermal state, the
+squeezers and the beam splitter are built from their definitions,
+exponentiating the generator on the truncated space. The module uses
+numpy and the standard library only, so it shares no code with the closed
+forms it checks.
 """
 
 from dataclasses import dataclass
@@ -219,21 +222,35 @@ def _blocks(mat):
     return blocks
 
 
-def _eigvalsh(mat):
-    """Eigenvalues of a Hermitian matrix, concatenated over _blocks(mat).
+def _block_eigvalsh(pattern, gather):
+    """Eigenvalues of a Hermitian matrix whose nonzero entries lie on
+    pattern, concatenated over _blocks(pattern); gather(b) returns the
+    matrix on the index set b, which is checked Hermitian before its
+    eigvalsh.
 
     A matrix that is block-diagonal under a permutation has the union of
-    its blocks' spectra; the blocks come from exact zeros, so this is the
-    spectrum eigvalsh(mat) reads, unsorted.
+    its blocks' spectra. Every entry off the blocks is zero, as is its
+    mirror, so the blocks' checks together are _require_hermitian of the
+    whole matrix.
     """
-    blocks = _blocks(mat)
-    if len(blocks) < 2:
-        return np.linalg.eigvalsh(mat)
-    return np.concatenate([np.linalg.eigvalsh(mat[np.ix_(b, b)]) for b in blocks])
+    spectra = []
+    for b in _blocks(pattern):
+        block = gather(b)
+        _require_hermitian(block)
+        spectra.append(np.linalg.eigvalsh(block))
+    return np.concatenate(spectra)
+
+
+def _eigvalsh(mat):
+    """Eigenvalues of a Hermitian matrix, block by block (_block_eigvalsh):
+    the spectrum eigvalsh(mat) reads, unsorted."""
+    return _block_eigvalsh(mat, lambda b: mat if len(b) == len(mat)
+                           else mat[np.ix_(b, b)])
 
 
 def partial_transpose(rho, dims):
-    """Partial transpose over the second subsystem of a bipartite density matrix."""
+    """Partial transpose over the second subsystem of a bipartite density
+    matrix, as a full copy; negativity_fock never forms it."""
     d1, d2 = dims
     _require_hermitian(rho)
     t = rho.reshape(d1, d2, d1, d2)
@@ -241,9 +258,23 @@ def partial_transpose(rho, dims):
 
 
 def negativity_fock(rho, dims):
-    """Sum of |negative eigenvalues| of the partial transpose."""
-    pt = partial_transpose(rho, dims)
-    ev = _eigvalsh(pt)
+    """Sum of |negative eigenvalues| of the partial transpose over the
+    second subsystem, read block by block from rho.
+
+    Only the nonzero pattern of rho is partially transposed; each block of
+    rho^Gamma is gathered through rho^Gamma[(a, b), (a', b')] =
+    rho[(a, b'), (a', b)]. rho^Gamma - (rho^Gamma)^dag is (rho - rho^dag)^Gamma,
+    a permutation of its entries, so the check per block is the check of rho.
+    """
+    d1, d2 = dims
+    t = rho.reshape(d1, d2, d1, d2)
+    pattern = (t != 0).transpose(0, 3, 2, 1).reshape(d1 * d2, d1 * d2)
+
+    def gather(b):
+        a, c = np.divmod(b, d2)
+        return t[a[:, None], c[None, :], a[None, :], c[:, None]]
+
+    ev = _block_eigvalsh(pattern, gather)
     return float(-np.sum(ev[ev < 0.0]))
 
 
@@ -272,7 +303,6 @@ def ptrace(rho, dims, keep):
 
 def check_density(rho):
     """Hermiticity / trace / positivity diagnostics; returns the trace deficit."""
-    _require_hermitian(rho)
     ev = _eigvalsh(rho)
     if ev.min() < -1e-10:
         raise ValueError("density matrix has negative eigenvalues")
@@ -295,18 +325,20 @@ def squeeze_unitary(r, n_max):
 def tmst_density(r, n, n_max):
     """exp(r (a^dag b^dag - a b)) applied to two thermal modes with n photons
     each; matches core.tmst(r, n). The generator conserves the photon-number
-    difference, so rho is filled block by block, u diag(p_a p_b) u^dag.
+    difference, so rho is filled block by block, u diag(p_a p_b) u^dag. The
+    generator depends on |delta| only and p_a p_b is symmetric, so the block
+    of -delta is that of delta, built once and written at both index sets.
     """
     dim1 = n_max + 1
     p = thermal_density(n, n_max).diagonal().real
     rho = np.zeros((dim1 ** 2, dim1 ** 2), dtype=complex)
-    for delta in range(-n_max, n_max + 1):
-        ns = np.arange(0, n_max - abs(delta) + 1)
-        amp = r * np.sqrt((ns[:-1] + abs(delta) + 1.0) * (ns[:-1] + 1.0))
+    for delta in range(n_max + 1):
+        ns = np.arange(0, n_max - delta + 1)
+        amp = r * np.sqrt((ns[:-1] + delta + 1.0) * (ns[:-1] + 1.0))
         ub = _expm_antihermitian(np.diag(amp, -1) - np.diag(amp, 1))
-        a, b = (ns + delta, ns) if delta >= 0 else (ns, ns - delta)
-        flat = a * dim1 + b
-        rho[np.ix_(flat, flat)] = (ub * (p[a] * p[b])) @ ub.conj().T
+        block = (ub * (p[ns + delta] * p[ns])) @ ub.conj().T
+        for flat in ((ns + delta) * dim1 + ns, ns * dim1 + ns + delta):
+            rho[np.ix_(flat, flat)] = block
     return rho
 
 

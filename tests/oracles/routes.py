@@ -11,6 +11,7 @@ from cvmw.channel import AirChannel, eta_eff
 from cvmw.core import (GaussianState, apply, beam_splitter, omega, partial_trace,
                        thermal, tmst)
 from cvmw.entanglement import BipartiteCM
+from cvmw.fock import _blocks, _expm_antihermitian, partial_transpose, thermal_density
 from cvmw.illumination import eta_eff as qi_eta_eff, qi_probe
 from cvmw.teleport import (BEYOND_MAX, MAX_DISTANCE, ROOT_GRID, ROOT_XTOL,
                            anderson_bjorck)
@@ -266,3 +267,32 @@ def l_max_condition_array(ch, r, n, geometry):
     if geometry == "sym":
         return alpha - gamma - one
     return poly_mul(alpha - one, beta - one) - poly_mul(gamma, gamma)
+
+
+def negativity_dense(rho, dims):
+    """fock.negativity_fock through the full partial transpose:
+    fock.partial_transpose checks all of rho Hermitian and copies rho^Gamma,
+    whose spectrum is read over the components of its own zero pattern."""
+    pt = partial_transpose(rho, dims)
+    blocks = _blocks(pt)
+    if len(blocks) < 2:
+        ev = np.linalg.eigvalsh(pt)
+    else:
+        ev = np.concatenate([np.linalg.eigvalsh(pt[np.ix_(b, b)]) for b in blocks])
+    return float(-np.sum(ev[ev < 0.0]))
+
+
+def tmst_density_loop(r, n, n_max):
+    """fock.tmst_density with one exponential per photon-number difference
+    delta in [-n_max, n_max], each block u diag(p_a p_b) u^dag."""
+    dim1 = n_max + 1
+    p = thermal_density(n, n_max).diagonal().real
+    rho = np.zeros((dim1 ** 2, dim1 ** 2), dtype=complex)
+    for delta in range(-n_max, n_max + 1):
+        ns = np.arange(0, n_max - abs(delta) + 1)
+        amp = r * np.sqrt((ns[:-1] + abs(delta) + 1.0) * (ns[:-1] + 1.0))
+        ub = _expm_antihermitian(np.diag(amp, -1) - np.diag(amp, 1))
+        a, b = (ns + delta, ns) if delta >= 0 else (ns, ns - delta)
+        flat = a * dim1 + b
+        rho[np.ix_(flat, flat)] = (ub * (p[a] * p[b])) @ ub.conj().T
+    return rho

@@ -1,4 +1,5 @@
 import csv
+import decimal
 import io
 import json
 import os
@@ -388,6 +389,42 @@ def test_huge_thermal_occupation_stays_finite_without_a_warning(kind):
         s = alpha + beta - 2.0 * gamma
     assert float(row["fidelity"]) == pytest.approx(1.0 / (1.0 + s / 2.0),
                                                    rel=1e-12, abs=0.0)
+
+
+def test_channel_at_huge_thermal_occupation_is_finite_without_a_warning():
+    """nu_minus_standard scales the entries by a power of two before it
+    squares them, so no cell overflows to NaN where they pass 1e154."""
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "cvmw.cli", "channel",
+                           "--set", "n_th=1e160", "--sweep", "L", "0", "10", "2"],
+                          capture_output=True, text=True, env=ENV)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    row = parse_csv(proc.stdout)[-1]
+    assert float(row["L"]) == 10.0
+    assert all(np.isfinite(float(cell)) for cell in row.values()), row
+    p = dict(channel.TABLE1, n_th=1e160)
+    for geometry in ("asym", "sym"):
+        triple = channel.tmst_params(p["mu"], 10.0, p["n_th"], p["eta_ant"],
+                                     p["r"], p["n"], geometry)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 700  # Delta^2 ~ 1e622 must keep disc ~ 1e312
+            a, b, c = map(decimal.Decimal, triple)
+            delta, det = a * a + b * b + 2 * c * c, (a * b - c * c) ** 2
+            nu = float((2 * det / (delta + (delta * delta - 4 * det).sqrt())).sqrt())
+        # the scaled det Sigma of the asymmetric state is subnormal: 3e-14
+        assert float(row["nu_minus_" + geometry]) == pytest.approx(nu, rel=1e-12)
+        assert float(row["log_neg_" + geometry]) == 0.0
+    assert float(row["nu_minus_asym"]) == pytest.approx(3.8374, abs=1e-4)
+
+
+def test_overflowing_thermal_occupation_exits_2_naming_it():
+    """Above n_th = 4.5e307 the asymmetric coefficient 2 (e - a) overflows."""
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "cvmw.cli", "channel",
+                           "--set", "n_th=5e307", "--sweep", "L", "0", "10", "2"],
+                          capture_output=True, text=True, env=ENV)
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("computation error:"), proc.stderr
+    assert "n_th = 5e+307" in lines[0]
 
 
 class TestDeterminism:

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cvmw import core, distill, entanglement, fock, illumination
+from tests.oracles.routes import negativity_dense, tmst_density_loop
 
 
 class TestDisplacement:
@@ -319,6 +322,62 @@ class TestNegativity:
         rot = u @ rho @ u.conj().T
         assert fock.negativity_fock(rot, (n_max + 1,) * 2) == pytest.approx(
             base, abs=1e-10)
+
+
+
+def _displaced_density(n_max):
+    state = core.GaussianState([0.1, -0.2, 0.05, 0.1], core.tmst(0.3, 0.05).sigma)
+    return fock.gaussian_density(state, n_max)
+
+
+class TestBlockGather:
+    """negativity_fock reads rho^Gamma block by block from rho, and
+    tmst_density builds each +-delta block once: both against the routes
+    they replace, bit for bit."""
+
+    @pytest.mark.parametrize("build,dims", [
+        (lambda: fock.tmst_density(0.5, 0.05, 12), (13, 13)),
+        (lambda: fock.tmst_density(0.3, 0.01, 32), (33, 33)),
+        (lambda: _displaced_density(10), (11, 11)),
+        (lambda: _displaced_density(20), (21, 21)),
+        (lambda: np.kron(fock.thermal_density(0.4, 10), fock.thermal_density(0.2, 6)),
+         (11, 7)),
+        (lambda: _hermitian_blocks((4, 7, 9), 4, seed=3), (4, 6)),
+        (lambda: _hermitian_blocks((1, 3, 5, 2), 3, seed=7), (2, 7)),
+    ], ids=["tmst-12", "tmst-32", "displaced-10", "displaced-20", "product",
+            "blocks-4x6", "blocks-2x7"])
+    def test_negativity_equals_dense_route(self, build, dims):
+        rho = build()
+        assert fock.negativity_fock(rho, dims) == negativity_dense(rho, dims)
+
+    @pytest.mark.parametrize("r,n,n_max", [(0.0, 0.0, 3), (0.5, 0.05, 12),
+                                           (0.3, 0.0, 20), (0.8, 0.1, 32)])
+    def test_tmst_density_equals_loop(self, r, n, n_max):
+        assert np.array_equal(fock.tmst_density(r, n, n_max),
+                              tmst_density_loop(r, n, n_max))
+
+    @pytest.mark.parametrize("check", [
+        fock.check_density, lambda m: fock.negativity_fock(m, (6, 6))],
+        ids=["check_density", "negativity_fock"])
+    @pytest.mark.parametrize("entry", [
+        (6, 13),  # |1, 0><2, 1|: inside a block of rho and of rho^Gamma
+        (0, 3),   # |0, 0><0, 3|: a lone entry whose mirror is zero
+    ])
+    def test_non_hermitian_rejected(self, check, entry):
+        rho = fock.tmst_density(0.4, 0.1, 5)
+        rho[entry] += 1e-9j
+        with pytest.raises(ValueError, match="density matrix is not Hermitian"):
+            check(rho)
+
+    def test_partial_transpose_is_never_formed(self):
+        rho = fock.tmst_density(0.3, 0.0, 32)
+        tracemalloc.start()
+        try:
+            fock.negativity_fock(rho, (33, 33))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < rho.nbytes / 4, (peak, rho.nbytes)
 
 
 class TestSpectralQfi:
