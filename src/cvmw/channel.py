@@ -233,16 +233,21 @@ def source_terms(r, n, n_th):
     """(a, c, e) of lossy_tmst: a = (1 + 2n) cosh 2r and c = (1 + 2n) sinh 2r
     are the source's diagonal and correlation entries, e = 1 + 2 n_th the
     environment's diagonal entry. Cached: a root or a sweep asks for one
-    source throughout. The asymmetric alpha has the coefficient 2 (e - a),
-    which must be finite."""
+    source throughout. Each term must be finite."""
     if n < 0.0:
         raise ValueError("source occupation n must be non-negative")
     scale = 1.0 + 2.0 * n
-    a, c, e = (scale * float(np.cosh(2.0 * r)), scale * float(np.sinh(2.0 * r)),
-               1.0 + 2.0 * n_th)
-    if not math.isfinite(2.0 * (e - a)):
-        raise ValueError("the lossy state's coefficient 2 (1 + 2 n_th - a) "
-                         "overflows at n_th = %g, r = %g, n = %g" % (n_th, r, n))
+    try:  # math.cosh raises where np.cosh would warn and give inf
+        finite = math.isfinite(scale * math.cosh(2.0 * r))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError("the source's (1 + 2n) cosh 2r overflows at r = %g, "
+                         "n = %g" % (r, n))
+    a, c = scale * float(np.cosh(2.0 * r)), scale * float(np.sinh(2.0 * r))
+    e = 1.0 + 2.0 * n_th
+    if not math.isfinite(e):
+        raise ValueError("the environment's 1 + 2 n_th overflows at n_th = %g" % n_th)
     return a, c, e
 
 
@@ -258,6 +263,10 @@ def tmst_polys(r, n, n_th, eta_ant, geometry):
     if geometry == "asym":
         t0 = math.sqrt(1.0 - eta_ant)
         lossy = (e - a) * t0 * t0
+        if not math.isfinite(2.0 * lossy):
+            raise ValueError("the asymmetric state's coefficient 2 (1 + 2 n_th - a) "
+                             "(1 - eta_ant) overflows at n_th = %g, r = %g"
+                             % (n_th, r))
         return ((at_source, 2.0 * lossy, -lossy), (a, 0.0, 0.0),
                 (c * t0, -c * t0, 0.0))
     if geometry == "sym":

@@ -86,21 +86,24 @@ def nu_minus_standard(alpha, beta, gamma):
     """nu_minus of the standard-form matrix (alpha I, beta I, gamma sigma_z),
     elementwise over arrays.
 
-    The same invariants and form as pts_eigenvalues: Delta = alpha^2 +
-    beta^2 + 2 gamma^2 and det Sigma = (alpha beta - gamma^2)^2. nu_minus is
+    The same invariants as pts_eigenvalues: Delta = alpha^2 + beta^2 +
+    2 gamma^2 and det Sigma = D^2 with D = alpha beta - gamma^2, and
+    nu_minus = |D| sqrt(2 / (Delta + sqrt(Delta^2 - 4 D^2))). nu_minus is
     homogeneous of degree 1, so the entries are scaled by the power of two
     s = pow2_scale(alpha + beta), which is exact, and the result divided by
-    it: the squares stay finite where the entries pass 1e154.
+    it: the squares stay finite where the entries pass 1e154. D is never
+    squared on the way to nu_minus: where beta / alpha falls below 1e-154,
+    D^2 of the scaled entries underflows, but D does not.
     """
     s = pow2_scale(alpha + beta)
     alpha, beta, gamma = alpha * s, beta * s, gamma * s
     delta = alpha ** 2 + beta ** 2 + 2.0 * gamma ** 2
-    det_s = (alpha * beta - gamma ** 2) ** 2
-    disc = delta ** 2 - 4.0 * det_s
+    root_det = np.abs(alpha * beta - gamma ** 2)
+    disc = delta ** 2 - 4.0 * root_det ** 2
     # disc < -1e-9 max(1, Delta^2) of the unscaled entries, times s^4
     if any_true(disc < -1e-9 * np.maximum(s ** 4, delta ** 2)):
         raise ValueError("complex branch: input is not a valid covariance matrix")
-    return np.sqrt(2.0 * det_s / (delta + np.sqrt(np.maximum(disc, 0.0)))) / s
+    return root_det * np.sqrt(2.0 / (delta + np.sqrt(np.maximum(disc, 0.0)))) / s
 
 
 def negativity_from_nu(nu_minus):

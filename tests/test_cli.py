@@ -391,40 +391,66 @@ def test_huge_thermal_occupation_stays_finite_without_a_warning(kind):
                                                    rel=1e-12, abs=0.0)
 
 
-def test_channel_at_huge_thermal_occupation_is_finite_without_a_warning():
+@pytest.mark.parametrize("n_th", ["1e160", "1e200", "1e300"])
+def test_channel_at_huge_thermal_occupation_is_finite_without_a_warning(n_th):
     """nu_minus_standard scales the entries by a power of two before it
-    squares them, so no cell overflows to NaN where they pass 1e154."""
+    squares them, so no cell overflows to NaN where they pass 1e154, and it
+    never squares alpha beta - gamma^2, which of the scaled asymmetric
+    entries is about beta / alpha: its square would underflow to 0 and
+    report the separable state as infinitely entangled."""
     proc = subprocess.run([sys.executable, "-W", "error", "-m", "cvmw.cli", "channel",
-                           "--set", "n_th=1e160", "--sweep", "L", "0", "10", "2"],
+                           "--set", "n_th=" + n_th, "--sweep", "L", "0", "10", "2"],
                           capture_output=True, text=True, env=ENV)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     row = parse_csv(proc.stdout)[-1]
     assert float(row["L"]) == 10.0
     assert all(np.isfinite(float(cell)) for cell in row.values()), row
-    p = dict(channel.TABLE1, n_th=1e160)
+    p = dict(channel.TABLE1, n_th=float(n_th))
     for geometry in ("asym", "sym"):
         triple = channel.tmst_params(p["mu"], 10.0, p["n_th"], p["eta_ant"],
                                      p["r"], p["n"], geometry)
         with decimal.localcontext() as ctx:
-            ctx.prec = 700  # Delta^2 ~ 1e622 must keep disc ~ 1e312
+            ctx.prec = 60
             a, b, c = map(decimal.Decimal, triple)
             delta, det = a * a + b * b + 2 * c * c, (a * b - c * c) ** 2
-            nu = float((2 * det / (delta + (delta * delta - 4 * det).sqrt())).sqrt())
-        # the scaled det Sigma of the asymmetric state is subnormal: 3e-14
-        assert float(row["nu_minus_" + geometry]) == pytest.approx(nu, rel=1e-12)
+            # Delta^2 - 4 det Sigma, factored so that nothing cancels
+            disc = (a + b) ** 2 * ((a - b) ** 2 + 4 * c * c)
+            nu = float((2 * det / (delta + disc.sqrt())).sqrt())
+        assert float(row["nu_minus_" + geometry]) == pytest.approx(nu, rel=1e-13)
         assert float(row["log_neg_" + geometry]) == 0.0
     assert float(row["nu_minus_asym"]) == pytest.approx(3.8374, abs=1e-4)
 
 
-def test_overflowing_thermal_occupation_exits_2_naming_it():
-    """Above n_th = 4.5e307 the asymmetric coefficient 2 (e - a) overflows."""
-    proc = subprocess.run([sys.executable, "-W", "error", "-m", "cvmw.cli", "channel",
-                           "--set", "n_th=5e307", "--sweep", "L", "0", "10", "2"],
+@pytest.mark.parametrize("argv,names", [
+    (["channel", "--set", "n_th=5e307"], "n_th = 5e+307, r = 1"),
+    (["channel", "--set", "n_th=1e308"], "n_th = 1e+308"),
+    (["teleport", "--resource", "tmst-sym", "--set", "n_th=1e308"], "n_th = 1e+308"),
+    (["channel", "--set", "r=400"], "r = 400"),
+])
+def test_overflowing_source_or_environment_exits_2_naming_it(argv, names):
+    """Above n_th = 4.5e307 the asymmetric coefficient 2 (e - a) overflows,
+    above 9e307 e = 1 + 2 n_th itself, above r = 355 cosh 2r: each stops
+    with one line and no raw numpy warning."""
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "cvmw.cli", *argv,
+                           "--sweep", "L", "0", "10", "2"],
                           capture_output=True, text=True, env=ENV)
     assert proc.returncode == 2 and proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("computation error:"), proc.stderr
-    assert "n_th = 5e+307" in lines[0]
+    assert names in lines[0]
+
+
+def test_symmetric_link_needs_no_asymmetric_coefficient():
+    """The overflow of the asymmetric 2 (e - a) does not stop a symmetric
+    kind: at n_th = 5e307 tmst-sym prints the rows it printed before."""
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "cvmw.cli", "teleport",
+                           "--resource", "tmst-sym", "--set", "n_th=5e307",
+                           "--sweep", "L", "0", "10", "2"],
+                          capture_output=True, text=True, env=ENV)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    rows = parse_csv(proc.stdout)
+    assert [float(row["fidelity"]) for row in rows] == pytest.approx(
+        [0.87870220057995474, 1.3888938888948891e-303], rel=1e-12)
 
 
 class TestDeterminism:
