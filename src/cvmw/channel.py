@@ -295,10 +295,14 @@ def root_distance(condition, mu):
     real root u in [0, 1), the largest t in (0, t0]; None when there is none.
 
     condition is (c0, c1, c2), zero-padded if longer: every closed-form bound
-    has degree <= 2, swap's g2 - (a - 1) B is linear. Scaled by a power of two
-    to a largest magnitude in [1/2, 1), which moves no root and keeps c1^2
-    finite, the roots are closed-form on Python floats. A non-finite
-    coefficient raises ValueError.
+    has degree <= 2, swap's g2 - (a - 1) B is linear. The roots are
+    closed-form on Python floats. Where |c0| < 2^-600 |c2|, they are taken
+    in v = u / sigma, with the power of two sigma that brings c2 sigma^2 to
+    within a factor 4 of c0: a root near 2^-530 (c2 2^1060 times c0) keeps
+    its digits, where c0 and c1^2 would otherwise fall subnormal. The
+    condition is then scaled by a power of two to a largest magnitude in
+    [1/2, 1), which keeps c1^2 finite. Both scalings are exact and move no
+    bit of a root. A non-finite coefficient raises ValueError.
     """
     c0, c1, c2 = condition[:3]
     if len(condition) > 3 and any(condition[3:]):
@@ -306,12 +310,17 @@ def root_distance(condition, mu):
     size = max(abs(c0), abs(c1), abs(c2))
     if not size < math.inf or math.isnan(c0 + c1 + c2):  # max can skip a NaN
         raise ValueError("non-finite coefficient in a distance condition")
+    sigma = 1.0
+    if abs(c0) < 2.0 ** -600 * abs(c2):
+        sigma = math.ldexp(1.0, (math.frexp(c0)[1] - math.frexp(c2)[1]) // 2)
+        c1, c2 = c1 * sigma, c2 * sigma * sigma
+        size = max(abs(c0), abs(c1), abs(c2))
     scale = pow2_scale(size)
     roots = _quadratic_roots(c0 * scale, c1 * scale, c2 * scale)
-    real = [u for u in roots if 0.0 <= u < 1.0]
+    real = [v for v in roots if 0.0 <= v < 1.0 / sigma]  # u = sigma v in [0, 1)
     if not real:
         return None
-    return -2.0 / mu * math.log1p(-min(real))
+    return -2.0 / mu * math.log1p(-(sigma * min(real)))
 
 
 def _quadratic_roots(c0, c1, c2):

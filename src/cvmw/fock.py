@@ -3,13 +3,16 @@
 Everything here works on dense arrays over a Hilbert space truncated at
 n_max photons per mode. Kets are stored as tensors of shape
 (n_max+1,) * n_modes, density matrices as (D, D) arrays with D the total
-dimension. negativity_fock and check_density take their spectra block by
-block, over the connected components of the matrix's exact-zero pattern,
-so a state that conserves a photon number pays for its largest block
-rather than for D. negativity_fock never forms the partial transpose: it
-transposes the boolean zero pattern only and gathers each block of
-rho^Gamma from rho, the only complex D x D array. Operations report
-truncation leakage so tests can pick n_max on principled grounds.
+dimension. The thermal and two-mode squeezed thermal states have real
+entries and are float64; the displaced Gaussian states are complex.
+negativity_fock and check_density take their spectra block by block, over
+the connected components of the matrix's exact-zero pattern, so a state
+that conserves a photon number pays for its largest block rather than for
+D, and a real block takes the real eigensolver. negativity_fock never
+forms the partial transpose: it transposes the zero pattern only, the one
+boolean D x D array, and gathers each block of rho^Gamma from rho, the only
+numeric D x D array. Operations report truncation leakage so tests can pick
+n_max on principled grounds.
 Gaussian density matrices come from the Hermite recurrence of their
 Bargmann generating function; the two-mode squeezed thermal state, the
 squeezers and the beam splitter are built from their definitions,
@@ -191,7 +194,7 @@ def beam_splitter_unitary(eta, n_max):
 def thermal_density(n_th, n_max):
     k = np.arange(n_max + 1, dtype=float)
     p = (n_th / (1.0 + n_th)) ** k / (1.0 + n_th)
-    return np.diag(p).astype(complex)
+    return np.diag(p)
 
 
 def _require_hermitian(mat):
@@ -204,22 +207,35 @@ def _require_hermitian(mat):
 
 
 def _blocks(mat):
-    """Index sets of the connected components of the graph mat != 0, each
-    found by a breadth-first search from the lowest index not yet seen."""
-    nonzero = mat != 0
-    linked = nonzero | nonzero.T
-    unseen = np.ones(len(mat), dtype=bool)
-    blocks = []
-    while unseen.any():
-        block = np.zeros(len(mat), dtype=bool)
-        front = block.copy()
-        front[np.argmax(unseen)] = True
-        while front.any():
-            block |= front
-            front = linked[front].any(axis=0) & ~block
-        unseen &= ~block
-        blocks.append(np.flatnonzero(block))
-    return blocks
+    """Index sets of the connected components of the graph with an edge
+    between i and j wherever mat[i, j] != 0, each sorted, in order of their
+    lowest index. A boolean mat is that pattern itself, and no other D x D
+    array is formed.
+
+    A breadth-first search from the lowest index no search has reached
+    expands its front through rows of the pattern only, since a row is
+    contiguous and a column strided. An edge i -> j is seen from row i: if an
+    earlier search holds j, the two searches are one component, and the
+    earlier one's indices take this search's label. So every edge is
+    followed whichever of its two entries is nonzero.
+    """
+    linked = mat if mat.dtype == bool else mat != 0
+    label = np.full(len(mat), -1)
+    while (label < 0).any():
+        start = int(np.argmax(label < 0))
+        label[start] = start
+        front = np.array([start])
+        while len(front):
+            reach = np.flatnonzero(linked[front].any(axis=0))
+            held = label[reach]
+            earlier = held[(held >= 0) & (held != start)]
+            if len(earlier):
+                label[np.isin(label, earlier)] = start
+            front = reach[held < 0]
+            label[front] = start
+    order = np.argsort(label, kind="stable")  # by label, then by index
+    first = np.unique(label[order], return_index=True)[1]
+    return sorted(np.split(order, first[1:]), key=lambda b: b[0])
 
 
 def _block_eigvalsh(pattern, gather):
@@ -268,7 +284,9 @@ def negativity_fock(rho, dims):
     """
     d1, d2 = dims
     t = rho.reshape(d1, d2, d1, d2)
-    pattern = (t != 0).transpose(0, 3, 2, 1).reshape(d1 * d2, d1 * d2)
+    # written in C order, so the reshape is a view: one boolean D x D array
+    pattern = np.not_equal(t.transpose(0, 3, 2, 1), 0, order="C").reshape(
+        d1 * d2, d1 * d2)
 
     def gather(b):
         a, c = np.divmod(b, d2)
@@ -328,15 +346,17 @@ def tmst_density(r, n, n_max):
     difference, so rho is filled block by block, u diag(p_a p_b) u^dag. The
     generator depends on |delta| only and p_a p_b is symmetric, so the block
     of -delta is that of delta, built once and written at both index sets.
+    At real r every entry is real: rho is float64, each block the real part
+    of its complex product.
     """
     dim1 = n_max + 1
-    p = thermal_density(n, n_max).diagonal().real
-    rho = np.zeros((dim1 ** 2, dim1 ** 2), dtype=complex)
+    p = thermal_density(n, n_max).diagonal()
+    rho = np.zeros((dim1 ** 2, dim1 ** 2))
     for delta in range(n_max + 1):
         ns = np.arange(0, n_max - delta + 1)
         amp = r * np.sqrt((ns[:-1] + delta + 1.0) * (ns[:-1] + 1.0))
         ub = _expm_antihermitian(np.diag(amp, -1) - np.diag(amp, 1))
-        block = (ub * (p[ns + delta] * p[ns])) @ ub.conj().T
+        block = ((ub * (p[ns + delta] * p[ns])) @ ub.conj().T).real
         for flat in ((ns + delta) * dim1 + ns, ns * dim1 + ns + delta):
             rho[np.ix_(flat, flat)] = block
     return rho
@@ -380,17 +400,21 @@ def gaussian_density(state, n_max):
     g = np.zeros((n_max + 1,) * n_axes, dtype=complex)
     g[(0,) * n_axes] = c
     for i in range(n_axes):
-        # axes before i are complete; axes after i stay at index 0
+        # axes before i are complete; axes after i stay at index 0. Along
+        # each earlier axis j, entry k_j + 1 of new takes A_ij sqrt(k_j + 1)
+        # times entry k_j of cur: index tuples and weights built once per axis
         rest = (0,) * (n_axes - i - 1)
-        weight = root[1:].reshape((-1,) + (1,) * (i - 1))
+        shifts = [((slice(None),) * j + (slice(1, None),),
+                   (slice(None),) * j + (slice(None, -1),),
+                   a[i, j] * root[1:].reshape((-1,) + (1,) * (i - 1 - j)))
+                  for j in range(i)]
         for k in range(n_max):
             cur = g[(Ellipsis, k) + rest]
             new = b[i] * cur
             if k:
                 new += a[i, i] * root[k] * g[(Ellipsis, k - 1) + rest]
-            for j in range(i):
-                np.moveaxis(new, j, 0)[1:] += (
-                    a[i, j] * weight * np.moveaxis(cur, j, 0)[:-1])
+            for up, down, weight in shifts:
+                new[up] += weight * cur[down]
             g[(Ellipsis, k + 1) + rest] = new / root[k + 1]
     dim = (n_max + 1) ** state.n_modes
     return g.reshape(dim, dim)

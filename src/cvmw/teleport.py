@@ -177,21 +177,43 @@ def swapped_finite_gain_params(alpha, beta, gamma, g):
     return alpha_t, gamma_t
 
 
-def half_fidelity_condition(alpha, beta, gamma, k):
+def product_scale(*coeffs):
+    """The power of two s that brings every coefficient below 2^448, 1 when
+    all already are or the largest is infinite. A product of two scaled
+    coefficients and a factor below 2^127 stays finite, and s^2 times a
+    constant of order 1 stays normal while the coefficients stay below
+    2^959: in between, scaling by s moves no bit."""
+    exponent = math.frexp(max(map(abs, coeffs)))[1]
+    return 1.0 if exponent <= 448 else math.ldexp(1.0, 448 - exponent)
+
+
+def half_fidelity_condition(alpha, beta, gamma, k, s=1.0):
     """2 num - den of fidelity_finite_gain, k0 - k1 alpha - k2 beta + k3 gamma
     + k (gamma^2 - alpha beta), which vanishes where the fidelity is 1/2.
     Polynomials in u are 3-tuples (channel.tmst_polys); the products are cut
-    at degree 2, which is exact in both geometries. k = 1/sqrt(g)."""
+    at degree 2, which is exact in both geometries. k = 1/sqrt(g).
+
+    alpha, beta and gamma may come multiplied by a power of two s; the
+    condition then comes out multiplied through by s^2, with the same roots.
+    Where a product of two unscaled entries overflows, the condition is
+    formed again on the entries times s = product_scale.
+    """
     (a0, a1, a2), (b0, b1, b2), (g0, g1, g2) = alpha, beta, gamma
     k0, k1, k2, k3 = 4.0 - k - 2.0 * k * k, 2.0 + k + 2.0 * k * k, 2.0 + k, 4.0 * (1.0 + k)
-    return (k0 - (k1 * a0 + k2 * b0 - k3 * g0) + k * (g0 * g0 - a0 * b0),
-            k * (2.0 * (g0 * g1) - (a0 * b1 + a1 * b0))
-            - (k1 * a1 + k2 * b1 - k3 * g1),
-            k * (2.0 * (g0 * g2) + g1 * g1 - (a0 * b2 + a1 * b1 + a2 * b0))
-            - (k1 * a2 + k2 * b2 - k3 * g2))
+    condition = (
+        k0 * s * s - s * (k1 * a0 + k2 * b0 - k3 * g0) + k * (g0 * g0 - a0 * b0),
+        k * (2.0 * (g0 * g1) - (a0 * b1 + a1 * b0)) - s * (k1 * a1 + k2 * b1 - k3 * g1),
+        k * (2.0 * (g0 * g2) + g1 * g1 - (a0 * b2 + a1 * b1 + a2 * b0))
+        - s * (k1 * a2 + k2 * b2 - k3 * g2))
+    if s == 1.0 and not math.isfinite(sum(condition)):
+        s = product_scale(*alpha, *beta, *gamma)
+        if s < 1.0:
+            return half_fidelity_condition(
+                *([s * x for x in poly] for poly in (alpha, beta, gamma)), k, s)
+    return condition
 
 
-def swap_condition(a, beta, gamma_sq, k):
+def swap_condition(a, beta, gamma_sq, k, s=1.0):
     """The F = 1/2 condition of the swapped resource, a quadratic q in u,
     positive where F > 1/2. Links with retained block a, lossy block B = beta
     and gamma^2 = g2 = gamma_sq (B, g2 linear in u) swap at the gain g = 1/k^2
@@ -200,15 +222,25 @@ def swap_condition(a, beta, gamma_sq, k):
     B >= 1, k >= 0 (the tests derive both). q = g2 (n + w B - k^2 g2) - m (B +
     k)(1 + k B), w = 2k (ak + k^2 + k + 2), m = a^2 k + 2ak^2 + 2ak + 4a + 2k^2
     + k - 4, n = ak^3 + ak + k^4 - k^3 + k^2 + 3k + 4; 4 (g2 - (a - 1) B) at k = 0.
+    As in half_fidelity_condition, B and g2 may come multiplied by a power
+    of two s, and q then comes out multiplied through by s^2; where a
+    product of two unscaled entries overflows, q is formed again at s =
+    product_scale.
     """
     (b0, b1, _), (h0, h1, _) = beta, gamma_sq
     w = 2.0 * k * (a * k + k * k + k + 2.0)
     m = a * (a * k + 2.0 * k * k + 2.0 * k + 4.0) + 2.0 * k * k + k - 4.0
     n = a * k * (k * k + 1.0) + k ** 4 - k ** 3 + k * k + 3.0 * k + 4.0
-    v0, v1 = n + w * b0 - k * k * h0, w * b1 - k * k * h1  # n + w B - k^2 g2
-    return (h0 * v0 - m * ((b0 + k) * (1.0 + k * b0)),
-            h0 * v1 + h1 * v0 - m * (b1 * (1.0 + k * k + 2.0 * k * b0)),
-            h1 * v1 - m * (k * b1 * b1))
+    v0, v1 = s * n + w * b0 - k * k * h0, w * b1 - k * k * h1  # n + w B - k^2 g2
+    condition = (h0 * v0 - m * ((b0 + s * k) * (s + k * b0)),
+                 h0 * v1 + h1 * v0 - m * (b1 * (s * (1.0 + k * k) + 2.0 * k * b0)),
+                 h1 * v1 - m * (k * b1 * b1))
+    if s == 1.0 and not math.isfinite(sum(condition)):
+        s = product_scale(*beta, *gamma_sq)
+        if s < 1.0:
+            return swap_condition(a, [s * x for x in beta], [s * x for x in gamma_sq],
+                                  k, s)
+    return condition
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ from cvmw.channel import AirChannel, eta_eff
 from cvmw.core import (GaussianState, apply, beam_splitter, omega, partial_trace,
                        thermal, tmst)
 from cvmw.entanglement import BipartiteCM
-from cvmw.fock import _blocks, _expm_antihermitian, partial_transpose, thermal_density
+from cvmw.fock import (_bargmann, _expm_antihermitian, partial_transpose,
+                       thermal_density)
 from cvmw.illumination import eta_eff as qi_eta_eff, qi_probe
 from cvmw.teleport import (BEYOND_MAX, MAX_DISTANCE, ROOT_GRID, ROOT_XTOL,
                            anderson_bjorck)
@@ -269,12 +270,32 @@ def l_max_condition_array(ch, r, n, geometry):
     return poly_mul(alpha - one, beta - one) - poly_mul(gamma, gamma)
 
 
+def blocks_bfs(mat):
+    """fock._blocks by a breadth-first search over the symmetric pattern
+    (mat != 0) | (mat != 0)^T: each component is grown from the lowest
+    index not yet seen, and read off as a sorted index set."""
+    nonzero = mat != 0
+    linked = nonzero | nonzero.T
+    unseen = np.ones(len(mat), dtype=bool)
+    blocks = []
+    while unseen.any():
+        block = np.zeros(len(mat), dtype=bool)
+        front = block.copy()
+        front[np.argmax(unseen)] = True
+        while front.any():
+            block |= front
+            front = linked[front].any(axis=0) & ~block
+        unseen &= ~block
+        blocks.append(np.flatnonzero(block))
+    return blocks
+
+
 def negativity_dense(rho, dims):
     """fock.negativity_fock through the full partial transpose:
     fock.partial_transpose checks all of rho Hermitian and copies rho^Gamma,
     whose spectrum is read over the components of its own zero pattern."""
     pt = partial_transpose(rho, dims)
-    blocks = _blocks(pt)
+    blocks = blocks_bfs(pt)
     if len(blocks) < 2:
         ev = np.linalg.eigvalsh(pt)
     else:
@@ -296,3 +317,27 @@ def tmst_density_loop(r, n, n_max):
         flat = a * dim1 + b
         rho[np.ix_(flat, flat)] = (ub * (p[a] * p[b])) @ ub.conj().T
     return rho
+
+
+def gaussian_density_moveaxis(state, n_max):
+    """fock.gaussian_density's recurrence, each shift along an earlier axis
+    j written with np.moveaxis of j to the front on every step."""
+    n_axes = 2 * state.n_modes
+    a, b, c = _bargmann(state)
+    root = np.sqrt(np.arange(n_max + 1.0))
+    g = np.zeros((n_max + 1,) * n_axes, dtype=complex)
+    g[(0,) * n_axes] = c
+    for i in range(n_axes):
+        rest = (0,) * (n_axes - i - 1)
+        weight = root[1:].reshape((-1,) + (1,) * (i - 1))
+        for k in range(n_max):
+            cur = g[(Ellipsis, k) + rest]
+            new = b[i] * cur
+            if k:
+                new += a[i, i] * root[k] * g[(Ellipsis, k - 1) + rest]
+            for j in range(i):
+                np.moveaxis(new, j, 0)[1:] += (
+                    a[i, j] * weight * np.moveaxis(cur, j, 0)[:-1])
+            g[(Ellipsis, k + 1) + rest] = new / root[k + 1]
+    dim = (n_max + 1) ** state.n_modes
+    return g.reshape(dim, dim)

@@ -360,6 +360,13 @@ class TestRootDistance:
         assert self.root(1.0, -2.0 ** 540, 2.0 ** 540) == pytest.approx(
             self.distance(2.0 ** -540), rel=1e-15)
 
+    def test_tiny_root_of_widely_spread_coefficients(self):
+        # roots u1 and 2 u1 with u1 = 1.2345e-160: c2 is 1e320 times c0, so
+        # scaled to a largest magnitude below 1 c0 would be subnormal
+        u1, c2 = 1.2345e-160, 1e300
+        root = self.root(2.0 * c2 * u1 * u1, -3.0 * c2 * u1, c2)
+        assert root == pytest.approx(self.distance(u1), rel=1e-14, abs=0.0)
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_coefficient_raises(self, bad):
         for coeffs in ((bad, -1.0, 1.0), (0.5, bad, 1.0), (0.5, -1.0, bad)):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from cvmw import core, distill, entanglement, fock, illumination
-from tests.oracles.routes import negativity_dense, tmst_density_loop
+from tests.oracles.routes import (blocks_bfs, gaussian_density_moveaxis,
+                                  negativity_dense, tmst_density_loop)
 
 
 class TestDisplacement:
@@ -223,6 +224,21 @@ class TestGaussianDensity:
         with pytest.raises(ValueError):
             fock.gaussian_density(core.vacuum(3), 20)
 
+    def test_index_tuples_equal_the_moveaxis_route(self):
+        # displaced two-mode squeezed thermal states with extra noise on each
+        # mode, as in the benchmark's pool, and a displaced thermal mode
+        rng = np.random.default_rng(4)
+        states = [core.GaussianState([0.3, -0.1], core.thermal(1, 0.3).sigma)]
+        for _ in range(5):
+            sigma = core.tmst(rng.uniform(0.1, 0.2), rng.uniform(0.0, 0.02)).sigma
+            sigma = sigma + np.diag([rng.uniform(0.0, 0.02)] * 2
+                                    + [rng.uniform(0.03, 0.05)] * 2)
+            states.append(core.GaussianState(rng.uniform(-0.2, 0.2, size=4), sigma))
+        for state in states:
+            for n_max in (1, 7, 20):
+                assert np.array_equal(fock.gaussian_density(state, n_max),
+                                      gaussian_density_moveaxis(state, n_max))
+
 
 def test_oracle_imports_only_numpy_and_the_standard_library():
     # the oracle must share no code with the library it checks
@@ -330,31 +346,78 @@ def _displaced_density(n_max):
     return fock.gaussian_density(state, n_max)
 
 
+def _non_hermitian(entry):
+    """tmst_density at n_max 5, made complex, with 1e-9j added at entry."""
+    rho = fock.tmst_density(0.4, 0.1, 5).astype(complex)
+    rho[entry] += 1e-9j
+    return rho
+
+
+CASES = [
+    (lambda: fock.tmst_density(0.5, 0.05, 12), (13, 13)),
+    (lambda: fock.tmst_density(0.3, 0.01, 32), (33, 33)),
+    (lambda: _displaced_density(10), (11, 11)),
+    (lambda: _displaced_density(20), (21, 21)),
+    (lambda: np.kron(fock.thermal_density(0.4, 10), fock.thermal_density(0.2, 6)),
+     (11, 7)),
+    (lambda: _hermitian_blocks((4, 7, 9), 4, seed=3), (4, 6)),
+    (lambda: _hermitian_blocks((1, 3, 5, 2), 3, seed=7), (2, 7)),
+]
+CASE_IDS = ["tmst-12", "tmst-32", "displaced-10", "displaced-20", "product",
+            "blocks-4x6", "blocks-2x7"]
+
+
 class TestBlockGather:
     """negativity_fock reads rho^Gamma block by block from rho, and
     tmst_density builds each +-delta block once: both against the routes
     they replace, bit for bit."""
 
-    @pytest.mark.parametrize("build,dims", [
-        (lambda: fock.tmst_density(0.5, 0.05, 12), (13, 13)),
-        (lambda: fock.tmst_density(0.3, 0.01, 32), (33, 33)),
-        (lambda: _displaced_density(10), (11, 11)),
-        (lambda: _displaced_density(20), (21, 21)),
-        (lambda: np.kron(fock.thermal_density(0.4, 10), fock.thermal_density(0.2, 6)),
-         (11, 7)),
-        (lambda: _hermitian_blocks((4, 7, 9), 4, seed=3), (4, 6)),
-        (lambda: _hermitian_blocks((1, 3, 5, 2), 3, seed=7), (2, 7)),
-    ], ids=["tmst-12", "tmst-32", "displaced-10", "displaced-20", "product",
-            "blocks-4x6", "blocks-2x7"])
+    @pytest.mark.parametrize("build,dims", CASES, ids=CASE_IDS)
     def test_negativity_equals_dense_route(self, build, dims):
         rho = build()
         assert fock.negativity_fock(rho, dims) == negativity_dense(rho, dims)
 
+    @pytest.mark.parametrize("build,dims", CASES + [
+        (lambda: _non_hermitian((6, 13)), (6, 6)),
+        (lambda: _non_hermitian((0, 3)), (6, 6)),
+    ], ids=CASE_IDS + ["defect-in-block", "lone-entry"])
+    def test_blocks_equal_breadth_first_route(self, build, dims):
+        # of rho and of the pattern of rho^Gamma; in the lone-entry case the
+        # pattern is not symmetric, and 0 and 3 must share a block
+        rho = build()
+        d1, d2 = dims
+        pattern = (rho.reshape(d1, d2, d1, d2).transpose(0, 3, 2, 1) != 0).reshape(
+            d1 * d2, d1 * d2)
+        for mat in (rho, pattern):
+            got, want = fock._blocks(mat), blocks_bfs(mat)
+            assert len(got) == len(want)
+            assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+    def test_blocks_equal_breadth_first_route_on_random_patterns(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            size = int(rng.integers(1, 25))
+            mat = rng.random((size, size)) < rng.choice([0.02, 0.05, 0.1, 0.3])
+            got, want = fock._blocks(mat), blocks_bfs(mat)
+            assert len(got) == len(want)
+            assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+    @pytest.mark.parametrize("r,n,n_max", [(0.5, 0.05, 12), (0.3, 0.01, 32),
+                                           (0.7, 0.04, 40)])
+    def test_real_rho_gives_the_complex_negativity(self, r, n, n_max):
+        rho = fock.tmst_density(r, n, n_max)
+        assert rho.dtype == np.float64
+        dims = (n_max + 1,) * 2
+        assert fock.negativity_fock(rho, dims) == pytest.approx(
+            fock.negativity_fock(rho.astype(complex), dims), rel=0.0, abs=1e-14)
+
     @pytest.mark.parametrize("r,n,n_max", [(0.0, 0.0, 3), (0.5, 0.05, 12),
                                            (0.3, 0.0, 20), (0.8, 0.1, 32)])
     def test_tmst_density_equals_loop(self, r, n, n_max):
-        assert np.array_equal(fock.tmst_density(r, n, n_max),
-                              tmst_density_loop(r, n, n_max))
+        # real r gives real Fock entries: the loop's imaginary parts are rounding
+        loop = tmst_density_loop(r, n, n_max)
+        assert np.abs(loop.imag).max() <= 1e-15 * np.abs(loop).max()
+        assert np.array_equal(fock.tmst_density(r, n, n_max), loop.real)
 
     @pytest.mark.parametrize("check", [
         fock.check_density, lambda m: fock.negativity_fock(m, (6, 6))],
@@ -364,8 +427,7 @@ class TestBlockGather:
         (0, 3),   # |0, 0><0, 3|: a lone entry whose mirror is zero
     ])
     def test_non_hermitian_rejected(self, check, entry):
-        rho = fock.tmst_density(0.4, 0.1, 5)
-        rho[entry] += 1e-9j
+        rho = _non_hermitian(entry)
         with pytest.raises(ValueError, match="density matrix is not Hermitian"):
             check(rho)
 

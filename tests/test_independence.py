@@ -52,9 +52,11 @@ CHECKS = {
             "cvmw.channel.source_terms"},
         "l_max_condition_array": {"cvmw.channel.l_max", "cvmw.channel.tmst_polys",
                                   "cvmw.channel.sym_reach"},
-        "negativity_dense": {"cvmw.fock.negativity_fock",
+        "blocks_bfs": {"cvmw.fock._blocks"},
+        "negativity_dense": {"cvmw.fock.negativity_fock", "cvmw.fock._blocks",
                              "cvmw.fock._block_eigvalsh", "cvmw.fock._eigvalsh"},
         "tmst_density_loop": {"cvmw.fock.tmst_density"},
+        "gaussian_density_moveaxis": {"cvmw.fock.gaussian_density"},
     },
     "monras.py": {
         "gaussian_qfi": {"cvmw.estimation.gaussian_qfi"},

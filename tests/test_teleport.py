@@ -372,26 +372,31 @@ class TestClassicalLimitRoots:
             checked += 1
         assert checked >= 20
 
-    @pytest.mark.parametrize("kind", ["tmst-asym", "tmst-asym-fg", "tmst-sym-fg"])
+    @pytest.mark.parametrize("kind", ["tmst-asym", "tmst-asym-fg", "tmst-sym-fg",
+                                      "swap-fg"])
     def test_huge_thermal_occupation_gives_the_root_or_raises(self, kind):
         """At n_th = 1e160, c1^2 of the condition overflows unscaled, and the
-        tmst-sym-fg c2 is -inf. The root lies near 1e-154 m, where only an
-        expm1-built reflectivity keeps its digits: the reference root of
-        F - 1/2 is taken on triples restated with expm1, and a root of the
-        library's own fidelity must agree with it."""
+        tmst-sym-fg and swap-fg c2 are products of two link entries near
+        2e160; every kind must give its root all the same. The root lies
+        near 1e-154 m, where only an expm1-built reflectivity keeps its
+        digits: the reference root of F - 1/2 is taken on triples restated
+        with expm1, and a root of the library's own fidelity must agree
+        with it."""
         from scipy.optimize import brentq
 
         res = resource(kind, n_th=1e160, inv_gain=0.008)
-        try:
-            length = res.classical_limit_distance()
-        except ValueError as exc:
-            assert "non-finite coefficient" in str(exc)
-            return
+        length = res.classical_limit_distance()
         scale = 1.0 + 2.0 * res.n
         a, c = scale * math.cosh(2.0 * res.r), scale * math.sinh(2.0 * res.r)
         gain = 1.0 / res.inv_gain if kind.endswith("-fg") else math.inf
 
         def excess(ll):  # eta_ant = 0
+            if kind == "swap-fg":  # two asymmetric links of length L/2
+                x = res.mu * ll / 2.0
+                lossy = a + (1.0 + 2.0 * res.n_th - a) * -math.expm1(-x)
+                a_t, g_t = swapped_finite_gain_params(a, lossy, c * math.exp(-x / 2.0),
+                                                      gain)
+                return fidelity_finite_gain(a_t, a_t, g_t, gain) - 0.5
             x = res.mu * (ll / 2.0 if res.geometry == "sym" else ll)
             alpha = a + (1.0 + 2.0 * res.n_th - a) * -math.expm1(-x)
             if res.geometry == "sym":
