@@ -290,16 +290,17 @@ def require_attenuation(mu):
                          "with distance, so no distance bound exists")
 
 
-def root_distance(condition, mu):
-    """Shortest distance (m) where c0 + c1 u + c2 u^2 vanishes: the smallest
-    real root u in [0, 1), the largest t in (0, t0]; None when there is none.
+def root_distance(condition, mu, sigma=1.0):
+    """Shortest distance (m) where c0 + c1 v + c2 v^2 vanishes, with u =
+    sigma v for a power of two sigma: the smallest real root u in [0, 1), the
+    largest t in (0, t0]; None when there is none.
 
     condition is (c0, c1, c2), zero-padded if longer: every closed-form bound
     has degree <= 2, swap's g2 - (a - 1) B is linear. The roots are
     closed-form on Python floats. Where |c0| < 2^-600 |c2|, they are taken
-    in v = u / sigma, with the power of two sigma that brings c2 sigma^2 to
-    within a factor 4 of c0: a root near 2^-530 (c2 2^1060 times c0) keeps
-    its digits, where c0 and c1^2 would otherwise fall subnormal. The
+    in v / rho, with the power of two rho that brings c2 rho^2 to within a
+    factor 4 of c0: a root near 2^-530 (c2 2^1060 times c0) keeps its
+    digits, where c0 and c1^2 would otherwise fall subnormal. The
     condition is then scaled by a power of two to a largest magnitude in
     [1/2, 1), which keeps c1^2 finite. Both scalings are exact and move no
     bit of a root. A non-finite coefficient raises ValueError.
@@ -310,17 +311,16 @@ def root_distance(condition, mu):
     size = max(abs(c0), abs(c1), abs(c2))
     if not size < math.inf or math.isnan(c0 + c1 + c2):  # max can skip a NaN
         raise ValueError("non-finite coefficient in a distance condition")
-    sigma = 1.0
     if abs(c0) < 2.0 ** -600 * abs(c2):
-        sigma = math.ldexp(1.0, (math.frexp(c0)[1] - math.frexp(c2)[1]) // 2)
-        c1, c2 = c1 * sigma, c2 * sigma * sigma
+        rho = math.ldexp(1.0, (math.frexp(c0)[1] - math.frexp(c2)[1]) // 2)
+        c1, c2, sigma = c1 * rho, c2 * rho * rho, sigma * rho
         size = max(abs(c0), abs(c1), abs(c2))
     scale = pow2_scale(size)
     roots = _quadratic_roots(c0 * scale, c1 * scale, c2 * scale)
-    real = [v for v in roots if 0.0 <= v < 1.0 / sigma]  # u = sigma v in [0, 1)
+    real = [sigma * v for v in roots if 0.0 <= sigma * v < 1.0]
     if not real:
         return None
-    return -2.0 / mu * math.log1p(-(sigma * min(real)))
+    return -2.0 / mu * math.log1p(-min(real))
 
 
 def _quadratic_roots(c0, c1, c2):

@@ -177,43 +177,24 @@ def swapped_finite_gain_params(alpha, beta, gamma, g):
     return alpha_t, gamma_t
 
 
-def product_scale(*coeffs):
-    """The power of two s that brings every coefficient below 2^448, 1 when
-    all already are or the largest is infinite. A product of two scaled
-    coefficients and a factor below 2^127 stays finite, and s^2 times a
-    constant of order 1 stays normal while the coefficients stay below
-    2^959: in between, scaling by s moves no bit."""
-    exponent = math.frexp(max(map(abs, coeffs)))[1]
-    return 1.0 if exponent <= 448 else math.ldexp(1.0, 448 - exponent)
-
-
-def half_fidelity_condition(alpha, beta, gamma, k, s=1.0):
+def half_fidelity_condition(alpha, beta, gamma, k):
     """2 num - den of fidelity_finite_gain, k0 - k1 alpha - k2 beta + k3 gamma
     + k (gamma^2 - alpha beta), which vanishes where the fidelity is 1/2.
     Polynomials in u are 3-tuples (channel.tmst_polys); the products are cut
-    at degree 2, which is exact in both geometries. k = 1/sqrt(g).
-
-    alpha, beta and gamma may come multiplied by a power of two s; the
-    condition then comes out multiplied through by s^2, with the same roots.
-    Where a product of two unscaled entries overflows, the condition is
-    formed again on the entries times s = product_scale.
+    at degree 2, which is exact in both geometries. k = 1/sqrt(g). The
+    products are ring operations, so on polynomials in v = u / sigma
+    (entries p_i sigma^i) the condition comes out in v as well.
     """
     (a0, a1, a2), (b0, b1, b2), (g0, g1, g2) = alpha, beta, gamma
     k0, k1, k2, k3 = 4.0 - k - 2.0 * k * k, 2.0 + k + 2.0 * k * k, 2.0 + k, 4.0 * (1.0 + k)
-    condition = (
-        k0 * s * s - s * (k1 * a0 + k2 * b0 - k3 * g0) + k * (g0 * g0 - a0 * b0),
-        k * (2.0 * (g0 * g1) - (a0 * b1 + a1 * b0)) - s * (k1 * a1 + k2 * b1 - k3 * g1),
-        k * (2.0 * (g0 * g2) + g1 * g1 - (a0 * b2 + a1 * b1 + a2 * b0))
-        - s * (k1 * a2 + k2 * b2 - k3 * g2))
-    if s == 1.0 and not math.isfinite(sum(condition)):
-        s = product_scale(*alpha, *beta, *gamma)
-        if s < 1.0:
-            return half_fidelity_condition(
-                *([s * x for x in poly] for poly in (alpha, beta, gamma)), k, s)
-    return condition
+    return (k0 - (k1 * a0 + k2 * b0 - k3 * g0) + k * (g0 * g0 - a0 * b0),
+            k * (2.0 * (g0 * g1) - (a0 * b1 + a1 * b0))
+            - (k1 * a1 + k2 * b1 - k3 * g1),
+            k * (2.0 * (g0 * g2) + g1 * g1 - (a0 * b2 + a1 * b1 + a2 * b0))
+            - (k1 * a2 + k2 * b2 - k3 * g2))
 
 
-def swap_condition(a, beta, gamma_sq, k, s=1.0):
+def swap_condition(a, beta, gamma_sq, k):
     """The F = 1/2 condition of the swapped resource, a quadratic q in u,
     positive where F > 1/2. Links with retained block a, lossy block B = beta
     and gamma^2 = g2 = gamma_sq (B, g2 linear in u) swap at the gain g = 1/k^2
@@ -222,25 +203,16 @@ def swap_condition(a, beta, gamma_sq, k, s=1.0):
     B >= 1, k >= 0 (the tests derive both). q = g2 (n + w B - k^2 g2) - m (B +
     k)(1 + k B), w = 2k (ak + k^2 + k + 2), m = a^2 k + 2ak^2 + 2ak + 4a + 2k^2
     + k - 4, n = ak^3 + ak + k^4 - k^3 + k^2 + 3k + 4; 4 (g2 - (a - 1) B) at k = 0.
-    As in half_fidelity_condition, B and g2 may come multiplied by a power
-    of two s, and q then comes out multiplied through by s^2; where a
-    product of two unscaled entries overflows, q is formed again at s =
-    product_scale.
+    As in half_fidelity_condition, B and g2 in v = u / sigma give q in v.
     """
     (b0, b1, _), (h0, h1, _) = beta, gamma_sq
     w = 2.0 * k * (a * k + k * k + k + 2.0)
     m = a * (a * k + 2.0 * k * k + 2.0 * k + 4.0) + 2.0 * k * k + k - 4.0
     n = a * k * (k * k + 1.0) + k ** 4 - k ** 3 + k * k + 3.0 * k + 4.0
-    v0, v1 = s * n + w * b0 - k * k * h0, w * b1 - k * k * h1  # n + w B - k^2 g2
-    condition = (h0 * v0 - m * ((b0 + s * k) * (s + k * b0)),
-                 h0 * v1 + h1 * v0 - m * (b1 * (s * (1.0 + k * k) + 2.0 * k * b0)),
-                 h1 * v1 - m * (k * b1 * b1))
-    if s == 1.0 and not math.isfinite(sum(condition)):
-        s = product_scale(*beta, *gamma_sq)
-        if s < 1.0:
-            return swap_condition(a, [s * x for x in beta], [s * x for x in gamma_sq],
-                                  k, s)
-    return condition
+    v0, v1 = n + w * b0 - k * k * h0, w * b1 - k * k * h1  # n + w B - k^2 g2
+    return (h0 * v0 - m * ((b0 + k) * (1.0 + k * b0)),
+            h0 * v1 + h1 * v0 - m * (b1 * (1.0 + k * k + 2.0 * k * b0)),
+            h1 * v1 - m * (k * b1 * b1))
 
 
 @dataclass(frozen=True)
@@ -309,34 +281,49 @@ class TeleportResource:
         return (1.0 + distill.heuristic_correction(*triple)) / root_det_standard(*triple)
 
     def _half_fidelity_poly(self):
-        """The F = 1/2 condition as a polynomial in u (channel.tmst_polys),
-        positive where F > 1/2, or None for a kind that marches.
+        """The F = 1/2 condition, positive where F > 1/2, as (condition,
+        sigma): a polynomial in v = u / sigma (channel.tmst_polys), or None
+        for a kind that marches.
 
         The symmetric kinds at g = inf have the symmetric reach (the tests
         derive it). An L/2 swap link shares t with a symmetric arm: its lossy
         block is the arm's alpha, and its gamma^2 = c^2 t is c times the arm's gamma.
+        The link polynomials enter in v, as (p0, sigma p1, sigma^2 p2), with
+        the power of two sigma that brings the lossy block's u entry ((e - a)
+        t0 or 2 (e - a) t0^2, the largest one) below 2^448: where 1 + 2 n_th
+        is huge, no product of two entries overflows. The constant term is
+        never scaled. The others are exact multiples of their u forms, but
+        for a sigma^2-scaled product of two source entries that falls
+        subnormal; it sits beside a product with the lossy entry, over
+        2^400 times larger for a source a below 2^48, and moves no bit.
         """
         if self.kind in ("tmst-sym", "2ps-prob-sym", "2ps-heur-sym"):
-            return channel_mod.sym_reach(self.r, self.n, self.n_th, self.eta_ant)
+            return channel_mod.sym_reach(self.r, self.n, self.n_th, self.eta_ant), 1.0
         if self.kind.startswith("2ps") or self.kind.endswith("-fg") and self.theta:
             return None
         k = math.sqrt(self.inv_gain) if self.kind.endswith("-fg") else 0.0
         swap = self.kind.startswith("swap")
         polys = channel_mod.tmst_polys(self.r, self.n, self.n_th, self.eta_ant,
                                        "sym" if swap else self.geometry)
+        if swap:
+            a, c, _ = channel_mod.source_terms(self.r, self.n, self.n_th)
+            polys = (polys[0], [c * x for x in polys[2]])
+        exponent = math.frexp(polys[0][1])[1]
+        sigma = 1.0 if exponent <= 448 else math.ldexp(1.0, 448 - exponent)
+        if sigma != 1.0:
+            polys = [(p0, p1 * sigma, p2 * sigma * sigma) for p0, p1, p2 in polys]
         if not swap:
-            return half_fidelity_condition(*polys, k)
-        a, c, _ = channel_mod.source_terms(self.r, self.n, self.n_th)
-        return swap_condition(a, polys[0], [c * x for x in polys[2]], k)
+            return half_fidelity_condition(*polys, k), sigma
+        return swap_condition(a, *polys, k), sigma
 
     def classical_limit_distance(self):
         """Distance (m) where the fidelity first crosses 1/2.
 
         All kinds but 2ps-*-asym and the -fg kinds at theta != 0 solve a
-        closed-form condition in u (channel.root_distance), whose constant
-        term has the sign of F - 1/2 at the source, of degree <= 2: linear for
-        the symmetric kinds at g = inf and swap (g2 - (a - 1) B), else quadratic.
-        The others march ROOT_GRID one float at a time to the first point
+        closed-form condition in v = u / sigma (channel.root_distance), whose
+        constant term has the sign of F - 1/2 at the source, of degree <= 2:
+        linear for the symmetric kinds at g = inf and swap (g2 - (a - 1) B),
+        else quadratic. The others march ROOT_GRID one float at a time to the first point
         where the fidelity is at most 1/2, and Anderson-Bjorck narrows that
         cell to ROOT_XTOL. Points beyond it, and inside earlier cells, are
         not evaluated: a second crossing within one cell is not seen.
@@ -344,7 +331,8 @@ class TeleportResource:
         ValueError when mu = 0, on a non-finite fidelity before the crossing,
         or when the root lies beyond MAX_DISTANCE.
         """
-        condition = self._half_fidelity_poly()
+        closed = self._half_fidelity_poly()
+        condition, sigma = (None, 1.0) if closed is None else closed
         excess = (self.fidelity(0.0) - CLASSICAL_FIDELITY if condition is None
                   else condition[0])
         if excess <= 0.0:  # at the source
@@ -362,7 +350,7 @@ class TeleportResource:
                     return anderson_bjorck(excess_at, a, b, f_a, f_b, ROOT_XTOL)
                 a, f_a = b, f_b
             raise ValueError(BEYOND_MAX)
-        length = channel_mod.root_distance(condition, self.mu)
+        length = channel_mod.root_distance(condition, self.mu, sigma)
         if length is None or length > MAX_DISTANCE:
             raise ValueError(BEYOND_MAX)
         return length

@@ -53,8 +53,8 @@ def test_sym_kinds_beat_half_exactly_where_alpha_minus_gamma_is_below_one(
 def test_swap_kinds_beat_half_exactly_where_the_swap_condition_is_positive(
         link, length, kind):
     res = resource(kind, link)
-    c0, c1, c2 = res._half_fidelity_poly()  # teleport.swap_condition
-    u = -math.expm1(-link["mu"] * length / 2.0)  # 1 - t / t0 of an L/2 link
+    (c0, c1, c2), sigma = res._half_fidelity_poly()  # teleport.swap_condition
+    u = -math.expm1(-link["mu"] * length / 2.0) / sigma  # 1 - t / t0 of an L/2 link
     value = c0 + u * (c1 + u * c2)
     excess = res.fidelity(length) - 0.5
     # rounding decides a near tie

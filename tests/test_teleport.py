@@ -372,26 +372,29 @@ class TestClassicalLimitRoots:
             checked += 1
         assert checked >= 20
 
+    @pytest.mark.parametrize("n_th", [1e160, 1e290, 1e300, 1e307])
     @pytest.mark.parametrize("kind", ["tmst-asym", "tmst-asym-fg", "tmst-sym-fg",
-                                      "swap-fg"])
-    def test_huge_thermal_occupation_gives_the_root_or_raises(self, kind):
+                                      "swap", "swap-fg"])
+    def test_huge_thermal_occupation_gives_the_root(self, kind, n_th):
         """At n_th = 1e160, c1^2 of the condition overflows unscaled, and the
         tmst-sym-fg and swap-fg c2 are products of two link entries near
-        2e160; every kind must give its root all the same. The root lies
-        near 1e-154 m, where only an expm1-built reflectivity keeps its
+        2e160; from 1e290 a power-of-two scaling of the whole condition
+        would flush its constant term, and at 1e307 swap's m b1 overflows.
+        Every kind must give its root all the same. The root lies near
+        5e5 / n_th m, where only an expm1-built reflectivity keeps its
         digits: the reference root of F - 1/2 is taken on triples restated
         with expm1, and a root of the library's own fidelity must agree
         with it."""
         from scipy.optimize import brentq
 
-        res = resource(kind, n_th=1e160, inv_gain=0.008)
+        res = resource(kind, n_th=n_th, inv_gain=0.008)
         length = res.classical_limit_distance()
         scale = 1.0 + 2.0 * res.n
         a, c = scale * math.cosh(2.0 * res.r), scale * math.sinh(2.0 * res.r)
         gain = 1.0 / res.inv_gain if kind.endswith("-fg") else math.inf
 
         def excess(ll):  # eta_ant = 0
-            if kind == "swap-fg":  # two asymmetric links of length L/2
+            if kind.startswith("swap"):  # two asymmetric links of length L/2
                 x = res.mu * ll / 2.0
                 lossy = a + (1.0 + 2.0 * res.n_th - a) * -math.expm1(-x)
                 a_t, g_t = swapped_finite_gain_params(a, lossy, c * math.exp(-x / 2.0),
@@ -402,10 +405,12 @@ class TestClassicalLimitRoots:
             if res.geometry == "sym":
                 return fidelity_finite_gain(alpha, alpha, c * math.exp(-x), gain) - 0.5
             return fidelity_finite_gain(alpha, a, c * math.exp(-x / 2.0), gain) - 0.5
-        assert length == pytest.approx(brentq(excess, 0.0, 1e-140, xtol=1e-300),
+        # brentq stops at xtol + 4 eps |root|: the relative term decides
+        high, tiny = 1e20 / n_th, math.ulp(0.0)
+        assert length == pytest.approx(brentq(excess, 0.0, high, xtol=tiny),
                                        rel=1e-9, abs=0.0)
         assert length == pytest.approx(
-            brentq(lambda ll: res.fidelity(ll) - 0.5, 0.0, 1e-140, xtol=1e-300),
+            brentq(lambda ll: res.fidelity(ll) - 0.5, 0.0, high, xtol=tiny),
             rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("kind", TeleportResource.KINDS)
@@ -610,14 +615,14 @@ class TestGridBracket:
             resource("2ps-prob-asym").mu = -1.0
 
 
-def mp_root_distance(condition, mu):
+def mp_root_distance(condition, mu, sigma=1.0):
     """channel.root_distance of the same float coefficients, at 60 digits."""
     mp = pytest.importorskip("mpmath").mp
     with mp.workdps(60):
         coeffs = [mp.mpf(float(c)) for c in np.trim_zeros(condition, "b")]
         roots = mp.polyroots(coeffs[::-1], maxsteps=200, extraprec=200)
-        u = min(mp.re(x) for x in roots
-                if abs(mp.im(x)) < mp.mpf(10) ** -40 and 0 <= mp.re(x) < 1)
+        u = min(sigma * mp.re(x) for x in roots
+                if abs(mp.im(x)) < mp.mpf(10) ** -40 and 0 <= sigma * mp.re(x) < 1)
         return float(-2 / mp.mpf(mu) * mp.log1p(-u))
 
 
@@ -630,9 +635,9 @@ class TestSixtyDigitRoots:
         conditions = []
         solve = channel.root_distance
 
-        def spy(condition, mu):
-            conditions.append((condition, mu))
-            return solve(condition, mu)
+        def spy(condition, mu, sigma=1.0):
+            conditions.append((condition, mu, sigma))
+            return solve(condition, mu, sigma)
         monkeypatch.setattr(channel, "root_distance", spy)
         for p in [{}] + list(bench_link_draws(10, seed=14)):
             if bound.startswith("l_max"):
@@ -671,7 +676,8 @@ class TestCoefficientArrayRoute:
         conditions = []
         solve = channel.root_distance
 
-        def spy(condition, mu):
+        def spy(condition, mu, sigma=1.0):
+            assert sigma == 1.0  # the array route is in u: no entry needs scaling
             conditions.append(condition)
             return solve(condition, mu)
         with monkeypatch.context() as patch:
@@ -896,8 +902,8 @@ class TestSwapConditionIdentity:
                 a, c, k, b0, b1, h0, h1 = exact
                 expected = sp.Poly(swap_condition_restated(
                     a, b0 + b1 * u, c * (h0 + h1 * u), k), u).all_coeffs()[::-1]
-                condition = res._half_fidelity_poly()
-                assert len(condition) == 3
+                condition, sigma = res._half_fidelity_poly()
+                assert sigma == 1.0 and len(condition) == 3
                 for got, want in zip(condition, expected + [0] * 3):
                     assert got == pytest.approx(float(want), rel=1e-12, abs=1e-300)
 
