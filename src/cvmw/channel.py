@@ -180,14 +180,14 @@ def l_max(ch, r, n, geometry="asym"):
     """Maximum distance (m) before the distributed entanglement vanishes.
 
     The first root of nu_minus = 1 on the standard-form polynomials
-    (tmst_polys), each positive where nu_minus < 1: 1 + gamma - alpha in the
-    symmetric geometry (sym_reach), linear in u, and gamma^2 - (alpha - 1)
-    (beta - 1) in the asymmetric one, a quadratic, the factor of 1 - (alpha^2
-    + beta^2 + 2 gamma^2) + (alpha beta - gamma^2)^2 that vanishes; the other
-    factor, (alpha + 1)(beta + 1) - gamma^2, is positive for every physical
-    state. Returns 0 when the source is not entangled; raises ValueError
-    when the bound is never reached: mu = 0, or no thermal noise to end the
-    entanglement.
+    (tmst_polys). nu_minus = |D| / nu_plus with D = alpha beta - gamma^2 > 0
+    and nu_plus = (alpha + beta)/2 + hypot((alpha - beta)/2, gamma)
+    (entanglement.nu_minus_standard), so nu_minus = 1 iff D = alpha + beta - 1
+    iff (alpha - 1)(beta - 1) = gamma^2, and nu_minus < 1 where gamma^2 -
+    (alpha - 1)(beta - 1) > 0: a quadratic in u (asym), and 1 + gamma - alpha,
+    linear in u, where alpha = beta (sym, sym_reach). Returns 0 when the
+    source is not entangled; raises ValueError when the bound is never
+    reached: mu = 0, or no thermal noise to end the entanglement.
     """
     if geometry == "sym":
         condition = sym_reach(r, n, ch.n_th_env, ch.eta_ant)

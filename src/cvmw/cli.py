@@ -61,7 +61,7 @@ def _write(text, args):
 
 
 def _report(args, note, **body):
-    return dict({"command": " ".join(sys.argv[1:]),
+    return dict({"command": " ".join(args.argv),
                  "parameters": {k: args.params[k] for k in sorted(args.params)},
                  "provenance": note}, **body)
 
@@ -382,7 +382,8 @@ def _cmd_state(args):
     if args.kind not in STATES:
         raise ValueError("unknown state kind %r" % args.kind)
     state = STATES[args.kind](args.params)
-    state.validate()
+    if state.sigma.flags.writeable:  # built unchecked: validate() makes it read-only
+        state.validate()
     _write(state.to_json() + "\n", args)
     return 0
 
@@ -405,7 +406,8 @@ def _anchors(p):
 
     add("reach_asym_m", channel.l_max(ch0, p["r"], p["n"], "asym"), 550.0, 5.0)
     add("reach_sym_m", channel.l_max(ch0, p["r"], p["n"], "sym"), 480.0, 5.0)
-    add("classical_limit_asym_m", limit("tmst-asym"), 479.0, 1.0)
+    bare_limit = limit("tmst-asym")
+    add("classical_limit_asym_m", bare_limit, 479.0, 1.0)
     add("classical_limit_sym_m", limit("tmst-sym"), 479.0, 1.0)
     add("classical_limit_fg_asym_m", limit("tmst-asym-fg"), 434.0, 1.0)
     add("classical_limit_fg_sym_m", limit("tmst-sym-fg"), 429.0, 1.0)
@@ -421,7 +423,6 @@ def _anchors(p):
         else:
             fail("distill_gain_%s_pct" % name, target, 1.0,
                  "the symmetric source state is not entangled")
-    bare_limit = limit("tmst-asym")
     if bare_limit > 0.0:
         add("swap_reach_extension_pct",
             100.0 * (limit("swap") / bare_limit - 1.0), 14.0, 1.0)
@@ -515,6 +516,7 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        args.argv = sys.argv[1:] if argv is None else list(argv)
         allowed = COMMANDS.get(args.command, {}).get("sweeps", ())
         if args.sweep and args.sweep[0] not in allowed:
             parser.error("%s cannot sweep %s" % (args.command, args.sweep[0]))

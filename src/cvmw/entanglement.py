@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .core import GaussianState, SIGMA_Z, any_true, pow2_scale
+from .core import GaussianState, SIGMA_Z, pow2_scale
 
 
 class BipartiteCM:
@@ -86,24 +86,19 @@ def nu_minus_standard(alpha, beta, gamma):
     """nu_minus of the standard-form matrix (alpha I, beta I, gamma sigma_z),
     elementwise over arrays.
 
-    The same invariants as pts_eigenvalues: Delta = alpha^2 + beta^2 +
-    2 gamma^2 and det Sigma = D^2 with D = alpha beta - gamma^2, and
-    nu_minus = |D| sqrt(2 / (Delta + sqrt(Delta^2 - 4 D^2))). nu_minus is
-    homogeneous of degree 1, so the entries are scaled by the power of two
-    s = pow2_scale(alpha + beta), which is exact, and the result divided by
-    it: the squares stay finite where the entries pass 1e154. D is never
-    squared on the way to nu_minus: where beta / alpha falls below 1e-154,
-    D^2 of the scaled entries underflows, but D does not.
+    nu_minus nu_plus = sqrt(det Sigma) = |D| with D = alpha beta - gamma^2,
+    and the larger eigenvalue nu_plus = (alpha + beta)/2 + hypot((alpha -
+    beta)/2, gamma) is a sum, so nu_minus = |D| / nu_plus subtracts nothing
+    but D. nu_minus is homogeneous of degree 1, so the entries are scaled by
+    the power of two s = pow2_scale(alpha + beta), which is exact, and the
+    result divided by it: alpha beta stays finite where the entries pass
+    1e154. D is never squared: where beta / alpha falls below 1e-154, D^2 of
+    the scaled entries would underflow, but D does not.
     """
     s = pow2_scale(alpha + beta)
     alpha, beta, gamma = alpha * s, beta * s, gamma * s
-    delta = alpha ** 2 + beta ** 2 + 2.0 * gamma ** 2
-    root_det = np.abs(alpha * beta - gamma ** 2)
-    disc = delta ** 2 - 4.0 * root_det ** 2
-    # disc < -1e-9 max(1, Delta^2) of the unscaled entries, times s^4
-    if any_true(disc < -1e-9 * np.maximum(s ** 4, delta ** 2)):
-        raise ValueError("complex branch: input is not a valid covariance matrix")
-    return root_det * np.sqrt(2.0 / (delta + np.sqrt(np.maximum(disc, 0.0)))) / s
+    nu_plus = 0.5 * (alpha + beta) + np.hypot(0.5 * (alpha - beta), gamma)
+    return np.abs(alpha * beta - gamma ** 2) / nu_plus / s
 
 
 def negativity_from_nu(nu_minus):
@@ -134,7 +129,7 @@ def cm_validity(alpha, beta, gamma):
     Returns (theta, valid) with theta = |sqrt(det Sigma) - 1| - |alpha - beta|;
     theta is -inf, and valid False, where alpha < 1 or beta < 1.
     """
-    det_s = (alpha * beta - gamma ** 2) ** 2
+    root_det = np.abs(alpha * beta - gamma ** 2)
     theta = np.where((alpha < 1.0) | (beta < 1.0), -np.inf,
-                     np.abs(np.sqrt(det_s) - 1.0) - np.abs(alpha - beta))[()]
+                     np.abs(root_det - 1.0) - np.abs(alpha - beta))[()]
     return theta, theta >= -1e-10

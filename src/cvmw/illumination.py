@@ -54,11 +54,10 @@ def qi_probe(n_s, n_th):
 
 
 def probe_nu_minus(n_s, n_th):
-    """Smaller PT symplectic eigenvalue of the signal-idler block, closed form."""
-    root = np.sqrt(4.0 * n_s * (n_s + 1.0) + n_th ** 2)
-    val = (8.0 * n_s ** 2 - 2.0 * (2.0 * n_s + n_th + 1.0) * root
-           + 4.0 * n_s * n_th + 8.0 * n_s + 2.0 * n_th ** 2 + 2.0 * n_th + 1.0)
-    return np.sqrt(val)
+    """Smaller PT symplectic eigenvalue of the signal-idler block: its exact
+    D = 1 + 2 n_th (1 + 2 n_s) over the larger eigenvalue (nu_minus_standard)."""
+    return ((1.0 + 2.0 * n_th * (1.0 + 2.0 * n_s))
+            / (1.0 + 2.0 * n_s + n_th + np.sqrt(n_th ** 2 + 4.0 * n_s * (1.0 + n_s))))
 
 
 def received_params(params):

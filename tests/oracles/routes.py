@@ -3,6 +3,7 @@ built from their definitions instead of the library's closed forms."""
 
 import math
 
+import mpmath
 import numpy as np
 from numpy.polynomial import Polynomial
 
@@ -116,6 +117,31 @@ def two_mode_symplectic_eigenvalues(sigma):
     root = np.sqrt(max(tr_a2 ** 2 - 16.0 * np.linalg.det(sigma), 0.0))
     return np.array([np.sqrt(max((tr_a2 - root) / 4.0, 0.0)),
                      np.sqrt((tr_a2 + root) / 4.0)])
+
+
+def nu_minus_mp(alpha, beta, gamma, dps=60):
+    """nu_minus of the standard-form matrix (alpha I, beta I, gamma sigma_z)
+    at dps digits, from the invariants of its partial transpose:
+    Delta = alpha^2 + beta^2 + 2 gamma^2 and det Sigma = D^2 with
+    D = alpha beta - gamma^2 give nu_minus^2 = 2 D^2 / (Delta + sqrt(Delta^2
+    - 4 D^2)), the smaller root of nu^4 - Delta nu^2 + D^2. The entries may
+    be floats or mpf; the result is the float nearest the dps-digit value."""
+    with mpmath.workdps(dps):
+        a, b, c = (mpmath.mpf(x) for x in (alpha, beta, gamma))
+        delta, det = a * a + b * b + 2 * c * c, (a * b - c * c) ** 2
+        root = mpmath.sqrt(max(delta * delta - 4 * det, 0))
+        return float(mpmath.sqrt(2 * det / (delta + root)))
+
+
+def probe_nu_minus_mp(n_s, n_th, dps=60):
+    """nu_minus of illumination.qi_probe's signal-idler block at dps digits:
+    the block's triple (1 + 2 n_s + 2 n_th, 1 + 2 n_s, 2 sqrt(n_s (1 + n_s)))
+    is formed at that precision, not read from the float matrix, and handed
+    to nu_minus_mp."""
+    with mpmath.workdps(dps):
+        n_s, n_th = mpmath.mpf(n_s), mpmath.mpf(n_th)
+        return nu_minus_mp(1 + 2 * n_s + 2 * n_th, 1 + 2 * n_s,
+                           2 * mpmath.sqrt(n_s * (1 + n_s)), dps)
 
 
 def illinois(f, a, b, f_a, f_b, xtol):

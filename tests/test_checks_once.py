@@ -3,10 +3,13 @@ exactly once: a validation is a Cholesky factorization and one symplectic
 spectrum, a channel check one AirChannel. The QFIs check their standard-form
 states in closed form and validate no matrix."""
 
+import collections
+import os
+
 import numpy as np
 import pytest
 
-from cvmw import bifreq, channel, core, estimation, illumination, teleport
+from cvmw import bifreq, channel, cli, core, estimation, illumination, teleport
 
 
 @pytest.fixture
@@ -58,3 +61,25 @@ def test_2ps_classical_limit(checks, kind):
     teleport.TeleportResource(kind, p["r"], p["n"], p["mu"], p["n_th"],
                               p["eta_ant"], p["tau"]).classical_limit_distance()
     assert_each_once(checks, 0, 1)
+
+
+@pytest.mark.parametrize("kind,channels", [("lossy-tmst-asym", 1), ("lossy-tmst-sym", 1),
+                                           ("qi-probe", 0), ("bifreq-probe", 0),
+                                           ("tmst", 0)])
+def test_state_command(checks, kind, channels):
+    # a state built checked is not validated again before it is printed
+    assert cli.main(["state", "--kind", kind, "--out", os.devnull]) == 0
+    assert_each_once(checks, 1, channels)
+
+
+def test_summary_solves_each_classical_limit_once(monkeypatch):
+    kinds = collections.Counter()
+    solve = teleport.TeleportResource.classical_limit_distance
+
+    def counted(resource):
+        kinds[resource.kind] += 1
+        return solve(resource)
+
+    monkeypatch.setattr(teleport.TeleportResource, "classical_limit_distance", counted)
+    assert cli.main(["summary", "--out", os.devnull]) == 0
+    assert set(kinds.values()) == {1}, kinds

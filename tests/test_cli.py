@@ -6,12 +6,14 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import cvmw
 from cvmw import channel, cli, core, teleport
+from tests.oracles.routes import probe_nu_minus_mp
 
 # the CLI subprocess imports the same cvmw as the tests, installed or not
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cvmw.__file__)))
@@ -393,11 +395,12 @@ def test_huge_thermal_occupation_stays_finite_without_a_warning(kind):
 
 @pytest.mark.parametrize("n_th", ["1e160", "1e200", "1e300"])
 def test_channel_at_huge_thermal_occupation_is_finite_without_a_warning(n_th):
-    """nu_minus_standard scales the entries by a power of two before it
-    squares them, so no cell overflows to NaN where they pass 1e154, and it
-    never squares alpha beta - gamma^2, which of the scaled asymmetric
-    entries is about beta / alpha: its square would underflow to 0 and
-    report the separable state as infinitely entangled."""
+    """nu_minus_standard takes |D| over the larger eigenvalue, both of the
+    entries scaled by a power of two, so alpha beta does not overflow to NaN
+    where the entries pass 1e154, and it never squares D = alpha beta -
+    gamma^2, which of the scaled asymmetric entries is about beta / alpha:
+    its square would underflow to 0 and report the separable state as
+    infinitely entangled."""
     proc = subprocess.run([sys.executable, "-W", "error", "-m", "cvmw.cli", "channel",
                            "--set", "n_th=" + n_th, "--sweep", "L", "0", "10", "2"],
                           capture_output=True, text=True, env=ENV)
@@ -573,6 +576,31 @@ class TestOtherCommands:
         for row in parse_csv(out):
             assert float(row["gain"]) >= 1.0
 
+    def test_default_illum_probe_sits_on_the_separability_boundary(self, capsys):
+        """At n_th_bath = 1 the probe's nu_minus is exactly 1; no row may
+        round it below 1 and report entanglement."""
+        assert cli.main(["illum"]) == 0
+        rows = parse_csv(capsys.readouterr().out)
+        assert len(rows) == 100
+        assert all(float(row["log_neg"]) == 0.0 for row in rows)
+
+    def test_illum_at_a_cold_bath_and_huge_signal_is_finite(self, capsys):
+        """D over the larger eigenvalue subtracts nothing: no NaN and no raw
+        warning at n_s = 5e5, and nu_minus holds its digits at n_s = 1e6."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["illum", "--set", "n_th_bath=1e-3",
+                             "--sweep", "n_s", "1", "1e6", "3"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        rows = parse_csv(out)
+        assert len(rows) == 3
+        for row in rows:
+            assert all(np.isfinite(float(cell)) for cell in row.values()), row
+            assert float(row["log_neg"]) > 0.0
+            assert float(row["nu_minus"]) == pytest.approx(
+                probe_nu_minus_mp(float(row["n_s"]), 1e-3), rel=1e-14, abs=0.0)
+
     def test_channel_sweep_matches_library(self):
         _, out, _ = run_cli("channel", "--sweep", "L", "0", "500", "6")
         from cvmw import channel as chmod
@@ -623,6 +651,16 @@ class TestOtherCommands:
 
 
 class TestJsonOutput:
+    def test_report_names_the_argv_main_parsed(self, monkeypatch, capsys):
+        # a host process's own argv is not the command
+        monkeypatch.setattr(sys, "argv", ["host", "--its-own", "flags"])
+        argv = ["channel", "--sweep", "L", "0", "10", "2", "--format", "json"]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["command"] == " ".join(argv)
+        monkeypatch.setattr(sys, "argv", ["cvmw", "summary", "--set", "r=1"])
+        cli.main()
+        assert json.loads(capsys.readouterr().out)["command"] == "summary --set r=1"
+
     @pytest.mark.parametrize("argv", [[name, "--format", "json"] for name in cli.COMMANDS]
                              + [["qfi", "--family", "bifreq", "--format", "json"],
                                 ["summary"], ["state", "--kind", "tmst"]],

@@ -3,7 +3,9 @@ import pytest
 
 from cvmw import channel, core, distill, fock, illumination, teleport
 from cvmw.entanglement import (BipartiteCM, cm_validity, log_negativity,
-                               log_negativity_from_nu, negativity, pts_eigenvalues)
+                               log_negativity_from_nu, negativity, nu_minus_standard,
+                               pts_eigenvalues)
+from tests.oracles.routes import nu_minus_mp
 
 
 class TestPtsEigenvalues:
@@ -36,6 +38,47 @@ class TestPtsEigenvalues:
                 nu_minus, _ = pts_eigenvalues(BipartiteCM.from_state(block))
                 assert nu_minus == pytest.approx(
                     illumination.probe_nu_minus(n_s, n_th), abs=1e-12)
+
+
+def seeded_link_triples(seed=27, count=1000):
+    """{name: (alpha, beta, gamma) arrays} of seeded lossy links: both
+    geometries, their probabilistic and heuristic re-Gaussified triples as
+    the distill table forms them, and the swapped triple of two L/2 links."""
+    rng = np.random.default_rng(seed)
+    links = list(zip(10 ** rng.uniform(-6, -3, count), rng.uniform(0, 1000, count),
+                     10 ** rng.uniform(-2, 4, count), rng.uniform(0, 1, count),
+                     rng.uniform(0, 2.5, count), rng.uniform(0, 0.5, count)))
+
+    def triple(geometry, half=False):
+        return tuple(map(np.array, zip(*(channel.tmst_params(
+            mu, length / 2 if half else length, *rest, geometry)
+            for mu, length, *rest in links))))
+
+    out = {}
+    for geometry in ("asym", "sym"):
+        bare = out[geometry] = triple(geometry)
+        tilde = distill.ps2_standard_form(*bare, channel.TABLE1["tau"])[:3]
+        for tag, source in (("prob", tilde), ("heur", bare)):
+            out["%s-rg-%s" % (geometry, tag)] = teleport.regaussify_standard(
+                *source, distill.heuristic_correction(*source), geometry)
+    lossy, kept, gamma = triple("asym", half=True)
+    alpha_t, gamma_t = teleport.swapped_finite_gain_params(kept, lossy, gamma, np.inf)
+    out["swap"] = (alpha_t, alpha_t, gamma_t)
+    return out
+
+
+class TestNuMinusStandard:
+    @pytest.mark.parametrize("name", ["asym", "sym", "asym-rg-prob", "asym-rg-heur",
+                                      "sym-rg-prob", "sym-rg-heur", "swap"])
+    def test_seeded_links_match_60_digits(self, name):
+        """|D| over the larger eigenvalue loses only what D = alpha beta -
+        gamma^2 loses to rounding; the discriminant form also lost digits
+        where nu_minus nears nu_plus (2e-9 on the symmetric re-Gaussified
+        links)."""
+        alpha, beta, gamma = np.broadcast_arrays(*seeded_link_triples()[name])
+        got = nu_minus_standard(alpha, beta, gamma)
+        want = np.array([nu_minus_mp(*t) for t in zip(alpha, beta, gamma)])
+        np.testing.assert_allclose(got, want, rtol=1e-11, atol=0.0)
 
 
 class TestNegativity:

@@ -5,7 +5,8 @@ from cvmw import core, illumination
 from cvmw.entanglement import BipartiteCM, pts_eigenvalues
 from cvmw.estimation import RegularizationError, gaussian_qfi
 from cvmw.illumination import QiParams, eta_eff, gain, h_c, h_q, qi_probe, qi_received
-from tests.oracles.routes import eta_eff_iterated, qi_received_constructive
+from tests.oracles.routes import (eta_eff_iterated, probe_nu_minus_mp,
+                                  qi_received_constructive)
 
 
 class TestEtaEff:
@@ -54,6 +55,21 @@ class TestProbe:
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):
             qi_probe(-0.1, 0.0)
+
+    def test_nu_minus_matches_60_digits(self):
+        """D = 1 + 2 n_th (1 + 2 n_s) over the larger eigenvalue: no
+        difference of two large numbers, so no NaN at large n_s."""
+        n_s, n_th = np.meshgrid(np.geomspace(1e-4, 1e8, 49), np.geomspace(1e-4, 1e6, 41))
+        got = illumination.probe_nu_minus(n_s, n_th)
+        want = np.vectorize(probe_nu_minus_mp)(n_s, n_th)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    def test_nu_minus_at_unit_bath_is_one_to_an_ulp(self):
+        """At n_th = 1, D = 3 + 4 n_s equals the larger eigenvalue: the probe
+        sits on the separability boundary for every n_s."""
+        for n_s in (np.linspace(0.01, 5.0, 100), np.geomspace(1e-4, 1e8, 1001)):
+            nu = illumination.probe_nu_minus(n_s, 1.0)
+            assert np.abs(nu - 1.0).max() <= np.spacing(1.0)
 
 
 class TestReceived:

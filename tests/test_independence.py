@@ -33,6 +33,10 @@ CHECKS = {
         "success_probability_series": {"cvmw.distill.PsTmsv.success_probability",
                                        "cvmw.distill.hyp2f1_k"},
         "two_mode_symplectic_eigenvalues": {"cvmw.core.symplectic_eigenvalues"},
+        "nu_minus_mp": {"cvmw.entanglement.nu_minus_standard",
+                        "cvmw.illumination.probe_nu_minus"},
+        "probe_nu_minus_mp": {"cvmw.illumination.probe_nu_minus",
+                              "cvmw.entanglement.nu_minus_standard"},
         "illinois": {"cvmw.teleport.anderson_bjorck"},
         "classical_limit_full_bracket": {
             "cvmw.teleport.TeleportResource.classical_limit_distance",
