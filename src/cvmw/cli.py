@@ -30,8 +30,10 @@ class SweepSpec:
     log: bool = False
 
     def __post_init__(self):
-        if self.count < 2:
-            raise ValueError("sweep count must be at least 2")
+        if not (self.count >= 2 and float(self.count).is_integer()):
+            raise ValueError("sweep count must be a whole number of at least 2, "
+                             "got %g" % self.count)
+        self.count = int(self.count)
         if not np.isfinite([self.start, self.stop]).all():
             raise ValueError("sweep bounds must be finite")
         if not self.start < self.stop:
@@ -105,18 +107,24 @@ PARAMS = {
     "n_signal": (0.0, "[0, inf)", "bi-frequency input thermal photons"),
     "w0": (5.0, "(0, inf)", "initial beam spot size, m"),
     "a_r": (None, "(0, inf)", "receiver aperture radius, m; 2 w0 if unset"),
-    "n_modes": (1, "[1, inf)", "modes of the vacuum and thermal states"),
+    "n_modes": (1, "{1,...,100}", "modes of the vacuum and thermal states"),
     "alpha_re": (0.0, "(-inf, inf)", "coherent amplitude, real part"),
     "alpha_im": (0.0, "(-inf, inf)", "coherent amplitude, imaginary part"),
 }
 
 
 def _check(key, value):
-    """Raise ValueError unless value lies in the key's domain; NaN never does."""
+    """Raise ValueError unless value lies in the key's domain, an interval or
+    the whole numbers {lo,...,hi}; NaN never does."""
     domain = PARAMS[key][1]
-    lo, hi = (float(end) for end in domain[1:-1].split(","))
-    if not ((lo <= value if domain[0] == "[" else lo < value)
-            and (value <= hi if domain[-1] == "]" else value < hi)):
+    ends = domain[1:-1].split(",")
+    lo, hi = float(ends[0]), float(ends[-1])
+    if domain[0] == "{":
+        inside = lo <= value <= hi and float(value).is_integer()
+    else:
+        inside = ((lo <= value if domain[0] == "[" else lo < value)
+                  and (value <= hi if domain[-1] == "]" else value < hi))
+    if not inside:
         raise ValueError("%s = %g lies outside its domain %s" % (key, value, domain))
 
 
@@ -341,9 +349,7 @@ def _cmd_table(args):
     spec = entry["default"]
     var = args.sweep[0] if args.sweep else spec and spec.variable
     if args.sweep:
-        _, start, stop, count = args.sweep
-        spec = SweepSpec(entry["sweeps"][var], float(start), float(stop),
-                         int(float(count)), log=args.log)
+        spec = SweepSpec(entry["sweeps"][var], *args.sweep[1:], log=args.log)
     x = dict(args.params)
     if spec:
         if spec.variable in PARAMS:  # a monotone grid: its ends bound it
@@ -361,7 +367,7 @@ def _cmd_table(args):
 
 def _lossy_tmst_state(p, geometry):
     ch = channel.AirChannel(p["mu"], p["L"], p["n_th"], p["eta_ant"])
-    return channel.lossy_tmst(ch, p["r"], p["n"], geometry).to_state()
+    return channel.lossy_tmst(ch, p["r"], p["n"], geometry)
 
 
 STATES = {
@@ -379,8 +385,6 @@ STATES = {
 
 
 def _cmd_state(args):
-    if args.kind not in STATES:
-        raise ValueError("unknown state kind %r" % args.kind)
     state = STATES[args.kind](args.params)
     if state.sigma.flags.writeable:  # built unchecked: validate() makes it read-only
         state.validate()
@@ -459,7 +463,7 @@ def _cmd_summary(args):
 # subcommand -> its own option, added ahead of the common ones; a table
 # function finds its value under the option's name
 OPTIONS = {
-    "state": ("kind", {"required": True}),
+    "state": ("kind", {"required": True, "choices": tuple(STATES)}),
     "qfi": ("family", {"default": "illum", "choices": tuple(QFI_FAMILIES)}),
     "teleport": ("resource", {"default": "tmst-asym",
                               "choices": teleport.TeleportResource.KINDS}),
@@ -517,9 +521,16 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         args.argv = sys.argv[1:] if argv is None else list(argv)
-        allowed = COMMANDS.get(args.command, {}).get("sweeps", ())
-        if args.sweep and args.sweep[0] not in allowed:
-            parser.error("%s cannot sweep %s" % (args.command, args.sweep[0]))
+        if args.sweep:  # only the subcommands with sweep variables have --sweep
+            if args.sweep[0] not in COMMANDS[args.command]["sweeps"]:
+                parser.error("%s cannot sweep %s" % (args.command, args.sweep[0]))
+            try:
+                args.sweep[1:] = map(float, args.sweep[1:])
+            except ValueError:
+                parser.error("--sweep START STOP COUNT must be numbers, got %s"
+                             % " ".join(args.sweep[1:]))
+        elif getattr(args, "log", False):
+            parser.error("--log needs --sweep")
         args.params = _resolve_params(args, parser.error)
         return args.func(args)
     except SystemExit as exc:

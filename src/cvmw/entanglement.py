@@ -5,22 +5,17 @@ import numpy as np
 from .core import GaussianState, SIGMA_Z, pow2_scale
 
 
-class BipartiteCM:
-    """Two-mode covariance matrix in submatrix form (Sigma_A, Sigma_B, eps_AB);
-    built with check=True, immutable, and to_state() is its validated state."""
+class BipartiteCM(GaussianState):
+    """Zero-mean two-mode GaussianState read in submatrix form (Sigma_A,
+    Sigma_B, eps_AB): the blocks are views of Sigma, read-only once valid."""
 
     def __init__(self, sigma_a, sigma_b, eps, check=True):
-        self.sigma_a = np.array(sigma_a, dtype=float)
-        self.sigma_b = np.array(sigma_b, dtype=float)
-        self.eps = np.array(eps, dtype=float)
-        blocks = (self.sigma_a, self.sigma_b, self.eps)
+        blocks = [np.asarray(m, dtype=float) for m in (sigma_a, sigma_b, eps)]
         if any(m.shape != (2, 2) for m in blocks):
             raise ValueError("submatrices must be 2x2")
-        self._state = None
-        if check:
-            self._state = GaussianState(np.zeros(4), self.matrix)
-            for m in blocks:
-                m.flags.writeable = False
+        sigma_a, sigma_b, eps = blocks
+        super().__init__(np.zeros(4), np.block([[sigma_a, eps], [eps.T, sigma_b]]),
+                         check=check)
 
     @classmethod
     def standard_form(cls, alpha, beta, gamma, check=True):
@@ -40,26 +35,20 @@ class BipartiteCM:
             raise ValueError("expected a two-mode state")
         return cls.from_matrix(state.sigma, check=check)
 
-    @property
-    def matrix(self):
-        out = np.zeros((4, 4))
-        out[:2, :2] = self.sigma_a
-        out[2:, 2:] = self.sigma_b
-        out[:2, 2:] = self.eps
-        out[2:, :2] = self.eps.T
-        return out
+    sigma_a = property(lambda self: self.sigma[:2, :2])
+    sigma_b = property(lambda self: self.sigma[2:, 2:])
+    eps = property(lambda self: self.sigma[:2, 2:])
+    matrix = property(lambda self: self.sigma.copy())
 
     def to_state(self):
-        return self._state or GaussianState(np.zeros(4), self.matrix)
+        """The CM itself once validated, else a validated copy."""
+        return self if self._nu is not None else GaussianState(self.d, self.sigma)
 
-    def standard_params(self, tol=1e-10):
+    def standard_params(self):
         """(alpha, beta, gamma) if the CM is in standard form, else ValueError."""
-        alpha = self.sigma_a[0, 0]
-        beta = self.sigma_b[0, 0]
-        gamma = self.eps[0, 0]
-        if (np.max(np.abs(self.sigma_a - alpha * np.eye(2))) > tol
-                or np.max(np.abs(self.sigma_b - beta * np.eye(2))) > tol
-                or np.max(np.abs(self.eps - gamma * SIGMA_Z)) > tol):
+        alpha, beta, gamma = self.sigma[0, 0], self.sigma[2, 2], self.sigma[0, 2]
+        if np.max(np.abs(self.sigma - self.standard_form(
+                alpha, beta, gamma, check=False).sigma)) > 1e-10:
             raise ValueError("covariance matrix is not in standard form")
         return alpha, beta, gamma
 
@@ -69,7 +58,7 @@ def pts_eigenvalues(cm):
     det_a = np.linalg.det(cm.sigma_a)
     det_b = np.linalg.det(cm.sigma_b)
     det_e = np.linalg.det(cm.eps)
-    det_s = np.linalg.det(cm.matrix)
+    det_s = np.linalg.det(cm.sigma)
     delta = det_a + det_b - 2.0 * det_e
     disc = delta ** 2 - 4.0 * det_s
     if disc < -1e-9 * max(1.0, delta ** 2):

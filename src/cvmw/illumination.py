@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianState, SIGMA_Z, all_true, any_true, sqrt, to_float
+from .core import GaussianState, SIGMA_Z, all_true, any_true, sqrt, to_float, where
 from .entanglement import BipartiteCM
 from .estimation import GaussianFamily, RegularizationError
 
@@ -55,9 +55,18 @@ def qi_probe(n_s, n_th):
 
 def probe_nu_minus(n_s, n_th):
     """Smaller PT symplectic eigenvalue of the signal-idler block: its exact
-    D = 1 + 2 n_th (1 + 2 n_s) over the larger eigenvalue (nu_minus_standard)."""
-    return ((1.0 + 2.0 * n_th * (1.0 + 2.0 * n_s))
-            / (1.0 + 2.0 * n_s + n_th + np.sqrt(n_th ** 2 + 4.0 * n_s * (1.0 + n_s))))
+    D = 1 + 2 n_th b, b = 1 + 2 n_s, over the larger eigenvalue
+    b + n_th + sqrt(n_th^2 + 4 n_s (1 + n_s)) (nu_minus_standard), elementwise.
+
+    From n_th = 1 up the root is sqrt(b^2 + (n_th - 1)(n_th + 1)), a sum of
+    non-negative terms that is exactly b at n_th = 1, where the denominator
+    (b + root) + n_th then equals D bit for bit: nu_minus is 1 there. Below
+    n_th = 1 the first form is kept, which does not cancel at a cold bath.
+    """
+    b = 1.0 + 2.0 * n_s
+    root = np.sqrt(where(n_th >= 1.0, b ** 2 + (n_th - 1.0) * (n_th + 1.0),
+                         n_th ** 2 + 4.0 * n_s * (1.0 + n_s)))
+    return (1.0 + 2.0 * n_th * b) / ((b + root) + n_th)
 
 
 def received_params(params):

@@ -220,6 +220,40 @@ class TestFailureContract:
         assert "classical limit is 0" in swap["reason"]
         assert anchors["classical_limit_asym_m"]["value"] == 0.0
 
+    @pytest.mark.parametrize("argv", [
+        ("state", "--kind", "foo"),
+        ("channel", "--sweep", "L", "0", "abc", "3"),
+        ("channel", "--sweep", "L", "abc", "600", "3"),
+        ("channel", "--sweep", "L", "0", "600", "three"),
+    ] + [(name, "--log") for name, entry in cli.COMMANDS.items() if entry["sweeps"]])
+    def test_bad_choice_sweep_text_or_lone_log_is_usage_error(self, argv, capsys):
+        assert cli.main(list(argv)) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("count", ["2.5", "nan", "inf", "1"])
+    def test_sweep_count_must_be_a_whole_number(self, count, capsys):
+        assert cli.main(["channel", "--sweep", "L", "0", "600", count]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "sweep count must be a whole number" in err
+
+    def test_sweep_count_in_exponent_form(self, capsys):
+        assert cli.main(["channel", "--sweep", "L", "0", "600", "1e3"]) == 0
+        assert len(parse_csv(capsys.readouterr().out)) == 1000
+
+    @pytest.mark.parametrize("kind", ["vacuum", "thermal"])
+    @pytest.mark.parametrize("value", ["2.5", "1e5", "0", "101"])
+    def test_n_modes_outside_its_whole_range_builds_nothing(
+            self, kind, value, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("a state was built")
+
+        monkeypatch.setattr(cli.core, kind, refuse)
+        assert cli.main(["state", "--kind", kind, "--set", "n_modes=" + value]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "n_modes = %g lies outside its domain {1,...,100}" % (
+            float(value)) in err
+
     def test_bifreq_row_lets_programming_errors_through(self, monkeypatch):
         def broken(params):
             raise TypeError("broken h_q_bifreq")
@@ -230,8 +264,10 @@ class TestFailureContract:
 
 
 def outside(domain):
-    """The floats just below and just above an interval such as "(0, 1]"."""
-    lo, hi = (float(end) for end in domain[1:-1].split(","))
+    """The floats just below and just above an interval such as "(0, 1]", or
+    a range of whole numbers such as "{1,...,100}"."""
+    ends = domain[1:-1].split(",")
+    lo, hi = float(ends[0]), float(ends[-1])
     return (lo if domain[0] == "(" else float(np.nextafter(lo, -np.inf)),
             hi if domain[-1] == ")" else float(np.nextafter(hi, np.inf)))
 
@@ -583,6 +619,13 @@ class TestOtherCommands:
         rows = parse_csv(capsys.readouterr().out)
         assert len(rows) == 100
         assert all(float(row["log_neg"]) == 0.0 for row in rows)
+
+    def test_wide_illum_sweep_at_unit_bath_is_separable_on_every_row(self, capsys):
+        assert cli.main(["illum", "--sweep", "n_s", "0.01", "100", "1000"]) == 0
+        rows = parse_csv(capsys.readouterr().out)
+        assert len(rows) == 1000
+        assert all(float(row["log_neg"]) == 0.0 for row in rows)
+        assert all(float(row["nu_minus"]) == 1.0 for row in rows)
 
     def test_illum_at_a_cold_bath_and_huge_signal_is_finite(self, capsys):
         """D over the larger eigenvalue subtracts nothing: no NaN and no raw

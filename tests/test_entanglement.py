@@ -208,3 +208,31 @@ class TestBipartiteCM:
         cm.sigma_a[0, 0] = 1.0  # writable
         with pytest.raises(core.PhysicalityError):
             cm.to_state()
+
+    def test_cm_is_a_two_mode_state_read_in_blocks(self):
+        """One Sigma: the blocks are views of it, read-only once validated,
+        and the CM is its own validated state."""
+        assert issubclass(BipartiteCM, core.GaussianState)
+        cm = BipartiteCM.from_state(core.tmst(0.5, 0.1))
+        assert cm.n_modes == 2 and not hasattr(cm, "_state")
+        assert cm.to_state() is cm
+        for block in (cm.sigma_a, cm.sigma_b, cm.eps):
+            assert np.shares_memory(block, cm.sigma)
+            assert not block.flags.writeable
+        np.testing.assert_array_equal(cm.eps.T, cm.sigma[2:, :2])
+        matrix = cm.matrix
+        np.testing.assert_array_equal(matrix, cm.sigma)
+        assert not np.shares_memory(matrix, cm.sigma)
+
+    def test_unchecked_cm_writes_through_to_sigma(self):
+        cm = BipartiteCM.standard_form(2.0, 2.0, 1.0, check=False)
+        cm.sigma_b[0, 0] = 2.5
+        assert cm.sigma[2, 2] == 2.5
+        state = cm.to_state()
+        assert state is not cm and not state.sigma.flags.writeable
+        assert state.sigma[2, 2] == 2.5
+        assert cm.sigma.flags.writeable  # the copy was validated, not the CM
+
+    def test_blocks_must_be_two_by_two(self):
+        with pytest.raises(ValueError, match="2x2"):
+            BipartiteCM(np.eye(2), np.eye(3), np.zeros((2, 2)))

@@ -71,6 +71,22 @@ class TestProbe:
             nu = illumination.probe_nu_minus(n_s, 1.0)
             assert np.abs(nu - 1.0).max() <= np.spacing(1.0)
 
+    def test_nu_minus_at_unit_bath_is_exactly_one(self):
+        """From n_th = 1 up the root is sqrt((1 + 2 n_s)^2 + (n_th - 1)(n_th
+        + 1)), exactly 1 + 2 n_s at n_th = 1, so the denominator equals D bit
+        for bit: no signal strength reads the separable probe as entangled."""
+        n_s = np.geomspace(1e-4, 1e8, 20001)
+        assert (illumination.probe_nu_minus(n_s, 1.0) == 1.0).all()
+        for x in (0.01, 7.116, 15.02, 1e8):
+            assert illumination.probe_nu_minus(x, 1.0) == 1.0
+
+    def test_nu_minus_is_within_two_ulps_of_60_digits(self):
+        """Both roots, either side of n_th = 1, sum non-negative terms."""
+        n_s, n_th = np.meshgrid(np.geomspace(1e-4, 1e8, 60), np.geomspace(1e-4, 1e6, 60))
+        got = illumination.probe_nu_minus(n_s, n_th)
+        want = np.vectorize(lambda a, b: float(probe_nu_minus_mp(a, b)))(n_s, n_th)
+        assert np.abs(got / want - 1.0).max() <= 2.0 * np.finfo(float).eps
+
 
 class TestReceived:
     def test_constructive_equals_closed_form_on_grid(self):
