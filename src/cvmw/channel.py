@@ -447,8 +447,8 @@ PRESETS = {"table1": TABLE1}
 def parse_profile(text):
     """Parse a sectioned key = value profile into a flat dict.
 
-    Sections ([name]) only group keys for readability; values are floats.
-    Lines starting with '#' are comments.
+    Sections ([name]) only group keys for readability; values are floats,
+    and each key is given once. Lines starting with '#' are comments.
     """
     out = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -458,7 +458,13 @@ def parse_profile(text):
         if "=" not in line:
             raise ValueError("line %d: expected key = value" % lineno)
         key, value = (part.strip() for part in line.split("=", 1))
-        out[key] = float(value)
+        if key in out:
+            raise ValueError("line %d: %r is given twice" % (lineno, key))
+        try:
+            out[key] = float(value)
+        except ValueError:
+            raise ValueError("line %d: %s = %r is not a number"
+                             % (lineno, key, value)) from None
     return out
 
 

@@ -132,9 +132,17 @@ def _resolve_params(args, usage_error):
     """The table defaults, then the preset or profile, then each --set; the
     defaults lie in their domains, and every value given is checked."""
     given = []
-    if args.preset:
-        given += (channel.PRESETS[args.preset] if args.preset in channel.PRESETS
-                  else channel.load_profile(args.preset)).items()
+    if args.preset in channel.PRESETS:
+        given += channel.PRESETS[args.preset].items()
+    elif args.preset:
+        try:
+            given += channel.load_profile(args.preset).items()
+        except OSError as exc:
+            usage_error("--preset %r is neither a named preset (%s) nor a readable "
+                        "profile: %s" % (args.preset, ", ".join(channel.PRESETS),
+                                         exc.strerror))
+        except ValueError as exc:
+            usage_error("profile %s: %s" % (args.preset, exc))
     for item in args.set or []:
         if "=" not in item:
             usage_error("--set expects key=value, got %r" % item)
@@ -385,9 +393,15 @@ STATES = {
 
 
 def _cmd_state(args):
-    state = STATES[args.kind](args.params)
-    if state.sigma.flags.writeable:  # built unchecked: validate() makes it read-only
-        state.validate()
+    # an overflow or a NaN stops the build with one line, not a numpy warning;
+    # a state built unchecked is validated, which makes it read-only
+    try:
+        with np.errstate(all="raise"):
+            state = STATES[args.kind](args.params)
+            if state.sigma.flags.writeable:
+                state.validate()
+    except FloatingPointError as exc:
+        raise ArithmeticError("state --kind %s: %s" % (args.kind, exc)) from None
     _write(state.to_json() + "\n", args)
     return 0
 

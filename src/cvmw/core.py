@@ -1,4 +1,5 @@
-"""Gaussian states in the real quadrature basis and symplectic transformations.
+"""Gaussian states in the real quadrature basis and symplectic matrices
+(plain 2N x 2N arrays S acting as Sigma -> S Sigma S^T).
 
 Conventions used throughout the package:
 
@@ -15,7 +16,6 @@ import numpy as np
 
 SYMMETRY_TOL = 1e-12
 PHYSICALITY_TOL = 1e-9
-SYMPLECTIC_TOL = 1e-10
 
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
@@ -158,9 +158,9 @@ class GaussianState:
         }, allow_nan=False)
 
     @classmethod
-    def from_json(cls, text, check=True):
+    def from_json(cls, text):
         obj = json.loads(text)
-        state = cls(obj["d"], obj["sigma"], check=check)
+        state = cls(obj["d"], obj["sigma"])
         if state.n_modes != obj["n_modes"]:
             raise ValueError("inconsistent n_modes in serialized state")
         return state
@@ -169,43 +169,20 @@ class GaussianState:
         return "GaussianState(n_modes=%d)" % self.n_modes
 
 
-class SymplecticTransform:
-    """A 2N x 2N real matrix S with S Omega S^T = Omega."""
-
-    def __init__(self, matrix, check=True):
-        matrix = np.array(matrix, dtype=float)
-        if matrix.shape[0] != matrix.shape[1] or matrix.shape[0] % 2:
-            raise ValueError("symplectic matrix must be 2N x 2N")
-        self.n_modes = matrix.shape[0] // 2
-        self.matrix = matrix
-        if check:
-            w = omega(self.n_modes)
-            if np.max(np.abs(matrix @ w @ matrix.T - w)) > SYMPLECTIC_TOL:
-                raise ValueError("matrix is not symplectic")
-
-    def __matmul__(self, other):
-        return SymplecticTransform(self.matrix @ other.matrix, check=False)
-
-
-def identity_transform(n_modes):
-    return SymplecticTransform(np.eye(2 * n_modes), check=False)
-
-
-def direct_sum(*transforms):
-    mats = [t.matrix for t in transforms]
+def direct_sum(*mats):
     n = sum(m.shape[0] for m in mats)
     out = np.zeros((n, n))
     k = 0
     for m in mats:
         out[k:k + m.shape[0], k:k + m.shape[0]] = m
         k += m.shape[0]
-    return SymplecticTransform(out, check=False)
+    return out
 
 
 def rotation(theta):
     """Single-mode phase-space rotation."""
     c, s = np.cos(theta), np.sin(theta)
-    return SymplecticTransform(np.array([[c, s], [-s, c]]), check=False)
+    return np.array([[c, s], [-s, c]])
 
 
 def beam_splitter(eta):
@@ -221,7 +198,7 @@ def beam_splitter(eta):
     i2 = np.eye(2)
     top = np.hstack([t * i2, r * i2])
     bot = np.hstack([-r * i2, t * i2])
-    return SymplecticTransform(np.vstack([top, bot]), check=False)
+    return np.vstack([top, bot])
 
 
 def single_mode_squeezer(r, theta=0.0):
@@ -229,7 +206,7 @@ def single_mode_squeezer(r, theta=0.0):
     ch, sh = np.cosh(r), np.sinh(r)
     c, s = np.cos(theta), np.sin(theta)
     mat = ch * np.eye(2) - sh * np.array([[c, s], [s, -c]])
-    return SymplecticTransform(mat, check=False)
+    return mat
 
 
 def two_mode_squeezer(r):
@@ -238,7 +215,7 @@ def two_mode_squeezer(r):
     i2 = np.eye(2)
     top = np.hstack([ch * i2, sh * SIGMA_Z])
     bot = np.hstack([sh * SIGMA_Z, ch * i2])
-    return SymplecticTransform(np.vstack([top, bot]), check=False)
+    return np.vstack([top, bot])
 
 
 def vacuum(n_modes=1):
@@ -282,16 +259,16 @@ def tmst(r, n):
 
 
 def apply(state, transform, on=None):
-    """Apply a symplectic transform to a subset of modes (all modes by default)."""
+    """Apply a 2k x 2k symplectic matrix to k of the modes (all by default)."""
     if on is None:
         on = range(state.n_modes)
     modes = _check_modes(on, state.n_modes)
-    if transform.n_modes != len(modes):
+    if len(transform) != 2 * len(modes):
         raise ValueError("transform acts on %d modes, subset has %d"
-                         % (transform.n_modes, len(modes)))
+                         % (len(transform) // 2, len(modes)))
     s_emb = np.eye(2 * state.n_modes)
     idx = _quad_indices(modes)
-    s_emb[np.ix_(idx, idx)] = transform.matrix
+    s_emb[np.ix_(idx, idx)] = transform
     return GaussianState(s_emb @ state.d, s_emb @ state.sigma @ s_emb.T, check=False)
 
 

@@ -228,14 +228,16 @@ def test_criterion_11_invariant_suite():
 
     # symplectic spectrum preserved by apply()
     ok_spec = True
+    w = core.omega(2)
     for _ in range(20):
         sigma = random_valid_cm(rng)
         h = rng.normal(size=(4, 4))
-        s = core.SymplecticTransform(expm(core.omega(2) @ (h + h.T) / 2.0))
+        s = expm(w @ (h + h.T) / 2.0)
         st = core.GaussianState(np.zeros(4), sigma, check=False)
         before = core.symplectic_eigenvalues(sigma)
         after = core.symplectic_eigenvalues(core.apply(st, s).sigma)
-        ok_spec = ok_spec and np.max(np.abs(before - after)) < 1e-9
+        ok_spec = (ok_spec and np.max(np.abs(s @ w @ s.T - w)) <= 1e-10
+                   and np.max(np.abs(before - after)) < 1e-9)
 
     # physicality of every constructed covariance matrix
     ok_phys = True

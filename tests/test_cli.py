@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import decimal
 import io
@@ -22,9 +23,38 @@ ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
 
 
 def run_cli(*args):
-    proc = subprocess.run([sys.executable, "-m", "cvmw.cli", *args],
+    """cli.main(args) in this process: its exit code, stdout and stderr, with
+    each warning raised inside it appended to stderr as Python prints one."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main(list(args))
+    return code, out.getvalue(), err.getvalue() + "".join(
+        warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
+        for w in caught)
+
+
+def test_run_cli_reports_a_warning_raised_inside_main(monkeypatch):
+    def noisy(x):
+        return {"L": x["L"], "log": np.log(np.zeros(1))}
+
+    monkeypatch.setitem(cli.COMMANDS["channel"], "table", noisy)
+    code, out, err = run_cli("channel", "--sweep", "L", "0", "1", "2")
+    assert code == 0 and out.startswith("L,log\n")
+    assert "RuntimeWarning: divide by zero encountered in log" in err
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["channel"], 0),
+    (["no-such-command"], 1),
+    (["negativity", "--set", "tau=1.7"], 2),
+    (["summary", "--preset", "table1", "--set", "mu=3e-6"], 3),
+])
+def test_exit_code_of_a_fresh_process(argv, code):
+    proc = subprocess.run([sys.executable, "-m", "cvmw.cli", *argv],
                           capture_output=True, text=True, env=ENV)
-    return proc.returncode, proc.stdout, proc.stderr
+    assert proc.returncode == code, proc.stderr
 
 
 def parse_csv(text):
@@ -312,6 +342,8 @@ class TestParameterTable:
         (["satellite", "--set", "w0=0"], 2, "w0 = 0"),
         (["channel", "--set", "r"], 1, "--set expects key=value, got 'r'"),
         (["channel", "--set", "r=abc"], 1, "'abc' is not a number"),
+        (["channel", "--preset", "table2"], 1,
+         "--preset 'table2' is neither a named preset (table1)"),
     ])
     def test_rejected_without_output(self, argv, code, message, capsys):
         assert cli.main(argv) == code
@@ -324,6 +356,26 @@ class TestParameterTable:
         assert cli.main(["channel", "--preset", str(profile)]) == 1
         out, err = capsys.readouterr()
         assert out == "" and "'n_thermal'" in err
+
+    @pytest.mark.parametrize("text,message", [
+        ("[source]\nr = abc\n", "line 2: r = 'abc' is not a number"),
+        ("[source]\nr 1.0\n", "line 2: expected key = value"),
+        ("r = 1.0\n[distill]\nr = 0.5\n", "line 3: 'r' is given twice"),
+    ])
+    def test_malformed_profile_exits_1_naming_file_and_line(
+            self, text, message, tmp_path, capsys):
+        profile = tmp_path / "bad.txt"
+        profile.write_text(text)
+        assert cli.main(["channel", "--preset", str(profile)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "profile %s: %s" % (profile, message) in err
+
+    def test_profile_value_outside_its_domain_exits_2(self, tmp_path, capsys):
+        profile = tmp_path / "far.txt"
+        profile.write_text("[distill]\ntau = 1.5\n")
+        assert cli.main(["channel", "--preset", str(profile)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "tau = 1.5 lies outside its domain (0, 1)" in err
 
     def test_bifreq_probe_reads_n_s(self, capsys):
         from cvmw import bifreq
@@ -477,6 +529,23 @@ def test_overflowing_source_or_environment_exits_2_naming_it(argv, names):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("computation error:"), proc.stderr
     assert names in lines[0]
+
+
+@pytest.mark.parametrize("kind,setting", [
+    ("tmst", "r=400"), ("tmsv", "r=400"), ("thermal", "n_th=1e308"),
+    ("qi-probe", "n_s=1e308"), ("bifreq-probe", "n_s=1e308"),
+])
+def test_overflowing_state_exits_2_naming_the_kind(kind, setting):
+    """cosh 2r overflows above r = 355, and 2 n_th or 2 n_s above 9e307:
+    the build stops at the first overflow or NaN with one line, and no raw
+    numpy warning comes before it."""
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "cvmw.cli", "state",
+                           "--kind", kind, "--set", setting],
+                          capture_output=True, text=True, env=ENV)
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(
+        "computation error: state --kind %s:" % kind), proc.stderr
 
 
 def test_symmetric_link_needs_no_asymmetric_coefficient():
