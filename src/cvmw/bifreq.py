@@ -279,9 +279,9 @@ def qcrb_gap(eta1, n_s, n_th):
             * h_q_bifreq(params) - 1.0)
 
 
-def qcrb_saturating_noise(eta1, n_s, lo=1e-3, hi=1e4):
-    """Bracket and solve qcrb_gap = 0 in n_th; returns (n_th, bracket)."""
-    grid = np.geomspace(lo, hi, 40)
+def qcrb_saturating_noise(eta1, n_s):
+    """Solve qcrb_gap = 0 in n_th, bracketed on [1e-3, 1e4]: (n_th, bracket)."""
+    grid = np.geomspace(1e-3, 1e4, 40)
     vals = qcrb_gap(eta1, n_s, grid)  # one array call brackets the root
     cells = (vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)
     if not cells.any():

@@ -143,20 +143,15 @@ def eta_env_inhomogeneous(mu_fn, n_fn, length):
     raise RuntimeError("quadrature failed to converge")
 
 
-def lossy_tmst_params(ch, r, n, geometry="asym"):
-    """Standard-form (alpha, beta, gamma) of the distributed two-mode
-    squeezed thermal state, as arrays over the channel's distances.
+def tmst_params(mu, length, n_th, eta_ant, r, n, geometry):
+    """Standard-form (alpha, beta, gamma) of the two-mode squeezed thermal
+    state distributed through an AirChannel, from the channel's fields,
+    which it does not check: tmst_polys at u = -expm1(-mu L / 2), the same u
+    in both geometries, elementwise over an array of distances.
 
     geometry="asym": one mode stays at the source, the other travels the
     full distance; alpha belongs to the travelling mode. geometry="sym": the
     source sits midway and both modes travel L/2.
-    """
-    return tmst_params(ch.mu, ch.L, ch.n_th_env, ch.eta_ant, r, n, geometry)
-
-
-def tmst_params(mu, length, n_th, eta_ant, r, n, geometry):
-    """lossy_tmst_params from the channel's fields, which it does not check:
-    tmst_polys at u = -expm1(-mu L / 2), the same u in both geometries.
 
     A distance that is not an array gives Python floats, on which the
     formulas downstream (fidelities, subtraction) run several times as fast
@@ -171,9 +166,9 @@ def tmst_params(mu, length, n_th, eta_ant, r, n, geometry):
 
 def lossy_tmst(ch, r, n, geometry="asym"):
     """Two-mode squeezed thermal state distributed through the channel
-    (see lossy_tmst_params); the lossy block comes first."""
-    return BipartiteCM.standard_form(*lossy_tmst_params(ch, r, n, geometry),
-                                     check=False)
+    (see tmst_params); the lossy block comes first."""
+    return BipartiteCM.standard_form(
+        *tmst_params(ch.mu, ch.L, ch.n_th_env, ch.eta_ant, r, n, geometry), check=False)
 
 
 def l_max(ch, r, n, geometry="asym"):
@@ -390,17 +385,17 @@ def tau_path(geom):
             / (4.0 * geom.d * geom.wavelength)) ** 2
 
 
-def spot_size(geom, d=None):
-    """Beam spot size at distance d given curvature r0 and waist w0."""
-    d = geom.d if d is None else d
+def spot_size(geom):
+    """Beam spot size at the link distance d given curvature r0 and waist w0."""
+    d = geom.d
     rayleigh = np.pi * geom.w0 ** 2 / (2.0 * geom.wavelength)
     return (geom.w0 / np.sqrt(2.0)) * np.sqrt(
         (1.0 - d / geom.r0) ** 2 + (d / rayleigh) ** 2)
 
 
-def tau_diffraction(geom, d=None):
+def tau_diffraction(geom):
     """Diffraction-induced transmissivity 1 - e^{-2 a_R^2 / w(d)^2}."""
-    w = spot_size(geom, d)
+    w = spot_size(geom)
     return -np.expm1(-2.0 * geom.a_r ** 2 / w ** 2)
 
 

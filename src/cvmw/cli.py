@@ -241,8 +241,9 @@ def _qfi_table(x):
 
 
 def _link_params(x, length, geometry):
-    ch = channel.AirChannel(x["mu"], length, x["n_th"], x["eta_ant"])
-    return channel.lossy_tmst_params(ch, x["r"], x["n"], geometry)
+    # _check has checked every field at the boundary
+    return channel.tmst_params(x["mu"], length, x["n_th"], x["eta_ant"], x["r"],
+                               x["n"], geometry)
 
 
 def _teleport_table(x):
@@ -260,9 +261,9 @@ def _distill_table(x):
     bare = _link_params(x, x["L"], geometry)
     *tilde, prob = distill.ps2_standard_form(*bare, x["tau"])
     nu_bare = entanglement.nu_minus_standard(*bare)
-    # g of ps2_gaussian is h at the subtracted triple
+    # 1 + g of ps2_gaussian is heuristic_factor at the subtracted triple
     rg = {tag: teleport.regaussify_standard(
-              *triple, distill.heuristic_correction(*triple), geometry)
+              *triple, distill.heuristic_factor(*triple), geometry)
           for tag, triple in (("prob", tilde), ("heur", bare))}
     nu = {tag: entanglement.nu_minus_standard(*triple) for tag, triple in rg.items()}
     return {"L": x["L"], "e_n_bare": entanglement.log_negativity_from_nu(nu_bare),
@@ -293,8 +294,8 @@ def _channel_table(x):
     ch = channel.AirChannel(x["mu"], x["L"], x["n_th"], x["eta_ant"])
     columns = {"L": x["L"]}
     for geometry in ("asym", "sym"):
-        nu = entanglement.nu_minus_standard(
-            *channel.lossy_tmst_params(ch, x["r"], x["n"], geometry))
+        nu = entanglement.nu_minus_standard(*channel.tmst_params(
+            ch.mu, ch.L, ch.n_th_env, ch.eta_ant, x["r"], x["n"], geometry))
         columns["nu_minus_" + geometry] = nu
         columns["log_neg_" + geometry] = entanglement.log_negativity_from_nu(nu)
     columns["eta_env"] = channel.eta_env(ch)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SIGMA_Z, all_true, any_true, omega
+from .core import SIGMA_Z, all_true, any_true, omega, pow2_scale
 from .entanglement import BipartiteCM
 
 
@@ -99,7 +99,8 @@ class PsOutcome:
 
     @property
     def g(self):
-        """The non-Gaussian fidelity correction: h at Sigma-tilde."""
+        """The non-Gaussian fidelity correction: h at Sigma-tilde, so 1 + g
+        is heuristic_factor at the subtracted triple."""
         return self.heuristic.h
 
     def cm(self, check=True):
@@ -197,25 +198,27 @@ def ps2_standard_form(alpha, beta, gamma, tau):
     return ps2_subtracted(alpha, beta, gamma, tau, prob=True)
 
 
-def heuristic_correction(alpha, beta, gamma):
-    """Fidelity correction h of ps2_heuristic for a standard-form input,
-    elementwise over arrays.
-
-    With S = alpha + beta - 2 gamma and D = alpha - beta,
-    h = -N / ((S + 2)^2 E_0), E_0 = (alpha - 1)(beta - 1) + gamma^2 and
-    N = ((S - 2)^3 (S + 6) - D^4) / 8 + D^2 (2 - S + gamma (S + 2)).
-    tests/test_distill.py derives it with sympy from ps2_heuristic's matrices.
-    The probabilistic correction g of ps2_gaussian is h at the subtracted
-    triple of ps2_standard_form.
+def heuristic_factor(alpha, beta, gamma):
+    """1 + h, the fidelity factor of ps2_heuristic for a standard-form input,
+    elementwise over arrays: 2 (K^2 + 2 (alpha + beta + 2 gamma - 2) K
+    + 8 E_0) / ((S + 2)^2 E_0), K = (alpha - 1)(beta - 1) - gamma^2,
+    E_0 = K + 2 gamma^2, S = alpha + beta - 2 gamma. Every term is positive
+    where K >= 0, as on every separable resource. Both parts are homogeneous
+    of degree 4 in (alpha, beta, gamma, 1), so the power of two s with
+    s (alpha + beta) in [1/2, 1) scales the entries and stands for each 1:
+    exactly, and no product overflows. tests/test_distill.py derives it with
+    sympy from ps2_heuristic's matrices; 1 + g of ps2_gaussian is this
+    function at the subtracted triple of ps2_standard_form.
     """
-    e0 = (alpha - 1.0) * (beta - 1.0) + gamma * gamma
+    s = pow2_scale(alpha + beta)
+    alpha_s, beta_s, gamma_s = alpha * s, beta * s, gamma * s
+    cross, g2 = (alpha_s - s) * (beta_s - s), gamma_s * gamma_s
+    k, e0 = cross - g2, cross + g2
     if any_true(e0 <= 0.0):
         raise ValueError("normalization E_0 <= 0 (cannot subtract from this state)")
-    s = alpha + beta - 2.0 * gamma
-    d2 = (alpha - beta) ** 2
-    num = (((s - 2.0) ** 3 * (s + 6.0) - d2 * d2) / 8.0
-           + d2 * (2.0 - s + gamma * (s + 2.0)))
-    return -num / ((s + 2.0) ** 2 * e0)
+    num = (k * k + 2.0 * s * (alpha_s + beta_s + 2.0 * gamma_s - 2.0 * s) * k
+           + 8.0 * s * s * e0)
+    return 2.0 * num / ((alpha_s + beta_s - 2.0 * gamma_s + 2.0 * s) ** 2 * e0)
 
 
 @dataclass

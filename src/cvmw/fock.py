@@ -449,11 +449,11 @@ def char_fn(state, r_point, dims=None):
     raise ValueError("char_fn supports at most two modes")
 
 
-def qfi_spectral(rho_fn, lambda0, step, eig_floor=1e-12):
+def qfi_spectral(rho_fn, lambda0, step):
     """Spectral quantum Fisher information for a truncated density family.
 
     Central-difference derivative, eigenbasis of rho(lambda0); terms with
-    eigenvalue sums below eig_floor are dropped (dark subspace).
+    eigenvalue sums below 1e-12 are dropped (dark subspace).
     """
     rho0 = rho_fn(lambda0)
     rho_p = rho_fn(lambda0 + step)
@@ -465,6 +465,6 @@ def qfi_spectral(rho_fn, lambda0, step, eig_floor=1e-12):
     evals, vecs = np.linalg.eigh(rho0)
     mat = vecs.conj().T @ drho @ vecs
     denom = evals[:, None] + evals[None, :]
-    mask = denom > eig_floor
+    mask = denom > 1e-12
     h = 2.0 * np.sum(np.abs(mat[mask]) ** 2 / denom[mask])
     return float(h)

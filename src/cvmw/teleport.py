@@ -110,26 +110,16 @@ def regaussify(cm_tilde, correction, mode="sym"):
     return out, theta, valid
 
 
-def regaussify_standard(alpha, beta, gamma, correction, mode="sym"):
-    """Standard-form (alpha, beta, gamma) of regaussify's resource,
+def regaussify_standard(alpha, beta, gamma, factor, mode="sym"):
+    """Standard-form (alpha, beta, gamma) of regaussify's resource from the
+    fidelity factor f = 1 + correction (distill.heuristic_factor),
     elementwise over arrays."""
-    c = correction
+    f = factor
     if mode == "asym":
         alpha = beta = 0.5 * (alpha + beta)
     elif mode != "sym":
         raise ValueError("mode must be 'sym' or 'asym'")
-    return (alpha - c) / (1.0 + c), (beta - c) / (1.0 + c), gamma / (1.0 + c)
-
-
-def root_det_standard(alpha, beta, gamma):
-    """sqrt(det[I + Gamma/2]) of a standard-form resource, elementwise, where
-    Gamma = (alpha + beta - 2 gamma) I; ValueError where det <= 0.
-    The Gaussian fidelity is its inverse. sqrt(x^2) is |x| exactly in binary
-    floating point, short of overflow."""
-    root = 1.0 + 0.5 * (alpha + beta - 2.0 * gamma)
-    if any_true(root * root <= 0.0):
-        raise ValueError(ILL_CONDITIONED)
-    return abs(root)
+    return (alpha + 1.0 - f) / f, (beta + 1.0 - f) / f, gamma / f
 
 
 def fidelity_finite_gain(alpha, beta, gamma, g, theta=0.0):
@@ -278,7 +268,9 @@ class TeleportResource:
             return fidelity_finite_gain(*triple, gain, self.theta)
         if kind.startswith("2ps-prob"):
             triple = distill.ps2_subtracted(*triple, self.tau)[:3]
-        return (1.0 + distill.heuristic_correction(*triple)) / root_det_standard(*triple)
+        alpha, beta, gamma = triple
+        return (distill.heuristic_factor(alpha, beta, gamma)
+                / (1.0 + 0.5 * (alpha + beta - 2.0 * gamma)))
 
     def _half_fidelity_poly(self):
         """The F = 1/2 condition, positive where F > 1/2, as (condition,

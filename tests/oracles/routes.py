@@ -144,6 +144,32 @@ def probe_nu_minus_mp(n_s, n_th, dps=60):
                            2 * mpmath.sqrt(n_s * (1 + n_s)), dps)
 
 
+def ps2_fidelity_mp(alpha, beta, gamma, tau=None, dps=250):
+    """Fidelity (1 + h) / (1 + S/2) of the photon-subtracted resource on the
+    standard-form triple (alpha, beta, gamma) at dps digits, with h in its
+    quartic N form: h = -N / ((S + 2)^2 E_0), E_0 = (alpha - 1)(beta - 1) +
+    gamma^2, N = ((S - 2)^3 (S + 6) - D^4) / 8 + D^2 (2 - S + gamma (S + 2)),
+    S = alpha + beta - 2 gamma and D = alpha - beta. N loses about
+    3 log10 alpha digits to cancellation where beta << alpha. With tau, the
+    triple is first subtracted by the beam-splitter scheme, in the closed
+    form of ps2_subtracted at the same precision. The entries are floats or
+    mpf; the result is the float nearest the dps-digit value."""
+    with mpmath.workdps(dps):
+        a, b, c = (mpmath.mpf(x) for x in (alpha, beta, gamma))
+        if tau is not None:
+            t = mpmath.mpf(tau)
+            cross = (1 - a) * (1 - b) - c * c
+            den = ((1 + a) * (1 + b) - c * c + 2 * (1 - a * b + c * c) * t
+                   + cross * t * t)
+            a, b, c = (1 - 2 * t * ((1 - a) * (1 + b) + c * c + cross * t) / den,
+                       1 - 2 * t * ((1 + a) * (1 - b) + c * c + cross * t) / den,
+                       4 * t * c / den)
+        s, d2 = a + b - 2 * c, (a - b) ** 2
+        e0 = (a - 1) * (b - 1) + c * c
+        num = ((s - 2) ** 3 * (s + 6) - d2 * d2) / 8 + d2 * (2 - s + c * (s + 2))
+        return float((1 - num / ((s + 2) ** 2 * e0)) / (1 + s / 2))
+
+
 def illinois(f, a, b, f_a, f_b, xtol):
     """Root of f between a and b, where f_a = f(a) and f_b = f(b) differ in
     sign, to a bracket of width xtol: regula falsi that halves the value kept

@@ -219,7 +219,8 @@ class TestReach:
         seen = []
         for r, n, n_th, eta_ant in links:
             ch = AirChannel(0.0, 0.0, n_th, eta_ant)
-            source = channel.lossy_tmst_params(ch, r, n, geometry)
+            source = channel.tmst_params(ch.mu, ch.L, ch.n_th_env, ch.eta_ant, r, n,
+                                         geometry)
             not_entangled = pts_eigenvalues(BipartiteCM.standard_form(*source))[0] >= 1.0
             try:
                 zero = l_max(ch, r, n, geometry) == 0.0

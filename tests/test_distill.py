@@ -5,7 +5,7 @@ import pytest
 from scipy.special import hyp2f1 as scipy_hyp2f1
 
 from cvmw import channel, core, fock, teleport
-from cvmw.distill import (char_fn_2ps, char_fn_heuristic, heuristic_correction,
+from cvmw.distill import (char_fn_2ps, char_fn_heuristic, heuristic_factor,
                           heuristic_negativity, hyp2f1_k, ps2_gaussian,
                           ps2_heuristic, ps2_standard_form, ps2_subtracted,
                           PsTmsv, swap, tmsv_negativity)
@@ -202,7 +202,7 @@ def symbolic_heuristic_correction(alpha, beta, gamma):
 
 
 class TestHeuristicCorrection:
-    """The closed form of h (distill.heuristic_correction)."""
+    """The closed form of 1 + h (distill.heuristic_factor)."""
 
     def test_sympy_derivation_from_the_ps2_heuristic_matrices(self):
         sp = pytest.importorskip("sympy")
@@ -214,6 +214,13 @@ class TestHeuristicCorrection:
         assert sp.simplify(h - closed) == 0
         # N is a quartic polynomial
         assert sp.Poly(sp.expand(num), a, b, g).total_degree() == 4
+        # the positive form: 1 + h over the same denominator, whose numerator
+        # (S + 2)^2 E_0 - N is quartic in K = (alpha - 1)(beta - 1) - gamma^2
+        k = (a - 1) * (b - 1) - g ** 2
+        e0 = k + 2 * g ** 2
+        positive = 2 * (k ** 2 + 2 * (a + b + 2 * g - 2) * k + 8 * e0)
+        assert sp.expand((s + 2) ** 2 * e0 - num - positive) == 0
+        assert sp.simplify(1 + h - positive / ((s + 2) ** 2 * e0)) == 0
         # the restatement is ps2_heuristic, and the numpy kernel is the closed form
         rng = np.random.default_rng(17)
         for _ in range(5):
@@ -223,14 +230,14 @@ class TestHeuristicCorrection:
             exact = float(h.subs({a: alpha, b: beta, g: gamma}).evalf(30))
             cm = BipartiteCM.standard_form(alpha, beta, gamma, check=False)
             assert 1.0 + ps2_heuristic(cm).h == pytest.approx(1.0 + exact, rel=1e-12)
-            assert 1.0 + heuristic_correction(alpha, beta, gamma) == pytest.approx(
+            assert heuristic_factor(alpha, beta, gamma) == pytest.approx(
                 1.0 + exact, rel=1e-13)
 
     def test_nonpositive_normalization_rejected_in_any_row(self):
         # E_0 = (alpha - 1)(beta - 1) + gamma^2 = -0.25 in the second row
         with pytest.raises(ValueError, match="E_0"):
-            heuristic_correction(np.array([3.0, 0.5]), np.array([3.0, 1.5]),
-                                 np.array([2.0, 0.0]))
+            heuristic_factor(np.array([3.0, 0.5]), np.array([3.0, 1.5]),
+                             np.array([2.0, 0.0]))
 
     def test_standard_form_subtraction_keeps_the_matrix_route_errors(self):
         with pytest.raises(ValueError, match="transmissivity"):

@@ -60,7 +60,7 @@ def seeded_link_triples(seed=27, count=1000):
         tilde = distill.ps2_standard_form(*bare, channel.TABLE1["tau"])[:3]
         for tag, source in (("prob", tilde), ("heur", bare)):
             out["%s-rg-%s" % (geometry, tag)] = teleport.regaussify_standard(
-                *source, distill.heuristic_correction(*source), geometry)
+                *source, distill.heuristic_factor(*source), geometry)
     lossy, kept, gamma = triple("asym", half=True)
     alpha_t, gamma_t = teleport.swapped_finite_gain_params(kept, lossy, gamma, np.inf)
     out["swap"] = (alpha_t, alpha_t, gamma_t)

@@ -16,7 +16,7 @@ ORACLES = Path(__file__).parent / "oracles"
 CHECKS = {
     "routes.py": {
         "lossy_tmst_constructive": {"cvmw.channel.lossy_tmst",
-                                    "cvmw.channel.lossy_tmst_params",
+                                    "cvmw.channel.tmst_params",
                                     "cvmw.channel.source_terms",
                                     "cvmw.channel.tmst_polys"},
         "bifreq_received_constructive": {"cvmw.bifreq.bifreq_received",
@@ -37,6 +37,9 @@ CHECKS = {
                         "cvmw.illumination.probe_nu_minus"},
         "probe_nu_minus_mp": {"cvmw.illumination.probe_nu_minus",
                               "cvmw.entanglement.nu_minus_standard"},
+        "ps2_fidelity_mp": {"cvmw.distill.heuristic_factor",
+                            "cvmw.distill.ps2_subtracted",
+                            "cvmw.teleport.TeleportResource.fidelity"},
         "illinois": {"cvmw.teleport.anderson_bjorck"},
         "classical_limit_full_bracket": {
             "cvmw.teleport.TeleportResource.classical_limit_distance",

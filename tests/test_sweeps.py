@@ -161,19 +161,19 @@ def test_distill_columns(geometry):
 
 
 def test_corrections_match_the_matrix_route():
-    """h and g over the grid, on 1 + h: both cross zero inside the sweeps."""
+    """1 + h and 1 + g over the grid: h and g cross zero inside the sweeps."""
     for p in draws(8, seed=31):
         for geometry in ("asym", "sym"):
-            ch = channel.AirChannel(p["mu"], GRID.values(), p["n_th"], p["eta_ant"])
-            bare = channel.lossy_tmst_params(ch, p["r"], p["n"], geometry)
+            bare = channel.tmst_params(p["mu"], GRID.values(), p["n_th"], p["eta_ant"],
+                                       p["r"], p["n"], geometry)
             tilde = distill.ps2_standard_form(*bare, p["tau"])[:3]
-            h = distill.heuristic_correction(*bare)
-            g = distill.heuristic_correction(*tilde)
+            factor_h = distill.heuristic_factor(*bare)
+            factor_g = distill.heuristic_factor(*tilde)
             for i, length in enumerate(GRID.values()):
                 cm = link_cm(p, length, geometry)
-                assert 1.0 + h[i] == pytest.approx(1.0 + distill.ps2_heuristic(cm).h,
-                                                   rel=RTOL)
-                assert 1.0 + g[i] == pytest.approx(
+                assert factor_h[i] == pytest.approx(1.0 + distill.ps2_heuristic(cm).h,
+                                                    rel=RTOL)
+                assert factor_g[i] == pytest.approx(
                     1.0 + distill.ps2_gaussian(cm, p["tau"]).g, rel=RTOL)
 
 

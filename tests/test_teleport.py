@@ -13,12 +13,11 @@ from cvmw.teleport import (BEYOND_MAX, MAX_DISTANCE, ROOT_GRID, ROOT_XTOL,
                            fidelity_2ps_general, fidelity_concatenated,
                            fidelity_finite_gain, fidelity_heuristic,
                            fidelity_ps_tmsv, gamma_of, half_fidelity_condition,
-                           regaussify, root_det_standard, swap_condition,
-                           swapped_finite_gain_params)
+                           regaussify, swap_condition, swapped_finite_gain_params)
 from tests.oracles.routes import (classical_limit_array_bracket,
                                   classical_limit_full_bracket,
                                   half_fidelity_poly_array, l_max_condition_array,
-                                  poly, poly_mul, tmst_polys_array)
+                                  poly, poly_mul, ps2_fidelity_mp, tmst_polys_array)
 
 TABLE1 = dict(channel.TABLE1)
 
@@ -76,8 +75,9 @@ class TestGaussianFidelity:
 class TestConcatenated:
     def test_k_one_reduces(self):
         cm = BipartiteCM.from_state(core.tmst(0.6, 0.05))
+        alpha, beta, gamma = cm.standard_params()
         assert fidelity_concatenated(cm, 1) == pytest.approx(
-            1.0 / root_det_standard(*cm.standard_params()), rel=1e-12)
+            1.0 / (1.0 + 0.5 * (alpha + beta - 2.0 * gamma)), rel=1e-12)
 
     def test_strictly_decreasing_in_k(self):
         cm = BipartiteCM.from_state(core.tmst(0.6, 0.05))
@@ -180,6 +180,42 @@ class TestTwoPhotonSubtraction:
         crossings = [l for (l, g), (l2, g2) in zip(gains, gains[1:])
                      if g > 0.0 >= g2]
         assert crossings and crossings[0] < classical
+
+
+PS2_KINDS = [kind for kind in TeleportResource.KINDS if kind.startswith("2ps")]
+
+
+class TestTwoPsFidelityDigits:
+    """The 2PS fidelities against ps2_fidelity_mp, 250 digits of the N form
+    at the same float link triples. N cancels where beta << alpha, which is
+    the asymmetric link at a high thermal occupation."""
+
+    @pytest.mark.parametrize("n_th", [1250.0, 1e8, 1e12, 1e16, 1e40])
+    @pytest.mark.parametrize("kind", PS2_KINDS)
+    def test_within_a_few_ulps_of_250_digits(self, kind, n_th):
+        res = resource(kind, n_th=n_th)
+        prob = kind.startswith("2ps-prob")
+        grid = np.linspace(0.0, 600.0, 13)
+        triples = zip(*channel.tmst_params(res.mu, grid, res.n_th, res.eta_ant,
+                                           res.r, res.n, res.geometry))
+        want = [ps2_fidelity_mp(*triple, res.tau if prob else None)
+                for triple in triples]
+        # the probabilistic kinds keep ps2_subtracted's own rounding
+        np.testing.assert_allclose(res.fidelity(grid), want,
+                                   rtol=1e-12 if prob else 4e-15, atol=0.0)
+
+    @pytest.mark.parametrize("kind", ["2ps-heur-asym", "2ps-heur-sym"])
+    def test_huge_thermal_occupation_stays_finite(self, kind):
+        """At n_th = 1e160 no product of the scaled entries overflows."""
+        res = resource(kind, n_th=1e160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = res.fidelity(np.linspace(0.0, 600.0, 13))
+            scalar = res.fidelity(10.0)
+            length = res.classical_limit_distance()
+        assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
+        assert math.isfinite(scalar) and scalar >= 0.0
+        assert type(length) is float
 
 
 class TestRegaussify:
@@ -741,7 +777,8 @@ class TestCoefficientArrayRoute:
 
 
 def heuristic_correction_restated(alpha, beta, gamma):
-    """distill.heuristic_correction without its check, written again for sympy."""
+    """h of distill.heuristic_factor (1 + h) in its quartic N form, without
+    the check, written again for sympy."""
     e0 = (alpha - 1) * (beta - 1) + gamma ** 2
     s, d2 = alpha + beta - 2 * gamma, (alpha - beta) ** 2
     num = ((s - 2) ** 3 * (s + 6) - d2 ** 2) / 8 + d2 * (2 - s + gamma * (s + 2))
@@ -771,8 +808,8 @@ class TestSymReachIdentity:
             alpha = np.sqrt(1.0 + gamma ** 2) + rng.uniform(0.0, 1.0)
             beta = np.sqrt(1.0 + gamma ** 2) + rng.uniform(0.0, 1.0)
             tau = rng.uniform(0.05, 0.99)
-            assert heuristic_correction_restated(alpha, beta, gamma) == pytest.approx(
-                distill.heuristic_correction(alpha, beta, gamma), rel=1e-13)
+            assert 1.0 + heuristic_correction_restated(alpha, beta, gamma) == (
+                pytest.approx(distill.heuristic_factor(alpha, beta, gamma), rel=1e-13))
             np.testing.assert_allclose(
                 ps2_subtracted_restated(alpha, beta, gamma, tau),
                 distill.ps2_subtracted(alpha, beta, gamma, tau), rtol=1e-13)
@@ -1015,17 +1052,13 @@ class TestArrayFidelity:
         with pytest.raises(ValueError, match="beta must be positive"):
             swapped_finite_gain_params(np.array([3.0, 3.0]), np.array([2.0, 0.0]),
                                        np.array([1.0, 1.0]), np.inf)
-        # 1 + (alpha + beta - 2 gamma) / 2 = 0 in the second row
-        with pytest.raises(ValueError, match="det"):
-            root_det_standard(np.array([3.0, 1.0]), np.array([3.0, 1.0]),
-                              np.array([2.0, 2.0]))
         with pytest.raises(ValueError, match="invalid channel"):
             resource("tmst-asym").fidelity(np.array([10.0, -1.0]))
 
     @pytest.mark.parametrize("kind", ["tmst-asym", "tmst-sym", "swap"])
     def test_ideal_kinds_are_finite_gain_at_infinity(self, kind):
-        """tmst-* is 1/root_det_standard bit for bit; swap is the paper's
-        1/(1 + alpha - gamma^2/beta) to rounding."""
+        """tmst-* is 1/(1 + (alpha + beta - 2 gamma)/2) bit for bit; swap is
+        the paper's 1/(1 + alpha - gamma^2/beta) to rounding."""
         grid = np.linspace(0.0, 600.0, 121)
         for p in [{}] + list(link_draws(8, seed=23)):
             res = resource(kind, **p)
@@ -1037,6 +1070,7 @@ class TestArrayFidelity:
                                            1.0 / (1.0 + alpha - gamma ** 2 / beta),
                                            rtol=1e-15, atol=0.0)
             else:
-                triple = channel.tmst_params(res.mu, grid, *link, res.geometry)
+                alpha, beta, gamma = channel.tmst_params(res.mu, grid, *link,
+                                                         res.geometry)
                 assert np.array_equal(res.fidelity(grid),
-                                      1.0 / root_det_standard(*triple))
+                                      1.0 / (1.0 + 0.5 * (alpha + beta - 2.0 * gamma)))
