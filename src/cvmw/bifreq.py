@@ -290,7 +290,7 @@ def qcrb_saturating_noise(eta1, n_s):
     if vals[i] == 0.0:
         return grid[i], (grid[i], grid[i])
     root = anderson_bjorck(lambda x: qcrb_gap(eta1, n_s, x), grid[i],
-                           grid[i + 1], vals[i], vals[i + 1], xtol=1e-10 * grid[i])
+                           grid[i + 1], vals[i], vals[i + 1], rtol=1e-10)
     return root, (grid[i], grid[i + 1])
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SIGMA_Z, any_true, pow2_scale, to_float
+from .core import SIGMA_Z, any_true, pow2_scale
 from .entanglement import BipartiteCM, cm_validity
 from . import channel as channel_mod
 from . import distill
@@ -21,7 +21,8 @@ from . import distill
 CLASSICAL_FIDELITY = 0.5
 MAX_DISTANCE = 5000.0  # m; a classical limit beyond it is an error
 BEYOND_MAX = "fidelity stays above 1/2 up to %.0f m" % MAX_DISTANCE
-ROOT_XTOL = 0.01  # m; bracket width of the numeric classical limits
+# relative bracket width of the numeric classical limits: 9.5 mm at 5000 m
+ROOT_RTOL = 2.0 ** -19
 # m; the numeric limits march it one point at a time to the first cell that
 # crosses 1/2 (a 156.25 m cell) and refine there
 ROOT_GRID = np.linspace(0.0, MAX_DISTANCE, 33)
@@ -122,15 +123,14 @@ def regaussify_standard(alpha, beta, gamma, factor, mode="sym"):
     return (alpha + 1.0 - f) / f, (beta + 1.0 - f) / f, gamma / f
 
 
-def fidelity_finite_gain(alpha, beta, gamma, g, theta=0.0):
+def fidelity_finite_gain(alpha, beta, gamma, g):
     """Teleportation fidelity with finite-gain homodyne detection.
 
     g is the homodyne gain; at g = inf it is the ideal protocol's
-    1/(1 + (alpha + beta - 2 gamma)/2). theta is the amplitude of the
-    teleported coherent state. num and den are scaled by the power of two
-    s with s (alpha + beta) in [1/2, 1), which keeps the bits, and 1/sqrt(g)
-    multiplies each entry first: no product of unscaled entries overflows,
-    and at g = inf none is formed as 0 * inf.
+    1/(1 + (alpha + beta - 2 gamma)/2). num and den are scaled by the power
+    of two s with s (alpha + beta) in [1/2, 1), which keeps the bits, and
+    1/sqrt(g) multiplies each entry first: no product of unscaled entries
+    overflows, and at g = inf none is formed as 0 * inf.
     """
     if g <= 0.0:
         raise ValueError("gain must be positive")
@@ -142,12 +142,7 @@ def fidelity_finite_gain(alpha, beta, gamma, g, theta=0.0):
            + (rg * alpha) * (5.0 * s + beta_s) + rg * beta_s
            - (rg * (gamma_s - s)) * (gamma + 5.0)
            + (2.0 / g) * (s + alpha_s))
-    base = 2.0 * half_num / den
-    if theta != 0.0:
-        expo = (-(2.0 / g) * (s - alpha_s + gamma_s) ** 2 * abs(theta) ** 2
-                / (half_num * den))
-        base *= to_float(np.exp(expo))
-    return base
+    return 2.0 * half_num / den
 
 
 def swapped_finite_gain_params(alpha, beta, gamma, g):
@@ -221,7 +216,6 @@ class TeleportResource:
     eta_ant: float = 0.0
     tau: float = 0.95
     inv_gain: float = 0.0
-    theta: float = 0.0
 
     KINDS = ("tmst-asym", "tmst-sym", "2ps-prob-asym", "2ps-prob-sym",
              "2ps-heur-asym", "2ps-heur-sym", "swap",
@@ -261,11 +255,11 @@ class TeleportResource:
             beta, alpha, gamma = channel_mod.tmst_params(
                 self.mu, length / 2.0, self.n_th, self.eta_ant, self.r, self.n, "asym")
             a_t, g_t = swapped_finite_gain_params(alpha, beta, gamma, gain)
-            return fidelity_finite_gain(a_t, a_t, g_t, gain, self.theta)
+            return fidelity_finite_gain(a_t, a_t, g_t, gain)
         triple = channel_mod.tmst_params(
             self.mu, length, self.n_th, self.eta_ant, self.r, self.n, self.geometry)
         if kind.startswith("tmst"):
-            return fidelity_finite_gain(*triple, gain, self.theta)
+            return fidelity_finite_gain(*triple, gain)
         if kind.startswith("2ps-prob"):
             triple = distill.ps2_subtracted(*triple, self.tau)[:3]
         alpha, beta, gamma = triple
@@ -291,7 +285,7 @@ class TeleportResource:
         """
         if self.kind in ("tmst-sym", "2ps-prob-sym", "2ps-heur-sym"):
             return channel_mod.sym_reach(self.r, self.n, self.n_th, self.eta_ant), 1.0
-        if self.kind.startswith("2ps") or self.kind.endswith("-fg") and self.theta:
+        if self.kind.startswith("2ps"):
             return None
         k = math.sqrt(self.inv_gain) if self.kind.endswith("-fg") else 0.0
         swap = self.kind.startswith("swap")
@@ -311,14 +305,15 @@ class TeleportResource:
     def classical_limit_distance(self):
         """Distance (m) where the fidelity first crosses 1/2.
 
-        All kinds but 2ps-*-asym and the -fg kinds at theta != 0 solve a
-        closed-form condition in v = u / sigma (channel.root_distance), whose
-        constant term has the sign of F - 1/2 at the source, of degree <= 2:
-        linear for the symmetric kinds at g = inf and swap (g2 - (a - 1) B),
-        else quadratic. The others march ROOT_GRID one float at a time to the first point
+        All kinds but 2ps-*-asym solve a closed-form condition in
+        v = u / sigma (channel.root_distance), whose constant term has the
+        sign of F - 1/2 at the source, of degree <= 2: linear for the
+        symmetric kinds at g = inf and swap (g2 - (a - 1) B), else quadratic.
+        2ps-*-asym march ROOT_GRID one float at a time to the first point
         where the fidelity is at most 1/2, and Anderson-Bjorck narrows that
-        cell to ROOT_XTOL. Points beyond it, and inside earlier cells, are
-        not evaluated: a second crossing within one cell is not seen.
+        cell to a bracket ROOT_RTOL times the root wide, however small the
+        root. Points beyond it, and inside earlier cells, are not evaluated:
+        a second crossing within one cell is not seen.
         Returns 0 when the fidelity at the source is at most 1/2; raises
         ValueError when mu = 0, on a non-finite fidelity before the crossing,
         or when the root lies beyond MAX_DISTANCE.
@@ -339,7 +334,7 @@ class TeleportResource:
                 if not math.isfinite(f_b):
                     raise ValueError("non-finite fidelity on the bracketing grid")
                 if f_b <= 0.0:  # the first cell that crosses
-                    return anderson_bjorck(excess_at, a, b, f_a, f_b, ROOT_XTOL)
+                    return anderson_bjorck(excess_at, a, b, f_a, f_b, ROOT_RTOL)
                 a, f_a = b, f_b
             raise ValueError(BEYOND_MAX)
         length = channel_mod.root_distance(condition, self.mu, sigma)
@@ -348,9 +343,10 @@ class TeleportResource:
         return length
 
 
-def anderson_bjorck(f, a, b, f_a, f_b, xtol):
-    """Root of f between a and b, where f_a = f(a) and f_b = f(b) differ in
-    sign, to a bracket of width xtol.
+def anderson_bjorck(f, a, b, f_a, f_b, rtol):
+    """Root c of f between a and b, where f_a = f(a) and f_b = f(b) differ in
+    sign, to a bracket no wider than rtol |c|. rtol must sit well above the
+    float spacing (2^-52 relative): a bracket of a few ulps may never close.
 
     Regula falsi that, on every step, scales the value kept at the end that
     stays by m = 1 - f(c)/f(moved end), or by 1/2 when m <= 0 (Anderson and
@@ -371,5 +367,5 @@ def anderson_bjorck(f, a, b, f_a, f_b, xtol):
             m = 1.0 - f_c / f_a
             f_b *= m if m > 0.0 else 0.5
             a, f_a = c, f_c
-        if abs(b - a) <= xtol:
+        if abs(b - a) <= rtol * abs(c):
             return c

@@ -15,7 +15,7 @@ from cvmw.entanglement import BipartiteCM
 from cvmw.fock import (_bargmann, _expm_antihermitian, partial_transpose,
                        thermal_density)
 from cvmw.illumination import eta_eff as qi_eta_eff, qi_probe
-from cvmw.teleport import (BEYOND_MAX, MAX_DISTANCE, ROOT_GRID, ROOT_XTOL,
+from cvmw.teleport import (BEYOND_MAX, MAX_DISTANCE, ROOT_GRID, ROOT_RTOL,
                            anderson_bjorck)
 
 
@@ -170,11 +170,43 @@ def ps2_fidelity_mp(alpha, beta, gamma, tau=None, dps=250):
         return float((1 - num / ((s + 2) ** 2 * e0)) / (1 + s / 2))
 
 
-def illinois(f, a, b, f_a, f_b, xtol):
-    """Root of f between a and b, where f_a = f(a) and f_b = f(b) differ in
-    sign, to a bracket of width xtol: regula falsi that halves the value kept
-    at one end when the same end is kept twice in a row (the Illinois rule),
-    a refiner of its own for the full-bracket oracle."""
+def classical_limit_mp(resource, dps=60):
+    """Classical-limit distance (m) of a 2ps-*-asym TeleportResource at dps
+    digits: F = 1/2 solved by bisection (mpmath.findroot) in x = ln L over
+    [1e-320, MAX_DISTANCE] m, which must hold the crossing. The triple is
+    restated from its definitions: alpha = a + (e - a) eta_eff, beta = a,
+    gamma = c sqrt(1 - eta_eff), with a = (1 + 2n) cosh 2r, c = (1 + 2n)
+    sinh 2r, e = 1 + 2 n_th and eta_eff = eta_ant + (1 - eta_ant)
+    (1 - e^{-mu L}), the last factor by expm1, so a tiny mu L keeps its
+    digits. F is ps2_fidelity_mp's, at 4 log10 alpha more digits than dps,
+    since its quartic N cancels about 3 log10 alpha of them. F comes back
+    as a float, and its rounding near 1/2 bounds how sharp the root is."""
+    tau = resource.tau if resource.kind.startswith("2ps-prob") else None
+    with mpmath.workdps(dps):
+        s, r2 = 1 + 2 * mpmath.mpf(resource.n), 2 * mpmath.mpf(resource.r)
+        a, c = s * mpmath.cosh(r2), s * mpmath.sinh(r2)
+        e, kept = 1 + 2 * mpmath.mpf(resource.n_th), 1 - mpmath.mpf(resource.eta_ant)
+
+        def excess(x):
+            eta = 1 - kept - kept * mpmath.expm1(-resource.mu * mpmath.exp(x))
+            alpha = a + (e - a) * eta
+            digits = dps + 4 * max(0, int(mpmath.log10(alpha)))
+            gamma = c * mpmath.sqrt(1 - eta)
+            return ps2_fidelity_mp(alpha, a, gamma, tau, digits) - 0.5
+
+        ends = (mpmath.log(1e-320), mpmath.log(MAX_DISTANCE))
+        if not excess(ends[0]) > 0.0 > excess(ends[1]):
+            raise ValueError("no crossing of 1/2 between the ends")
+        x = mpmath.findroot(excess, ends, solver="bisect", tol=mpmath.mpf(2) ** -60,
+                            verify=False)
+        return float(mpmath.exp(x))
+
+
+def illinois(f, a, b, f_a, f_b, rtol):
+    """Root c of f between a and b, where f_a = f(a) and f_b = f(b) differ in
+    sign, to a bracket no wider than rtol |c|: regula falsi that halves the
+    value kept at one end when the same end is kept twice in a row (the
+    Illinois rule), a refiner of its own for the full-bracket oracle."""
     kept = 0
     while True:
         c = (a * f_b - b * f_a) / (f_b - f_a)
@@ -193,7 +225,7 @@ def illinois(f, a, b, f_a, f_b, xtol):
             if kept == 1:
                 f_b *= 0.5
             kept = 1
-        if abs(b - a) <= xtol:
+        if abs(b - a) <= rtol * abs(c):
             return c
 
 
@@ -207,13 +239,13 @@ def classical_limit_full_bracket(resource):
         return 0.0
     if at_max > 0.0:
         raise ValueError(BEYOND_MAX)
-    return illinois(excess, 0.0, MAX_DISTANCE, at_source, at_max, ROOT_XTOL)
+    return illinois(excess, 0.0, MAX_DISTANCE, at_source, at_max, ROOT_RTOL)
 
 
 def classical_limit_array_bracket(resource):
     """A numeric classical-limit distance from one array call: the excess
     F - 1/2 on all of ROOT_GRID, which must be finite, brackets the first
-    crossing, and the library's refiner narrows that cell to ROOT_XTOL. 0
+    crossing, and the library's refiner narrows that cell to ROOT_RTOL. 0
     when the source fidelity is at most 1/2; ValueError when no point
     crosses."""
     excess = resource.fidelity(ROOT_GRID) - 0.5
@@ -226,7 +258,7 @@ def classical_limit_array_bracket(resource):
         raise ValueError(BEYOND_MAX)
     return anderson_bjorck(lambda length: resource.fidelity(length) - 0.5,
                            ROOT_GRID[i - 1], ROOT_GRID[i], excess[i - 1], excess[i],
-                           ROOT_XTOL)
+                           ROOT_RTOL)
 
 
 def l_max_quartic(ch, r, n):

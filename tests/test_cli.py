@@ -428,8 +428,6 @@ def test_cli_paths_load_no_scipy():
         "link = (1.0, 0.01, 1.44e-6, 1250.0)",
         "for kind in ('2ps-prob-sym', '2ps-heur-asym'):",
         "    TeleportResource(kind, *link).classical_limit_distance()",
-        "TeleportResource('swap-fg', *link, inv_gain=0.008,",
-        "                 theta=1.0).classical_limit_distance()",
         "assert len(bifreq.jpa_synthesis(2.0)) == 7",
         "eta, n_eff = channel.eta_env_inhomogeneous(",
         "    lambda x: 1e-5 * (1.0 + x / 100.0), lambda x: 100.0 + x, 100.0)",

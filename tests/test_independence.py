@@ -40,6 +40,9 @@ CHECKS = {
         "ps2_fidelity_mp": {"cvmw.distill.heuristic_factor",
                             "cvmw.distill.ps2_subtracted",
                             "cvmw.teleport.TeleportResource.fidelity"},
+        "classical_limit_mp": {
+            "cvmw.teleport.TeleportResource.classical_limit_distance",
+            "cvmw.teleport.anderson_bjorck"},
         "illinois": {"cvmw.teleport.anderson_bjorck"},
         "classical_limit_full_bracket": {
             "cvmw.teleport.TeleportResource.classical_limit_distance",

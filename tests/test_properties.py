@@ -29,9 +29,9 @@ LINKS = st.fixed_dictionaries(dict(
     inv_gain=within("inv_gain", 1e-3, 0.05)))
 
 
-def resource(kind, link, theta=0.0):
+def resource(kind, link):
     return TeleportResource(kind, link["r"], link["n"], link["mu"], link["n_th"],
-                            link["eta_ant"], link["tau"], link["inv_gain"], theta)
+                            link["eta_ant"], link["tau"], link["inv_gain"])
 
 
 @PROPERTY
@@ -64,10 +64,9 @@ def test_swap_kinds_beat_half_exactly_where_the_swap_condition_is_positive(
 
 
 @PROPERTY
-@given(link=LINKS, kind=st.sampled_from(TeleportResource.KINDS),
-       theta=st.sampled_from([0.0, 1.0]))
-def test_fidelity_is_half_at_the_classical_limit(link, kind, theta):
-    res = resource(kind, link, theta)
+@given(link=LINKS, kind=st.sampled_from(TeleportResource.KINDS))
+def test_fidelity_is_half_at_the_classical_limit(link, kind):
+    res = resource(kind, link)
     try:
         length = res.classical_limit_distance()
     except ValueError as exc:

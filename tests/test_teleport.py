@@ -8,14 +8,14 @@ import pytest
 
 from cvmw import channel, core, distill
 from cvmw.entanglement import BipartiteCM, negativity, pts_eigenvalues
-from cvmw.teleport import (BEYOND_MAX, MAX_DISTANCE, ROOT_GRID, ROOT_XTOL,
+from cvmw.teleport import (BEYOND_MAX, MAX_DISTANCE, ROOT_GRID, ROOT_RTOL,
                            TeleportResource, anderson_bjorck,
                            fidelity_2ps_general, fidelity_concatenated,
                            fidelity_finite_gain, fidelity_heuristic,
                            fidelity_ps_tmsv, gamma_of, half_fidelity_condition,
                            regaussify, swap_condition, swapped_finite_gain_params)
 from tests.oracles.routes import (classical_limit_array_bracket,
-                                  classical_limit_full_bracket,
+                                  classical_limit_full_bracket, classical_limit_mp,
                                   half_fidelity_poly_array, l_max_condition_array,
                                   poly, poly_mul, ps2_fidelity_mp, tmst_polys_array)
 
@@ -31,8 +31,7 @@ def lossy(length, geometry, **overrides):
 def resource(kind, **overrides):
     p = {**TABLE1, **overrides}
     return TeleportResource(kind, p["r"], p["n"], p["mu"], p["n_th"],
-                            p["eta_ant"], p["tau"], p.get("inv_gain", 0.0),
-                            p.get("theta", 0.0))
+                            p["eta_ant"], p["tau"], p.get("inv_gain", 0.0))
 
 
 class TestGaussianFidelity:
@@ -306,20 +305,12 @@ class TestFiniteGain:
         assert resource("swap-fg", inv_gain=0.008).classical_limit_distance() \
             == pytest.approx(416.0, abs=1.0)
 
-    def test_displaced_target_lowers_fidelity(self):
-        cm = lossy(100.0, "asym")
-        alpha, beta, gamma = cm.standard_params()
-        f0 = fidelity_finite_gain(alpha, beta, gamma, 125.0, theta=0.0)
-        f1 = fidelity_finite_gain(alpha, beta, gamma, 125.0, theta=2.0)
-        assert f1 < f0
-
-    @pytest.mark.parametrize("theta", [0.0, 1.0])
     @pytest.mark.parametrize("kind", ["tmst-asym-fg", "tmst-sym-fg", "swap-fg"])
-    def test_huge_thermal_occupation_matches_exact_rationals(self, kind, theta):
-        """At n_th = 1e160 and L = 10 m, alpha beta and (1 - alpha + gamma)^2
-        overflow unscaled; the fidelity is the same formulas evaluated on
-        fractions.Fraction at the same float inputs, to 1e-12."""
-        res = resource(kind, n_th=1e160, inv_gain=0.008, theta=theta)
+    def test_huge_thermal_occupation_matches_exact_rationals(self, kind):
+        """At n_th = 1e160 and L = 10 m, alpha beta overflows unscaled; the
+        fidelity is the same formulas evaluated on fractions.Fraction at the
+        same float inputs, to 1e-12."""
+        res = resource(kind, n_th=1e160, inv_gain=0.008)
         g = 1.0 / res.inv_gain
         rg, inv_g = Fraction(1.0 / math.sqrt(g)), 1 / Fraction(g)
         link = (res.n_th, res.eta_ant, res.r, res.n)
@@ -336,9 +327,7 @@ class TestFiniteGain:
         half_num = 2 + rg * (1 + alpha)
         den = (4 * (1 + (alpha + beta - 2 * gamma) / 2) + rg * alpha * (5 + beta)
                + rg * beta - rg * (gamma - 1) * (gamma + 5) + 2 * inv_g * (1 + alpha))
-        expected = float(2 * half_num / den) * math.exp(float(
-            -2 * inv_g * (1 - alpha + gamma) ** 2 * Fraction(theta) ** 2
-            / (half_num * den)))
+        expected = float(2 * half_num / den)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             row = res.fidelity(np.array([0.0, 10.0]))[1]
@@ -424,7 +413,10 @@ class TestClassicalLimitRoots:
         from scipy.optimize import brentq
 
         res = resource(kind, n_th=n_th, inv_gain=0.008)
-        length = res.classical_limit_distance()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            length = res.classical_limit_distance()
+        assert type(length) is float and 0.0 < length < 1e10 / n_th
         scale = 1.0 + 2.0 * res.n
         a, c = scale * math.cosh(2.0 * res.r), scale * math.sinh(2.0 * res.r)
         gain = 1.0 / res.inv_gain if kind.endswith("-fg") else math.inf
@@ -473,38 +465,28 @@ class TestClassicalLimitRoots:
             with pytest.raises(ValueError, match="mu = 0"):
                 resource(kind, mu=0.0).classical_limit_distance()
 
-    @pytest.mark.parametrize("kind", ["tmst-asym-fg", "tmst-sym-fg", "swap-fg"])
-    def test_displaced_target_keeps_a_numeric_root(self, kind):
-        res = resource(kind, theta=1.0)
-        length = res.classical_limit_distance()
-        assert abs(res.fidelity(length) - 0.5) <= 1e-4
-        assert length < resource(kind).classical_limit_distance()
 
-
-NUMERIC_ROOT_KINDS = [("2ps-prob-asym", 0.0), ("2ps-prob-sym", 0.0),
-                      ("2ps-heur-asym", 0.0), ("2ps-heur-sym", 0.0),
-                      ("tmst-asym-fg", 1.0), ("tmst-sym-fg", 1.0), ("swap-fg", 1.0)]
+NUMERIC_ROOT_KINDS = ("2ps-prob-asym", "2ps-prob-sym", "2ps-heur-asym", "2ps-heur-sym")
 # the kinds whose classical limit marches ROOT_GRID; the symmetric ones at
 # g = inf solve the symmetric reach (TestSymReach)
-MARCHED_KINDS = [(kind, theta) for kind, theta in NUMERIC_ROOT_KINDS
-                 if not kind.endswith("-sym")]
+MARCHED_KINDS = ("2ps-prob-asym", "2ps-heur-asym")
 SYM_REACH_KINDS = ("tmst-sym", "2ps-prob-sym", "2ps-heur-sym")
 
 
 class TestNumericRoots:
-    @pytest.mark.parametrize("kind,theta", NUMERIC_ROOT_KINDS)
-    def test_anderson_bjorck_matches_brentq(self, kind, theta):
+    @pytest.mark.parametrize("kind", NUMERIC_ROOT_KINDS)
+    def test_anderson_bjorck_matches_brentq(self, kind):
         from scipy.optimize import brentq
 
         checked = 0
         for p in link_draws(12, seed=9):
-            res = resource(kind, theta=theta, **p)
+            res = resource(kind, **p)
             if res.fidelity(0.0) <= 0.5:
                 continue
             length = res.classical_limit_distance()
             reference = brentq(lambda ll: res.fidelity(ll) - 0.5, 0.0, 5000.0,
-                               xtol=0.01)
-            assert length == pytest.approx(reference, abs=0.01)
+                               xtol=1e-12)
+            assert length == pytest.approx(reference, rel=ROOT_RTOL, abs=0.0)
             checked += 1
         assert checked >= 10
 
@@ -515,9 +497,16 @@ class TestNumericRoots:
             calls.append(x)
             return np.exp(-x / 300.0) - 0.25
 
-        root = anderson_bjorck(f, 0.0, 5000.0, f(0.0), f(5000.0), 0.01)
-        assert root == pytest.approx(300.0 * np.log(4.0), abs=0.01)
+        root = anderson_bjorck(f, 0.0, 5000.0, f(0.0), f(5000.0), ROOT_RTOL)
+        assert root == pytest.approx(300.0 * np.log(4.0), rel=ROOT_RTOL, abs=0.0)
         assert len(calls) < 40
+        # the bracket is relative: a fidelity-like fall through 1/2 at 1e-200
+        # inside a 156.25 m cell
+        def g(x):
+            return 1.0 / (1.0 + x / 1e-200) - 0.5
+
+        tiny = anderson_bjorck(g, 0.0, 156.25, g(0.0), g(156.25), ROOT_RTOL)
+        assert tiny == pytest.approx(1e-200, rel=ROOT_RTOL, abs=0.0)
 
     def test_non_finite_value_inside_the_bracket_raises(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -542,15 +531,15 @@ class TestGridBracket:
             res = resource(kind, **p)
             length = res.classical_limit_distance()
             assert length == pytest.approx(classical_limit_full_bracket(res),
-                                           abs=ROOT_XTOL)
+                                           rel=ROOT_RTOL, abs=0.0)
             assert abs(res.fidelity(length) - 0.5) <= 1e-4
 
-    @pytest.mark.parametrize("kind,theta", MARCHED_KINDS)
-    def test_march_equals_the_array_bracket(self, kind, theta):
+    @pytest.mark.parametrize("kind", MARCHED_KINDS)
+    def test_march_equals_the_array_bracket(self, kind):
         # a scalar fidelity is its array row bit for bit, so the march picks
         # the same cell as one array call over the grid, and the same root
         for p in [{}] + list(bench_link_draws(10, seed=14)):
-            res = resource(kind, theta=theta, **p)
+            res = resource(kind, **p)
             assert (float(res.classical_limit_distance()).hex()
                     == float(classical_limit_array_bracket(res)).hex())
 
@@ -568,12 +557,12 @@ class TestGridBracket:
         assert not [length for length in lengths if isinstance(length, np.ndarray)]
         assert len(lengths) <= 10
 
-    @pytest.mark.parametrize("kind,theta", MARCHED_KINDS)
-    def test_march_is_close_to_a_tight_brentq_root(self, kind, theta):
+    @pytest.mark.parametrize("kind", MARCHED_KINDS)
+    def test_march_is_close_to_a_tight_brentq_root(self, kind):
         from scipy.optimize import brentq
 
         for p in [{}] + list(bench_link_draws(10, seed=14)):
-            res = resource(kind, theta=theta, **p)
+            res = resource(kind, **p)
             reference = brentq(lambda ll: res.fidelity(ll) - 0.5, 0.0, MAX_DISTANCE,
                                xtol=1e-12)
             assert abs(res.classical_limit_distance() - reference) <= 1e-4
@@ -599,12 +588,12 @@ class TestGridBracket:
             crossed += changes
         assert crossed >= 200
 
-    @pytest.mark.parametrize("kind,theta", NUMERIC_ROOT_KINDS)
-    def test_no_crossing_raises_without_warning(self, kind, theta):
+    @pytest.mark.parametrize("kind", NUMERIC_ROOT_KINDS)
+    def test_no_crossing_raises_without_warning(self, kind):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=re.escape(BEYOND_MAX)):
-                resource(kind, theta=theta, mu=1e-8).classical_limit_distance()
+            with pytest.raises(ValueError, match="^%s$" % re.escape(BEYOND_MAX)):
+                resource(kind, mu=1e-8).classical_limit_distance()
 
     @pytest.mark.parametrize("index,raises", [(2, True), (10, False)])
     def test_non_finite_value_raises_before_the_crossing(self, index, raises,
@@ -631,7 +620,7 @@ class TestGridBracket:
         # 1/2 is crossed at 250 pi, 750 pi and 1250 pi m
         length = Oscillating("2ps-prob-asym", 1.0, 0.01, 1e-6,
                              1250.0).classical_limit_distance()
-        assert length == pytest.approx(250.0 * np.pi, abs=ROOT_XTOL)
+        assert length == pytest.approx(250.0 * np.pi, rel=ROOT_RTOL, abs=0.0)
 
     @pytest.mark.parametrize("kind", TeleportResource.KINDS)
     def test_bad_distance_raises(self, kind):
@@ -649,6 +638,42 @@ class TestGridBracket:
             resource("2ps-prob-asym", eta_ant=1.5)
         with pytest.raises(AttributeError):
             resource("2ps-prob-asym").mu = -1.0
+
+
+class TestMarchedRootsAtAnyOccupation:
+    """The marched limits scale with 1/n_th down to 5e-295 m at n_th = 1e300:
+    the bracket is relative, so they keep ROOT_RTOL of the exact root."""
+
+    @pytest.mark.parametrize("n_th", [1250.0] + [10.0 ** k for k in range(4, 13)]
+                             + [1e40, 1e160, 1e300])
+    @pytest.mark.parametrize("kind", MARCHED_KINDS)
+    def test_matches_the_exact_root(self, kind, n_th):
+        res = resource(kind, n_th=n_th)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            length = res.classical_limit_distance()
+        assert type(length) is float and 0.0 < length < 1e10 / n_th
+        assert length == pytest.approx(classical_limit_mp(res), rel=ROOT_RTOL, abs=0.0)
+
+
+class TestTable1LimitsWithoutWarning:
+    """At table1, under warnings as errors: every classical limit is a
+    Python float, a marched one lies within 1e-6 of F = 1/2, and the
+    symmetric kinds at g = inf give the symmetric reach itself."""
+
+    @pytest.mark.parametrize("kind", TeleportResource.KINDS)
+    def test_classical_limit(self, kind):
+        res = resource(kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            length = res.classical_limit_distance()
+            excess = res.fidelity(length) - 0.5
+            reach = distance_bound("l_max-sym", {})
+        assert type(length) is float
+        if kind in MARCHED_KINDS:
+            assert abs(excess) <= 1e-6
+        if kind in SYM_REACH_KINDS:
+            assert length == reach
 
 
 def mp_root_distance(condition, mu, sigma=1.0):
@@ -767,13 +792,16 @@ class TestCoefficientArrayRoute:
                                        "l_max-asym", "l_max-sym"])
     def test_quadratic_bounds_form_no_array(self, bound, monkeypatch):
         """Every closed-form bound has a condition of degree <= 2 and is a
-        Python float built without a coefficient array or an eigen-solve."""
+        Python float built without a coefficient array or an eigen-solve,
+        and without a warning."""
         def refuse(*args, **kwargs):
             raise AssertionError("a coefficient array was formed")
         monkeypatch.setattr(channel.np, "zeros", refuse)
         monkeypatch.setattr(channel.np, "convolve", refuse)
         monkeypatch.setattr(channel.np.linalg, "eigvals", refuse)
-        assert type(distance_bound(bound, {})) is float
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert type(distance_bound(bound, {})) is float
 
 
 def heuristic_correction_restated(alpha, beta, gamma):
@@ -964,11 +992,11 @@ class TestSymReach:
             resource(kind, mu=1e-7).classical_limit_distance()
 
     @pytest.mark.parametrize("kind", SYM_REACH_KINDS)
-    def test_within_root_xtol_of_the_array_bracket(self, kind):
+    def test_within_root_rtol_of_the_array_bracket(self, kind):
         for p in self.LINKS:
             res = resource(kind, **p)
-            assert abs(res.classical_limit_distance()
-                       - classical_limit_array_bracket(res)) <= ROOT_XTOL
+            assert res.classical_limit_distance() == pytest.approx(
+                classical_limit_array_bracket(res), rel=ROOT_RTOL, abs=0.0)
 
     @pytest.mark.parametrize("kind", SYM_REACH_KINDS)
     def test_evaluates_no_fidelity(self, kind, monkeypatch):
