@@ -240,12 +240,6 @@ def _qfi_table(x):
             "h_closed": closed}
 
 
-def _link_params(x, length, geometry):
-    # _check has checked every field at the boundary
-    return channel.tmst_params(x["mu"], length, x["n_th"], x["eta_ant"], x["r"],
-                               x["n"], geometry)
-
-
 def _teleport_table(x):
     L = x["L"]
     link = (x["r"], x["n"], x["mu"], x["n_th"], x["eta_ant"])
@@ -258,7 +252,9 @@ def _teleport_table(x):
 
 def _distill_table(x):
     geometry = x["geometry"]
-    bare = _link_params(x, x["L"], geometry)
+    # _check has checked every field at the boundary
+    bare = channel.tmst_params(x["mu"], x["L"], x["n_th"], x["eta_ant"], x["r"],
+                               x["n"], geometry)
     *tilde, prob = distill.ps2_standard_form(*bare, x["tau"])
     nu_bare = entanglement.nu_minus_standard(*bare)
     # 1 + g of ps2_gaussian is heuristic_factor at the subtracted triple
@@ -278,7 +274,8 @@ def _distill_table(x):
 
 def _swap_table(x):
     # Charlie measures the lossy modes: alpha is the retained block of a link
-    beta, alpha, gamma = _link_params(x, x["L"] / 2.0, "asym")
+    beta, alpha, gamma = channel.tmst_params(x["mu"], x["L"] / 2.0, x["n_th"],
+                                             x["eta_ant"], x["r"], x["n"], "asym")
     # the ideal swap is the finite-gain one at g = inf
     alpha_t, gamma_t = teleport.swapped_finite_gain_params(alpha, beta, gamma, np.inf)
     nu = entanglement.nu_minus_standard(alpha_t, alpha_t, gamma_t)

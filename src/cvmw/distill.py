@@ -163,39 +163,40 @@ def ps2_gaussian(cm, tau):
     return PsOutcome(sigma_a, sigma_b, eps, float(prob), ps2_heuristic(cm_tilde))
 
 
-def ps2_subtracted(alpha, beta, gamma, tau, prob=False):
-    """ps2_standard_form without P, which a fidelity does not read: (alpha_tilde,
-    beta_tilde, gamma_tilde, den), den = 4 det X_A^{1/2} det Y^{1/2}; with
-    prob, P takes den's place."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError("transmissivity must lie in (0, 1)")
-    x_a = 0.5 * ((1 - tau) * alpha + 1 + tau)
-    if any_true(abs(x_a * x_a) < 1e-14):
-        raise ValueError("singular X_A block")
-    g2 = gamma ** 2
-    cross = (1 - alpha) * (1 - beta) - g2
-    mixed = 1 - alpha * beta + g2
-    den = (1 + alpha) * (1 + beta) - g2 + 2 * mixed * tau + cross * tau ** 2
-    y = den / (4.0 * x_a)
-    if any_true(abs(y * y) < 1e-14):
-        raise ValueError("singular Y block")
-    alpha_t = 1 - 2 * tau * ((1 - alpha) * (1 + beta) + g2 + cross * tau) / den
-    beta_t = 1 - 2 * tau * ((1 + alpha) * (1 - beta) + g2 + cross * tau) / den
-    gamma_t = 4 * tau * gamma / den
-    if prob:
-        return alpha_t, beta_t, gamma_t, 4 * (1 - tau) ** 2 * (
-            (mixed + cross * tau) ** 2 - (alpha - beta) ** 2 + 4 * g2) / den ** 3
-    return alpha_t, beta_t, gamma_t, den
-
-
 def ps2_standard_form(alpha, beta, gamma, tau):
     """Closed forms of the 2PS submatrices and success probability:
     (alpha_tilde, beta_tilde, gamma_tilde, P), elementwise over arrays.
 
-    Independent of the general machinery in ps2_gaussian, which checks it
-    in the tests, and with its errors (see ps2_subtracted).
+    P = ((1 - tau)/tau)^2 E_0 / den, den = 4 det X_A^{1/2} det Y^{1/2} and
+    E_0 = q_a q_b + gamma_tilde^2 (q_a = 1 - alpha_tilde, q_b = 1 -
+    beta_tilde) the heuristic normalization at the subtracted triple, with
+    no negative term on a physical Sigma-tilde; tests/test_distill.py
+    derives it from the quartic over den^3. Each form is homogeneous in
+    (alpha, beta, gamma, 1), so as in heuristic_factor a power of two s
+    scales the entries and stands for each 1: the triple has degree 0,
+    gamma_tilde carries one s and 1/den two. Independent of ps2_gaussian,
+    which checks it in the tests, and with its errors: X_A = x_a I or
+    Y = y I is singular where |x_a| or |y| is below 1e-7.
     """
-    return ps2_subtracted(alpha, beta, gamma, tau, prob=True)
+    if not 0.0 < tau < 1.0:
+        raise ValueError("transmissivity must lie in (0, 1)")
+    s = pow2_scale(alpha + beta)
+    alpha_s, beta_s, gamma_s = alpha * s, beta * s, gamma * s
+    tol = 1e-7 * s
+    x_a = 0.5 * ((1 - tau) * alpha_s + s + tau * s)
+    if any_true(abs(x_a) < tol):
+        raise ValueError("singular X_A block")
+    g2 = gamma_s * gamma_s
+    cross = (s - alpha_s) * (s - beta_s) - g2
+    den = ((s + alpha_s) * (s + beta_s) - g2
+           + 2 * (s * s - alpha_s * beta_s + g2) * tau + cross * tau ** 2)
+    if any_true(abs(den / (4.0 * x_a)) < tol):
+        raise ValueError("singular Y block")
+    q_a = 2 * tau * ((s - alpha_s) * (s + beta_s) + g2 + cross * tau) / den
+    q_b = 2 * tau * ((s + alpha_s) * (s - beta_s) + g2 + cross * tau) / den
+    gamma_t = 4 * tau * gamma_s / den * s
+    prob = ((1 - tau) / tau) ** 2 * (q_a * q_b + gamma_t * gamma_t) / den * s * s
+    return 1 - q_a, 1 - q_b, gamma_t, prob
 
 
 def heuristic_factor(alpha, beta, gamma):

@@ -261,7 +261,7 @@ class TeleportResource:
         if kind.startswith("tmst"):
             return fidelity_finite_gain(*triple, gain)
         if kind.startswith("2ps-prob"):
-            triple = distill.ps2_subtracted(*triple, self.tau)[:3]
+            triple = distill.ps2_standard_form(*triple, self.tau)[:3]
         alpha, beta, gamma = triple
         return (distill.heuristic_factor(alpha, beta, gamma)
                 / (1.0 + 0.5 * (alpha + beta - 2.0 * gamma)))

@@ -144,6 +144,27 @@ def probe_nu_minus_mp(n_s, n_th, dps=60):
                            2 * mpmath.sqrt(n_s * (1 + n_s)), dps)
 
 
+def ps2_standard_form_mp(alpha, beta, gamma, tau, dps):
+    """(alpha_tilde, beta_tilde, gamma_tilde, P) of the beam-splitter 2PS on
+    the standard-form triple (alpha, beta, gamma) at dps digits, as mpf, in
+    the closed forms of ps2_gaussian's blocks for that input: den = 4 det
+    X_A^{1/2} det Y^{1/2} = (1 + alpha)(1 + beta) - gamma^2 + 2 (1 - alpha
+    beta + gamma^2) tau + ((1 - alpha)(1 - beta) - gamma^2) tau^2, and P the
+    quartic over den^3, 4 (1 - tau)^2 ((1 - alpha beta + gamma^2 + ((1 -
+    alpha)(1 - beta) - gamma^2) tau)^2 - (alpha - beta)^2 + 4 gamma^2) /
+    den^3, which cancels about 2 log10 alpha digits. The entries are floats
+    or mpf."""
+    with mpmath.workdps(dps):
+        a, b, c, t = (mpmath.mpf(x) for x in (alpha, beta, gamma, tau))
+        cross = (1 - a) * (1 - b) - c * c
+        den = ((1 + a) * (1 + b) - c * c + 2 * (1 - a * b + c * c) * t
+               + cross * t * t)
+        quartic = (1 - a * b + c * c + cross * t) ** 2 - (a - b) ** 2 + 4 * c * c
+        return (1 - 2 * t * ((1 - a) * (1 + b) + c * c + cross * t) / den,
+                1 - 2 * t * ((1 + a) * (1 - b) + c * c + cross * t) / den,
+                4 * t * c / den, 4 * (1 - t) ** 2 * quartic / den ** 3)
+
+
 def ps2_fidelity_mp(alpha, beta, gamma, tau=None, dps=250):
     """Fidelity (1 + h) / (1 + S/2) of the photon-subtracted resource on the
     standard-form triple (alpha, beta, gamma) at dps digits, with h in its
@@ -151,19 +172,13 @@ def ps2_fidelity_mp(alpha, beta, gamma, tau=None, dps=250):
     gamma^2, N = ((S - 2)^3 (S + 6) - D^4) / 8 + D^2 (2 - S + gamma (S + 2)),
     S = alpha + beta - 2 gamma and D = alpha - beta. N loses about
     3 log10 alpha digits to cancellation where beta << alpha. With tau, the
-    triple is first subtracted by the beam-splitter scheme, in the closed
-    form of ps2_subtracted at the same precision. The entries are floats or
+    triple is first subtracted by the beam-splitter scheme, in
+    ps2_standard_form_mp at the same precision. The entries are floats or
     mpf; the result is the float nearest the dps-digit value."""
     with mpmath.workdps(dps):
         a, b, c = (mpmath.mpf(x) for x in (alpha, beta, gamma))
         if tau is not None:
-            t = mpmath.mpf(tau)
-            cross = (1 - a) * (1 - b) - c * c
-            den = ((1 + a) * (1 + b) - c * c + 2 * (1 - a * b + c * c) * t
-                   + cross * t * t)
-            a, b, c = (1 - 2 * t * ((1 - a) * (1 + b) + c * c + cross * t) / den,
-                       1 - 2 * t * ((1 + a) * (1 - b) + c * c + cross * t) / den,
-                       4 * t * c / den)
+            a, b, c, _ = ps2_standard_form_mp(a, b, c, tau, dps)
         s, d2 = a + b - 2 * c, (a - b) ** 2
         e0 = (a - 1) * (b - 1) + c * c
         num = ((s - 2) ** 3 * (s + 6) - d2 * d2) / 8 + d2 * (2 - s + c * (s + 2))

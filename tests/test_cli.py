@@ -3,6 +3,7 @@ import csv
 import decimal
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -14,7 +15,8 @@ import pytest
 
 import cvmw
 from cvmw import channel, cli, core, teleport
-from tests.oracles.routes import probe_nu_minus_mp
+from tests.oracles.routes import (probe_nu_minus_mp, ps2_fidelity_mp,
+                                  ps2_standard_form_mp)
 
 # the CLI subprocess imports the same cvmw as the tests, installed or not
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cvmw.__file__)))
@@ -557,6 +559,96 @@ def test_symmetric_link_needs_no_asymmetric_coefficient():
     rows = parse_csv(proc.stdout)
     assert [float(row["fidelity"]) for row in rows] == pytest.approx(
         [0.87870220057995474, 1.3888938888948891e-303], rel=1e-12)
+
+
+def run_cli_strict(*args):
+    """cli.main(args) in this process with every warning an error: its exit
+    code, its rows and its stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = cli.main(list(args))
+    return code, parse_csv(out.getvalue()), err.getvalue()
+
+
+@pytest.mark.parametrize("argv,count", [
+    (("distill", "--sweep", "L", "0", "600", "10000"), 10000),
+    (("teleport", "--resource", "2ps-prob-sym", "--sweep", "L", "0", "600", "10000"),
+     10000),
+    # the 2PS factor 1 + h is homogeneous in (alpha, beta, gamma, 1), so a
+    # power of two scales it: no product overflows, and its terms are
+    # positive on the separable links, where beta << alpha cancelled
+    (("teleport", "--resource", "2ps-heur-asym", "--set", "n_th=1e160",
+      "--sweep", "L", "0", "10", "2"), 2),
+    (("teleport", "--resource", "2ps-heur-sym", "--set", "n_th=1e160",
+      "--sweep", "L", "0", "10", "2"), 2),
+    (("distill", "--geometry", "asym", "--set", "n_th=1e16",
+      "--sweep", "L", "0", "10", "2"), 2),
+])
+def test_subtraction_sweeps_are_finite_without_a_warning(argv, count):
+    code, rows, err = run_cli_strict(*argv)
+    assert code == 0 and err == "", err
+    assert len(rows) == count
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row.values())
+
+
+def test_heuristic_asym_fidelity_where_beta_is_far_below_alpha():
+    """At n_th = 1e16 and L = 10 m the quartic N form of 1 + h printed
+    -5.03e-17; the positive form gives the 1,200-digit value."""
+    code, rows, err = run_cli_strict("teleport", "--resource", "2ps-heur-asym",
+                                     "--set", "n_th=1e16", "--sweep", "L", "0", "10", "2")
+    assert code == 0 and err == "", err
+    assert float(rows[-1]["L"]) == 10.0
+    assert float(rows[-1]["fidelity"]) == pytest.approx(2.3329037732811784e-22,
+                                                        rel=1e-12, abs=0.0)
+
+
+def exact_subtraction_cells(kind, geometry, n_th, rows):
+    """Each row's fidelity (kind "teleport") or p2 (kind "distill") at table1
+    with n_th set, from the exact restatements of the subtraction."""
+    p = channel.TABLE1
+    cells = []
+    for row in rows:
+        triple = channel.tmst_params(p["mu"], float(row["L"]), n_th, p["eta_ant"],
+                                     p["r"], p["n"], geometry)
+        digits = 250 + 5 * int(math.log10(max(triple)))
+        if kind == "teleport":
+            cells.append(ps2_fidelity_mp(*triple, p["tau"], digits))
+        else:
+            cells.append(float(ps2_standard_form_mp(*triple, p["tau"], digits)[3]))
+    return cells
+
+
+@pytest.mark.parametrize("argv,geometry,n_th,column", [
+    (("teleport", "--resource", "2ps-prob-sym"), "sym", 1e160, "fidelity"),
+    (("teleport", "--resource", "2ps-prob-sym"), "sym", 1e300, "fidelity"),
+    (("teleport", "--resource", "2ps-prob-asym"), "asym", 1e300, "fidelity"),
+    (("distill", "--geometry", "sym"), "sym", 1e60, "p2"),
+    (("distill", "--geometry", "sym"), "sym", 1e150, "p2"),
+])
+def test_subtraction_at_huge_thermal_occupation(argv, geometry, n_th, column):
+    """The subtraction is scaled by a power of two: unscaled, (1 - alpha)(1 -
+    beta) overflowed from n_th = 1e160 and P's den^3 from about 1e50."""
+    code, rows, err = run_cli_strict(*argv, "--set", "n_th=%g" % n_th,
+                                     "--sweep", "L", "0", "10", "2")
+    assert code == 0 and err == "", err
+    want = exact_subtraction_cells(argv[0], geometry, n_th, rows)
+    np.testing.assert_allclose([float(row[column]) for row in rows], want,
+                               rtol=1e-12, atol=0.0)
+
+
+def test_distill_at_1e160_prints_no_nan():
+    """P is E_0 of the subtracted state over den, scaled: every probabilistic
+    cell is finite. theta_heur, near 8e310 at L = 10 m, still overflows
+    in cm_validity."""
+    code, out, _ = run_cli("distill", "--set", "n_th=1e160", "--sweep", "L", "0", "10", "2")
+    assert code == 0 and "nan" not in out
+    rows = parse_csv(out)
+    for column in ("p2", "n_prob", "e_n_prob", "theta_prob"):
+        assert all(math.isfinite(float(row[column])) for row in rows), column
+    assert [float(row["p2"]) for row in rows] == pytest.approx(
+        exact_subtraction_cells("distill", "sym", 1e160, rows), rel=1e-12, abs=0.0)
 
 
 class TestDeterminism:

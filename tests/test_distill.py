@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ from scipy.special import hyp2f1 as scipy_hyp2f1
 from cvmw import channel, core, fock, teleport
 from cvmw.distill import (char_fn_2ps, char_fn_heuristic, heuristic_factor,
                           heuristic_negativity, hyp2f1_k, ps2_gaussian,
-                          ps2_heuristic, ps2_standard_form, ps2_subtracted,
-                          PsTmsv, swap, tmsv_negativity)
+                          ps2_heuristic, ps2_standard_form, PsTmsv, swap,
+                          tmsv_negativity)
 from cvmw.entanglement import BipartiteCM, cm_validity, negativity
-from tests.oracles.routes import success_probability_series
+from tests.oracles.routes import ps2_standard_form_mp, success_probability_series
 
 
 class TestHyp2f1:
@@ -245,47 +246,91 @@ class TestHeuristicCorrection:
         # (1 - tau) alpha + 1 + tau = 0 makes X_A singular
         with pytest.raises(ValueError, match="singular X_A"):
             ps2_standard_form(np.array([3.0, -19.0]), 3.0, 0.0, 0.9)
+        # den = ((1 + tau) + (1 - tau)(alpha - gamma)) (...) = 0 makes Y singular
+        with pytest.raises(ValueError, match="singular Y"):
+            ps2_standard_form(3.0, 3.0, np.array([2.0, 6.0]), 0.5)
+        # the bounds hold for the unscaled x_a and y: a block far larger
+        # than the other, which sets the scale, leaves neither singular
+        assert np.isfinite(ps2_standard_form(3.0, 1e12, 1.0, 0.9)).all()
 
 
-def ps2_subtracted_spelled_out(alpha, beta, gamma, tau):
-    """distill.ps2_subtracted's entries without its checks, with every
-    gamma^2 and (1 - alpha)(1 - beta) - gamma^2 formed where it is used."""
-    den = ((1 + alpha) * (1 + beta) - gamma ** 2
-           + 2 * (1 - alpha * beta + gamma ** 2) * tau
-           + ((1 - alpha) * (1 - beta) - gamma ** 2) * tau ** 2)
-    alpha_t = 1 - 2 * tau * ((1 - alpha) * (1 + beta) + gamma ** 2
-                             + ((1 - alpha) * (1 - beta) - gamma ** 2) * tau) / den
-    beta_t = 1 - 2 * tau * ((1 + alpha) * (1 - beta) + gamma ** 2
-                            + ((1 - alpha) * (1 - beta) - gamma ** 2) * tau) / den
-    return alpha_t, beta_t, 4 * tau * gamma / den, den
+def ps2_standard_form_spelled_out(alpha, beta, gamma, tau):
+    """distill.ps2_standard_form's terms without its checks, with every
+    scaled entry, gamma^2 and (1 - alpha)(1 - beta) - gamma^2 formed where
+    it is used: (q_a, q_b, gamma_tilde, den, s), alpha_tilde = 1 - q_a and
+    beta_tilde = 1 - q_b, with den and each numerator scaled by s^2."""
+    s = 2.0 ** -math.frexp(alpha + beta)[1]
+    den = ((s + alpha * s) * (s + beta * s) - (gamma * s) * (gamma * s)
+           + 2 * (s * s - (alpha * s) * (beta * s) + (gamma * s) * (gamma * s)) * tau
+           + ((s - alpha * s) * (s - beta * s) - (gamma * s) * (gamma * s)) * tau ** 2)
+    q_a = 2 * tau * ((s - alpha * s) * (s + beta * s) + (gamma * s) * (gamma * s)
+                     + ((s - alpha * s) * (s - beta * s)
+                        - (gamma * s) * (gamma * s)) * tau) / den
+    q_b = 2 * tau * ((s + alpha * s) * (s - beta * s) + (gamma * s) * (gamma * s)
+                     + ((s - alpha * s) * (s - beta * s)
+                        - (gamma * s) * (gamma * s)) * tau) / den
+    return q_a, q_b, 4 * tau * (gamma * s) / den * s, den, s
+
+
+def physical_draws(count, seed):
+    """(alpha, beta, gamma, tau) with alpha, beta >= sqrt(1 + gamma^2)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        gamma = float(rng.uniform(0.0, 5.0))
+        alpha = math.sqrt(1.0 + gamma ** 2) + float(rng.uniform(0.0, 3.0))
+        beta = math.sqrt(1.0 + gamma ** 2) + float(rng.uniform(0.0, 3.0))
+        yield alpha, beta, gamma, float(rng.uniform(0.01, 0.99))
 
 
 def test_subtraction_forms_each_term_once_bit_for_bit():
-    rng = np.random.default_rng(41)
-    for _ in range(20000):
-        gamma = float(rng.uniform(0.0, 5.0))
-        alpha = math.sqrt(1.0 + gamma ** 2) + float(rng.uniform(0.0, 3.0))
-        beta = math.sqrt(1.0 + gamma ** 2) + float(rng.uniform(0.0, 3.0))
-        tau = float(rng.uniform(0.01, 0.99))
-        got = ps2_subtracted(alpha, beta, gamma, tau)
-        expected = ps2_subtracted_spelled_out(alpha, beta, gamma, tau)
-        assert [x.hex() for x in got] == [x.hex() for x in expected]
+    for alpha, beta, gamma, tau in physical_draws(20000, seed=41):
+        got = ps2_standard_form(alpha, beta, gamma, tau)
+        q_a, q_b, gamma_t, _, _ = ps2_standard_form_spelled_out(alpha, beta, gamma, tau)
+        assert [x.hex() for x in got[:3]] == [x.hex() for x in (1 - q_a, 1 - q_b, gamma_t)]
 
 
 def test_success_probability_shares_the_subtraction_terms_bit_for_bit():
-    rng = np.random.default_rng(43)
-    for _ in range(5000):
-        gamma = float(rng.uniform(0.0, 5.0))
-        alpha = math.sqrt(1.0 + gamma ** 2) + float(rng.uniform(0.0, 3.0))
-        beta = math.sqrt(1.0 + gamma ** 2) + float(rng.uniform(0.0, 3.0))
-        tau = float(rng.uniform(0.01, 0.99))
-        *tilde, den = ps2_subtracted_spelled_out(alpha, beta, gamma, tau)
-        prob = 4 * (1 - tau) ** 2 * (
-            (1 - alpha * beta + gamma ** 2
-             + ((1 - alpha) * (1 - beta) - gamma ** 2) * tau) ** 2
-            - (alpha - beta) ** 2 + 4 * gamma ** 2) / den ** 3
+    for alpha, beta, gamma, tau in physical_draws(5000, seed=43):
+        q_a, q_b, gamma_t, den, s = ps2_standard_form_spelled_out(alpha, beta, gamma, tau)
+        # ((1 - tau) / tau)^2 E_0(Sigma-tilde) / den, 1/den carrying s^2
+        prob = ((1 - tau) / tau) ** 2 * (q_a * q_b + gamma_t * gamma_t) / den * s * s
         got = ps2_standard_form(alpha, beta, gamma, tau)
-        assert [x.hex() for x in got] == [x.hex() for x in (*tilde, prob)]
+        assert got[3].hex() == prob.hex()
+
+
+@pytest.mark.parametrize("n_th", [1250.0, 1e16, 1e60, 1e100, 1e160, 1e300])
+@pytest.mark.parametrize("geometry", ["asym", "sym"])
+def test_subtraction_matches_the_exact_restatement(geometry, n_th):
+    """All four outputs at table1 with n_th varied, against
+    ps2_standard_form_mp with P in its quartic over den^3: unscaled, den^3
+    overflows from about n_th = 1e50 (sym) and (1 - alpha)(1 - beta) from
+    1e160. The restatement cancels about 2 log10 alpha digits."""
+    p = channel.TABLE1
+    triples = zip(*channel.tmst_params(p["mu"], np.linspace(0.0, 600.0, 13), n_th,
+                                       p["eta_ant"], p["r"], p["n"], geometry))
+    for triple in triples:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ps2_standard_form(*triple, p["tau"])
+        digits = 40 + 4 * int(math.log10(max(triple)))
+        want = [float(x) for x in ps2_standard_form_mp(*triple, p["tau"], digits)]
+        for value, exact in zip(got, want):
+            # exactly 0 where the exact value underflows
+            assert value == exact if exact == 0.0 else (
+                abs(value / exact - 1.0) <= 1e-12), (triple, got, want)
+
+
+def test_success_probability_is_e0_of_the_subtracted_state():
+    """P of ps2_standard_form, derived with sympy from the quartic over den^3:
+    P tau^2 den = (1 - tau)^2 E_0(Sigma-tilde)."""
+    from tests.test_teleport import ps2_standard_form_restated
+    sp = pytest.importorskip("sympy")
+    a, b, g, t = sp.symbols("alpha beta gamma tau", positive=True)
+    alpha_t, beta_t, gamma_t, den = ps2_standard_form_restated(a, b, g, t)
+    mixed = 1 - a * b + g ** 2 + ((1 - a) * (1 - b) - g ** 2) * t
+    quartic = 4 * (1 - t) ** 2 * (mixed ** 2 - (a - b) ** 2 + 4 * g ** 2) / den ** 3
+    e0 = (alpha_t - 1) * (beta_t - 1) + gamma_t ** 2
+    assert sp.cancel(quartic * t ** 2 * den - (1 - t) ** 2 * e0) == 0
 
 
 class TestSwap:

@@ -37,8 +37,9 @@ CHECKS = {
                         "cvmw.illumination.probe_nu_minus"},
         "probe_nu_minus_mp": {"cvmw.illumination.probe_nu_minus",
                               "cvmw.entanglement.nu_minus_standard"},
+        "ps2_standard_form_mp": {"cvmw.distill.ps2_standard_form"},
         "ps2_fidelity_mp": {"cvmw.distill.heuristic_factor",
-                            "cvmw.distill.ps2_subtracted",
+                            "cvmw.distill.ps2_standard_form",
                             "cvmw.teleport.TeleportResource.fidelity"},
         "classical_limit_mp": {
             "cvmw.teleport.TeleportResource.classical_limit_distance",

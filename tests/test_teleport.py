@@ -199,11 +199,30 @@ class TestTwoPsFidelityDigits:
                                            res.r, res.n, res.geometry))
         want = [ps2_fidelity_mp(*triple, res.tau if prob else None)
                 for triple in triples]
-        # the probabilistic kinds keep ps2_subtracted's own rounding
+        # the probabilistic kinds keep ps2_standard_form's own rounding
         np.testing.assert_allclose(res.fidelity(grid), want,
                                    rtol=1e-12 if prob else 4e-15, atol=0.0)
 
-    @pytest.mark.parametrize("kind", ["2ps-heur-asym", "2ps-heur-sym"])
+    @pytest.mark.parametrize("n_th", [1e60, 1e160, 1e300])
+    @pytest.mark.parametrize("kind", ["2ps-prob-asym", "2ps-prob-sym"])
+    def test_subtracted_kinds_at_huge_thermal_occupation(self, kind, n_th):
+        """The subtraction is scaled by a power of two like the factor:
+        unscaled, 2ps-prob-sym overflowed from n_th = 1e160. The reference
+        restates the subtraction too, which cancels about 2 log10 alpha
+        digits, and N about 3 log10 alpha more."""
+        res = resource(kind, n_th=n_th)
+        grid = np.linspace(0.0, 600.0, 13)
+        triples = zip(*channel.tmst_params(res.mu, grid, res.n_th, res.eta_ant,
+                                           res.r, res.n, res.geometry))
+        want = [ps2_fidelity_mp(*triple, res.tau,
+                                250 + 5 * int(math.log10(max(triple))))
+                for triple in triples]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = res.fidelity(grid)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("kind", PS2_KINDS)
     def test_huge_thermal_occupation_stays_finite(self, kind):
         """At n_th = 1e160 no product of the scaled entries overflows."""
         res = resource(kind, n_th=1e160)
@@ -813,8 +832,9 @@ def heuristic_correction_restated(alpha, beta, gamma):
     return -num / ((s + 2) ** 2 * e0)
 
 
-def ps2_subtracted_restated(alpha, beta, gamma, tau):
-    """distill.ps2_subtracted without its checks, written again for sympy."""
+def ps2_standard_form_restated(alpha, beta, gamma, tau):
+    """distill.ps2_standard_form's triple, unscaled and without its checks,
+    and its den, written again for sympy."""
     cross = (1 - alpha) * (1 - beta) - gamma ** 2
     den = ((1 + alpha) * (1 + beta) - gamma ** 2
            + 2 * (1 - alpha * beta + gamma ** 2) * tau + cross * tau ** 2)
@@ -839,8 +859,8 @@ class TestSymReachIdentity:
             assert 1.0 + heuristic_correction_restated(alpha, beta, gamma) == (
                 pytest.approx(distill.heuristic_factor(alpha, beta, gamma), rel=1e-13))
             np.testing.assert_allclose(
-                ps2_subtracted_restated(alpha, beta, gamma, tau),
-                distill.ps2_subtracted(alpha, beta, gamma, tau), rtol=1e-13)
+                ps2_standard_form_restated(alpha, beta, gamma, tau)[:3],
+                distill.ps2_standard_form(alpha, beta, gamma, tau)[:3], rtol=1e-13)
 
     def test_heuristic_fidelity_factorization(self):
         sp = pytest.importorskip("sympy")
@@ -866,7 +886,7 @@ class TestSymReachIdentity:
     def test_subtraction_factorization(self):
         sp = pytest.importorskip("sympy")
         a, g, tau, q, x = sp.symbols("alpha gamma tau q x", positive=True)
-        alpha_t, beta_t, gamma_t, den = ps2_subtracted_restated(a, a, g, tau)
+        alpha_t, beta_t, gamma_t, den = ps2_standard_form_restated(a, a, g, tau)
         assert sp.simplify(alpha_t - beta_t) == 0
         far = (1 + tau) + (1 - tau) * (a + g)
         near = (1 + tau) + (1 - tau) * (a - g)
