@@ -45,8 +45,11 @@ class AirChannel:
 
 
 def check_lengths(length):
-    """AirChannel's check of its distances; a float one skips numpy."""
+    """AirChannel's check of its distances; a float one skips numpy, and a
+    valid one costs one chained comparison."""
     if isinstance(length, float):
+        if 0.0 <= length < math.inf:
+            return
         finite = math.isfinite(length)
     else:
         finite = not any_true(~np.isfinite(length))
@@ -146,8 +149,9 @@ def eta_env_inhomogeneous(mu_fn, n_fn, length):
 def tmst_params(mu, length, n_th, eta_ant, r, n, geometry):
     """Standard-form (alpha, beta, gamma) of the two-mode squeezed thermal
     state distributed through an AirChannel, from the channel's fields,
-    which it does not check: tmst_polys at u = -expm1(-mu L / 2), the same u
-    in both geometries, elementwise over an array of distances.
+    which it does not check: the link's cached tmst_polys, evaluated by
+    Horner at u = -expm1(-mu L / 2), the same u in both geometries,
+    elementwise over an array of distances. The one place that forms u.
 
     geometry="asym": one mode stays at the source, the other travels the
     full distance; alpha belongs to the travelling mode. geometry="sym": the
@@ -223,12 +227,11 @@ def l_max(ch, r, n, geometry="asym"):
 NEVER_REACHED = "the bound is not reached at any distance"
 
 
-@functools.lru_cache(maxsize=64)
 def source_terms(r, n, n_th):
     """(a, c, e) of lossy_tmst: a = (1 + 2n) cosh 2r and c = (1 + 2n) sinh 2r
     are the source's diagonal and correlation entries, e = 1 + 2 n_th the
-    environment's diagonal entry. Cached: a root or a sweep asks for one
-    source throughout. Each term must be finite."""
+    environment's diagonal entry. Each term must be finite. Not cached: it
+    runs once per cached tmst_polys link, and once per swap root."""
     if n < 0.0:
         raise ValueError("source occupation n must be non-negative")
     scale = 1.0 + 2.0 * n
@@ -246,12 +249,15 @@ def source_terms(r, n, n_th):
     return a, c, e
 
 
+@functools.lru_cache(maxsize=64)
 def tmst_polys(r, n, n_th, eta_ant, geometry):
     """(alpha, beta, gamma) of lossy_tmst as polynomials in u: 3-tuples of
     Python floats, lowest power first, zero-padded.
 
     alpha = a + (e - a) eta_eff, with eta_eff = eta_ant + t0 u (sym) or
     eta_ant + t0^2 (2u - u^2) (asym); gamma = c t = c t0 (1 - u).
+    Cached, and tuples, so no reader can change them: every step of a march,
+    every kind of one link and its l_max read one set of coefficients.
     """
     a, c, e = source_terms(r, n, n_th)
     at_source = a + (e - a) * eta_ant

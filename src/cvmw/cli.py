@@ -19,6 +19,7 @@ from . import bifreq, channel, core, distill, entanglement, illumination, telepo
 from .estimation import gaussian_qfi
 
 USAGE_ERROR, COMPUTE_ERROR, ANCHOR_FAILURE = 1, 2, 3
+MAX_SWEEP_COUNT = 10 ** 6  # rows of one sweep; refused above, before any array
 
 
 @dataclass
@@ -33,6 +34,9 @@ class SweepSpec:
         if not (self.count >= 2 and float(self.count).is_integer()):
             raise ValueError("sweep count must be a whole number of at least 2, "
                              "got %g" % self.count)
+        if self.count > MAX_SWEEP_COUNT:
+            raise ValueError("sweep count must be at most %d, got %.15g"
+                             % (MAX_SWEEP_COUNT, self.count))
         self.count = int(self.count)
         if not np.isfinite([self.start, self.stop]).all():
             raise ValueError("sweep bounds must be finite")

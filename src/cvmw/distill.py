@@ -187,13 +187,15 @@ def ps2_standard_form(alpha, beta, gamma, tau):
     if any_true(abs(x_a) < tol):
         raise ValueError("singular X_A block")
     g2 = gamma_s * gamma_s
-    cross = (s - alpha_s) * (s - beta_s) - g2
-    den = ((s + alpha_s) * (s + beta_s) - g2
+    a_minus, a_plus, b_minus, b_plus = s - alpha_s, s + alpha_s, s - beta_s, s + beta_s
+    cross = a_minus * b_minus - g2
+    den = (a_plus * b_plus - g2
            + 2 * (s * s - alpha_s * beta_s + g2) * tau + cross * tau ** 2)
     if any_true(abs(den / (4.0 * x_a)) < tol):
         raise ValueError("singular Y block")
-    q_a = 2 * tau * ((s - alpha_s) * (s + beta_s) + g2 + cross * tau) / den
-    q_b = 2 * tau * ((s + alpha_s) * (s - beta_s) + g2 + cross * tau) / den
+    cross_tau = cross * tau
+    q_a = 2 * tau * (a_minus * b_plus + g2 + cross_tau) / den
+    q_b = 2 * tau * (a_plus * b_minus + g2 + cross_tau) / den
     gamma_t = 4 * tau * gamma_s / den * s
     prob = ((1 - tau) / tau) ** 2 * (q_a * q_b + gamma_t * gamma_t) / den * s * s
     return 1 - q_a, 1 - q_b, gamma_t, prob

@@ -7,7 +7,6 @@ channel module, so the distance conventions (full L for the asymmetric
 state, L/2 per arm for the symmetric and swapped ones) live in one place.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -200,6 +199,22 @@ def swap_condition(a, beta, gamma_sq, k):
             h1 * v1 - m * (k * b1 * b1))
 
 
+# kind -> (form, geometry of its link, finite gain): the dispatch of
+# TeleportResource, one lookup per call. Swap links are asymmetric.
+FORMS = {
+    "tmst-asym": ("tmst", "asym", False),
+    "tmst-sym": ("tmst", "sym", False),
+    "2ps-prob-asym": ("2ps-prob", "asym", False),
+    "2ps-prob-sym": ("2ps-prob", "sym", False),
+    "2ps-heur-asym": ("2ps-heur", "asym", False),
+    "2ps-heur-sym": ("2ps-heur", "sym", False),
+    "swap": ("swap", "asym", False),
+    "tmst-asym-fg": ("tmst", "asym", True),
+    "tmst-sym-fg": ("tmst", "sym", True),
+    "swap-fg": ("swap", "asym", True),
+}
+
+
 @dataclass(frozen=True)
 class TeleportResource:
     """Resource selector for the distance-dependent fidelity sweeps.
@@ -217,24 +232,22 @@ class TeleportResource:
     tau: float = 0.95
     inv_gain: float = 0.0
 
-    KINDS = ("tmst-asym", "tmst-sym", "2ps-prob-asym", "2ps-prob-sym",
-             "2ps-heur-asym", "2ps-heur-sym", "swap",
-             "tmst-asym-fg", "tmst-sym-fg", "swap-fg")
+    KINDS = tuple(FORMS)
 
     def __post_init__(self):
-        if self.kind not in self.KINDS:
+        if self.kind not in FORMS:
             raise ValueError("unknown resource kind %r" % self.kind)
-        if self.kind.endswith("-fg") and not (math.isfinite(self.inv_gain)
-                                              and self.inv_gain > 0.0):
+        form, _, finite_gain = FORMS[self.kind]
+        if finite_gain and not (math.isfinite(self.inv_gain) and self.inv_gain > 0.0):
             raise ValueError("finite-gain resources need a finite inv_gain > 0")
-        if self.kind.startswith("2ps-prob") and not 0.0 < self.tau < 1.0:
+        if form == "2ps-prob" and not 0.0 < self.tau < 1.0:
             raise ValueError("transmissivity must lie in (0, 1)")
         channel_mod.AirChannel(self.mu, 0.0, self.n_th, self.eta_ant)  # checked once
 
-    @functools.cached_property
+    @property
     def geometry(self):
         """Geometry of the underlying lossy TMST; swap links are asym."""
-        return "sym" if "sym" in self.kind.split("-") else "asym"
+        return FORMS[self.kind][1]
 
     def fidelity(self, length):
         """Average fidelity at distance `length` (m), elementwise over an
@@ -243,13 +256,16 @@ class TeleportResource:
         The ideal kinds are their finite-gain forms at g = inf, and the
         2PS state is the heuristic subtraction at the subtracted triple.
         A float distance stays a float: no 0-d array is formed on the way.
+        One step of a march pays for the arithmetic and little else: the
+        kind is one FORMS lookup, a valid float distance one comparison,
+        and the link's coefficients a cache hit (channel.tmst_polys).
         """
-        kind = self.kind
+        form, geometry, finite_gain = FORMS[self.kind]
         if not isinstance(length, float):
             length = np.asarray(length, dtype=float)
         channel_mod.check_lengths(length)
-        gain = 1.0 / self.inv_gain if kind.endswith("-fg") else np.inf
-        if kind.startswith("swap"):
+        gain = 1.0 / self.inv_gain if finite_gain else math.inf
+        if form == "swap":
             # two identical links of length L/2; Charlie measures the lossy
             # modes, so alpha is the retained (lossless) block of each link
             beta, alpha, gamma = channel_mod.tmst_params(
@@ -257,10 +273,10 @@ class TeleportResource:
             a_t, g_t = swapped_finite_gain_params(alpha, beta, gamma, gain)
             return fidelity_finite_gain(a_t, a_t, g_t, gain)
         triple = channel_mod.tmst_params(
-            self.mu, length, self.n_th, self.eta_ant, self.r, self.n, self.geometry)
-        if kind.startswith("tmst"):
+            self.mu, length, self.n_th, self.eta_ant, self.r, self.n, geometry)
+        if form == "tmst":
             return fidelity_finite_gain(*triple, gain)
-        if kind.startswith("2ps-prob"):
+        if form == "2ps-prob":
             triple = distill.ps2_standard_form(*triple, self.tau)[:3]
         alpha, beta, gamma = triple
         return (distill.heuristic_factor(alpha, beta, gamma)
@@ -283,14 +299,15 @@ class TeleportResource:
         subnormal; it sits beside a product with the lossy entry, over
         2^400 times larger for a source a below 2^48, and moves no bit.
         """
-        if self.kind in ("tmst-sym", "2ps-prob-sym", "2ps-heur-sym"):
+        form, geometry, finite_gain = FORMS[self.kind]
+        if geometry == "sym" and not finite_gain:
             return channel_mod.sym_reach(self.r, self.n, self.n_th, self.eta_ant), 1.0
-        if self.kind.startswith("2ps"):
+        if form.startswith("2ps"):
             return None
-        k = math.sqrt(self.inv_gain) if self.kind.endswith("-fg") else 0.0
-        swap = self.kind.startswith("swap")
+        k = math.sqrt(self.inv_gain) if finite_gain else 0.0
+        swap = form == "swap"
         polys = channel_mod.tmst_polys(self.r, self.n, self.n_th, self.eta_ant,
-                                       "sym" if swap else self.geometry)
+                                       "sym" if swap else geometry)
         if swap:
             a, c, _ = channel_mod.source_terms(self.r, self.n, self.n_th)
             polys = (polys[0], [c * x for x in polys[2]])

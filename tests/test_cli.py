@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -268,6 +269,22 @@ class TestFailureContract:
         assert cli.main(["channel", "--sweep", "L", "0", "600", count]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "sweep count must be a whole number" in err
+
+    @pytest.mark.parametrize("count", ["1e15", str(cli.MAX_SWEEP_COUNT + 1)])
+    def test_sweep_count_above_the_maximum_is_refused_before_any_array(self, count,
+                                                                        capsys):
+        """1e15 rows raised numpy's _ArrayMemoryError with a traceback."""
+        tracemalloc.start()
+        try:
+            code = cli.main(["channel", "--sweep", "L", "0", "600", count])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "sweep count must be at most %d" % cli.MAX_SWEEP_COUNT in err
+        assert peak < cli.MAX_SWEEP_COUNT  # bytes: not one float per row
+        assert cli.SweepSpec("L", 0.0, 600.0, cli.MAX_SWEEP_COUNT).count == 10 ** 6
 
     def test_sweep_count_in_exponent_form(self, capsys):
         assert cli.main(["channel", "--sweep", "L", "0", "600", "1e3"]) == 0
@@ -593,6 +610,43 @@ def test_subtraction_sweeps_are_finite_without_a_warning(argv, count):
     assert all(math.isfinite(float(cell)) for row in rows for cell in row.values())
 
 
+@pytest.mark.parametrize("argv,count", [
+    # the ideal kinds are the finite-gain formulas at g = inf
+    (("swap", "--sweep", "L", "0", "600", "10000"), 10000),
+    (("teleport", "--resource", "swap", "--sweep", "L", "0", "600", "10000"), 10000),
+    (("teleport", "--resource", "tmst-sym", "--sweep", "L", "0", "600", "10000"),
+     10000),
+    # at finite gain the entries are scaled by a power of two first
+    (("teleport", "--resource", "tmst-sym-fg", "--set", "n_th=1e160",
+      "--sweep", "L", "0", "10", "2"), 2),
+    (("teleport", "--resource", "swap-fg", "--set", "n_th=1e160",
+      "--sweep", "L", "0", "10", "2"), 2),
+    (("negativity",), 61),
+    (("negativity", "--sweep", "r", "2", "6", "5"), 5),
+    (("illum",), 100),
+    (("illum", "--sweep", "gamma", "0", "5", "11"), 11),
+    (("bifreq",), 25),
+    (("bifreq", "--sweep", "eta1", "0.1", "0.99", "11"), 11),
+    (("bifreq", "--sweep", "n", "0", "5", "11"), 11),
+    (("satellite",), 61),
+] + [(("qfi", "--family", family), 1)
+     for family in ("illum", "illum-classical", "bifreq", "bifreq-classical")])
+def test_tables_without_a_warning(argv, count):
+    code, rows, err = run_cli_strict(*argv)
+    assert code == 0 and err == "", err
+    assert len(rows) == count
+
+
+def test_tiny_length_keeps_the_environment_share():
+    """The reflectivity comes from expm1, so a lossy state keeps the
+    environment's share where mu L is far below an ulp of 1."""
+    code, rows, err = run_cli_strict("channel", "--set", "n_th=1e160",
+                                     "--sweep", "L", "0", "1e-150", "3")
+    assert code == 0 and err == "", err
+    assert float(rows[-1]["L"]) == 1e-150
+    assert float(rows[-1]["nu_minus_asym"]) > 1.0, rows[-1]
+
+
 def test_heuristic_asym_fidelity_where_beta_is_far_below_alpha():
     """At n_th = 1e16 and L = 10 m the quartic N form of 1 + h printed
     -5.03e-17; the positive form gives the 1,200-digit value."""
@@ -779,9 +833,9 @@ class TestOtherCommands:
         assert len(rows) == 100
         assert all(float(row["log_neg"]) == 0.0 for row in rows)
 
-    def test_wide_illum_sweep_at_unit_bath_is_separable_on_every_row(self, capsys):
-        assert cli.main(["illum", "--sweep", "n_s", "0.01", "100", "1000"]) == 0
-        rows = parse_csv(capsys.readouterr().out)
+    def test_wide_illum_sweep_at_unit_bath_is_separable_on_every_row(self):
+        code, rows, err = run_cli_strict("illum", "--sweep", "n_s", "0.01", "100", "1000")
+        assert code == 0 and err == "", err
         assert len(rows) == 1000
         assert all(float(row["log_neg"]) == 0.0 for row in rows)
         assert all(float(row["nu_minus"]) == 1.0 for row in rows)

@@ -659,6 +659,53 @@ class TestGridBracket:
             resource("2ps-prob-asym").mu = -1.0
 
 
+class TestOneLinkPerRoot:
+    """The link's coefficients are cached (channel.tmst_polys): a march, and
+    every kind of one link, build the source terms once per geometry, where
+    they were built again on every fidelity call."""
+
+    @pytest.fixture
+    def source_calls(self, monkeypatch):
+        channel.tmst_polys.cache_clear()
+        calls, source_terms = [], channel.source_terms
+
+        def spy(*args):
+            calls.append(args)
+            return source_terms(*args)
+        monkeypatch.setattr(channel, "source_terms", spy)
+        return calls
+
+    def test_a_marched_root_builds_its_link_once(self, source_calls, monkeypatch):
+        steps = []
+        fidelity = TeleportResource.fidelity
+
+        def counted(res, length):
+            steps.append(length)
+            return fidelity(res, length)
+        monkeypatch.setattr(TeleportResource, "fidelity", counted)
+        resource("2ps-prob-asym").classical_limit_distance()
+        assert len(steps) >= 5
+        assert source_calls == [(TABLE1["r"], TABLE1["n"], TABLE1["n_th"])]
+
+    def test_every_kind_of_one_link_shares_it(self, source_calls):
+        for kind in TeleportResource.KINDS:
+            resource(kind, inv_gain=0.008).classical_limit_distance()
+        ch = channel.AirChannel(TABLE1["mu"], 0.0, TABLE1["n_th"], TABLE1["eta_ant"])
+        for geometry in ("asym", "sym"):
+            channel.l_max(ch, TABLE1["r"], TABLE1["n"], geometry)
+        # one per geometry, and one per swap root, whose condition reads the
+        # source's a and c itself
+        assert len(source_calls) == 2 + 2
+
+    @pytest.mark.parametrize("geometry", ["asym", "sym"])
+    def test_the_cached_link_is_immutable(self, geometry):
+        polys = channel.tmst_polys(1.0, 0.01, 1250.0, 0.0, geometry)
+        assert type(polys) is tuple and len(polys) == 3
+        assert all(type(p) is tuple and len(p) == 3 for p in polys)
+        assert all(type(x) is float for p in polys for x in p)
+        assert channel.tmst_polys(1.0, 0.01, 1250.0, 0.0, geometry) is polys
+
+
 class TestMarchedRootsAtAnyOccupation:
     """The marched limits scale with 1/n_th down to 5e-295 m at n_th = 1e300:
     the bracket is relative, so they keep ROOT_RTOL of the exact root."""
