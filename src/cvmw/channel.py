@@ -149,22 +149,30 @@ def eta_env_inhomogeneous(mu_fn, n_fn, length):
 def tmst_params(mu, length, n_th, eta_ant, r, n, geometry):
     """Standard-form (alpha, beta, gamma) of the two-mode squeezed thermal
     state distributed through an AirChannel, from the channel's fields,
-    which it does not check: the link's cached tmst_polys, evaluated by
-    Horner at u = -expm1(-mu L / 2), the same u in both geometries,
-    elementwise over an array of distances. The one place that forms u.
+    which it does not check: the link's cached tmst_polys at the distance
+    (tmst_at), elementwise over an array of distances.
 
     geometry="asym": one mode stays at the source, the other travels the
     full distance; alpha belongs to the travelling mode. geometry="sym": the
     source sits midway and both modes travel L/2.
+    """
+    return tmst_at(tmst_polys(r, n, n_th, eta_ant, geometry), mu, length)
+
+
+def tmst_at(polys, mu, length):
+    """A link's tmst_polys evaluated by Horner at u = -expm1(-mu L / 2), the
+    same u in both geometries, elementwise over an array of distances. The
+    one place that forms u: tmst_params, teleport.TeleportResource.fidelity
+    and its classical-limit march all evaluate a link through it.
 
     A distance that is not an array gives Python floats, on which the
     formulas downstream (fidelities, subtraction) run several times as fast
-    as on numpy scalars; u comes from np.expm1 either way, so a scalar
-    distance gives its array row bit for bit.
+    as on numpy scalars. u comes from np.expm1 either way, so a scalar
+    distance gives its array row bit for bit; math.expm1 rounds some
+    arguments differently from numpy's array loop, and is not used.
     """
     u = -to_float(np.expm1(-0.5 * mu * length))
-    (a0, a1, a2), (b0, b1, b2), (g0, g1, g2) = tmst_polys(r, n, n_th, eta_ant,
-                                                          geometry)
+    (a0, a1, a2), (b0, b1, b2), (g0, g1, g2) = polys
     return a0 + u * (a1 + u * a2), b0 + u * (b1 + u * b2), g0 + u * (g1 + u * g2)
 
 
@@ -218,7 +226,7 @@ def l_max(ch, r, n, geometry="asym"):
 # swap's g2 - (a - 1) B (teleport.swap_condition), a quadratic for the rest.
 # It is expanded in u = 1 - t / t0 = -expm1(-mu L / 2), 0 at the source, so
 # L = -(2 / mu) ln(1 - u): in t the terms cancel to 1e-13 near t0 and the
-# roots lose digits. tmst_params evaluates the same polynomials at u, so the
+# roots lose digits. tmst_at evaluates the same polynomials at u, so the
 # state and its bounds share one set of coefficients. A polynomial is a
 # 3-tuple of Python floats, lowest power first, and a condition writes its
 # coefficients out: on small arrays numpy's calls cost more than the
@@ -256,8 +264,9 @@ def tmst_polys(r, n, n_th, eta_ant, geometry):
 
     alpha = a + (e - a) eta_eff, with eta_eff = eta_ant + t0 u (sym) or
     eta_ant + t0^2 (2u - u^2) (asym); gamma = c t = c t0 (1 - u).
-    Cached, and tuples, so no reader can change them: every step of a march,
-    every kind of one link and its l_max read one set of coefficients.
+    Cached, and tuples, so no reader can change them: a marched root reads
+    them once, and every kind of one link and its l_max read one set of
+    coefficients.
     """
     a, c, e = source_terms(r, n, n_th)
     at_source = a + (e - a) * eta_ant

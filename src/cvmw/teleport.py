@@ -22,9 +22,9 @@ MAX_DISTANCE = 5000.0  # m; a classical limit beyond it is an error
 BEYOND_MAX = "fidelity stays above 1/2 up to %.0f m" % MAX_DISTANCE
 # relative bracket width of the numeric classical limits: 9.5 mm at 5000 m
 ROOT_RTOL = 2.0 ** -19
-# m; the numeric limits march it one point at a time to the first cell that
-# crosses 1/2 (a 156.25 m cell) and refine there
-ROOT_GRID = np.linspace(0.0, MAX_DISTANCE, 33)
+# m, Python floats; the numeric limits march it one point at a time to the
+# first cell that crosses 1/2 (a 156.25 m cell) and refine there
+ROOT_GRID = tuple(np.linspace(0.0, MAX_DISTANCE, 33).tolist())
 ILL_CONDITIONED = "ill-conditioned resource: det[I + (k - 1/2) Gamma] <= 0"
 
 
@@ -79,6 +79,18 @@ def fidelity_heuristic(cm, machinery=None):
     (1 + h) times the Gaussian fidelity of cm."""
     mach = distill.ps2_heuristic(cm) if machinery is None else machinery
     return (1.0 + mach.h) * fidelity_concatenated(cm, 1), mach.h
+
+
+def ps2_fidelity(alpha, beta, gamma, tau=None):
+    """2PS fidelity of the link triple (alpha, beta, gamma), elementwise:
+    distill.heuristic_factor over 1 + (alpha + beta - 2 gamma)/2, at the
+    subtracted triple of distill.ps2_standard_form when tau is given
+    (2ps-prob), at the triple itself when it is None (2ps-heur).
+    TeleportResource.fidelity and the classical-limit march both call it."""
+    if tau is not None:
+        alpha, beta, gamma, _ = distill.ps2_standard_form(alpha, beta, gamma, tau)
+    return (distill.heuristic_factor(alpha, beta, gamma)
+            / (1.0 + 0.5 * (alpha + beta - 2.0 * gamma)))
 
 
 def regaussify(cm_tilde, correction, mode="sym"):
@@ -254,33 +266,40 @@ class TeleportResource:
         array of distances.
 
         The ideal kinds are their finite-gain forms at g = inf, and the
-        2PS state is the heuristic subtraction at the subtracted triple.
-        A float distance stays a float: no 0-d array is formed on the way.
-        One step of a march pays for the arithmetic and little else: the
-        kind is one FORMS lookup, a valid float distance one comparison,
-        and the link's coefficients a cache hit (channel.tmst_polys).
+        2PS kinds are ps2_fidelity of the link triple. A float distance
+        stays a float: no 0-d array is formed on the way.
         """
         form, geometry, finite_gain = FORMS[self.kind]
         if not isinstance(length, float):
             length = np.asarray(length, dtype=float)
         channel_mod.check_lengths(length)
         gain = 1.0 / self.inv_gain if finite_gain else math.inf
+        link = channel_mod.tmst_polys(self.r, self.n, self.n_th, self.eta_ant, geometry)
         if form == "swap":
-            # two identical links of length L/2; Charlie measures the lossy
-            # modes, so alpha is the retained (lossless) block of each link
-            beta, alpha, gamma = channel_mod.tmst_params(
-                self.mu, length / 2.0, self.n_th, self.eta_ant, self.r, self.n, "asym")
+            # two identical asym links of length L/2; Charlie measures the
+            # lossy modes, so alpha is the retained (lossless) block of each link
+            beta, alpha, gamma = channel_mod.tmst_at(link, self.mu, length / 2.0)
             a_t, g_t = swapped_finite_gain_params(alpha, beta, gamma, gain)
             return fidelity_finite_gain(a_t, a_t, g_t, gain)
-        triple = channel_mod.tmst_params(
-            self.mu, length, self.n_th, self.eta_ant, self.r, self.n, geometry)
+        alpha, beta, gamma = channel_mod.tmst_at(link, self.mu, length)
         if form == "tmst":
-            return fidelity_finite_gain(*triple, gain)
-        if form == "2ps-prob":
-            triple = distill.ps2_standard_form(*triple, self.tau)[:3]
-        alpha, beta, gamma = triple
-        return (distill.heuristic_factor(alpha, beta, gamma)
-                / (1.0 + 0.5 * (alpha + beta - 2.0 * gamma)))
+            return fidelity_finite_gain(alpha, beta, gamma, gain)
+        return ps2_fidelity(alpha, beta, gamma, self.tau if form == "2ps-prob" else None)
+
+    def _march_step(self):
+        """F - 1/2 of a marched kind at a float distance in [0, MAX_DISTANCE]:
+        fidelity's route (channel.tmst_at, then ps2_fidelity) on the link's
+        tmst_polys read once, with mu and tau bound once. The march takes its
+        step from this method alone; tests replace it to watch or break it."""
+        form, geometry, _ = FORMS[self.kind]
+        link = channel_mod.tmst_polys(self.r, self.n, self.n_th, self.eta_ant, geometry)
+        mu, tau = self.mu, self.tau if form == "2ps-prob" else None
+        tmst_at = channel_mod.tmst_at
+
+        def excess_at(length):
+            alpha, beta, gamma = tmst_at(link, mu, length)
+            return ps2_fidelity(alpha, beta, gamma, tau) - CLASSICAL_FIDELITY
+        return excess_at
 
     def _half_fidelity_poly(self):
         """The F = 1/2 condition, positive where F > 1/2, as (condition,
@@ -329,24 +348,27 @@ class TeleportResource:
         2ps-*-asym march ROOT_GRID one float at a time to the first point
         where the fidelity is at most 1/2, and Anderson-Bjorck narrows that
         cell to a bracket ROOT_RTOL times the root wide, however small the
-        root. Points beyond it, and inside earlier cells, are not evaluated:
-        a second crossing within one cell is not seen.
+        root. Every point of a march, the source included, is one call of
+        the step that _march_step binds once per root. Points beyond the
+        crossing, and inside earlier cells, are not evaluated: a second
+        crossing within one cell is not seen.
         Returns 0 when the fidelity at the source is at most 1/2; raises
         ValueError when mu = 0, on a non-finite fidelity before the crossing,
         or when the root lies beyond MAX_DISTANCE.
         """
         closed = self._half_fidelity_poly()
-        condition, sigma = (None, 1.0) if closed is None else closed
-        excess = (self.fidelity(0.0) - CLASSICAL_FIDELITY if condition is None
-                  else condition[0])
+        if closed is None:
+            excess_at = self._march_step()
+            excess = excess_at(0.0)
+        else:
+            condition, sigma = closed
+            excess = condition[0]
         if excess <= 0.0:  # at the source
             return 0.0
         channel_mod.require_attenuation(self.mu)
-        if condition is None:
-            def excess_at(length):
-                return self.fidelity(length) - CLASSICAL_FIDELITY
+        if closed is None:
             a = f_a = None
-            for b in ROOT_GRID.tolist():
+            for b in ROOT_GRID:
                 f_b = excess if a is None else excess_at(b)  # the source is known
                 if not math.isfinite(f_b):
                     raise ValueError("non-finite fidelity on the bracketing grid")

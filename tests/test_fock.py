@@ -1,8 +1,13 @@
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import cvmw
 from cvmw import core, distill, entanglement, fock, illumination
 from tests.oracles.routes import (blocks_bfs, gaussian_density_moveaxis,
                                   negativity_dense, tmst_density_loop)
@@ -480,3 +485,72 @@ class TestSpectralQfi:
 
         with pytest.raises(ValueError):
             fock.qfi_spectral(rho_fn, 0.2, 0.1)
+
+
+# The Fock oracle in a fresh interpreter with scipy blocked: the n_max 12
+# density, negativity and fidelity calls, and at n_max 40, the benchmark's
+# largest, the block-gathered negativity against one dense eigvalsh of the
+# partial transpose and against the closed form. The script runs once and
+# each test reads its own figure.
+SCIPY_BLOCKED_FOCK = """
+import json, sys, tracemalloc
+sys.modules['scipy'] = None
+import numpy as np
+from cvmw import core, entanglement, fock
+state = core.GaussianState([0.1, -0.2, 0.05, 0.1], core.tmst(0.3, 0.05).sigma)
+rho = fock.gaussian_density(state, 12)
+small_negativity = fock.negativity_fock(rho, (13, 13))
+tmst = fock.tmst_density(0.3, 0.05, 12)
+u = fock.beam_splitter_unitary(0.4, 12)
+small_fidelity = fock.uhlmann_fidelity(rho, u @ tmst @ u.conj().T)
+rho = fock.tmst_density(0.7, 0.04, 40)
+dtype = str(rho.dtype)
+tracemalloc.start()
+neg = fock.negativity_fock(rho, (41, 41))
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+ev = np.linalg.eigvalsh(fock.partial_transpose(rho, (41, 41)))
+closed = entanglement.negativity(
+    entanglement.BipartiteCM.from_state(core.tmst(0.7, 0.04)))
+print(json.dumps(dict(
+    small_negativity=float(small_negativity), small_fidelity=float(small_fidelity),
+    dtype=dtype, nbytes=rho.nbytes, peak=peak, negativity=float(neg),
+    dense=float(-ev[ev < 0].sum()), closed=float(closed),
+    scipy_loaded=[name for name in sys.modules if name.startswith('scipy.')])))
+"""
+
+
+@pytest.fixture(scope="module")
+def scipy_blocked_fock():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cvmw.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_BLOCKED_FOCK],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["scipy_loaded"] == []
+    return out
+
+
+class TestFockOracleWithScipyBlocked:
+    def test_n_max_12_calls_succeed(self, scipy_blocked_fock):
+        assert scipy_blocked_fock["small_negativity"] > 0.0
+        assert 0.0 < scipy_blocked_fock["small_fidelity"] <= 1.0 + 1e-12
+
+    def test_n_max_40_rho_is_float64(self, scipy_blocked_fock):
+        # real r, real Fock entries
+        assert scipy_blocked_fock["dtype"] == "float64"
+
+    def test_n_max_40_negativity_peak_below_a_quarter_of_rho(self, scipy_blocked_fock):
+        # it never forms rho^Gamma
+        out = scipy_blocked_fock
+        assert out["peak"] < out["nbytes"] / 4, (out["peak"], out["nbytes"])
+
+    def test_n_max_40_negativity_equals_dense_eigvalsh(self, scipy_blocked_fock):
+        out = scipy_blocked_fock
+        assert abs(out["negativity"] - out["dense"]) <= 1e-12, out
+
+    def test_n_max_40_negativity_equals_closed_form(self, scipy_blocked_fock):
+        out = scipy_blocked_fock
+        assert abs(out["negativity"] - out["closed"]) <= 1e-6, out

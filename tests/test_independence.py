@@ -17,6 +17,7 @@ CHECKS = {
     "routes.py": {
         "lossy_tmst_constructive": {"cvmw.channel.lossy_tmst",
                                     "cvmw.channel.tmst_params",
+                                    "cvmw.channel.tmst_at",
                                     "cvmw.channel.source_terms",
                                     "cvmw.channel.tmst_polys"},
         "bifreq_received_constructive": {"cvmw.bifreq.bifreq_received",
@@ -40,17 +41,21 @@ CHECKS = {
         "ps2_standard_form_mp": {"cvmw.distill.ps2_standard_form"},
         "ps2_fidelity_mp": {"cvmw.distill.heuristic_factor",
                             "cvmw.distill.ps2_standard_form",
+                            "cvmw.teleport.ps2_fidelity",
                             "cvmw.teleport.TeleportResource.fidelity"},
         "classical_limit_mp": {
             "cvmw.teleport.TeleportResource.classical_limit_distance",
+            "cvmw.teleport.TeleportResource._march_step",
             "cvmw.teleport.anderson_bjorck"},
         "illinois": {"cvmw.teleport.anderson_bjorck"},
         "classical_limit_full_bracket": {
             "cvmw.teleport.TeleportResource.classical_limit_distance",
+            "cvmw.teleport.TeleportResource._march_step",
             "cvmw.teleport.anderson_bjorck",
             "cvmw.channel.sym_reach", "cvmw.channel.l_max"},
         "classical_limit_array_bracket": {
             "cvmw.teleport.TeleportResource.classical_limit_distance",
+            "cvmw.teleport.TeleportResource._march_step",
             "cvmw.channel.sym_reach", "cvmw.channel.l_max"},
         "l_max_quartic": {"cvmw.channel.l_max", "cvmw.channel.tmst_polys",
                           "cvmw.channel.root_distance"},

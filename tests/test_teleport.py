@@ -542,6 +542,22 @@ def bench_link_draws(count, seed):
                    eta_ant=rng.uniform(0.0, 2e-5))
 
 
+def watch_march(monkeypatch, seen):
+    """Wrap the march's step (TeleportResource._march_step) so that every
+    step calls seen(resource, length, excess) before it returns."""
+    march_step = TeleportResource._march_step
+
+    def spy(res):
+        step = march_step(res)
+
+        def watched(length):
+            excess = step(length)
+            seen(res, length, excess)
+            return excess
+        return watched
+    monkeypatch.setattr(TeleportResource, "_march_step", spy)
+
+
 class TestGridBracket:
     @pytest.mark.parametrize("kind", ["2ps-prob-asym", "2ps-prob-sym",
                                       "2ps-heur-asym", "2ps-heur-sym"])
@@ -566,15 +582,30 @@ class TestGridBracket:
                                       "2ps-heur-asym", "2ps-heur-sym"])
     def test_march_stays_scalar_and_short(self, kind, monkeypatch):
         lengths = []
-        fidelity = TeleportResource.fidelity
-
-        def spy(res, length):
-            lengths.append(length)
-            return fidelity(res, length)
-        monkeypatch.setattr(TeleportResource, "fidelity", spy)
+        watch_march(monkeypatch, lambda res, length, excess: lengths.append(length))
         resource(kind).classical_limit_distance()
         assert not [length for length in lengths if isinstance(length, np.ndarray)]
         assert len(lengths) <= 10
+        # the symmetric kinds solve the symmetric reach and take no step
+        assert bool(lengths) == (kind in MARCHED_KINDS)
+
+    @pytest.mark.parametrize("kind", MARCHED_KINDS)
+    def test_the_step_is_fidelity(self, kind, monkeypatch):
+        # at every distance the march evaluates, its step is fidelity's
+        # F - 1/2 bit for bit, and a root reads the cached link once
+        steps = []
+        watch_march(monkeypatch, lambda *step: steps.append(step))
+        reads = channel.tmst_polys.cache_info
+        for p in [{}] + list(bench_link_draws(10, seed=14)):
+            res = resource(kind, **p)
+            before = reads()
+            res.classical_limit_distance()
+            after = reads()
+            assert (after.hits + after.misses) - (before.hits + before.misses) == 1
+        assert len(steps) >= 11 * 5
+        for res, length, excess in steps:
+            assert type(length) is float
+            assert excess.hex() == (res.fidelity(length) - 0.5).hex()
 
     @pytest.mark.parametrize("kind", MARCHED_KINDS)
     def test_march_is_close_to_a_tight_brentq_root(self, kind):
@@ -620,11 +651,13 @@ class TestGridBracket:
         # the table1 root (407 m) lies in cell 3, from 312.5 to 468.75 m: a
         # point beyond it is not evaluated
         expected = resource("2ps-prob-asym").classical_limit_distance()
-        fidelity = TeleportResource.fidelity
+        march_step = TeleportResource._march_step
 
-        def broken(res, length):
-            return float("nan") if length == ROOT_GRID[index] else fidelity(res, length)
-        monkeypatch.setattr(TeleportResource, "fidelity", broken)
+        def broken(res):
+            step = march_step(res)
+            return lambda length: (float("nan") if length == ROOT_GRID[index]
+                                   else step(length))
+        monkeypatch.setattr(TeleportResource, "_march_step", broken)
         if raises:
             with pytest.raises(ValueError, match="non-finite fidelity on the bracketing"):
                 resource("2ps-prob-asym").classical_limit_distance()
@@ -633,8 +666,8 @@ class TestGridBracket:
 
     def test_returns_the_first_crossing(self):
         class Oscillating(TeleportResource):
-            def fidelity(self, length):
-                return 0.5 + 0.1 * np.cos(np.asarray(length) / 500.0)
+            def _march_step(self):
+                return lambda length: 0.1 * math.cos(length / 500.0)
 
         # 1/2 is crossed at 250 pi, 750 pi and 1250 pi m
         length = Oscillating("2ps-prob-asym", 1.0, 0.01, 1e-6,
@@ -677,12 +710,7 @@ class TestOneLinkPerRoot:
 
     def test_a_marched_root_builds_its_link_once(self, source_calls, monkeypatch):
         steps = []
-        fidelity = TeleportResource.fidelity
-
-        def counted(res, length):
-            steps.append(length)
-            return fidelity(res, length)
-        monkeypatch.setattr(TeleportResource, "fidelity", counted)
+        watch_march(monkeypatch, lambda res, length, excess: steps.append(length))
         resource("2ps-prob-asym").classical_limit_distance()
         assert len(steps) >= 5
         assert source_calls == [(TABLE1["r"], TABLE1["n"], TABLE1["n_th"])]
@@ -1067,9 +1095,10 @@ class TestSymReach:
 
     @pytest.mark.parametrize("kind", SYM_REACH_KINDS)
     def test_evaluates_no_fidelity(self, kind, monkeypatch):
-        def refuse(res, length):
+        def refuse(res, *length):
             raise AssertionError("a fidelity was evaluated")
         monkeypatch.setattr(TeleportResource, "fidelity", refuse)
+        monkeypatch.setattr(TeleportResource, "_march_step", refuse)
         assert resource(kind).classical_limit_distance() > 0.0
         assert resource(kind, r=0.05, n=0.5).classical_limit_distance() == 0.0
         with pytest.raises(ValueError, match=re.escape(BEYOND_MAX)):
@@ -1142,6 +1171,19 @@ class TestArrayFidelity:
                                      TABLE1["eta_ant"], TABLE1["r"], TABLE1["n"],
                                      geometry)
         assert [type(x) for x in triple] == [float] * 3
+
+    @pytest.mark.parametrize("geometry", ["asym", "sym"])
+    def test_scalar_params_equal_array_rows_over_the_march_range(self, geometry):
+        # a float distance and an array row must round u = -expm1(-mu L / 2)
+        # alike: math.expm1 differs from numpy's array loop on 5 of these
+        # 20,000 distances at table1 on an AVX-512 machine
+        lengths = np.linspace(0.0, MAX_DISTANCE, 20000)
+        link = (TABLE1["n_th"], TABLE1["eta_ant"], TABLE1["r"], TABLE1["n"], geometry)
+        rows = zip(*channel.tmst_params(TABLE1["mu"], lengths, *link))
+        scalars = (channel.tmst_params(TABLE1["mu"], length, *link)
+                   for length in lengths.tolist())
+        assert ([tuple(float(x).hex() for x in row) for row in rows]
+                == [tuple(x.hex() for x in triple) for triple in scalars])
 
     def test_any_bad_row_raises(self):
         with pytest.raises(ValueError, match="beta must be positive"):
