@@ -305,8 +305,8 @@ def root_distance(condition, mu, sigma=1.0):
     sigma v for a power of two sigma: the smallest real root u in [0, 1), the
     largest t in (0, t0]; None when there is none.
 
-    condition is (c0, c1, c2), zero-padded if longer: every closed-form bound
-    has degree <= 2, swap's g2 - (a - 1) B is linear. The roots are
+    condition is (c0, c1, c2): every closed-form bound has degree <= 2,
+    swap's g2 - (a - 1) B is linear. The roots are
     closed-form on Python floats. Where |c0| < 2^-600 |c2|, they are taken
     in v / rho, with the power of two rho that brings c2 rho^2 to within a
     factor 4 of c0: a root near 2^-530 (c2 2^1060 times c0) keeps its
@@ -315,9 +315,7 @@ def root_distance(condition, mu, sigma=1.0):
     [1/2, 1), which keeps c1^2 finite. Both scalings are exact and move no
     bit of a root. A non-finite coefficient raises ValueError.
     """
-    c0, c1, c2 = condition[:3]
-    if len(condition) > 3 and any(condition[3:]):
-        raise ValueError("a distance condition has degree <= 2")
+    c0, c1, c2 = condition
     size = max(abs(c0), abs(c1), abs(c2))
     if not size < math.inf or math.isnan(c0 + c1 + c2):  # max can skip a NaN
         raise ValueError("non-finite coefficient in a distance condition")

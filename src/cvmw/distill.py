@@ -89,11 +89,9 @@ def _w_mat(x, m):
 
 @dataclass
 class PsOutcome:
-    """Submatrices and success probability of a symmetric 2PS, and the
-    heuristic subtraction of the Gaussian state they form (Sigma-tilde)."""
-    sigma_a: np.ndarray
-    sigma_b: np.ndarray
-    eps: np.ndarray
+    """A symmetric 2PS: Sigma-tilde (cm, unchecked), the success
+    probability, and the heuristic subtraction of Sigma-tilde."""
+    cm: BipartiteCM
     probability: float
     heuristic: "HeuristicPs"
 
@@ -103,17 +101,14 @@ class PsOutcome:
         is heuristic_factor at the subtracted triple."""
         return self.heuristic.h
 
-    def cm(self, check=True):
-        return BipartiteCM(self.sigma_a, self.sigma_b, self.eps, check=check)
-
 
 def ps2_gaussian(cm, tau):
     """Symmetric two-photon subtraction (one photon counted per mode).
 
     Beam splitters of transmissivity tau mix each mode with a vacuum
-    ancilla; both counters register one photon. Returns the modified
-    submatrices, the success probability and the heuristic subtraction at
-    Sigma-tilde, which carries the characteristic function and fidelity.
+    ancilla; both counters register one photon. Returns Sigma-tilde, the
+    success probability and the heuristic subtraction at Sigma-tilde,
+    which carries the characteristic function and fidelity.
     """
     if not 0.0 < tau < 1.0:
         raise ValueError("transmissivity must lie in (0, 1)")
@@ -160,7 +155,7 @@ def ps2_gaussian(cm, tau):
     # That identity supplies the characteristic function and the fidelity
     # correction g.
     cm_tilde = BipartiteCM(sigma_a, sigma_b, eps, check=False)
-    return PsOutcome(sigma_a, sigma_b, eps, float(prob), ps2_heuristic(cm_tilde))
+    return PsOutcome(cm_tilde, float(prob), ps2_heuristic(cm_tilde))
 
 
 def ps2_standard_form(alpha, beta, gamma, tau):
@@ -300,15 +295,15 @@ def swap(cm1, cm2):
     return BipartiteCM(sigma_a, sigma_d, eps)
 
 
-def char_fn_2ps(cm, tau, alpha_pt, beta_pt, outcome=None):
+def char_fn_2ps(cm, tau, alpha_pt, beta_pt):
     """Characteristic function of the probabilistically 2PS state: the
     heuristic one at Sigma-tilde.
 
     alpha_pt and beta_pt are real phase-space points (x, p) for the two
-    modes. A precomputed PsOutcome can be supplied to avoid recomputation.
+    modes.
     """
-    out = ps2_gaussian(cm, tau) if outcome is None else outcome
-    return char_fn_heuristic(out.cm(check=False), alpha_pt, beta_pt, out.heuristic)
+    out = ps2_gaussian(cm, tau)
+    return char_fn_heuristic(out.cm, alpha_pt, beta_pt, out.heuristic)
 
 
 def char_fn_heuristic(cm, alpha_pt, beta_pt, machinery=None):

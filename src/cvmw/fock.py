@@ -80,8 +80,6 @@ def displacement_element(m, n, alpha):
                  + (m + n - 2 * k) * log_mag - lgamma(m - k + 1))
         sign = -1.0 if (n - k) % 2 else 1.0
         terms.append((log_t, sign))
-    if not terms:
-        return 0.0 + 0j
     top = max(t for t, _ in terms)
     acc = sum(s * np.exp(t - top) for t, s in terms)
     return acc * np.exp(pref + top) * np.exp(1j * phase * (m - n))
@@ -423,7 +421,7 @@ def gaussian_density(state, n_max):
 def char_fn(state, r_point, dims=None):
     """Characteristic function Tr[rho D_{-d(r)}] on the truncated space.
 
-    Accepts a FockKet or a density matrix (the latter with its dims).
+    Accepts a FockKet, or a one-mode density matrix with its dims.
     """
     # exp(-i r Omega rhat) equals the displacement D(alpha) at
     # alpha = (x + ip)/sqrt(2) for each mode
@@ -436,17 +434,10 @@ def char_fn(state, r_point, dims=None):
             d = displacement(alpha, n_max)
             amps = np.moveaxis(np.tensordot(d, amps, axes=([1], [j])), 0, j)
         return complex(np.vdot(state.amplitudes, amps))
-    if dims is None:
-        raise ValueError("density-matrix input requires dims")
-    n_max = dims[0] - 1
-    ds = [displacement((r[2 * j] + 1j * r[2 * j + 1]) / np.sqrt(2.0), n_max)
-          for j in range(len(dims))]
-    t = state.reshape(*dims, *dims)
-    if len(dims) == 1:
-        return complex(np.einsum("ab,ba->", t, ds[0]))
-    if len(dims) == 2:
-        return complex(np.einsum("abcd,ca,db->", t, ds[0], ds[1]))
-    raise ValueError("char_fn supports at most two modes")
+    if dims is None or len(dims) != 1:
+        raise ValueError("density-matrix input is one mode with its dims")
+    d = displacement((r[0] + 1j * r[1]) / np.sqrt(2.0), dims[0] - 1)
+    return complex(np.einsum("ab,ba->", state, d))
 
 
 def qfi_spectral(rho_fn, lambda0, step):

@@ -1,10 +1,14 @@
 """Average fidelities of coherent-state teleportation for Gaussian and
 photon-subtracted resources, including finite-gain homodyne detection.
 
-All channel-dependent fidelities take the attenuation parameters
-(mu, L, n_th, r, n, eta_ant) and build covariance matrices through the
-channel module, so the distance conventions (full L for the asymmetric
-state, L/2 per arm for the symmetric and swapped ones) live in one place.
+TeleportResource builds no covariance matrix: it reads the standard-form
+triple (alpha, beta, gamma) of its link from channel.tmst_polys, evaluated
+at a distance by channel.tmst_at, and applies closed forms. The polynomials
+hold the geometry, full L for the asymmetric link and L/2 per arm for the
+symmetric one. A swap joins two asymmetric links of L/2 each, and that
+halving is applied in two places: TeleportResource.fidelity and
+cli._swap_table. The general-matrix routes (fidelity_concatenated,
+fidelity_2ps_general, fidelity_heuristic, regaussify) take a BipartiteCM.
 """
 
 import math
@@ -63,15 +67,15 @@ def fidelity_ps_tmsv(lambda_tau, k):
     raise ValueError("k must be 1 (2PS) or 2 (4PS)")
 
 
-def fidelity_2ps_general(cm, tau, outcome=None):
+def fidelity_2ps_general(cm, tau):
     """Fidelity with symmetric two-photon subtraction: (fbar, g).
 
     The 2PS state is the heuristic subtraction of the Gaussian state of
     covariance Sigma-tilde, so this is fidelity_heuristic at Sigma-tilde
     and g is h there.
     """
-    out = distill.ps2_gaussian(cm, tau) if outcome is None else outcome
-    return fidelity_heuristic(out.cm(check=False), out.heuristic)
+    out = distill.ps2_gaussian(cm, tau)
+    return fidelity_heuristic(out.cm, out.heuristic)
 
 
 def fidelity_heuristic(cm, machinery=None):

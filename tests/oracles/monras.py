@@ -12,6 +12,7 @@ quadratures.
 
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from cvmw.bifreq import ObservableCoeffs, received_family
@@ -79,6 +80,26 @@ def gaussian_qfi(family):
     if np.max(np.abs(dsigma)) < DSIGMA_FLOOR:
         return float(2.0 * dd @ np.linalg.solve(state0.sigma, dd))
     return _sld_matrices(state0, dsigma, dd)[2]
+
+
+def gaussian_qfi_mp(sigma, dsigma, dd=(0, 0, 0, 0), dps=60):
+    """The two-mode QFI at dps digits, by LU: the real-basis Monras system
+    (Sigma (x) Sigma - Omega (x) Omega) vec A = vec dSigma, then
+    H = vec(dSigma) . vec A / 2 + 2 dd^T Sigma^-1 dd. sigma and dsigma are
+    4 x 4, as mpmath matrices or nested lists of floats or mpf, taken
+    exactly; returns an mpf."""
+    om = omega(2)
+    with mpmath.workdps(dps):
+        sig, dsig = mpmath.matrix(sigma), mpmath.matrix(dsigma)
+        mm = mpmath.matrix(16, 16)
+        for row in range(16):
+            for col in range(16):
+                (i, k), (j, l) = divmod(row, 4), divmod(col, 4)
+                mm[row, col] = sig[i, j] * sig[k, l] - om[i, j] * om[k, l]
+        vec = mpmath.matrix([dsig[i, j] for i in range(4) for j in range(4)])
+        dd = mpmath.matrix(list(dd))
+        return ((vec.T * mpmath.lu_solve(mm, vec))[0] / 2
+                + 2 * (dd.T * mpmath.lu_solve(sig, dd))[0])
 
 
 def _sld_matrices(state, dsigma, dd):

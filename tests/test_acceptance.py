@@ -58,7 +58,7 @@ def test_criterion_3_distillation_gains():
     rg_h, _, _ = regaussify(bare, mach.h, "sym")
     heur = 100.0 * (negativity(rg_h) / n_bare - 1.0)
     out = distill.ps2_gaussian(bare, P["tau"])
-    rg_p, _, _ = regaussify(out.cm(check=False), out.g, "sym")
+    rg_p, _, _ = regaussify(out.cm, out.g, "sym")
     prob = 100.0 * (negativity(rg_p) / n_bare - 1.0)
     ok = abs(heur - 46.0) <= 1.0 and abs(prob - 28.0) <= 1.0
     _report(3, "distillation gains %.1f%% heuristic / %.1f%% probabilistic"
@@ -166,15 +166,15 @@ def test_criterion_10_oracle_equivalence():
     r, tau = 0.3, 0.95
     cm = BipartiteCM.from_state(core.tmsv(r))
     outcome = distill.ps2_gaussian(cm, tau)
-    fbar, _ = fidelity_2ps_general(cm, tau, outcome=outcome)
+    fbar, _ = fidelity_2ps_general(cm, tau)
     nodes, weights = np.polynomial.hermite.hermgauss(36)
     sz = np.array([1.0, -1.0])
     total = 0.0
     for i in range(nodes.size):
         for j in range(nodes.size):
             pt = np.array([nodes[i], nodes[j]]) * np.sqrt(2.0)
-            total += weights[i] * weights[j] * distill.char_fn_2ps(
-                cm, tau, pt * sz, pt, outcome=outcome)
+            total += weights[i] * weights[j] * distill.char_fn_heuristic(
+                outcome.cm, pt * sz, pt, outcome.heuristic)
     ok_quad = abs(total / np.pi - fbar) <= 1e-6
 
     # numeric Gaussian QFI vs both illumination closed forms
@@ -266,8 +266,7 @@ def test_criterion_11_invariant_suite():
             mach = distill.ps2_heuristic(cm)
             ok_theta = ok_theta and regaussify(cm, mach.h, geometry)[2]
             out = distill.ps2_gaussian(cm, P["tau"])
-            ok_theta = ok_theta and regaussify(out.cm(check=False), out.g,
-                                               geometry)[2]
+            ok_theta = ok_theta and regaussify(out.cm, out.g, geometry)[2]
 
     # fidelities stay in (0, 1] across resources and distances
     ok_fid = True

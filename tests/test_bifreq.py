@@ -98,38 +98,30 @@ class TestFisherInformation:
     def test_ratio_matches_a_60_digit_monras_solve(self):
         # the anchor point of the high-reflectivity ratio, with the float
         # inputs taken exactly; the received state is restated in closed form
-        # and differentiated numerically at 60 digits, and the real-basis
-        # Monras system (Sigma (x) Sigma - Omega (x) Omega) vec A = vec dSigma
-        # is solved by LU
+        # and differentiated numerically at 60 digits, and its QFI is the
+        # 60-digit Monras solve of tests/oracles/monras.py
         mp = pytest.importorskip("mpmath").mp
-        mp.dps = 60
         p = BifreqParams(1.0 - 1e-8, 0.0, 2.9, 0.0, 1e3)
-        eta1, n_r, n_th = mp.mpf(p.eta1), mp.mpf(p.n_r), mp.mpf(p.n_th)
-        s, c, temp = 1 + 4 * n_r, 2 * mp.sqrt(2 * n_r * (1 + 2 * n_r)), 1 + 2 * n_th
+        with mp.workdps(60):
+            eta1, n_r, n_th = mp.mpf(p.eta1), mp.mpf(p.n_r), mp.mpf(p.n_th)
+            s, c, temp = 1 + 4 * n_r, 2 * mp.sqrt(2 * n_r * (1 + 2 * n_r)), 1 + 2 * n_th
 
-        def sigma(lam):
-            eta2 = eta1 + lam
-            a, b = eta1 * s + (1 - eta1) * temp, eta2 * s + (1 - eta2) * temp
-            e = mp.sqrt(eta1 * eta2) * c
-            return mp.matrix([[a, 0, e, 0], [0, a, 0, -e],
-                              [e, 0, b, 0], [0, -e, 0, b]])
+            def sigma(lam):
+                eta2 = eta1 + lam
+                a, b = eta1 * s + (1 - eta1) * temp, eta2 * s + (1 - eta2) * temp
+                e = mp.sqrt(eta1 * eta2) * c
+                return mp.matrix([[a, 0, e, 0], [0, a, 0, -e],
+                                  [e, 0, b, 0], [0, -e, 0, b]])
 
-        sig = sigma(0)
-        np.testing.assert_allclose(bifreq_received(p).matrix,
-                                   np.array(sig.tolist(), dtype=float), rtol=1e-15)
-        dsig = [mp.diff(lambda lam: sigma(lam)[i, j], 0)
-                for i in range(4) for j in range(4)]
-        om = core.omega(2)
-        mm = mp.matrix(16, 16)
-        for row in range(16):
-            for col in range(16):
-                (i, k), (j, l) = divmod(row, 4), divmod(col, 4)
-                mm[row, col] = sig[i, j] * sig[k, l] - om[i, j] * om[k, l]
-        avec = mp.lu_solve(mm, mp.matrix(dsig))
-        h_q = sum(dsig[i] * avec[i] for i in range(16)) / 2
-        dd = 1 + 2 * n_th * (1 - eta1)  # h_c_bifreq, with n_s = n_r at n = 0
-        h_c = 4 * n_th ** 2 * (dd ** 2 + 1) / (dd ** 4 - 1) + n_r / (eta1 * dd)
-        reference = float(h_q / h_c)
+            sig = sigma(0)
+            np.testing.assert_allclose(bifreq_received(p).matrix,
+                                       np.array(sig.tolist(), dtype=float), rtol=1e-15)
+            dsig = [[mp.diff(lambda lam: sigma(lam)[i, j], 0) for j in range(4)]
+                    for i in range(4)]
+            h_q = monras.gaussian_qfi_mp(sig, dsig)
+            dd = 1 + 2 * n_th * (1 - eta1)  # h_c_bifreq, with n_s = n_r at n = 0
+            h_c = 4 * n_th ** 2 * (dd ** 2 + 1) / (dd ** 4 - 1) + n_r / (eta1 * dd)
+            reference = float(h_q / h_c)
         assert reference == pytest.approx(6.3405851625, abs=1e-10)
         assert bifreq.ratio(p) == pytest.approx(reference, rel=1e-9)
 

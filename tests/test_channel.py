@@ -348,11 +348,6 @@ class TestRootDistance:
         assert self.root(0.0, 0.0, 1.0) == 0.0
         assert self.root(0.0, 0.0, -3.0) == 0.0
 
-    def test_degree_above_two_is_refused(self):
-        assert self.root(0.125, -0.75, 1.0, 0.0, 0.0) == self.distance(0.25)
-        with pytest.raises(ValueError, match="degree <= 2"):
-            self.root(0.125, -0.75, 1.0, 1e-300)
-
     def test_huge_coefficients_keep_their_root(self):
         # c1^2 and c2 c0 overflow unscaled; a power-of-two scale is exact
         for scale in (2.0 ** 600, 2.0 ** -600, 1e300):

@@ -1,15 +1,18 @@
 """Each op checks every distinct covariance matrix and channel it receives
 exactly once: a validation is a Cholesky factorization and one symplectic
 spectrum, a channel check one AirChannel. The QFIs check their standard-form
-states in closed form and validate no matrix."""
+states in closed form and validate no matrix. The entry points that take
+parameters refuse each one outside its domain."""
 
 import collections
 import os
+import re
 
 import numpy as np
 import pytest
 
 from cvmw import bifreq, channel, cli, core, estimation, illumination, teleport
+from cvmw.entanglement import BipartiteCM
 
 
 @pytest.fixture
@@ -83,3 +86,23 @@ def test_summary_solves_each_classical_limit_once(monkeypatch):
     monkeypatch.setattr(teleport.TeleportResource, "classical_limit_distance", counted)
     assert cli.main(["summary", "--out", os.devnull]) == 0
     assert set(kinds.values()) == {1}, kinds
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: bifreq.BifreqParams(1.5), "reflectivities must lie in [0, 1]"),
+    (lambda: bifreq.BifreqParams(0.5, 0.6), "reflectivities must lie in [0, 1]"),
+    (lambda: bifreq.BifreqParams(0.5, 0.0, -1.0), "photon numbers must be non-negative"),
+    (lambda: bifreq.BifreqParams(0.5, 0.0, 1.0, 0.0, -1.0),
+     "photon numbers must be non-negative"),
+    (lambda: illumination.QiParams(-1.0, 1.0), "invalid illumination parameters"),
+    (lambda: illumination.QiParams(1.0, 1.0, 0.0, 1.5), "invalid illumination parameters"),
+    (lambda: teleport.TeleportResource("tmst", 1.0, 0.0, 1e-6, 1.0),
+     "unknown resource kind 'tmst'"),
+    (lambda: teleport.fidelity_finite_gain(3.0, 3.0, 2.0, 0.0), "gain must be positive"),
+    (lambda: BipartiteCM.from_matrix(np.eye(2)), "expected a 4x4 covariance matrix"),
+    (lambda: BipartiteCM.from_state(core.thermal(1, 0.5)), "expected a two-mode state"),
+], ids=["eta1", "eta2", "n_r", "n_th", "qi-n_s", "qi-eta", "kind", "gain",
+        "from_matrix", "from_state"])
+def test_out_of_domain_input_raises_its_message(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()

@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import decimal
 import io
 import json
 import math
@@ -16,7 +15,7 @@ import pytest
 
 import cvmw
 from cvmw import channel, cli, core, teleport
-from tests.oracles.routes import (probe_nu_minus_mp, ps2_fidelity_mp,
+from tests.oracles.routes import (nu_minus_mp, probe_nu_minus_mp, ps2_fidelity_mp,
                                   ps2_standard_form_mp)
 
 # the CLI subprocess imports the same cvmw as the tests, installed or not
@@ -515,15 +514,8 @@ def test_channel_at_huge_thermal_occupation_is_finite_without_a_warning(n_th):
     assert all(np.isfinite(float(cell)) for cell in row.values()), row
     p = dict(channel.TABLE1, n_th=float(n_th))
     for geometry in ("asym", "sym"):
-        triple = channel.tmst_params(p["mu"], 10.0, p["n_th"], p["eta_ant"],
-                                     p["r"], p["n"], geometry)
-        with decimal.localcontext() as ctx:
-            ctx.prec = 60
-            a, b, c = map(decimal.Decimal, triple)
-            delta, det = a * a + b * b + 2 * c * c, (a * b - c * c) ** 2
-            # Delta^2 - 4 det Sigma, factored so that nothing cancels
-            disc = (a + b) ** 2 * ((a - b) ** 2 + 4 * c * c)
-            nu = float((2 * det / (delta + disc.sqrt())).sqrt())
+        nu = nu_minus_mp(*channel.tmst_params(p["mu"], 10.0, p["n_th"], p["eta_ant"],
+                                              p["r"], p["n"], geometry))
         assert float(row["nu_minus_" + geometry]) == pytest.approx(nu, rel=1e-13)
         assert float(row["log_neg_" + geometry]) == 0.0
     assert float(row["nu_minus_asym"]) == pytest.approx(3.8374, abs=1e-4)

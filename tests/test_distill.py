@@ -99,9 +99,9 @@ class TestPs2Gaussian:
             cm = BipartiteCM.standard_form(a, b, g, check=False)
             out = ps2_gaussian(cm, 0.95)
             at, bt, gt, prob = ps2_standard_form(a, b, g, 0.95)
-            assert out.sigma_a[0, 0] == pytest.approx(at, rel=1e-12)
-            assert out.sigma_b[0, 0] == pytest.approx(bt, rel=1e-12)
-            assert out.eps[0, 0] == pytest.approx(gt, rel=1e-12)
+            assert out.cm.sigma_a[0, 0] == pytest.approx(at, rel=1e-12)
+            assert out.cm.sigma_b[0, 0] == pytest.approx(bt, rel=1e-12)
+            assert out.cm.eps[0, 0] == pytest.approx(gt, rel=1e-12)
             assert out.probability == pytest.approx(prob, rel=1e-10)
 
     def test_tmsv_maps_to_rescaled_tmsv(self):
@@ -109,21 +109,20 @@ class TestPs2Gaussian:
         lam_tau = np.tanh(r) * tau
         out = ps2_gaussian(BipartiteCM.from_state(core.tmsv(r)), tau)
         r_eff = np.arctanh(lam_tau)
-        np.testing.assert_allclose(out.cm(check=False).matrix,
-                                   core.tmsv(r_eff).sigma, atol=1e-12)
+        np.testing.assert_allclose(out.cm.matrix, core.tmsv(r_eff).sigma, atol=1e-12)
         assert out.probability == pytest.approx(
             PsTmsv(np.tanh(r), tau, 1).success_probability(), rel=1e-10)
 
     def test_symmetry_preserved(self):
         cm = BipartiteCM.standard_form(3.8, 3.8, 3.2)
         out = ps2_gaussian(cm, 0.9)
-        np.testing.assert_allclose(out.sigma_a, out.sigma_b, atol=1e-12)
+        np.testing.assert_allclose(out.cm.sigma_a, out.cm.sigma_b, atol=1e-12)
 
     def test_assembled_blocks_symmetric(self):
         cm = BipartiteCM.standard_form(4.0, 3.5, 3.0)
         out = ps2_gaussian(cm, 0.92)
         mach = out.heuristic
-        for m in (out.sigma_a, out.sigma_b, out.eps, mach.big_a, mach.big_b,
+        for m in (out.cm.sigma_a, out.cm.sigma_b, out.cm.eps, mach.big_a, mach.big_b,
                   mach.big_c, mach.big_ac, mach.big_bc):
             np.testing.assert_allclose(m, m.T, atol=1e-12)
 
@@ -138,7 +137,7 @@ class TestPs2Gaussian:
         effs = []
         for tau in taus:
             out = ps2_gaussian(cm, tau)
-            fbar, _ = teleport.fidelity_2ps_general(cm, tau, outcome=out)
+            fbar, _ = teleport.fidelity_heuristic(out.cm, out.heuristic)
             effs.append(out.probability * (fbar - f_bare))
         out95 = ps2_gaussian(cm, 0.95)
         assert 1e-3 < out95.probability < 1e-1
@@ -425,23 +424,3 @@ class TestCharacteristicFunctions:
                 c1 = char_fn_2ps(cm, 1.0 - 1e-9, (x, y), (y, x))
                 c2 = char_fn_heuristic(cm, (x, y), (y, x))
                 assert c1 == pytest.approx(c2, abs=1e-8)
-
-    def test_quadrature_fidelity_oracle(self):
-        # overlap integral of the teleported output against the input CF
-        # reproduces the closed-form subtraction fidelity
-        r, tau = 0.3, 0.95
-        cm = BipartiteCM.from_state(core.tmsv(r))
-        outcome = ps2_gaussian(cm, tau)
-        fbar, _ = teleport.fidelity_2ps_general(cm, tau, outcome=outcome)
-
-        nodes, weights = np.polynomial.hermite.hermgauss(36)
-        total = 0.0
-        sz = np.array([1.0, -1.0])
-        for i, x in enumerate(nodes):
-            for j, y in enumerate(weights):
-                pt = np.array([nodes[i], nodes[j]]) * np.sqrt(2.0)
-                chi_e = char_fn_2ps(cm, tau, pt * sz, pt, outcome=outcome)
-                total += weights[i] * weights[j] * 2.0 * chi_e
-        # chi_in(-r) chi_in(r) = e^{-r.r/2}; Gauss-Hermite absorbs it
-        fbar_quad = total / (2.0 * np.pi)
-        assert fbar_quad == pytest.approx(fbar, abs=1e-6)

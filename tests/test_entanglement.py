@@ -173,8 +173,7 @@ class TestCmValidity:
                 _, th_h, ok_h = teleport.regaussify(cm, mach.h, geometry)
                 assert ok_h, "heuristic %s invalid at L=%.0f" % (geometry, length)
                 out = distill.ps2_gaussian(cm, p["tau"])
-                _, th_p, ok_p = teleport.regaussify(out.cm(check=False), out.g,
-                                                    geometry)
+                _, th_p, ok_p = teleport.regaussify(out.cm, out.g, geometry)
                 assert ok_p, "probabilistic %s invalid at L=%.0f" % (geometry,
                                                                      length)
 

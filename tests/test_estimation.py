@@ -345,25 +345,8 @@ class TestSixtyDigits:
 
     @staticmethod
     def monras_60(fam):
-        mp = pytest.importorskip("mpmath").mp
-        mp.dps = 60
-
-        def block(a, b, g):
-            a, b, g = (mp.mpf(float(v)) for v in (a, b, g))
-            return mp.matrix([[a, 0, g, 0], [0, a, 0, -g], [g, 0, b, 0], [0, -g, 0, b]])
-
-        sig, dsig = block(fam.alpha, fam.beta, fam.gamma), block(
-            fam.dalpha, fam.dbeta, fam.dgamma)
-        om = core.omega(2)
-        mm = mp.matrix(16, 16)
-        for row in range(16):
-            for col in range(16):
-                (i, k), (j, l) = divmod(row, 4), divmod(col, 4)
-                mm[row, col] = sig[i, j] * sig[k, l] - om[i, j] * om[k, l]
-        vec = mp.matrix([dsig[i, j] for i in range(4) for j in range(4)])
-        h = (vec.T * mp.lu_solve(mm, vec))[0] / 2
-        dd = mp.matrix([mp.mpf(float(x)) for x in fam.dd])
-        return h + 2 * (dd.T * mp.lu_solve(sig, dd))[0]
+        oracle = matrix_family(fam)
+        return monras.gaussian_qfi_mp(oracle.state.sigma, oracle.dsigma, oracle.dd)
 
     # eta1 -> 1 at n_th = 1e3 for n_r up to 5, and random points
     CASES = ([bifreq.BifreqParams(1.0 - dev, 0.0, n_r, 0.0, 1e3)

@@ -76,6 +76,8 @@ CHECKS = {
     },
     "monras.py": {
         "gaussian_qfi": {"cvmw.estimation.gaussian_qfi"},
+        "gaussian_qfi_mp": {"cvmw.estimation.gaussian_qfi", "cvmw.bifreq.ratio",
+                            "cvmw.bifreq.h_q_bifreq"},
         "_sld_matrices": {"cvmw.estimation.gaussian_qfi"},
         "matrix_family": {"cvmw.estimation.gaussian_qfi"},
         "optimal_observable_numeric": {"cvmw.bifreq.optimal_coeffs"},

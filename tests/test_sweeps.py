@@ -146,7 +146,7 @@ def test_distill_columns(geometry):
         for length in GRID.values():
             cm = link_cm(p, length, geometry)
             out = distill.ps2_gaussian(cm, p["tau"])
-            rg_p = teleport.regaussify(out.cm(check=False), out.g, geometry)[0]
+            rg_p = teleport.regaussify(out.cm, out.g, geometry)[0]
             rg_h = teleport.regaussify(cm, distill.ps2_heuristic(cm).h, geometry)[0]
             rows.append({"L": length, "e_n_bare": log_negativity(cm),
                          "n_bare": negativity(cm), "p2": out.probability,

@@ -243,8 +243,8 @@ class TestRegaussify:
         for length in np.linspace(0.0, 450.0, 10):
             cm = lossy(length, "sym")
             out = distill.ps2_gaussian(cm, 0.95)
-            f_ps, g = fidelity_2ps_general(cm, 0.95, outcome=out)
-            rg, theta, valid = regaussify(out.cm(check=False), g, "sym")
+            f_ps, g = fidelity_heuristic(out.cm, out.heuristic)
+            rg, theta, valid = regaussify(out.cm, g, "sym")
             assert fidelity_concatenated(rg, 1) == pytest.approx(f_ps, abs=1e-10)
             mach = distill.ps2_heuristic(cm)
             f_h, h = fidelity_heuristic(cm, mach)
@@ -266,7 +266,7 @@ class TestRegaussify:
         mach = distill.ps2_heuristic(cm)
         rg_h, _, ok_h = regaussify(cm, mach.h, "sym")
         out = distill.ps2_gaussian(cm, 0.95)
-        rg_p, _, ok_p = regaussify(out.cm(check=False), out.g, "sym")
+        rg_p, _, ok_p = regaussify(out.cm, out.g, "sym")
         assert ok_h and ok_p
         assert negativity(rg_h) / n_bare - 1.0 == pytest.approx(0.46, abs=0.01)
         assert negativity(rg_p) / n_bare - 1.0 == pytest.approx(0.28, abs=0.01)
@@ -862,7 +862,7 @@ class TestCoefficientArrayRoute:
             if bound.startswith("l_max"):
                 array = -array
             assert bits(condition) == bits(array)
-            assert length.hex() == channel.root_distance(array, mu).hex()
+            assert length.hex() == channel.root_distance(array[:3], mu).hex()
 
     @pytest.mark.parametrize("kind", ["swap", "swap-fg"])
     def test_swap_conditions_and_roots_agree(self, kind, monkeypatch):
