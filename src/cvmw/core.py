@@ -25,12 +25,18 @@ class PhysicalityError(ValueError):
 
 
 def any_true(mask):
-    """np.any(mask), without its dispatch cost when mask is a scalar."""
+    """np.any(mask), without its dispatch cost when mask is a scalar. A
+    Python bool, what a comparison of floats gives, returns before the
+    isinstance test, which costs as much again as the call."""
+    if mask.__class__ is bool:
+        return mask
     return mask.any() if isinstance(mask, np.ndarray) else mask
 
 
 def all_true(mask):
     """np.all(mask), as any_true; `not all_true(in range)` also rejects NaN."""
+    if mask.__class__ is bool:
+        return mask
     return mask.all() if isinstance(mask, np.ndarray) else mask
 
 
@@ -47,8 +53,9 @@ def sqrt(x):
 
 
 def pow2_scale(x):
-    """The power of two s with s |x| in [1/2, 1) (1 at x = 0), elementwise."""
-    if isinstance(x, np.ndarray):
+    """The power of two s with s |x| in [1/2, 1) (1 at x = 0), elementwise;
+    a Python float takes the math route before the isinstance test."""
+    if x.__class__ is not float and isinstance(x, np.ndarray):
         return np.ldexp(1.0, -np.frexp(x)[1])
     return math.ldexp(1.0, -math.frexp(x)[1])
 

@@ -16,6 +16,9 @@ from .core import SIGMA_Z, all_true, any_true, omega, pow2_scale
 from .entanglement import BipartiteCM
 
 
+_E0_NOT_POSITIVE = "normalization E_0 <= 0 (cannot subtract from this state)"
+
+
 def _hyp2f1_numerator(k, z):
     """P_k(z) in 2F1(k + 1, k + 1; 1; z) = P_k(z) / (1 - z)^(2k + 1), k = 0, 1, 2."""
     return (1.0, 1.0 + z, 1.0 + 4.0 * z + z * z)[k]
@@ -158,40 +161,52 @@ def ps2_gaussian(cm, tau):
     return PsOutcome(cm_tilde, float(prob), ps2_heuristic(cm_tilde))
 
 
-def ps2_standard_form(alpha, beta, gamma, tau):
-    """Closed forms of the 2PS submatrices and success probability:
-    (alpha_tilde, beta_tilde, gamma_tilde, P), elementwise over arrays.
-
-    P = ((1 - tau)/tau)^2 E_0 / den, den = 4 det X_A^{1/2} det Y^{1/2} and
-    E_0 = q_a q_b + gamma_tilde^2 (q_a = 1 - alpha_tilde, q_b = 1 -
-    beta_tilde) the heuristic normalization at the subtracted triple, with
-    no negative term on a physical Sigma-tilde; tests/test_distill.py
-    derives it from the quartic over den^3. Each form is homogeneous in
-    (alpha, beta, gamma, 1), so as in heuristic_factor a power of two s
-    scales the entries and stands for each 1: the triple has degree 0,
-    gamma_tilde carries one s and 1/den two. Independent of ps2_gaussian,
-    which checks it in the tests, and with its errors: X_A = x_a I or
-    Y = y I is singular where |x_a| or |y| is below 1e-7.
+def _ps2_numerators(alpha, beta, gamma, tau):
+    """The 2PS subtraction of a standard-form triple over one denominator,
+    elementwise: (num_a, num_b, num_g, den, s) with 1 - alpha_tilde =
+    num_a/den, 1 - beta_tilde = num_b/den, gamma_tilde = num_g s/den and
+    den = 4 det X_A^{1/2} det Y^{1/2}, for ps2_standard_form and
+    ps2_prob_fidelity alike. The forms are homogeneous in (alpha, beta,
+    gamma, 1), so the power of two s with s (alpha + beta) in [1/2, 1)
+    scales the entries and stands for each 1, exactly: num_a, num_b and den
+    have degree 2, num_g degree 1. Raises on tau outside (0, 1), and where
+    X_A = x_a I or Y = y I is singular, |x_a| or |y| below 1e-7.
     """
     if not 0.0 < tau < 1.0:
         raise ValueError("transmissivity must lie in (0, 1)")
     s = pow2_scale(alpha + beta)
     alpha_s, beta_s, gamma_s = alpha * s, beta * s, gamma * s
     tol = 1e-7 * s
-    x_a = 0.5 * ((1 - tau) * alpha_s + s + tau * s)
+    x_a = 0.5 * ((1.0 - tau) * alpha_s + s + tau * s)
     if any_true(abs(x_a) < tol):
         raise ValueError("singular X_A block")
     g2 = gamma_s * gamma_s
     a_minus, a_plus, b_minus, b_plus = s - alpha_s, s + alpha_s, s - beta_s, s + beta_s
     cross = a_minus * b_minus - g2
     den = (a_plus * b_plus - g2
-           + 2 * (s * s - alpha_s * beta_s + g2) * tau + cross * tau ** 2)
+           + 2.0 * (s * s - alpha_s * beta_s + g2) * tau + cross * tau ** 2)
     if any_true(abs(den / (4.0 * x_a)) < tol):
         raise ValueError("singular Y block")
     cross_tau = cross * tau
-    q_a = 2 * tau * (a_minus * b_plus + g2 + cross_tau) / den
-    q_b = 2 * tau * (a_plus * b_minus + g2 + cross_tau) / den
-    gamma_t = 4 * tau * gamma_s / den * s
+    return (2.0 * tau * (a_minus * b_plus + g2 + cross_tau),
+            2.0 * tau * (a_plus * b_minus + g2 + cross_tau), 4.0 * tau * gamma_s, den, s)
+
+
+def ps2_standard_form(alpha, beta, gamma, tau):
+    """Closed forms of the 2PS submatrices and success probability:
+    (alpha_tilde, beta_tilde, gamma_tilde, P), elementwise over arrays,
+    from _ps2_numerators and with its errors; the one place that forms P.
+
+    P = ((1 - tau)/tau)^2 E_0 / den with E_0 = q_a q_b + gamma_tilde^2
+    (q_a = 1 - alpha_tilde, q_b = 1 - beta_tilde) the heuristic
+    normalization at the subtracted triple, with no negative term on a
+    physical Sigma-tilde; tests/test_distill.py derives it from the quartic
+    over den^3. In the power of two s of _ps2_numerators the triple has
+    degree 0, gamma_tilde carries one s and 1/den two. Independent of
+    ps2_gaussian, which checks it in the tests.
+    """
+    num_a, num_b, num_g, den, s = _ps2_numerators(alpha, beta, gamma, tau)
+    q_a, q_b, gamma_t = num_a / den, num_b / den, num_g / den * s
     prob = ((1 - tau) / tau) ** 2 * (q_a * q_b + gamma_t * gamma_t) / den * s * s
     return 1 - q_a, 1 - q_b, gamma_t, prob
 
@@ -213,10 +228,35 @@ def heuristic_factor(alpha, beta, gamma):
     cross, g2 = (alpha_s - s) * (beta_s - s), gamma_s * gamma_s
     k, e0 = cross - g2, cross + g2
     if any_true(e0 <= 0.0):
-        raise ValueError("normalization E_0 <= 0 (cannot subtract from this state)")
+        raise ValueError(_E0_NOT_POSITIVE)
     num = (k * k + 2.0 * s * (alpha_s + beta_s + 2.0 * gamma_s - 2.0 * s) * k
            + 8.0 * s * s * e0)
     return 2.0 * num / ((alpha_s + beta_s - 2.0 * gamma_s + 2.0 * s) ** 2 * e0)
+
+
+def ps2_prob_fidelity(alpha, beta, gamma, tau):
+    """The 2PS-prob teleportation fidelity of a standard-form triple,
+    elementwise: heuristic_factor over 1 + (alpha + beta - 2 gamma)/2 at the
+    subtracted triple of ps2_standard_form, in one pass over
+    _ps2_numerators that forms neither that triple nor P. With A = num_a,
+    B = num_b, G = num_g s, K = AB - G^2, E = AB + G^2 and
+    T = 4 den - A - B - 2 G, it is F = 4 N den / (T^3 E),
+    N = K^2 + 2 (2 G - A - B) K den + 8 E den^2, of degree 0 in
+    (A, B, G, den). The power of two that brings den into [1/2, 1) scales
+    all four, exactly, so none underflows where n_th is huge. Raises the
+    errors of ps2_standard_form and, where E <= 0, heuristic_factor's.
+    """
+    num_a, num_b, num_g, den, s = _ps2_numerators(alpha, beta, gamma, tau)
+    scale = pow2_scale(den)
+    a, b, g, d = num_a * scale, num_b * scale, num_g * (s * scale), den * scale
+    ab, g2 = a * b, g * g
+    e = ab + g2
+    if any_true(e <= 0.0):
+        raise ValueError(_E0_NOT_POSITIVE)
+    k = ab - g2
+    t = 4.0 * d - a - b - 2.0 * g
+    n = k * k + 2.0 * (2.0 * g - a - b) * k * d + 8.0 * e * d * d
+    return 4.0 * n * d / (t * t * t * e)
 
 
 @dataclass
@@ -252,7 +292,7 @@ def ps2_heuristic(cm):
     m_c = 0.5 * np.trace(e.T @ e)
     e0 = m_a * m_b + m_c
     if e0 <= 0.0:
-        raise ValueError("normalization E_0 <= 0 (cannot subtract from this state)")
+        raise ValueError(_E0_NOT_POSITIVE)
     big_a = 0.25 * (i2 - 2.0 * w @ sa @ w.T + w @ sa @ sa @ w.T)
     big_b = 0.25 * (i2 - 2.0 * w @ sb @ w.T + w @ sb @ sb @ w.T)
     big_c = 0.25 * w @ e.T @ e @ w.T

@@ -87,12 +87,12 @@ def fidelity_heuristic(cm, machinery=None):
 
 def ps2_fidelity(alpha, beta, gamma, tau=None):
     """2PS fidelity of the link triple (alpha, beta, gamma), elementwise:
-    distill.heuristic_factor over 1 + (alpha + beta - 2 gamma)/2, at the
-    subtracted triple of distill.ps2_standard_form when tau is given
-    (2ps-prob), at the triple itself when it is None (2ps-heur).
+    distill.heuristic_factor over 1 + (alpha + beta - 2 gamma)/2 at the
+    triple itself when tau is None (2ps-heur), distill.ps2_prob_fidelity,
+    the same at the subtracted triple, when it is given (2ps-prob).
     TeleportResource.fidelity and the classical-limit march both call it."""
     if tau is not None:
-        alpha, beta, gamma, _ = distill.ps2_standard_form(alpha, beta, gamma, tau)
+        return distill.ps2_prob_fidelity(alpha, beta, gamma, tau)
     return (distill.heuristic_factor(alpha, beta, gamma)
             / (1.0 + 0.5 * (alpha + beta - 2.0 * gamma)))
 

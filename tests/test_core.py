@@ -39,6 +39,27 @@ class TestOmega:
         np.testing.assert_allclose(w @ w, -np.eye(2 * n), atol=1e-15)
 
 
+class TestScalarOrArrayHelpers:
+    MASKS = [True, False, np.True_, np.False_, np.array([False, True]),
+             np.array([True, True]), np.array([], dtype=bool)]
+
+    @pytest.mark.parametrize("mask", MASKS, ids=repr)
+    def test_any_and_all_true_agree_with_numpy(self, mask):
+        assert core.any_true(mask) == np.any(mask)
+        assert core.all_true(mask) == np.all(mask)
+
+    @pytest.mark.parametrize("x", [0.0, 3.0, -0.75, 1e-300, 1e300, np.float64(5.5), 7])
+    def test_pow2_scale_of_a_scalar_is_a_float_equal_to_numpy(self, x):
+        s = core.pow2_scale(x)
+        assert type(s) is float
+        assert s == np.ldexp(1.0, -np.frexp(x)[1])
+
+    def test_pow2_scale_of_an_array_is_elementwise(self):
+        x = np.array([0.0, 3.0, -0.75, 1e-300, 1e300])
+        np.testing.assert_array_equal(core.pow2_scale(x),
+                                      [core.pow2_scale(float(v)) for v in x])
+
+
 class TestConstructors:
     def test_vacuum(self):
         st = vacuum(1)

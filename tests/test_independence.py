@@ -38,9 +38,12 @@ CHECKS = {
                         "cvmw.illumination.probe_nu_minus"},
         "probe_nu_minus_mp": {"cvmw.illumination.probe_nu_minus",
                               "cvmw.entanglement.nu_minus_standard"},
-        "ps2_standard_form_mp": {"cvmw.distill.ps2_standard_form"},
+        "ps2_standard_form_mp": {"cvmw.distill.ps2_standard_form",
+                                 "cvmw.distill._ps2_numerators"},
         "ps2_fidelity_mp": {"cvmw.distill.heuristic_factor",
                             "cvmw.distill.ps2_standard_form",
+                            "cvmw.distill._ps2_numerators",
+                            "cvmw.distill.ps2_prob_fidelity",
                             "cvmw.teleport.ps2_fidelity",
                             "cvmw.teleport.TeleportResource.fidelity"},
         "classical_limit_mp": {

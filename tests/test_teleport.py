@@ -13,7 +13,8 @@ from cvmw.teleport import (BEYOND_MAX, MAX_DISTANCE, ROOT_GRID, ROOT_RTOL,
                            fidelity_2ps_general, fidelity_concatenated,
                            fidelity_finite_gain, fidelity_heuristic,
                            fidelity_ps_tmsv, gamma_of, half_fidelity_condition,
-                           regaussify, swap_condition, swapped_finite_gain_params)
+                           ps2_fidelity, regaussify, swap_condition,
+                           swapped_finite_gain_params)
 from tests.oracles.routes import (classical_limit_array_bracket,
                                   classical_limit_full_bracket, classical_limit_mp,
                                   half_fidelity_poly_array, l_max_condition_array,
@@ -234,6 +235,59 @@ class TestTwoPsFidelityDigits:
         assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
         assert math.isfinite(scalar) and scalar >= 0.0
         assert type(length) is float
+
+
+def ps2_fidelity_composed(alpha, beta, gamma, tau):
+    """The 2PS-prob fidelity composed of the library's parts:
+    distill.heuristic_factor over 1 + S/2 at the triple of
+    distill.ps2_standard_form."""
+    a, b, g, _ = distill.ps2_standard_form(alpha, beta, gamma, tau)
+    return distill.heuristic_factor(a, b, g) / (1.0 + 0.5 * (a + b - 2.0 * g))
+
+
+# (alpha, beta, gamma, tau) that fail each check of the 2PS-prob route, with
+# a row of the array inputs that passes them all
+PS2_FAILURES = {
+    "transmissivity": (3.0, 3.0, 2.0, 1.0),
+    "singular X_A": (-19.0, 3.0, 0.0, 0.9),
+    "singular Y": (3.0, 3.0, 6.0, 0.5),
+    "E_0 <= 0": (3.0, 0.5, 1.0, 0.9),
+}
+PS2_PASSING_ROW = (3.0, 3.0, 2.0)
+
+
+class TestPs2ProbKernel:
+    """teleport.ps2_fidelity with tau is distill.ps2_prob_fidelity, one pass
+    over the subtraction's numerators: it never forms P, and it raises each
+    error of the composed route."""
+
+    def test_nothing_on_the_route_forms_the_success_probability(self, monkeypatch):
+        grid = np.linspace(0.0, 600.0, 13)
+        asym, sym = resource("2ps-prob-asym"), resource("2ps-prob-sym")
+
+        def values():
+            return (asym.classical_limit_distance(), sym.fidelity(300.0),
+                    asym.fidelity(grid), sym.fidelity(grid))
+        want = values()
+
+        def refuse(*args):
+            raise AssertionError("the success probability was formed")
+        monkeypatch.setattr(distill, "ps2_standard_form", refuse)
+        got = values()
+        assert got[0] == want[0] and got[1] == want[1]
+        assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
+
+    @pytest.mark.parametrize("array", [False, True], ids=["scalar", "array"])
+    @pytest.mark.parametrize("message", PS2_FAILURES)
+    def test_raises_each_error_of_the_composed_route(self, message, array):
+        *triple, tau = PS2_FAILURES[message]
+        if array:
+            triple = [np.array([good, bad]) for good, bad in zip(PS2_PASSING_ROW, triple)]
+        with pytest.raises(ValueError, match=re.escape(message)) as composed:
+            ps2_fidelity_composed(*triple, tau)
+        with pytest.raises(ValueError) as kernel:
+            ps2_fidelity(*triple, tau)
+        assert str(kernel.value) == str(composed.value)
 
 
 class TestRegaussify:
