@@ -101,7 +101,8 @@ class PsOutcome:
     @property
     def g(self):
         """The non-Gaussian fidelity correction: h at Sigma-tilde, so 1 + g
-        is heuristic_factor at the subtracted triple."""
+        is heuristic_factor at the subtracted triple, and ps2_fidelity with
+        tau is 1 + g over 1 + (alpha + beta - 2 gamma)/2 there."""
         return self.heuristic.h
 
 
@@ -166,7 +167,7 @@ def _ps2_numerators(alpha, beta, gamma, tau):
     elementwise: (num_a, num_b, num_g, den, s) with 1 - alpha_tilde =
     num_a/den, 1 - beta_tilde = num_b/den, gamma_tilde = num_g s/den and
     den = 4 det X_A^{1/2} det Y^{1/2}, for ps2_standard_form and
-    ps2_prob_fidelity alike. The forms are homogeneous in (alpha, beta,
+    ps2_fidelity alike. The forms are homogeneous in (alpha, beta,
     gamma, 1), so the power of two s with s (alpha + beta) in [1/2, 1)
     scales the entries and stands for each 1, exactly: num_a, num_b and den
     have degree 2, num_g degree 1. Raises on tau outside (0, 1), and where
@@ -211,52 +212,54 @@ def ps2_standard_form(alpha, beta, gamma, tau):
     return 1 - q_a, 1 - q_b, gamma_t, prob
 
 
-def heuristic_factor(alpha, beta, gamma):
-    """1 + h, the fidelity factor of ps2_heuristic for a standard-form input,
-    elementwise over arrays: 2 (K^2 + 2 (alpha + beta + 2 gamma - 2) K
-    + 8 E_0) / ((S + 2)^2 E_0), K = (alpha - 1)(beta - 1) - gamma^2,
-    E_0 = K + 2 gamma^2, S = alpha + beta - 2 gamma. Every term is positive
-    where K >= 0, as on every separable resource. Both parts are homogeneous
-    of degree 4 in (alpha, beta, gamma, 1), so the power of two s with
-    s (alpha + beta) in [1/2, 1) scales the entries and stands for each 1:
-    exactly, and no product overflows. tests/test_distill.py derives it with
-    sympy from ps2_heuristic's matrices; 1 + g of ps2_gaussian is this
-    function at the subtracted triple of ps2_standard_form.
+def _ps2_kernel(a, b, g, d):
+    """The 2PS formula at the homogeneous point (a, b, g, d) = d (1 - alpha,
+    1 - beta, gamma, 1), elementwise: (N/E, T), K = ab - g^2, E = ab + g^2,
+    T = 4d - a - b - 2g, N = K^2 + 2 (2g - a - b) K d + 8 E d^2. 1 + h is
+    2 (N/E)/T^2 (tests/test_distill.py derives it with sympy from
+    ps2_heuristic) and the fidelity 4 (N/E) d/T^3. N/E is the sum K (K/E)
+    + 2 (2g - a - b) (K/E) d + 8 d^2: K/E is near 1, so each term is of the
+    order of d, where N, of order d^2, underflows first. Every term is
+    positive where K >= 0, as on every separable resource. Raises if E <= 0.
     """
-    s = pow2_scale(alpha + beta)
-    alpha_s, beta_s, gamma_s = alpha * s, beta * s, gamma * s
-    cross, g2 = (alpha_s - s) * (beta_s - s), gamma_s * gamma_s
-    k, e0 = cross - g2, cross + g2
-    if any_true(e0 <= 0.0):
-        raise ValueError(_E0_NOT_POSITIVE)
-    num = (k * k + 2.0 * s * (alpha_s + beta_s + 2.0 * gamma_s - 2.0 * s) * k
-           + 8.0 * s * s * e0)
-    return 2.0 * num / ((alpha_s + beta_s - 2.0 * gamma_s + 2.0 * s) ** 2 * e0)
-
-
-def ps2_prob_fidelity(alpha, beta, gamma, tau):
-    """The 2PS-prob teleportation fidelity of a standard-form triple,
-    elementwise: heuristic_factor over 1 + (alpha + beta - 2 gamma)/2 at the
-    subtracted triple of ps2_standard_form, in one pass over
-    _ps2_numerators that forms neither that triple nor P. With A = num_a,
-    B = num_b, G = num_g s, K = AB - G^2, E = AB + G^2 and
-    T = 4 den - A - B - 2 G, it is F = 4 N den / (T^3 E),
-    N = K^2 + 2 (2 G - A - B) K den + 8 E den^2, of degree 0 in
-    (A, B, G, den). The power of two that brings den into [1/2, 1) scales
-    all four, exactly, so none underflows where n_th is huge. Raises the
-    errors of ps2_standard_form and, where E <= 0, heuristic_factor's.
-    """
-    num_a, num_b, num_g, den, s = _ps2_numerators(alpha, beta, gamma, tau)
-    scale = pow2_scale(den)
-    a, b, g, d = num_a * scale, num_b * scale, num_g * (s * scale), den * scale
     ab, g2 = a * b, g * g
     e = ab + g2
     if any_true(e <= 0.0):
         raise ValueError(_E0_NOT_POSITIVE)
     k = ab - g2
-    t = 4.0 * d - a - b - 2.0 * g
-    n = k * k + 2.0 * (2.0 * g - a - b) * k * d + 8.0 * e * d * d
-    return 4.0 * n * d / (t * t * t * e)
+    ratio = k / e
+    return (k * ratio + 2.0 * (2.0 * g - a - b) * ratio * d + 8.0 * d * d,
+            4.0 * d - a - b - 2.0 * g)
+
+
+def heuristic_factor(alpha, beta, gamma):
+    """1 + h, the fidelity factor of ps2_heuristic for a standard-form input,
+    elementwise: _ps2_kernel's 2 (N/E)/T^2 at the power of two d with
+    d (alpha + beta) in [1/2, 1), which scales exactly and overflows no
+    product. 1 + g of ps2_gaussian is this at ps2_standard_form's triple."""
+    d = pow2_scale(alpha + beta)
+    n_e, t = _ps2_kernel(d - alpha * d, d - beta * d, gamma * d, d)
+    return 2.0 * n_e / (t * t)
+
+
+def ps2_fidelity(alpha, beta, gamma, tau=None):
+    """The 2PS teleportation fidelity of a standard-form triple, elementwise:
+    1 + h over 1 + (alpha + beta - 2 gamma)/2, _ps2_kernel's 4 (N/E) d/T^3.
+    Without tau (2ps-heur) the point is heuristic_factor's. With tau
+    (2ps-prob) it is (num_a, num_b, num_g s, den) of _ps2_numerators, the
+    subtracted triple of ps2_standard_form without forming it or P, scaled
+    exactly by the power of two that brings den into [1/2, 1). d comes last,
+    so a subnormal fidelity is rounded once. Raises the errors of
+    ps2_standard_form and _ps2_kernel."""
+    if tau is None:
+        d = pow2_scale(alpha + beta)
+        a, b, g = d - alpha * d, d - beta * d, gamma * d
+    else:
+        num_a, num_b, num_g, den, s = _ps2_numerators(alpha, beta, gamma, tau)
+        scale = pow2_scale(den)
+        a, b, g, d = num_a * scale, num_b * scale, num_g * (s * scale), den * scale
+    n_e, t = _ps2_kernel(a, b, g, d)
+    return 4.0 * n_e / (t * t * t) * d
 
 
 @dataclass

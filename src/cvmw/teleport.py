@@ -3,7 +3,8 @@ photon-subtracted resources, including finite-gain homodyne detection.
 
 TeleportResource builds no covariance matrix: it reads the standard-form
 triple (alpha, beta, gamma) of its link from channel.tmst_polys, evaluated
-at a distance by channel.tmst_at, and applies closed forms. The polynomials
+at a distance by channel.tmst_at, and applies closed forms: the finite-gain
+fidelity here, and distill.ps2_fidelity for both 2PS kinds. The polynomials
 hold the geometry, full L for the asymmetric link and L/2 per arm for the
 symmetric one. A swap joins two asymmetric links of L/2 each, and that
 halving is applied in two places: TeleportResource.fidelity and
@@ -85,18 +86,6 @@ def fidelity_heuristic(cm, machinery=None):
     return (1.0 + mach.h) * fidelity_concatenated(cm, 1), mach.h
 
 
-def ps2_fidelity(alpha, beta, gamma, tau=None):
-    """2PS fidelity of the link triple (alpha, beta, gamma), elementwise:
-    distill.heuristic_factor over 1 + (alpha + beta - 2 gamma)/2 at the
-    triple itself when tau is None (2ps-heur), distill.ps2_prob_fidelity,
-    the same at the subtracted triple, when it is given (2ps-prob).
-    TeleportResource.fidelity and the classical-limit march both call it."""
-    if tau is not None:
-        return distill.ps2_prob_fidelity(alpha, beta, gamma, tau)
-    return (distill.heuristic_factor(alpha, beta, gamma)
-            / (1.0 + 0.5 * (alpha + beta - 2.0 * gamma)))
-
-
 def regaussify(cm_tilde, correction, mode="sym"):
     """Gaussian resource with the same fidelity as the photon-subtracted one.
 
@@ -128,8 +117,9 @@ def regaussify(cm_tilde, correction, mode="sym"):
 
 def regaussify_standard(alpha, beta, gamma, factor, mode="sym"):
     """Standard-form (alpha, beta, gamma) of regaussify's resource from the
-    fidelity factor f = 1 + correction (distill.heuristic_factor),
-    elementwise over arrays."""
+    fidelity factor f = 1 + correction, elementwise over arrays: 1 + h of
+    distill.heuristic_factor at the bare triple, or 1 + g, the same at the
+    subtracted triple of distill.ps2_standard_form."""
     f = factor
     if mode == "asym":
         alpha = beta = 0.5 * (alpha + beta)
@@ -270,8 +260,9 @@ class TeleportResource:
         array of distances.
 
         The ideal kinds are their finite-gain forms at g = inf, and the
-        2PS kinds are ps2_fidelity of the link triple. A float distance
-        stays a float: no 0-d array is formed on the way.
+        2PS kinds are distill.ps2_fidelity of the link triple, with tau for
+        2ps-prob. A float distance stays a float: no 0-d array is formed on
+        the way.
         """
         form, geometry, finite_gain = FORMS[self.kind]
         if not isinstance(length, float):
@@ -288,17 +279,19 @@ class TeleportResource:
         alpha, beta, gamma = channel_mod.tmst_at(link, self.mu, length)
         if form == "tmst":
             return fidelity_finite_gain(alpha, beta, gamma, gain)
-        return ps2_fidelity(alpha, beta, gamma, self.tau if form == "2ps-prob" else None)
+        return distill.ps2_fidelity(alpha, beta, gamma,
+                                    self.tau if form == "2ps-prob" else None)
 
     def _march_step(self):
         """F - 1/2 of a marched kind at a float distance in [0, MAX_DISTANCE]:
-        fidelity's route (channel.tmst_at, then ps2_fidelity) on the link's
-        tmst_polys read once, with mu and tau bound once. The march takes its
-        step from this method alone; tests replace it to watch or break it."""
+        fidelity's route (channel.tmst_at, then distill.ps2_fidelity) on the
+        link's tmst_polys read once, with mu, tau and both functions bound
+        once. The march takes its step from this method alone; tests replace
+        it to watch or break it."""
         form, geometry, _ = FORMS[self.kind]
         link = channel_mod.tmst_polys(self.r, self.n, self.n_th, self.eta_ant, geometry)
         mu, tau = self.mu, self.tau if form == "2ps-prob" else None
-        tmst_at = channel_mod.tmst_at
+        tmst_at, ps2_fidelity = channel_mod.tmst_at, distill.ps2_fidelity
 
         def excess_at(length):
             alpha, beta, gamma = tmst_at(link, mu, length)

@@ -165,13 +165,26 @@ def ps2_standard_form_mp(alpha, beta, gamma, tau, dps):
                 4 * t * c / den, 4 * (1 - t) ** 2 * quartic / den ** 3)
 
 
+def heuristic_factor_mp(alpha, beta, gamma, dps=250):
+    """1 + h of the heuristic subtraction on the standard-form triple
+    (alpha, beta, gamma) at dps digits, as an mpf, with h in its quartic N
+    form: h = -N / ((S + 2)^2 E_0), E_0 = (alpha - 1)(beta - 1) + gamma^2,
+    N = ((S - 2)^3 (S + 6) - D^4) / 8 + D^2 (2 - S + gamma (S + 2)),
+    S = alpha + beta - 2 gamma and D = alpha - beta. N loses about
+    3 log10 alpha digits to cancellation where beta << alpha. The entries
+    are floats or mpf."""
+    with mpmath.workdps(dps):
+        a, b, c = (mpmath.mpf(x) for x in (alpha, beta, gamma))
+        s, d2 = a + b - 2 * c, (a - b) ** 2
+        e0 = (a - 1) * (b - 1) + c * c
+        num = ((s - 2) ** 3 * (s + 6) - d2 * d2) / 8 + d2 * (2 - s + c * (s + 2))
+        return 1 - num / ((s + 2) ** 2 * e0)
+
+
 def ps2_fidelity_mp(alpha, beta, gamma, tau=None, dps=250):
     """Fidelity (1 + h) / (1 + S/2) of the photon-subtracted resource on the
-    standard-form triple (alpha, beta, gamma) at dps digits, with h in its
-    quartic N form: h = -N / ((S + 2)^2 E_0), E_0 = (alpha - 1)(beta - 1) +
-    gamma^2, N = ((S - 2)^3 (S + 6) - D^4) / 8 + D^2 (2 - S + gamma (S + 2)),
-    S = alpha + beta - 2 gamma and D = alpha - beta. N loses about
-    3 log10 alpha digits to cancellation where beta << alpha. With tau, the
+    standard-form triple (alpha, beta, gamma) at dps digits, S = alpha +
+    beta - 2 gamma, with 1 + h from heuristic_factor_mp. With tau, the
     triple is first subtracted by the beam-splitter scheme, in
     ps2_standard_form_mp at the same precision. The entries are floats or
     mpf; the result is the float nearest the dps-digit value."""
@@ -179,10 +192,7 @@ def ps2_fidelity_mp(alpha, beta, gamma, tau=None, dps=250):
         a, b, c = (mpmath.mpf(x) for x in (alpha, beta, gamma))
         if tau is not None:
             a, b, c, _ = ps2_standard_form_mp(a, b, c, tau, dps)
-        s, d2 = a + b - 2 * c, (a - b) ** 2
-        e0 = (a - 1) * (b - 1) + c * c
-        num = ((s - 2) ** 3 * (s + 6) - d2 * d2) / 8 + d2 * (2 - s + c * (s + 2))
-        return float((1 - num / ((s + 2) ** 2 * e0)) / (1 + s / 2))
+        return float(heuristic_factor_mp(a, b, c, dps) / (1 + (a + b - 2 * c) / 2))
 
 
 def classical_limit_mp(resource, dps=60):

@@ -2,6 +2,7 @@
 tests/oracles share no code with the functions they check."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -40,11 +41,13 @@ CHECKS = {
                               "cvmw.entanglement.nu_minus_standard"},
         "ps2_standard_form_mp": {"cvmw.distill.ps2_standard_form",
                                  "cvmw.distill._ps2_numerators"},
+        "heuristic_factor_mp": {"cvmw.distill.heuristic_factor",
+                                "cvmw.distill._ps2_kernel"},
         "ps2_fidelity_mp": {"cvmw.distill.heuristic_factor",
                             "cvmw.distill.ps2_standard_form",
                             "cvmw.distill._ps2_numerators",
-                            "cvmw.distill.ps2_prob_fidelity",
-                            "cvmw.teleport.ps2_fidelity",
+                            "cvmw.distill.ps2_fidelity",
+                            "cvmw.distill._ps2_kernel",
                             "cvmw.teleport.TeleportResource.fidelity"},
         "classical_limit_mp": {
             "cvmw.teleport.TeleportResource.classical_limit_distance",
@@ -138,6 +141,20 @@ def test_oracle_uses_nothing_it_checks(module, function):
     checked = CHECKS[module][function]
     short = {name.rsplit(".", 1)[1] for name in checked}
     assert not used & (checked | short), used & (checked | short)
+
+
+def test_every_checked_name_resolves():
+    """A name that no longer exists in the library would pass the test above
+    unseen."""
+    missing = []
+    for name in sorted({n for fs in CHECKS.values() for ns in fs.values() for n in ns}):
+        package, module, *attrs = name.split(".")
+        obj = importlib.import_module(package + "." + module)
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(name)
+    assert not missing, missing
 
 
 def test_monras_oracle_imports_nothing_from_estimation():

@@ -7,18 +7,19 @@ import numpy as np
 import pytest
 
 from cvmw import channel, core, distill
+from cvmw.distill import ps2_fidelity
 from cvmw.entanglement import BipartiteCM, negativity, pts_eigenvalues
 from cvmw.teleport import (BEYOND_MAX, MAX_DISTANCE, ROOT_GRID, ROOT_RTOL,
                            TeleportResource, anderson_bjorck,
                            fidelity_2ps_general, fidelity_concatenated,
                            fidelity_finite_gain, fidelity_heuristic,
                            fidelity_ps_tmsv, gamma_of, half_fidelity_condition,
-                           ps2_fidelity, regaussify, swap_condition,
-                           swapped_finite_gain_params)
+                           regaussify, swap_condition, swapped_finite_gain_params)
 from tests.oracles.routes import (classical_limit_array_bracket,
                                   classical_limit_full_bracket, classical_limit_mp,
-                                  half_fidelity_poly_array, l_max_condition_array,
-                                  poly, poly_mul, ps2_fidelity_mp, tmst_polys_array)
+                                  half_fidelity_poly_array, heuristic_factor_mp,
+                                  l_max_condition_array, poly, poly_mul,
+                                  ps2_fidelity_mp, tmst_polys_array)
 
 TABLE1 = dict(channel.TABLE1)
 
@@ -205,23 +206,44 @@ class TestTwoPsFidelityDigits:
                                    rtol=1e-12 if prob else 4e-15, atol=0.0)
 
     @pytest.mark.parametrize("n_th", [1e60, 1e160, 1e300])
-    @pytest.mark.parametrize("kind", ["2ps-prob-asym", "2ps-prob-sym"])
+    @pytest.mark.parametrize("kind", PS2_KINDS)
     def test_subtracted_kinds_at_huge_thermal_occupation(self, kind, n_th):
         """The subtraction is scaled by a power of two like the factor:
         unscaled, 2ps-prob-sym overflowed from n_th = 1e160. The reference
         restates the subtraction too, which cancels about 2 log10 alpha
-        digits, and N about 3 log10 alpha more."""
+        digits, and N about 3 log10 alpha more. On the asymmetric link the
+        2ps-heur fidelity is of the order of 1/alpha^2, subnormal or zero
+        from n_th = 1e160; at the scaled point the product N d of
+        4 N d / (T^3 E) is of the order of 1/alpha^3 and underflows first."""
         res = resource(kind, n_th=n_th)
+        prob = kind.startswith("2ps-prob")
         grid = np.linspace(0.0, 600.0, 13)
         triples = zip(*channel.tmst_params(res.mu, grid, res.n_th, res.eta_ant,
                                            res.r, res.n, res.geometry))
-        want = [ps2_fidelity_mp(*triple, res.tau,
+        want = [ps2_fidelity_mp(*triple, res.tau if prob else None,
                                 250 + 5 * int(math.log10(max(triple))))
                 for triple in triples]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = res.fidelity(grid)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        if prob:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        else:  # the reference may be subnormal
+            np.testing.assert_allclose(got, want, rtol=4e-15, atol=1e-321)
+
+    @pytest.mark.parametrize("n_th", [1e160, 1e300])
+    @pytest.mark.parametrize("geometry", ["asym", "sym"])
+    def test_heuristic_factor_at_huge_thermal_occupation(self, geometry, n_th):
+        """1 + h of the link triple stays a normal float: near 1/alpha on the
+        asymmetric link, where N at the scaled point is of its square."""
+        res = resource("2ps-heur-" + geometry, n_th=n_th)
+        triples = channel.tmst_params(res.mu, np.linspace(0.0, 600.0, 13), res.n_th,
+                                      res.eta_ant, res.r, res.n, res.geometry)
+        want = [float(heuristic_factor_mp(*triple,
+                                          250 + 5 * int(math.log10(max(triple)))))
+                for triple in zip(*triples)]
+        np.testing.assert_allclose(distill.heuristic_factor(*triples), want,
+                                   rtol=4e-15, atol=0.0)
 
     @pytest.mark.parametrize("kind", PS2_KINDS)
     def test_huge_thermal_occupation_stays_finite(self, kind):
@@ -257,9 +279,9 @@ PS2_PASSING_ROW = (3.0, 3.0, 2.0)
 
 
 class TestPs2ProbKernel:
-    """teleport.ps2_fidelity with tau is distill.ps2_prob_fidelity, one pass
-    over the subtraction's numerators: it never forms P, and it raises each
-    error of the composed route."""
+    """distill.ps2_fidelity with tau is one pass over the subtraction's
+    numerators through the kernel of heuristic_factor: it never forms P, and
+    it raises each error of the composed route."""
 
     def test_nothing_on_the_route_forms_the_success_probability(self, monkeypatch):
         grid = np.linspace(0.0, 600.0, 13)
