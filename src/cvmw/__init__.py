@@ -5,8 +5,8 @@ Gaussian quantum Fisher information with optimal observables, quantum
 illumination and bi-frequency illumination, teleportation fidelities with
 photon subtraction and entanglement swapping, and open-air / satellite
 channel models. A truncated Fock-space engine, `cvmw.fock`, provides
-independent brute-force cross-checks for the closed forms; it is imported
-on first use, so the CLI does not load it.
+independent brute-force cross-checks for the closed forms; `import cvmw`
+does not load it, so neither does the CLI: `import cvmw.fock` does.
 """
 
 from . import (bifreq, channel, core, distill, entanglement, estimation,

@@ -142,7 +142,9 @@ def classical_received_family(params):
 
 
 def h_c_bifreq(params):
-    """Coherent-probe QFI at lambda -> 0, closed form, elementwise.
+    """Coherent-probe QFI at lambda -> 0, closed form, elementwise:
+    n_th / (tau1 (1 + n_th tau1)) + n_s / (eta1 (1 + 2 n_th tau1)) with
+    tau1 = 1 - eta1.
 
     The thermal term vanishes in the n_th -> 0 limit and diverges at
     eta1 = 1 when n_th > 0 (ValueError).
@@ -151,14 +153,12 @@ def h_c_bifreq(params):
     if any_true(eta1 <= 0.0):
         raise ValueError("eta1 must be positive for the coherent probe")
     tau1 = 1.0 - eta1
-    dd = 1.0 + 2.0 * n_th * tau1
-    if any_true((n_th > 0.0) & (dd ** 4 == 1.0)):
+    if any_true((n_th > 0.0) & (tau1 == 0.0)):
         raise ValueError("the coherent-probe QFI diverges at eta1 = 1 "
                          "with thermal noise (n_th > 0)")
-    # without thermal noise the numerator is 0 and dd = 1: divide by 1 instead
-    thermal_term = (4.0 * n_th ** 2 * (dd ** 2 + 1.0)
-                    / where(n_th > 0.0, dd ** 4 - 1.0, 1.0))
-    return thermal_term + params.n_s / (eta1 * dd)
+    # without thermal noise the numerator is 0: divide by 1, not by tau1 = 0
+    thermal_term = n_th / where(n_th > 0.0, tau1 * (1.0 + n_th * tau1), 1.0)
+    return thermal_term + params.n_s / (eta1 * (1.0 + 2.0 * n_th * tau1))
 
 
 def ratio(params):

@@ -68,11 +68,8 @@ class LinkGeometry:
     e_a: float = 1.0  # aperture efficiency
     w0: float = 1.0   # initial spot size (m)
     a_r: float = 1.0  # receiver aperture radius (m)
-    r0: float = None  # beam curvature (m); defaults to the link distance
 
     def __post_init__(self):
-        if self.r0 is None:
-            self.r0 = self.d
         if any(any_true(v <= 0) for v in (self.nu, self.d, self.a, self.e_a,
                                           self.w0, self.a_r)):
             raise ValueError("geometry parameters must be positive")
@@ -399,11 +396,10 @@ def tau_path(geom):
 
 
 def spot_size(geom):
-    """Beam spot size at the link distance d given curvature r0 and waist w0."""
-    d = geom.d
+    """Beam spot size (w0 / sqrt 2)(d / z_R) at the link distance d of a beam
+    of waist w0 focused there, with Rayleigh range z_R = pi w0^2 / (2 lambda)."""
     rayleigh = np.pi * geom.w0 ** 2 / (2.0 * geom.wavelength)
-    return (geom.w0 / np.sqrt(2.0)) * np.sqrt(
-        (1.0 - d / geom.r0) ** 2 + (d / rayleigh) ** 2)
+    return (geom.w0 / np.sqrt(2.0)) * (geom.d / rayleigh)
 
 
 def tau_diffraction(geom):

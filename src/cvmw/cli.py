@@ -214,7 +214,7 @@ def _bifreq_table(x):
 def _satellite_table(x):
     d, w0 = x["d"], x["w0"]
     geom = channel.LinkGeometry(nu=x["nu"], d=d, a=2.0 * w0, e_a=1.0,
-                                w0=w0, a_r=x["a_r"], r0=d)
+                                w0=w0, a_r=x["a_r"])
     return {"d": d, "fspl_db": channel.fspl(x["nu"], d)[1],
             "tau_path": channel.tau_path(geom),
             "tau_diff": channel.tau_diffraction(geom)}
@@ -303,57 +303,6 @@ def _channel_table(x):
     return columns
 
 
-# -- the subcommand table ----------------------------------------------------
-
-# name -> table function, sweep variable -> the parameter it sets, default
-# sweep (None: one row, no sweep) and provenance; the note may name {var}
-# and {args}.
-COMMANDS = {
-    "negativity": dict(
-        table=_negativity_table,
-        sweeps={"r": "r"}, default=SweepSpec("r", 0.0, 1.5, 61),
-        note="negativity of photon-subtracted vs bare two-mode squeezed "
-             "vacuum, with success probabilities"),
-    "illum": dict(
-        table=_illum_table,
-        sweeps={"n_s": "n_s", "n_th": "n_th_bath", "gamma": "gamma"},
-        default=SweepSpec("n_s", 0.01, 5.0, 100),
-        note="illumination gain and Fisher informations vs {var}"),
-    "bifreq": dict(
-        table=_bifreq_table,
-        sweeps={"eta1": "eta1", "n_s": "n_s", "n": "n_signal", "n_th": "n_th_bath"},
-        default=SweepSpec("n_s", 0.2, 5.0, 25),
-        note="bi-frequency enhancement ratio and observable coefficients "
-             "vs {var}"),
-    "swap": dict(
-        table=_swap_table,
-        sweeps={"L": "L"}, default=SweepSpec("L", 0.0, 600.0, 121),
-        note="entanglement-swapped resource vs distance"),
-    "channel": dict(
-        table=_channel_table,
-        sweeps={"L": "L"}, default=SweepSpec("L", 0.0, 600.0, 121),
-        note="distributed-state entanglement vs distance"),
-    "satellite": dict(
-        table=_satellite_table,
-        sweeps={"d": "d"}, default=SweepSpec("d", 10.0, 1e7, 61, log=True),
-        note="free-space path loss and diffraction transmissivity vs distance"),
-    "qfi": dict(
-        table=_qfi_table,
-        sweeps={}, default=None,
-        note="quantum Fisher information of the selected family"),
-    "teleport": dict(
-        table=_teleport_table,
-        sweeps={"L": "L"}, default=SweepSpec("L", 0.0, 600.0, 121),
-        note="average teleportation fidelity vs distance, resource "
-             "{args.resource}"),
-    "distill": dict(
-        table=_distill_table,
-        sweeps={"L": "L"}, default=SweepSpec("L", 0.0, 500.0, 101),
-        note="re-Gaussified photon-subtraction negativities vs distance "
-             "({args.geometry} geometry)"),
-}
-
-
 def _cmd_table(args):
     entry = COMMANDS[args.command]
     spec = entry["default"]
@@ -366,8 +315,8 @@ def _cmd_table(args):
             _check(spec.variable, spec.start)
             _check(spec.variable, spec.stop)
         x[spec.variable] = spec.values()
-    if args.command in OPTIONS:
-        dest = OPTIONS[args.command][0]
+    if "option" in entry:
+        dest = entry["option"][0]
         x[dest] = getattr(args, dest)
     columns = entry["table"](x)
     note = entry["note"].format(var=var, args=args)
@@ -476,26 +425,74 @@ def _cmd_summary(args):
     return 0 if all_pass else ANCHOR_FAILURE
 
 
-# subcommand -> its own option, added ahead of the common ones; a table
-# function finds its value under the option's name
-OPTIONS = {
-    "state": ("kind", {"required": True, "choices": tuple(STATES)}),
-    "qfi": ("family", {"default": "illum", "choices": tuple(QFI_FAMILIES)}),
-    "teleport": ("resource", {"default": "tmst-asym",
-                              "choices": teleport.TeleportResource.KINDS}),
-    "distill": ("geometry", {"default": "sym", "choices": ("asym", "sym")}),
+# -- the subcommand table ----------------------------------------------------
+
+# name -> help, its own option (added ahead of the common ones; a table
+# function finds its value under the option's name), and either a run
+# function or a table function with its sweep variable -> the parameter it
+# sets, default sweep (None: one row, no sweep) and provenance; the note may
+# name {var} and {args}. The order is that of --help.
+COMMANDS = {
+    "state": dict(
+        help="construct a state and print its JSON", run=_cmd_state,
+        option=("kind", {"required": True, "choices": tuple(STATES)})),
+    "negativity": dict(
+        help="negativity of photon-subtracted squeezed vacuum vs r",
+        table=_negativity_table,
+        sweeps={"r": "r"}, default=SweepSpec("r", 0.0, 1.5, 61),
+        note="negativity of photon-subtracted vs bare two-mode squeezed "
+             "vacuum, with success probabilities"),
+    "illum": dict(
+        help="quantum illumination gain and Fisher informations",
+        table=_illum_table,
+        sweeps={"n_s": "n_s", "n_th": "n_th_bath", "gamma": "gamma"},
+        default=SweepSpec("n_s", 0.01, 5.0, 100),
+        note="illumination gain and Fisher informations vs {var}"),
+    "bifreq": dict(
+        help="bi-frequency enhancement ratio and optimal observable",
+        table=_bifreq_table,
+        sweeps={"eta1": "eta1", "n_s": "n_s", "n": "n_signal", "n_th": "n_th_bath"},
+        default=SweepSpec("n_s", 0.2, 5.0, 25),
+        note="bi-frequency enhancement ratio and observable coefficients "
+             "vs {var}"),
+    "swap": dict(
+        help="entanglement-swapped resource vs distance",
+        table=_swap_table,
+        sweeps={"L": "L"}, default=SweepSpec("L", 0.0, 600.0, 121),
+        note="entanglement-swapped resource vs distance"),
+    "channel": dict(
+        help="distributed-state entanglement vs distance",
+        table=_channel_table,
+        sweeps={"L": "L"}, default=SweepSpec("L", 0.0, 600.0, 121),
+        note="distributed-state entanglement vs distance"),
+    "satellite": dict(
+        help="free-space path loss and diffraction transmissivity",
+        table=_satellite_table,
+        sweeps={"d": "d"}, default=SweepSpec("d", 10.0, 1e7, 61, log=True),
+        note="free-space path loss and diffraction transmissivity vs distance"),
+    "qfi": dict(
+        help="closed-form QFI of a named received family",
+        option=("family", {"default": "illum", "choices": tuple(QFI_FAMILIES)}),
+        table=_qfi_table,
+        sweeps={}, default=None,
+        note="quantum Fisher information of the selected family"),
+    "teleport": dict(
+        help="teleportation fidelity of a resource vs distance",
+        option=("resource", {"default": "tmst-asym",
+                             "choices": teleport.TeleportResource.KINDS}),
+        table=_teleport_table,
+        sweeps={"L": "L"}, default=SweepSpec("L", 0.0, 600.0, 121),
+        note="average teleportation fidelity vs distance, resource "
+             "{args.resource}"),
+    "distill": dict(
+        help="re-Gaussified photon-subtraction negativities",
+        option=("geometry", {"default": "sym", "choices": ("asym", "sym")}),
+        table=_distill_table,
+        sweeps={"L": "L"}, default=SweepSpec("L", 0.0, 500.0, 101),
+        note="re-Gaussified photon-subtraction negativities vs distance "
+             "({args.geometry} geometry)"),
+    "summary": dict(help="verify headline anchors", run=_cmd_summary),
 }
-HELP = {"state": "construct a state and print its JSON",
-        "negativity": "negativity of photon-subtracted squeezed vacuum vs r",
-        "illum": "quantum illumination gain and Fisher informations",
-        "bifreq": "bi-frequency enhancement ratio and optimal observable",
-        "swap": "entanglement-swapped resource vs distance",
-        "channel": "distributed-state entanglement vs distance",
-        "satellite": "free-space path loss and diffraction transmissivity",
-        "qfi": "closed-form QFI of a named received family",
-        "teleport": "teleportation fidelity of a resource vs distance",
-        "distill": "re-Gaussified photon-subtraction negativities",
-        "summary": "verify headline anchors"}
 
 
 @functools.cache
@@ -507,28 +504,27 @@ def build_parser():
         "  %-11s %-9s %-12s %s" % (key, "2 w0" if value is None else "%g" % value,
                                    domain, meaning)
         for key, (value, domain, meaning) in PARAMS.items())
-    for name, text in HELP.items():
-        func = {"state": _cmd_state, "summary": _cmd_summary}.get(name, _cmd_table)
-        sp = sub.add_parser(name, help=text, epilog=epilog,
+    for name, entry in COMMANDS.items():
+        sp = sub.add_parser(name, help=entry["help"], epilog=epilog,
                             formatter_class=argparse.RawDescriptionHelpFormatter)
-        if name in OPTIONS:
-            dest, kwargs = OPTIONS[name]
+        if "option" in entry:
+            dest, kwargs = entry["option"]
             sp.add_argument("--" + dest, **kwargs)
         sp.add_argument("--preset", default=None,
                         help="named preset (table1) or profile file path")
         sp.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override a parameter")
         sp.add_argument("--out", default=None, help="output file")
-        if func is _cmd_table:
+        if "table" in entry:
             sp.add_argument("--format", choices=("csv", "json"), default="csv")
             sp.add_argument("--jobs", type=int, default=1,
                             help="accepted for interface compatibility; no effect")
-        if COMMANDS.get(name, {}).get("sweeps"):
+        if entry.get("sweeps"):
             sp.add_argument("--sweep", nargs=4, default=None,
                             metavar=("VAR", "START", "STOP", "COUNT"))
             sp.add_argument("--log", action="store_true",
                             help="logarithmic sweep spacing")
-        sp.set_defaults(func=func, sweep=None)
+        sp.set_defaults(func=entry.get("run", _cmd_table), sweep=None)
     return parser
 
 

@@ -88,6 +88,22 @@ class TestFisherInformation:
         thermal_term = 4.0 * 4.0 * (dd ** 2 + 1.0) / (dd ** 4 - 1.0)
         assert h_c_bifreq(p) == pytest.approx(thermal_term, rel=1e-12)
 
+    def test_h_c_matches_a_60_digit_unreduced_form(self):
+        # 4 n_th^2 (dd^2 + 1) / (dd^4 - 1) + n_s / (eta1 dd), dd = 1 + 2 n_th
+        # tau1, at 60 digits with the float inputs taken exactly: the reduced
+        # closed form loses no digits to the cancellation in dd^4 - 1
+        mp = pytest.importorskip("mpmath").mp
+        eta1, n_th, n_s = np.meshgrid(np.linspace(0.05, 0.99, 20),
+                                      np.geomspace(1e-12, 1e6, 20),
+                                      np.linspace(0.2, 5.0, 6), indexing="ij")
+        got = h_c_bifreq(BifreqParams(eta1, 0.0, n_s, 0.0, n_th))
+        with mp.workdps(60):
+            for h, e, n, s in zip(*(a.ravel().tolist() for a in (got, eta1, n_th, n_s))):
+                e, n, s = mp.mpf(e), mp.mpf(n), mp.mpf(s)
+                dd = 1 + 2 * n * (1 - e)
+                reference = 4 * n ** 2 * (dd ** 2 + 1) / (dd ** 4 - 1) + s / (e * dd)
+                assert abs(h / reference - 1) <= 1e-15, (e, n, s)
+
     def test_high_reflectivity_ratio_formula(self):
         # numeric ratio approaches the closed form as eta1 -> 1
         val = high_reflectivity_ratio(2.9, 1e3)

@@ -418,21 +418,20 @@ class TestLinkBudget:
         assert friis(geom) == pytest.approx(tau_path(geom), rel=1e-12)
 
     def test_diffraction_recovers_path_transmissivity_far_field(self):
-        # a_R = w0 = a/2, r0 = d, e_a = 1 in the far field
+        # a_R = w0 = a/2, e_a = 1 in the far field of a beam focused at d
         lam = 0.06
         nu = channel.LIGHT_SPEED / lam
         w0 = 2.0
         rayleigh = np.pi * w0 ** 2 / (2.0 * lam)
         d = 40.0 * rayleigh
-        geom = LinkGeometry(nu=nu, d=d, a=2.0 * w0, e_a=1.0, w0=w0, a_r=w0,
-                            r0=d)
+        geom = LinkGeometry(nu=nu, d=d, a=2.0 * w0, e_a=1.0, w0=w0, a_r=w0)
         assert tau_diffraction(geom) == pytest.approx(tau_path(geom), rel=0.05)
 
     def test_diffraction_transmissivity_in_unit_interval(self):
         lam = channel.LIGHT_SPEED / 5e9
         rayleigh = np.pi * 2.0 ** 2 / (2.0 * lam)
         for d in np.geomspace(10.0, 1e7, 12):
-            geom = LinkGeometry(nu=5e9, d=d, a=4.0, w0=2.0, a_r=4.0, r0=d)
+            geom = LinkGeometry(nu=5e9, d=d, a=4.0, w0=2.0, a_r=4.0)
             tau = tau_diffraction(geom)
             assert 0.0 < tau <= 1.0
             if d > rayleigh:  # below it the value saturates to 1 in floats

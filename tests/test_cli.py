@@ -18,6 +18,9 @@ from cvmw import channel, cli, core, teleport
 from tests.oracles.routes import (nu_minus_mp, probe_nu_minus_mp, ps2_fidelity_mp,
                                   ps2_standard_form_mp)
 
+# the subcommands that print a table, in --help order
+TABLES = [name for name, entry in cli.COMMANDS.items() if "table" in entry]
+
 # the CLI subprocess imports the same cvmw as the tests, installed or not
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cvmw.__file__)))
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -211,6 +214,26 @@ class TestFailureContract:
         assert "diverges at eta1 = 1" in err
         assert "Warning" not in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("bifreq",), ("qfi", "--family", "bifreq-classical"),
+    ])
+    def test_bifreq_at_a_faint_bath_is_finite(self, argv):
+        # 1 + 2 n_th tau1 rounds to 1 here, yet the thermal term is ~1e-15
+        code, out, err = run_cli(*argv, "--set", "n_th_bath=1e-16")
+        assert code == 0 and err == ""
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert rows and all(math.isfinite(float(cell)) for row in rows
+                            for key, cell in row.items() if key != "family")
+
+    def test_coherent_bifreq_qfi_at_a_hot_bath(self):
+        # n_th / (tau1 (1 + n_th tau1)) -> 1 / tau1^2, with no quartic to
+        # overflow; 100.00000000000004 is the float nearest its 80-digit value
+        code, out, err = run_cli("qfi", "--family", "bifreq-classical",
+                                 "--set", "n_th_bath=1e78")
+        assert code == 0 and err == ""
+        (row,) = csv.DictReader(io.StringIO(out))
+        assert float(row["h_closed"]) == 100.00000000000004
+
     def test_a_failed_point_fails_the_whole_table(self):
         # the last of three received states is too close to pure for the
         # Monras solve: no row is printed, no NaN cell stands in for it
@@ -257,7 +280,7 @@ class TestFailureContract:
         ("channel", "--sweep", "L", "0", "abc", "3"),
         ("channel", "--sweep", "L", "abc", "600", "3"),
         ("channel", "--sweep", "L", "0", "600", "three"),
-    ] + [(name, "--log") for name, entry in cli.COMMANDS.items() if entry["sweeps"]])
+    ] + [(name, "--log") for name in TABLES if cli.COMMANDS[name]["sweeps"]])
     def test_bad_choice_sweep_text_or_lone_log_is_usage_error(self, argv, capsys):
         assert cli.main(list(argv)) == 1
         out, err = capsys.readouterr()
@@ -403,7 +426,7 @@ class TestParameterTable:
         np.testing.assert_array_equal(state.sigma, expected.sigma)
 
     def test_help_ends_with_the_table(self, capsys):
-        for name in ["state", "summary"] + list(cli.COMMANDS):
+        for name in cli.COMMANDS:
             assert cli.main([name, "--help"]) == 0
             lines = capsys.readouterr().out.rstrip("\n").split("\n")
             tail = lines[-len(cli.PARAMS):]
@@ -412,11 +435,21 @@ class TestParameterTable:
     def test_top_level_help_describes_every_subcommand(self, capsys):
         assert cli.main(["--help"]) == 0
         out = capsys.readouterr().out
-        assert list(cli.HELP) == ["state"] + list(cli.COMMANDS) + ["summary"]
-        for name, text in cli.HELP.items():
-            assert re.search(r"^\s+%s\s+%s" % (name, re.escape(text.split()[0])),
+        for name, entry in cli.COMMANDS.items():
+            assert entry["help"] and ("run" in entry) != ("table" in entry), name
+            assert re.search(r"^\s+%s\s+%s" % (name, re.escape(entry["help"].split()[0])),
                              out, re.M), name
-        assert "closed-form" in cli.HELP["qfi"]
+        assert "closed-form" in cli.COMMANDS["qfi"]["help"]
+
+    @pytest.mark.parametrize("name", [None] + list(cli.COMMANDS))
+    def test_help_text_matches_its_golden_file(self, name, monkeypatch, capsys):
+        # argparse wraps to the terminal width, so the width is fixed at 80
+        monkeypatch.setenv("COLUMNS", "80")
+        assert cli.main(["--help"] if name is None else [name, "--help"]) == 0
+        golden = os.path.join(os.path.dirname(__file__), "golden", "help",
+                              "%s.txt" % (name or "cvmw"))
+        with open(golden, encoding="utf-8", newline="") as fh:
+            assert capsys.readouterr().out == fh.read()
 
     def test_readme_table_lists_every_key(self):
         readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -432,7 +465,7 @@ def test_cli_paths_load_no_scipy():
     the numeric classical-limit roots and the library functions that once
     needed scipy (mode synthesis, the path integrals, the qCRB root)."""
     runs = [["summary", "--preset", "table1"], ["state", "--kind", "tmst"],
-            ["qfi"]] + [[name] for name in cli.COMMANDS if name != "qfi"]
+            ["qfi"]] + [[name] for name in TABLES if name != "qfi"]
     script = "\n".join([
         "import importlib, pkgutil, sys",
         "sys.modules['scipy'] = None",
@@ -711,7 +744,7 @@ class TestDeterminism:
         _, parallel, _ = run_cli(*args, "--jobs", "3")
         assert serial == parallel
 
-    @pytest.mark.parametrize("name", list(cli.COMMANDS))
+    @pytest.mark.parametrize("name", TABLES)
     def test_default_csv_matches_a_per_cell_format(self, name, monkeypatch, capsys):
         """The format of each column comes from its dtype, after the columns
         broadcast; formatting every cell by its own type gives the same bytes."""
@@ -909,7 +942,7 @@ class TestJsonOutput:
         cli.main()
         assert json.loads(capsys.readouterr().out)["command"] == "summary --set r=1"
 
-    @pytest.mark.parametrize("argv", [[name, "--format", "json"] for name in cli.COMMANDS]
+    @pytest.mark.parametrize("argv", [[name, "--format", "json"] for name in TABLES]
                              + [["qfi", "--family", "bifreq", "--format", "json"],
                                 ["summary"], ["state", "--kind", "tmst"]],
                              ids=lambda argv: "-".join(argv[:3:2]))

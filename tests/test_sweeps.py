@@ -265,7 +265,7 @@ def test_satellite_columns():
     def row(x):
         d, w0 = x["d"], x["w0"]
         geom = channel.LinkGeometry(nu=x["nu"], d=d, a=2.0 * w0, e_a=1.0,
-                                    w0=w0, a_r=x["a_r"], r0=d)
+                                    w0=w0, a_r=x["a_r"])
         return dict(d=d, fspl_db=channel.fspl(x["nu"], d)[1],
                     tau_path=channel.tau_path(geom),
                     tau_diff=channel.tau_diffraction(geom))
