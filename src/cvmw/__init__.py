@@ -1,12 +1,14 @@
 """Gaussian continuous-variable toolkit for microwave quantum links.
 
-State algebra in the covariance-matrix formalism, entanglement measures,
-Gaussian quantum Fisher information with optimal observables, quantum
-illumination and bi-frequency illumination, teleportation fidelities with
-photon subtraction and entanglement swapping, and open-air / satellite
-channel models. A truncated Fock-space engine, `cvmw.fock`, provides
-independent brute-force cross-checks for the closed forms; `import cvmw`
-does not load it, so neither does the CLI: `import cvmw.fock` does.
+Gaussian states in the covariance-matrix formalism, entanglement measures,
+Gaussian quantum Fisher information, quantum illumination and bi-frequency
+illumination, teleportation fidelities with photon subtraction and
+entanglement swapping, and open-air / satellite channel models, as the
+closed forms the CLI tabulates. `cvmw.fock` holds the truncated Fock-space
+density matrices the benchmark checks Gaussian negativities with; `import
+cvmw` does not load it, so neither does the CLI: `import cvmw.fock` does.
+The general-matrix and Fock routes the tests compare against live in
+tests/oracles, outside the package.
 """
 
 from . import (bifreq, channel, core, distill, entanglement, estimation,

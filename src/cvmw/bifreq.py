@@ -234,33 +234,6 @@ def optimal_coeffs(params):
     return ObservableCoeffs(l11, l22, l12, l0)
 
 
-def coeffs_high_reflectivity(n_s, n_th):
-    """eta1 -> 1 limits of the observable coefficients.
-
-    l11, l22 and l12 are the exact limits of the general expressions (the
-    cross coefficient carries sqrt(2), pinned by the noiseless limit). The
-    constant l0 is the conventional value for this limit slice; the exact
-    constant at finite reflectivity is fixed by unbiasedness instead (see
-    optimal_coeffs).
-    """
-    den = (n_s ** 2 * (8.0 * n_th * (n_th + 1.0) + 4.0)
-           + 4.0 * n_s * n_th ** 2 + n_th ** 2)
-    l11 = -2.0 * n_s * (2.0 * n_s + 1.0) * (2.0 * n_th + 1.0) / den
-    l22 = -(4.0 * n_s * (2.0 * n_s * n_th + n_s + n_th) + n_th) / den
-    l12 = (np.sqrt(2.0) * np.sqrt(n_s * (2.0 * n_s + 1.0))
-           * (n_s * (4.0 * n_th + 2.0) + n_th) / den)
-    l0 = (-2.0 * n_s * (n_s * (8.0 * n_th + 4.0) + 6.0 * n_th + 1.0)
-          - 3.0 * n_th) / (2.0 * den)
-    return ObservableCoeffs(l11, l22, l12, l0)
-
-
-def coeffs_noiseless(n_s):
-    """eta1 -> 1, n_th -> 0 limit: photon counting on -i(a2+ - mu a1)."""
-    mu2 = 1.0 + 1.0 / (2.0 * n_s)
-    nu = 1.0 + 1.0 / (4.0 * n_s)
-    return ObservableCoeffs(-mu2, -1.0, np.sqrt(mu2), -nu)
-
-
 def variance_formula(n_s, l12):
     """2 N_S^2 L12 (1 + N_S), with L12 of optimal_coeffs at N_S.
 
@@ -295,32 +268,6 @@ def qcrb_saturating_noise(eta1, n_s):
 
 
 # -- mode synthesis network ----------------------------------------------
-
-def jpa_forward(phi, theta, r1, r2, theta1, theta2, phi_shift):
-    """Coefficients (u1, u2, v1, v2) of the synthesized mode.
-
-    Network: beam splitter (angle phi), two single-mode squeezers
-    (r_i, theta_i), second beam splitter (angle theta), phase shift on the
-    first output; b = u1 a1 + u2 a2 + v1 a1+ + v2 a2+.
-    """
-    ph = np.exp(-1j * phi_shift)
-    e1, e2 = np.exp(1j * theta1), np.exp(1j * theta2)
-    u1 = ph * (np.cos(theta) * np.cos(phi) * np.cosh(r1)
-               - np.sin(theta) * np.sin(phi) * np.cosh(r2))
-    u2 = ph * (np.cos(theta) * np.sin(phi) * np.cosh(r1)
-               + np.sin(theta) * np.cos(phi) * np.cosh(r2))
-    v1 = ph * (-e1 * np.cos(theta) * np.cos(phi) * np.sinh(r1)
-               + e2 * np.sin(theta) * np.sin(phi) * np.sinh(r2))
-    v2 = ph * (-e1 * np.cos(theta) * np.sin(phi) * np.sinh(r1)
-               - e2 * np.sin(theta) * np.cos(phi) * np.sinh(r2))
-    return u1, u2, v1, v2
-
-
-def jpa_identification_residual(x, mu):
-    """Residuals of u1 = i mu and -v2 = i for a parameter vector x."""
-    u1, _, _, v2 = jpa_forward(*x)
-    return np.array([u1.real, u1.imag - mu, (-v2).real, (-v2).imag - 1.0])
-
 
 def jpa_synthesis(mu):
     """(phi, theta, r1, r2, theta1, theta2, phi_shift) solving u1 = i mu and

@@ -93,11 +93,6 @@ def eta_env(ch):
     return -np.expm1(-ch.mu * ch.L)
 
 
-def eta_eff(ch):
-    """Combined antenna + environment reflectivity."""
-    return ch.eta_ant + (1.0 - ch.eta_ant) * eta_env(ch)
-
-
 def _on_points(fn, x):
     """fn at the points x: one array call (a constant broadcasts), else one
     call per point."""
@@ -345,11 +340,6 @@ def _quadratic_roots(c0, c1, c2):
     return [q / c2, c0 / q]
 
 
-def hemt_gain(n_h, n):
-    """Gain of an amplifier that lifts n input photons to n_h output photons."""
-    return n_h / n
-
-
 def hemt_amplify(cm, g, n_h, modes=(0,)):
     """Phase-insensitive amplification of the selected modes of a two-mode CM.
 
@@ -371,22 +361,11 @@ def hemt_amplify(cm, g, n_h, modes=(0,)):
 
 
 def fspl(nu, d):
-    """Free-space path loss: ((4 pi d nu / c)^2, value in dB), elementwise."""
+    """Free-space path loss (4 pi d nu / c)^2 in dB, elementwise: a sum of
+    logarithms, so no product of d and nu can overflow."""
     if any_true((nu <= 0) | (d <= 0)):
         raise ValueError("frequency and distance must be positive")
-    amp = 4.0 * np.pi * d * nu / LIGHT_SPEED
-    return amp ** 2, 20.0 * np.log10(amp)
-
-
-def directivity(geom):
-    """Parabolic-antenna directivity (pi a / lambda)^2 e_a."""
-    return (np.pi * geom.a / geom.wavelength) ** 2 * geom.e_a
-
-
-def friis(geom):
-    """Far-field power ratio D_e D_r / L_FSPL for identical antennas."""
-    loss, _ = fspl(geom.nu, geom.d)
-    return directivity(geom) ** 2 / loss
+    return 20.0 * (np.log10(d) + np.log10(nu) + math.log10(4.0 * math.pi / LIGHT_SPEED))
 
 
 def tau_path(geom):
@@ -403,9 +382,9 @@ def spot_size(geom):
 
 
 def tau_diffraction(geom):
-    """Diffraction-induced transmissivity 1 - e^{-2 a_R^2 / w(d)^2}."""
-    w = spot_size(geom)
-    return -np.expm1(-2.0 * geom.a_r ** 2 / w ** 2)
+    """Diffraction-induced transmissivity 1 - e^{-2 (a_R / w(d))^2}; the
+    ratio is squared, not w, which overflows first."""
+    return -np.expm1(-2.0 * (geom.a_r / spot_size(geom)) ** 2)
 
 
 def eta_threshold_asym(n_th):

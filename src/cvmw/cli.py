@@ -215,7 +215,7 @@ def _satellite_table(x):
     d, w0 = x["d"], x["w0"]
     geom = channel.LinkGeometry(nu=x["nu"], d=d, a=2.0 * w0, e_a=1.0,
                                 w0=w0, a_r=x["a_r"])
-    return {"d": d, "fspl_db": channel.fspl(x["nu"], d)[1],
+    return {"d": d, "fspl_db": channel.fspl(x["nu"], d),
             "tau_path": channel.tau_path(geom),
             "tau_diff": channel.tau_diffraction(geom)}
 
@@ -277,11 +277,10 @@ def _distill_table(x):
 
 
 def _swap_table(x):
-    # Charlie measures the lossy modes: alpha is the retained block of a link
-    beta, alpha, gamma = channel.tmst_params(x["mu"], x["L"] / 2.0, x["n_th"],
-                                             x["eta_ant"], x["r"], x["n"], "asym")
     # the ideal swap is the finite-gain one at g = inf
-    alpha_t, gamma_t = teleport.swapped_finite_gain_params(alpha, beta, gamma, np.inf)
+    link = channel.tmst_polys(x["r"], x["n"], x["n_th"], x["eta_ant"], "asym")
+    alpha, beta, gamma, alpha_t, gamma_t = teleport.swap_link(link, x["mu"], x["L"],
+                                                              np.inf)
     nu = entanglement.nu_minus_standard(alpha_t, alpha_t, gamma_t)
     theta, valid = entanglement.cm_validity(alpha_t, alpha_t, gamma_t)
     return {"L": x["L"], "alpha": alpha, "beta": beta, "gamma": gamma,

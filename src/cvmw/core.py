@@ -176,22 +176,6 @@ class GaussianState:
         return "GaussianState(n_modes=%d)" % self.n_modes
 
 
-def direct_sum(*mats):
-    n = sum(m.shape[0] for m in mats)
-    out = np.zeros((n, n))
-    k = 0
-    for m in mats:
-        out[k:k + m.shape[0], k:k + m.shape[0]] = m
-        k += m.shape[0]
-    return out
-
-
-def rotation(theta):
-    """Single-mode phase-space rotation."""
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, s], [-s, c]])
-
-
 def beam_splitter(eta):
     """Two-mode beam splitter with intensity reflectivity eta in [0, 1].
 
@@ -205,23 +189,6 @@ def beam_splitter(eta):
     i2 = np.eye(2)
     top = np.hstack([t * i2, r * i2])
     bot = np.hstack([-r * i2, t * i2])
-    return np.vstack([top, bot])
-
-
-def single_mode_squeezer(r, theta=0.0):
-    """Single-mode squeezer; on vacuum gives Sigma = diag(e^-2r, e^2r) at theta = 0."""
-    ch, sh = np.cosh(r), np.sinh(r)
-    c, s = np.cos(theta), np.sin(theta)
-    mat = ch * np.eye(2) - sh * np.array([[c, s], [s, -c]])
-    return mat
-
-
-def two_mode_squeezer(r):
-    """Two-mode squeezer; on two vacua produces the two-mode squeezed vacuum."""
-    ch, sh = np.cosh(r), np.sinh(r)
-    i2 = np.eye(2)
-    top = np.hstack([ch * i2, sh * SIGMA_Z])
-    bot = np.hstack([sh * SIGMA_Z, ch * i2])
     return np.vstack([top, bot])
 
 
@@ -277,29 +244,3 @@ def apply(state, transform, on=None):
     idx = _quad_indices(modes)
     s_emb[np.ix_(idx, idx)] = transform
     return GaussianState(s_emb @ state.d, s_emb @ state.sigma @ s_emb.T, check=False)
-
-
-def partial_trace(state, keep):
-    """Reduced state on the kept modes (rows/columns outside are removed)."""
-    modes = _check_modes(keep, state.n_modes)
-    idx = _quad_indices(modes)
-    return GaussianState(state.d[idx], state.sigma[np.ix_(idx, idx)], check=False)
-
-
-def purity(state):
-    """mu = 1/sqrt(det Sigma) under the vacuum-Sigma = identity convention."""
-    det = np.linalg.det(state.sigma)
-    if det < 1.0 - PHYSICALITY_TOL:
-        raise PhysicalityError("det Sigma < 1: unphysical covariance matrix")
-    return 1.0 / np.sqrt(det)
-
-
-def characteristic_function(state, r_point):
-    """Gaussian characteristic function evaluated at a phase-space point."""
-    r = np.asarray(r_point, dtype=float).reshape(-1)
-    if r.size != 2 * state.n_modes:
-        raise ValueError("phase-space point has wrong length")
-    w = omega(state.n_modes)
-    quad = r @ w @ state.sigma @ w.T @ r
-    phase = r @ w @ state.d
-    return np.exp(-0.25 * quad) * np.exp(-1j * phase)

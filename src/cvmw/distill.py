@@ -177,16 +177,18 @@ def _ps2_numerators(alpha, beta, gamma, tau):
         raise ValueError("transmissivity must lie in (0, 1)")
     s = pow2_scale(alpha + beta)
     alpha_s, beta_s, gamma_s = alpha * s, beta * s, gamma * s
-    tol = 1e-7 * s
-    x_a = 0.5 * ((1.0 - tau) * alpha_s + s + tau * s)
-    if any_true(abs(x_a) < tol):
+    # the checks on 2 x_a, and on y = den / (4 x_a) as den / (2 x_a), both
+    # against twice the tolerance, which is exact
+    tol2 = 2e-7 * s
+    x_a2 = (1.0 - tau) * alpha_s + (1.0 + tau) * s
+    if any_true(abs(x_a2) < tol2):
         raise ValueError("singular X_A block")
     g2 = gamma_s * gamma_s
     a_minus, a_plus, b_minus, b_plus = s - alpha_s, s + alpha_s, s - beta_s, s + beta_s
     cross = a_minus * b_minus - g2
     den = (a_plus * b_plus - g2
-           + 2.0 * (s * s - alpha_s * beta_s + g2) * tau + cross * tau ** 2)
-    if any_true(abs(den / (4.0 * x_a)) < tol):
+           + (2.0 * tau) * (s * s - alpha_s * beta_s + g2) + cross * tau ** 2)
+    if any_true(abs(den / x_a2) < tol2):
         raise ValueError("singular Y block")
     cross_tau = cross * tau
     return (2.0 * tau * (a_minus * b_plus + g2 + cross_tau),
@@ -202,13 +204,17 @@ def ps2_standard_form(alpha, beta, gamma, tau):
     (q_a = 1 - alpha_tilde, q_b = 1 - beta_tilde) the heuristic
     normalization at the subtracted triple, with no negative term on a
     physical Sigma-tilde; tests/test_distill.py derives it from the quartic
-    over den^3. In the power of two s of _ps2_numerators the triple has
-    degree 0, gamma_tilde carries one s and 1/den two. Independent of
-    ps2_gaussian, which checks it in the tests.
+    over den^3. Every numerator of _ps2_numerators carries one factor of
+    tau, so E_0 carries tau^2: each of q_a, q_b and gamma_tilde is
+    multiplied by c = (1 - tau)/tau before any product, and neither c^2 nor
+    tau^2 is formed. In the power of two s of _ps2_numerators the
+    triple has degree 0, gamma_tilde carries one s and 1/den two.
+    Independent of ps2_gaussian, which checks it in the tests.
     """
     num_a, num_b, num_g, den, s = _ps2_numerators(alpha, beta, gamma, tau)
     q_a, q_b, gamma_t = num_a / den, num_b / den, num_g / den * s
-    prob = ((1 - tau) / tau) ** 2 * (q_a * q_b + gamma_t * gamma_t) / den * s * s
+    c = (1 - tau) / tau
+    prob = ((q_a * c) * (q_b * c) + (gamma_t * c) ** 2) / den * s * s
     return 1 - q_a, 1 - q_b, gamma_t, prob
 
 
@@ -221,13 +227,23 @@ def _ps2_kernel(a, b, g, d):
     + 2 (2g - a - b) (K/E) d + 8 d^2: K/E is near 1, so each term is of the
     order of d, where N, of order d^2, underflows first. Every term is
     positive where K >= 0, as on every separable resource. Raises if E <= 0.
+
+    Where a, b and g all fall below about 1e-154 d, as at a subtraction
+    tau near 0, which makes them O(tau), E underflows: K/E, of degree 0 in
+    (a, b, g), is then taken at their power of two scale, exact on every
+    row, and K (K/E), below an ulp of 8 d^2, may underflow.
     """
     ab, g2 = a * b, g * g
     e = ab + g2
     if any_true(e <= 0.0):
-        raise ValueError(_E0_NOT_POSITIVE)
+        s = pow2_scale(abs(a) + abs(b) + abs(g))
+        ab_s, g2_s = (a * s) * (b * s), (g * s) * (g * s)
+        if any_true(ab_s + g2_s <= 0.0):
+            raise ValueError(_E0_NOT_POSITIVE)
+        ratio = (ab_s - g2_s) / (ab_s + g2_s)
+    else:
+        ratio = (ab - g2) / e
     k = ab - g2
-    ratio = k / e
     return (k * ratio + 2.0 * (2.0 * g - a - b) * ratio * d + 8.0 * d * d,
             4.0 * d - a - b - 2.0 * g)
 
@@ -316,56 +332,3 @@ def ps2_heuristic(cm):
          * np.trace(w @ w_inv @ w.T @ e2_b)) / e0
     return HeuristicPs(float(m_a), float(m_b), float(m_c),
                        big_a, big_b, big_c, big_ac, big_bc, float(e0), float(h))
-
-
-def swap(cm1, cm2):
-    """Entanglement swapping: Bell-like homodyne detection on modes B and C.
-
-    The retained modes A (of cm1) and D (of cm2) end up in the returned
-    bipartite state, conditioned on the measurement outcomes.
-    """
-    sa, e_ab, sb = cm1.sigma_a, cm1.eps, cm1.sigma_b
-    sc, e_cd, sd = cm2.sigma_a, cm2.eps, cm2.sigma_b
-    w = omega(1)
-    sz = SIGMA_Z
-    core_mat = sb + sz @ sc @ sz
-    det = np.linalg.det(core_mat)
-    if abs(det) < 1e-14:
-        raise ValueError("singular Sigma_B + sigma_z Sigma_C sigma_z")
-    sigma_a = sa - e_ab @ w.T @ core_mat @ w @ e_ab.T / det
-    sigma_d = sd - e_cd @ w.T @ (sc + sz @ sb @ sz) @ w @ e_cd.T / det
-    eps = -e_ab @ w.T @ (sb @ sz + sz @ sc) @ w @ e_cd.T / det
-    return BipartiteCM(sigma_a, sigma_d, eps)
-
-
-def char_fn_2ps(cm, tau, alpha_pt, beta_pt):
-    """Characteristic function of the probabilistically 2PS state: the
-    heuristic one at Sigma-tilde.
-
-    alpha_pt and beta_pt are real phase-space points (x, p) for the two
-    modes.
-    """
-    out = ps2_gaussian(cm, tau)
-    return char_fn_heuristic(out.cm, alpha_pt, beta_pt, out.heuristic)
-
-
-def char_fn_heuristic(cm, alpha_pt, beta_pt, machinery=None):
-    """Characteristic function after heuristic photon subtraction."""
-    mach = ps2_heuristic(cm) if machinery is None else machinery
-    a = np.asarray(alpha_pt, dtype=float).reshape(2)
-    b = np.asarray(beta_pt, dtype=float).reshape(2)
-    w = omega(1)
-    sa, sb, e = cm.sigma_a, cm.sigma_b, cm.eps
-    quad = (a @ w @ sa @ w.T @ a + b @ w @ sb @ w.T @ b
-            + 2.0 * a @ w @ e @ w.T @ b)
-    envelope = np.exp(-0.25 * quad)
-    i2 = np.eye(2)
-    poly = ((mach.m_b + b @ mach.big_b @ b + a @ mach.big_bc @ b
-             + a @ mach.big_c @ a)
-            * (mach.m_a + a @ mach.big_a @ a + a @ mach.big_ac @ b
-               + b @ mach.big_c @ b)
-            + mach.m_c - a @ mach.big_ac @ w @ e @ w.T @ a
-            + 2.0 * b @ mach.big_c @ (i2 - w @ sb @ w.T) @ b
-            + a @ (mach.big_ac @ (i2 - w @ sb @ w.T)
-                   - 2.0 * w @ e @ w.T @ mach.big_c) @ b)
-    return envelope * poly / mach.e0

@@ -106,11 +106,6 @@ def negativity(cm):
     return negativity_from_nu(pts_eigenvalues(cm)[0])
 
 
-def log_negativity(cm):
-    """E_N = log2(2N + 1), clipped at zero for separable states."""
-    return log_negativity_from_nu(pts_eigenvalues(cm)[0])
-
-
 def cm_validity(alpha, beta, gamma):
     """Combined positivity / uncertainty check for standard-form submatrices,
     elementwise over arrays.

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GaussianState, SIGMA_Z, all_true, any_true, sqrt, to_float, where
-from .entanglement import BipartiteCM
 from .estimation import GaussianFamily, RegularizationError
 
 
@@ -58,14 +57,19 @@ def probe_nu_minus(n_s, n_th):
     D = 1 + 2 n_th b, b = 1 + 2 n_s, over the larger eigenvalue
     b + n_th + sqrt(n_th^2 + 4 n_s (1 + n_s)) (nu_minus_standard), elementwise.
 
-    From n_th = 1 up the root is sqrt(b^2 + (n_th - 1)(n_th + 1)), a sum of
-    non-negative terms that is exactly b at n_th = 1, where the denominator
-    (b + root) + n_th then equals D bit for bit: nu_minus is 1 there. Below
-    n_th = 1 the first form is kept, which does not cancel at a cold bath.
+    From n_th = 1 up the root is n_th sqrt((b / n_th)^2 + (1 - 1/n_th)(1 +
+    1/n_th)), a sum of non-negative terms that no n_th overflows and that is
+    exactly b at n_th = 1, where the denominator (b + root) + n_th then
+    equals D bit for bit: nu_minus is 1 there. Below n_th = 1 the first form
+    is kept, which does not cancel at a cold bath; each form is evaluated at
+    the n_th of its own branch, so neither divides by a cold n_th.
     """
     b = 1.0 + 2.0 * n_s
-    root = np.sqrt(where(n_th >= 1.0, b ** 2 + (n_th - 1.0) * (n_th + 1.0),
-                         n_th ** 2 + 4.0 * n_s * (1.0 + n_s)))
+    hot = n_th >= 1.0
+    n_hot, n_cold = where(hot, n_th, 1.0), where(hot, 0.0, n_th)
+    root = where(hot, n_hot * sqrt((b / n_hot) ** 2
+                                   + (1.0 - 1.0 / n_hot) * (1.0 + 1.0 / n_hot)),
+                 sqrt(n_cold * n_cold + 4.0 * n_s * (1.0 + n_s)))
     return (1.0 + 2.0 * n_th * b) / ((b + root) + n_th)
 
 
@@ -76,11 +80,6 @@ def received_params(params):
     x = eta_eff(params.eta, params.gamma)
     return (1.0 + 2.0 * params.n_th + 2.0 * params.n_s * x ** 2, 1.0 + 2.0 * params.n_s,
             2.0 * sqrt(params.n_s * (1.0 + params.n_s)) * x)
-
-
-def qi_received(params):
-    """Received signal-idler covariance matrix (received_params), validated."""
-    return BipartiteCM.standard_form(*received_params(params))
 
 
 def h_q(params):

@@ -6,10 +6,9 @@ triple (alpha, beta, gamma) of its link from channel.tmst_polys, evaluated
 at a distance by channel.tmst_at, and applies closed forms: the finite-gain
 fidelity here, and distill.ps2_fidelity for both 2PS kinds. The polynomials
 hold the geometry, full L for the asymmetric link and L/2 per arm for the
-symmetric one. A swap joins two asymmetric links of L/2 each, and that
-halving is applied in two places: TeleportResource.fidelity and
-cli._swap_table. The general-matrix routes (fidelity_concatenated,
-fidelity_2ps_general, fidelity_heuristic, regaussify) take a BipartiteCM.
+symmetric one. A swap joins two asymmetric links of L/2 each (swap_link).
+The general-matrix routes (fidelity_concatenated, fidelity_2ps_general,
+fidelity_heuristic) take a BipartiteCM.
 """
 
 import math
@@ -18,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SIGMA_Z, any_true, pow2_scale
-from .entanglement import BipartiteCM, cm_validity
 from . import channel as channel_mod
 from . import distill
 
@@ -86,35 +84,6 @@ def fidelity_heuristic(cm, machinery=None):
     return (1.0 + mach.h) * fidelity_concatenated(cm, 1), mach.h
 
 
-def regaussify(cm_tilde, correction, mode="sym"):
-    """Gaussian resource with the same fidelity as the photon-subtracted one.
-
-    For the probabilistic protocol, cm_tilde holds the subtraction-modified
-    submatrices and correction = g; for the heuristic one, the bare
-    submatrices and correction = h. Returns (BipartiteCM, theta, valid);
-    the covariance matrix is returned even when flagged invalid.
-    """
-    c = correction
-    i2 = np.eye(2)
-    if mode == "sym":
-        sigma_a = (cm_tilde.sigma_a - c * i2) / (1.0 + c)
-        sigma_b = (cm_tilde.sigma_b - c * i2) / (1.0 + c)
-    elif mode == "asym":
-        avg = 0.5 * (cm_tilde.sigma_a + cm_tilde.sigma_b)
-        sigma_a = (avg - c * i2) / (1.0 + c)
-        sigma_b = sigma_a.copy()
-    else:
-        raise ValueError("mode must be 'sym' or 'asym'")
-    eps = cm_tilde.eps / (1.0 + c)
-    out = BipartiteCM(sigma_a, sigma_b, eps, check=False)
-    try:
-        alpha, beta, gamma = out.standard_params()
-        theta, valid = cm_validity(alpha, beta, gamma)
-    except ValueError:
-        theta, valid = np.nan, False
-    return out, theta, valid
-
-
 def regaussify_standard(alpha, beta, gamma, factor, mode="sym"):
     """Standard-form (alpha, beta, gamma) of regaussify's resource from the
     fidelity factor f = 1 + correction, elementwise over arrays: 1 + h of
@@ -165,6 +134,16 @@ def swapped_finite_gain_params(alpha, beta, gamma, g):
     alpha_t = alpha - gamma ** 2 * (s + 2.0 * rg * beta_s + s / g) / den
     gamma_t = gamma ** 2 * (s - s / g) / den
     return alpha_t, gamma_t
+
+
+def swap_link(link, mu, length, g):
+    """(alpha, beta, gamma, alpha_tilde, gamma_tilde) of a swap over
+    `length`: two identical asymmetric links of length/2, with link their
+    tmst_polys, and the resource swapped at gain g
+    (swapped_finite_gain_params), elementwise. Charlie measures the lossy
+    modes, so alpha is the retained (lossless) block of each link."""
+    beta, alpha, gamma = channel_mod.tmst_at(link, mu, length / 2.0)
+    return (alpha, beta, gamma) + swapped_finite_gain_params(alpha, beta, gamma, g)
 
 
 def half_fidelity_condition(alpha, beta, gamma, k):
@@ -271,10 +250,7 @@ class TeleportResource:
         gain = 1.0 / self.inv_gain if finite_gain else math.inf
         link = channel_mod.tmst_polys(self.r, self.n, self.n_th, self.eta_ant, geometry)
         if form == "swap":
-            # two identical asym links of length L/2; Charlie measures the
-            # lossy modes, so alpha is the retained (lossless) block of each link
-            beta, alpha, gamma = channel_mod.tmst_at(link, self.mu, length / 2.0)
-            a_t, g_t = swapped_finite_gain_params(alpha, beta, gamma, gain)
+            *_, a_t, g_t = swap_link(link, self.mu, length, gain)
             return fidelity_finite_gain(a_t, a_t, g_t, gain)
         alpha, beta, gamma = channel_mod.tmst_at(link, self.mu, length)
         if form == "tmst":

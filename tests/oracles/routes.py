@@ -8,15 +8,21 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from cvmw.bifreq import bifreq_probe
-from cvmw.channel import AirChannel, eta_eff
-from cvmw.core import (GaussianState, apply, beam_splitter, omega, partial_trace,
-                       thermal, tmst)
+from cvmw.channel import AirChannel, eta_env
+from cvmw.core import GaussianState, apply, beam_splitter, omega, thermal, tmst
 from cvmw.entanglement import BipartiteCM
-from cvmw.fock import (_bargmann, _expm_antihermitian, partial_transpose,
-                       thermal_density)
+from cvmw.fock import _bargmann, _expm_antihermitian, thermal_density
 from cvmw.illumination import eta_eff as qi_eta_eff, qi_probe
 from cvmw.teleport import (BEYOND_MAX, MAX_DISTANCE, ROOT_GRID, ROOT_RTOL,
                            anderson_bjorck)
+from tests.oracles.fock_ops import partial_transpose
+from tests.oracles.general import partial_trace
+
+
+def eta_eff(ch):
+    """Combined antenna + environment reflectivity eta_ant + (1 - eta_ant)
+    eta_env of an AirChannel."""
+    return ch.eta_ant + (1.0 - ch.eta_ant) * eta_env(ch)
 
 
 def lossy_tmst_constructive(ch, r, n, geometry="asym"):

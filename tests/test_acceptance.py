@@ -11,7 +11,9 @@ from cvmw import bifreq, channel, core, distill, fock, illumination, teleport
 from cvmw.channel import AirChannel
 from cvmw.entanglement import BipartiteCM, cm_validity, negativity
 from cvmw.estimation import gaussian_qfi
-from cvmw.teleport import TeleportResource, fidelity_2ps_general, regaussify
+from cvmw.teleport import TeleportResource, fidelity_2ps_general
+from tests.oracles import fock_ops
+from tests.oracles.general import char_fn_heuristic, regaussify
 from tests.oracles.monras import gaussian_sld, matrix_family
 from tests.oracles.routes import success_probability_series
 
@@ -155,10 +157,10 @@ def test_criterion_10_oracle_equivalence():
     worst_ps = 0.0
     for r in (0.4, 0.8):
         lam = np.tanh(r)
-        ket, prob = fock.ps_project(fock.tmsv_ket(r, 60), 0.95, 1)
+        ket, prob = fock_ops.ps_project(fock_ops.tmsv_ket(r, 60), 0.95, 1)
         ps = distill.PsTmsv(lam, 0.95, 1)
         worst_ps = max(worst_ps,
-                       abs(fock.ket_negativity(ket) - ps.negativity()),
+                       abs(fock_ops.ket_negativity(ket) - ps.negativity()),
                        abs(prob - ps.success_probability()))
     ok_ps = worst_ps <= 1e-6
 
@@ -173,7 +175,7 @@ def test_criterion_10_oracle_equivalence():
     for i in range(nodes.size):
         for j in range(nodes.size):
             pt = np.array([nodes[i], nodes[j]]) * np.sqrt(2.0)
-            total += weights[i] * weights[j] * distill.char_fn_heuristic(
+            total += weights[i] * weights[j] * char_fn_heuristic(
                 outcome.cm, pt * sz, pt, outcome.heuristic)
     ok_quad = abs(total / np.pi - fbar) <= 1e-6
 
@@ -196,9 +198,9 @@ def test_criterion_10_oracle_equivalence():
     sld = gaussian_sld(fam)
     n_max = 20
     dims = (n_max + 1, n_max + 1)
-    x, pp = fock.quadrature_ops(n_max)
-    quads = [fock.op_on_mode(x, 0, dims), fock.op_on_mode(pp, 0, dims),
-             fock.op_on_mode(x, 1, dims), fock.op_on_mode(pp, 1, dims)]
+    x, pp = fock_ops.quadrature_ops(n_max)
+    quads = [fock_ops.op_on_mode(x, 0, dims), fock_ops.op_on_mode(pp, 0, dims),
+             fock_ops.op_on_mode(x, 1, dims), fock_ops.op_on_mode(pp, 1, dims)]
     op = sld.const * np.eye((n_max + 1) ** 2, dtype=complex)
     for i in range(4):
         op += sld.lin[i] * quads[i]
@@ -206,8 +208,9 @@ def test_criterion_10_oracle_equivalence():
             op += sld.quad[i, j] * 0.5 * (quads[i] @ quads[j]
                                           + quads[j] @ quads[i])
     step = 1e-3
-    rho_p, rho_m = (fock.gaussian_density(illumination.qi_received(
-        illumination.QiParams(p.n_s, p.n_th, p.gamma, eta)).to_state(), n_max)
+    rho_p, rho_m = (fock.gaussian_density(BipartiteCM.standard_form(
+        *illumination.received_params(
+            illumination.QiParams(p.n_s, p.n_th, p.gamma, eta))), n_max)
         for eta in (p.eta + step, p.eta - step))
     rho_0 = fock.gaussian_density(fam.state, n_max)
     drho = (rho_p - rho_m) / (2.0 * step)

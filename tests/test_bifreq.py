@@ -3,15 +3,15 @@ import pytest
 
 from cvmw import bifreq, core
 from cvmw.bifreq import (BifreqParams, bifreq_probe, bifreq_received,
-                         coeffs_high_reflectivity, coeffs_noiseless,
                          h_c_bifreq, h_q_bifreq, high_noise_ratio,
-                         high_reflectivity_ratio, jpa_forward,
-                         jpa_identification_residual, jpa_synthesis,
+                         high_reflectivity_ratio, jpa_synthesis,
                          optimal_coeffs, qcrb_saturating_noise, thermal_ratio,
                          variance_formula)
 from cvmw.estimation import gaussian_qfi
 from tests.oracles import monras
 from tests.oracles.finite_difference import jet
+from tests.oracles.general import (coeffs_high_reflectivity, coeffs_noiseless,
+                                   jpa_forward, jpa_identification_residual)
 from tests.oracles.monras import (as_quadratic, matrix_family, observable_moments,
                                   optimal_observable, optimal_observable_numeric)
 from tests.oracles.routes import bifreq_classical_constructive

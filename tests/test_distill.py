@@ -5,13 +5,21 @@ import numpy as np
 import pytest
 from scipy.special import hyp2f1 as scipy_hyp2f1
 
-from cvmw import channel, core, fock, teleport
-from cvmw.distill import (char_fn_2ps, char_fn_heuristic, heuristic_factor,
-                          heuristic_negativity, hyp2f1_k, ps2_gaussian,
-                          ps2_heuristic, ps2_standard_form, PsTmsv, swap,
+from cvmw import channel, core, teleport
+from cvmw.distill import (heuristic_factor, heuristic_negativity, hyp2f1_k,
+                          ps2_gaussian, ps2_heuristic, ps2_standard_form, PsTmsv,
                           tmsv_negativity)
-from cvmw.entanglement import BipartiteCM, cm_validity, negativity
+from cvmw.entanglement import BipartiteCM, cm_validity
+from tests.oracles import fock_ops
+from tests.oracles.general import char_fn_heuristic, swap
 from tests.oracles.routes import ps2_standard_form_mp, success_probability_series
+
+
+def char_fn_2ps(cm, tau, alpha_pt, beta_pt):
+    """Characteristic function of the probabilistically 2PS state: the
+    heuristic one at the Sigma-tilde of ps2_gaussian."""
+    out = ps2_gaussian(cm, tau)
+    return char_fn_heuristic(out.cm, alpha_pt, beta_pt, out.heuristic)
 
 
 class TestHyp2f1:
@@ -61,9 +69,9 @@ class TestPsTmsv:
         # beam splitters + ancillas + projection on |1,1>, truncated space
         lam, tau = np.tanh(0.5), 0.95
         ps = PsTmsv(lam, tau, 1)
-        ket, prob = fock.ps_project(fock.tmsv_ket(0.5, 60), tau, 1)
+        ket, prob = fock_ops.ps_project(fock_ops.tmsv_ket(0.5, 60), tau, 1)
         assert prob == pytest.approx(ps.success_probability(), abs=1e-12)
-        assert fock.ket_negativity(ket) == pytest.approx(ps.negativity(),
+        assert fock_ops.ket_negativity(ket) == pytest.approx(ps.negativity(),
                                                          abs=1e-6)
 
     def test_probabilities_ordered_and_bounded(self):
@@ -291,8 +299,10 @@ def test_subtraction_forms_each_term_once_bit_for_bit():
 def test_success_probability_shares_the_subtraction_terms_bit_for_bit():
     for alpha, beta, gamma, tau in physical_draws(5000, seed=43):
         q_a, q_b, gamma_t, den, s = ps2_standard_form_spelled_out(alpha, beta, gamma, tau)
-        # ((1 - tau) / tau)^2 E_0(Sigma-tilde) / den, 1/den carrying s^2
-        prob = ((1 - tau) / tau) ** 2 * (q_a * q_b + gamma_t * gamma_t) / den * s * s
+        # ((1 - tau) / tau)^2 E_0(Sigma-tilde) / den, 1/den carrying s^2; each
+        # tau-carrying term is multiplied by (1 - tau) / tau before any product
+        c = (1 - tau) / tau
+        prob = ((q_a * c) * (q_b * c) + (gamma_t * c) ** 2) / den * s * s
         got = ps2_standard_form(alpha, beta, gamma, tau)
         assert got[3].hex() == prob.hex()
 
@@ -399,22 +409,22 @@ class TestCharacteristicFunctions:
     def test_heuristic_matches_fock_pointwise(self):
         r = 0.4
         cm = BipartiteCM.from_state(core.tmsv(r))
-        ket, _ = fock.photon_subtract(fock.tmsv_ket(r, 50), 1)
+        ket, _ = fock_ops.photon_subtract(fock_ops.tmsv_ket(r, 50), 1)
         rng = np.random.default_rng(3)
         for _ in range(6):
             pt = rng.uniform(-0.9, 0.9, size=4)
             assert char_fn_heuristic(cm, pt[:2], pt[2:]) == pytest.approx(
-                complex(fock.char_fn(ket, pt)).real, abs=1e-8)
+                complex(fock_ops.char_fn(ket, pt)).real, abs=1e-8)
 
     def test_probabilistic_matches_fock_pointwise(self):
         r, tau = 0.4, 0.9
         cm = BipartiteCM.from_state(core.tmsv(r))
-        ket, _ = fock.ps_project(fock.tmsv_ket(r, 50), tau, 1)
+        ket, _ = fock_ops.ps_project(fock_ops.tmsv_ket(r, 50), tau, 1)
         rng = np.random.default_rng(5)
         for _ in range(6):
             pt = rng.uniform(-0.9, 0.9, size=4)
             assert char_fn_2ps(cm, tau, pt[:2], pt[2:]) == pytest.approx(
-                complex(fock.char_fn(ket, pt)).real, abs=1e-8)
+                complex(fock_ops.char_fn(ket, pt)).real, abs=1e-8)
 
     def test_probabilistic_tends_to_heuristic(self):
         cm = BipartiteCM.from_state(core.tmsv(0.4))

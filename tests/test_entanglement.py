@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from cvmw import channel, core, distill, fock, illumination, teleport
-from cvmw.entanglement import (BipartiteCM, cm_validity, log_negativity,
-                               log_negativity_from_nu, negativity, nu_minus_standard,
-                               pts_eigenvalues)
+from cvmw.entanglement import (BipartiteCM, cm_validity, log_negativity_from_nu,
+                               negativity, nu_minus_standard, pts_eigenvalues)
+from tests.oracles import fock_ops
+from tests.oracles.general import partial_trace, regaussify, rotation
 from tests.oracles.routes import nu_minus_mp
+
+
+def log_negativity(cm):
+    return log_negativity_from_nu(pts_eigenvalues(cm)[0])
 
 
 class TestPtsEigenvalues:
@@ -34,7 +40,7 @@ class TestPtsEigenvalues:
         for n_s in (0.2, 1.0, 3.0):
             for n_th in (0.0, 0.5, 2.0):
                 probe = illumination.qi_probe(n_s, n_th)
-                block = core.partial_trace(probe, keep=(1, 2))
+                block = partial_trace(probe, keep=(1, 2))
                 nu_minus, _ = pts_eigenvalues(BipartiteCM.from_state(block))
                 assert nu_minus == pytest.approx(
                     illumination.probe_nu_minus(n_s, n_th), abs=1e-12)
@@ -97,7 +103,7 @@ class TestNegativity:
     def test_tmsv_r1_value(self):
         # oracle value from the truncated Fock computation
         cm = BipartiteCM.from_state(core.tmsv(1.0))
-        fock_value = fock.ket_negativity(fock.tmsv_ket(1.0, 60))
+        fock_value = fock_ops.ket_negativity(fock_ops.tmsv_ket(1.0, 60))
         assert negativity(cm) == pytest.approx(fock_value, abs=1e-6)
         assert negativity(cm) == pytest.approx((np.exp(2.0) - 1.0) / 2.0,
                                                abs=1e-10)
@@ -105,7 +111,7 @@ class TestNegativity:
     def test_qi_probe_reduces_to_tmsv_curve_at_zero_bath(self):
         for n_s in (0.3, 1.5):
             probe = illumination.qi_probe(n_s, 0.0)
-            block = BipartiteCM.from_state(core.partial_trace(probe, keep=(1, 2)))
+            block = BipartiteCM.from_state(partial_trace(probe, keep=(1, 2)))
             r = np.arcsinh(np.sqrt(n_s))
             tm = BipartiteCM.from_state(core.tmsv(r))
             assert negativity(block) == pytest.approx(negativity(tm), rel=1e-10)
@@ -120,8 +126,8 @@ class TestNegativity:
         cm = BipartiteCM.from_state(core.tmst(0.7, 0.05))
         base = negativity(cm)
         for _ in range(5):
-            rot = core.direct_sum(core.rotation(rng.uniform(0, np.pi)),
-                                  core.rotation(rng.uniform(0, np.pi)))
+            rot = block_diag(rotation(rng.uniform(0, np.pi)),
+                             rotation(rng.uniform(0, np.pi)))
             out = core.apply(cm.to_state(), rot)
             assert negativity(BipartiteCM.from_state(out)) == pytest.approx(
                 base, abs=1e-10)
@@ -170,10 +176,10 @@ class TestCmValidity:
             for geometry in ("sym", "asym"):
                 cm = channel.lossy_tmst(ch, p["r"], p["n"], geometry)
                 mach = distill.ps2_heuristic(cm)
-                _, th_h, ok_h = teleport.regaussify(cm, mach.h, geometry)
+                _, th_h, ok_h = regaussify(cm, mach.h, geometry)
                 assert ok_h, "heuristic %s invalid at L=%.0f" % (geometry, length)
                 out = distill.ps2_gaussian(cm, p["tau"])
-                _, th_p, ok_p = teleport.regaussify(out.cm, out.g, geometry)
+                _, th_p, ok_p = regaussify(out.cm, out.g, geometry)
                 assert ok_p, "probabilistic %s invalid at L=%.0f" % (geometry,
                                                                      length)
 
@@ -185,7 +191,7 @@ class TestBipartiteCM:
 
     def test_non_standard_raises(self):
         cm = BipartiteCM.from_state(core.apply(
-            core.tmst(0.5, 0.1), core.rotation(0.3), on=(0,)))
+            core.tmst(0.5, 0.1), rotation(0.3), on=(0,)))
         with pytest.raises(ValueError):
             cm.standard_params()
 

@@ -9,6 +9,7 @@ import pytest
 
 import cvmw
 from cvmw import core, distill, entanglement, fock, illumination
+from tests.oracles import fock_ops
 from tests.oracles.routes import (blocks_bfs, gaussian_density_moveaxis,
                                   negativity_dense, tmst_density_loop)
 
@@ -16,7 +17,7 @@ from tests.oracles.routes import (blocks_bfs, gaussian_density_moveaxis,
 class TestDisplacement:
     def test_vacuum_element(self):
         alpha = 0.6 - 0.3j
-        assert fock.displacement_element(0, 0, alpha) == pytest.approx(
+        assert fock_ops.displacement_element(0, 0, alpha) == pytest.approx(
             np.exp(-abs(alpha) ** 2 / 2.0))
 
     def test_coherent_amplitudes(self):
@@ -25,22 +26,22 @@ class TestDisplacement:
         for n in range(6):
             expected = (np.exp(-abs(alpha) ** 2 / 2.0) * alpha ** n
                         / np.sqrt(float(factorial(n))))
-            assert fock.displacement_element(n, 0, alpha) == pytest.approx(expected)
+            assert fock_ops.displacement_element(n, 0, alpha) == pytest.approx(expected)
 
     def test_zero_displacement_is_identity(self):
-        np.testing.assert_allclose(fock.displacement(0.0, 10), np.eye(11))
+        np.testing.assert_allclose(fock_ops.displacement(0.0, 10), np.eye(11))
 
     def test_unitarity(self):
-        d = fock.displacement(0.4 + 0.2j, 50)
+        d = fock_ops.displacement(0.4 + 0.2j, 50)
         np.testing.assert_allclose((d.conj().T @ d)[:30, :30], np.eye(30),
                                    atol=1e-10)
 
     @pytest.mark.parametrize("alpha,beta", [(0.5, 0.3j), (0.9, -0.7 + 0.2j)])
     def test_composition_law(self, alpha, beta):
         n_max = 40
-        da = fock.displacement(alpha, n_max)
-        db = fock.displacement(beta, n_max)
-        dab = fock.displacement(alpha + beta, n_max)
+        da = fock_ops.displacement(alpha, n_max)
+        db = fock_ops.displacement(beta, n_max)
+        dab = fock_ops.displacement(alpha + beta, n_max)
         phase = np.exp(0.5 * (alpha * np.conj(beta) - np.conj(alpha) * beta))
         sub = slice(0, 20)  # away from the truncation edge
         np.testing.assert_allclose((da @ db)[sub, sub],
@@ -48,32 +49,32 @@ class TestDisplacement:
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
-            fock.displacement_element(-1, 0, 0.5)
+            fock_ops.displacement_element(-1, 0, 0.5)
 
 
 class TestKets:
     def test_tmsv_amplitude_ratio(self):
         r = 0.7
-        ket = fock.tmsv_ket(r, 40)
+        ket = fock_ops.tmsv_ket(r, 40)
         diag = np.diagonal(ket.amplitudes)
         ratios = diag[1:20] / diag[:19]
         np.testing.assert_allclose(ratios, np.tanh(r), rtol=1e-12)
 
     def test_leakage_shrinks_with_truncation(self):
-        leaks = [fock.tmsv_ket(1.0, n).leakage for n in (20, 40, 60)]
+        leaks = [fock_ops.tmsv_ket(1.0, n).leakage for n in (20, 40, 60)]
         assert leaks[0] > leaks[1] > leaks[2] >= 0.0
-        assert fock.tmsv_ket(1.0, 60).leakage < 1e-8
+        assert fock_ops.tmsv_ket(1.0, 60).leakage < 1e-8
 
     def test_subtracting_from_vacuum_raises(self):
-        ket = fock.tmsv_ket(0.0, 10)
+        ket = fock_ops.tmsv_ket(0.0, 10)
         with pytest.raises(ValueError):
-            fock.photon_subtract(ket, 1)
+            fock_ops.photon_subtract(ket, 1)
 
     def test_photon_subtract_weight(self):
         # weight of a x b on the TMSV is <n^2> = sum c_n^2 n^2
         r = 0.5
-        ket = fock.tmsv_ket(r, 60)
-        _, weight = fock.photon_subtract(ket, 1)
+        ket = fock_ops.tmsv_ket(r, 60)
+        _, weight = fock_ops.photon_subtract(ket, 1)
         diag = np.abs(np.diagonal(ket.amplitudes)) ** 2
         expected = np.sum(diag * np.arange(61) ** 2)
         assert weight == pytest.approx(expected, rel=1e-12)
@@ -81,29 +82,29 @@ class TestKets:
 
 class TestBeamSplitter:
     def test_unitary(self):
-        u = fock.beam_splitter_unitary(0.7, 8)
+        u = fock_ops.beam_splitter_unitary(0.7, 8)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(81), atol=1e-12)
 
     def test_matches_amplitude_formula(self):
         # generator exponential vs closed-form binomial amplitudes
         tau, n_max = 0.9, 12
-        u = fock.beam_splitter_unitary(tau, n_max)
+        u = fock_ops.beam_splitter_unitary(tau, n_max)
         for m in (0, 1, 4, 7):
             for j in range(m + 1):
                 row = (m - j) * (n_max + 1) + j
                 col = m * (n_max + 1)
                 assert u[row, col] == pytest.approx(
-                    fock.bs_amplitude(m, j, tau), abs=1e-12)
+                    fock_ops.bs_amplitude(m, j, tau), abs=1e-12)
 
     def test_matches_gaussian_covariance(self):
         eta, n_max = 0.6, 14
         rho = fock.tmst_density(0.3, 0.1, n_max)
-        u = fock.beam_splitter_unitary(eta, n_max)
+        u = fock_ops.beam_splitter_unitary(eta, n_max)
         rho2 = u @ rho @ u.conj().T
         st = core.apply(core.tmst(0.3, 0.1), core.beam_splitter(eta))
-        x, p = fock.quadrature_ops(n_max)
+        x, p = fock_ops.quadrature_ops(n_max)
         dims = (n_max + 1, n_max + 1)
-        x1 = fock.op_on_mode(x, 0, dims)
+        x1 = fock_ops.op_on_mode(x, 0, dims)
         var = 2.0 * np.trace(rho2 @ x1 @ x1).real
         assert var == pytest.approx(st.sigma[0, 0], rel=1e-5)
 
@@ -111,11 +112,11 @@ class TestBeamSplitter:
 class TestDensityMatrices:
     def test_thermal_density_is_valid(self):
         rho = fock.thermal_density(0.5, 40)
-        assert fock.check_density(rho) < 1e-10
+        assert fock_ops.check_density(rho) < 1e-10
 
     def test_gaussian_density_validity_and_leakage(self):
         rho = fock.gaussian_density(core.tmst(0.5, 0.1), 30)
-        assert abs(fock.check_density(rho)) < 1e-6
+        assert abs(fock_ops.check_density(rho)) < 1e-6
 
     @pytest.mark.parametrize("r,n_max", [(0.5, 30), (0.8, 40)])
     def test_tmst_density_of_vacuum_pair_is_tmsv(self, r, n_max):
@@ -130,18 +131,18 @@ class TestDensityMatrices:
 
     def test_partial_transpose_is_involution(self):
         rho = fock.tmst_density(0.5, 0.05, 12)
-        pt = fock.partial_transpose(rho, (13, 13))
-        back = fock.partial_transpose(pt, (13, 13))
+        pt = fock_ops.partial_transpose(rho, (13, 13))
+        back = fock_ops.partial_transpose(pt, (13, 13))
         np.testing.assert_allclose(back, rho, atol=1e-14)
 
     def test_non_hermitian_rejected(self):
         bad = np.zeros((4, 4), dtype=complex)
         bad[0, 1] = 1.0
         with pytest.raises(ValueError):
-            fock.partial_transpose(bad, (2, 2))
+            fock_ops.partial_transpose(bad, (2, 2))
 
-    @pytest.mark.parametrize("check", [fock.check_density,
-                                       lambda m: fock.partial_transpose(m, (15, 20))])
+    @pytest.mark.parametrize("check", [fock_ops.check_density,
+                                       lambda m: fock_ops.partial_transpose(m, (15, 20))])
     @pytest.mark.parametrize("entry", [(299, 299), (290, 3)])
     def test_defect_in_last_slab_rejected(self, check, entry):
         # 300 rows are read as slabs of 128, 128 and 44
@@ -154,7 +155,7 @@ class TestDensityMatrices:
         # the splitter conserves the total photon number, so its truncated
         # unitary is exact on the low block, where the tmst tails are negligible
         n_max, cut = 20, 8
-        u = fock.beam_splitter_unitary(0.35, n_max)
+        u = fock_ops.beam_splitter_unitary(0.35, n_max)
         rho = u @ fock.tmst_density(0.3, 0.1, n_max) @ u.conj().T
         st = core.apply(core.tmst(0.3, 0.1), core.beam_splitter(0.35))
         low = np.kron(np.arange(n_max + 1) < cut, np.arange(n_max + 1) < cut)
@@ -215,7 +216,7 @@ class TestGaussianDensity:
             state = core.GaussianState(rng.uniform(-0.5, 0.5, size=4),
                                        random_valid_cm(rng, mixing=0.25))
             rho = fock.gaussian_density(state, n_max)
-            deficit = fock.check_density(rho)
+            deficit = fock_ops.check_density(rho)
             value = fock.negativity_fock(rho, (n_max + 1,) * 2)
             expected = entanglement.negativity(
                 entanglement.BipartiteCM.from_state(state))
@@ -279,15 +280,15 @@ def _hermitian_blocks(sizes, pad, seed):
 
 class TestBlockSpectrum:
     def test_tmst_partial_transpose(self):
-        pt = fock.partial_transpose(fock.tmst_density(0.5, 0.05, 12), (13, 13))
+        pt = fock_ops.partial_transpose(fock.tmst_density(0.5, 0.05, 12), (13, 13))
         assert len(fock._blocks(pt)) == 25
-        np.testing.assert_allclose(np.sort(fock._eigvalsh(pt)),
+        np.testing.assert_allclose(np.sort(fock_ops._eigvalsh(pt)),
                                    np.linalg.eigvalsh(pt), rtol=0.0, atol=1e-13)
 
     def test_permuted_blocks_and_zero_rows(self):
         mat = _hermitian_blocks((4, 7, 9), 2, seed=3)
         assert len(fock._blocks(mat)) == 5
-        np.testing.assert_allclose(np.sort(fock._eigvalsh(mat)),
+        np.testing.assert_allclose(np.sort(fock_ops._eigvalsh(mat)),
                                    np.linalg.eigvalsh(mat), rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("mat", [
@@ -317,21 +318,21 @@ class TestNegativity:
     def test_tmsv_matches_closed_form(self):
         # N = lambda/(1-lambda) = (e^{2r} - 1)/2
         r = 1.0
-        ket = fock.tmsv_ket(r, 60)
+        ket = fock_ops.tmsv_ket(r, 60)
         expected = (np.exp(2.0 * r) - 1.0) / 2.0
-        assert fock.ket_negativity(ket) == pytest.approx(expected, abs=1e-6)
+        assert fock_ops.ket_negativity(ket) == pytest.approx(expected, abs=1e-6)
         # dense partial-transpose route agrees with the Schmidt route
-        small = fock.tmsv_ket(0.5, 25)
+        small = fock_ops.tmsv_ket(0.5, 25)
         assert fock.negativity_fock(small.density(), (26, 26)) == pytest.approx(
-            fock.ket_negativity(small), abs=1e-10)
+            fock_ops.ket_negativity(small), abs=1e-10)
 
     def test_heuristic_subtraction_matches_hypergeometric_form(self):
         # 2k-subtracted negativity: ((1-lam)^{-2(k+1)} / 2F1 - 1) / 2;
         # r <= 0.8 keeps the amplified tails within the n_max = 60 cut
         for r, k in ((0.6, 1), (0.8, 1), (0.8, 2)):
             lam = np.tanh(r)
-            ket, _ = fock.photon_subtract(fock.tmsv_ket(r, 60), k)
-            assert fock.ket_negativity(ket) == pytest.approx(
+            ket, _ = fock_ops.photon_subtract(fock_ops.tmsv_ket(r, 60), k)
+            assert fock_ops.ket_negativity(ket) == pytest.approx(
                 distill.heuristic_negativity(lam, k), abs=1e-6)
 
     def test_invariant_under_local_rotations(self):
@@ -425,7 +426,7 @@ class TestBlockGather:
         assert np.array_equal(fock.tmst_density(r, n, n_max), loop.real)
 
     @pytest.mark.parametrize("check", [
-        fock.check_density, lambda m: fock.negativity_fock(m, (6, 6))],
+        fock_ops.check_density, lambda m: fock.negativity_fock(m, (6, 6))],
         ids=["check_density", "negativity_fock"])
     @pytest.mark.parametrize("entry", [
         (6, 13),  # |1, 0><2, 1|: inside a block of rho and of rho^Gamma
@@ -452,16 +453,16 @@ class TestSpectralQfi:
         n_max = 40
 
         def rho_fn(lam):
-            d = fock.displacement(lam, n_max)
+            d = fock_ops.displacement(lam, n_max)
             ket = d[:, 0]
             return np.outer(ket, ket.conj())
 
-        h = fock.qfi_spectral(rho_fn, 0.3, 1e-3)
+        h = fock_ops.qfi_spectral(rho_fn, 0.3, 1e-3)
         assert h == pytest.approx(4.0, abs=1e-4)
 
     def test_parameter_independent_family(self):
         rho = fock.thermal_density(0.5, 15)
-        assert fock.qfi_spectral(lambda lam: rho, 0.1, 1e-3) == pytest.approx(
+        assert fock_ops.qfi_spectral(lambda lam: rho, 0.1, 1e-3) == pytest.approx(
             0.0, abs=1e-20)
 
     def test_qi_received_state_matches_closed_form(self):
@@ -470,10 +471,11 @@ class TestSpectralQfi:
         n_max = 25
 
         def rho_fn(lam):
-            return fock.gaussian_density(illumination.qi_received(
-                illumination.QiParams(p.n_s, p.n_th, p.gamma, lam)).to_state(), n_max)
+            return fock.gaussian_density(entanglement.BipartiteCM.standard_form(
+                *illumination.received_params(
+                    illumination.QiParams(p.n_s, p.n_th, p.gamma, lam))), n_max)
 
-        h = fock.qfi_spectral(rho_fn, p.eta, 1e-4)
+        h = fock_ops.qfi_spectral(rho_fn, p.eta, 1e-4)
         assert h == pytest.approx(illumination.h_q(p), rel=1e-3)
 
     def test_trace_drift_rejected(self):
@@ -484,7 +486,7 @@ class TestSpectralQfi:
             return fock.thermal_density(2.0 + 10.0 * lam, n_max)
 
         with pytest.raises(ValueError):
-            fock.qfi_spectral(rho_fn, 0.2, 0.1)
+            fock_ops.qfi_spectral(rho_fn, 0.2, 0.1)
 
 
 # The Fock oracle in a fresh interpreter with scipy blocked: the n_max 12
@@ -497,19 +499,20 @@ import json, sys, tracemalloc
 sys.modules['scipy'] = None
 import numpy as np
 from cvmw import core, entanglement, fock
+from tests.oracles import fock_ops
 state = core.GaussianState([0.1, -0.2, 0.05, 0.1], core.tmst(0.3, 0.05).sigma)
 rho = fock.gaussian_density(state, 12)
 small_negativity = fock.negativity_fock(rho, (13, 13))
 tmst = fock.tmst_density(0.3, 0.05, 12)
-u = fock.beam_splitter_unitary(0.4, 12)
-small_fidelity = fock.uhlmann_fidelity(rho, u @ tmst @ u.conj().T)
+u = fock_ops.beam_splitter_unitary(0.4, 12)
+small_fidelity = fock_ops.uhlmann_fidelity(rho, u @ tmst @ u.conj().T)
 rho = fock.tmst_density(0.7, 0.04, 40)
 dtype = str(rho.dtype)
 tracemalloc.start()
 neg = fock.negativity_fock(rho, (41, 41))
 peak = tracemalloc.get_traced_memory()[1]
 tracemalloc.stop()
-ev = np.linalg.eigvalsh(fock.partial_transpose(rho, (41, 41)))
+ev = np.linalg.eigvalsh(fock_ops.partial_transpose(rho, (41, 41)))
 closed = entanglement.negativity(
     entanglement.BipartiteCM.from_state(core.tmst(0.7, 0.04)))
 print(json.dumps(dict(
@@ -523,8 +526,9 @@ print(json.dumps(dict(
 @pytest.fixture(scope="module")
 def scipy_blocked_fock():
     src = os.path.dirname(os.path.dirname(os.path.abspath(cvmw.__file__)))
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
+        filter(None, (src, root, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-c", SCIPY_BLOCKED_FOCK],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr

@@ -4,9 +4,15 @@ import pytest
 from cvmw import core, illumination
 from cvmw.entanglement import BipartiteCM, pts_eigenvalues
 from cvmw.estimation import RegularizationError, gaussian_qfi
-from cvmw.illumination import QiParams, eta_eff, gain, h_c, h_q, qi_probe, qi_received
+from cvmw.illumination import (QiParams, eta_eff, gain, h_c, h_q, qi_probe,
+                               received_params)
+from tests.oracles.general import partial_trace
 from tests.oracles.routes import (eta_eff_iterated, probe_nu_minus_mp,
                                   qi_received_constructive)
+
+
+def qi_received(params):
+    return BipartiteCM.standard_form(*received_params(params))
 
 
 class TestEtaEff:
@@ -33,7 +39,7 @@ class TestProbe:
     def test_zero_bath_matches_tmsv_block(self):
         n_s = 1.3
         probe = qi_probe(n_s, 0.0)
-        block = core.partial_trace(probe, keep=(1, 2))
+        block = partial_trace(probe, keep=(1, 2))
         r = np.arcsinh(np.sqrt(n_s))
         np.testing.assert_allclose(block.sigma, core.tmsv(r).sigma, atol=1e-12)
 
@@ -42,7 +48,7 @@ class TestProbe:
             for n_th in (0.0, 0.7, 3.0):
                 probe = qi_probe(n_s, n_th)
                 block = BipartiteCM.from_state(
-                    core.partial_trace(probe, keep=(1, 2)))
+                    partial_trace(probe, keep=(1, 2)))
                 assert pts_eigenvalues(block)[0] == pytest.approx(
                     illumination.probe_nu_minus(n_s, n_th), abs=1e-12)
 

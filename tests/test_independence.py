@@ -1,5 +1,6 @@
-"""The library needs numpy and the standard library only, and the oracles in
-tests/oracles share no code with the functions they check."""
+"""The library needs numpy and the standard library only, the oracles in
+tests/oracles share no code with the functions they check, and every name
+in the library is reached from the CLI, the benchmark or a paper result."""
 
 import ast
 import importlib
@@ -12,6 +13,41 @@ import cvmw
 
 LIBRARY = sorted(Path(cvmw.__file__).parent.glob("*.py"))
 ORACLES = Path(__file__).parent / "oracles"
+BENCH = Path(__file__).parent.parent / "bench"
+
+# Paper content that neither the CLI nor the benchmark computes: each name,
+# with the test that checks it. A name no command, benchmark op or entry
+# here reaches does not belong in src/cvmw (test_every_library_name_is_reached).
+PAPER_RESULTS = (
+    ("bifreq.high_noise_ratio",
+     "tests/test_bifreq.py::TestFisherInformation::test_high_noise_limit"),
+    ("bifreq.qcrb_gap",
+     "tests/test_bifreq.py::TestQcrbSaturation::test_root_exists_and_brackets"),
+    ("bifreq.qcrb_saturating_noise",
+     "tests/test_bifreq.py::TestQcrbSaturation::test_root_exists_and_brackets"),
+    ("bifreq.thermal_ratio",
+     "tests/test_bifreq.py::TestThermalRatio::test_twenty_percent_detuning_error"),
+    ("bifreq.jpa_synthesis",
+     "tests/test_bifreq.py::TestJpaSynthesis::test_synthesized_mode_is_canonical"),
+    ("channel.eta_env_inhomogeneous",
+     "tests/test_channel.py::TestAttenuation::test_inhomogeneous_reduces_to_homogeneous"),
+    ("channel.hemt_amplify",
+     "tests/test_channel.py::TestAmplification::test_hemt_destroys_entanglement"),
+    ("channel.MU_WATER_VAPOR_AVG",
+     "tests/test_channel.py::TestReach::test_water_vapor_presets"),
+    ("channel.MU_WATER_VAPOR_MAX",
+     "tests/test_channel.py::TestReach::test_water_vapor_presets"),
+    ("teleport.fidelity_ps_tmsv",
+     "tests/test_teleport.py::TestPsTmsvFidelities::test_crossing_with_bare_tmsv_exists"),
+)
+
+# the Fock operators that measure covariances and moments
+FOCK_MOMENTS = {"cvmw.core.apply", "cvmw.core.beam_splitter",
+                "cvmw.fock.gaussian_density"}
+# the density matrices whose spectrum and trace deficit the diagnostics read
+FOCK_DENSITIES = {"cvmw.fock.gaussian_density", "cvmw.fock.tmst_density",
+                  "cvmw.fock.thermal_density"}
+PS_TMSV = {"cvmw.distill.PsTmsv.success_probability", "cvmw.distill.PsTmsv.negativity"}
 
 # oracle module -> function -> the library functions it checks
 CHECKS = {
@@ -25,13 +61,13 @@ CHECKS = {
                                          "cvmw.bifreq.received_params",
                                          "cvmw.bifreq.received_family",
                                          "cvmw.bifreq._probe_terms"},
-        "qi_received_constructive": {"cvmw.illumination.qi_received",
-                                     "cvmw.illumination.received_params",
+        "qi_received_constructive": {"cvmw.illumination.received_params",
                                      "cvmw.illumination.received_family"},
         "illumination_classical_constructive": {
             "cvmw.illumination.classical_received_family"},
         "bifreq_classical_constructive": {"cvmw.bifreq.classical_received_family"},
-        "eta_eff_iterated": {"cvmw.illumination.eta_eff", "cvmw.channel.eta_eff"},
+        "eta_eff": {"cvmw.channel.tmst_params", "cvmw.channel.tmst_polys"},
+        "eta_eff_iterated": {"cvmw.illumination.eta_eff"},
         "success_probability_series": {"cvmw.distill.PsTmsv.success_probability",
                                        "cvmw.distill.hyp2f1_k"},
         "two_mode_symplectic_eigenvalues": {"cvmw.core.symplectic_eigenvalues"},
@@ -76,7 +112,7 @@ CHECKS = {
                                   "cvmw.channel.sym_reach"},
         "blocks_bfs": {"cvmw.fock._blocks"},
         "negativity_dense": {"cvmw.fock.negativity_fock", "cvmw.fock._blocks",
-                             "cvmw.fock._block_eigvalsh", "cvmw.fock._eigvalsh"},
+                             "cvmw.fock._block_eigvalsh"},
         "tmst_density_loop": {"cvmw.fock.tmst_density"},
         "gaussian_density_moveaxis": {"cvmw.fock.gaussian_density"},
     },
@@ -87,6 +123,48 @@ CHECKS = {
         "_sld_matrices": {"cvmw.estimation.gaussian_qfi"},
         "matrix_family": {"cvmw.estimation.gaussian_qfi"},
         "optimal_observable_numeric": {"cvmw.bifreq.optimal_coeffs"},
+    },
+    "fock_ops.py": {
+        "destroy": FOCK_MOMENTS,
+        "quadrature_ops": FOCK_MOMENTS,
+        "op_on_mode": FOCK_MOMENTS,
+        "displacement_element": {"cvmw.estimation.gaussian_qfi"},
+        "displacement": {"cvmw.estimation.gaussian_qfi"},
+        "tmsv_ket": {"cvmw.core.tmsv", "cvmw.distill.tmsv_negativity",
+                     "cvmw.entanglement.negativity"},
+        "photon_subtract": {"cvmw.distill.heuristic_negativity",
+                            "cvmw.distill.ps2_heuristic"},
+        "bs_amplitude": PS_TMSV,
+        "ps_project": PS_TMSV | {"cvmw.distill.ps2_gaussian"},
+        "beam_splitter_unitary": {"cvmw.core.beam_splitter"},
+        "squeeze_unitary": {"cvmw.core.apply"},
+        "_eigvalsh": FOCK_DENSITIES,
+        "check_density": FOCK_DENSITIES,
+        "partial_transpose": {"cvmw.fock.negativity_fock"},
+        "ket_negativity": {"cvmw.fock.negativity_fock", "cvmw.entanglement.negativity",
+                           "cvmw.distill.PsTmsv.negativity"},
+        "ptrace": {"cvmw.core.tmsv"},
+        "uhlmann_fidelity": {"cvmw.estimation.gaussian_qfi"},
+        "char_fn": {"cvmw.distill.ps2_gaussian", "cvmw.distill.ps2_heuristic"},
+        "qfi_spectral": {"cvmw.estimation.gaussian_qfi", "cvmw.illumination.h_q"},
+    },
+    "general.py": {
+        "rotation": {"cvmw.entanglement.negativity",
+                     "cvmw.entanglement.BipartiteCM.standard_params"},
+        "single_mode_squeezer": {"cvmw.core.apply", "cvmw.core.tmsv"},
+        "two_mode_squeezer": {"cvmw.core.tmsv", "cvmw.core.tmst"},
+        "partial_trace": {"cvmw.channel.lossy_tmst", "cvmw.illumination.probe_nu_minus"},
+        "characteristic_function": {"cvmw.core.tmst", "cvmw.core.coherent",
+                                    "cvmw.core.thermal"},
+        "swap": {"cvmw.teleport.swap_link", "cvmw.teleport.swapped_finite_gain_params"},
+        "char_fn_heuristic": {"cvmw.distill.ps2_gaussian"},
+        "regaussify": {"cvmw.teleport.regaussify_standard"},
+        "directivity": {"cvmw.channel.tau_path"},
+        "friis": {"cvmw.channel.tau_path"},
+        "coeffs_high_reflectivity": {"cvmw.bifreq.optimal_coeffs"},
+        "coeffs_noiseless": {"cvmw.bifreq.optimal_coeffs"},
+        "jpa_forward": {"cvmw.bifreq.jpa_synthesis"},
+        "jpa_identification_residual": {"cvmw.bifreq.jpa_synthesis"},
     },
     "finite_difference.py": {
         "jet": {"cvmw.illumination.received_family",
@@ -160,3 +238,144 @@ def test_every_checked_name_resolves():
 def test_monras_oracle_imports_nothing_from_estimation():
     names = imported_names(ast.parse((ORACLES / "monras.py").read_text()))
     assert not [name for name in names.values() if name.startswith("cvmw.estimation")]
+
+
+# -- every library name is reached -------------------------------------------
+#
+# A top-level name of src/cvmw (a function, a class, or a module constant) is
+# reached when cli.py's module code or main refers to it, when bench/*.py
+# reads it from a module it imports through lazy(...), when PAPER_RESULTS
+# names it, or when a reached name's definition refers to it: by its name in
+# its own module, by a `from .module import name` binding, or as an attribute
+# of a `from . import module` binding. A class counts as one name, with its
+# methods.
+
+def top_level_names(tree):
+    """{name: defining node} of a module's functions, classes and constants."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        out[name.id] = node
+    return out
+
+
+class Library:
+    def __init__(self):
+        self.trees = {path.stem: ast.parse(path.read_text())
+                      for path in LIBRARY if path.stem != "__init__"}
+        self.names = {m: top_level_names(tree) for m, tree in self.trees.items()}
+        self.bindings = {m: self._relative_imports(tree) for m, tree in self.trees.items()}
+
+    @staticmethod
+    def _relative_imports(tree):
+        """{bound name: (module, attribute or None)} of `from . import m`
+        and `from .m import x`."""
+        out = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    out[alias.asname or alias.name] = (
+                        (alias.name, None) if node.module is None
+                        else (node.module, alias.name))
+        return out
+
+    def references(self, module, node):
+        """(module, name) of every library name the node refers to."""
+        out = set()
+        bound = self.bindings[module]
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                if sub.id in self.names[module]:
+                    out.add((module, sub.id))
+                elif sub.id in bound and bound[sub.id][1] is not None:
+                    out.add(bound[sub.id])
+            elif (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                  and sub.value.id in bound and bound[sub.value.id][1] is None):
+                out.add((bound[sub.value.id][0], sub.attr))
+        return out
+
+    def cli_roots(self):
+        """main, and what cli.py's module code (its tables) refers to."""
+        roots = {("cli", "main")}
+        for node in self.trees["cli"].body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Import,
+                                     ast.ImportFrom)):
+                roots |= self.references("cli", node)
+        return roots
+
+    def closure(self, roots):
+        seen, stack = set(), list(roots)
+        while stack:
+            module, name = key = stack.pop()
+            node = self.names.get(module, {}).get(name)
+            if node is None or key in seen:
+                continue
+            seen.add(key)
+            stack.extend(self.references(module, node))
+        return seen
+
+
+def bench_reads():
+    """(module, attribute) of every read of a cvmw module that bench/*.py
+    imports through lazy("module"): `m = lazy("x")` then `m.attr`, or
+    `lazy("x").attr`."""
+
+    def lazy_module(node):
+        if (isinstance(node, ast.Call) and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "lazy"):
+            return node.args[0].value
+        return None
+
+    reads = set()
+    for path in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target, value = node.targets[0], node.value
+                pairs = (zip(target.elts, value.elts)
+                         if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple)
+                         else [(target, value)])
+                for name, call in pairs:
+                    module = lazy_module(call)
+                    if module and isinstance(name, ast.Name):
+                        bound.setdefault(name.id, set()).add(module)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                if isinstance(node.value, ast.Name):
+                    reads |= {(m, node.attr) for m in bound.get(node.value.id, ())}
+                module = lazy_module(node.value)
+                if module:
+                    reads.add((module, node.attr))
+    return reads
+
+
+def test_every_library_name_is_reached():
+    library = Library()
+    paper = {tuple(name.split(".")) for name, _ in PAPER_RESULTS}
+    reached = library.closure(library.cli_roots() | bench_reads() | paper)
+    unreached = sorted("%s.%s" % (m, name) for m, names in library.names.items()
+                       for name in names if (m, name) not in reached)
+    assert not unreached, "unreached from the CLI, the benchmark's reads and " \
+        "PAPER_RESULTS (%d): %s" % (len(unreached), ", ".join(unreached))
+
+
+@pytest.mark.parametrize("name,test_id", PAPER_RESULTS, ids=[n for n, _ in PAPER_RESULTS])
+def test_every_paper_result_names_a_library_name_and_its_test(name, test_id):
+    module, attr = name.split(".")
+    assert attr in top_level_names(ast.parse((LIBRARY[0].parent / (module + ".py"))
+                                             .read_text()))
+    path, *scope = test_id.split("::")
+    body = ast.parse((Path(__file__).parent.parent / path).read_text()).body
+    for part in scope:
+        node = next((n for n in body if isinstance(n, (ast.ClassDef, ast.FunctionDef))
+                     and n.name == part), None)
+        assert node is not None, test_id
+        body = node.body
+    assert attr in ast.unparse(node), (name, test_id)

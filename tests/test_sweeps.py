@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 from cvmw import bifreq, channel, cli, distill, entanglement, illumination, teleport
-from cvmw.entanglement import BipartiteCM, log_negativity, negativity, pts_eigenvalues
+from cvmw.entanglement import (BipartiteCM, log_negativity_from_nu, negativity,
+                               pts_eigenvalues)
 from tests.oracles import monras
+from tests.oracles.general import regaussify, swap
 from tests.oracles.routes import bifreq_received_constructive
 
 TABLE1 = channel.TABLE1
@@ -37,6 +39,10 @@ def draws(count, seed):
                    inv_gain=TABLE1["inv_gain"] * rng.uniform(0.5, 2.0))
 
 
+def log_negativity(cm):
+    return log_negativity_from_nu(pts_eigenvalues(cm)[0])
+
+
 def link_cm(p, length, geometry):
     ch = channel.AirChannel(p["mu"], length, p["n_th"], p["eta_ant"])
     return channel.lossy_tmst(ch, p["r"], p["n"], geometry)
@@ -45,7 +51,7 @@ def link_cm(p, length, geometry):
 def swapped_cm(p, length):
     """General swap of two L/2 links; Charlie measures their lossy modes."""
     lossy, kept, gamma = link_cm(p, length / 2.0, "asym").standard_params()
-    return distill.swap(BipartiteCM.standard_form(kept, lossy, gamma, check=False),
+    return swap(BipartiteCM.standard_form(kept, lossy, gamma, check=False),
                         BipartiteCM.standard_form(lossy, kept, gamma, check=False))
 
 
@@ -146,8 +152,8 @@ def test_distill_columns(geometry):
         for length in GRID.values():
             cm = link_cm(p, length, geometry)
             out = distill.ps2_gaussian(cm, p["tau"])
-            rg_p = teleport.regaussify(out.cm, out.g, geometry)[0]
-            rg_h = teleport.regaussify(cm, distill.ps2_heuristic(cm).h, geometry)[0]
+            rg_p = regaussify(out.cm, out.g, geometry)[0]
+            rg_h = regaussify(cm, distill.ps2_heuristic(cm).h, geometry)[0]
             rows.append({"L": length, "e_n_bare": log_negativity(cm),
                          "n_bare": negativity(cm), "p2": out.probability,
                          "n_prob": negativity(rg_p), "n_heur": negativity(rg_h),
@@ -266,7 +272,7 @@ def test_satellite_columns():
         d, w0 = x["d"], x["w0"]
         geom = channel.LinkGeometry(nu=x["nu"], d=d, a=2.0 * w0, e_a=1.0,
                                     w0=w0, a_r=x["a_r"])
-        return dict(d=d, fspl_db=channel.fspl(x["nu"], d)[1],
+        return dict(d=d, fspl_db=channel.fspl(x["nu"], d),
                     tau_path=channel.tau_path(geom),
                     tau_diff=channel.tau_diffraction(geom))
     check_points("satellite", [("d", 100.0, 1e5, 7)], row)

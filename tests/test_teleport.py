@@ -14,7 +14,8 @@ from cvmw.teleport import (BEYOND_MAX, MAX_DISTANCE, ROOT_GRID, ROOT_RTOL,
                            fidelity_2ps_general, fidelity_concatenated,
                            fidelity_finite_gain, fidelity_heuristic,
                            fidelity_ps_tmsv, gamma_of, half_fidelity_condition,
-                           regaussify, swap_condition, swapped_finite_gain_params)
+                           swap_condition, swapped_finite_gain_params)
+from tests.oracles.general import regaussify
 from tests.oracles.routes import (classical_limit_array_bracket,
                                   classical_limit_full_bracket, classical_limit_mp,
                                   half_fidelity_poly_array, heuristic_factor_mp,
