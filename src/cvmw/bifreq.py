@@ -6,8 +6,9 @@ or a pair of coherent beams with the same per-mode photon number. Both
 received states are two-mode standard-form states, affine in
 eta2 = eta1 + lambda and sqrt(eta2), so their jets in the difference
 parameter are closed forms. The quantum-probe QFI at lambda -> 0 is the
-exact Gaussian QFI of that jet; the coherent-probe QFI and the
-high-reflectivity / high-noise enhancement ratios have closed forms.
+exact Gaussian QFI of that jet, and its optimal observable the SLD over
+that QFI; the coherent-probe QFI and the high-reflectivity / high-noise
+enhancement ratios have closed forms.
 """
 
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ import numpy as np
 
 from .core import GaussianState, SIGMA_Z, all_true, any_true, sqrt, where
 from .entanglement import BipartiteCM
-from .estimation import GaussianFamily, gaussian_qfi
+from .estimation import GaussianFamily, gaussian_qfi, sld_standard_form
 from .teleport import anderson_bjorck
 
 
@@ -189,48 +190,22 @@ class ObservableCoeffs:
     l0: float
 
 
-def _helpers(eta1, n_s, n_th):
-    a = 8.0 * (eta1 - 1.0) * eta1 * n_s ** 3 * (2.0 * n_th + 1.0)
-    b = 4.0 * n_s ** 2 * (-eta1 + (eta1 + 3.0 * eta1 * n_th) ** 2
-                          - eta1 * n_th * (10.0 * n_th + 7.0)
-                          + 3.0 * n_th * (n_th + 1.0) + 1.0)
-    c = 2.0 * n_s * n_th * (-eta1 + n_th * (eta1 * (3.0 * eta1 - 8.0)
-                            + 4.0 * (eta1 - 1.0) * (2.0 * eta1 - 1.0) * n_th
-                            + 3.0) + 1.0)
-    d = n_th ** 2 * (2.0 * (eta1 - 1.0) * n_th
-                     * ((eta1 - 1.0) * n_th - 1.0) + 1.0)
-    return a, b, c, d
-
-
 def optimal_coeffs(params):
-    """Coefficients of the optimal observable at lambda -> 0, closed form,
-    elementwise over arrays.
-
-    l0 is fixed by the unbiasedness condition <O> = 0 at the operating
-    point (the observable carries lambda * identity on top of SLD / H).
+    """Coefficients of the optimal observable lambda0 + SLD / H of the quantum
+    received family at the operating point, elementwise, for any input thermal
+    photons n >= 0. With (p_1, p_2, q) of estimation.sld_standard_form,
+    x_i^2 + p_i^2 = 2 n_i + 1 and x_1 x_2 - p_1 p_2 = a1+ a2+ + a1 a2 give
+    (l11, l22, l12) = 2 (p_1, p_2, q) / H; l0 makes <O> = lambda0, with
+    <n_1> = (alpha - 1) / 2, <n_2> = (beta - 1) / 2 and <a1 a2> = gamma / 2.
+    Raises ValueError where H = 0, and the errors of sld_standard_form.
     """
-    eta1, n_s, n_th = params.eta1, params.n_s, params.n_th
-    if any_true((n_s <= 0.0) | (n_th <= 0.0)):
-        raise ValueError("closed-form coefficients need n_s > 0 and n_th > 0")
-    a, b, c, d = _helpers(eta1, n_s, n_th)
-    den = a - b + c - d
-    if any_true(abs(den) < 1e-30):
-        raise ValueError("singular parameters: coefficient denominator vanishes")
-    l11 = -2.0 * eta1 * n_s * (2.0 * n_s + 1.0) * (2.0 * n_th + 1.0) / (-den)
-    l22 = (4.0 * eta1 * (2.0 * eta1 - 1.0) * n_s ** 2 * (2.0 * n_th + 1.0)
-           + 2.0 * n_s * (eta1 - 2.0 * n_th * ((eta1 - 3.0) * eta1
-                          + (eta1 - 1.0) * (3.0 * eta1 - 1.0) * n_th + 1.0)
-                          - 1.0)
-           + n_th * (2.0 * (eta1 - 1.0) * n_th
-                     * ((eta1 - 1.0) * n_th - 1.0) + 1.0)) / den
-    l12 = -np.sqrt(2.0) * np.sqrt(n_s * (2.0 * n_s + 1.0)) * (
-        eta1 ** 2 * (n_s * (4.0 * n_th + 2.0) - n_th ** 2)
-        + n_th * (n_th + 1.0)) / den
-    # unbiasedness at lambda = 0 pins the constant: the received moments are
-    # <n_1> = <n_2> = (alpha - 1) / 2 and <a1 a2> = gamma / 2
-    alpha, _, gamma = received_params(BifreqParams(eta1, 0.0, params.n_r, params.n, n_th))
-    occ = (alpha - 1.0) / 2.0
-    l0 = -(l11 * occ + l22 * occ + l12 * gamma)
+    family = received_family(params)
+    p1, p2, q, h = sld_standard_form(family)
+    if any_true(h == 0.0):
+        raise ValueError("the QFI vanishes: no optimal observable")
+    l11, l22, l12 = 2.0 * p1 / h, 2.0 * p2 / h, 2.0 * q / h
+    l0 = family.lambda0 - (l11 * (family.alpha - 1.0) / 2.0
+                           + l22 * (family.beta - 1.0) / 2.0 + l12 * family.gamma)
     return ObservableCoeffs(l11, l22, l12, l0)
 
 

@@ -334,9 +334,9 @@ STATES = {
     "coherent": lambda p: core.coherent(p["alpha_re"], p["alpha_im"]),
     "tmsv": lambda p: core.tmsv(p["r"]),
     "tmst": lambda p: core.tmst(p["r"], p["n"]),
-    "qi-probe": lambda p: illumination.qi_probe(p["n_s"], p["n_th"]),
+    "qi-probe": lambda p: illumination.qi_probe(p["n_s"], p["n_th_bath"]),
     "bifreq-probe": lambda p: bifreq.bifreq_probe(bifreq.BifreqParams(
-        p["eta1"], 0.0, p["n_s"], p["n"], p["n_th"])),
+        p["eta1"], 0.0, p["n_s"], p["n_signal"], p["n_th_bath"])),
     "lossy-tmst-asym": lambda p: _lossy_tmst_state(p, "asym"),
     "lossy-tmst-sym": lambda p: _lossy_tmst_state(p, "sym"),
 }

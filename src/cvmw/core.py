@@ -41,8 +41,10 @@ def all_true(mask):
 
 
 def where(cond, x, y):
-    """np.where(cond, x, y), as `x if cond else y` when cond is a scalar."""
-    return np.where(cond, x, y) if isinstance(cond, np.ndarray) else (x if cond else y)
+    """np.where(cond, x, y); `x if cond else y` for a scalar, tested as a bool first."""
+    if cond.__class__ is bool or not isinstance(cond, np.ndarray):
+        return x if cond else y
+    return np.where(cond, x, y)
 
 
 def sqrt(x):

@@ -150,13 +150,14 @@ def friis(geom):
 # -- bi-frequency observable limits and mode synthesis ----------------------
 
 def coeffs_high_reflectivity(n_s, n_th):
-    """eta1 -> 1 limits of the observable coefficients.
+    """eta1 -> 1 limits of the observable coefficients at n = 0.
 
-    l11, l22 and l12 are the exact limits of the general expressions (the
-    cross coefficient carries sqrt(2), pinned by the noiseless limit). The
-    constant l0 is the conventional value for this limit slice; the exact
-    constant at finite reflectivity is fixed by unbiasedness instead (see
-    bifreq.optimal_coeffs).
+    l11, l22 and l12 are the exact limits of the SLD coefficients of
+    bifreq.optimal_coeffs at n = 0, where the received state depends on n_r
+    alone (the cross coefficient carries sqrt(2), pinned by the noiseless
+    limit). The constant l0 is the conventional value for this limit slice;
+    the exact constant at finite reflectivity is fixed by unbiasedness
+    instead (see bifreq.optimal_coeffs).
     """
     den = (n_s ** 2 * (8.0 * n_th * (n_th + 1.0) + 4.0)
            + 4.0 * n_s * n_th ** 2 + n_th ** 2)

@@ -83,11 +83,17 @@ def gaussian_qfi(family):
 
 
 def gaussian_qfi_mp(sigma, dsigma, dd=(0, 0, 0, 0), dps=60):
-    """The two-mode QFI at dps digits, by LU: the real-basis Monras system
+    """The two-mode QFI at dps digits: the H of gaussian_sld_mp."""
+    return gaussian_sld_mp(sigma, dsigma, dd, dps)[1]
+
+
+def gaussian_sld_mp(sigma, dsigma, dd=(0, 0, 0, 0), dps=60):
+    """The two-mode SLD's quadratic coefficient matrix A and the QFI at dps
+    digits, by LU: the real-basis Monras system
     (Sigma (x) Sigma - Omega (x) Omega) vec A = vec dSigma, then
     H = vec(dSigma) . vec A / 2 + 2 dd^T Sigma^-1 dd. sigma and dsigma are
     4 x 4, as mpmath matrices or nested lists of floats or mpf, taken
-    exactly; returns an mpf."""
+    exactly; returns (A as a 4 x 4 mpmath matrix, H as an mpf)."""
     om = omega(2)
     with mpmath.workdps(dps):
         sig, dsig = mpmath.matrix(sigma), mpmath.matrix(dsigma)
@@ -97,9 +103,11 @@ def gaussian_qfi_mp(sigma, dsigma, dd=(0, 0, 0, 0), dps=60):
                 (i, k), (j, l) = divmod(row, 4), divmod(col, 4)
                 mm[row, col] = sig[i, j] * sig[k, l] - om[i, j] * om[k, l]
         vec = mpmath.matrix([dsig[i, j] for i in range(4) for j in range(4)])
+        vec_a = mpmath.lu_solve(mm, vec)
         dd = mpmath.matrix(list(dd))
-        return ((vec.T * mpmath.lu_solve(mm, vec))[0] / 2
-                + 2 * (dd.T * mpmath.lu_solve(sig, dd))[0])
+        a_mat = mpmath.matrix([[vec_a[4 * i + j] for j in range(4)] for i in range(4)])
+        return a_mat, ((vec.T * vec_a)[0] / 2
+                       + 2 * (dd.T * mpmath.lu_solve(sig, dd))[0])
 
 
 def _sld_matrices(state, dsigma, dd):

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from cvmw import bifreq, core
+from cvmw import bifreq, cli, core
 from cvmw.bifreq import (BifreqParams, bifreq_probe, bifreq_received,
                          h_c_bifreq, h_q_bifreq, high_noise_ratio,
                          high_reflectivity_ratio, jpa_synthesis,
@@ -180,9 +182,11 @@ class TestFisherInformation:
 
 class TestOptimalObservable:
     def test_closed_form_matches_numeric_sld(self):
-        for (eta1, n_r, n_th) in ((0.8, 1.5, 2.0), (0.9, 2.9, 5.0),
-                                  (0.75, 0.8, 1.0)):
-            p = BifreqParams(eta1, 0.0, n_r, 0.0, n_th)
+        # the received state depends on n and n_r apart, not only through n_s
+        for (eta1, n_r, n, n_th) in ((0.8, 1.5, 0.0, 2.0), (0.9, 2.9, 0.0, 5.0),
+                                     (0.75, 0.8, 0.0, 1.0), (0.8, 1.5, 0.5, 2.0),
+                                     (0.9, 1.0, 2.0, 1.0), (0.3, 0.5, 1.0, 3.0)):
+            p = BifreqParams(eta1, 0.0, n_r, n, n_th)
             closed = optimal_coeffs(p)
             numeric = optimal_observable_numeric(p)
             assert closed.l11 == pytest.approx(numeric.l11, rel=1e-6)
@@ -243,6 +247,26 @@ class TestOptimalObservable:
     def test_singular_parameters_raise(self):
         with pytest.raises(ValueError):
             optimal_coeffs(BifreqParams(0.5, 0.0, 0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("n_th_bath", ["1e78", "1e100"])
+    def test_hot_bath_table_matches_the_sixty_digit_sld(self, n_th_bath, capsys):
+        # the coefficients fall as 1/n_th, 1/n_th^2 and 1/n_th^3: at 1e100
+        # about -1e-100, 2e-199 and -5e-298, none of which may read 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["bifreq", "--set", "n_th_bath=" + n_th_bath]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        names = lines[0].split(",")
+        rows = [dict(zip(names, map(float, line.split(",")))) for line in lines[1:]]
+        assert len(rows) == 25
+        for row in rows[::4]:
+            p = BifreqParams(row["eta1"], 0.0, row["n_s"], 0.0, row["n_th"])
+            oracle = matrix_family(bifreq.received_family(p))
+            a_mat, h = monras.gaussian_sld_mp(oracle.state.sigma, oracle.dsigma)
+            for name, (i, j) in (("l11", (0, 0)), ("l22", (2, 2)), ("l12", (0, 2))):
+                want = float(2 * a_mat[i, j] / h)
+                assert want != 0.0
+                assert row[name] == pytest.approx(want, rel=1e-14, abs=0.0), name
 
 
 class TestQcrbSaturation:

@@ -423,7 +423,20 @@ class TestParameterTable:
         from cvmw import bifreq
         assert cli.main(["state", "--kind", "bifreq-probe", "--set", "n_s=2"]) == 0
         state = core.GaussianState.from_json(capsys.readouterr().out)
-        expected = bifreq.bifreq_probe(bifreq.BifreqParams(0.9, 0.0, 2.0, 0.01, 1250.0))
+        expected = bifreq.bifreq_probe(bifreq.BifreqParams(0.9, 0.0, 2.0, 0.0, 1.0))
+        np.testing.assert_array_equal(state.sigma, expected.sigma)
+
+    @pytest.mark.parametrize("kind", ["qi-probe", "bifreq-probe"])
+    def test_probes_read_the_keys_of_their_tables(self, kind, capsys):
+        # the bath is n_th_bath and the input thermal photons n_signal, as in
+        # illum and bifreq; the link's n_th and n leave the probes alone
+        from cvmw import bifreq, illumination
+        assert cli.main(["state", "--kind", kind, "--set", "n_th_bath=5", "--set",
+                         "n_signal=0.3", "--set", "n_th=7", "--set", "n=0.2"]) == 0
+        state = core.GaussianState.from_json(capsys.readouterr().out)
+        expected = {"qi-probe": lambda: illumination.qi_probe(1.0, 5.0),
+                    "bifreq-probe": lambda: bifreq.bifreq_probe(
+                        bifreq.BifreqParams(0.9, 0.0, 1.0, 0.3, 5.0))}[kind]()
         np.testing.assert_array_equal(state.sigma, expected.sigma)
 
     def test_help_ends_with_the_table(self, capsys):

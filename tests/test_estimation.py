@@ -4,10 +4,11 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from cvmw import bifreq, core, fock, illumination
+from cvmw import bifreq, cli, core, fock, illumination
 from cvmw.core import PhysicalityError
 from cvmw.entanglement import BipartiteCM
-from cvmw.estimation import GaussianFamily, RegularizationError, gaussian_qfi
+from cvmw.estimation import (GaussianFamily, RegularizationError, gaussian_qfi,
+                             sld_standard_form)
 from tests.oracles import fock_ops, monras
 from tests.oracles.finite_difference import jet
 from tests.oracles.monras import (MatrixFamily, QuadraticObservable, gaussian_sld,
@@ -376,6 +377,91 @@ class TestSixtyDigits:
         fam = bifreq.received_family(bifreq.BifreqParams(1.0, 0.0, n_r, excess / 2.0, 0.5))
         bound = 1e-9 + 4.0 * np.finfo(float).eps / excess
         assert gaussian_qfi(fam) == pytest.approx(float(self.monras_60(fam)), rel=bound)
+
+    @pytest.mark.parametrize("family", list(cli.QFI_FAMILIES))
+    def test_hot_bath_qfi_command(self, family, capsys):
+        # at n_th_bath = 1e160 alpha beta and (alpha + beta)^2 pass the float
+        # range unless the jet is scaled; the illum system needs 400 digits
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["qfi", "--family", family, "--set", "n_th_bath=1e160"]) == 0
+        names, row = capsys.readouterr().out.splitlines()
+        h = float(dict(zip(names.split(","), row.split(",")))["h_numeric"])
+        module = illumination if family.startswith("illum") else bifreq
+        p = (illumination.QiParams(1.0, 1e160, 0.0, 1e-4) if module is illumination
+             else bifreq.BifreqParams(0.9, 0.0, 1.0, 0.0, 1e160))
+        build = (module.classical_received_family if family.endswith("classical")
+                 else module.received_family)
+        oracle = matrix_family(build(p))
+        want = monras.gaussian_qfi_mp(oracle.state.sigma, oracle.dsigma, oracle.dd, dps=400)
+        assert h == pytest.approx(float(want), rel=1e-13)
+
+
+class TestSldStandardForm:
+    """The SLD's quadratic part against the Monras solve of the same jet."""
+
+    @staticmethod
+    def standard_form(a_mat):
+        """(p_1, p_2, q) of [[p_1 I, q Z], [q Z, p_2 I]], checked to be of that form."""
+        p1, p2, q = a_mat[0, 0], a_mat[2, 2], a_mat[0, 2]
+        form = np.array([[p1, 0, q, 0], [0, p1, 0, -q], [q, 0, p2, 0], [0, -q, 0, p2]])
+        np.testing.assert_allclose(a_mat, form, rtol=0.0,
+                                   atol=1e-9 * np.max(np.abs(a_mat)))
+        return p1, p2, q
+
+    @pytest.mark.parametrize("name", list(LIBRARY_FAMILIES))
+    def test_matches_the_monras_sld(self, name):
+        build = LIBRARY_FAMILIES[name][0]
+        if name.startswith("illum"):
+            grid = [illumination.QiParams(n_s, n_th, gamma, eta)
+                    for n_s in (0.01, 0.4, 5.0) for n_th in (0.05, 1.0, 1e3)
+                    for gamma in (0.0, 1.0) for eta in (1e-4, 0.5)]
+        else:
+            grid = [bifreq.BifreqParams(eta1, lam, n_r, n, n_th)
+                    for eta1 in (0.01, 0.5, 0.9) for lam in (0.0, -0.5 * eta1)
+                    for n_r in (0.5, 5.0) for n in (0.0, 2.0) for n_th in (0.05, 1.0, 1e3)]
+        for p in grid:
+            fam = build(p)
+            oracle = matrix_family(fam)
+            a_mat, _, h_oracle = monras._sld_matrices(oracle.state, oracle.dsigma, oracle.dd)
+            *got, h = sld_standard_form(fam)
+            scale = np.max(np.abs(a_mat))
+            np.testing.assert_allclose(got, self.standard_form(a_mat), rtol=1e-9,
+                                       atol=1e-12 * scale, err_msg=str(p))
+            assert h == pytest.approx(gaussian_qfi(fam), rel=4e-16)
+            assert h == pytest.approx(h_oracle, rel=1e-9)
+
+    @pytest.mark.parametrize("n_th", [1.0, 1e78, 1e100, 1e160, 1e300])
+    @pytest.mark.parametrize("name", ["illum", "bifreq"])
+    def test_hot_bath_matches_the_multiprecision_sld(self, name, n_th):
+        if name == "illum":
+            fam = illumination.received_family(illumination.QiParams(1.0, n_th, 0.0, 1e-4))
+        else:
+            fam = bifreq.received_family(bifreq.BifreqParams(0.9, 0.0, 1.0, 2.0, n_th))
+        oracle = matrix_family(fam)
+        a_mat, h_mp = monras.gaussian_sld_mp(oracle.state.sigma, oracle.dsigma, dps=800)
+        want = [float(x) for x in (a_mat[0, 0], a_mat[2, 2], a_mat[0, 2], h_mp)]
+        got = sld_standard_form(fam)
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w, rel=1e-13, abs=1e-300)
+
+    def test_constant_covariance_has_no_quadratic_part(self):
+        fam = displacement_family()
+        assert sld_standard_form(fam) == (0.0, 0.0, 0.0, gaussian_qfi(fam))
+
+    @pytest.mark.parametrize("name", list(LIBRARY_FAMILIES))
+    def test_scalar_fields_give_the_array_row(self, name):
+        build = LIBRARY_FAMILIES[name][0]
+        p = seeded_params(name, np.random.default_rng(43), 50)
+        rows = np.array(sld_standard_form(build(p)))
+        for i in range(50):
+            point = type(p)(*(getattr(p, f.name)[i].item() for f in fields(p)))
+            assert [x.hex() for x in sld_standard_form(build(point))] == [
+                x.hex() for x in rows[:, i].tolist()]
+
+    def test_pure_state_raises(self):
+        with pytest.raises(RegularizationError):
+            sld_standard_form(tmsv_family(0.5))
 
 
 class TestGaussianSld:

@@ -120,9 +120,14 @@ CHECKS = {
         "gaussian_qfi": {"cvmw.estimation.gaussian_qfi"},
         "gaussian_qfi_mp": {"cvmw.estimation.gaussian_qfi", "cvmw.bifreq.ratio",
                             "cvmw.bifreq.h_q_bifreq"},
-        "_sld_matrices": {"cvmw.estimation.gaussian_qfi"},
-        "matrix_family": {"cvmw.estimation.gaussian_qfi"},
-        "optimal_observable_numeric": {"cvmw.bifreq.optimal_coeffs"},
+        "gaussian_sld_mp": {"cvmw.estimation.sld_standard_form",
+                            "cvmw.estimation.gaussian_qfi", "cvmw.bifreq.optimal_coeffs"},
+        "_sld_matrices": {"cvmw.estimation.gaussian_qfi",
+                          "cvmw.estimation.sld_standard_form"},
+        "matrix_family": {"cvmw.estimation.gaussian_qfi",
+                          "cvmw.estimation.sld_standard_form"},
+        "optimal_observable_numeric": {"cvmw.bifreq.optimal_coeffs",
+                                       "cvmw.estimation.sld_standard_form"},
     },
     "fock_ops.py": {
         "destroy": FOCK_MOMENTS,

@@ -253,7 +253,7 @@ def test_bifreq_columns():
         p = bifreq.BifreqParams(x["eta1"], 0.0, x["n_s"], x["n_signal"],
                                 x["n_th_bath"])
         h_c, h_q = bifreq.h_c_bifreq(p), h_q_constructive(p)
-        c = bifreq.optimal_coeffs(p)
+        c = monras.optimal_observable_numeric(p)
         # l0 from the moments of the constructive received state
         cm = bifreq_received_constructive(p)
         occ1 = (np.trace(cm.sigma_a) / 2.0 - 1.0) / 2.0
