@@ -65,7 +65,9 @@ def thermal_ratio(beta_omega1, delta_rel):
 
 
 def bifreq_probe(params):
-    """Four-mode probe (bath 1, signal 1, bath 2, signal 2)."""
+    """Four-mode probe (bath 1, signal 1, bath 2, signal 2). On numpy, not
+    core.math_map: near the top of the float range of n_r, np.cosh gives
+    inf where math.cosh raises."""
     scale = 1.0 + 2.0 * params.n
     ch, sh = np.cosh, np.sinh
     r = np.arcsinh(np.sqrt(2.0 * params.n_r))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import any_true, pow2_scale, to_float
+from .core import any_true, math_map, pow2_scale
 from .entanglement import BipartiteCM
 
 # CODATA exact SI values
@@ -82,7 +82,8 @@ class LinkGeometry:
 
 
 def bose_einstein(nu, t):
-    """Mean thermal photon number 1/(e^{h nu / k T} - 1)."""
+    """Mean thermal photon number 1/(e^{h nu / k T} - 1). On numpy, not
+    core.math_map: a huge h nu / k T gives 0 here, where math.expm1 raises."""
     if nu <= 0 or t <= 0:
         raise ValueError("frequency and temperature must be positive")
     return 1.0 / np.expm1(PLANCK * nu / (BOLTZMANN * t))
@@ -90,7 +91,7 @@ def bose_einstein(nu, t):
 
 def eta_env(ch):
     """Environment reflectivity -expm1(-mu L) of the attenuation channel."""
-    return -np.expm1(-ch.mu * ch.L)
+    return -math_map(math.expm1, -ch.mu * ch.L)
 
 
 def _on_points(fn, x):
@@ -159,11 +160,11 @@ def tmst_at(polys, mu, length):
 
     A distance that is not an array gives Python floats, on which the
     formulas downstream (fidelities, subtraction) run several times as fast
-    as on numpy scalars. u comes from np.expm1 either way, so a scalar
-    distance gives its array row bit for bit; math.expm1 rounds some
-    arguments differently from numpy's array loop, and is not used.
+    as on numpy scalars. u comes from math.expm1 either way (core.math_map),
+    so a scalar distance gives its array row bit for bit on every CPU; the
+    argument is never positive, so math.expm1 cannot overflow.
     """
-    u = -to_float(np.expm1(-0.5 * mu * length))
+    u = -math_map(math.expm1, -0.5 * mu * length)
     (a0, a1, a2), (b0, b1, b2), (g0, g1, g2) = polys
     return a0 + u * (a1 + u * a2), b0 + u * (b1 + u * b2), g0 + u * (g1 + u * g2)
 
@@ -236,13 +237,13 @@ def source_terms(r, n, n_th):
         raise ValueError("source occupation n must be non-negative")
     scale = 1.0 + 2.0 * n
     try:  # math.cosh raises where np.cosh would warn and give inf
-        finite = math.isfinite(scale * math.cosh(2.0 * r))
+        a = scale * math.cosh(2.0 * r)
     except OverflowError:
-        finite = False
-    if not finite:
+        a = math.inf
+    if not math.isfinite(a):
         raise ValueError("the source's (1 + 2n) cosh 2r overflows at r = %g, "
                          "n = %g" % (r, n))
-    a, c = scale * float(np.cosh(2.0 * r)), scale * float(np.sinh(2.0 * r))
+    c = scale * math.sinh(2.0 * r)
     e = 1.0 + 2.0 * n_th
     if not math.isfinite(e):
         raise ValueError("the environment's 1 + 2 n_th overflows at n_th = %g" % n_th)
@@ -365,7 +366,8 @@ def fspl(nu, d):
     logarithms, so no product of d and nu can overflow."""
     if any_true((nu <= 0) | (d <= 0)):
         raise ValueError("frequency and distance must be positive")
-    return 20.0 * (np.log10(d) + np.log10(nu) + math.log10(4.0 * math.pi / LIGHT_SPEED))
+    return 20.0 * (math_map(math.log10, d) + math_map(math.log10, nu)
+                   + math.log10(4.0 * math.pi / LIGHT_SPEED))
 
 
 def tau_path(geom):
@@ -384,7 +386,7 @@ def spot_size(geom):
 def tau_diffraction(geom):
     """Diffraction-induced transmissivity 1 - e^{-2 (a_R / w(d))^2}; the
     ratio is squared, not w, which overflows first."""
-    return -np.expm1(-2.0 * (geom.a_r / spot_size(geom)) ** 2)
+    return -math_map(math.expm1, -2.0 * (geom.a_r / spot_size(geom)) ** 2)
 
 
 def eta_threshold_asym(n_th):
@@ -396,7 +398,7 @@ def eta_threshold_sym(n_th, r):
     """Same threshold for the symmetric state at squeezing r > 0."""
     if r <= 0.0:
         raise ValueError("the symmetric threshold needs squeezing r > 0")
-    return 1.0 / (1.0 + n_th * (1.0 + 1.0 / np.tanh(r)))
+    return 1.0 / (1.0 + n_th * (1.0 + 1.0 / math.tanh(r)))
 
 
 def aperture_product_threshold(wavelength, eta_lim, d):
@@ -407,7 +409,7 @@ def aperture_product_threshold(wavelength, eta_lim, d):
     """
     if not 0.0 < eta_lim < 1.0:
         raise ValueError("eta_lim must lie in (0, 1)")
-    return d * (wavelength / np.pi) * np.sqrt(-np.log(eta_lim))
+    return d * (wavelength / np.pi) * math.sqrt(-math.log(eta_lim))
 
 
 # -- parameter profiles -------------------------------------------------

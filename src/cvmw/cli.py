@@ -10,6 +10,7 @@ Exit codes: 0 ok, 1 usage error, 2 computation error, 3 anchor failure.
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -44,11 +45,17 @@ class SweepSpec:
             raise ValueError("sweep start must be below stop")
 
     def values(self):
-        if self.log:
-            if self.start <= 0:
-                raise ValueError("log sweeps need a positive start")
-            return np.geomspace(self.start, self.stop, self.count)
-        return np.linspace(self.start, self.stop, self.count)
+        """The grid; a log grid is 10 ** linspace(log10 start, log10 stop)
+        through core.math_map, with the ends set to start and stop as
+        np.geomspace does, whose power loop rounds by numpy's SIMD target."""
+        if not self.log:
+            return np.linspace(self.start, self.stop, self.count)
+        if self.start <= 0:
+            raise ValueError("log sweeps need a positive start")
+        exponents = np.linspace(math.log10(self.start), math.log10(self.stop), self.count)
+        grid = core.math_map(functools.partial(math.pow, 10.0), exponents)
+        grid[0], grid[-1] = self.start, self.stop
+        return grid
 
 
 class _Parser(argparse.ArgumentParser):
@@ -177,7 +184,7 @@ def _resolve_params(args, usage_error):
 # A point that fails raises, and the command exits 2.
 
 def _negativity_table(x):
-    r, lam = x["r"], np.tanh(x["r"])
+    r, lam = x["r"], core.math_map(math.tanh, x["r"])
     # PsTmsv rejects tanh r = 1 before tmsv_negativity divides by zero
     ps2, ps4 = distill.PsTmsv(lam, x["tau"], 1), distill.PsTmsv(lam, x["tau"], 2)
     base = distill.tmsv_negativity(lam)

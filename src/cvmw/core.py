@@ -6,6 +6,12 @@ Conventions used throughout the package:
 * quadrature ordering is interleaved, r = (x1, p1, ..., xN, pN)
 * the vacuum covariance matrix is the identity (a = (x + ip)/sqrt(2))
 * a coherent state |alpha> has displacement d = sqrt(2)(Re alpha, Im alpha)
+
+Transcendentals of a scalar or an array go through math_map, which applies
+a math function to a Python float directly and to an array element by
+element: numpy's SIMD loops round exp, expm1, cosh, sinh, tanh, log10 and
+power differently from the C library on some CPUs, so only the math route
+gives a float and its array row the same bits on every CPU.
 """
 
 import functools
@@ -60,6 +66,17 @@ def pow2_scale(x):
     if x.__class__ is not float and isinstance(x, np.ndarray):
         return np.ldexp(1.0, -np.frexp(x)[1])
     return math.ldexp(1.0, -math.frexp(x)[1])
+
+
+def math_map(fn, x):
+    """fn, a function of one float from math, at x: directly on a scalar,
+    which gives a Python float, and element by element on an array, so each
+    row has the bits of the scalar call on every CPU. fn raises where math
+    does (math.log10(0.0), math.exp(1e3)); a site whose arguments can reach
+    such a point stays on numpy."""
+    if x.__class__ is not float and isinstance(x, np.ndarray):
+        return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return fn(x)
 
 
 def to_float(x):

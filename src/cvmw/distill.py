@@ -8,11 +8,12 @@ resulting non-Gaussian teleportation resources through effective Gaussian
 covariance matrices.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SIGMA_Z, all_true, any_true, omega, pow2_scale
+from .core import SIGMA_Z, all_true, any_true, math_map, omega, pow2_scale
 from .entanglement import BipartiteCM
 
 
@@ -26,7 +27,13 @@ def _hyp2f1_numerator(k, z):
 
 def hyp2f1_k(k, z):
     """Gauss hypergeometric 2F1(k + 1, k + 1; 1; z) for k in {0, 1, 2}, |z| < 1."""
-    return _hyp2f1_numerator(k, z) / (1.0 - z) ** (2 * k + 1)
+    return _hyp2f1_numerator(k, z) / _power(1.0 - z, 2 * k + 1)
+
+
+def _power(x, p):
+    """x ** p through core.math_map, elementwise: numpy's power loop rounds
+    by its SIMD target, math.pow alike on every CPU."""
+    return math_map(lambda v: math.pow(v, p), x)
 
 
 @dataclass
@@ -52,14 +59,14 @@ class PsTmsv:
     def amplitude(self, n):
         """Unnormalized coefficient a_n of |n, n> in the subtracted state."""
         from math import comb
-        return (np.sqrt(1.0 - self.lam ** 2) * self.lam ** (n + self.k)
-                * comb(n + self.k, self.k) * (1.0 - self.tau) ** self.k
-                * self.tau ** n)
+        return (np.sqrt(1.0 - self.lam ** 2) * _power(self.lam, n + self.k)
+                * comb(n + self.k, self.k) * _power(1.0 - self.tau, self.k)
+                * _power(self.tau, n))
 
     def success_probability(self):
         """P_2k = sum_n |a_n|^2 in closed form."""
         lt = self.lam_tau
-        return ((1.0 - self.lam ** 2) * (self.lam - lt) ** (2 * self.k)
+        return ((1.0 - self.lam ** 2) * _power(self.lam - lt, 2 * self.k)
                 * hyp2f1_k(self.k, lt ** 2))
 
     def negativity(self):
@@ -69,7 +76,7 @@ class PsTmsv:
         1 - lam_tau cancel in closed form, leaving one factor as lam_tau -> 1.
         """
         lt = self.lam_tau
-        return 0.5 * ((1.0 + lt) ** (2 * self.k + 1)
+        return 0.5 * (_power(1.0 + lt, 2 * self.k + 1)
                       / ((1.0 - lt) * _hyp2f1_numerator(self.k, lt ** 2)) - 1.0)
 
 

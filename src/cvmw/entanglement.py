@@ -96,7 +96,9 @@ def negativity_from_nu(nu_minus):
 
 
 def log_negativity_from_nu(nu_minus):
-    """E_N = max{0, -log2 nu_minus}, elementwise; +0 where nu_minus >= 1."""
+    """E_N = max{0, -log2 nu_minus}, elementwise; +0 where nu_minus >= 1.
+    On numpy, not core.math_map: nu_minus = 0 gives inf here, where
+    math.log2 raises."""
     # -log2(1) is -0.0, which np.maximum keeps; adding +0.0 clears the sign
     return np.maximum(0.0, -np.log2(nu_minus)) + 0.0
 

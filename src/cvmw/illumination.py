@@ -6,11 +6,12 @@ e^{-gamma} to the effective (amplitude) reflectivity. The received states
 and the quantum and classical Fisher informations are closed forms.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianState, SIGMA_Z, all_true, any_true, sqrt, to_float, where
+from .core import GaussianState, SIGMA_Z, all_true, any_true, math_map, sqrt, where
 from .estimation import GaussianFamily, RegularizationError
 
 
@@ -29,8 +30,9 @@ class QiParams:
 
 
 def eta_eff(eta, gamma):
-    """Effective amplitude reflectivity eta * e^{-gamma} of object plus medium."""
-    return eta * to_float(np.exp(-gamma))
+    """Effective amplitude reflectivity eta * e^{-gamma} of object plus medium;
+    gamma >= 0, so math.exp cannot overflow here or in the families."""
+    return eta * math_map(math.exp, -gamma)
 
 
 def qi_probe(n_s, n_th):
@@ -88,13 +90,13 @@ def h_q(params):
         raise RegularizationError(
             "H_Q requires n_th > 0 (received state pure at the boundary)")
     n_s, n_th = params.n_s, params.n_th
-    return (4.0 * n_s * np.exp(-2.0 * params.gamma) * (1.0 + n_s)
+    return (4.0 * n_s * math_map(math.exp, -2.0 * params.gamma) * (1.0 + n_s)
             / (1.0 + 2.0 * n_s * n_th + n_s + n_th))
 
 
 def h_c(params):
     """Coherent-probe QFI for the reflectivity, closed form at eta ~ 0."""
-    return (4.0 * np.exp(-2.0 * params.gamma) * params.n_s
+    return (4.0 * math_map(math.exp, -2.0 * params.gamma) * params.n_s
             / (2.0 * params.n_th + 1.0))
 
 
@@ -112,7 +114,7 @@ def received_family(params):
     x = eta e^{-gamma}: dalpha = 4 n_s x e^{-gamma} and
     dgamma = 2 sqrt(n_s (1 + n_s)) e^{-gamma}.
     """
-    n_s, e = params.n_s, to_float(np.exp(-params.gamma))
+    n_s, e = params.n_s, math_map(math.exp, -params.gamma)
     return GaussianFamily(*received_params(params), 4.0 * n_s * params.eta * e * e, 0.0,
                           2.0 * sqrt(n_s * (1.0 + n_s)) * e, (0.0, 0.0, 0.0, 0.0),
                           params.eta)
@@ -128,7 +130,7 @@ def classical_received_family(params):
     eta, 0). The spectator, of variance 1 + 2 n_th, keeps the family
     two-mode without touching the information content.
     """
-    n_th, e = params.n_th, to_float(np.exp(-params.gamma))
+    n_th, e = params.n_th, math_map(math.exp, -params.gamma)
     x = params.eta * e
     return GaussianFamily(1.0 + 2.0 * n_th * (1.0 - x ** 2), 1.0 + 2.0 * n_th, 0.0,
                           -4.0 * n_th * x * e, 0.0, 0.0,

@@ -332,7 +332,7 @@ def tmst_polys_array(r, n, n_th, eta_ant, geometry):
     t0^2 (2u - u^2), t0 = sqrt(1 - eta_ant), in the asymmetric geometry and
     eta_ant + t0 u, t0 = 1 - eta_ant, in the symmetric one; gamma = c t0 (1 - u)."""
     scale = 1.0 + 2.0 * n
-    a, c, e = scale * np.cosh(2.0 * r), scale * np.sinh(2.0 * r), 1.0 + 2.0 * n_th
+    a, c, e = scale * math.cosh(2.0 * r), scale * math.sinh(2.0 * r), 1.0 + 2.0 * n_th
     at_source = a + (e - a) * eta_ant
     if geometry == "asym":
         t0 = np.sqrt(1.0 - eta_ant)
@@ -366,7 +366,7 @@ def half_fidelity_poly_array(resource):
         alpha, beta, gamma = tmst_polys_array(*link, resource.geometry)
         return half_fidelity_condition_array(alpha, beta, gamma, k, one)
     scale = 1.0 + 2.0 * resource.n
-    a, c = scale * np.cosh(2.0 * resource.r), scale * np.sinh(2.0 * resource.r)
+    a, c = scale * math.cosh(2.0 * resource.r), scale * math.sinh(2.0 * resource.r)
     beta_l, _, gamma_t = tmst_polys_array(*link, "sym")
     gamma_sq = c * gamma_t
     den = 2.0 * (beta_l + k * (one + poly_mul(beta_l, beta_l)) + k * k * beta_l)

@@ -1252,8 +1252,8 @@ class TestArrayFidelity:
     @pytest.mark.parametrize("geometry", ["asym", "sym"])
     def test_scalar_params_equal_array_rows_over_the_march_range(self, geometry):
         # a float distance and an array row must round u = -expm1(-mu L / 2)
-        # alike: math.expm1 differs from numpy's array loop on 5 of these
-        # 20,000 distances at table1 on an AVX-512 machine
+        # alike: both take math.expm1 through core.math_map, where numpy's
+        # AVX-512 loop differs from it on 5 of these 20,000 distances at table1
         lengths = np.linspace(0.0, MAX_DISTANCE, 20000)
         link = (TABLE1["n_th"], TABLE1["eta_ant"], TABLE1["r"], TABLE1["n"], geometry)
         rows = zip(*channel.tmst_params(TABLE1["mu"], lengths, *link))
