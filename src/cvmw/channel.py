@@ -154,17 +154,31 @@ def tmst_params(mu, length, n_th, eta_ant, r, n, geometry):
 
 def tmst_at(polys, mu, length):
     """A link's tmst_polys evaluated by Horner at u = -expm1(-mu L / 2), the
-    same u in both geometries, elementwise over an array of distances. The
-    one place that forms u: tmst_params, teleport.TeleportResource.fidelity
-    and its classical-limit march all evaluate a link through it.
+    same u in both geometries, elementwise over an array of distances:
+    tmst_at_u at tmst_u. tmst_params and teleport.TeleportResource.fidelity
+    evaluate a link through it, and the channel table through its two parts,
+    forming u once for both geometries. The one other place that forms u is
+    the classical-limit march's step (teleport.TeleportResource._march_step),
+    which writes these float operations out; tests/test_teleport.py::
+    TestGridBracket::test_the_step_is_fidelity ties the two bit for bit.
 
     A distance that is not an array gives Python floats, on which the
     formulas downstream (fidelities, subtraction) run several times as fast
-    as on numpy scalars. u comes from math.expm1 either way (core.math_map),
-    so a scalar distance gives its array row bit for bit on every CPU; the
-    argument is never positive, so math.expm1 cannot overflow.
+    as on numpy scalars.
     """
-    u = -math_map(math.expm1, -0.5 * mu * length)
+    return tmst_at_u(polys, tmst_u(mu, length))
+
+
+def tmst_u(mu, length):
+    """u = -expm1(-mu L / 2) of tmst_polys, elementwise. It comes from
+    math.expm1 for a float and an array alike (core.math_map), so a scalar
+    distance gives its array row bit for bit on every CPU; the argument is
+    never positive, so math.expm1 cannot overflow."""
+    return -math_map(math.expm1, -0.5 * mu * length)
+
+
+def tmst_at_u(polys, u):
+    """A link's tmst_polys evaluated by Horner at u (tmst_u), elementwise."""
     (a0, a1, a2), (b0, b1, b2), (g0, g1, g2) = polys
     return a0 + u * (a1 + u * a2), b0 + u * (b1 + u * b2), g0 + u * (g1 + u * g2)
 
@@ -370,16 +384,28 @@ def fspl(nu, d):
                    + math.log10(4.0 * math.pi / LIGHT_SPEED))
 
 
+def _square(geom, field):
+    """The square of a LinkGeometry field, elementwise. ** on a Python float
+    raises a bare OverflowError that names nothing; this one names the field
+    and its value."""
+    x = getattr(geom, field)
+    try:
+        return x ** 2
+    except OverflowError:
+        raise ValueError("the link geometry's %s^2 overflows at %s = %g"
+                         % (field, field, x)) from None
+
+
 def tau_path(geom):
     """Parabolic path transmissivity (pi a^2 e_a / (4 d lambda))^2."""
-    return (np.pi * geom.a ** 2 * geom.e_a
+    return (np.pi * _square(geom, "a") * geom.e_a
             / (4.0 * geom.d * geom.wavelength)) ** 2
 
 
 def spot_size(geom):
     """Beam spot size (w0 / sqrt 2)(d / z_R) at the link distance d of a beam
     of waist w0 focused there, with Rayleigh range z_R = pi w0^2 / (2 lambda)."""
-    rayleigh = np.pi * geom.w0 ** 2 / (2.0 * geom.wavelength)
+    rayleigh = np.pi * _square(geom, "w0") / (2.0 * geom.wavelength)
     return (geom.w0 / np.sqrt(2.0)) * (geom.d / rayleigh)
 
 

@@ -300,9 +300,10 @@ def _swap_table(x):
 def _channel_table(x):
     ch = channel.AirChannel(x["mu"], x["L"], x["n_th"], x["eta_ant"])
     columns = {"L": x["L"]}
+    u = channel.tmst_u(ch.mu, ch.L)  # both geometries share it
     for geometry in ("asym", "sym"):
-        nu = entanglement.nu_minus_standard(*channel.tmst_params(
-            ch.mu, ch.L, ch.n_th_env, ch.eta_ant, x["r"], x["n"], geometry))
+        link = channel.tmst_polys(x["r"], x["n"], ch.n_th_env, ch.eta_ant, geometry)
+        nu = entanglement.nu_minus_standard(*channel.tmst_at_u(link, u))
         columns["nu_minus_" + geometry] = nu
         columns["log_neg_" + geometry] = entanglement.log_negativity_from_nu(nu)
     columns["eta_env"] = channel.eta_env(ch)

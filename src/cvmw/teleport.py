@@ -7,6 +7,8 @@ at a distance by channel.tmst_at, and applies closed forms: the finite-gain
 fidelity here, and distill.ps2_fidelity for both 2PS kinds. The polynomials
 hold the geometry, full L for the asymmetric link and L/2 per arm for the
 symmetric one. A swap joins two asymmetric links of L/2 each (swap_link).
+The classical-limit march of the 2ps-*-asym kinds writes the float
+operations of that route out in one function (TeleportResource._march_step).
 The general-matrix routes (fidelity_concatenated, fidelity_2ps_general,
 fidelity_heuristic) take a BipartiteCM.
 """
@@ -259,19 +261,72 @@ class TeleportResource:
                                     self.tau if form == "2ps-prob" else None)
 
     def _march_step(self):
-        """F - 1/2 of a marched kind at a float distance in [0, MAX_DISTANCE]:
-        fidelity's route (channel.tmst_at, then distill.ps2_fidelity) on the
-        link's tmst_polys read once, with mu, tau and both functions bound
-        once. The march takes its step from this method alone; tests replace
-        it to watch or break it."""
+        """F - 1/2 of a marched kind at a float distance in [0, MAX_DISTANCE],
+        as one straight-line function of Python floats: the float operations
+        of fidelity's route, channel.tmst_at (u = -expm1(-mu L/2), then the
+        Horner of the link's tmst_polys) and distill.ps2_fidelity for the
+        kind (_ps2_numerators and its two singular-block checks, the power of
+        two scalings, _ps2_kernel with its E <= 0 rescue), one for one and
+        with the same errors, so every step is fidelity(L) - 1/2 bit for bit
+        (tests/test_teleport.py::TestGridBracket ties the two routes). The
+        link, mu, tau and the functions of math are bound once per root, and
+        a step makes no Python call but those of math. The march takes its
+        step from this method alone; tests replace it to watch or break it."""
         form, geometry, _ = FORMS[self.kind]
-        link = channel_mod.tmst_polys(self.r, self.n, self.n_th, self.eta_ant, geometry)
-        mu, tau = self.mu, self.tau if form == "2ps-prob" else None
-        tmst_at, ps2_fidelity = channel_mod.tmst_at, distill.ps2_fidelity
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = channel_mod.tmst_polys(
+            self.r, self.n, self.n_th, self.eta_ant, geometry)
+        half_mu, half = -0.5 * self.mu, CLASSICAL_FIDELITY
+        expm1, frexp, ldexp = math.expm1, math.frexp, math.ldexp
+
+        heuristic = form == "2ps-heur"
+        tau = 0.5 if heuristic else self.tau  # a heuristic step reads no tau
+        if not 0.0 < tau < 1.0:
+            raise ValueError("transmissivity must lie in (0, 1)")
+        one_minus, one_plus = 1.0 - tau, 1.0 + tau
+        two_tau, four_tau, tau_sq = 2.0 * tau, 4.0 * tau, tau ** 2
 
         def excess_at(length):
-            alpha, beta, gamma = tmst_at(link, mu, length)
-            return ps2_fidelity(alpha, beta, gamma, tau) - CLASSICAL_FIDELITY
+            u = -expm1(half_mu * length)
+            alpha = a0 + u * (a1 + u * a2)
+            beta = b0 + u * (b1 + u * b2)
+            gamma = c0 + u * (c1 + u * c2)
+            if heuristic:
+                d = ldexp(1.0, -frexp(alpha + beta)[1])
+                a, b, g = d - alpha * d, d - beta * d, gamma * d
+            else:  # distill._ps2_numerators, then den scaled into [1/2, 1)
+                s = ldexp(1.0, -frexp(alpha + beta)[1])
+                alpha_s, beta_s, gamma_s = alpha * s, beta * s, gamma * s
+                tol2 = 2e-7 * s
+                x_a2 = one_minus * alpha_s + one_plus * s
+                if abs(x_a2) < tol2:
+                    raise ValueError("singular X_A block")
+                g2 = gamma_s * gamma_s
+                a_minus, a_plus = s - alpha_s, s + alpha_s
+                b_minus, b_plus = s - beta_s, s + beta_s
+                cross = a_minus * b_minus - g2
+                den = (a_plus * b_plus - g2
+                       + two_tau * (s * s - alpha_s * beta_s + g2) + cross * tau_sq)
+                if abs(den / x_a2) < tol2:
+                    raise ValueError("singular Y block")
+                cross_tau = cross * tau
+                scale = ldexp(1.0, -frexp(den)[1])
+                a = two_tau * (a_minus * b_plus + g2 + cross_tau) * scale
+                b = two_tau * (a_plus * b_minus + g2 + cross_tau) * scale
+                g, d = four_tau * gamma_s * (s * scale), den * scale
+            # distill._ps2_kernel and ps2_fidelity's 4 (N/E) d/T^3
+            ab, g2 = a * b, g * g
+            e = ab + g2
+            if e <= 0.0:
+                s = ldexp(1.0, -frexp(abs(a) + abs(b) + abs(g))[1])
+                ab_s, g2_s = (a * s) * (b * s), (g * s) * (g * s)
+                if ab_s + g2_s <= 0.0:
+                    raise ValueError(distill._E0_NOT_POSITIVE)
+                ratio = (ab_s - g2_s) / (ab_s + g2_s)
+            else:
+                ratio = (ab - g2) / e
+            n_e = (ab - g2) * ratio + 2.0 * (2.0 * g - a - b) * ratio * d + 8.0 * d * d
+            t = 4.0 * d - a - b - 2.0 * g
+            return 4.0 * n_e / (t * t * t) * d - half
         return excess_at
 
     def _half_fidelity_poly(self):

@@ -10,7 +10,7 @@ from cvmw.channel import (AirChannel, LinkGeometry, aperture_product_threshold,
                           eta_threshold_asym, eta_threshold_sym,
                           fspl, hemt_amplify, l_max,
                           load_profile, lossy_tmst, parse_profile,
-                          tau_diffraction, tau_path)
+                          spot_size, tau_diffraction, tau_path)
 from cvmw.entanglement import BipartiteCM, negativity, pts_eigenvalues
 from tests.oracles.general import friis
 from tests.oracles.routes import eta_eff, l_max_quartic, lossy_tmst_constructive
@@ -412,6 +412,13 @@ class TestLinkBudget:
         db1 = fspl(5e9, 1000.0)
         db2 = fspl(5e9, 2000.0)
         assert db2 - db1 == pytest.approx(20.0 * np.log10(2.0), abs=1e-12)
+
+    @pytest.mark.parametrize("fn,field", [(tau_path, "a"), (spot_size, "w0")])
+    def test_overflowing_square_names_its_field(self, fn, field):
+        geom = LinkGeometry(**{"nu": 5e9, "d": 1e5, "a": 3.0, field: 1e300})
+        with pytest.raises(ValueError, match=r"^the link geometry's %s\^2 overflows "
+                           r"at %s = 1e\+300$" % (field, field)):
+            fn(geom)
 
     def test_friis_equals_tau_path(self):
         geom = LinkGeometry(nu=5e9, d=1e5, a=3.0, e_a=0.7)

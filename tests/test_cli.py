@@ -597,6 +597,17 @@ def test_overflowing_source_or_environment_exits_2_naming_it(argv, names):
     assert names in lines[0]
 
 
+def test_overflowing_aperture_exits_2_naming_it():
+    """A squared LinkGeometry field that overflows stops with one line that
+    names it: the satellite table squares a = 2 w0 first, in tau_path."""
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "cvmw.cli", "satellite",
+                           "--set", "w0=1e300", "--sweep", "d", "1e-300", "1e300", "3",
+                           "--log"], capture_output=True, text=True, env=ENV)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("computation error: the link geometry's a^2 overflows "
+                           "at a = 2e+300\n"), proc.stderr
+
+
 @pytest.mark.parametrize("kind,setting", [
     ("tmst", "r=400"), ("tmsv", "r=400"), ("thermal", "n_th=1e308"),
     ("qi-probe", "n_s=1e308"), ("bifreq-probe", "n_s=1e308"),
@@ -967,6 +978,21 @@ class TestOtherCommands:
             cm = chmod.lossy_tmst(ch, 1.0, 0.01, "asym")
             assert float(row["nu_minus_asym"]) == pytest.approx(
                 pts_eigenvalues(cm)[0], rel=1e-14)
+
+    def test_channel_table_forms_u_once(self, monkeypatch):
+        # one expm1 pass over the grid for u = -expm1(-mu L/2), shared by
+        # both geometries, and one for eta_env's -expm1(-mu L)
+        passes = []
+        math_map = channel.math_map
+
+        def counted(fn, x):
+            if fn is math.expm1:
+                passes.append(np.size(x))
+            return math_map(fn, x)
+        monkeypatch.setattr(channel, "math_map", counted)
+        code, out, _ = run_cli("channel", "--sweep", "L", "0", "500", "6")
+        assert code == 0 and len(parse_csv(out)) == 6
+        assert passes == [6, 6]
 
     def test_satellite_fspl(self):
         _, out, _ = run_cli("satellite", "--sweep", "d", "1000", "2000", "2")

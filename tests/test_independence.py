@@ -55,6 +55,8 @@ CHECKS = {
         "lossy_tmst_constructive": {"cvmw.channel.lossy_tmst",
                                     "cvmw.channel.tmst_params",
                                     "cvmw.channel.tmst_at",
+                                    "cvmw.channel.tmst_u",
+                                    "cvmw.channel.tmst_at_u",
                                     "cvmw.channel.source_terms",
                                     "cvmw.channel.tmst_polys"},
         "bifreq_received_constructive": {"cvmw.bifreq.bifreq_received",

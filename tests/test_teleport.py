@@ -684,6 +684,48 @@ class TestGridBracket:
             assert type(length) is float
             assert excess.hex() == (res.fidelity(length) - 0.5).hex()
 
+    @staticmethod
+    def assert_step_is_fidelity(res):
+        """At every ROOT_GRID point the step is F - 1/2 bit for bit, or
+        raises fidelity's ValueError with the same text."""
+        step = res._march_step()
+        for length in ROOT_GRID:
+            try:
+                expected = res.fidelity(length) - 0.5
+            except ValueError as error:
+                with pytest.raises(ValueError, match="^%s$" % re.escape(str(error))):
+                    step(length)
+            else:
+                assert step(length).hex() == expected.hex()
+
+    @pytest.mark.parametrize("kind", MARCHED_KINDS)
+    @pytest.mark.parametrize("link", [dict(tau=1e-300), dict(tau=1e-200),
+                                      dict(tau=1e-12), dict(tau=1.0 - 1e-12),
+                                      dict(n_th=1e300), dict(n_th=1e-300)], ids=repr)
+    def test_the_step_is_fidelity_on_rare_links(self, kind, link):
+        # the step writes out fidelity's float operations, so each branch of
+        # them is checked: at tau = 1e-300 and 1e-200 _ps2_kernel's E <= 0
+        # rescue runs at every grid point of 2ps-prob, and n_th = 1e300 puts
+        # the scaled entries near the ends of the float range
+        self.assert_step_is_fidelity(resource(kind, **link))
+
+    @pytest.mark.parametrize("kind,polys,message", [
+        ("2ps-prob-asym", ((-3.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+         "singular X_A block"),
+        ("2ps-prob-asym", ((1.0, 0.0, 0.0), (1.0, 0.0, 0.0), (4.0, 0.0, 0.0)),
+         "singular Y block"),
+        ("2ps-heur-asym", ((2.0, 0.0, 0.0), (0.5, 0.0, 0.0), (0.0, 0.0, 0.0)),
+         distill._E0_NOT_POSITIVE)])
+    def test_the_step_raises_what_fidelity_raises(self, kind, polys, message,
+                                                  monkeypatch):
+        # unphysical links, one per check of ps2_fidelity: at tau = 1/2, X_A
+        # vanishes at alpha = -3 and Y at alpha = beta = 1, gamma = 4
+        monkeypatch.setattr(channel, "tmst_polys", lambda *link: polys)
+        res = resource(kind, tau=0.5)
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            res.fidelity(100.0)
+        self.assert_step_is_fidelity(res)
+
     @pytest.mark.parametrize("kind", MARCHED_KINDS)
     def test_march_is_close_to_a_tight_brentq_root(self, kind):
         from scipy.optimize import brentq
