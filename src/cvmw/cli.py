@@ -81,20 +81,218 @@ def _report(args, note, **body):
 
 def _table_text(args, note, columns):
     """CSV or JSON text of {name: array or scalar}, broadcast to one length;
-    floats keep 17 significant digits, no CSV cell needs quoting, and a
-    non-finite JSON cell is null."""
+    no CSV cell needs quoting, and a non-finite JSON cell is null.
+
+    Each CSV float cell is the bytes of '%.17g' % x, nan, inf and -0 among
+    them, and any other cell those of '%s' % v. A column of one cell is
+    formatted once. The rest go a block of rows at a time (_csv_block)
+    into one byte array of fixed-width cells, each its text and separator
+    padded with zero bytes, from which one pass keeps the text."""
     names = list(columns)
-    arrays = np.broadcast_arrays(*map(np.atleast_1d, columns.values()))
     if args.format == "json":
+        arrays = np.broadcast_arrays(*map(np.atleast_1d, columns.values()))
         cells = [np.where(np.isfinite(col), col, None) if col.dtype.kind == "f"
                  else col for col in arrays]
         rows = [dict(zip(names, row)) for row in zip(*(col.tolist() for col in cells))]
         report = _report(args, note, columns=names, rows=rows)
         return json.dumps(report, indent=2, allow_nan=False) + "\n"
-    data = [col.tolist() for col in arrays]
-    line = ",".join("%.17g" if col.dtype.kind == "f" else "%s"
-                    for col in arrays) + "\n"
-    return ",".join(names) + "\n" + "".join([line % row for row in zip(*data)])
+    cols = [np.atleast_1d(col) for col in columns.values()]
+    count = max(map(len, cols))
+    if any(len(col) not in (1, count) for col in cols):
+        raise ValueError("table columns of %s rows do not broadcast"
+                         % sorted({len(col) for col in cols}))
+    seps = [","] * (len(cols) - 1) + ["\n"]
+    # a column of one cell is formatted once, into a row each block starts from
+    once = [((("%.17g" if col.dtype.kind == "f" else "%s") % col[0]) + sep).encode()
+            if len(col) == 1 else b"" for col, sep in zip(cols, seps)]
+    header = ",".join(names) + "\n"
+    if count == 1:
+        return header + b"".join(once).decode("ascii")
+    words = max(_FLOAT_WORDS, max(map(len, once)) // 8 + 1)
+    template = np.frombuffer(b"".join([text.ljust(8 * words, b"\0") for text in once]),
+                             "<u8").reshape(len(cols), words)
+    step = max(1, _BLOCK_CELLS // len(cols))
+    return header + "".join(
+        [_csv_block([None if len(col) == 1 else col[start:start + step] for col in cols],
+                    min(step, count - start), seps, template)
+         for start in range(0, count, step)])
+
+
+def _csv_block(cols, rows, seps, template):
+    """The CSV text of one block of rows. cols holds the block of each
+    column, None where the template row holds its text; seps the separator
+    after each. A column whose every cell prints as its float, a float
+    column or one of ints below 2**53 in magnitude, goes through
+    _float_cells; any other cell is '%s' % v."""
+    kernel, texts = [], {}
+    for i, col in enumerate(cols):
+        if col is None:
+            continue
+        if col.dtype.kind == "f" or (col.dtype.kind in "iu"
+                                     and -2 ** 53 < col.min() and col.max() < 2 ** 53):
+            kernel.append(i)
+        else:
+            texts[i] = np.array(["%s%s" % (v, seps[i]) for v in col.tolist()], "S")
+    words = max([template.shape[1]] + [text.itemsize // 8 + 1 for text in texts.values()])
+    if kernel:
+        x = np.array([cols[i] for i in kernel], dtype=float).T.copy()
+        cells = _float_cells(x, [seps[i] for i in kernel])
+    if len(kernel) == len(cols) and words == _FLOAT_WORDS:
+        buf = cells
+    else:
+        buf = np.zeros((rows, len(cols), words), "<u8")
+        buf[:, :, :template.shape[1]] = template
+        if kernel:
+            buf[:, kernel, :_FLOAT_WORDS] = cells
+    raw = buf.view(np.uint8)
+    for i, text in texts.items():
+        raw[:, i, :text.itemsize] = text.view(np.uint8).reshape(rows, -1)
+    return raw[raw != 0].tobytes().decode("ascii")
+
+
+# -- CSV floats: '%.17g' from an exact array kernel -------------------------
+#
+# A float cell is seven 8-byte words, 56 bytes in little-endian order, that
+# hold its text and separator among zero bytes. Bytes 7-23 hold its 17
+# digits as the integer part and bytes 31-47 the same digits as the
+# fraction, bytes 0-6 and 24-30 "0" characters as digits -7..-1. '%.17g'
+# puts the point after digit k of decade k in -4..16, and after digit 0,
+# with an exponent, below. A mask by decade and last nonzero digit keeps
+# the digits up to the point in the integer part and those after it up to
+# the last in the fraction, and a row of characters puts the sign, "0."
+# before a fraction below 1, the point in the fraction's slot of the digit
+# before it, the exponent and the separator. Tables by decade have rows for
+# k = -7..17 at k mod 25, which take(..., mode="wrap") reads at k.
+
+_BLOCK_CELLS = 1 << 11  # cells per block: bounds the writer's temporaries
+_FLOAT_WORDS = 7
+_DECADES = np.roll(np.arange(-7, 18), -7)  # k of each row
+_SPLIT = np.array(134217729.0)  # 2 ** 27 + 1, Veltkamp's split into 26-bit halves
+# 10 ** (16 - k) for k = -6..16, each a double, and its two halves; 0 for
+# k = -7 and 17, decades log10 can misjudge past the kernel's, which the
+# exactness check then turns away
+_SCALES = np.array([[float(10 ** (16 - k))] * 3 if -6 <= k <= 16 else [0.0] * 3
+                    for k in _DECADES.tolist()])
+_SCALES[:, 1] = _SPLIT * _SCALES[:, 0] - (_SPLIT * _SCALES[:, 0] - _SCALES[:, 0])
+_SCALES[:, 2] = _SCALES[:, 0] - _SCALES[:, 1]
+
+
+def _digit_tables():
+    """The four digit characters of 0..9999, the first in the lowest byte;
+    and by j 10**4 + v, 4 times the index among digits 1..16 of the last
+    nonzero digit of group v in place j, or 0."""
+    v = np.arange(10 ** 4, dtype=np.uint32)
+    groups = sum((v // 10 ** (3 - i) % 10 + ord("0")) << 8 * i for i in range(4))
+    zeros = sum((v % 10 ** i == 0).view(np.int8) for i in (1, 2, 3))
+    last = np.where(v > 0, np.arange(4, 20, 4, dtype=np.int8)[:, None] - zeros, 0) * 4
+    return groups.astype("<u4"), last.astype(np.int8).ravel()
+
+
+def _cell_tables():
+    """The mask and the characters of a float cell, by row
+    ((k 17 + last) 2 + ends its row) 2 + sign."""
+    k = _DECADES[:, None, None].astype(np.int8)
+    last = np.arange(17, dtype=np.int8)[:, None]
+    byte = np.arange(8 * _FLOAT_WORDS, dtype=np.int8)
+    digit = np.where(byte < 24, byte - 7, byte - 31)
+    fraction = (byte >= 24) & (byte < 48)
+    exponent = k < -4
+    below_one = (k < 0) & ~exponent
+    at = np.where(exponent, 0, k)  # the digit before the point
+    keep = np.where(byte < 24, (0 <= digit) & (digit <= at),
+                    fraction & (at < digit) & (digit <= last))
+    point = (last > at) | below_one
+    tail = np.where(point, 32 + last, 8 + at)  # the byte after the last digit
+    chars = np.select(
+        [fraction & (digit == at) & point, fraction & (digit == at - 1) & below_one,
+         exponent & (byte == tail), exponent & (byte == tail + 1),
+         exponent & (byte == tail + 2), exponent & (byte == tail + 3)],
+        [ord("."), ord("0"), ord("e"), ord("-"), ord("0"), ord("0") - k], 0).astype(np.uint8)
+    sign = np.where(byte == np.where(below_one, 29 + k, 6), ord("-"), 0).astype(np.uint8)
+    sep = byte == tail + 4 * exponent
+    ends = np.array([ord(","), ord("\n")], np.uint8)[:, None, None]
+    chars = (chars[:, :, None, None] + sep[:, :, None, None] * ends
+             + sign[:, :, None, None] * np.arange(2, dtype=np.uint8)[:, None])
+    keep = np.broadcast_to((keep * np.uint8(0xFF))[:, :, None, None], chars.shape)
+    return tuple(np.ascontiguousarray(table).view("<u8").reshape(-1, _FLOAT_WORDS)
+                 for table in (keep, chars))
+
+
+@functools.cache
+def _tables():
+    """The digit and cell tables, built when the first float cell is written:
+    a process that writes none, as the library's callers and `summary`, pays
+    neither their time nor their memory."""
+    return _digit_tables() + _cell_tables()
+
+
+_PLACES = np.arange(4)[:, None] * 10 ** 4
+# ufuncs take 0-d arrays faster than Python numbers
+_NIL, _ONE, _LOW, _HIGH, _LEAST = map(np.array, (0.0, 1.0, 1e-6, 1e17, 1e16))
+_E4, _E8, _E16, _E17 = (np.array(10 ** e) for e in (4, 8, 16, 17))
+_ROWS = np.array(68)  # cell table rows a decade: 17 last digits, 2 ends, 2 signs
+
+
+def _float_cells(x, seps):
+    """'%.17g' % v + sep for each v of the 2-d float64 array x, with the
+    separator seps[j] after column j, as the words of a float cell (see
+    above) by row and column.
+
+    The kernel takes zeros and each |v| in [1e-6, 1e17), whose decade k
+    lies in [-6, 16]. log10 guesses k; Dekker's exact two-product splits
+    v 10**(16 - k) into p + err (10**e is a double for e <= 22), and
+    N = p + rint(err) rounds it half to even, as p is an even integer. A cell is taken only where the exact pair shows
+    10**16 <= v 10**(16 - k) and N < 10**17, so the guess never decides a
+    digit. N's digits come four at a time from a table. Every other cell is
+    formatted one by one."""
+    groups, last_digit, keep, chars = _tables()
+    shape = x.shape
+    x = x.ravel()
+    a = np.abs(x)
+    zero = a == _NIL
+    taken = (a >= _LOW) & (a < _HIGH)
+    a = np.where(taken, a, _ONE)
+    k = np.floor(np.log10(a)).astype(np.intp)
+    c, c_hi, c_lo = _SCALES.take(k, axis=0, mode="wrap").T
+    p = a * c
+    t = a * _SPLIT
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    err = a_lo * c_lo - (((p - a_hi * c_hi) - a_lo * c_hi) - a_hi * c_lo)
+    n = p.astype(np.int64)
+    n += np.rint(err).astype(np.int64)
+    taken &= (p - _LEAST) + err >= _NIL  # exact: the pair is at least 10**16
+    taken &= n < _E17
+    n *= taken  # zeros, and the cells left to dtoa, go as 0
+    taken |= zero
+    first = n // _E16
+    n -= first * _E16
+    high = n // _E8
+    n -= high * _E8
+    q_high, q_low = high // _E4, n // _E4
+    # table entries, four digit characters each, of both copies: "0000",
+    # "000" and digit 0, then digits 1-16 in four groups; and two for the
+    # last word, which the mask clears
+    zeros = np.zeros(x.size, np.int64)
+    index = np.concatenate((zeros, first, q_high, high - q_high * _E4, q_low, n - q_low * _E4)
+                           * 2 + (zeros, zeros)).reshape(2 * _FLOAT_WORDS, -1)
+    cells = groups.take(index.T).view("<u8")
+    last = last_digit.take(index[2:6] + _PLACES)
+    row = k * _ROWS + np.maximum(np.maximum(last[0], last[1]), np.maximum(last[2], last[3]))
+    row += np.signbit(x)
+    by_column = row.reshape(shape)
+    by_column += np.array([2 * (sep == "\n") for sep in seps])
+    table = keep.take(row, axis=0, mode="wrap")
+    cells &= table
+    cells |= chars.take(row, axis=0, out=table, mode="wrap")
+    cells = cells.reshape(shape + (_FLOAT_WORDS,))
+    if taken.all():
+        return cells
+    rest = np.flatnonzero(~taken)
+    text = np.array(["%.17g%s" % (v, seps[i % len(seps)])
+                     for v, i in zip(x[rest].tolist(), rest.tolist())], "S%d" % (8 * _FLOAT_WORDS))
+    cells.view(np.uint8).reshape(x.size, -1)[rest] = text.view(np.uint8).reshape(rest.size, -1)
+    return cells
 
 
 # key: (default, domain, meaning). The table1 defaults are channel.TABLE1's;
@@ -256,8 +454,15 @@ def _teleport_table(x):
     link = (x["r"], x["n"], x["mu"], x["n_th"], x["eta_ant"])
     resource = teleport.TeleportResource(x["resource"], *link, x["tau"],
                                          x["inv_gain"])
-    f = resource.fidelity(L)
-    fb = teleport.TeleportResource("tmst-" + resource.geometry, *link).fidelity(L)
+    bare = teleport.TeleportResource("tmst-" + resource.geometry, *link)
+    if resource.kind.startswith("swap"):  # its links span L/2, the bare one L
+        f, fb = resource.fidelity(L), bare.fidelity(L)
+    else:  # one link triple for both: u = -expm1(-mu L/2) once
+        channel.check_lengths(L)
+        triple = channel.tmst_params(x["mu"], L, x["n_th"], x["eta_ant"], x["r"], x["n"],
+                                     resource.geometry)
+        f = resource._fidelity_at(*triple)
+        fb = f if bare.kind == resource.kind else bare._fidelity_at(*triple)
     return {"L": L, "fidelity": f, "fidelity_bare": fb, "gain": f - fb}
 
 

@@ -249,13 +249,19 @@ class TeleportResource:
         if not isinstance(length, float):
             length = np.asarray(length, dtype=float)
         channel_mod.check_lengths(length)
-        gain = 1.0 / self.inv_gain if finite_gain else math.inf
         link = channel_mod.tmst_polys(self.r, self.n, self.n_th, self.eta_ant, geometry)
         if form == "swap":
+            gain = 1.0 / self.inv_gain if finite_gain else math.inf
             *_, a_t, g_t = swap_link(link, self.mu, length, gain)
             return fidelity_finite_gain(a_t, a_t, g_t, gain)
-        alpha, beta, gamma = channel_mod.tmst_at(link, self.mu, length)
+        return self._fidelity_at(*channel_mod.tmst_at(link, self.mu, length))
+
+    def _fidelity_at(self, alpha, beta, gamma):
+        """fidelity of a kind other than the swaps from its link triple,
+        which the kinds of one geometry share."""
+        form, _, finite_gain = FORMS[self.kind]
         if form == "tmst":
+            gain = 1.0 / self.inv_gain if finite_gain else math.inf
             return fidelity_finite_gain(alpha, beta, gamma, gain)
         return distill.ps2_fidelity(alpha, beta, gamma,
                                     self.tau if form == "2ps-prob" else None)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -847,7 +848,103 @@ class TestDeterminism:
         assert capsys.readouterr().out == expected
 
 
+def per_cell_text(columns):
+    """The CSV text of {name: array or scalar} formatted cell by cell: each
+    float '%.17g' % v, any other cell '%s' % v."""
+    arrays = np.broadcast_arrays(*map(np.atleast_1d, columns.values()))
+    return ",".join(columns) + "\n" + "".join(
+        ",".join("%.17g" % v if isinstance(v, float) else "%s" % v for v in row) + "\n"
+        for row in zip(*(col.tolist() for col in arrays)))
+
+
+def float_probe_tables():
+    """Tables of seeded float64 bit patterns over every exponent, with
+    subnormals, +-0, +-inf and NaN; every power of ten a double holds and
+    both its neighbours; the edges of the array writer's range; halfway
+    cases of 18 significant digits; and int, str and one-cell columns."""
+    rng = np.random.default_rng(20240)
+    patterns = rng.integers(0, 2 ** 64, 10 ** 5, dtype=np.uint64).view(np.float64)
+    powers = np.array([float("1e%d" % e) for e in range(-323, 309)])
+    edges = np.array([1e-6, 1e-5, 1e-4, 1e16, 1e17, 1234567890123456.75, 0.0, -0.0,
+                      np.inf, -np.inf, np.nan, 5e-324, 2.2250738585072014e-308])
+    near = np.concatenate([values for values in (powers, edges) for values in (
+        values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf))])
+    # f / 2**q, f odd, has q decimals ending in 5: 18 significant digits in
+    # decade d = 17 - q, a tie at 17
+    ties = np.concatenate([
+        rng.integers(math.ceil(10.0 ** d * 2 ** (17 - d)) // 2,
+                     min(10.0 ** (d + 1) * 2 ** (17 - d), 2.0 ** 53) // 2, 200) * 2 + 1
+        for d in range(-6, 16)]) / 2.0 ** np.repeat(17 - np.arange(-6, 16), 200)
+    floats = np.concatenate([patterns, near, -near, ties])
+    floats = floats[:floats.size // 4 * 4]
+    return [
+        {"a": floats[0::4], "b": floats[1::4], "c": floats[2::4], "d": floats[3::4]},
+        {"x": floats[:9000], "ok": np.arange(9000) % 2, "family": "illum",
+         "big": np.arange(9000) + 2 ** 62, "n": 0.25, "flag": np.arange(9000) % 3 == 0},
+        {"x": floats[:1], "y": 3.0},
+        {"x": 1e-300, "y": "z", "z": 7},
+        {"x": np.linspace(0.0, 600.0, 7), "f32": np.float32(0.1), "i": np.int64(-3)},
+    ]
+
+
+def check_csv_floats():
+    """Every probe table's CSV text is its per-cell format."""
+    csv_args = type("Args", (), {"format": "csv"})
+    for columns in float_probe_tables():
+        assert cli._table_text(csv_args, "", columns) == per_cell_text(columns)
+
+
+class TestCsvFloats:
+    def test_probe_tables_reach_every_case(self):
+        """The probes hold values whose 17-digit rounding carries into the
+        next decade, and ties of 18 digits in every decade from -6 to 15."""
+        table = float_probe_tables()[0]
+        chosen = np.stack(list(table.values()), axis=1).ravel()[10 ** 5:]  # past the patterns
+        values = [Decimal(v) for v in chosen.tolist() if v and math.isfinite(v)]
+        assert any(Decimal("%.17g" % v).adjusted() > v.adjusted() for v in values)
+        ties = {v.adjusted() for v in values
+                if len(v.as_tuple().digits) == 18 and v.as_tuple().digits[-1] == 5}
+        assert set(range(-6, 16)) <= ties
+
+    def test_floats_match_a_per_cell_format(self):
+        check_csv_floats()
+
+    @pytest.mark.parametrize("target", ["X86_V4", "X86_V3"])
+    def test_floats_match_on_the_lower_simd_target(self, target):
+        """The same bytes with numpy dispatching below the target, whose
+        log10 may round differently: it only guesses a decade."""
+        from tests.test_golden import BELOW, ROOT, _cpu_features
+        if not _cpu_features().get(target):
+            pytest.skip("this CPU does not run numpy's %s target" % target)
+        script = ("from tests.test_golden import _cpu_features\n"
+                  "from tests.test_cli import check_csv_floats\n"
+                  "assert not _cpu_features()[%r]\n"
+                  "check_csv_floats()\n" % target)
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=BELOW[target],
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, (SRC, ROOT, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, cwd=ROOT)
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestTeleportCommand:
+    @pytest.mark.parametrize("kind", teleport.TeleportResource.KINDS)
+    def test_one_expm1_pass_per_link(self, kind, monkeypatch):
+        """u = -expm1(-mu L/2) is formed once for a table whose resource and
+        bare twin share a link at L, and once per link for the swaps, whose
+        links span L/2."""
+        passes, math_map = [], channel.math_map
+
+        def counted(fn, x):
+            passes.append(fn is math.expm1)
+            return math_map(fn, x)
+
+        monkeypatch.setattr(channel, "math_map", counted)
+        assert cli.main(["teleport", "--resource", kind, "--set", "inv_gain=0.1",
+                         "--out", os.devnull]) == 0
+        assert sum(passes) == (2 if kind.startswith("swap") else 1)
+
     def test_classical_crossing_near_479(self):
         code, out, _ = run_cli("teleport", "--resource", "tmst-asym",
                                "--sweep", "L", "470", "490", "21")
