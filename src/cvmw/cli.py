@@ -9,8 +9,10 @@ Exit codes: 0 ok, 1 usage error, 2 computation error, 3 anchor failure.
 
 import argparse
 import functools
+import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -65,12 +67,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _write(text, args):
+def _write(chunks, args):
+    """Write each text of chunks, in order, to --out or stdout."""
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()  # a closed pipe shows here, inside main
 
 
 def _report(args, note, **body):
@@ -80,73 +84,56 @@ def _report(args, note, **body):
 
 
 def _table_text(args, note, columns):
-    """CSV or JSON text of {name: array or scalar}, broadcast to one length;
-    no CSV cell needs quoting, and a non-finite JSON cell is null.
+    """The CSV or JSON text of {name: array or scalar}, broadcast to one
+    length, as chunks to write in order. Whatever can fail runs in this
+    call, before the first chunk is asked for.
 
     Each CSV float cell is the bytes of '%.17g' % x, nan, inf and -0 among
-    them, and any other cell those of '%s' % v. A column of one cell is
-    formatted once. The rest go a block of rows at a time (_csv_block)
-    into one byte array of fixed-width cells, each its text and separator
-    padded with zero bytes, from which one pass keeps the text."""
+    them, and any other cell those of '%s' % v; no cell needs quoting. The
+    header is one chunk and each block of rows another (_csv_block), formed
+    as it is written. A non-finite JSON cell is null."""
     names = list(columns)
+    cols = np.broadcast_arrays(*map(np.atleast_1d, columns.values()))
     if args.format == "json":
-        arrays = np.broadcast_arrays(*map(np.atleast_1d, columns.values()))
         cells = [np.where(np.isfinite(col), col, None) if col.dtype.kind == "f"
-                 else col for col in arrays]
+                 else col for col in cols]
         rows = [dict(zip(names, row)) for row in zip(*(col.tolist() for col in cells))]
         report = _report(args, note, columns=names, rows=rows)
-        return json.dumps(report, indent=2, allow_nan=False) + "\n"
-    cols = [np.atleast_1d(col) for col in columns.values()]
-    count = max(map(len, cols))
-    if any(len(col) not in (1, count) for col in cols):
-        raise ValueError("table columns of %s rows do not broadcast"
-                         % sorted({len(col) for col in cols}))
+        return [json.dumps(report, indent=2, allow_nan=False) + "\n"]
     seps = [","] * (len(cols) - 1) + ["\n"]
-    # a column of one cell is formatted once, into a row each block starts from
-    once = [((("%.17g" if col.dtype.kind == "f" else "%s") % col[0]) + sep).encode()
-            if len(col) == 1 else b"" for col, sep in zip(cols, seps)]
-    header = ",".join(names) + "\n"
-    if count == 1:
-        return header + b"".join(once).decode("ascii")
-    words = max(_FLOAT_WORDS, max(map(len, once)) // 8 + 1)
-    template = np.frombuffer(b"".join([text.ljust(8 * words, b"\0") for text in once]),
-                             "<u8").reshape(len(cols), words)
     step = max(1, _BLOCK_CELLS // len(cols))
-    return header + "".join(
-        [_csv_block([None if len(col) == 1 else col[start:start + step] for col in cols],
-                    min(step, count - start), seps, template)
-         for start in range(0, count, step)])
+    blocks = (_csv_block([col[start:start + step] for col in cols], seps)
+              for start in range(0, len(cols[0]), step))
+    return itertools.chain([",".join(names) + "\n"], blocks)
 
 
-def _csv_block(cols, rows, seps, template):
-    """The CSV text of one block of rows. cols holds the block of each
-    column, None where the template row holds its text; seps the separator
-    after each. A column whose every cell prints as its float, a float
-    column or one of ints below 2**53 in magnitude, goes through
-    _float_cells; any other cell is '%s' % v."""
+def _csv_block(cols, seps):
+    """The CSV text of one block of rows: cols holds the block of each
+    column, seps the separator after each. A column whose every cell prints
+    as its float, a float column or one of ints below 2**53 in magnitude,
+    goes through _float_cells; any other cell is '%s' % v. Each cell's text
+    and separator fill a row of zero bytes, from which one pass keeps the
+    text."""
     kernel, texts = [], {}
     for i, col in enumerate(cols):
-        if col is None:
-            continue
         if col.dtype.kind == "f" or (col.dtype.kind in "iu"
                                      and -2 ** 53 < col.min() and col.max() < 2 ** 53):
             kernel.append(i)
         else:
             texts[i] = np.array(["%s%s" % (v, seps[i]) for v in col.tolist()], "S")
-    words = max([template.shape[1]] + [text.itemsize // 8 + 1 for text in texts.values()])
     if kernel:
         x = np.array([cols[i] for i in kernel], dtype=float).T.copy()
         cells = _float_cells(x, [seps[i] for i in kernel])
-    if len(kernel) == len(cols) and words == _FLOAT_WORDS:
-        buf = cells
-    else:
-        buf = np.zeros((rows, len(cols), words), "<u8")
-        buf[:, :, :template.shape[1]] = template
+    if texts:
+        words = max([_FLOAT_WORDS] + [text.itemsize // 8 + 1 for text in texts.values()])
+        buf = np.zeros((len(cols[0]), len(cols), words), "<u8")
         if kernel:
             buf[:, kernel, :_FLOAT_WORDS] = cells
-    raw = buf.view(np.uint8)
-    for i, text in texts.items():
-        raw[:, i, :text.itemsize] = text.view(np.uint8).reshape(rows, -1)
+        raw = buf.view(np.uint8)
+        for i, text in texts.items():
+            raw[:, i, :text.itemsize] = text.view(np.uint8).reshape(len(text), -1)
+    else:
+        raw = cells.view(np.uint8)
     return raw[raw != 0].tobytes().decode("ascii")
 
 
@@ -565,7 +552,7 @@ def _cmd_state(args):
                 state.validate()
     except FloatingPointError as exc:
         raise ArithmeticError("state --kind %s: %s" % (args.kind, exc)) from None
-    _write(state.to_json() + "\n", args)
+    _write([state.to_json() + "\n"], args)
     return 0
 
 
@@ -633,7 +620,7 @@ def _cmd_summary(args):
     all_pass = all(a["pass"] for a in anchors)
     report = _report(args, "headline-number verification against stored "
                            "tolerances", anchors=anchors, all_pass=all_pass)
-    _write(json.dumps(report, indent=2, allow_nan=False) + "\n", args)
+    _write([json.dumps(report, indent=2, allow_nan=False) + "\n"], args)
     return 0 if all_pass else ANCHOR_FAILURE
 
 
@@ -759,6 +746,12 @@ def main(argv=None):
         return args.func(args)
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_ERROR
+    except BrokenPipeError:
+        # the reader has closed stdout, as `head` does: stop quietly. What
+        # Python still flushes at exit goes to devnull, as its SIGPIPE notes
+        # advise, not into a second BrokenPipeError.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValueError, RuntimeError, OSError, KeyError, ArithmeticError) as exc:
         sys.stderr.write("computation error: %s\n" % exc)
         return COMPUTE_ERROR

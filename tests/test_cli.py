@@ -264,6 +264,15 @@ class TestFailureContract:
         assert "computation error" in err
         assert "Warning" not in err and "Traceback" not in err
 
+    def test_a_failing_table_writes_no_byte(self, tmp_path, capsys):
+        """The table is checked whole before the first chunk: an overflow
+        leaves neither stdout text nor an --out file."""
+        out = tmp_path / "X"
+        assert cli.main(["satellite", "--set", "w0=1e300", "--sweep", "d", "1e-300",
+                         "1e300", "3", "--log", "--out", str(out)]) == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
     def test_undefined_ratio_anchor_fails_with_a_reason(self):
         # the antenna alone leaves the tmst-asym fidelity at most 1/2 at the
         # source, so the swap reach extension has no reference limit
@@ -891,7 +900,7 @@ def check_csv_floats():
     """Every probe table's CSV text is its per-cell format."""
     csv_args = type("Args", (), {"format": "csv"})
     for columns in float_probe_tables():
-        assert cli._table_text(csv_args, "", columns) == per_cell_text(columns)
+        assert "".join(cli._table_text(csv_args, "", columns)) == per_cell_text(columns)
 
 
 class TestCsvFloats:
@@ -926,6 +935,33 @@ class TestCsvFloats:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                               text=True, env=env, cwd=ROOT)
         assert proc.returncode == 0, proc.stderr
+
+
+class TestCsvStreaming:
+    def test_a_closed_pipe_ends_the_run_quietly(self):
+        """A reader that takes 20 bytes and closes, as `head -c 20` does."""
+        proc = subprocess.Popen([sys.executable, "-m", "cvmw.cli", "swap", "--sweep",
+                                 "L", "0", "600", "200000"], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=ENV)
+        assert proc.stdout.read(20) == b"L,alpha,beta,gamma,a"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0 and err == b""
+
+    def test_a_large_table_never_holds_its_text(self, tmp_path):
+        """Each block is written as it is formed: the peak of traced memory
+        stays below the size of the file written."""
+        out = tmp_path / "swap.csv"
+        assert cli.main(["swap", "--sweep", "L", "0", "600", "3", "--out", str(out)]) == 0
+        tracemalloc.start()
+        try:
+            code = cli.main(["swap", "--sweep", "L", "0", "600", "100000",
+                             "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < out.stat().st_size
 
 
 class TestTeleportCommand:
