@@ -11,11 +11,12 @@ that QFI; the coherent-probe QFI and the high-reflectivity / high-noise
 enhancement ratios have closed forms.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianState, SIGMA_Z, all_true, any_true, sqrt, where
+from .core import GaussianState, all_true, any_true, sqrt, where
 from .entanglement import BipartiteCM
 from .estimation import GaussianFamily, gaussian_qfi, sld_standard_form
 from .teleport import anderson_bjorck
@@ -60,27 +61,18 @@ def thermal_ratio(beta_omega1, delta_rel):
     """
     if beta_omega1 <= 0.0:
         raise ValueError("beta * omega must be positive")
-    exact = np.expm1(beta_omega1) / np.expm1(beta_omega1 * (1.0 + delta_rel))
+    exact = math.expm1(beta_omega1) / math.expm1(beta_omega1 * (1.0 + delta_rel))
     return exact, 1.0 - delta_rel
 
 
 def bifreq_probe(params):
-    """Four-mode probe (bath 1, signal 1, bath 2, signal 2). On numpy, not
-    core.math_map: near the top of the float range of n_r, np.cosh gives
-    inf where math.cosh raises."""
-    scale = 1.0 + 2.0 * params.n
-    ch, sh = np.cosh, np.sinh
-    r = np.arcsinh(np.sqrt(2.0 * params.n_r))
-    sigma = np.zeros((8, 8))
-    th = (1.0 + 2.0 * params.n_th) * np.eye(2)
-    sig = scale * ch(2.0 * r) * np.eye(2)
-    corr = scale * sh(2.0 * r) * SIGMA_Z
-    sigma[0:2, 0:2] = th
-    sigma[2:4, 2:4] = sig
-    sigma[4:6, 4:6] = th
-    sigma[6:8, 6:8] = sig
-    sigma[2:4, 6:8] = corr
-    sigma[6:8, 2:4] = corr
+    """Four-mode probe (bath 1, signal 1, bath 2, signal 2) of _probe_terms."""
+    s, c, t = _probe_terms(params)
+    if not math.isfinite(c):  # 2 n_r (1 + 2 n_r) overflows from n_r = 6.7e153
+        raise OverflowError("the probe's C overflows at n_s = n_r = %g, n = %g" % (params.n_r, params.n))
+    sigma = np.diag([t, t, s, s, t, t, s, s])
+    sigma[2, 6] = sigma[6, 2] = c
+    sigma[3, 7] = sigma[7, 3] = -c
     return GaussianState(np.zeros(8), sigma)
 
 
@@ -253,6 +245,6 @@ def jpa_synthesis(mu):
     eliminating phi leaves s^2 - mu^2 s - 1 = 0 for s = sinh^2(r1)."""
     if mu < 1.0:
         raise ValueError("mu must be at least 1")
-    r1 = np.arcsinh(np.sqrt(0.5 * (mu ** 2 + np.hypot(mu ** 2, 2.0))))
-    phi = np.arctan2(1.0 / np.sinh(r1), mu / np.cosh(r1))
-    return phi, 0.0, r1, 0.0, 0.0, 0.0, -np.pi / 2.0
+    r1 = math.asinh(math.sqrt(0.5 * (mu ** 2 + math.hypot(mu ** 2, 2.0))))
+    phi = math.atan2(1.0 / math.sinh(r1), mu / math.cosh(r1))
+    return phi, 0.0, r1, 0.0, 0.0, 0.0, -math.pi / 2.0

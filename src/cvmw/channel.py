@@ -82,11 +82,15 @@ class LinkGeometry:
 
 
 def bose_einstein(nu, t):
-    """Mean thermal photon number 1/(e^{h nu / k T} - 1). On numpy, not
-    core.math_map: a huge h nu / k T gives 0 here, where math.expm1 raises."""
-    if nu <= 0 or t <= 0:
+    """Mean thermal photon number 1/(e^x - 1), x = h nu / k T, elementwise
+    through core.math_map; 0 past x = 709.78, where math.expm1 overflows."""
+    if any_true((nu <= 0) | (t <= 0)):
         raise ValueError("frequency and temperature must be positive")
-    return 1.0 / np.expm1(PLANCK * nu / (BOLTZMANN * t))
+    return math_map(_bose_einstein, PLANCK * nu / (BOLTZMANN * t))
+
+
+def _bose_einstein(x):  # 0 where e^x - 1 overflows, inf where x underflows to 0
+    return 0.0 if x > 709.782712893384 else 1.0 / math.expm1(x) if x else math.inf
 
 
 def eta_env(ch):
@@ -129,11 +133,11 @@ def eta_env_inhomogeneous(mu_fn, n_fn, length):
         mu, gap_mu = np.split(_on_points(mu_fn, np.append(x, gaps)), [order])
         tails = np.cumsum((half * (gap_mu.reshape(gaps.shape) @ gap_w))[::-1])[::-1]
         now = 0.5 * length * np.array(
-            [w @ mu, w @ (mu * _on_points(n_fn, x) * np.exp(-tails))])
+            [w @ mu, w @ (mu * _on_points(n_fn, x) * math_map(math.exp, -tails))])
         if now[0] == 0.0:
             return 0.0, n_fn(0.0)
         if previous is not None and np.all(abs(now - previous) <= 1e-10 * abs(now)):
-            eta = -np.expm1(-now[0])
+            eta = -math.expm1(-now[0])
             return eta, now[1] / eta
         previous = now
     raise RuntimeError("quadrature failed to converge")
@@ -250,10 +254,8 @@ def source_terms(r, n, n_th):
     if n < 0.0:
         raise ValueError("source occupation n must be non-negative")
     scale = 1.0 + 2.0 * n
-    try:  # math.cosh raises where np.cosh would warn and give inf
-        a = scale * math.cosh(2.0 * r)
-    except OverflowError:
-        a = math.inf
+    # math.cosh raises past 710.4758600739439, the last x with a finite cosh x
+    a = scale * math.cosh(2.0 * r) if abs(2.0 * r) <= 710.4758600739439 else math.inf
     if not math.isfinite(a):
         raise ValueError("the source's (1 + 2n) cosh 2r overflows at r = %g, "
                          "n = %g" % (r, n))

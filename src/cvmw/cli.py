@@ -550,7 +550,7 @@ def _cmd_state(args):
             state = STATES[args.kind](args.params)
             if state.sigma.flags.writeable:
                 state.validate()
-    except FloatingPointError as exc:
+    except ArithmeticError as exc:
         raise ArithmeticError("state --kind %s: %s" % (args.kind, exc)) from None
     _write([state.to_json() + "\n"], args)
     return 0

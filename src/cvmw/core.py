@@ -7,11 +7,13 @@ Conventions used throughout the package:
 * the vacuum covariance matrix is the identity (a = (x + ip)/sqrt(2))
 * a coherent state |alpha> has displacement d = sqrt(2)(Re alpha, Im alpha)
 
-Transcendentals of a scalar or an array go through math_map, which applies
-a math function to a Python float directly and to an array element by
-element: numpy's SIMD loops round exp, expm1, cosh, sinh, tanh, log10 and
-power differently from the C library on some CPUs, so only the math route
-gives a float and its array row the same bits on every CPU.
+Every transcendental goes through math, by math_map for a scalar or an
+array, so a float and its array row get the same bits on every CPU, where
+numpy's SIMD loops round by the CPU they dispatch to. An input where math
+raises is mapped before the call. Three numpy sites stay: the complex Fock
+oracle (cvmw.fock); tmst, whose np.cosh and np.sinh bits decide whether
+tmsv(8) validates, until states are built physical by construction; and
+the np.log10 decade guess of cli._float_cells, which decides no digit.
 """
 
 import functools
@@ -72,8 +74,7 @@ def math_map(fn, x):
     """fn, a function of one float from math, at x: directly on a scalar,
     which gives a Python float, and element by element on an array, so each
     row has the bits of the scalar call on every CPU. fn raises where math
-    does (math.log10(0.0), math.exp(1e3)); a site whose arguments can reach
-    such a point stays on numpy."""
+    does (math.log2(0.0)); the caller maps such an input before the call."""
     if x.__class__ is not float and isinstance(x, np.ndarray):
         return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
     return fn(x)

@@ -1,8 +1,10 @@
 """Bipartite Gaussian entanglement measures and covariance-matrix validity."""
 
+import math
+
 import numpy as np
 
-from .core import GaussianState, SIGMA_Z, pow2_scale
+from .core import GaussianState, SIGMA_Z, math_map, pow2_scale
 
 
 class BipartiteCM(GaussianState):
@@ -96,11 +98,14 @@ def negativity_from_nu(nu_minus):
 
 
 def log_negativity_from_nu(nu_minus):
-    """E_N = max{0, -log2 nu_minus}, elementwise; +0 where nu_minus >= 1.
-    On numpy, not core.math_map: nu_minus = 0 gives inf here, where
-    math.log2 raises."""
-    # -log2(1) is -0.0, which np.maximum keeps; adding +0.0 clears the sign
-    return np.maximum(0.0, -np.log2(nu_minus)) + 0.0
+    """E_N = max{0, -log2 nu_minus}, elementwise through core.math_map."""
+    return math_map(_log_negativity, nu_minus)
+
+
+def _log_negativity(nu):  # math.log2 raises at 0, which maps to inf, and below
+    if nu >= 1.0:
+        return 0.0  # not -log2(1) = -0.0
+    return -math.log2(nu) if nu > 0.0 else math.inf if nu == 0.0 else math.nan
 
 
 def negativity(cm):

@@ -70,6 +70,23 @@ class TestStates:
         assert probe.n_modes == 4
         probe.validate()
 
+    @pytest.mark.parametrize("n_r,n,n_th", [(0.0, 0.0, 0.0), (1.0, 0.0, 1.0),
+                                            (2.0, 0.3, 4.0), (1e-9, 5.0, 1e3)])
+    def test_probe_entries_are_the_probe_terms(self, n_r, n, n_th):
+        """T, S, T, S on the diagonal and C between the signal modes, as
+        _probe_terms gives them; they are the hyperbolic entries of the
+        squeezing 2r = 2 arcsinh sqrt(2 n_r)."""
+        p = BifreqParams(0.5, 0.0, n_r=n_r, n=n, n_th=n_th)
+        s, c, t = bifreq._probe_terms(p)
+        want = np.diag([t, t, s, s, t, t, s, s])
+        want[2, 6] = want[6, 2] = c
+        want[3, 7] = want[7, 3] = -c
+        sigma = bifreq_probe(p).sigma
+        assert sigma.tolist() == want.tolist()
+        r2 = 2.0 * np.arcsinh(np.sqrt(2.0 * n_r))
+        assert (s, c) == pytest.approx(((1.0 + 2.0 * n) * np.cosh(r2),
+                                        (1.0 + 2.0 * n) * np.sinh(r2)), rel=1e-14)
+
 
 class TestFisherInformation:
     def test_h_c_closed_vs_numeric(self):

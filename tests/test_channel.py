@@ -31,6 +31,30 @@ class TestBoseEinstein:
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             bose_einstein(0.0, 300.0)
+        with pytest.raises(ValueError):
+            bose_einstein(np.array([5e9, -1.0]), 300.0)
+
+    def test_zero_at_and_above_the_overflow_edge(self):
+        """e^x - 1 overflows from the float after x = 709.782712893384, where
+        math.expm1 raises: 0.0 there, without a call and without a warning."""
+        last = 709.782712893384
+        edge = math.nextafter(last, math.inf)
+        with pytest.raises(OverflowError):
+            math.expm1(edge)
+        assert channel._bose_einstein(last) > 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (edge, 710.0, 1e300, math.inf):
+                assert channel._bose_einstein(x) == 0.0
+            assert bose_einstein(1e20, 300.0) == 0.0
+            assert bose_einstein(5e9, 1e-10) == 0.0
+
+    def test_scalar_call_is_its_array_row(self):
+        nu = np.concatenate([np.geomspace(1e3, 1e16, 97), [1e20]])
+        for t in (2.7, 300.0):
+            rows = bose_einstein(nu, t).view(np.int64)
+            assert rows.tolist() == np.array(
+                [bose_einstein(v, t) for v in nu.tolist()]).view(np.int64).tolist()
 
 
 class TestAttenuation:
@@ -111,6 +135,18 @@ class TestAttenuation:
 
 
 class TestLossyTmst:
+    def test_source_cosh_overflows_past_its_edge(self):
+        """cosh 2r is finite up to 2r = 710.4758600739439, where math.cosh
+        raises after; past it the source names r instead."""
+        last = 710.4758600739439
+        a, c, _ = channel.source_terms(last / 2.0, 0.0, 0.0)
+        assert (a, c) == (math.cosh(last), math.sinh(last))
+        with pytest.raises(OverflowError):
+            math.cosh(math.nextafter(last, math.inf))
+        for r in (math.nextafter(last, math.inf) / 2.0, -400.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="cosh 2r overflows at r = "):
+                channel.source_terms(r, 0.0, 0.0)
+
     def test_zero_distance_is_source_state(self):
         ch = AirChannel(1.44e-6, 0.0, 1250.0, 0.0)
         cm = lossy_tmst(ch, 1.0, 0.01, "asym")

@@ -635,6 +635,31 @@ def test_overflowing_state_exits_2_naming_the_kind(kind, setting):
         "computation error: state --kind %s:" % kind), proc.stderr
 
 
+def test_overflowing_probe_correlation_names_n_s():
+    """The bi-frequency probe's C = 2 (1 + 2n) sqrt(2 n_r (1 + 2 n_r)), with
+    n_r the CLI's n_s, overflows from n_s = 6.7e153, long before its S: one
+    line names it, not numpy's invalid multiply."""
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "cvmw.cli", "state",
+                           "--kind", "bifreq-probe", "--set", "n_s=1e200"],
+                          capture_output=True, text=True, env=ENV)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("computation error: state --kind bifreq-probe: the "
+                           "probe's C overflows at n_s = n_r = 1e+200, n = 0\n")
+
+
+@pytest.mark.parametrize("setting,photons", [
+    ("temperature=1e-10", [0.0, channel.bose_einstein(5e9, 2.7)]),
+    ("nu=1e20", [0.0, 0.0])])
+def test_summary_thermal_photons_past_the_expm1_overflow(setting, photons):
+    """h nu / k T past 709.78 gives 0 thermal photons, without numpy's
+    overflow warning: the anchor fails (exit 3) and stderr stays empty."""
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "cvmw.cli", "summary",
+                           "--set", setting], capture_output=True, text=True, env=ENV)
+    assert proc.returncode == 3 and proc.stderr == "", proc.stderr
+    values = {a["name"]: a["value"] for a in json.loads(proc.stdout)["anchors"]}
+    assert [values["thermal_photons_300k"], values["thermal_photons_2p7k"]] == photons
+
+
 def test_symmetric_link_needs_no_asymmetric_coefficient():
     """The overflow of the asymmetric 2 (e - a) does not stop a symmetric
     kind: at n_th = 5e307 tmst-sym prints the rows it printed before."""

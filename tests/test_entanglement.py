@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
@@ -99,6 +102,24 @@ class TestNegativity:
         assert not np.signbit(log_negativity_from_nu(np.array([1.0, 2.0, 1.0]))).any()
         vacua = BipartiteCM(np.eye(2), np.eye(2), np.zeros((2, 2)))
         assert log_negativity(vacua) == 0.0 and not np.signbit(log_negativity(vacua))
+
+    def test_log_negativity_edges(self):
+        """math.log2 raises at 0: inf there, NaN kept, and +0.0 from 1 up."""
+        edges = [0.0, -0.0, math.nan, 1.0, math.inf]
+        want = [math.inf, math.inf, math.nan, 0.0, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = log_negativity_from_nu(np.array(edges))
+            scalars = [log_negativity_from_nu(nu) for nu in edges]
+        for got in (rows, np.array(scalars)):
+            np.testing.assert_array_equal(got.view(np.int64), np.array(want).view(np.int64))
+
+    def test_scalar_log_negativity_is_its_array_row(self):
+        nu = np.concatenate([np.random.default_rng(3).uniform(0.0, 2.0, 200),
+                             np.geomspace(1e-300, 1.0, 50), [0.0, 1.0, math.nan]])
+        rows = log_negativity_from_nu(nu).view(np.int64)
+        assert rows.tolist() == np.array(
+            [log_negativity_from_nu(x) for x in nu.tolist()]).view(np.int64).tolist()
 
     def test_tmsv_r1_value(self):
         # oracle value from the truncated Fock computation

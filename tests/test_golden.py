@@ -42,29 +42,13 @@ def _argvs():
 
 ARGVS = _argvs()
 
-# Cells that numpy still computes, since math raises at an input where numpy
-# gives inf or 0, and the ulps by which each may move between numpy's SIMD
-# targets at the golden parameters. numpy's own accuracy tests allow each
-# float64 call 1 ulp, so two targets differ by up to 2 ulps per call.
-ULP_BUDGETS = {
-    # entanglement.log_negativity_from_nu: np.log2, inf at nu_minus = 0
-    **{("channel", column): 2 for column in ("log_neg_asym", "log_neg_sym")},
-    ("illum", "log_neg"): 2,
-    **{(stem, column): 2 for stem in ("distill", "distill-asym")
-       for column in ("e_n_bare", "e_n_prob", "e_n_heur")},
-    # channel.bose_einstein: 1 / np.expm1, 0 at a huge h nu / k T; the
-    # quotient adds one rounding
-    **{("summary-table1", anchor): 3
-       for anchor in ("thermal_photons_300k", "thermal_photons_2p7k")},
-    # bifreq.bifreq_probe: np.cosh and np.sinh of 2 np.arcsinh(sqrt(2 n_r)),
-    # inf near the top of the float range; at n_r = 1 the arcsinh's 2 ulps
-    # move the cosh by 5 more
-    ("state-bifreq-probe", "sigma"): 8,
-    # core.tmst: np.cosh and np.sinh, times 1 + 2n for tmst; kept on numpy
-    # until the states are built physical by construction
-    ("state-tmsv", "sigma"): 2,
-    ("state-tmst", "sigma"): 3,
-}
+# The files whose sigma core.tmst forms with np.cosh and np.sinh, kept on
+# numpy until the states are built physical by construction, and the ulps
+# by which it may move between numpy's SIMD targets: numpy's own accuracy
+# tests allow each float64 call 1 ulp, so two targets differ by up to 2,
+# and tmst's product with 1 + 2n adds one rounding. Every other byte of
+# every file is fixed.
+ULP_BUDGETS = {"state-tmsv.json": 2, "state-tmst.json": 3}
 
 
 def outputs(names=ARGVS):
@@ -78,50 +62,19 @@ def outputs(names=ARGVS):
     return out
 
 
-def _cells(text):
-    """{position: (column, value)} of a CSV table or a JSON report. A JSON
-    leaf's column is its innermost key, or the name of the anchor it
-    belongs to."""
-    if not text.startswith("{"):
-        header, *rows = text.splitlines()
-        names = header.split(",")
-        return {(i, name): (name, cell) for i, row in enumerate(rows)
-                for name, cell in zip(names, row.split(","))}
-    cells = {}
-
-    def walk(node, path, column):
-        if isinstance(node, dict):
-            for key, value in node.items():
-                walk(value, path + (key,), node.get("name", key))
-        elif isinstance(node, list):
-            for i, value in enumerate(node):
-                walk(value, path + (i,), column)
-        else:
-            cells[path] = column, node
-    walk(json.loads(text), (), None)
-    return cells
-
-
 def check_golden(name, code, text):
-    """The output equals its golden file byte for byte, except that a cell
-    with an ulp budget may move within it."""
+    """The output equals its golden file byte for byte, except that a file
+    with an ulp budget may move its sigma within it."""
     assert code == 0, name
     with open(os.path.join(GOLDEN, name), encoding="utf-8", newline="") as fh:
         golden = fh.read()
-    if text == golden:
+    if name not in ULP_BUDGETS:
+        assert text == golden, "%s differs from its golden file" % name
         return
-    stem = os.path.splitext(name)[0]
-    budgets = {column: ulps for (file_stem, column), ulps in ULP_BUDGETS.items()
-               if file_stem == stem}
-    assert budgets, "%s differs from its golden file" % name
-    got, want = _cells(text), _cells(golden)
-    assert got.keys() == want.keys(), name
-    for position, (column, value) in want.items():
-        cell = got[position][1]
-        if column in budgets and cell is not None and value is not None:
-            np.testing.assert_array_max_ulp(float(cell), float(value), budgets[column])
-        else:
-            assert cell == value, (name, position, cell, value)
+    got, want = json.loads(text), json.loads(golden)
+    np.testing.assert_array_max_ulp(np.array(got.pop("sigma")),
+                                    np.array(want.pop("sigma")), ULP_BUDGETS[name])
+    assert got == want, name
 
 
 @pytest.mark.parametrize("name", list(ARGVS))

@@ -208,6 +208,64 @@ def test_library_imports_only_numpy_and_the_standard_library(path):
     assert tops - {"numpy"} <= set(sys.stdlib_module_names), tops
 
 
+# numpy functions whose SIMD loops round by the CPU they dispatch to; the
+# library takes them from math, through core.math_map for an array
+NUMPY_TRANSCENDENTALS = {
+    "exp", "expm1", "exp2", "log", "log2", "log10", "log1p", "sinh", "cosh", "tanh",
+    "arcsinh", "arccosh", "arctanh", "sin", "cos", "tan", "arctan", "arctan2", "power"}
+
+# (module, function) -> why it keeps them; None stands for every function
+NUMPY_TRANSCENDENTAL_SITES = {
+    ("fock", None): "the truncated-Fock oracle computes in complex numbers, "
+                    "which math does not take",
+    ("core", "tmst"): "its np.cosh and np.sinh bits decide whether tmsv(8) "
+                      "validates; math's fail on every CPU, until the states "
+                      "are built physical by construction",
+    ("cli", "_float_cells"): "a decade guess that the exactness check corrects: "
+                             "it decides no digit",
+}
+
+
+def numpy_transcendentals(tree):
+    """{(innermost enclosing function or None, name)} of every reference to a
+    numpy transcendental in a module's AST: an np. or numpy. attribute, called
+    or not, or a name imported from numpy."""
+    numpy_names = {bound for bound, name in imported_names(tree).items()
+                   if name == "numpy"}
+    imported = {bound: name.split(".")[-1] for bound, name in imported_names(tree).items()
+                if name.startswith("numpy.") and name.split(".")[-1] in NUMPY_TRANSCENDENTALS}
+    found = set()
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr in NUMPY_TRANSCENDENTALS
+                    and isinstance(child.value, ast.Name) and child.value.id in numpy_names):
+                found.add((function, child.attr))
+            elif isinstance(child, ast.Name) and child.id in imported:
+                found.add((function, imported[child.id]))
+            visit(child, function)
+    visit(tree, None)
+    return found
+
+
+def test_transcendentals_take_the_math_route():
+    """No module calls a numpy transcendental outside the named sites, and
+    each named site still does."""
+    stray, used = [], set()
+    for path in LIBRARY:
+        for function, name in numpy_transcendentals(ast.parse(path.read_text())):
+            site = next((site for site in ((path.stem, function), (path.stem, None))
+                         if site in NUMPY_TRANSCENDENTAL_SITES), None)
+            if site is None:
+                stray.append("%s.%s: np.%s" % (path.stem, function, name))
+            used.add(site)
+    assert not stray, stray
+    assert used - {None} == NUMPY_TRANSCENDENTAL_SITES.keys()
+
+
 @pytest.mark.parametrize("module,function",
                          [(m, f) for m, fs in CHECKS.items() for f in fs])
 def test_oracle_uses_nothing_it_checks(module, function):
