@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianState, all_true, any_true, sqrt, where
+from .core import GaussianState, all_true, any_true, physical_diagonal, sqrt, where
 from .entanglement import BipartiteCM
 from .estimation import GaussianFamily, gaussian_qfi, sld_standard_form
 from .teleport import anderson_bjorck
@@ -70,6 +70,7 @@ def bifreq_probe(params):
     s, c, t = _probe_terms(params)
     if not math.isfinite(c):  # 2 n_r (1 + 2 n_r) overflows from n_r = 6.7e153
         raise OverflowError("the probe's C overflows at n_s = n_r = %g, n = %g" % (params.n_r, params.n))
+    s = physical_diagonal(s, s, c)[0]  # S rounded up until S^2 - C^2 >= 1
     sigma = np.diag([t, t, s, s, t, t, s, s])
     sigma[2, 6] = sigma[6, 2] = c
     sigma[3, 7] = sigma[7, 3] = -c

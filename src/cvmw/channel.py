@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import any_true, math_map, pow2_scale
+from .core import any_true, math_map, pow2_scale, source_pair
 from .entanglement import BipartiteCM
 
 # CODATA exact SI values
@@ -247,19 +247,11 @@ NEVER_REACHED = "the bound is not reached at any distance"
 
 
 def source_terms(r, n, n_th):
-    """(a, c, e) of lossy_tmst: a = (1 + 2n) cosh 2r and c = (1 + 2n) sinh 2r
-    are the source's diagonal and correlation entries, e = 1 + 2 n_th the
+    """(a, c, e) of lossy_tmst: (a, c) = core.source_pair(r, n) are the
+    source's diagonal and correlation entries, e = 1 + 2 n_th the
     environment's diagonal entry. Each term must be finite. Not cached: it
     runs once per cached tmst_polys link, and once per swap root."""
-    if n < 0.0:
-        raise ValueError("source occupation n must be non-negative")
-    scale = 1.0 + 2.0 * n
-    # math.cosh raises past 710.4758600739439, the last x with a finite cosh x
-    a = scale * math.cosh(2.0 * r) if abs(2.0 * r) <= 710.4758600739439 else math.inf
-    if not math.isfinite(a):
-        raise ValueError("the source's (1 + 2n) cosh 2r overflows at r = %g, "
-                         "n = %g" % (r, n))
-    c = scale * math.sinh(2.0 * r)
+    a, c = source_pair(r, n)
     e = 1.0 + 2.0 * n_th
     if not math.isfinite(e):
         raise ValueError("the environment's 1 + 2 n_th overflows at n_th = %g" % n_th)

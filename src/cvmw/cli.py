@@ -525,7 +525,7 @@ def _cmd_table(args):
 
 def _lossy_tmst_state(p, geometry):
     ch = channel.AirChannel(p["mu"], p["L"], p["n_th"], p["eta_ant"])
-    return channel.lossy_tmst(ch, p["r"], p["n"], geometry)
+    return channel.lossy_tmst(ch, p["r"], p["n"], geometry).to_state()
 
 
 STATES = {
@@ -544,13 +544,11 @@ STATES = {
 
 def _cmd_state(args):
     # an overflow or a NaN stops the build with one line, not a numpy warning;
-    # a state built unchecked is validated, which makes it read-only
+    # every builder returns a validated state
     try:
         with np.errstate(all="raise"):
             state = STATES[args.kind](args.params)
-            if state.sigma.flags.writeable:
-                state.validate()
-    except ArithmeticError as exc:
+    except (ArithmeticError, ValueError) as exc:
         raise ArithmeticError("state --kind %s: %s" % (args.kind, exc)) from None
     _write([state.to_json() + "\n"], args)
     return 0

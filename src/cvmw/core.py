@@ -10,10 +10,9 @@ Conventions used throughout the package:
 Every transcendental goes through math, by math_map for a scalar or an
 array, so a float and its array row get the same bits on every CPU, where
 numpy's SIMD loops round by the CPU they dispatch to. An input where math
-raises is mapped before the call. Three numpy sites stay: the complex Fock
-oracle (cvmw.fock); tmst, whose np.cosh and np.sinh bits decide whether
-tmsv(8) validates, until states are built physical by construction; and
-the np.log10 decade guess of cli._float_cells, which decides no digit.
+raises is mapped before the call. Two numpy sites stay: the complex Fock
+oracle (cvmw.fock), and the np.log10 decade guess of cli._float_cells,
+which decides no digit.
 """
 
 import functools
@@ -121,15 +120,16 @@ def _quad_indices(modes):
 def symplectic_eigenvalues(sigma):
     """Symplectic spectrum of a covariance matrix, ascending.
 
-    Computed from the spectrum of i*Omega*Sigma; each value nu_a appears
-    once in the returned array (length n_modes).
+    In closed form where it applies, else from the spectrum of i*Omega*Sigma;
+    each value nu_a appears once in the returned array (length n_modes).
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape[0] != sigma.shape[1] or sigma.shape[0] % 2:
         raise ValueError("covariance matrix must be 2N x 2N")
     if np.max(np.abs(sigma - sigma.T)) > 1e-10:
         raise ValueError("covariance matrix must be symmetric")
-    return _spectrum(sigma)
+    nu = (_closed_form(sigma) or (None,))[0]
+    return _spectrum(sigma) if nu is None else nu
 
 
 def _spectrum(sigma):
@@ -137,6 +137,78 @@ def _spectrum(sigma):
     ev = np.linalg.eigvals(omega(sigma.shape[0] // 2) @ sigma)
     # eigenvalues come in +/- i*nu pairs; keep one of each
     return np.sort(np.abs(ev))[::2]
+
+
+def pair_excess(alpha, beta, gamma, t):
+    """(D, D - t (t + |alpha - beta|), k) of the pair (alpha I, beta I, gamma Z)
+    of stored floats, D = alpha beta - gamma^2, as exact integers in units of
+    4^-k. With alpha > 0 the pair has nu_minus >= t where the second is >= 0
+    (Serafini, Illuminati & De Siena, J. Phys. B 37, L21 (2004))."""
+    ratios = [x.as_integer_ratio() for x in (alpha, beta, gamma, t)]
+    k = max(den.bit_length() for _, den in ratios) - 1
+    a, b, g, t = (num << k + 1 - den.bit_length() for num, den in ratios)
+    d = a * b - g * g
+    return d, d - t * (t + abs(a - b)), k
+
+
+def physical_diagonal(alpha, beta, gamma):
+    """alpha, beta > 0 of a pair (alpha I, beta I, gamma Z) that is physical
+    in exact arithmetic, rounded up by the fewest ulps that make its stored
+    floats physical (pair_excess at t = 1): rounding misses it by up to about
+    e^{4r} ulps of 1 at squeezing r. A clear float margin decides first."""
+    while True:
+        p, q = alpha * beta, gamma * gamma + 1.0 + abs(alpha - beta)
+        if p - q > 1e-15 * (p + q) or pair_excess(alpha, beta, gamma, 1.0)[1] >= 0:
+            return alpha, beta
+        alpha, beta = math.nextafter(alpha, math.inf), math.nextafter(beta, math.inf)
+
+
+def source_pair(r, n):
+    """(a, c) = (1 + 2n)(cosh 2r, sinh 2r), on math, of tmst and of every
+    link's source, a rounded up by physical_diagonal; a must be finite."""
+    if n < 0.0:
+        raise ValueError("source occupation n must be non-negative")
+    scale = 1.0 + 2.0 * n
+    # math.cosh raises past 710.4758600739439, the last x with a finite cosh x
+    a = scale * math.cosh(2.0 * r) if abs(2.0 * r) <= 710.4758600739439 else math.inf
+    if not math.isfinite(a):
+        raise ValueError("the source's (1 + 2n) cosh 2r overflows at r = %g, "
+                         "n = %g" % (r, n))
+    c = scale * math.sinh(2.0 * r)
+    return physical_diagonal(a, a, c)[0], c
+
+
+def _closed_form(sigma):
+    """(nu, physical) of a finite symmetric Sigma that is a direct sum of modes
+    x I and standard-form pairs (alpha I, beta I, gamma Z), else None: the
+    symplectic spectrum, ascending (None unless Sigma > 0), and min nu >= 1 -
+    PHYSICALITY_TOL decided exactly. A pair's nu_+ = (hypot(alpha - beta,
+    2 sqrt D) + |alpha - beta|) / 2 and nu_- = D / nu_+ take its exact D."""
+    rows, partner = sigma.tolist(), {}
+    for j in range(0, len(rows), 2):  # the 2x2 blocks: x I or gamma Z, symmetric
+        for k in range(0, len(rows), 2):
+            x = rows[j][k]
+            if (rows[j][k + 1] or rows[j + 1][k] or rows[j + 1][k + 1] != (x if j == k else -x)
+                    or rows[k][j] != x or not math.isfinite(x)
+                    or x and j != k and partner.setdefault(j, k) != k):
+                return None
+    nu, physical, t = [], True, 1.0 - PHYSICALITY_TOL
+    for j in range(0, len(rows), 2):
+        k = partner.get(j, j)
+        alpha, beta, gamma = rows[j][j], rows[k][k], rows[j][k]
+        if j == k:
+            nu.append(alpha)
+            physical &= alpha >= t
+        elif j < k:
+            d, excess, unit = pair_excess(alpha, beta, gamma, t)
+            if alpha <= 0.0 or d <= 0:
+                return None, False
+            shift = max(d.bit_length() - 1000, 0) // 2  # float(d >> 2 shift) is finite
+            root_d = math.ldexp(math.sqrt(d >> 2 * shift), shift - unit)
+            nu_plus = (math.hypot(alpha - beta, 2.0 * root_d) + abs(alpha - beta)) / 2.0
+            nu += [root_d * (root_d / nu_plus), nu_plus]
+            physical &= excess >= 0
+    return (np.array(sorted(nu)), physical) if min(nu) > 0.0 else (None, False)
 
 
 class GaussianState:
@@ -158,13 +230,19 @@ class GaussianState:
     def validate(self):
         if np.max(np.abs(self.sigma - self.sigma.T)) > SYMMETRY_TOL:
             raise PhysicalityError("covariance matrix is not symmetric")
-        try:  # the moduli of eig(Omega Sigma) cannot see the sign of Sigma
-            np.linalg.cholesky(self.sigma)
-        except np.linalg.LinAlgError:
-            raise PhysicalityError("covariance matrix is not positive "
-                                   "definite") from None
-        nu = _spectrum(self.sigma)
-        if nu.min() < 1.0 - PHYSICALITY_TOL:
+        verdict = _closed_form(self.sigma)
+        if verdict is None:  # any other Sigma
+            try:  # the moduli of eig(Omega Sigma) cannot see the sign of Sigma
+                np.linalg.cholesky(self.sigma)
+            except np.linalg.LinAlgError:
+                verdict = None, False
+            else:
+                nu = _spectrum(self.sigma)
+                verdict = nu, not nu.min() < 1.0 - PHYSICALITY_TOL
+        nu, physical = verdict
+        if nu is None:
+            raise PhysicalityError("covariance matrix is not positive definite")
+        if not physical:
             raise PhysicalityError(
                 "state violates the uncertainty relation (min nu = %.12g)" % nu.min())
         for arr in (self.d, self.sigma, nu):
@@ -213,7 +291,7 @@ def beam_splitter(eta):
 
 
 def vacuum(n_modes=1):
-    return GaussianState(np.zeros(2 * n_modes), np.eye(2 * n_modes), check=False)
+    return GaussianState(np.zeros(2 * n_modes), np.eye(2 * n_modes))
 
 
 def thermal(n_modes, n_th):
@@ -221,7 +299,7 @@ def thermal(n_modes, n_th):
     if n_th < 0:
         raise ValueError("thermal occupation must be non-negative")
     return GaussianState(np.zeros(2 * n_modes),
-                         (1.0 + 2.0 * n_th) * np.eye(2 * n_modes), check=False)
+                         (1.0 + 2.0 * n_th) * np.eye(2 * n_modes))
 
 
 def coherent(alpha_re, alpha_im=0.0):
@@ -230,7 +308,7 @@ def coherent(alpha_re, alpha_im=0.0):
     if not all(map(math.isfinite, d)):
         raise ValueError("coherent amplitude %r + %ri: displacement sqrt(2) alpha "
                          "must be finite" % (alpha_re, alpha_im))
-    return GaussianState(np.array(d), np.eye(2), check=False)
+    return GaussianState(np.array(d), np.eye(2))
 
 
 def tmsv(r):
@@ -239,17 +317,11 @@ def tmsv(r):
 
 
 def tmst(r, n):
-    """Two-mode squeezed thermal state: (1 + 2n) times the TMSV covariance."""
-    if n < 0:
-        raise ValueError("thermal occupation must be non-negative")
-    scale = 1.0 + 2.0 * n
-    ch, sh = np.cosh(2.0 * r), np.sinh(2.0 * r)
-    sigma = np.zeros((4, 4))
-    sigma[:2, :2] = scale * ch * np.eye(2)
-    sigma[2:, 2:] = scale * ch * np.eye(2)
-    sigma[:2, 2:] = scale * sh * SIGMA_Z
-    sigma[2:, :2] = scale * sh * SIGMA_Z
-    return GaussianState(np.zeros(4), sigma, check=False)
+    """Two-mode squeezed thermal state: (1 + 2n) times the TMSV covariance,
+    with the entries of source_pair; validated."""
+    a, c = source_pair(r, n)
+    return GaussianState(np.zeros(4), [[a, 0.0, c, 0.0], [0.0, a, 0.0, -c],
+                                       [c, 0.0, a, 0.0], [0.0, -c, 0.0, a]])
 
 
 def apply(state, transform, on=None):

@@ -118,9 +118,10 @@ def cm_validity(alpha, beta, gamma):
     elementwise over arrays.
 
     Returns (theta, valid) with theta = |sqrt(det Sigma) - 1| - |alpha - beta|;
-    theta is -inf, and valid False, where alpha < 1 or beta < 1.
+    theta is -inf, and valid False, where alpha < 1 or beta < 1. valid also
+    needs D = alpha beta - gamma^2 >= 1: theta >= 0 alone holds at D < 1.
     """
-    root_det = np.abs(alpha * beta - gamma ** 2)
+    d = alpha * beta - gamma ** 2
     theta = np.where((alpha < 1.0) | (beta < 1.0), -np.inf,
-                     np.abs(root_det - 1.0) - np.abs(alpha - beta))[()]
-    return theta, theta >= -1e-10
+                     np.abs(np.abs(d) - 1.0) - np.abs(alpha - beta))[()]
+    return theta, (theta >= -1e-10) & (d >= 1.0 - 1e-10)

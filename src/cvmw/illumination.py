@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianState, SIGMA_Z, all_true, any_true, math_map, sqrt, where
+from .core import GaussianState, all_true, any_true, math_map, physical_diagonal, sqrt, where
 from .estimation import GaussianFamily, RegularizationError
 
 
@@ -40,17 +40,15 @@ def qi_probe(n_s, n_th):
 
     The signal block carries the bath occupation on top of the two-mode
     squeezing so the thermal photon number is fixed and the protocol is
-    free of shadow effects.
+    free of shadow effects. Its signal-idler pair is core.physical_diagonal.
     """
     if n_s < 0 or n_th < 0:
         raise ValueError("photon numbers must be non-negative")
-    sigma = np.zeros((6, 6))
-    sigma[0:2, 0:2] = (1.0 + 2.0 * n_th) * np.eye(2)
-    sigma[2:4, 2:4] = (1.0 + 2.0 * n_s + 2.0 * n_th) * np.eye(2)
-    sigma[4:6, 4:6] = (1.0 + 2.0 * n_s) * np.eye(2)
-    corr = 2.0 * np.sqrt(n_s * (n_s + 1.0)) * SIGMA_Z
-    sigma[2:4, 4:6] = corr
-    sigma[4:6, 2:4] = corr
+    corr = 2.0 * sqrt(n_s * (n_s + 1.0))
+    signal, idler = physical_diagonal(1.0 + 2.0 * n_s + 2.0 * n_th, 1.0 + 2.0 * n_s, corr)
+    sigma = np.diag([1.0 + 2.0 * n_th] * 2 + [signal] * 2 + [idler] * 2)
+    sigma[2, 4] = sigma[4, 2] = corr
+    sigma[3, 5] = sigma[5, 3] = -corr
     return GaussianState(np.zeros(6), sigma)
 
 

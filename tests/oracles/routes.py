@@ -125,6 +125,24 @@ def two_mode_symplectic_eigenvalues(sigma):
                      np.sqrt((tr_a2 + root) / 4.0)])
 
 
+def symplectic_spectrum_mp(sigma, dps=60):
+    """(nu, positive) of a covariance matrix at dps digits, from the
+    definitions: nu, ascending, the moduli of the eigenvalues of i Omega
+    Sigma, which come in +/- pairs, one of each kept, with Omega the
+    block-diagonal [[0, 1], [-1, 0]] built here; positive, whether the
+    smallest eigenvalue of Sigma is above 0. Both are mpf-exact to dps
+    digits of the float entries."""
+    with mpmath.workdps(dps):
+        size = len(sigma)
+        s = mpmath.matrix([[mpmath.mpf(float(x)) for x in row] for row in sigma])
+        w = mpmath.zeros(size)
+        for j in range(0, size, 2):
+            w[j, j + 1], w[j + 1, j] = 1, -1
+        ev = mpmath.eig(mpmath.mpc(0, 1) * w * s, left=False, right=False)
+        nu = sorted(abs(x) for x in ev)[::2]
+        return nu, min(mpmath.eigsy(s, eigvals_only=True)) > 0
+
+
 def nu_minus_mp(alpha, beta, gamma, dps=60):
     """nu_minus of the standard-form matrix (alpha I, beta I, gamma sigma_z)
     at dps digits, from the invariants of its partial transpose:

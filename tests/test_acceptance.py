@@ -15,7 +15,7 @@ from cvmw.teleport import TeleportResource, fidelity_2ps_general
 from tests.oracles import fock_ops
 from tests.oracles.general import char_fn_heuristic, regaussify
 from tests.oracles.monras import gaussian_sld, matrix_family
-from tests.oracles.routes import success_probability_series
+from tests.oracles.routes import success_probability_series, two_mode_symplectic_eigenvalues
 
 P = channel.TABLE1
 
@@ -255,7 +255,9 @@ def test_criterion_11_invariant_suite():
         except core.PhysicalityError:
             ok_phys = False
 
-    # covariance-matrix validity of the five modified families to 500 m
+    # covariance-matrix validity of the five modified families to 500 m: the
+    # swapped one is valid throughout, each re-Gaussified one exactly where
+    # its symplectic spectrum is at least 1
     ok_theta = True
     for length in np.linspace(0.0, 500.0, 21):
         half = AirChannel(P["mu"], length / 2.0, P["n_th"], 0.0)
@@ -267,9 +269,11 @@ def test_criterion_11_invariant_suite():
         for geometry in ("sym", "asym"):
             cm = channel.lossy_tmst(ch, P["r"], P["n"], geometry)
             mach = distill.ps2_heuristic(cm)
-            ok_theta = ok_theta and regaussify(cm, mach.h, geometry)[2]
             out = distill.ps2_gaussian(cm, P["tau"])
-            ok_theta = ok_theta and regaussify(out.cm, out.g, geometry)[2]
+            for rg, _, valid in (regaussify(cm, mach.h, geometry),
+                                 regaussify(out.cm, out.g, geometry)):
+                nu = two_mode_symplectic_eigenvalues(rg.sigma)
+                ok_theta = ok_theta and valid == (nu.min() >= 1.0)
 
     # fidelities stay in (0, 1] across resources and distances
     ok_fid = True

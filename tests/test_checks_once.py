@@ -1,8 +1,10 @@
 """Each op checks every distinct covariance matrix and channel it receives
-exactly once: a validation is a Cholesky factorization and one symplectic
-spectrum, a channel check one AirChannel. The QFIs check their standard-form
-states in closed form and validate no matrix. The entry points that take
-parameters refuse each one outside its domain."""
+exactly once: a channel check is one AirChannel, and a validation is one
+closed-form check where Sigma is a direct sum of single modes and
+standard-form pairs, as every state the CLI builds is, else a Cholesky
+factorization and one symplectic spectrum. The QFIs check their
+standard-form states in closed form and validate no matrix. The entry
+points that take parameters refuse each one outside its domain."""
 
 import collections
 import os
@@ -17,8 +19,8 @@ from cvmw.entanglement import BipartiteCM
 
 @pytest.fixture
 def checks(monkeypatch):
-    seen = {"cholesky": [], "spectrum": [], "channels": 0}
-    cholesky, spectrum = np.linalg.cholesky, core._spectrum
+    seen = {"cholesky": [], "spectrum": [], "closed_form": [], "channels": 0}
+    cholesky, spectrum, closed_form = np.linalg.cholesky, core._spectrum, core._closed_form
     post_init = channel.AirChannel.__post_init__
 
     def counted_cholesky(a):
@@ -29,12 +31,17 @@ def checks(monkeypatch):
         seen["spectrum"].append(np.array(sigma).tobytes())
         return spectrum(sigma)
 
+    def counted_closed_form(sigma):
+        seen["closed_form"].append(np.array(sigma).tobytes())
+        return closed_form(sigma)
+
     def counted_post_init(ch):
         seen["channels"] += 1
         post_init(ch)
 
     monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
     monkeypatch.setattr(core, "_spectrum", counted_spectrum)
+    monkeypatch.setattr(core, "_closed_form", counted_closed_form)
     monkeypatch.setattr(channel.AirChannel, "__post_init__", counted_post_init)
     return seen
 
@@ -66,13 +73,14 @@ def test_2ps_classical_limit(checks, kind):
     assert_each_once(checks, 0, 1)
 
 
-@pytest.mark.parametrize("kind,channels", [("lossy-tmst-asym", 1), ("lossy-tmst-sym", 1),
-                                           ("qi-probe", 0), ("bifreq-probe", 0),
-                                           ("tmst", 0)])
-def test_state_command(checks, kind, channels):
-    # a state built checked is not validated again before it is printed
+@pytest.mark.parametrize("kind", list(cli.STATES))
+def test_state_command(checks, kind):
+    # every kind is checked once, in closed form, and not again before it is
+    # printed
     assert cli.main(["state", "--kind", kind, "--out", os.devnull]) == 0
-    assert_each_once(checks, 1, channels)
+    assert checks["cholesky"] == checks["spectrum"] == []
+    assert len(checks["closed_form"]) == 1
+    assert checks["channels"] == (1 if kind.startswith("lossy-tmst") else 0)
 
 
 def test_summary_solves_each_classical_limit_once(monkeypatch):

@@ -172,9 +172,8 @@ class TestFailureContract:
         ("teleport", "--resource", "tmst-asym-fg", "--set", "n=-1"),
         ("distill", "--set", "n=-1"),
         ("state", "--kind", "lossy-tmst-asym", "--set", "n=-1"),
-        # squeezing so strong that the float covariance matrix is unphysical
-        ("state", "--kind", "tmsv", "--set", "r=12"),
-        ("state", "--kind", "tmsv", "--set", "r=9"),
+        # squeezing so strong that cosh 2r overflows
+        ("state", "--kind", "tmsv", "--set", "r=400"),
         # non-finite parameters
         ("illum", "--set", "n_s=nan"),
         ("bifreq", "--set", "n_s=nan"),
@@ -189,6 +188,21 @@ class TestFailureContract:
         assert out == ""
         assert "Traceback" not in err and "Warning" not in err
         assert "computation error" in err
+
+    def test_strongly_squeezed_states_are_built_physical(self):
+        """A source or probe pair's diagonal is rounded up until its stored
+        floats are physical, so tmsv up to r = 355, just short of the
+        overflow of cosh 2r, and both probes at each decade of n_s up to
+        1e150 exit 0, far past where the floats of cosh 2r and sinh 2r (say
+        at r = 9 or 12), or the bi-frequency probe's S and C (n_s = 2000),
+        fail the uncertainty relation."""
+        settings = [("tmsv", "r=%r" % r) for r in np.arange(0.0, 355.25, 0.5).tolist()]
+        settings += [(kind, "n_s=1e%d" % k) for kind in ("qi-probe", "bifreq-probe")
+                     for k in range(151)] + [("bifreq-probe", "n_s=2000")]
+        failed = [(kind, setting) for kind, setting in settings
+                  if cli.main(["state", "--kind", kind, "--set", setting,
+                               "--out", os.devnull]) != 0]
+        assert not failed, failed
 
     @pytest.mark.parametrize("command,setting", [("channel", "mu=nan"),
                                                  ("teleport", "n_th=-5")])

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,9 @@ from cvmw.core import (GaussianState, PhysicalityError, apply, beam_splitter,
 from tests.oracles import fock_ops
 from tests.oracles.general import (characteristic_function, partial_trace,
                                    single_mode_squeezer, two_mode_squeezer)
-from tests.oracles.routes import two_mode_symplectic_eigenvalues
+from tests.oracles.routes import symplectic_spectrum_mp, two_mode_symplectic_eigenvalues
+
+BOUNDARY = 1.0 - core.PHYSICALITY_TOL  # the least nu_minus that validates
 
 
 def random_valid_cm(rng, n_modes=2, mixing=0.5):
@@ -87,6 +92,23 @@ class TestConstructors:
     def test_tmsv_is_pure(self):
         nu = symplectic_eigenvalues(tmsv(0.9).sigma)
         np.testing.assert_allclose(nu, 1.0, atol=1e-12)
+
+    def test_tmst_is_physical_for_its_stored_floats(self):
+        """Up to the overflow of (1 + 2n) cosh 2r, a^2 - c^2 >= 1 holds exactly
+        for the floats tmst stores, a is at most 3 ulps above (1 + 2n) cosh 2r,
+        and the state validates; past it tmst names the overflow."""
+        for n in (0.0, 0.01, 1.0, 1e10):
+            for r in np.arange(0.0, 355.25, 0.2).tolist():
+                a_math = (1.0 + 2.0 * n) * math.cosh(2.0 * r)
+                if a_math == math.inf:
+                    with pytest.raises(ValueError, match="cosh 2r overflows"):
+                        tmst(r, n)
+                    continue
+                state = tmst(r, n)
+                a, c = state.sigma[0, 0], state.sigma[0, 2]
+                assert Fraction(a) ** 2 - Fraction(c) ** 2 >= 1, (r, n)
+                assert a_math <= a <= a_math + 3 * math.ulp(a_math), (r, n)
+                assert state._nu is not None
 
     def test_tmst_pt_eigenvalue(self):
         # nu-tilde-minus of the source state is (1 + 2n) e^{-2r}
@@ -299,6 +321,90 @@ class TestCharacteristicFunction:
             characteristic_function(vacuum(1), [0.0, 0.0, 0.0])
 
 
+def _direct_sum(rng, pairs, singles):
+    """Sigma of the standard-form pairs and single modes x I, placed on modes
+    in a seeded order, so a pair need not be adjacent."""
+    slots = iter(rng.permutation(2 * len(pairs) + len(singles)).tolist())
+    sigma = np.zeros((2 * (2 * len(pairs) + len(singles)),) * 2)
+    for alpha, beta, gamma in pairs:
+        j, k = 2 * next(slots), 2 * next(slots)
+        sigma[j:j + 2, j:j + 2], sigma[k:k + 2, k:k + 2] = alpha * np.eye(2), beta * np.eye(2)
+        sigma[j:j + 2, k:k + 2] = sigma[k:k + 2, j:j + 2] = gamma * np.diag([1.0, -1.0])
+    for x in singles:
+        j = 2 * next(slots)
+        sigma[j:j + 2, j:j + 2] = x * np.eye(2)
+    return sigma
+
+
+def _triples(rng, count):
+    """Seeded standard-form triples: every other one anywhere in 0 <= |gamma|
+    <= 1.2 sqrt(alpha beta), physical, unphysical or indefinite, the rest with
+    nu_minus within 1e-12 of BOUNDARY, where D = nu_minus (nu_minus + |alpha
+    - beta|)."""
+    out = []
+    for i in range(count):
+        alpha, beta = np.exp(rng.uniform(0.01, np.log(50.0), 2)).tolist()
+        if i % 2:
+            nu = BOUNDARY * (1.0 + rng.uniform(-1e-12, 1e-12))
+            gamma = math.sqrt(alpha * beta - nu * (nu + abs(alpha - beta)))
+        else:
+            gamma = rng.uniform(0.0, 1.2) * math.sqrt(alpha * beta)
+        out.append((alpha, beta, gamma * rng.choice([-1.0, 1.0])))
+    return out
+
+
+class TestClosedFormVerdict:
+    """core._closed_form against the 60-digit symplectic spectrum of
+    i Omega Sigma: the same spectrum, and the same verdicts on positivity
+    and on min nu >= BOUNDARY, also within 1e-12 of it."""
+
+    @staticmethod
+    def check(sigma):
+        nu, physical = core._closed_form(sigma)
+        nu_mp, positive = symplectic_spectrum_mp(sigma)
+        assert (nu is not None) == positive
+        assert physical == (positive and min(nu_mp) >= BOUNDARY)
+        if positive:
+            np.testing.assert_allclose(nu, [float(v) for v in nu_mp], rtol=1e-13)
+        return positive, physical
+
+    def test_standard_form_pairs(self):
+        rng = np.random.default_rng(47)
+        verdicts = {self.check(_direct_sum(rng, [triple], [])) for triple in _triples(rng, 40)}
+        assert verdicts == {(True, True), (True, False), (False, False)}
+
+    def test_direct_sums(self):
+        rng = np.random.default_rng(48)
+        triples = iter(_triples(rng, 12))
+        for pairs, singles in ((2, 0), (1, 1), (1, 2), (2, 0), (0, 3), (1, 2)):
+            xs = rng.uniform(0.5, 3.0, singles).tolist()
+            self.check(_direct_sum(rng, [next(triples) for _ in range(pairs)], xs))
+
+    def test_single_modes(self):
+        for x in (BOUNDARY, math.nextafter(BOUNDARY, 0.0), 0.5, 0.0, -1.0, 1e300):
+            self.check(x * np.eye(2))
+
+    def test_validate_decides_by_it(self):
+        """A Sigma of this shape never reaches the Cholesky factorization, and
+        keeps the closed-form spectrum."""
+        inside, outside = (_direct_sum(np.random.default_rng(0), [(2.0, 3.0, g)], [1.5])
+                           for g in (2.0, 2.3))
+        state = GaussianState(np.zeros(6), inside)
+        np.testing.assert_array_equal(state.symplectic_eigenvalues(),
+                                      core._closed_form(inside)[0])
+        with pytest.raises(PhysicalityError, match="uncertainty relation"):
+            GaussianState(np.zeros(6), outside)
+        with pytest.raises(PhysicalityError, match="not positive definite"):
+            GaussianState(np.zeros(2), -np.eye(2))
+
+    def test_other_shapes_take_the_eigen_solve(self):
+        rng = np.random.default_rng(5)
+        swapped = [1, 0, 2, 3]  # mode 0's x and p swapped: eps has x-p entries
+        for sigma in (random_valid_cm(rng), np.diag([2.0, 0.5]),
+                      tmst(1.0, 0.1).sigma[swapped][:, swapped]):
+            assert core._closed_form(sigma) is None
+
+
 class TestValidationAndSerialization:
     def test_constructors_produce_physical_states(self):
         for st in (vacuum(2), thermal(2, 1.5), coherent(0.5, 0.5),
@@ -329,7 +435,7 @@ class TestValidationAndSerialization:
         assert state.sigma[0, 0] != 2.0
 
     def test_unchecked_state_stays_writable_until_validated(self):
-        state = tmst(0.5, 0.1)
+        state = tmst(0.5, 0.1).copy()  # tmst validates; its copy is unchecked
         state.sigma[0, 1] = 0.0
         state.validate()
         with pytest.raises(ValueError, match="read-only"):

@@ -10,7 +10,7 @@ from cvmw.entanglement import (BipartiteCM, cm_validity, log_negativity_from_nu,
                                negativity, nu_minus_standard, pts_eigenvalues)
 from tests.oracles import fock_ops
 from tests.oracles.general import partial_trace, regaussify, rotation
-from tests.oracles.routes import nu_minus_mp
+from tests.oracles.routes import nu_minus_mp, two_mode_symplectic_eigenvalues
 
 
 def log_negativity(cm):
@@ -182,9 +182,19 @@ class TestCmValidity:
         theta, valid = cm_validity(0.9, 2.0, 0.0)
         assert not valid
 
-    def test_all_regaussified_families_valid_up_to_500m(self):
-        # entanglement swapping plus the four re-Gaussified subtraction
-        # variants stay valid covariance matrices along the whole sweep
+    def test_determinant_below_one_flagged(self):
+        """|D - 1| >= |alpha - beta| also holds where both symplectic
+        eigenvalues are below 1: (1, 1, 0.5) has D = 0.75, nu = 0.866."""
+        theta, valid = cm_validity(1.0, 1.0, 0.5)
+        assert theta == 0.25 and not valid
+        sigma = BipartiteCM.standard_form(1.0, 1.0, 0.5, check=False).sigma
+        assert two_mode_symplectic_eigenvalues(sigma) == pytest.approx([0.75 ** 0.5] * 2)
+
+    def test_regaussified_families_valid_where_physical(self):
+        # entanglement swapping stays a valid covariance matrix along the
+        # whole sweep; each of the four re-Gaussified subtraction variants is
+        # valid exactly where its symplectic spectrum is at least 1, which
+        # near the source it is not (D < 1 up to about 20-25 m), and from 40 m on
         p = channel.TABLE1
         for length in np.linspace(0.0, 500.0, 26):
             ch = channel.AirChannel(p["mu"], length, p["n_th"], 0.0)
@@ -197,12 +207,13 @@ class TestCmValidity:
             for geometry in ("sym", "asym"):
                 cm = channel.lossy_tmst(ch, p["r"], p["n"], geometry)
                 mach = distill.ps2_heuristic(cm)
-                _, th_h, ok_h = regaussify(cm, mach.h, geometry)
-                assert ok_h, "heuristic %s invalid at L=%.0f" % (geometry, length)
                 out = distill.ps2_gaussian(cm, p["tau"])
-                _, th_p, ok_p = regaussify(out.cm, out.g, geometry)
-                assert ok_p, "probabilistic %s invalid at L=%.0f" % (geometry,
-                                                                     length)
+                for name, (rg, _, ok) in (("heuristic", regaussify(cm, mach.h, geometry)),
+                                          ("probabilistic", regaussify(out.cm, out.g, geometry))):
+                    physical = two_mode_symplectic_eigenvalues(rg.sigma).min() >= 1.0
+                    assert ok == physical, "%s %s at L=%.0f" % (name, geometry, length)
+                    assert ok or length < 40.0, "%s %s invalid at L=%.0f" % (
+                        name, geometry, length)
 
 
 class TestBipartiteCM:

@@ -12,7 +12,6 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 import cvmw
@@ -42,15 +41,6 @@ def _argvs():
 
 ARGVS = _argvs()
 
-# The files whose sigma core.tmst forms with np.cosh and np.sinh, kept on
-# numpy until the states are built physical by construction, and the ulps
-# by which it may move between numpy's SIMD targets: numpy's own accuracy
-# tests allow each float64 call 1 ulp, so two targets differ by up to 2,
-# and tmst's product with 1 + 2n adds one rounding. Every other byte of
-# every file is fixed.
-ULP_BUDGETS = {"state-tmsv.json": 2, "state-tmst.json": 3}
-
-
 def outputs(names=ARGVS):
     """name -> (exit code, stdout) of cli.main at each golden argv."""
     out = {}
@@ -63,18 +53,11 @@ def outputs(names=ARGVS):
 
 
 def check_golden(name, code, text):
-    """The output equals its golden file byte for byte, except that a file
-    with an ulp budget may move its sigma within it."""
+    """The output equals its golden file byte for byte."""
     assert code == 0, name
     with open(os.path.join(GOLDEN, name), encoding="utf-8", newline="") as fh:
         golden = fh.read()
-    if name not in ULP_BUDGETS:
-        assert text == golden, "%s differs from its golden file" % name
-        return
-    got, want = json.loads(text), json.loads(golden)
-    np.testing.assert_array_max_ulp(np.array(got.pop("sigma")),
-                                    np.array(want.pop("sigma")), ULP_BUDGETS[name])
-    assert got == want, name
+    assert text == golden, "%s differs from its golden file" % name
 
 
 @pytest.mark.parametrize("name", list(ARGVS))
@@ -99,7 +82,7 @@ def _cpu_features():
 @pytest.mark.parametrize("target", list(BELOW))
 def test_golden_outputs_on_the_lower_simd_target(target):
     """One subprocess with numpy dispatching below the target prints the
-    golden outputs, within the budgets above."""
+    golden outputs."""
     if not _cpu_features().get(target):
         pytest.skip("this CPU does not run numpy's %s target" % target)
     script = ("import json, sys\n"

@@ -73,6 +73,9 @@ CHECKS = {
         "success_probability_series": {"cvmw.distill.PsTmsv.success_probability",
                                        "cvmw.distill.hyp2f1_k"},
         "two_mode_symplectic_eigenvalues": {"cvmw.core.symplectic_eigenvalues"},
+        "symplectic_spectrum_mp": {"cvmw.core._closed_form", "cvmw.core.pair_excess",
+                                   "cvmw.core.GaussianState.validate",
+                                   "cvmw.core.symplectic_eigenvalues"},
         "nu_minus_mp": {"cvmw.entanglement.nu_minus_standard",
                         "cvmw.illumination.probe_nu_minus"},
         "probe_nu_minus_mp": {"cvmw.illumination.probe_nu_minus",
@@ -218,9 +221,6 @@ NUMPY_TRANSCENDENTALS = {
 NUMPY_TRANSCENDENTAL_SITES = {
     ("fock", None): "the truncated-Fock oracle computes in complex numbers, "
                     "which math does not take",
-    ("core", "tmst"): "its np.cosh and np.sinh bits decide whether tmsv(8) "
-                      "validates; math's fail on every CPU, until the states "
-                      "are built physical by construction",
     ("cli", "_float_cells"): "a decade guess that the exactness check corrects: "
                              "it decides no digit",
 }
