@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianState, all_true, any_true, physical_diagonal, sqrt, where
+from .core import GaussianState, all_true, any_true, log_grid, physical_diagonal, sqrt, where
 from .entanglement import BipartiteCM
 from .estimation import GaussianFamily, gaussian_qfi, sld_standard_form
 from .teleport import anderson_bjorck
@@ -224,7 +224,7 @@ def qcrb_gap(eta1, n_s, n_th):
 
 def qcrb_saturating_noise(eta1, n_s):
     """Solve qcrb_gap = 0 in n_th, bracketed on [1e-3, 1e4]: (n_th, bracket)."""
-    grid = np.geomspace(1e-3, 1e4, 40)
+    grid = log_grid(1e-3, 1e4, 40)
     vals = qcrb_gap(eta1, n_s, grid)  # one array call brackets the root
     cells = (vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)
     if not cells.any():

@@ -79,6 +79,17 @@ def math_map(fn, x):
     return fn(x)
 
 
+def log_grid(start, stop, count):
+    """count points from start > 0 to stop, evenly spaced in log: 10 **
+    linspace(log10 start, log10 stop) through math_map, with the ends set to
+    start and stop as np.geomspace does, whose power loop rounds by numpy's
+    SIMD target."""
+    exponents = np.linspace(math.log10(start), math.log10(stop), count)
+    grid = math_map(functools.partial(math.pow, 10.0), exponents)
+    grid[0], grid[-1] = start, stop
+    return grid
+
+
 def to_float(x):
     """x as a Python float, unless it is an array: arithmetic on a numpy
     scalar costs several times as much."""

@@ -45,7 +45,11 @@ def qi_probe(n_s, n_th):
     if n_s < 0 or n_th < 0:
         raise ValueError("photon numbers must be non-negative")
     corr = 2.0 * sqrt(n_s * (n_s + 1.0))
-    signal, idler = physical_diagonal(1.0 + 2.0 * n_s + 2.0 * n_th, 1.0 + 2.0 * n_s, corr)
+    signal = 1.0 + 2.0 * n_s + 2.0 * n_th  # the largest entry, with corr
+    if not (math.isfinite(signal) and math.isfinite(corr)):
+        raise OverflowError("the probe's signal-idler pair is not finite at "
+                            "n_s = %g, n_th = %g" % (n_s, n_th))
+    signal, idler = physical_diagonal(signal, 1.0 + 2.0 * n_s, corr)
     sigma = np.diag([1.0 + 2.0 * n_th] * 2 + [signal] * 2 + [idler] * 2)
     sigma[2, 4] = sigma[4, 2] = corr
     sigma[3, 5] = sigma[5, 3] = -corr

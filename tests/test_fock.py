@@ -1,14 +1,12 @@
 import json
-import os
-import subprocess
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-import cvmw
 from cvmw import core, distill, entanglement, fock, illumination
+from tests import child
 from tests.oracles import fock_ops
 from tests.oracles.routes import (blocks_bfs, gaussian_density_moveaxis,
                                   negativity_dense, tmst_density_loop)
@@ -525,12 +523,7 @@ print(json.dumps(dict(
 
 @pytest.fixture(scope="module")
 def scipy_blocked_fock():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cvmw.__file__)))
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, root, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", SCIPY_BLOCKED_FOCK],
-                          capture_output=True, text=True, env=env)
+    proc = child.run(["-c", SCIPY_BLOCKED_FOCK])
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["scipy_loaded"] == []

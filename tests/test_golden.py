@@ -7,19 +7,14 @@ Regenerate the files, when a change moves output bits on purpose, with
 
 import contextlib
 import io
-import json
 import os
-import subprocess
-import sys
 
 import pytest
 
-import cvmw
 from cvmw import cli, teleport
+from tests import child
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(cvmw.__file__)))
 
 
 def _argvs():
@@ -65,37 +60,13 @@ def test_default_output_matches_its_golden_file(name):
     check_golden(name, *outputs([name])[name])
 
 
-# NPY_DISABLE_CPU_FEATURES value that takes numpy below each target: the
-# AVX-512 groups go with X86_V4, since numpy would dispatch to them otherwise
-BELOW = {"X86_V4": "X86_V4 AVX512_ICL AVX512_SPR",
-         "X86_V3": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
-
-
-def _cpu_features():
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__
-    except ImportError:  # numpy 1.x
-        from numpy.core._multiarray_umath import __cpu_features__
-    return __cpu_features__
-
-
-@pytest.mark.parametrize("target", list(BELOW))
+@pytest.mark.parametrize("target", list(child.BELOW))
 def test_golden_outputs_on_the_lower_simd_target(target):
-    """One subprocess with numpy dispatching below the target prints the
-    golden outputs."""
-    if not _cpu_features().get(target):
+    """The child with numpy dispatching below the target prints the golden
+    outputs."""
+    if not child.cpu_features().get(target):
         pytest.skip("this CPU does not run numpy's %s target" % target)
-    script = ("import json, sys\n"
-              "from tests.test_golden import _cpu_features, outputs\n"
-              "assert not _cpu_features()[%r]\n"
-              "json.dump(outputs(), sys.stdout)\n" % target)
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=BELOW[target],
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, (SRC, ROOT, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env, cwd=ROOT)
-    assert proc.returncode == 0, proc.stderr
-    runs = json.loads(proc.stdout)
+    runs = child.below_target(target)["golden"]
     assert runs.keys() == ARGVS.keys()
     for name, (code, text) in runs.items():
         check_golden(name, code, text)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,14 @@ class TestProbe:
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):
             qi_probe(-0.1, 0.0)
+
+    @pytest.mark.parametrize("n_s,n_th", [(1e308, 0.0), (1.0, 1e308), (1e200, 0.0),
+                                          (float("nan"), 0.0)])
+    def test_non_finite_pair_names_n_s_and_n_th(self, n_s, n_th):
+        """An entry that overflows, or a NaN, stops before the pair is
+        rounded: one line names both fields."""
+        with pytest.raises(OverflowError, match=re.escape("n_s = %g, n_th = %g" % (n_s, n_th))):
+            qi_probe(n_s, n_th)
 
     def test_nu_minus_matches_60_digits(self):
         """D = 1 + 2 n_th (1 + 2 n_s) over the larger eigenvalue: no

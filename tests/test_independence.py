@@ -211,11 +211,13 @@ def test_library_imports_only_numpy_and_the_standard_library(path):
     assert tops - {"numpy"} <= set(sys.stdlib_module_names), tops
 
 
-# numpy functions whose SIMD loops round by the CPU they dispatch to; the
-# library takes them from math, through core.math_map for an array
+# numpy functions whose SIMD loops round by the CPU they dispatch to, with
+# geomspace and logspace, which call power; the library takes them from
+# math, through core.math_map for an array, and a log grid from core.log_grid
 NUMPY_TRANSCENDENTALS = {
     "exp", "expm1", "exp2", "log", "log2", "log10", "log1p", "sinh", "cosh", "tanh",
-    "arcsinh", "arccosh", "arctanh", "sin", "cos", "tan", "arctan", "arctan2", "power"}
+    "arcsinh", "arccosh", "arctanh", "sin", "cos", "tan", "arctan", "arctan2", "power",
+    "geomspace", "logspace"}
 
 # (module, function) -> why it keeps them; None stands for every function
 NUMPY_TRANSCENDENTAL_SITES = {
