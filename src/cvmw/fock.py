@@ -10,7 +10,14 @@ so a state that conserves a photon number pays for its largest block
 rather than for D, and a real block takes the real eigensolver. It never
 forms the partial transpose: it transposes the zero pattern only, the one
 boolean D x D array, and gathers each block of rho^Gamma from rho, the only
-numeric D x D array.
+numeric D x D array. Each block B is solved without its k lightest rows and
+columns, k the largest with 4 k s_k <= (EPS ||B||_F)^2 for s_k the sum of
+the k smallest squared row norms, and k zeros stand in for their
+eigenvalues: the spectrum, and so the negativity, moves by at most
+EPS ||B||_F, below the rounding of the full solve. The displaced, noisy
+two-mode squeezed thermal states of the benchmark's oracle drop a fifth to
+a half of their 441 rows at n_max 20; the two-mode squeezed thermal blocks
+drop none and keep their bits.
 Gaussian density matrices come from the Hermite recurrence of their
 Bargmann generating function; the two-mode squeezed thermal state is built
 from its definition, exponentiating the squeezing generator on the
@@ -24,6 +31,7 @@ QFI) live in tests/oracles/fock_ops.py.
 import numpy as np
 
 MAX_DENSE_DIM = 5000
+EPS, TINY = 2.0 ** -52, 2.0 ** -1022  # float64: the gap above 1, the least normal
 
 
 def _expm_antihermitian(gen):
@@ -79,11 +87,36 @@ def _blocks(mat):
     return sorted(np.split(order, first[1:]), key=lambda b: b[0])
 
 
+def _deflated_eigvalsh(block):
+    """Spectrum of a Hermitian block, unsorted, to within EPS ||block||_F
+    in l1: the eigvalsh of the block less its k lightest rows and columns,
+    then k zeros.
+
+    With w_i the squared row norms and s_k the sum of the k smallest, k is
+    the largest with 4 k s_k <= (EPS ||block||_F)^2. The part zeroed, E, has
+    rank <= 2k and ||E||_F^2 <= 2 s_k, so ||E||_tr <= 2 sqrt(k s_k), which
+    bounds the l1 distance between the spectra (Mirsky's theorem in the
+    trace norm; R. Bhatia, Matrix Analysis, 1997). A block whose lightest
+    row breaks the bound, or whose bound under- or overflows, is solved
+    whole with no sort.
+    """
+    w = np.vecdot(block, block).real  # squared row norms, with no temporary
+    weights = w.tolist()  # Python's sum and min: half numpy's cost on a small block
+    tol = EPS * EPS * sum(weights)
+    if not (TINY <= tol < np.inf and 4.0 * min(weights) <= tol):
+        return np.linalg.eigvalsh(block)
+    order = np.argsort(w, kind="stable")
+    k = np.count_nonzero(4.0 * np.arange(1, len(w) + 1) * np.cumsum(w[order]) <= tol)
+    keep = np.sort(order[k:])
+    return np.concatenate([np.linalg.eigvalsh(block[np.ix_(keep, keep)]), np.zeros(k)])
+
+
 def _block_eigvalsh(pattern, gather):
     """Eigenvalues of a Hermitian matrix whose nonzero entries lie on
-    pattern, concatenated over _blocks(pattern); gather(b) returns the
-    matrix on the index set b, which is checked Hermitian before its
-    eigvalsh.
+    pattern, concatenated over _blocks(pattern), each block's to within
+    EPS times its Frobenius norm in l1 (_deflated_eigvalsh); gather(b)
+    returns the matrix on the index set b, which is checked Hermitian
+    before its spectrum is taken.
 
     A matrix that is block-diagonal under a permutation has the union of
     its blocks' spectra. Every entry off the blocks is zero, as is its
@@ -94,7 +127,7 @@ def _block_eigvalsh(pattern, gather):
     for b in _blocks(pattern):
         block = gather(b)
         _require_hermitian(block)
-        spectra.append(np.linalg.eigvalsh(block))
+        spectra.append(_deflated_eigvalsh(block))
     return np.concatenate(spectra)
 
 

@@ -371,15 +371,41 @@ CASE_IDS = ["tmst-12", "tmst-32", "displaced-10", "displaced-20", "product",
             "blocks-4x6", "blocks-2x7"]
 
 
+@pytest.fixture
+def eigvalsh_sizes(monkeypatch):
+    """The size of each matrix np.linalg.eigvalsh is called on, in order."""
+    sizes, solve = [], np.linalg.eigvalsh
+
+    def spy(mat):
+        sizes.append(len(mat))
+        return solve(mat)
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return sizes
+
+
 class TestBlockGather:
     """negativity_fock reads rho^Gamma block by block from rho, and
     tmst_density builds each +-delta block once: both against the routes
-    they replace, bit for bit."""
+    they replace, bit for bit wherever no row is dropped."""
 
-    @pytest.mark.parametrize("build,dims", CASES, ids=CASE_IDS)
-    def test_negativity_equals_dense_route(self, build, dims):
+    @pytest.mark.parametrize("build,dims,drops", [
+        case + (case_id == "displaced-20",) for case, case_id in zip(CASES, CASE_IDS)],
+        ids=CASE_IDS)
+    def test_negativity_equals_dense_route(self, build, dims, drops, eigvalsh_sizes):
+        # bit for bit where no row is dropped. displaced-20 drops rows: its
+        # spectrum moves by at most EPS ||rho||_F, beside the D EPS ||rho||_F
+        # of the dense solve's own rounding (it reads one ulp apart)
         rho = build()
-        assert fock.negativity_fock(rho, dims) == negativity_dense(rho, dims)
+        dense = negativity_dense(rho, dims)
+        eigvalsh_sizes.clear()
+        got = fock.negativity_fock(rho, dims)
+        dropped = len(rho) - sum(eigvalsh_sizes)
+        if drops:
+            assert dropped > 0
+            assert abs(got - dense) <= (1 + len(rho)) * fock.EPS * np.linalg.norm(rho, "fro")
+        else:
+            assert dropped == 0
+            assert got == dense
 
     @pytest.mark.parametrize("build,dims", CASES + [
         (lambda: _non_hermitian((6, 13)), (6, 6)),
@@ -444,6 +470,73 @@ class TestBlockGather:
         finally:
             tracemalloc.stop()
         assert peak < rho.nbytes / 4, (peak, rho.nbytes)
+
+
+def _decaying_block(size, ratio, seed, complex_):
+    """Seeded Hermitian block whose row and column i scale as ratio**i,
+    under a seeded permutation. Its diagonal entry ratio**i is as large as
+    the rest of row i, so dropping row i moves the spectrum at first order."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(size, size))
+    if complex_:
+        g = g + 1j * rng.normal(size=(size, size))
+    scale = ratio ** np.arange(size)
+    mat = (g + g.conj().T) * scale[:, None] * scale + np.diag(scale)
+    perm = rng.permutation(size)
+    return mat[np.ix_(perm, perm)]
+
+
+def _rows_to_drop(block):
+    """The largest k with 4 k s_k <= (EPS ||block||_F)^2, s_k the sum of the
+    k smallest squared row norms, counted one row at a time."""
+    weights = sorted(float(np.vdot(row, row).real) for row in block)
+    limit = fock.EPS ** 2 * sum(weights)
+    k = total = 0
+    for weight in weights:
+        total += weight
+        if 4 * (k + 1) * total > limit:
+            break
+        k += 1
+    return k
+
+
+class TestDeflation:
+    """A block's spectrum is solved without the rows the bound lets go, and
+    moves by at most EPS ||block||_F in l1."""
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_spectrum_within_the_bound(self, complex_, seed, eigvalsh_sizes):
+        block = _decaying_block(60, 0.4, seed, complex_)
+        dense = np.sort(np.linalg.eigvalsh(block))
+        eigvalsh_sizes.clear()
+        got = fock._deflated_eigvalsh(block)
+        k = _rows_to_drop(block)
+        assert k > 0 and eigvalsh_sizes == [len(block) - k]
+        assert not got[-k:].any()
+        # EPS ||B||_F for the rows dropped; len(B) EPS ||B||_F for the
+        # rounding of the dense solve
+        bound = (1 + len(block)) * fock.EPS * np.linalg.norm(block, "fro")
+        assert np.abs(np.sort(got) - dense).sum() <= bound
+
+    def test_pool_like_state_drops_at_least_100_rows(self, eigvalsh_sizes):
+        # a displaced two-mode squeezed thermal state with extra noise on
+        # each mode, as in the benchmark's pool
+        sigma = core.tmst(0.15, 0.01).sigma + np.diag([0.01, 0.01, 0.04, 0.04])
+        state = core.GaussianState([0.1, -0.2, 0.05, 0.1], sigma)
+        rho = fock.gaussian_density(state, 20)
+        eigvalsh_sizes.clear()
+        value = fock.negativity_fock(rho, (21, 21))
+        assert len(rho) - sum(eigvalsh_sizes) >= 100
+        expected = entanglement.negativity(entanglement.BipartiteCM.from_state(state))
+        assert abs(value - expected) <= 1e-12
+
+    @pytest.mark.parametrize("r,n", [(0.2, 0.0), (0.35, 0.02), (0.3, 0.01),
+                                     (0.8, 0.1)])
+    def test_tmst_blocks_drop_none(self, r, n, eigvalsh_sizes):
+        # so the tmst negativities keep the bits of the full solves
+        fock.negativity_fock(fock.tmst_density(r, n, 32), (33, 33))
+        assert sum(eigvalsh_sizes) == 33 ** 2
 
 
 class TestSpectralQfi:

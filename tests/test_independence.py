@@ -117,7 +117,8 @@ CHECKS = {
                                   "cvmw.channel.sym_reach"},
         "blocks_bfs": {"cvmw.fock._blocks"},
         "negativity_dense": {"cvmw.fock.negativity_fock", "cvmw.fock._blocks",
-                             "cvmw.fock._block_eigvalsh"},
+                             "cvmw.fock._block_eigvalsh",
+                             "cvmw.fock._deflated_eigvalsh"},
         "tmst_density_loop": {"cvmw.fock.tmst_density"},
         "gaussian_density_moveaxis": {"cvmw.fock.gaussian_density"},
     },
