@@ -4,20 +4,28 @@ the brute-force check of the Gaussian closed forms.
 Density matrices are dense (D, D) arrays over a Hilbert space truncated
 at n_max photons per mode, D the total dimension. The thermal and two-mode
 squeezed thermal states have real entries and are float64; the displaced
-Gaussian states are complex. negativity_fock takes its spectrum block by
-block, over the connected components of the matrix's exact-zero pattern,
-so a state that conserves a photon number pays for its largest block
-rather than for D, and a real block takes the real eigensolver. It never
-forms the partial transpose: it transposes the zero pattern only, the one
-boolean D x D array, and gathers each block of rho^Gamma from rho, the only
-numeric D x D array. Each block B is solved without its k lightest rows and
-columns, k the largest with 4 k s_k <= (EPS ||B||_F)^2 for s_k the sum of
-the k smallest squared row norms, and k zeros stand in for their
-eigenvalues: the spectrum, and so the negativity, moves by at most
-EPS ||B||_F, below the rounding of the full solve. The displaced, noisy
-two-mode squeezed thermal states of the benchmark's oracle drop a fifth to
-a half of their 441 rows at n_max 20; the two-mode squeezed thermal blocks
-drop none and keep their bits.
+Gaussian states are complex. negativity_fock never forms the partial
+transpose beside what it diagonalizes. It takes rho^Gamma's spectrum block
+by block, a real block with the real eigensolver, on the first of three
+routes that applies:
+- one block: if row 0 of rho^Gamma has no zero, index 0 is linked to every
+  other, and rho^Gamma is one transposed copy of rho. The displaced Gaussian
+  states of the benchmark's oracle take this route;
+- sectors: if rho is zero off its photon-number-difference (a - b) blocks,
+  counted exactly, rho^Gamma is block-diagonal on the sectors a + b = N,
+  whose index sets are closed-form and whose entries come from rho in one
+  gather. Every two-mode squeezed thermal state takes this route, and pays
+  for blocks at most n_max + 1 wide rather than for D;
+- otherwise the zero pattern of rho^Gamma, one boolean D x D array, is
+  searched for its connected components, each gathered from rho.
+Each block B is solved without its k lightest rows and columns, k the
+largest with 2 (r_1 + ... + r_k) <= EPS ||B||_F for r_1 <= r_2 <= ... the
+row norms, and k zeros stand in for their eigenvalues. The part zeroed
+has trace norm at most twice that sum, so the spectrum, and the
+negativity, move by at most EPS ||B||_F in l1 (Mirsky's theorem), below
+the rounding of the full solve. The displaced, noisy two-mode squeezed
+thermal states of the oracle drop a quarter to a half of their 441 rows at
+n_max 20; the two-mode squeezed thermal sectors drop none.
 Gaussian density matrices come from the Hermite recurrence of their
 Bargmann generating function; the two-mode squeezed thermal state is built
 from its definition, exponentiating the squeezing generator on the
@@ -27,6 +35,8 @@ operators that tests compare against (subtraction, beam-splitter and
 squeezing unitaries, displacements, partial trace and transpose, spectral
 QFI) live in tests/oracles/fock_ops.py.
 """
+
+import functools
 
 import numpy as np
 
@@ -46,13 +56,28 @@ def thermal_density(n_th, n_max):
     return np.diag(p)
 
 
+def _require_conjugates(x, y):
+    """Raise unless max |x - conj(y)| <= 1e-10, for x and y the entries of
+    a matrix and of its transpose. The components of the difference are
+    read first: if none exceeds 7e-11 every modulus is below 1e-10, and if
+    one exceeds 1e-10 so does its modulus, so the moduli are taken only in
+    between."""
+    diff = np.conjugate(y, order="C")
+    np.subtract(x, diff, out=diff)
+    parts = diff.view(diff.real.dtype)
+    top = max(parts.max(), -parts.min())
+    if top > 1e-10 or (top > 7e-11 and np.abs(diff).max() > 1e-10):
+        raise ValueError("density matrix is not Hermitian")
+
+
 def _require_hermitian(mat):
-    """Raise unless max |mat - mat^dag| <= 1e-10, taken 128 rows at a time
-    so no full-size temporary is made."""
+    """Raise unless max |mat - mat^dag| <= 1e-10. Entry (j, i) of the
+    difference is minus the conjugate of entry (i, j), so each slab of 128
+    rows is read against the columns from its first row on: half the matrix,
+    and no full-size temporary."""
     slab = 128
     for i in range(0, len(mat), slab):
-        if np.abs(mat[i:i + slab] - mat[:, i:i + slab].conj().T).max() > 1e-10:
-            raise ValueError("density matrix is not Hermitian")
+        _require_conjugates(mat[i:i + slab, i:], mat[i:, i:i + slab].T)
 
 
 def _blocks(mat):
@@ -92,13 +117,19 @@ def _deflated_eigvalsh(block):
     in l1: the eigvalsh of the block less its k lightest rows and columns,
     then k zeros.
 
-    With w_i the squared row norms and s_k the sum of the k smallest, k is
-    the largest with 4 k s_k <= (EPS ||block||_F)^2. The part zeroed, E, has
-    rank <= 2k and ||E||_F^2 <= 2 s_k, so ||E||_tr <= 2 sqrt(k s_k), which
-    bounds the l1 distance between the spectra (Mirsky's theorem in the
-    trace norm; R. Bhatia, Matrix Analysis, 1997). A block whose lightest
-    row breaks the bound, or whose bound under- or overflows, is solved
-    whole with no sort.
+    k is the largest with 2 (r_1 + ... + r_k) <= EPS ||block||_F, for
+    r_1 <= r_2 <= ... the row norms. With Q the projection onto the k rows
+    and P = 1 - Q, block - P block P = Q block + P block Q. Q block is a sum
+    of k rank-one rows, so its trace norm is at most r_1 + ... + r_k, and
+    P block Q has at most the trace norm of block Q, whose columns are the
+    conjugated rows. So the trace norm of the part zeroed is at most
+    2 (r_1 + ... + r_k), which bounds the l1 distance between the spectra
+    (Mirsky's theorem in the trace norm; R. Bhatia, Matrix Analysis, 1997).
+    By Cauchy-Schwarz, r_1 + ... + r_k <= sqrt(k s_k) for s_k the sum of
+    the k smallest squared row norms, so k is never below the largest with
+    4 k s_k <= (EPS ||block||_F)^2. k >= 1 exactly when 4 r_1^2 <=
+    (EPS ||block||_F)^2: a block whose lightest row breaks that, or whose
+    bound under- or overflows, is solved whole with no sort.
     """
     w = np.vecdot(block, block).real  # squared row norms, with no temporary
     weights = w.tolist()  # Python's sum and min: half numpy's cost on a small block
@@ -106,7 +137,8 @@ def _deflated_eigvalsh(block):
     if not (TINY <= tol < np.inf and 4.0 * min(weights) <= tol):
         return np.linalg.eigvalsh(block)
     order = np.argsort(w, kind="stable")
-    k = np.count_nonzero(4.0 * np.arange(1, len(w) + 1) * np.cumsum(w[order]) <= tol)
+    light = np.cumsum(np.sqrt(w[order]))
+    k = np.count_nonzero(4.0 * light * light <= tol)
     keep = np.sort(order[k:])
     return np.concatenate([np.linalg.eigvalsh(block[np.ix_(keep, keep)]), np.zeros(k)])
 
@@ -131,26 +163,105 @@ def _block_eigvalsh(pattern, gather):
     return np.concatenate(spectra)
 
 
+def _one_block(t):
+    """Whether rho^Gamma is provably one block, t the (d1, d2, d1, d2) view
+    of rho: row 0 of rho^Gamma, rho^Gamma[(0, 0), (a', b')] =
+    rho[(0, b'), (a', 0)] = t[0, b', a', 0], has no zero, so index 0 is
+    linked to every index."""
+    return bool(t[0, :, :, 0].all())
+
+
+@functools.lru_cache(maxsize=8)
+def _sectors(d1, d2):
+    """The photon-number sectors a + b = N of a d1 x d2 system, and where
+    the blocks of rho^Gamma on them sit in rho; read-only, cached by dims.
+
+    Returns (sets, src, mirror, ends). sets[N] holds the flat indices
+    a d2 + b with a + b = N, ascending; N ascending orders the sets by their
+    lowest index. src holds the flat positions in rho of the entries of the
+    blocks rho^Gamma[sets[N], sets[N]], one block after another, each
+    row-major: rho^Gamma[(a, b), (a', b')] = rho[(a, b'), (a', b)], and
+    a + b = a' + b' makes a - b' = a' - b, so src covers the photon-number-
+    difference blocks of rho, each entry once. mirror[m] is the position in
+    src of the transpose of entry m, and ends the end of each block in src.
+    """
+    dim = d1 * d2
+    sets, src, mirror = [], [], []
+    start = 0
+    for total in range(d1 + d2 - 1):
+        a = np.arange(max(0, total - d2 + 1), min(total, d1 - 1) + 1)
+        b = total - a
+        size = len(a)
+        sets.append(a * d2 + b)
+        src.append(((a[:, None] * d2 + b[None, :]) * dim
+                    + a[None, :] * d2 + b[:, None]).ravel())
+        mirror.append(start + np.arange(size * size).reshape(size, size).T.ravel())
+        start += size * size
+    src, mirror = np.concatenate(src), np.concatenate(mirror)
+    ends = np.cumsum([len(s) ** 2 for s in sets])
+    for array in (*sets, src, mirror, ends):
+        array.flags.writeable = False
+    return tuple(sets), src, mirror, ends
+
+
+def _conserves_difference(rho, vals):
+    """Whether rho is zero off its photon-number-difference (a - b) blocks,
+    vals the entries on them: exactly, since those entries are among rho's,
+    so the counts of nonzero words (entries, or their real and imaginary
+    parts if complex) agree only if none lies off the blocks. The words are
+    read as unsigned integers, which numpy counts at about twice its rate
+    for floats; so a -0.0 off the blocks fails the test, and sends rho to a
+    route that does not assume them."""
+    def nonzero_words(x):
+        parts = (x.real, x.imag) if np.iscomplexobj(x) else (x,)
+        return sum(np.count_nonzero(p.view("u%d" % p.itemsize)) for p in parts)
+    return nonzero_words(rho) == nonzero_words(vals)
+
+
 def negativity_fock(rho, dims):
     """Sum of |negative eigenvalues| of the partial transpose over the
-    second subsystem, read block by block from rho.
+    second subsystem, read block by block from rho on the first of three
+    routes that applies.
 
-    Only the nonzero pattern of rho is partially transposed; each block of
-    rho^Gamma is gathered through rho^Gamma[(a, b), (a', b')] =
-    rho[(a, b'), (a', b)]. rho^Gamma - (rho^Gamma)^dag is (rho - rho^dag)^Gamma,
-    a permutation of its entries, so the check per block is the check of rho.
+    - One block: row 0 of rho^Gamma has no zero (_one_block). rho^Gamma is
+      taken as one transposed copy of rho.
+    - Sectors: rho conserves a - b (_conserves_difference), so rho^Gamma is
+      block-diagonal on the sectors a + b = N (_sectors), gathered from rho
+      in one take. No rho conserves a - b whose rho^Gamma has a row 0
+      without a zero, beyond D = 1, so the cheaper test runs first.
+    - Otherwise the nonzero pattern of rho is partially transposed, one
+      boolean D x D array, and _block_eigvalsh gathers each of its
+      components from rho.
+
+    rho^Gamma - (rho^Gamma)^dag is (rho - rho^dag)^Gamma, a permutation of
+    its entries, so each route's Hermitian check is the check of rho: on
+    the sectors, every entry off them is zero, as is its mirror.
     """
     d1, d2 = dims
+    dim = d1 * d2
     t = rho.reshape(d1, d2, d1, d2)
-    # written in C order, so the reshape is a view: one boolean D x D array
-    pattern = np.not_equal(t.transpose(0, 3, 2, 1), 0, order="C").reshape(
-        d1 * d2, d1 * d2)
+    if _one_block(t):
+        block = t.transpose(0, 3, 2, 1).reshape(dim, dim)  # a copy
+        _require_hermitian(block)
+        ev = _deflated_eigvalsh(block)
+    else:
+        sets, src, mirror, ends = _sectors(d1, d2)
+        vals = np.take(rho, src)
+        if _conserves_difference(rho, vals):
+            _require_conjugates(vals, vals[mirror])
+            ev = np.concatenate([
+                _deflated_eigvalsh(v.reshape(len(s), len(s)))
+                for s, v in zip(sets, np.split(vals, ends[:-1]))])
+        else:
+            # written in C order, so the reshape is a view
+            pattern = np.not_equal(t.transpose(0, 3, 2, 1), 0, order="C").reshape(
+                dim, dim)
 
-    def gather(b):
-        a, c = np.divmod(b, d2)
-        return t[a[:, None], c[None, :], a[None, :], c[:, None]]
+            def gather(b):
+                a, c = np.divmod(b, d2)
+                return t[a[:, None], c[None, :], a[None, :], c[:, None]]
 
-    ev = _block_eigvalsh(pattern, gather)
+            ev = _block_eigvalsh(pattern, gather)
     return float(-np.sum(ev[ev < 0.0]))
 
 
@@ -210,25 +321,38 @@ def gaussian_density(state, n_max):
     if (n_max + 1) ** state.n_modes > MAX_DENSE_DIM:
         raise ValueError("truncated dimension too large for a dense density matrix")
     a, b, c = _bargmann(state)
+    side = n_max + 1
     root = np.sqrt(np.arange(n_max + 1.0))
-    g = np.zeros((n_max + 1,) * n_axes, dtype=complex)
+    g = np.zeros((side,) * n_axes, dtype=complex)
     g[(0,) * n_axes] = c
     for i in range(n_axes):
-        # axes before i are complete; axes after i stay at index 0. Along
-        # each earlier axis j, entry k_j + 1 of new takes A_ij sqrt(k_j + 1)
-        # times entry k_j of cur: index tuples and weights built once per axis
+        # axes before i are complete; axes after i stay at index 0. Slab k
+        # of axis i is worked on as a flat contiguous copy; along each
+        # earlier axis j, flat entry m of new takes A_ij sqrt(k_j) times
+        # entry m - step_j of cur, for k_j the index of m on axis j, and the
+        # weight is 0 where k_j = 0. Weights and buffers are built once per
+        # axis. Every complex product is written to a contiguous array: a
+        # strided output takes numpy's scalar loop, which rounds otherwise
         rest = (0,) * (n_axes - i - 1)
-        shifts = [((slice(None),) * j + (slice(1, None),),
-                   (slice(None),) * j + (slice(None, -1),),
-                   a[i, j] * root[1:].reshape((-1,) + (1,) * (i - 1 - j)))
-                  for j in range(i)]
+        size = side ** i
+        prev, cur, new, tmp = (np.empty(size, dtype=complex) for _ in range(4))
+        cur[...] = g[(Ellipsis, 0) + rest].reshape(size)
+        shifts = []
+        for j in range(i):
+            step = side ** (i - 1 - j)
+            k_j = np.arange(step, size) // step % side
+            shifts.append((step, a[i, j] * root[k_j], np.empty(size - step, dtype=complex)))
         for k in range(n_max):
-            cur = g[(Ellipsis, k) + rest]
-            new = b[i] * cur
+            np.multiply(b[i], cur, out=new)
             if k:
-                new += a[i, i] * root[k] * g[(Ellipsis, k - 1) + rest]
-            for up, down, weight in shifts:
-                new[up] += weight * cur[down]
-            g[(Ellipsis, k + 1) + rest] = new / root[k + 1]
-    dim = (n_max + 1) ** state.n_modes
+                np.multiply(a[i, i] * root[k], prev, out=tmp)
+                np.add(new, tmp, out=new)
+            for step, weight, product in shifts:
+                np.multiply(weight, cur[:-step], out=product)
+                np.add(new[step:], product, out=new[step:])
+            prev, cur, new = cur, new, prev
+            # the product by 1 / sqrt(k + 1) is numpy's complex division by it
+            np.multiply(cur, 1.0 / root[k + 1], out=cur)
+            g[(Ellipsis, k + 1) + rest] = cur.reshape((side,) * i)
+    dim = side ** state.n_modes
     return g.reshape(dim, dim)

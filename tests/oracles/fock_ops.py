@@ -177,9 +177,9 @@ def _eigvalsh(mat):
     """Eigenvalues of a Hermitian matrix, taken block by block over the
     connected components of its zero pattern (cvmw.fock's block spectrum),
     unsorted. Each block B is solved less its k lightest rows and columns,
-    k the largest with 4 k s_k <= (EPS ||B||_F)^2 for s_k the sum of the k
-    smallest squared row norms, with k zeros in their place: within
-    EPS ||B||_F in l1 of the spectrum eigvalsh(mat) reads."""
+    k the largest with 2 (r_1 + ... + r_k) <= EPS ||B||_F for r_1 <= r_2
+    <= ... the row norms, with k zeros in their place: within EPS ||B||_F
+    in l1 of the spectrum eigvalsh(mat) reads."""
     return _block_eigvalsh(mat, lambda b: mat if len(b) == len(mat)
                            else mat[np.ix_(b, b)])
 

@@ -372,6 +372,25 @@ CASE_IDS = ["tmst-12", "tmst-32", "displaced-10", "displaced-20", "product",
 
 
 @pytest.fixture
+def routes(monkeypatch):
+    """The route of the last negativity_fock call: "one-block" if it never
+    tested rho for a - b conservation, "sectors" if the test held, and
+    "general" if it searched the pattern with _blocks."""
+    calls = []
+    for name in ("_conserves_difference", "_blocks"):
+        def spy(*args, _name=name, _original=getattr(fock, name)):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(fock, name, spy)
+
+    def route():
+        if "_blocks" in calls:
+            return "general"
+        return "sectors" if calls else "one-block"
+    return route
+
+
+@pytest.fixture
 def eigvalsh_sizes(monkeypatch):
     """The size of each matrix np.linalg.eigvalsh is called on, in order."""
     sizes, solve = [], np.linalg.eigvalsh
@@ -455,21 +474,103 @@ class TestBlockGather:
     @pytest.mark.parametrize("entry", [
         (6, 13),  # |1, 0><2, 1|: inside a block of rho and of rho^Gamma
         (0, 3),   # |0, 0><0, 3|: a lone entry whose mirror is zero
+        (20, 7),  # in a displaced state, whose rho^Gamma has a full row 0
     ])
-    def test_non_hermitian_rejected(self, check, entry):
-        rho = _non_hermitian(entry)
+    def test_non_hermitian_rejected(self, check, entry, routes):
+        # negativity_fock rejects each on its own route
+        if entry == (20, 7):
+            rho = _displaced_density(5)
+            rho[entry] += 1e-9j
+        else:
+            rho = _non_hermitian(entry)
         with pytest.raises(ValueError, match="density matrix is not Hermitian"):
             check(rho)
+        if check is not fock_ops.check_density:
+            assert routes() == {(6, 13): "sectors", (0, 3): "general",
+                                (20, 7): "one-block"}[entry]
 
-    def test_partial_transpose_is_never_formed(self):
-        rho = fock.tmst_density(0.3, 0.0, 32)
+    def test_partial_transpose_is_never_formed(self, routes):
+        # nor, in the benchmark's n_max-40 op, which sets the oracle's peak
+        # memory, anything beyond a quarter of rho besides rho itself
+        for r, n, n_max in ((0.3, 0.0, 32), (0.7, 0.04, 40)):
+            fock._sectors.cache_clear()
+            tracemalloc.start()
+            try:
+                rho = fock.tmst_density(r, n, n_max)
+                built = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                fock.negativity_fock(rho, (n_max + 1,) * 2)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert routes() == "sectors"
+            assert peak - built < rho.nbytes / 4, (n_max, peak, built, rho.nbytes)
+
+    def test_one_block_route_makes_one_copy(self, eigvalsh_sizes):
+        # the transposed copy of rho and the block of the rows kept, which
+        # is smaller, with a sixteenth of the copy for numpy's indexing: no
+        # other D x D array
+        rho = _displaced_density(20)
         tracemalloc.start()
         try:
-            fock.negativity_fock(rho, (33, 33))
+            tracemalloc.reset_peak()
+            fock.negativity_fock(rho, (21, 21))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < rho.nbytes / 4, (peak, rho.nbytes)
+        (kept,) = eigvalsh_sizes
+        assert kept < len(rho)
+        assert peak < rho.nbytes * 17 / 16 + kept ** 2 * rho.itemsize, (peak, rho.nbytes)
+
+
+# every two-mode squeezed thermal state with n > 0 that these tests build,
+# and the corners of the benchmark oracle's ranges at n_max 32 and 40
+TMST_STATES = [(0.4, 0.1, 5), (0.4, 0.1, 6), (0.5, 0.05, 12), (0.3, 0.05, 12),
+               (0.3, 0.1, 14), (0.3, 0.1, 20), (0.5, 0.05, 20), (0.3, 0.01, 32),
+               (0.35, 0.02, 32), (0.8, 0.1, 32), (0.2, 1e-3, 32), (0.6, 1e-3, 40),
+               (0.7, 0.04, 40), (0.75, 0.04, 40)]
+
+
+class TestRoutes:
+    """negativity_fock's sector and one-block routes stand in for the
+    general one's search of the pattern of rho^Gamma, which runs only when
+    neither applies."""
+
+    @pytest.mark.parametrize("r,n,n_max", TMST_STATES)
+    def test_sectors_equal_the_components(self, r, n, n_max, routes):
+        rho = fock.tmst_density(r, n, n_max)
+        dims = (n_max + 1,) * 2
+        components = blocks_bfs(fock_ops.partial_transpose(rho, dims))
+        sets = fock._sectors(*dims)[0]
+        assert len(sets) == len(components)
+        assert all(np.array_equal(x, y) for x, y in zip(sets, components))
+        fock.negativity_fock(rho, dims)
+        assert routes() == "sectors"
+
+    def test_off_pattern_pair_takes_the_general_route(self, routes):
+        # |1, 0><0, 0| and its mirror: a - b of 1 against 0
+        rho = fock.tmst_density(0.5, 0.05, 12)
+        rho[13, 0] = rho[0, 13] = 1e-3
+        got = fock.negativity_fock(rho, (13, 13))
+        assert routes() == "general"
+        assert got == negativity_dense(rho, (13, 13))
+
+    @pytest.mark.parametrize("n_max", [10, 20])
+    def test_displaced_gaussian_never_searches(self, n_max, monkeypatch):
+        def refuse(mat):
+            raise AssertionError("_blocks called")
+        monkeypatch.setattr(fock, "_blocks", refuse)
+        assert fock.negativity_fock(_displaced_density(n_max), (n_max + 1,) * 2) > 0.0
+
+    def test_connected_matrix_with_a_zero_in_row_0(self, routes):
+        # rho^Gamma[(0, 0), (3, 2)] = rho[(0, 2), (3, 0)], and its mirror,
+        # set to zero: rho^Gamma stays one block, found by the search
+        rho = _displaced_density(10)
+        rho[2, 33] = rho[33, 2] = 0.0
+        got = fock.negativity_fock(rho, (11, 11))
+        assert routes() == "general"
+        assert len(blocks_bfs(fock_ops.partial_transpose(rho, (11, 11)))) == 1
+        assert got == negativity_dense(rho, (11, 11))
 
 
 def _decaying_block(size, ratio, seed, complex_):
@@ -486,9 +587,30 @@ def _decaying_block(size, ratio, seed, complex_):
     return mat[np.ix_(perm, perm)]
 
 
+def _pool_like_state():
+    """A displaced two-mode squeezed thermal state with extra noise on each
+    mode, as in the benchmark's pool."""
+    sigma = core.tmst(0.15, 0.01).sigma + np.diag([0.01, 0.01, 0.04, 0.04])
+    return core.GaussianState([0.1, -0.2, 0.05, 0.1], sigma)
+
+
 def _rows_to_drop(block):
+    """The largest k with 2 (r_1 + ... + r_k) <= EPS ||block||_F, for
+    r_1 <= r_2 <= ... the row norms, counted one row at a time."""
+    weights = sorted(float(np.vdot(row, row).real) for row in block)
+    limit = fock.EPS ** 2 * sum(weights)
+    k = total = 0
+    for weight in weights:
+        total += np.sqrt(weight)
+        if 4 * total * total > limit:
+            break
+        k += 1
+    return k
+
+
+def _rows_to_drop_squared(block):
     """The largest k with 4 k s_k <= (EPS ||block||_F)^2, s_k the sum of the
-    k smallest squared row norms, counted one row at a time."""
+    k smallest squared row norms: the rule the row-norm sum replaced."""
     weights = sorted(float(np.vdot(row, row).real) for row in block)
     limit = fock.EPS ** 2 * sum(weights)
     k = total = 0
@@ -520,16 +642,29 @@ class TestDeflation:
         assert np.abs(np.sort(got) - dense).sum() <= bound
 
     def test_pool_like_state_drops_at_least_100_rows(self, eigvalsh_sizes):
-        # a displaced two-mode squeezed thermal state with extra noise on
-        # each mode, as in the benchmark's pool
-        sigma = core.tmst(0.15, 0.01).sigma + np.diag([0.01, 0.01, 0.04, 0.04])
-        state = core.GaussianState([0.1, -0.2, 0.05, 0.1], sigma)
+        state = _pool_like_state()
         rho = fock.gaussian_density(state, 20)
         eigvalsh_sizes.clear()
         value = fock.negativity_fock(rho, (21, 21))
         assert len(rho) - sum(eigvalsh_sizes) >= 100
         expected = entanglement.negativity(entanglement.BipartiteCM.from_state(state))
         assert abs(value - expected) <= 1e-12
+
+    def test_row_norm_rule_drops_no_fewer_than_the_squared_rule(self):
+        # by Cauchy-Schwarz, on every block of rho^Gamma of CASES and on the
+        # seeded decaying blocks
+        blocks = [_decaying_block(60, 0.4, seed, complex_)
+                  for seed in range(3) for complex_ in (False, True)]
+        for build, dims in CASES:
+            pt = fock_ops.partial_transpose(build(), dims)
+            blocks += [pt[np.ix_(b, b)] for b in blocks_bfs(pt)]
+        for block in blocks:
+            assert _rows_to_drop(block) >= _rows_to_drop_squared(block)
+
+    def test_row_norm_rule_drops_more_on_the_pool_like_state(self):
+        pt = fock_ops.partial_transpose(fock.gaussian_density(_pool_like_state(), 20),
+                                        (21, 21))
+        assert _rows_to_drop(pt) > _rows_to_drop_squared(pt)
 
     @pytest.mark.parametrize("r,n", [(0.2, 0.0), (0.35, 0.02), (0.3, 0.01),
                                      (0.8, 0.1)])

@@ -115,10 +115,13 @@ CHECKS = {
             "cvmw.channel.source_terms"},
         "l_max_condition_array": {"cvmw.channel.l_max", "cvmw.channel.tmst_polys",
                                   "cvmw.channel.sym_reach"},
-        "blocks_bfs": {"cvmw.fock._blocks"},
+        "blocks_bfs": {"cvmw.fock._blocks", "cvmw.fock._sectors"},
         "negativity_dense": {"cvmw.fock.negativity_fock", "cvmw.fock._blocks",
                              "cvmw.fock._block_eigvalsh",
-                             "cvmw.fock._deflated_eigvalsh"},
+                             "cvmw.fock._deflated_eigvalsh",
+                             "cvmw.fock._sectors",
+                             "cvmw.fock._conserves_difference",
+                             "cvmw.fock._one_block"},
         "tmst_density_loop": {"cvmw.fock.tmst_density"},
         "gaussian_density_moveaxis": {"cvmw.fock.gaussian_density"},
     },
