@@ -5,19 +5,17 @@ Density matrices are dense (D, D) arrays over a Hilbert space truncated
 at n_max photons per mode, D the total dimension. The thermal and two-mode
 squeezed thermal states have real entries and are float64; the displaced
 Gaussian states are complex. negativity_fock never forms the partial
-transpose beside what it diagonalizes. It takes rho^Gamma's spectrum block
-by block, a real block with the real eigensolver, on the first of three
-routes that applies:
-- one block: if row 0 of rho^Gamma has no zero, index 0 is linked to every
-  other, and rho^Gamma is one transposed copy of rho. The displaced Gaussian
-  states of the benchmark's oracle take this route;
+transpose beside what it diagonalizes, and takes rho^Gamma's spectrum on
+one of two routes, a real block with the real eigensolver:
 - sectors: if rho is zero off its photon-number-difference (a - b) blocks,
   counted exactly, rho^Gamma is block-diagonal on the sectors a + b = N,
   whose index sets are closed-form and whose entries come from rho in one
   gather. Every two-mode squeezed thermal state takes this route, and pays
   for blocks at most n_max + 1 wide rather than for D;
-- otherwise the zero pattern of rho^Gamma, one boolean D x D array, is
-  searched for its connected components, each gathered from rho.
+- whole: otherwise rho^Gamma is one transposed copy of rho, solved as one
+  block. If row 0 of rho^Gamma has no zero, rho cannot conserve a - b, and
+  the test is skipped: the displaced Gaussian states of the benchmark's
+  oracle take this shortcut.
 Each block B is solved without its k lightest rows and columns, k the
 largest with 2 (r_1 + ... + r_k) <= EPS ||B||_F for r_1 <= r_2 <= ... the
 row norms, and k zeros stand in for their eigenvalues. The part zeroed
@@ -80,38 +78,6 @@ def _require_hermitian(mat):
         _require_conjugates(mat[i:i + slab, i:], mat[i:, i:i + slab].T)
 
 
-def _blocks(mat):
-    """Index sets of the connected components of the graph with an edge
-    between i and j wherever mat[i, j] != 0, each sorted, in order of their
-    lowest index. A boolean mat is that pattern itself, and no other D x D
-    array is formed.
-
-    A breadth-first search from the lowest index no search has reached
-    expands its front through rows of the pattern only, since a row is
-    contiguous and a column strided. An edge i -> j is seen from row i: if an
-    earlier search holds j, the two searches are one component, and the
-    earlier one's indices take this search's label. So every edge is
-    followed whichever of its two entries is nonzero.
-    """
-    linked = mat if mat.dtype == bool else mat != 0
-    label = np.full(len(mat), -1)
-    while (label < 0).any():
-        start = int(np.argmax(label < 0))
-        label[start] = start
-        front = np.array([start])
-        while len(front):
-            reach = np.flatnonzero(linked[front].any(axis=0))
-            held = label[reach]
-            earlier = held[(held >= 0) & (held != start)]
-            if len(earlier):
-                label[np.isin(label, earlier)] = start
-            front = reach[held < 0]
-            label[front] = start
-    order = np.argsort(label, kind="stable")  # by label, then by index
-    first = np.unique(label[order], return_index=True)[1]
-    return sorted(np.split(order, first[1:]), key=lambda b: b[0])
-
-
 def _deflated_eigvalsh(block):
     """Spectrum of a Hermitian block, unsorted, to within EPS ||block||_F
     in l1: the eigvalsh of the block less its k lightest rows and columns,
@@ -143,31 +109,12 @@ def _deflated_eigvalsh(block):
     return np.concatenate([np.linalg.eigvalsh(block[np.ix_(keep, keep)]), np.zeros(k)])
 
 
-def _block_eigvalsh(pattern, gather):
-    """Eigenvalues of a Hermitian matrix whose nonzero entries lie on
-    pattern, concatenated over _blocks(pattern), each block's to within
-    EPS times its Frobenius norm in l1 (_deflated_eigvalsh); gather(b)
-    returns the matrix on the index set b, which is checked Hermitian
-    before its spectrum is taken.
-
-    A matrix that is block-diagonal under a permutation has the union of
-    its blocks' spectra. Every entry off the blocks is zero, as is its
-    mirror, so the blocks' checks together are _require_hermitian of the
-    whole matrix.
-    """
-    spectra = []
-    for b in _blocks(pattern):
-        block = gather(b)
-        _require_hermitian(block)
-        spectra.append(_deflated_eigvalsh(block))
-    return np.concatenate(spectra)
-
-
 def _one_block(t):
-    """Whether rho^Gamma is provably one block, t the (d1, d2, d1, d2) view
-    of rho: row 0 of rho^Gamma, rho^Gamma[(0, 0), (a', b')] =
-    rho[(0, b'), (a', 0)] = t[0, b', a', 0], has no zero, so index 0 is
-    linked to every index."""
+    """Whether row 0 of rho^Gamma, rho^Gamma[(0, 0), (a', b')] =
+    rho[(0, b'), (a', 0)] = t[0, b', a', 0], has no zero, t the
+    (d1, d2, d1, d2) view of rho. Then index 0 is linked to every index, so
+    rho^Gamma is one block and rho, beyond D = 1, does not conserve a - b:
+    negativity_fock takes it whole without testing that."""
     return bool(t[0, :, :, 0].all())
 
 
@@ -220,31 +167,23 @@ def _conserves_difference(rho, vals):
 
 def negativity_fock(rho, dims):
     """Sum of |negative eigenvalues| of the partial transpose over the
-    second subsystem, read block by block from rho on the first of three
-    routes that applies.
+    second subsystem, read from rho on one of two routes.
 
-    - One block: row 0 of rho^Gamma has no zero (_one_block). rho^Gamma is
-      taken as one transposed copy of rho.
     - Sectors: rho conserves a - b (_conserves_difference), so rho^Gamma is
       block-diagonal on the sectors a + b = N (_sectors), gathered from rho
-      in one take. No rho conserves a - b whose rho^Gamma has a row 0
-      without a zero, beyond D = 1, so the cheaper test runs first.
-    - Otherwise the nonzero pattern of rho is partially transposed, one
-      boolean D x D array, and _block_eigvalsh gathers each of its
-      components from rho.
+      in one take, each block solved on its own.
+    - Whole: otherwise rho^Gamma is taken as one transposed copy of rho and
+      solved as one block. A rho^Gamma whose row 0 has no zero (_one_block)
+      takes this route without the conservation test.
 
     rho^Gamma - (rho^Gamma)^dag is (rho - rho^dag)^Gamma, a permutation of
     its entries, so each route's Hermitian check is the check of rho: on
     the sectors, every entry off them is zero, as is its mirror.
     """
     d1, d2 = dims
-    dim = d1 * d2
     t = rho.reshape(d1, d2, d1, d2)
-    if _one_block(t):
-        block = t.transpose(0, 3, 2, 1).reshape(dim, dim)  # a copy
-        _require_hermitian(block)
-        ev = _deflated_eigvalsh(block)
-    else:
+    ev = None
+    if not _one_block(t):
         sets, src, mirror, ends = _sectors(d1, d2)
         vals = np.take(rho, src)
         if _conserves_difference(rho, vals):
@@ -252,16 +191,10 @@ def negativity_fock(rho, dims):
             ev = np.concatenate([
                 _deflated_eigvalsh(v.reshape(len(s), len(s)))
                 for s, v in zip(sets, np.split(vals, ends[:-1]))])
-        else:
-            # written in C order, so the reshape is a view
-            pattern = np.not_equal(t.transpose(0, 3, 2, 1), 0, order="C").reshape(
-                dim, dim)
-
-            def gather(b):
-                a, c = np.divmod(b, d2)
-                return t[a[:, None], c[None, :], a[None, :], c[:, None]]
-
-            ev = _block_eigvalsh(pattern, gather)
+    if ev is None:
+        block = t.transpose(0, 3, 2, 1).reshape(d1 * d2, d1 * d2)  # a copy
+        _require_hermitian(block)
+        ev = _deflated_eigvalsh(block)
     return float(-np.sum(ev[ev < 0.0]))
 
 

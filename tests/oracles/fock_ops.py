@@ -5,8 +5,8 @@ Kets are tensors of shape (n_max+1,) * n_modes, recording their truncation
 leakage, and operators dense arrays over the truncated space. The beam
 splitter and the squeezer are built by exponentiating their generators,
 displacements from their closed-form matrix elements. Beside numpy and the
-standard library, it uses cvmw.fock's matrix exponential and its
-block-by-block Hermitian spectrum.
+standard library, it uses cvmw.fock's matrix exponential, its Hermitian
+check and its deflated Hermitian spectrum.
 """
 
 from dataclasses import dataclass
@@ -14,7 +14,7 @@ from math import lgamma
 
 import numpy as np
 
-from cvmw.fock import (MAX_DENSE_DIM, _block_eigvalsh, _expm_antihermitian,
+from cvmw.fock import (MAX_DENSE_DIM, _deflated_eigvalsh, _expm_antihermitian,
                        _require_hermitian)
 
 
@@ -173,20 +173,11 @@ def squeeze_unitary(r, n_max):
     return _expm_antihermitian(0.5 * r * (a @ a - a.conj().T @ a.conj().T))
 
 
-def _eigvalsh(mat):
-    """Eigenvalues of a Hermitian matrix, taken block by block over the
-    connected components of its zero pattern (cvmw.fock's block spectrum),
-    unsorted. Each block B is solved less its k lightest rows and columns,
-    k the largest with 2 (r_1 + ... + r_k) <= EPS ||B||_F for r_1 <= r_2
-    <= ... the row norms, with k zeros in their place: within EPS ||B||_F
-    in l1 of the spectrum eigvalsh(mat) reads."""
-    return _block_eigvalsh(mat, lambda b: mat if len(b) == len(mat)
-                           else mat[np.ix_(b, b)])
-
-
 def check_density(rho):
-    """Hermiticity / positivity diagnostics; returns the trace deficit."""
-    ev = _eigvalsh(rho)
+    """Hermiticity / positivity diagnostics; returns the trace deficit. The
+    spectrum is read within EPS ||rho||_F in l1 (cvmw.fock's deflation)."""
+    _require_hermitian(rho)
+    ev = _deflated_eigvalsh(rho)
     if ev.min() < -1e-10:
         raise ValueError("density matrix has negative eigenvalues")
     return 1.0 - float(np.trace(rho).real)

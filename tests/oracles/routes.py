@@ -404,9 +404,10 @@ def l_max_condition_array(ch, r, n, geometry):
 
 
 def blocks_bfs(mat):
-    """fock._blocks by a breadth-first search over the symmetric pattern
-    (mat != 0) | (mat != 0)^T: each component is grown from the lowest
-    index not yet seen, and read off as a sorted index set."""
+    """The connected components of the symmetric pattern (mat != 0) |
+    (mat != 0)^T, in order of their lowest index, by a breadth-first search:
+    each component is grown from the lowest index not yet seen, and read
+    off as a sorted index set."""
     nonzero = mat != 0
     linked = nonzero | nonzero.T
     unseen = np.ones(len(mat), dtype=bool)
@@ -425,7 +426,7 @@ def blocks_bfs(mat):
 
 def negativity_dense(rho, dims):
     """fock.negativity_fock through the full partial transpose:
-    fock.partial_transpose checks all of rho Hermitian and copies rho^Gamma,
+    fock_ops.partial_transpose checks all of rho Hermitian and copies rho^Gamma,
     whose spectrum is read over the components of its own zero pattern."""
     pt = partial_transpose(rho, dims)
     blocks = blocks_bfs(pt)

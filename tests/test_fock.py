@@ -276,38 +276,6 @@ def _hermitian_blocks(sizes, pad, seed):
     return mat[np.ix_(perm, perm)]
 
 
-class TestBlockSpectrum:
-    def test_tmst_partial_transpose(self):
-        pt = fock_ops.partial_transpose(fock.tmst_density(0.5, 0.05, 12), (13, 13))
-        assert len(fock._blocks(pt)) == 25
-        np.testing.assert_allclose(np.sort(fock_ops._eigvalsh(pt)),
-                                   np.linalg.eigvalsh(pt), rtol=0.0, atol=1e-13)
-
-    def test_permuted_blocks_and_zero_rows(self):
-        mat = _hermitian_blocks((4, 7, 9), 2, seed=3)
-        assert len(fock._blocks(mat)) == 5
-        np.testing.assert_allclose(np.sort(fock_ops._eigvalsh(mat)),
-                                   np.linalg.eigvalsh(mat), rtol=0.0, atol=1e-12)
-
-    @pytest.mark.parametrize("mat", [
-        np.zeros((6, 6)),
-        np.eye(5),
-        np.ones((4, 4)),
-        _hermitian_blocks((1, 3, 5, 2), 3, seed=7),
-        fock.thermal_density(0.3, 8),
-        fock.tmst_density(0.4, 0.1, 6),
-    ])
-    def test_blocks_partition_the_indices(self, mat):
-        blocks = fock._blocks(mat)
-        assert all(len(b) for b in blocks)
-        np.testing.assert_array_equal(np.sort(np.concatenate(blocks)),
-                                      np.arange(len(mat)))
-
-    def test_displaced_gaussian_is_one_block(self):
-        state = core.GaussianState([0.1, -0.2, 0.05, 0.1], core.tmst(0.3, 0.05).sigma)
-        assert len(fock._blocks(fock.gaussian_density(state, 10))) == 1
-
-
 class TestNegativity:
     def test_product_state_has_zero_negativity(self):
         rho = np.kron(fock.thermal_density(0.4, 10), fock.thermal_density(0.2, 10))
@@ -373,21 +341,15 @@ CASE_IDS = ["tmst-12", "tmst-32", "displaced-10", "displaced-20", "product",
 
 @pytest.fixture
 def routes(monkeypatch):
-    """The route of the last negativity_fock call: "one-block" if it never
-    tested rho for a - b conservation, "sectors" if the test held, and
-    "general" if it searched the pattern with _blocks."""
-    calls = []
-    for name in ("_conserves_difference", "_blocks"):
-        def spy(*args, _name=name, _original=getattr(fock, name)):
-            calls.append(_name)
-            return _original(*args)
-        monkeypatch.setattr(fock, name, spy)
+    """The route of the last negativity_fock call: "sectors" if rho was
+    tested and conserves a - b, otherwise "whole"."""
+    results, test = [], fock._conserves_difference
 
-    def route():
-        if "_blocks" in calls:
-            return "general"
-        return "sectors" if calls else "one-block"
-    return route
+    def spy(*args):
+        results.append(test(*args))
+        return results[-1]
+    monkeypatch.setattr(fock, "_conserves_difference", spy)
+    return lambda: "sectors" if results and results[-1] else "whole"
 
 
 @pytest.fixture
@@ -402,54 +364,50 @@ def eigvalsh_sizes(monkeypatch):
     return sizes
 
 
-class TestBlockGather:
-    """negativity_fock reads rho^Gamma block by block from rho, and
-    tmst_density builds each +-delta block once: both against the routes
-    they replace, bit for bit wherever no row is dropped."""
+def _within_rounding(got, dense, rho):
+    """|got - dense| <= (1 + D) EPS ||rho||_F: EPS ||rho||_F for the rows
+    dropped, D EPS ||rho||_F for the rounding of a dense solve."""
+    return abs(got - dense) <= (1 + len(rho)) * fock.EPS * np.linalg.norm(rho, "fro")
 
-    @pytest.mark.parametrize("build,dims,drops", [
-        case + (case_id == "displaced-20",) for case, case_id in zip(CASES, CASE_IDS)],
-        ids=CASE_IDS)
-    def test_negativity_equals_dense_route(self, build, dims, drops, eigvalsh_sizes):
-        # bit for bit where no row is dropped. displaced-20 drops rows: its
-        # spectrum moves by at most EPS ||rho||_F, beside the D EPS ||rho||_F
-        # of the dense solve's own rounding (it reads one ulp apart)
+
+class TestBlockGather:
+    """negativity_fock reads rho^Gamma from rho, and tmst_density builds
+    each +-delta block once: both against the dense routes, bit for bit
+    wherever no row is dropped and the blocks solved are the dense route's."""
+
+    @pytest.mark.parametrize("build,dims,drops,bounded", [
+        case + (case_id == "displaced-20", case_id in ("displaced-20", "blocks-2x7"))
+        for case, case_id in zip(CASES, CASE_IDS)], ids=CASE_IDS)
+    def test_negativity_equals_dense_route(self, build, dims, drops, bounded,
+                                           eigvalsh_sizes):
+        # displaced-20 drops rows; blocks-2x7's rho^Gamma has three components,
+        # which the dense route solves one by one and negativity_fock whole.
+        # Both read one ulp apart
         rho = build()
         dense = negativity_dense(rho, dims)
         eigvalsh_sizes.clear()
         got = fock.negativity_fock(rho, dims)
-        dropped = len(rho) - sum(eigvalsh_sizes)
-        if drops:
-            assert dropped > 0
-            assert abs(got - dense) <= (1 + len(rho)) * fock.EPS * np.linalg.norm(rho, "fro")
+        assert (len(rho) - sum(eigvalsh_sizes) > 0) == drops
+        if bounded:
+            assert _within_rounding(got, dense, rho)
         else:
-            assert dropped == 0
             assert got == dense
 
-    @pytest.mark.parametrize("build,dims", CASES + [
-        (lambda: _non_hermitian((6, 13)), (6, 6)),
-        (lambda: _non_hermitian((0, 3)), (6, 6)),
-    ], ids=CASE_IDS + ["defect-in-block", "lone-entry"])
-    def test_blocks_equal_breadth_first_route(self, build, dims):
-        # of rho and of the pattern of rho^Gamma; in the lone-entry case the
-        # pattern is not symmetric, and 0 and 3 must share a block
-        rho = build()
-        d1, d2 = dims
-        pattern = (rho.reshape(d1, d2, d1, d2).transpose(0, 3, 2, 1) != 0).reshape(
-            d1 * d2, d1 * d2)
-        for mat in (rho, pattern):
-            got, want = fock._blocks(mat), blocks_bfs(mat)
-            assert len(got) == len(want)
-            assert all(np.array_equal(x, y) for x, y in zip(got, want))
-
-    def test_blocks_equal_breadth_first_route_on_random_patterns(self):
-        rng = np.random.default_rng(11)
-        for _ in range(300):
-            size = int(rng.integers(1, 25))
-            mat = rng.random((size, size)) < rng.choice([0.02, 0.05, 0.1, 0.3])
-            got, want = fock._blocks(mat), blocks_bfs(mat)
-            assert len(got) == len(want)
-            assert all(np.array_equal(x, y) for x, y in zip(got, want))
+    def test_whole_route_within_rounding_on_random_blocks(self, routes):
+        # permuted Hermitian blocks and zero rows, of random sizes and dims:
+        # rho^Gamma has up to 19 components, and is always taken whole
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            d1, d2 = (int(d) for d in rng.integers(2, 8, size=2))
+            dim = d1 * d2
+            pad = int(rng.integers(0, dim // 3 + 1))
+            cuts = rng.choice(np.arange(1, dim - pad), replace=False,
+                              size=int(rng.integers(1, (dim - pad) // 2 + 1)))
+            sizes = np.diff(np.concatenate([[0], np.sort(cuts), [dim - pad]]))
+            rho = _hermitian_blocks(sizes, pad, seed=int(rng.integers(2 ** 32)))
+            got = fock.negativity_fock(rho, (d1, d2))
+            assert routes() == "whole"
+            assert _within_rounding(got, negativity_dense(rho, (d1, d2)), rho)
 
     @pytest.mark.parametrize("r,n,n_max", [(0.5, 0.05, 12), (0.3, 0.01, 32),
                                            (0.7, 0.04, 40)])
@@ -486,8 +444,8 @@ class TestBlockGather:
         with pytest.raises(ValueError, match="density matrix is not Hermitian"):
             check(rho)
         if check is not fock_ops.check_density:
-            assert routes() == {(6, 13): "sectors", (0, 3): "general",
-                                (20, 7): "one-block"}[entry]
+            assert routes() == {(6, 13): "sectors", (0, 3): "whole",
+                                (20, 7): "whole"}[entry]
 
     def test_partial_transpose_is_never_formed(self, routes):
         # nor, in the benchmark's n_max-40 op, which sets the oracle's peak
@@ -532,9 +490,9 @@ TMST_STATES = [(0.4, 0.1, 5), (0.4, 0.1, 6), (0.5, 0.05, 12), (0.3, 0.05, 12),
 
 
 class TestRoutes:
-    """negativity_fock's sector and one-block routes stand in for the
-    general one's search of the pattern of rho^Gamma, which runs only when
-    neither applies."""
+    """negativity_fock takes the sectors exactly when rho conserves a - b,
+    and otherwise rho^Gamma whole; a rho^Gamma whose row 0 has no zero is
+    taken whole untested."""
 
     @pytest.mark.parametrize("r,n,n_max", TMST_STATES)
     def test_sectors_equal_the_components(self, r, n, n_max, routes):
@@ -547,28 +505,29 @@ class TestRoutes:
         fock.negativity_fock(rho, dims)
         assert routes() == "sectors"
 
-    def test_off_pattern_pair_takes_the_general_route(self, routes):
+    def test_off_pattern_pair_takes_the_whole_route(self, routes):
         # |1, 0><0, 0| and its mirror: a - b of 1 against 0
         rho = fock.tmst_density(0.5, 0.05, 12)
         rho[13, 0] = rho[0, 13] = 1e-3
         got = fock.negativity_fock(rho, (13, 13))
-        assert routes() == "general"
+        assert routes() == "whole"
         assert got == negativity_dense(rho, (13, 13))
 
     @pytest.mark.parametrize("n_max", [10, 20])
-    def test_displaced_gaussian_never_searches(self, n_max, monkeypatch):
-        def refuse(mat):
-            raise AssertionError("_blocks called")
-        monkeypatch.setattr(fock, "_blocks", refuse)
+    def test_displaced_gaussian_skips_the_conservation_test(self, n_max, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("_conserves_difference called")
+        monkeypatch.setattr(fock, "_conserves_difference", refuse)
         assert fock.negativity_fock(_displaced_density(n_max), (n_max + 1,) * 2) > 0.0
 
     def test_connected_matrix_with_a_zero_in_row_0(self, routes):
         # rho^Gamma[(0, 0), (3, 2)] = rho[(0, 2), (3, 0)], and its mirror,
-        # set to zero: rho^Gamma stays one block, found by the search
+        # set to zero: the shortcut does not apply, and the conservation
+        # test sends rho^Gamma, still one block, whole
         rho = _displaced_density(10)
         rho[2, 33] = rho[33, 2] = 0.0
         got = fock.negativity_fock(rho, (11, 11))
-        assert routes() == "general"
+        assert routes() == "whole"
         assert len(blocks_bfs(fock_ops.partial_transpose(rho, (11, 11)))) == 1
         assert got == negativity_dense(rho, (11, 11))
 
@@ -665,6 +624,20 @@ class TestDeflation:
         pt = fock_ops.partial_transpose(fock.gaussian_density(_pool_like_state(), 20),
                                         (21, 21))
         assert _rows_to_drop(pt) > _rows_to_drop_squared(pt)
+
+    def test_tmst_partial_transpose(self):
+        pt = fock_ops.partial_transpose(fock.tmst_density(0.5, 0.05, 12), (13, 13))
+        np.testing.assert_allclose(np.sort(fock._deflated_eigvalsh(pt)),
+                                   np.linalg.eigvalsh(pt), rtol=0.0, atol=1e-13)
+
+    def test_permuted_blocks_and_zero_rows(self, eigvalsh_sizes):
+        # the two exactly-zero rows are dropped, and nothing else
+        mat = _hermitian_blocks((4, 7, 9), 2, seed=3)
+        dense = np.linalg.eigvalsh(mat)
+        eigvalsh_sizes.clear()
+        got = fock._deflated_eigvalsh(mat)
+        assert eigvalsh_sizes == [20]
+        np.testing.assert_allclose(np.sort(got), dense, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("r,n", [(0.2, 0.0), (0.35, 0.02), (0.3, 0.01),
                                      (0.8, 0.1)])

@@ -115,9 +115,8 @@ CHECKS = {
             "cvmw.channel.source_terms"},
         "l_max_condition_array": {"cvmw.channel.l_max", "cvmw.channel.tmst_polys",
                                   "cvmw.channel.sym_reach"},
-        "blocks_bfs": {"cvmw.fock._blocks", "cvmw.fock._sectors"},
-        "negativity_dense": {"cvmw.fock.negativity_fock", "cvmw.fock._blocks",
-                             "cvmw.fock._block_eigvalsh",
+        "blocks_bfs": {"cvmw.fock._sectors"},
+        "negativity_dense": {"cvmw.fock.negativity_fock",
                              "cvmw.fock._deflated_eigvalsh",
                              "cvmw.fock._sectors",
                              "cvmw.fock._conserves_difference",
@@ -152,7 +151,6 @@ CHECKS = {
         "ps_project": PS_TMSV | {"cvmw.distill.ps2_gaussian"},
         "beam_splitter_unitary": {"cvmw.core.beam_splitter"},
         "squeeze_unitary": {"cvmw.core.apply"},
-        "_eigvalsh": FOCK_DENSITIES,
         "check_density": FOCK_DENSITIES,
         "partial_transpose": {"cvmw.fock.negativity_fock"},
         "ket_negativity": {"cvmw.fock.negativity_fock", "cvmw.entanglement.negativity",
