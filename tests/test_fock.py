@@ -531,6 +531,63 @@ class TestRoutes:
         assert len(blocks_bfs(fock_ops.partial_transpose(rho, (11, 11)))) == 1
         assert got == negativity_dense(rho, (11, 11))
 
+    @pytest.mark.parametrize("dims", [(1, 1), (1, 6), (6, 1), (2, 7), (4, 6), (13, 13)],
+                             ids=str)
+    def test_sectors_partition_the_indices(self, dims):
+        # and gather rho^Gamma's blocks on them, and their transposes, from
+        # rho: against partial_transpose of a random complex Hermitian rho,
+        # whose blocks are not symmetric
+        d1, d2 = dims
+        sets, src, mirror, ends = fock._sectors(d1, d2)
+        a, b = np.divmod(np.arange(d1 * d2), d2)
+        np.testing.assert_array_equal(np.sort(np.concatenate(sets)), np.arange(d1 * d2))
+        for total, s in enumerate(sets):
+            np.testing.assert_array_equal(s, np.flatnonzero(a + b == total))
+        g = np.random.default_rng(5).normal(size=(2, d1 * d2, d1 * d2))
+        mat = g[0] + 1j * g[1]
+        mat += mat.conj().T
+        pt = fock_ops.partial_transpose(mat, dims)
+        vals = np.take(mat, src)
+        want = [pt[np.ix_(s, s)] for s in sets]
+        np.testing.assert_array_equal(vals, np.concatenate([w.ravel() for w in want]))
+        np.testing.assert_array_equal(vals[mirror],
+                                      np.concatenate([w.T.ravel() for w in want]))
+        assert ends[-1] == len(src)
+
+    @pytest.mark.parametrize("build,dims", CASES, ids=CASE_IDS)
+    def test_one_block_reads_row_0(self, build, dims):
+        # the shortcut holds exactly where row 0 of rho^Gamma has no zero:
+        # on the displaced states, and on none of the others
+        rho = build()
+        got = fock._one_block(rho.reshape(*dims, *dims))
+        assert got == bool(np.all(fock_ops.partial_transpose(rho, dims)[0] != 0))
+        assert got == (rho.dtype == complex and np.all(rho != 0))
+
+    @pytest.mark.parametrize("build,dims", CASES + [
+        (lambda: _non_hermitian((6, 13)), (6, 6)),
+        (lambda: _non_hermitian((0, 3)), (6, 6)),
+    ], ids=CASE_IDS + ["defect-in-block", "lone-entry"])
+    def test_conservation_test_equals_the_mask(self, build, dims):
+        # the count of nonzero words against rho read off its a - b blocks;
+        # the lone entry, at a - b = 0 against a' - b' = -3, lies off them
+        rho = build()
+        d1, d2 = dims
+        a, b = np.divmod(np.arange(d1 * d2), d2)
+        off = (a - b)[:, None] != (a - b)[None, :]
+        vals = np.take(rho, fock._sectors(d1, d2)[1])
+        assert fock._conserves_difference(rho, vals) == (not np.any(rho[off]))
+
+    def test_negative_zero_off_the_blocks_fails_the_conservation_test(self, routes):
+        # -0.0 equals 0.0, but its word is not zero: rho goes whole, and
+        # the negativity is unchanged
+        rho = fock.tmst_density(0.5, 0.05, 12)
+        want = fock.negativity_fock(rho, (13, 13))
+        assert routes() == "sectors"
+        rho[13, 0] = rho[0, 13] = -0.0
+        assert fock.negativity_fock(rho, (13, 13)) == pytest.approx(
+            want, rel=0.0, abs=(1 + len(rho)) * fock.EPS * np.linalg.norm(rho, "fro"))
+        assert routes() == "whole"
+
 
 def _decaying_block(size, ratio, seed, complex_):
     """Seeded Hermitian block whose row and column i scale as ratio**i,
