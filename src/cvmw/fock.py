@@ -27,7 +27,11 @@ n_max 20; the two-mode squeezed thermal sectors drop none.
 Gaussian density matrices come from the Hermite recurrence of their
 Bargmann generating function; the two-mode squeezed thermal state is built
 from its definition, exponentiating the squeezing generator on the
-truncated space. The module uses numpy and the standard library only, so it
+truncated space. That generator is r times a fixed matrix on each block of
+photon-number difference, so the real eigenbases of those blocks, and the
+places of rho's blocks, are computed once per n_max and cached (0.6 MB at
+n_max 40); a call forms each block with real products and writes them all
+with one np.put. The module uses numpy and the standard library only, so it
 shares no code with the closed forms it checks. The Fock kets and
 operators that tests compare against (subtraction, beam-splitter and
 squeezing unitaries, displacements, partial trace and transpose, spectral
@@ -40,12 +44,6 @@ import numpy as np
 
 MAX_DENSE_DIM = 5000
 EPS, TINY = 2.0 ** -52, 2.0 ** -1022  # float64: the gap above 1, the least normal
-
-
-def _expm_antihermitian(gen):
-    """exp(gen) = V e^{-iw} V^dag, where i gen = V diag(w) V^dag."""
-    w, v = np.linalg.eigh(1j * gen)
-    return (v * np.exp(-1j * w)) @ v.conj().T
 
 
 def thermal_density(n_th, n_max):
@@ -195,28 +193,97 @@ def negativity_fock(rho, dims):
         block = t.transpose(0, 3, 2, 1).reshape(d1 * d2, d1 * d2)  # a copy
         _require_hermitian(block)
         ev = _deflated_eigvalsh(block)
-    return float(-np.sum(ev[ev < 0.0]))
+    return float(0.0 - np.sum(ev[ev < 0.0]))  # +0.0, not -0.0, if none is negative
+
+
+@functools.lru_cache(maxsize=8)
+def _squeezing_basis(n_max):
+    """The eigenbases of the two-mode squeezing generator's blocks, real,
+    and where the blocks of rho sit; read-only, cached by n_max.
+
+    a^dag b^dag - a b conserves delta = a - b. On |n + delta, n>, n = 0, ...,
+    m - 1 for m = n_max + 1 - delta, it is G_delta, zero but for
+    G[n + 1, n] = -G[n, n + 1] = sqrt((n + delta + 1) (n + 1)), and the same
+    on |n, n + delta>. With D = diag(i^n), D^dag (i G_delta) D is the real
+    symmetric tridiagonal T_delta with those off-diagonals, so for
+    T_delta = V diag(w) V^T, exp(r G_delta) = D V e^{-irw} V^T D^dag: only
+    the scale r changes from call to call.
+
+    Returns (bases, w, index). bases[delta] is S V, for S = diag((-1)^(n // 2))
+    the signs of D = S diag(1 or i as n is even or odd). w holds the
+    eigenvalues of T_0, ..., T_n_max in turn. index holds the flat positions
+    in rho of the +delta blocks' entries, delta = 0, ..., n_max, each block
+    row-major, then of the -delta blocks' in the same order. At n_max 40
+    they take 0.6 MB: sum_delta m^2 float64, and twice as many intp.
+    """
+    dim1, dim = n_max + 1, (n_max + 1) ** 2
+    # entry (i, j) of the +delta block sits at row i (dim1 + 1) + delta dim1
+    # and column j (dim1 + 1) + delta dim1 of rho; of the -delta block, at
+    # those less delta (dim1 - 1)
+    ns = np.arange(dim1)
+    sign = np.where(ns % 4 < 2, 1.0, -1.0)
+    grid = (ns[:, None] * dim + ns) * (dim1 + 1)
+    bases, w, plus, minus = [], [], [], []
+    for delta in range(dim1):
+        m = dim1 - delta
+        off = np.sqrt((ns[:m - 1] + delta + 1.0) * (ns[:m - 1] + 1.0))
+        vals, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+        bases.append(vecs * sign[:m, None])
+        w.append(vals)
+        plus.append(grid[:m, :m].ravel() + delta * dim1 * (dim + 1))
+        minus.append(grid[:m, :m].ravel() + delta * (dim + 1))
+    w, index = np.concatenate(w), np.concatenate(plus + minus)
+    for array in (*bases, w, index):
+        array.flags.writeable = False
+    return tuple(bases), w, index
+
+
+def _squeezing_exponentials(r, n_max):
+    """exp(r G_delta) for delta = 0, ..., n_max, real, from _squeezing_basis.
+
+    With C = SV cos(rw) (SV)^T and Z = SV sin(rw) (SV)^T, entry (j, k) of
+    D V e^{-irw} V^T D^dag is C[j, k] if j and k have one parity, Z[j, k] if
+    j is odd and k even, and -Z[j, k] if j is even and k odd: cos(rT) is
+    even in T, which links indices of one parity, and sin(rT) odd.
+    """
+    bases, w, _ = _squeezing_basis(n_max)
+    rw = r * w
+    trig = np.stack((np.cos(rw), np.sin(rw)))
+    start = 0
+    for v in bases:
+        end = start + len(v)
+        c, z = (v * trig[:, None, start:end]) @ v.T
+        c[1::2, ::2] = z[1::2, ::2]
+        np.negative(z[::2, 1::2], out=c[::2, 1::2])
+        yield c
+        start = end
 
 
 def tmst_density(r, n, n_max):
     """exp(r (a^dag b^dag - a b)) applied to two thermal modes with n photons
     each; matches core.tmst(r, n). The generator conserves the photon-number
-    difference, so rho is filled block by block, u diag(p_a p_b) u^dag. The
-    generator depends on |delta| only and p_a p_b is symmetric, so the block
-    of -delta is that of delta, built once and written at both index sets.
-    At real r every entry is real: rho is float64, each block the real part
-    of its complex product.
+    difference delta, so rho is zero but for its +-delta blocks,
+    u diag(p_a p_b) u^T with u = exp(r G_delta). G depends on |delta| only
+    and p_a p_b is symmetric, so the block of -delta is that of delta. At
+    real r every entry is real and rho is float64.
+
+    The eigenbases behind each u, and the places of the blocks in rho, are
+    built once per n_max and cached (_squeezing_basis: 0.6 MB at n_max 40,
+    against rho's 23 MB). A call takes real products only, two per delta,
+    one for u (_squeezing_exponentials) and one for its block, and writes
+    every block, at +delta and at -delta, with one np.put.
     """
     dim1 = n_max + 1
     p = thermal_density(n, n_max).diagonal()
+    index = _squeezing_basis(n_max)[2]
+    blocks = np.empty(len(index) // 2)
+    start = 0
+    for delta, u in enumerate(_squeezing_exponentials(r, n_max)):
+        m = dim1 - delta
+        np.matmul(u * (p[delta:] * p[:m]), u.T, out=blocks[start:start + m * m].reshape(m, m))
+        start += m * m
     rho = np.zeros((dim1 ** 2, dim1 ** 2))
-    for delta in range(n_max + 1):
-        ns = np.arange(0, n_max - delta + 1)
-        amp = r * np.sqrt((ns[:-1] + delta + 1.0) * (ns[:-1] + 1.0))
-        ub = _expm_antihermitian(np.diag(amp, -1) - np.diag(amp, 1))
-        block = ((ub * (p[ns + delta] * p[ns])) @ ub.conj().T).real
-        for flat in ((ns + delta) * dim1 + ns, ns * dim1 + ns + delta):
-            rho[np.ix_(flat, flat)] = block
+    np.put(rho, index, blocks)  # blocks is repeated: +delta, then -delta
     return rho
 
 

@@ -5,8 +5,8 @@ Kets are tensors of shape (n_max+1,) * n_modes, recording their truncation
 leakage, and operators dense arrays over the truncated space. The beam
 splitter and the squeezer are built by exponentiating their generators,
 displacements from their closed-form matrix elements. Beside numpy and the
-standard library, it uses cvmw.fock's matrix exponential, its Hermitian
-check and its deflated Hermitian spectrum.
+standard library, it uses cvmw.fock's Hermitian check and its deflated
+Hermitian spectrum.
 """
 
 from dataclasses import dataclass
@@ -14,8 +14,13 @@ from math import lgamma
 
 import numpy as np
 
-from cvmw.fock import (MAX_DENSE_DIM, _deflated_eigvalsh, _expm_antihermitian,
-                       _require_hermitian)
+from cvmw.fock import MAX_DENSE_DIM, _deflated_eigvalsh, _require_hermitian
+
+
+def _expm_antihermitian(gen):
+    """exp(gen) = V e^{-iw} V^dag, where i gen = V diag(w) V^dag."""
+    w, v = np.linalg.eigh(1j * gen)
+    return (v * np.exp(-1j * w)) @ v.conj().T
 
 
 def destroy(n_max):

@@ -11,7 +11,7 @@ from cvmw.bifreq import bifreq_probe
 from cvmw.channel import AirChannel, eta_env
 from cvmw.core import GaussianState, apply, beam_splitter, omega, thermal, tmst
 from cvmw.entanglement import BipartiteCM
-from cvmw.fock import _bargmann, _expm_antihermitian, thermal_density
+from cvmw.fock import _bargmann, _squeezing_exponentials, thermal_density
 from cvmw.illumination import eta_eff as qi_eta_eff, qi_probe
 from cvmw.teleport import (BEYOND_MAX, MAX_DISTANCE, ROOT_GRID, ROOT_RTOL,
                            anderson_bjorck)
@@ -438,19 +438,36 @@ def negativity_dense(rho, dims):
 
 
 def tmst_density_loop(r, n, n_max):
-    """fock.tmst_density with one exponential per photon-number difference
-    delta in [-n_max, n_max], each block u diag(p_a p_b) u^dag."""
+    """fock.tmst_density with each block written on its own, for delta in
+    [-n_max, n_max], u diag(p_a p_b) u^T at the indices of that block alone,
+    u the exponential of |delta| from fock._squeezing_exponentials."""
     dim1 = n_max + 1
-    p = thermal_density(n, n_max).diagonal().real
-    rho = np.zeros((dim1 ** 2, dim1 ** 2), dtype=complex)
+    p = thermal_density(n, n_max).diagonal()
+    exps = list(_squeezing_exponentials(r, n_max))
+    rho = np.zeros((dim1 ** 2, dim1 ** 2))
     for delta in range(-n_max, n_max + 1):
         ns = np.arange(0, n_max - abs(delta) + 1)
-        amp = r * np.sqrt((ns[:-1] + abs(delta) + 1.0) * (ns[:-1] + 1.0))
-        ub = _expm_antihermitian(np.diag(amp, -1) - np.diag(amp, 1))
+        ub = exps[abs(delta)]
         a, b = (ns + delta, ns) if delta >= 0 else (ns, ns - delta)
         flat = a * dim1 + b
-        rho[np.ix_(flat, flat)] = (ub * (p[a] * p[b])) @ ub.conj().T
+        rho[np.ix_(flat, flat)] = (ub * (p[a] * p[b])) @ ub.T
     return rho
+
+
+def squeezing_exponential_mp(r, n_max, delta, dps=40):
+    """exp(r (a^dag b^dag - a b)) on the states |n + delta, n>, n = 0, ...,
+    n_max - delta, by mpmath.expm at dps digits, as a float64 array. The
+    generator's entry between |n + delta, n> and |n + delta + 1, n + 1> is
+    the matrix element sqrt((n + delta + 1) (n + 1)) of a^dag b^dag, and
+    minus it the other way round."""
+    m = n_max + 1 - delta
+    with mpmath.workdps(dps):
+        gen = mpmath.zeros(m)
+        for k in range(m - 1):
+            amp = mpmath.mpf(r) * mpmath.sqrt((k + delta + 1) * (k + 1))
+            gen[k + 1, k], gen[k, k + 1] = amp, -amp
+        exp = mpmath.expm(gen)
+        return np.array([[float(exp[i, j]) for j in range(m)] for i in range(m)])
 
 
 def gaussian_density_moveaxis(state, n_max):

@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 import tracemalloc
 
@@ -9,7 +10,8 @@ from cvmw import core, distill, entanglement, fock, illumination
 from tests import child
 from tests.oracles import fock_ops
 from tests.oracles.routes import (blocks_bfs, gaussian_density_moveaxis,
-                                  negativity_dense, tmst_density_loop)
+                                  negativity_dense, squeezing_exponential_mp,
+                                  tmst_density_loop)
 
 
 class TestDisplacement:
@@ -393,6 +395,11 @@ class TestBlockGather:
         else:
             assert got == dense
 
+    def test_no_negative_eigenvalue_gives_positive_zero(self):
+        build, dims = CASES[CASE_IDS.index("product")]
+        got = fock.negativity_fock(build(), dims)
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
     def test_whole_route_within_rounding_on_random_blocks(self, routes):
         # permuted Hermitian blocks and zero rows, of random sizes and dims:
         # rho^Gamma has up to 19 components, and is always taken whole
@@ -421,10 +428,8 @@ class TestBlockGather:
     @pytest.mark.parametrize("r,n,n_max", [(0.0, 0.0, 3), (0.5, 0.05, 12),
                                            (0.3, 0.0, 20), (0.8, 0.1, 32)])
     def test_tmst_density_equals_loop(self, r, n, n_max):
-        # real r gives real Fock entries: the loop's imaginary parts are rounding
-        loop = tmst_density_loop(r, n, n_max)
-        assert np.abs(loop.imag).max() <= 1e-15 * np.abs(loop).max()
-        assert np.array_equal(fock.tmst_density(r, n, n_max), loop.real)
+        assert np.array_equal(fock.tmst_density(r, n, n_max),
+                              tmst_density_loop(r, n, n_max))
 
     @pytest.mark.parametrize("check", [
         fock_ops.check_density, lambda m: fock.negativity_fock(m, (6, 6))],
@@ -452,6 +457,7 @@ class TestBlockGather:
         # memory, anything beyond a quarter of rho besides rho itself
         for r, n, n_max in ((0.3, 0.0, 32), (0.7, 0.04, 40)):
             fock._sectors.cache_clear()
+            fock._squeezing_basis.cache_clear()
             tracemalloc.start()
             try:
                 rho = fock.tmst_density(r, n, n_max)
@@ -479,6 +485,50 @@ class TestBlockGather:
         (kept,) = eigvalsh_sizes
         assert kept < len(rho)
         assert peak < rho.nbytes * 17 / 16 + kept ** 2 * rho.itemsize, (peak, rho.nbytes)
+
+
+class TestSqueezingBasis:
+    """tmst_density's exponentials come from eigenbases built once per n_max."""
+
+    @pytest.mark.parametrize("n_max,delta",
+                             [(12, delta) for delta in range(13)] + [(40, 0), (40, 5), (40, 20)])
+    def test_exponentials_equal_mpmath_expm(self, n_max, delta):
+        got = list(fock._squeezing_exponentials(0.75, n_max))[delta]
+        want = squeezing_exponential_mp(0.75, n_max, delta)
+        assert np.abs(got - want).max() <= 1e-13
+
+    def test_second_call_solves_nothing(self, monkeypatch):
+        fock._squeezing_basis.cache_clear()
+        calls, solve = [], np.linalg.eigh
+
+        def spy(mat):
+            calls.append(len(mat))
+            return solve(mat)
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        fock.tmst_density(0.3, 0.01, 32)
+        assert calls == list(range(33, 0, -1))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigen-solver called")
+        for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        fock.tmst_density(0.5, 0.1, 32)
+
+    def test_cached_arrays_are_read_only(self):
+        bases, w, index = fock._squeezing_basis(6)
+        for array in (*bases, w, index):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_cold_call_peaks_below_rho_and_a_sixteenth(self):
+        fock._squeezing_basis.cache_clear()
+        tracemalloc.start()
+        try:
+            rho = fock.tmst_density(0.7, 0.04, 40)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < rho.nbytes * 17 / 16, (peak, rho.nbytes)
 
 
 # every two-mode squeezed thermal state with n > 0 that these tests build,
